@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .envs import ALL_TASKS
@@ -104,9 +105,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         def backend_factory(task, model, temperature, replication):
             return ScriptedBackend(list(script))
     else:
-        gateway = GatewayConfig.load(args.gateway_config).with_env_overrides()
+        gateway = GatewayConfig.load(args.gateway_config)
         if spec.get("base_url"):
-            gateway = GatewayConfig(**{**gateway.__dict__, "base_url": spec["base_url"]})
+            gateway = replace(gateway, base_url=spec["base_url"])
 
         def backend_factory(task, model, temperature, replication):
             return HttpChatBackend(gateway)

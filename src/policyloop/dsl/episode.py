@@ -7,7 +7,6 @@ its trace line records the offending value verbatim (e.g. ``None``).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,26 +56,6 @@ class EpisodeTrace:
     def window_lines(self, size: int) -> list[str]:
         """The last ``size`` observation/action lines (whole episode if shorter)."""
         return [s.line() for s in self.steps[-size:]]
-
-    def to_jsonl(self) -> str:
-        """One structured record per step, newline-delimited."""
-        rows = []
-        for i, s in enumerate(self.steps):
-            rows.append(
-                json.dumps(
-                    {
-                        "step": i,
-                        "obs": np.asarray(s.observation).tolist(),
-                        "action": s.action_text,
-                        "reward": s.reward,
-                        "terminated": s.terminated,
-                        "truncated": s.truncated,
-                        "cause": s.cause.value,
-                    },
-                    separators=(", ", ": "),
-                )
-            )
-        return "\n".join(rows) + "\n"
 
 
 def run_episode(

@@ -8,6 +8,7 @@ thresholds; an epsilon would silently change their meaning).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -76,10 +77,16 @@ class _Evaluator:
             if isinstance(stmt, Pass):
                 continue
             if isinstance(stmt, If):
-                if self.truthy(self.expr(stmt.test)):
-                    fired, value = self.run(stmt.body)
+                # follow an elif chain in a loop: its length costs no stack
+                branch = stmt
+                while not self.truthy(self.expr(branch.test)):
+                    block = branch.orelse
+                    if len(block) != 1 or not isinstance(block[0], If):
+                        break
+                    branch = block[0]
                 else:
-                    fired, value = self.run(stmt.orelse)
+                    block = branch.body
+                fired, value = self.run(block)
                 if fired:
                     return True, value
         return False, None
@@ -224,7 +231,18 @@ def evaluate(program: PolicyProgram, obs: np.ndarray, rng: random.Random, spec: 
             action=int(value), value_text=value_text, used_random=walker.used_random
         )
     assert isinstance(action_space, ContinuousAction)
-    clamped = action_space.clamp(float(value))
+    number = float(value)
+    if not math.isfinite(number):
+        # clamping would pass NaN on, and the dynamics never terminate on it
+        return PolicyOutcome(
+            action=None,
+            reason=InvalidReason.OUT_OF_RANGE,
+            value_text=value_text,
+            detail=f"value {value_text} is not a finite number",
+            used_random=walker.used_random,
+        )
     return PolicyOutcome(
-        action=clamped, value_text=value_text, used_random=walker.used_random
+        action=action_space.clamp(number),
+        value_text=value_text,
+        used_random=walker.used_random,
     )

@@ -10,8 +10,11 @@ syntax chat models emit when asked for plain-code controllers:
                   random.randint(lo, hi) and random.uniform(lo, hi)
 
 No loops, no assignments, no other calls, so evaluation always terminates.
-Parse errors carry line/column and a message phrased for feeding straight
-back to the model in a repair prompt.
+Nesting (brackets, unary and binary operators, indented blocks) is capped at
+``MAX_NESTING`` levels, so parsing, evaluating and printing a program never
+overflow the stack; an if/elif chain of any length is one level. Parse
+errors carry line/column and a message phrased for feeding straight back to
+the model in a repair prompt.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ BANNED_KEYWORDS = {
     "yield": "yield is not allowed",
 }
 RANDOM_BUILTINS = ("randint", "uniform")
+
+# Each level costs the recursive-descent parser up to nine stack frames.
+MAX_NESTING = 50
 
 COMPARE_OPS = ("<=", ">=", "==", "!=", "<", ">")
 _TOKEN_RE = re.compile(
@@ -219,6 +225,7 @@ class _Parser:
         self.source = source
         self.pos = 0
         self.saw_random = False
+        self.depth = 0
 
     # helpers ---------------------------------------------------------------
 
@@ -248,6 +255,19 @@ class _Parser:
         want = what or (value if value is not None else kind.lower())
         got = tok.value or tok.kind.lower()
         raise PolicyParseError(f"expected {want!r} but found {got!r}", tok.line, tok.col)
+
+    def descend(self) -> None:
+        """Enter one more nesting level; callers step back out by decrementing
+        ``depth`` (an error abandons the whole parse, so no cleanup is needed)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.current
+            raise PolicyParseError(
+                f"the function nests brackets, operators or blocks more than "
+                f"{MAX_NESTING} levels deep; write it as a flatter if/elif chain",
+                tok.line,
+                tok.col,
+            )
 
     def fail_banned(self, tok: Token) -> None:
         reason = BANNED_KEYWORDS.get(tok.value)
@@ -320,6 +340,7 @@ class _Parser:
             pass
 
     def parse_suite(self) -> tuple[Stmt, ...]:
+        self.descend()
         if self.accept("NEWLINE"):
             self.expect("INDENT", what="an indented block")
             stmts: list[Stmt] = []
@@ -330,9 +351,11 @@ class _Parser:
                 raise PolicyParseError(
                     "empty block", self.current.line, self.current.col
                 )
-            return tuple(stmts)
-        # single statement on the header line: "def f(x): return 1"
-        return (self.parse_statement(),)
+        else:
+            # single statement on the header line: "def f(x): return 1"
+            stmts = [self.parse_statement()]
+        self.depth -= 1
+        return tuple(stmts)
 
     def parse_statement(self) -> Stmt:
         tok = self.current
@@ -373,34 +396,32 @@ class _Parser:
         return Return(value=value, line=tok.line)
 
     def parse_if(self) -> If:
+        # Each elif becomes an If nested in the orelse of the one before; the
+        # chain is read in a loop and built from its end, without recursion.
+        branches = []
         tok = self.expect("NAME", "if")
-        test = self.parse_expr()
-        self.expect("OP", ":")
-        body = self.parse_suite()
-        orelse: tuple[Stmt, ...] = ()
-        if self.check("NAME", "elif") or self.check("NAME", "else"):
-            orelse = self.parse_orelse()
-        return If(test=test, body=body, orelse=orelse, line=tok.line)
-
-    def parse_orelse(self) -> tuple[Stmt, ...]:
-        if self.check("NAME", "elif"):
-            elif_tok = self.current
-            self.advance()
+        while True:
             test = self.parse_expr()
             self.expect("OP", ":")
-            body = self.parse_suite()
-            orelse: tuple[Stmt, ...] = ()
-            if self.check("NAME", "elif") or self.check("NAME", "else"):
-                orelse = self.parse_orelse()
-            return (If(test, body, orelse, line=elif_tok.line),)
-        self.expect("NAME", "else")
-        self.expect("OP", ":")
-        return self.parse_suite()
+            branches.append((tok, test, self.parse_suite()))
+            if not self.check("NAME", "elif"):
+                break
+            tok = self.advance()
+        orelse: tuple[Stmt, ...] = ()
+        if self.accept("NAME", "else"):
+            self.expect("OP", ":")
+            orelse = self.parse_suite()
+        for tok, test, body in reversed(branches):
+            orelse = (If(test=test, body=body, orelse=orelse, line=tok.line),)
+        return orelse[0]
 
     # expressions -------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        self.descend()
+        node = self.parse_or()
+        self.depth -= 1
+        return node
 
     def parse_or(self) -> Expr:
         node = self.parse_and()
@@ -422,7 +443,10 @@ class _Parser:
 
     def parse_not(self) -> Expr:
         if self.accept("NAME", "not"):
-            return UnaryOp("not", self.parse_not())
+            self.descend()
+            node = UnaryOp("not", self.parse_not())
+            self.depth -= 1
+            return node
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expr:
@@ -437,13 +461,18 @@ class _Parser:
         return left
 
     def parse_arith(self) -> Expr:
+        # a chain of n operators is a left-leaning tree n levels deep
+        depth = self.depth
         node = self.parse_term()
         while self.current.kind == "OP" and self.current.value in ("+", "-"):
             op = self.advance().value
+            self.descend()
             node = BinOp(op, node, self.parse_term())
+        self.depth = depth
         return node
 
     def parse_term(self) -> Expr:
+        depth = self.depth
         node = self.parse_factor()
         while self.current.kind == "OP" and self.current.value in ("*", "/", "**", "//"):
             tok = self.current
@@ -454,14 +483,19 @@ class _Parser:
                     tok.col,
                 )
             op = self.advance().value
+            self.descend()
             node = BinOp(op, node, self.parse_factor())
+        self.depth = depth
         return node
 
     def parse_factor(self) -> Expr:
         tok = self.current
         if tok.kind == "OP" and tok.value in ("-", "+"):
             self.advance()
-            return UnaryOp(tok.value, self.parse_factor())
+            self.descend()
+            node = UnaryOp(tok.value, self.parse_factor())
+            self.depth -= 1
+            return node
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
@@ -527,34 +561,29 @@ class _Parser:
         return RandomCall(fn.value, lo, hi)
 
 
-def _collect_names(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, Name):
-        out.add(expr.ident)
-    elif isinstance(expr, UnaryOp):
-        _collect_names(expr.operand, out)
-    elif isinstance(expr, BinOp):
-        _collect_names(expr.left, out)
-        _collect_names(expr.right, out)
-    elif isinstance(expr, BoolOp):
-        for v in expr.values:
-            _collect_names(v, out)
-    elif isinstance(expr, Compare):
-        _collect_names(expr.left, out)
-        for c in expr.comparators:
-            _collect_names(c, out)
-    elif isinstance(expr, RandomCall):
-        _collect_names(expr.lo, out)
-        _collect_names(expr.hi, out)
-
-
-def _walk_exprs(stmts: tuple[Stmt, ...], out: set[str]) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, Return):
-            _collect_names(stmt.value, out)
-        elif isinstance(stmt, If):
-            _collect_names(stmt.test, out)
-            _walk_exprs(stmt.body, out)
-            _walk_exprs(stmt.orelse, out)
+def _names_used(stmts: tuple[Stmt, ...]) -> set[str]:
+    """Every identifier the statements read, gathered without recursion."""
+    used: set[str] = set()
+    pending: list = list(stmts)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Name):
+            used.add(node.ident)
+        elif isinstance(node, Return):
+            pending.append(node.value)
+        elif isinstance(node, If):
+            pending += (node.test, *node.body, *node.orelse)
+        elif isinstance(node, UnaryOp):
+            pending.append(node.operand)
+        elif isinstance(node, BinOp):
+            pending += (node.left, node.right)
+        elif isinstance(node, BoolOp):
+            pending += node.values
+        elif isinstance(node, Compare):
+            pending += (node.left, *node.comparators)
+        elif isinstance(node, RandomCall):
+            pending += (node.lo, node.hi)
+    return used
 
 
 def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> PolicyProgram:
@@ -566,9 +595,7 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
     """
     program = _Parser(tokenize(source), source).parse_program()
 
-    used: set[str] = set()
-    _walk_exprs(program.body, used)
-    unknown = sorted(used - set(program.params))
+    unknown = sorted(_names_used(program.body) - set(program.params))
     if unknown:
         raise PolicyParseError(
             f"unknown identifier(s) {', '.join(repr(u) for u in unknown)}; only the "

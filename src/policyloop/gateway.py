@@ -3,8 +3,10 @@ API dialect served by local model hosts) and a scripted backend for
 deterministic tests.
 
 Every prompt is sent as a self-contained exchange; the client holds no
-conversation state. Transient transport failures and 5xx responses retry
-with exponential backoff; 4xx responses never retry. Requests whose
+conversation state. The HTTP client is the only retry layer: transport
+failures, 5xx responses and empty or unusable completions retry with
+exponential backoff up to ``retries`` times, so one call makes at most
+``retries + 1`` attempts; 4xx responses never retry. Requests whose
 estimated size exceeds the configured context budget fail fast with a
 distinct error so callers can shrink their payload (e.g. use a smaller
 sensory-motor window).
@@ -18,7 +20,7 @@ import os
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 TEMPERATURE_MAX = 3.2
@@ -141,11 +143,7 @@ class GatewayConfig:
             raw = os.environ.get(self.ENV_PREFIX + env_name)
             if raw is not None:
                 values[attr] = cast(raw)
-        if not values:
-            return self
-        merged = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        merged.update(values)
-        return GatewayConfig(**merged)
+        return replace(self, **values)
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "GatewayConfig":
@@ -169,13 +167,8 @@ class HttpChatBackend:
     """Stateless client for an OpenAI-compatible /v1/chat/completions endpoint."""
 
     def __init__(self, config: Optional[GatewayConfig] = None, **overrides):
-        config = config or GatewayConfig()
-        if overrides:
-            merged = {f: getattr(config, f) for f in config.__dataclass_fields__}
-            merged.update(overrides)
-            config = GatewayConfig(**merged)
-        self.config = config
-        self.url = completions_url(config.base_url)
+        self.config = replace(config or GatewayConfig(), **overrides)
+        self.url = completions_url(self.config.base_url)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if count_budget(request) > self.config.context_budget:
@@ -206,8 +199,10 @@ class HttpChatBackend:
                         raise ContextLengthError(body[:500]) from None
                     raise BackendHTTPError(exc.code, body) from None
                 last_error = BackendHTTPError(exc.code, body)
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            except (urllib.error.URLError, TimeoutError, OSError, MalformedResponseError) as exc:
                 last_error = exc
+        if isinstance(last_error, MalformedResponseError):
+            raise last_error
         raise TransportError(
             f"request failed after {self.config.retries + 1} attempts: {last_error}"
         )

@@ -1,7 +1,7 @@
 """Refinement loop: per-replication runner, batch runner, records, config."""
 
 from .batch import run_batch
-from .config import CARTPOLE_FAMILY, LoopConfig, WINDOW_SIZES_SWEPT
+from .config import CARTPOLE_FAMILY, LoopConfig
 from .records import RunRecord, RunStatus, Strategy, default_record_name
 from .runner import (
     episode_seed,
@@ -20,7 +20,6 @@ __all__ = [
     "RunRecord",
     "RunStatus",
     "Strategy",
-    "WINDOW_SIZES_SWEPT",
     "default_record_name",
     "episode_seed",
     "evaluate_program",

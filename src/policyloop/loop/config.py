@@ -34,8 +34,6 @@ DEFAULT_EVAL_EPISODES = {
 }
 FALLBACK_EVAL_EPISODES = 10
 
-WINDOW_SIZES_SWEPT = (5, 20, 50, 100)
-
 
 @dataclass
 class LoopConfig:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ..envs.core import TaskId, parse_task_id
 from ..prompts import SensoryMotorWindow
@@ -93,23 +93,6 @@ class RunRecord:
     @property
     def per_iteration_rewards(self) -> list[float]:
         return [s.mean_reward for s in self.strategies]
-
-    @property
-    def best_strategy(self) -> Optional[Strategy]:
-        if not self.strategies:
-            return None
-        best = self.strategies[0]
-        for s in self.strategies[1:]:
-            if s.mean_reward > best.mean_reward:  # ties keep the earliest
-                best = s
-        return best
-
-    def first_hit_iteration(self, r_max: float) -> Optional[int]:
-        """1-based index of the first iteration whose mean hit r_max."""
-        for s in self.strategies:
-            if s.mean_reward == r_max:
-                return s.iteration_index + 1
-        return None
 
     def to_dict(self, include_wall_clock: bool = True) -> dict:
         data = {

@@ -19,14 +19,7 @@ from ..dsl.episode import EpisodeTrace, run_episode
 from ..dsl.parser import parse as parse_policy
 from ..envs import get_spec, make
 from ..envs.core import TaskId, derive_seed, parse_task_id
-from ..gateway import (
-    ChatRequest,
-    ChatResponse,
-    ContextLengthError,
-    GatewayError,
-    ScriptedBackend,
-    ScriptExhaustedError,
-)
+from ..gateway import ChatRequest, ChatResponse, GatewayError, ScriptedBackend
 from ..prompts import (
     RepairBudgetExhausted,
     SensoryMotorWindow,
@@ -43,26 +36,6 @@ from ..prompts import (
 from ..prompts.pipeline import NoRulesError
 from .config import LoopConfig
 from .records import RunRecord, RunStatus, Strategy
-
-# Deterministic failures that a blind retry cannot fix.
-_NO_RETRY = (ScriptExhaustedError, ContextLengthError)
-
-
-class _RetryOnce:
-    """Retries a failed prompt stage once; transient transport trouble is
-    common with local model hosts, repeat failure means the backend is down."""
-
-    def __init__(self, backend):
-        self._backend = backend
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        try:
-            return self._backend.complete(request)
-        except _NO_RETRY:
-            raise
-        except GatewayError:
-            return self._backend.complete(request)
-
 
 class _Recorder:
     """Captures every raw response so the record can be replayed."""
@@ -243,12 +216,8 @@ def refine(
 
     current = history[-1]
     previous = history[-2] if len(history) >= 2 else None
-    best: Optional[Strategy] = None
-    if len(history) >= 2:
-        best = history[0]
-        for s in history[1:]:
-            if s.mean_reward > best.mean_reward:  # ties keep the earliest
-                best = s
+    # max() keeps the earliest of equal rewards
+    best = max(history, key=lambda s: s.mean_reward) if len(history) >= 2 else None
 
     prompt = render_p4(
         spec,
@@ -311,7 +280,7 @@ def run_replication(
     task_id = parse_task_id(task_id)
     spec = get_spec(task_id)
     temperature = config.temperatures[0] if temperature is None else temperature
-    recorder = _Recorder(_RetryOnce(backend))
+    recorder = _Recorder(backend)
 
     record = RunRecord(
         task_id=task_id,

@@ -326,44 +326,6 @@ _STAGE_KIND = {
 }
 
 
-def render(
-    stage: Stage,
-    spec: EnvSpec,
-    model_name: str,
-    temperature: float,
-    request_seed: Optional[int] = None,
-    max_tokens: Optional[int] = None,
-    **context,
-) -> ChatRequest:
-    """One-stop render: prompt text for ``stage`` wrapped in a ChatRequest.
-
-    Stage-specific context: P2 takes ``strategy_text``; P3 takes
-    ``rules_text`` (and optional ``error``); P4 takes ``current`` and the
-    optional ``previous``/``best``/``history_rewards``/``window_size``/
-    ``ablation``. Missing context raises :class:`PromptError`.
-    """
-    try:
-        if stage is Stage.P1_STRATEGY:
-            text = render_p1(spec)
-        elif stage is Stage.P2_RULES:
-            text = render_p2(spec, context["strategy_text"])
-        elif stage is Stage.P3_CODE:
-            text = render_p3(spec, context["rules_text"], context.get("error"))
-        else:
-            text = render_p4(
-                spec,
-                context["current"],
-                previous=context.get("previous"),
-                best=context.get("best"),
-                history_rewards=context.get("history_rewards", ()),
-                window_size=context.get("window_size", 20),
-                ablation=context.get("ablation", Ablation.BASELINE),
-            )
-    except KeyError as exc:
-        raise PromptError(f"stage {stage.value} needs context field {exc}") from None
-    return build_request(stage, text, model_name, temperature, request_seed, max_tokens)
-
-
 def build_request(
     stage: Stage,
     prompt_text: str,
@@ -507,46 +469,6 @@ class RepairBudgetExhausted(Exception):
 class CodeResult:
     program: PolicyProgram
     attempts: int
-    responses: list[str]
-
-
-def repair_loop(
-    backend,
-    spec: EnvSpec,
-    rules_text: str,
-    first_error: str,
-    model_name: str,
-    temperature: float,
-    request_seed: Optional[int] = None,
-    budget: int = 10,
-    max_tokens: Optional[int] = None,
-) -> CodeResult:
-    """Re-prompt after a failed code extraction, at most ``budget`` attempts
-    in total (the failed one that brought us here counts as the first).
-
-    Each repair prompt is the full Prompt 3 (description and rules included)
-    plus the previous attempt's error. ``attempts`` in the result counts
-    every code response consumed.
-    """
-    responses: list[str] = []
-    errors: list[str] = [first_error]
-    error = first_error
-    attempts = 1
-    while attempts < budget:
-        attempts += 1
-        prompt = render_p3(spec, rules_text, error=error)
-        request = build_request(
-            Stage.P3_CODE, prompt, model_name, temperature, request_seed, max_tokens
-        )
-        text = backend.complete(request).text
-        responses.append(text)
-        try:
-            program = extract_code(text, spec)
-            return CodeResult(program=program, attempts=attempts, responses=responses)
-        except PolicyParseError as exc:
-            error = str(exc)
-            errors.append(error)
-    raise RepairBudgetExhausted(attempts=attempts, errors=errors)
 
 
 def generate_program(
@@ -559,29 +481,22 @@ def generate_program(
     budget: int = 10,
     max_tokens: Optional[int] = None,
 ) -> CodeResult:
-    """Prompt 3, falling into the bounded repair loop on parse failure."""
-    prompt = render_p3(spec, rules_text)
-    request = build_request(
-        Stage.P3_CODE, prompt, model_name, temperature, request_seed, max_tokens
-    )
-    text = backend.complete(request).text
-    try:
-        program = extract_code(text, spec)
-        return CodeResult(program=program, attempts=1, responses=[text])
-    except PolicyParseError as exc:
-        result = repair_loop(
-            backend,
-            spec,
-            rules_text,
-            str(exc),
-            model_name,
-            temperature,
-            request_seed=request_seed,
-            budget=budget,
-            max_tokens=max_tokens,
+    """Prompt 3, re-asked until a response parses, at most ``budget``
+    attempts in total (always at least one).
+
+    Each repair prompt is the full Prompt 3 (description and rules included)
+    plus the previous attempt's error. ``attempts`` in the result counts
+    every code response consumed.
+    """
+    errors: list[str] = []
+    for attempt in range(1, max(budget, 1) + 1):
+        prompt = render_p3(spec, rules_text, error=errors[-1] if errors else None)
+        request = build_request(
+            Stage.P3_CODE, prompt, model_name, temperature, request_seed, max_tokens
         )
-        return CodeResult(
-            program=result.program,
-            attempts=result.attempts,
-            responses=[text] + result.responses,
-        )
+        text = backend.complete(request).text
+        try:
+            return CodeResult(program=extract_code(text, spec), attempts=attempt)
+        except PolicyParseError as exc:
+            errors.append(str(exc))
+    raise RepairBudgetExhausted(attempts=len(errors), errors=errors)

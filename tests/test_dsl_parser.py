@@ -263,3 +263,44 @@ def test_round_trip_on_random_programs():
 def test_names_cannot_collide_with_keywords():
     with pytest.raises(PolicyParseError):
         parse("def return(a):\n    return 1\n")
+
+
+# -- nesting limit ---------------------------------------------------------------
+
+_HEAD = f"def get_action({', '.join(CARTPOLE_PARAMS)}):\n"
+
+DEEP_PROGRAMS = {
+    "150-nested-parentheses": _HEAD + "    return " + "(" * 150 + "1" + ")" * 150 + "\n",
+    "1000-term-sum": _HEAD + "    return 1" + " + 0" * 999 + "\n",
+    "1000-nested-ifs": _HEAD
+    + "".join("    " * depth + "if pole_angle > 0:\n" for depth in range(1, 1001))
+    + "    " * 1001 + "return 1\n",
+    "1000-nots": _HEAD + "    if " + "not " * 1000 + "pole_angle > 0:\n        return 1\n    return 2\n",
+    "1000-unary-minuses": _HEAD + "    return " + "-" * 1000 + "1\n",
+}
+
+
+@pytest.mark.parametrize("source", DEEP_PROGRAMS.values(), ids=DEEP_PROGRAMS.keys())
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(PolicyParseError, match="levels deep"):
+        parse(source)
+
+
+def test_long_elif_chain_parses_and_evaluates():
+    import random
+
+    import numpy as np
+
+    from policyloop.dsl import evaluate
+    from policyloop.envs import TaskId, get_spec
+
+    rules = ["    if pole_angle > 200:\n        return 2\n"]
+    rules += [f"    elif pole_angle > {200 - i}:\n        return {1 + i % 2}\n" for i in range(1, 200)]
+    program = parse(_HEAD + "".join(rules), expected_params=CARTPOLE_PARAMS)
+    assert parse(to_source(program)) == program
+    spec = get_spec(TaskId.CARTPOLE)
+    # the 190th elif is the first rule that holds
+    outcome = evaluate(program, np.array([0.0, 0.0, 10.5, 0.0]), random.Random(0), spec)
+    assert outcome.action == 1
+    outcome = evaluate(program, np.array([0.0, 0.0, -1.0, 0.0]), random.Random(0), spec)
+    assert outcome.action is None  # no rule fired

@@ -1,10 +1,11 @@
 """Episode rollouts: invalid-action semantics, trace rendering, replay."""
 
-import json
 import random
 
-from policyloop.dsl import parse, run_episode
-from policyloop.envs import TaskId
+import pytest
+
+from policyloop.dsl import InvalidReason, parse, run_episode
+from policyloop.envs import TaskId, get_spec
 from policyloop.envs.core import TerminationCause
 
 from conftest import transcript_text
@@ -67,13 +68,21 @@ def test_window_lines_take_the_tail(iter0_program):
     assert trace.window_lines(10_000) == trace.lines()
 
 
-def test_jsonl_export_has_one_record_per_step(iter0_program):
-    trace = run_episode(iter0_program, TaskId.CARTPOLE_STAR2, seed=3, rng=random.Random(1))
-    rows = [json.loads(line) for line in trace.to_jsonl().strip().splitlines()]
-    assert len(rows) == trace.length
-    assert rows[0]["step"] == 0
-    assert set(rows[0]) == {"step", "obs", "action", "reward", "terminated", "truncated", "cause"}
-    assert rows[-1]["cause"] in {"bounds_exceeded", "step_limit", "invalid_action"}
+@pytest.mark.parametrize(
+    "task", [TaskId.INVERTED_PENDULUM, TaskId.PENDULUM, TaskId.MOUNTAIN_CAR_CONTINUOUS]
+)
+def test_nan_action_ends_the_episode_invalid(task):
+    spec = get_spec(task)
+    program = parse(
+        f"def get_action({', '.join(spec.obs_names)}):\n"
+        "    return 1e308 * 10 - 1e308 * 10\n"
+    )
+    trace = run_episode(program, task, seed=0, rng=random.Random(0))
+    assert trace.ended_invalid
+    assert trace.length == 1
+    assert trace.total_reward == 0.0
+    assert trace.invalid_outcome.reason is InvalidReason.OUT_OF_RANGE
+    assert trace.lines()[0].endswith(";nan")
 
 
 def test_continuous_episode_records_float_actions():

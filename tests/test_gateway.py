@@ -20,6 +20,7 @@ from policyloop.gateway import (
     completions_url,
     count_budget,
 )
+from policyloop.loop import LoopConfig, RunStatus, run_replication
 
 
 def _req(text="hello", temperature=0.0, seed=None):
@@ -190,6 +191,7 @@ def test_http_gives_up_after_retry_budget(local_server):
     _Script.responses = [(500, "boom")] * 3
     with pytest.raises(TransportError, match="after 3 attempts"):
         _backend(local_server).complete(_req())
+    assert len(_Script.requests) == 3
 
 
 def test_http_4xx_never_retries(local_server):
@@ -223,16 +225,40 @@ def test_oversized_request_fails_before_the_wire(local_server):
     assert _Script.requests == []  # never sent
 
 
+_EMPTY = json.dumps({"choices": [{"message": {"content": "  "}}]})
+
+
 def test_malformed_body_is_flagged(local_server):
-    _Script.responses = [(200, "not json at all")]
-    with pytest.raises(MalformedResponseError):
+    # retries=2: every one of the three attempts gets a bad body
+    _Script.responses = [(200, "not json at all")] * 3
+    with pytest.raises(MalformedResponseError, match="unusable body"):
         _backend(local_server).complete(_req())
+    assert len(_Script.requests) == 3
 
 
 def test_empty_completion_is_flagged(local_server):
-    _Script.responses = [(200, json.dumps({"choices": [{"message": {"content": "  "}}]}))]
+    _Script.responses = [(200, _EMPTY)] * 3
     with pytest.raises(MalformedResponseError, match="empty"):
         _backend(local_server).complete(_req())
+    assert len(_Script.requests) == 3
+
+
+def test_empty_completion_is_retried(local_server):
+    _Script.responses = [(200, _EMPTY), (200, _ok_body("second try"))]
+    assert _backend(local_server).complete(_req()).text == "second try"
+    assert len(_Script.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "status,sent", [(500, 3), (401, 1)], ids=["5xx-retried", "4xx-sent-once"]
+)
+def test_failing_stage_makes_at_most_retries_plus_one_requests(local_server, status, sent):
+    """The gateway is the only retry layer: the loop adds no attempts of its own."""
+    _Script.responses = [(status, json.dumps({"error": "no"}))] * 10
+    config = LoopConfig.for_task("CartPoleStar2", epochs=2, eval_episodes=1)
+    record = run_replication("CartPoleStar2", config, _backend(local_server))
+    assert record.status is RunStatus.ABORTED_BACKEND
+    assert len(_Script.requests) == sent
 
 
 def test_transport_error_when_nothing_listens():

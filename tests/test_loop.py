@@ -342,21 +342,38 @@ def test_backend_exhaustion_aborts_with_status():
     assert len(record.strategies) == 3  # everything before the failure is kept
 
 
-def test_transient_backend_failure_is_retried_once():
-    class Flaky:
+def test_gateway_error_aborts_without_a_second_call():
+    class FailsOnFifthCall:
+        """Raises on one call, as a gateway does once its own retries are spent."""
+
         def __init__(self, responses):
             self.inner = ScriptedBackend(responses)
             self.calls = 0
 
         def complete(self, request):
             self.calls += 1
-            if self.calls == 1:
-                raise GatewayError("transient glitch")
+            if self.calls == 5:  # iteration 1's rules; calls 1-3 built iteration 0
+                raise GatewayError("backend down")
             return self.inner.complete(request)
 
-    backend = Flaky(scripted_session())
+    backend = FailsOnFifthCall(scripted_session())
     record = run_replication(TaskId.CARTPOLE_STAR2, _config(), backend, 0, 0.0)
+    assert record.status is RunStatus.ABORTED_BACKEND
+    assert backend.calls == 5  # nothing above the gateway asks again
+    assert len(record.strategies) == 1
+    assert record.responses == scripted_session()[:4]
+
+
+def test_too_deeply_nested_code_is_repaired():
+    deep = (
+        "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
+        "    return " + "(" * 150 + "1" + ")" * 150 + "\n"
+    )
+    session = scripted_session()
+    script = session[:2] + [deep] + session[2:]
+    record = run_replication(TaskId.CARTPOLE_STAR2, _config(), ScriptedBackend(script), 0, 0.0)
     assert record.status is RunStatus.COMPLETED
+    assert record.strategies[0].repair_attempts == 2
     assert len(record.strategies) == 4
 
 

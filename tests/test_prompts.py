@@ -259,28 +259,6 @@ def test_build_request_stage_budgets(star2_spec):
     assert build_request(Stage.P4_REFLECT, "text", "m", 0.0).max_tokens == 4096
 
 
-def test_render_dispatcher_builds_requests(star2_spec):
-    from policyloop.prompts import render
-
-    request = render(Stage.P1_STRATEGY, star2_spec, "m", 0.0)
-    assert request.messages[0]["content"] == fixture_text("p1_cartpole_star2.txt")
-    assert request.max_tokens == 2048
-
-    request = render(
-        Stage.P2_RULES, star2_spec, "m", 0.0, strategy_text="think about the pole"
-    )
-    assert "think about the pole" in request.messages[0]["content"]
-
-    request = render(
-        Stage.P4_REFLECT, star2_spec, "m", 0.0,
-        current=_summary(42.0, window=("[0 0 1 0];2",)),
-    )
-    assert request.max_tokens == 4096
-
-    with pytest.raises(PromptError, match="needs context field"):
-        render(Stage.P3_CODE, star2_spec, "m", 0.0)
-
-
 # -- extraction ----------------------------------------------------------------
 
 

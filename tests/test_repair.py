@@ -2,8 +2,9 @@
 
 import pytest
 
+from policyloop.dsl import PolicyParseError
 from policyloop.gateway import ScriptedBackend
-from policyloop.prompts import RepairBudgetExhausted, generate_program, repair_loop
+from policyloop.prompts import RepairBudgetExhausted, extract_code, generate_program
 
 from conftest import transcript_text
 
@@ -37,7 +38,6 @@ def test_nine_bad_then_good_succeeds_at_attempts_ten(star2_spec):
     backend = ScriptedBackend([BAD] * 9 + [good()])
     result = _generate(backend, star2_spec)
     assert result.attempts == 10
-    assert len(result.responses) == 10
     assert len(backend.requests) == 10
 
 
@@ -62,18 +62,12 @@ def test_repair_prompt_carries_error_and_rules(star2_spec):
 
 
 def test_repair_loop_entry_counts_the_failed_attempt(star2_spec):
-    backend = ScriptedBackend([good()])
-    result = repair_loop(
-        backend,
-        star2_spec,
-        "rules",
-        first_error="line 1, column 1: nonsense",
-        model_name="m",
-        temperature=0.0,
-        budget=10,
-    )
+    backend = ScriptedBackend([ALSO_BAD, good()])
+    result = _generate(backend, star2_spec)
     assert result.attempts == 2  # the prior failure plus this success
-    assert "line 1, column 1: nonsense" in backend.requests[0].messages[0]["content"]
+    with pytest.raises(PolicyParseError) as first_error:
+        extract_code(ALSO_BAD, star2_spec)
+    assert str(first_error.value) in backend.requests[1].messages[0]["content"]
 
 
 def test_custom_budget_respected(star2_spec):
@@ -81,3 +75,12 @@ def test_custom_budget_respected(star2_spec):
     with pytest.raises(RepairBudgetExhausted) as info:
         _generate(backend, star2_spec, budget=3)
     assert info.value.attempts == 3
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_budget_below_two_still_asks_once(star2_spec, budget):
+    backend = ScriptedBackend([BAD, good()])
+    with pytest.raises(RepairBudgetExhausted) as info:
+        _generate(backend, star2_spec, budget=budget)
+    assert info.value.attempts == 1
+    assert len(backend.requests) == 1
