@@ -1,4 +1,4 @@
-"""Sandboxed, loop-free rule-policy language: parser, evaluator, episodes."""
+"""Sandboxed, loop-free rule-policy language: parser and compiler, evaluation, episodes."""
 
 from .episode import EpisodeTrace, TraceStep, run_episode
 from .evaluator import InvalidReason, PolicyOutcome, evaluate

@@ -11,17 +11,25 @@ syntax chat models emit when asked for plain-code controllers:
 
 No loops, no assignments, no other calls, so evaluation always terminates.
 Nesting (brackets, unary and binary operators, indented blocks) is capped at
-``MAX_NESTING`` levels, so parsing, evaluating and printing a program never
-overflow the stack; an if/elif chain of any length is one level. Parse
-errors carry line/column and a message phrased for feeding straight back to
-the model in a repair prompt.
+``MAX_NESTING`` levels and an if/elif chain at ``MAX_BRANCHES`` branches, so
+parsing, printing, comparing and compiling a program never overflow the
+stack. Parse errors carry line/column and a message phrased for feeding
+straight back to the model in a repair prompt.
+
+The language is a strict subset of Python, so :func:`parse` compiles each
+validated program once: the canonical text that :func:`to_source` prints,
+with ``random`` prepended as the first parameter, becomes a plain Python
+function (``PolicyProgram.compiled``) with no builtins. The printer's output
+is therefore exactly what runs.
 """
 
 from __future__ import annotations
 
+import keyword
+import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Union
 
 KEYWORDS = {"def", "if", "elif", "else", "return", "pass", "and", "or", "not", "import"}
 BANNED_KEYWORDS = {
@@ -41,6 +49,10 @@ RANDOM_BUILTINS = ("randint", "uniform")
 
 # Each level costs the recursive-descent parser up to nine stack frames.
 MAX_NESTING = 50
+# Each branch of a chain is one more If nested in the orelse of the one
+# before: ==, repr and hash of the tree recurse through it (they overflow
+# at about 245 branches), and so does CPython's compiler (at a few thousand).
+MAX_BRANCHES = 200
 
 COMPARE_OPS = ("<=", ">=", "==", "!=", "<", ">")
 _TOKEN_RE = re.compile(
@@ -161,6 +173,8 @@ class PolicyProgram:
     body: tuple[Stmt, ...]
     source_text: str = field(compare=False)
     uses_random_fallback: bool = field(default=False, compare=False)
+    # Set by parse(): f(random, *params) compiled from the canonical source.
+    compiled: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +315,7 @@ class _Parser:
             )
         self.advance()
         name_tok = self.expect("NAME", what="function name")
-        if name_tok.value in KEYWORDS or name_tok.value in BANNED_KEYWORDS:
+        if keyword.iskeyword(name_tok.value):
             raise PolicyParseError(
                 f"{name_tok.value!r} cannot be used as a function name",
                 name_tok.line,
@@ -312,6 +326,14 @@ class _Parser:
         if not self.check("OP", ")"):
             while True:
                 p = self.expect("NAME", what="parameter name")
+                if keyword.iskeyword(p.value) or p.value == "random":
+                    raise PolicyParseError(
+                        f"{p.value!r} cannot be used as a parameter name", p.line, p.col
+                    )
+                if p.value in params:
+                    raise PolicyParseError(
+                        f"parameter {p.value!r} is declared twice", p.line, p.col
+                    )
                 params.append(p.value)
                 if not self.accept("OP", ","):
                     break
@@ -411,6 +433,21 @@ class _Parser:
         if self.accept("NAME", "else"):
             self.expect("OP", ":")
             orelse = self.parse_suite()
+        # an else block holding a single if continues the chain
+        count = len(branches)
+        tail = orelse
+        while len(tail) == 1 and isinstance(tail[0], If):
+            count += 1
+            tail = tail[0].orelse
+        if count > MAX_BRANCHES:
+            first = branches[0][0]
+            raise PolicyParseError(
+                f"this if/elif chain has {count} branches, more than the "
+                f"{MAX_BRANCHES} allowed; merge rules with 'and'/'or' or "
+                "compute the action from the observations",
+                first.line,
+                first.col,
+            )
         for tok, test, body in reversed(branches):
             orelse = (If(test=test, body=body, orelse=orelse, line=tok.line),)
         return orelse[0]
@@ -505,7 +542,15 @@ class _Parser:
             text = tok.value
             if "." in text or "e" in text or "E" in text:
                 return Num(float(text), line=tok.line)
-            return Num(int(text), line=tok.line)
+            try:
+                return Num(int(text), line=tok.line)
+            except ValueError:  # longer than Python's int-to-text digit limit
+                raise PolicyParseError(
+                    f"the integer literal has {len(text)} digits; write it "
+                    "with an exponent instead, e.g. 1e9",
+                    tok.line,
+                    tok.col,
+                ) from None
         if tok.kind == "OP" and tok.value == "(":
             self.advance()
             node = self.parse_expr()
@@ -608,12 +653,27 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
             f"({', '.join(expected_params)}) in this order, but the definition "
             f"declares ({', '.join(program.params)})"
         )
-    return program
+    return replace(program, compiled=_compile(program))
+
+
+def _compile(program: PolicyProgram) -> Callable:
+    """The validated program as a Python function of (random, *params).
+
+    It reads no global name, so it gets no builtins; ``random`` is the
+    caller's object providing ``randint`` and ``uniform``. Taking the
+    function out of its globals leaves no reference cycle for the
+    collector to find.
+    """
+    source = _render(program.name, ("random", *program.params), program.body)
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, "<policy>", "exec"), namespace)
+    return namespace.pop(program.name)
 
 
 # --------------------------------------------------------------------------
 # Pretty printer. Canonical 4-space indents; output re-parses to a
-# structurally identical tree, so logged programs are always recoverable.
+# structurally identical tree, so logged programs are always recoverable,
+# and it is the text that parse() compiles.
 # --------------------------------------------------------------------------
 
 _PRECEDENCE = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "/": 6}
@@ -621,6 +681,9 @@ _PRECEDENCE = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "/
 
 def _fmt_expr(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Num):
+        if expr.value in (math.inf, -math.inf):
+            # 1e400 parses to inf, whose repr is no literal; 1e999 reads back as inf
+            return "1e999" if expr.value > 0 else "(-1e999)"
         if isinstance(expr.value, float) and expr.value < 0:
             # Negative literals only arise from folding; keep them printable.
             return f"({expr.value!r})"
@@ -674,8 +737,12 @@ def _fmt_stmts(stmts: tuple[Stmt, ...], depth: int, lines: list[str]) -> None:
                 _fmt_stmts(orelse, depth + 1, lines)
 
 
+def _render(name: str, params: tuple[str, ...], body: tuple[Stmt, ...]) -> str:
+    lines = [f"def {name}({', '.join(params)}):"]
+    _fmt_stmts(body, 1, lines)
+    return "\n".join(lines) + "\n"
+
+
 def to_source(program: PolicyProgram) -> str:
     """Canonical re-rendering of a parsed program."""
-    lines = [f"def {program.name}({', '.join(program.params)}):"]
-    _fmt_stmts(program.body, 1, lines)
-    return "\n".join(lines) + "\n"
+    return _render(program.name, program.params, program.body)

@@ -98,6 +98,39 @@ def test_division_by_zero_is_runtime_error(star2_spec):
     assert "division" in outcome.detail
 
 
+_ZEROS_400 = "1" + "0" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        f"return {_ZEROS_400}",
+        f"return pole_angle * {_ZEROS_400}",
+        f"return {_ZEROS_400} / 3",
+        "return random.randint(1e308 * 10, 2)",
+        "return random.randint(1e308 * 10 - 1e308 * 10, 2)",
+        f"return random.uniform(0, {_ZEROS_400})",
+    ],
+    ids=["int-literal", "float-times-int", "int-division", "randint-inf", "randint-nan", "uniform-int"],
+)
+def test_numbers_out_of_float_range_are_runtime_errors(body):
+    spec = get_spec("InvertedPendulum")
+    program = parse(f"def get_action({', '.join(spec.obs_names)}):\n    {body}\n")
+    outcome = evaluate(program, np.array([0.0, 0.1, 0.0, 0.0]), random.Random(0), spec)
+    assert outcome.reason is InvalidReason.RUNTIME_ERROR
+    assert outcome.value_text == "None"
+
+
+def test_integer_too_long_to_print_is_a_runtime_error(star2_spec):
+    big = "9" * 4000
+    program = parse(
+        "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
+        f"    return {big} * {big}\n"
+    )
+    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
+    assert outcome.reason is InvalidReason.RUNTIME_ERROR
+
+
 def test_continuous_results_are_clamped(pendulum_spec):
     program = parse("def get_action(x, y, angular_velocity):\n    return 10 * x\n")
     outcome = evaluate(program, np.array([1.0, 0.0, 0.0]), random.Random(0), pendulum_spec)

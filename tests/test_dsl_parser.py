@@ -157,6 +157,7 @@ def test_round_trip_preserves_operator_structure():
         "def f(a, b):\n    if (a < b) == (b < a):\n        return 1\n    return 0\n",
         "def f(a, b):\n    if not (a > 0 or b > 0):\n        return 1\n    return 0\n",
         "def f(a, b):\n    return random.uniform(-2.0, a / 2)\n",
+        "def f(a, b):\n    return 1e400 - a * -1e400\n",  # inf literals
     ]
     for src in cases:
         program = parse(src)
@@ -261,8 +262,17 @@ def test_round_trip_on_random_programs():
 
 
 def test_names_cannot_collide_with_keywords():
-    with pytest.raises(PolicyParseError):
-        parse("def return(a):\n    return 1\n")
+    headers = [
+        "def return(a):",
+        "def None(a):",
+        "def f(in):",
+        "def f(True):",
+        "def f(a, a):",
+        "def f(random):",  # would hide the random builtins
+    ]
+    for header in headers:
+        with pytest.raises(PolicyParseError):
+            parse(header + "\n    return 1\n")
 
 
 # -- nesting limit ---------------------------------------------------------------
@@ -298,9 +308,40 @@ def test_long_elif_chain_parses_and_evaluates():
     rules += [f"    elif pole_angle > {200 - i}:\n        return {1 + i % 2}\n" for i in range(1, 200)]
     program = parse(_HEAD + "".join(rules), expected_params=CARTPOLE_PARAMS)
     assert parse(to_source(program)) == program
+    # the tree nests one If per branch; at the cap it still hashes and prints
+    assert hash(parse(to_source(program))) == hash(program)
+    assert repr(program).startswith("PolicyProgram(")
     spec = get_spec(TaskId.CARTPOLE)
     # the 190th elif is the first rule that holds
     outcome = evaluate(program, np.array([0.0, 0.0, 10.5, 0.0]), random.Random(0), spec)
     assert outcome.action == 1
     outcome = evaluate(program, np.array([0.0, 0.0, -1.0, 0.0]), random.Random(0), spec)
     assert outcome.action is None  # no rule fired
+
+
+def test_long_elif_chain_is_a_parse_error():
+    from policyloop.dsl.parser import MAX_BRANCHES
+
+    rule = "    elif pole_angle > 1:\n        return 1\n"
+    source = _HEAD + "    if pole_angle > 2:\n        return 2\n" + rule * MAX_BRANCHES
+    with pytest.raises(PolicyParseError, match=f"more than the {MAX_BRANCHES} allowed"):
+        parse(source)
+
+
+def test_else_blocks_holding_one_if_count_as_one_chain():
+    # printed and compiled as a single elif chain, so they share one cap
+    branch = "if pole_angle > 1:\n{pad}    return 1\n"
+    source = _HEAD
+    for depth in range(1, 4):
+        pad = "    " * depth
+        source += pad + branch.format(pad=pad) + "".join(
+            pad + "elif pole_angle > 1:\n" + pad + "    return 1\n" for _ in range(79)
+        ) + pad + "else:\n"
+    source += "    " * 4 + "return 2\n"
+    with pytest.raises(PolicyParseError, match="240 branches"):
+        parse(source)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    with pytest.raises(PolicyParseError, match="5000 digits"):
+        parse(_HEAD + "    return " + "9" * 5000 + "\n")

@@ -408,6 +408,27 @@ def test_replay_detects_divergence():
 # -- run_batch ---------------------------------------------------------------
 
 
+def test_batch_survives_a_policy_that_overflows(tmp_path):
+    overflow = (
+        "def get_action(cart_position, pole_angle, cart_velocity, pole_angular_velocity):\n"
+        "    return pole_angle * 1" + "0" * 400 + "\n"
+    )
+    script = ["Push toward the lean.", "1. If Pole Angle > 0 Then push right", overflow]
+
+    records = run_batch(
+        tasks=["InvertedPendulum"],
+        backend_factory=lambda *cell: ScriptedBackend(script),
+        replications=1,
+        out_dir=tmp_path,
+        seed_root=3,
+        config_overrides={"epochs": 1},
+    )
+    (record,) = records
+    assert record.status is RunStatus.COMPLETED
+    assert record.strategies[0].per_episode_returns == [0.0] * record.config.eval_episodes
+    assert record.strategies[0].window.invalid_value_text == "None"
+
+
 def test_batch_cardinality_and_persistence(tmp_path):
     def factory(task, model, temperature, replication):
         return ScriptedBackend(scripted_session())

@@ -335,3 +335,9 @@ def test_extract_code_tolerates_uniformly_indented_function(star2_spec, iter0_pr
 def test_extract_code_empty_response_is_an_error(star2_spec):
     with pytest.raises(PolicyParseError, match="empty"):
         extract_code("   \n  ", star2_spec)
+
+
+def test_extract_code_overlong_integer_is_a_parse_error(star2_spec):
+    source = transcript_text("code_iter0.py").replace("return 2", "return " + "2" * 5000, 1)
+    with pytest.raises(PolicyParseError, match="digits"):
+        extract_code(source, star2_spec)
