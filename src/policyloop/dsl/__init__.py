@@ -1,4 +1,5 @@
-"""Sandboxed, loop-free rule-policy language: parser and compiler, evaluation, episodes."""
+"""Sandboxed, loop-free rule-policy language: CPython's parser plus a node
+whitelist, compilation, evaluation, episodes."""
 
 from .episode import EpisodeTrace, TraceStep, run_episode
 from .evaluator import InvalidReason, PolicyOutcome, evaluate

@@ -1,7 +1,7 @@
 """Evaluation of parsed rule policies against an observation.
 
-A policy runs as the Python function :func:`~.parser.parse` compiled from
-its canonical source once (``PolicyProgram.compiled``); the language is a
+A policy runs as the Python function :func:`~.parser.parse` compiled once
+from its validated tree (``PolicyProgram.compiled``); the language is a
 strict subset of Python, so CPython's semantics are the language's. This
 module supplies the checked random builtins and turns what the function
 returns or raises into a typed :class:`PolicyOutcome`.

@@ -117,7 +117,15 @@ class RunRecord:
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        # written beside the target and renamed over it, so a crash mid-write
+        # leaves the previous record whole instead of truncated JSON
+        temp = path.with_name(f".{path.name}.tmp")
+        try:
+            temp.write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+            temp.replace(path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod

@@ -105,7 +105,7 @@ def test_criterion_3_scripted_end_to_end_replication(star2_spec, iter0_program):
 
     # the first iteration's program parses to the fixture program
     parsed = parse(record.strategies[0].program_source, expected_params=star2_spec.obs_names)
-    assert parsed.body == iter0_program.body
+    assert parsed == iter0_program
     assert parsed.params == iter0_program.params
 
     # the gappy revision produced an episode ending in a literal None line

@@ -173,24 +173,18 @@ def test_evaluator_matches_python_execution_on_random_programs(star2_spec):
     same source through the host interpreter (with the rng object standing
     in for the random module) must produce identical raw results, draw for
     draw."""
-    from policyloop.dsl.parser import PolicyProgram
-    from policyloop.dsl import to_source
-    from test_dsl_parser import random_block
+    from test_dsl_parser import random_program
 
     params = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
     rng = random.Random(42)
     checked = 0
     for case in range(150):
-        program = PolicyProgram(
-            name="f", params=params, body=random_block(rng, 3, params), source_text=""
-        )
-        source = to_source(program)
-        namespace: dict = {}
-        exec(source, {"random": None, "__builtins__": {}}, namespace)  # compiled once
+        source = random_program(rng, params)
+        program = parse(source)
         for _ in range(8):
             obs = np.array([rng.randint(-50, 50) for _ in range(4)])
             seed = rng.randrange(2**30)
-            mine = evaluate(parse(source), obs, random.Random(seed), star2_spec)
+            mine = evaluate(program, obs, random.Random(seed), star2_spec)
 
             host_rng = random.Random(seed)
             exec(source, {"random": host_rng, "__builtins__": {}}, ns := {})

@@ -30,6 +30,8 @@ SESSION_PROGRAMS = [
 ]
 NUMBERS = ["0", "1", "2", "0.5", "1e-320", "1e308", "1e400", "9" * 400]
 PIECES = [
+    # nested past what CPython's parser takes, and a byte it refuses
+    "(" * 300, "-" * 10000, "not " * 3000, "\x00",
     "def", "get_action", "(", ")", ":", ",", ".", "\n", "    ", "if", "elif", "else",
     "return", "pass", "and", "or", "not", "random", "randint", "uniform", "import",
     "while", "lambda", "True", "None", "in", "x", "=", "+", "-", "*", "/", "**", "<",

@@ -2,6 +2,7 @@
 rules, seed purity, determinism, aborts and the batch runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -367,7 +368,7 @@ def test_gateway_error_aborts_without_a_second_call():
 def test_too_deeply_nested_code_is_repaired():
     deep = (
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
-        "    return " + "(" * 150 + "1" + ")" * 150 + "\n"
+        "    return " + "(pole_angle + " * 60 + "1" + ")" * 60 + "\n"
     )
     session = scripted_session()
     script = session[:2] + [deep] + session[2:]
@@ -388,6 +389,25 @@ def test_record_round_trips_through_json(tmp_path):
     assert loaded.config.epochs == record.config.epochs
     raw = json.loads(path.read_text())
     assert "wall_clock" in raw  # informational field survives saving
+
+
+def test_failed_save_keeps_the_previous_record(tmp_path, monkeypatch):
+    record = _session_record()
+    path = record.save(tmp_path / "record.json")
+    before = path.read_bytes()
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    record.wall_clock += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        record.save(path)
+    assert path.read_bytes() == before
+    assert RunRecord.load(path).canonical_json() == record.canonical_json()
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
 
 def test_replay_reproduces_the_record():
