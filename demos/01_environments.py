@@ -22,7 +22,7 @@ print("  CartPole seed 42 ->", envs.reset("CartPole", 42))
 
 # The integer-grid cart-pole variant reports every observation on [-50, 50].
 print("\nCartPoleStar2 reset:", envs.reset(TaskId.CARTPOLE_STAR2, 7))
-native = np.array([2.4, 1.0, -0.209, 0.0])
+native = (2.4, 1.0, -0.209, 0.0)
 print("native", native, "-> grid", normalize_star2(native))
 
 # Rolling a pendulum for a few steps under constant torque.

@@ -1,7 +1,7 @@
 """Sandboxed, loop-free rule-policy language: CPython's parser plus a node
 whitelist, compilation, evaluation, episodes."""
 
-from .episode import EpisodeTrace, TraceStep, run_episode
+from .episode import EpisodeTrace, run_episode
 from .evaluator import InvalidReason, PolicyOutcome, evaluate
 from .parser import PolicyParseError, PolicyProgram, parse, to_source
 
@@ -11,7 +11,6 @@ __all__ = [
     "PolicyOutcome",
     "PolicyParseError",
     "PolicyProgram",
-    "TraceStep",
     "evaluate",
     "parse",
     "run_episode",

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,8 +31,7 @@ class InvalidReason(str, Enum):
     RUNTIME_ERROR = "runtime_error"
 
 
-@dataclass(frozen=True)
-class PolicyOutcome:
+class PolicyOutcome(NamedTuple):
     """Result of mapping one observation through a policy."""
 
     action: Optional[Union[int, float]]
@@ -83,18 +81,28 @@ def _render_value(value) -> str:
     return f"{float(value):g}"
 
 
-def evaluate(program: PolicyProgram, obs: np.ndarray, rng: random.Random, spec: EnvSpec) -> PolicyOutcome:
-    """Map an observation to an action (or a typed invalid outcome)."""
-    arr = np.asarray(obs)
-    if arr.shape != (len(program.params),):
+def evaluate(
+    program: PolicyProgram, obs: Sequence, rng: random.Random, spec: EnvSpec
+) -> PolicyOutcome:
+    """Map an observation to an action (or a typed invalid outcome).
+
+    ``obs`` is any sequence; an environment's tuple of Python scalars goes
+    to the policy as it is.
+    """
+    if isinstance(obs, np.ndarray):
+        shape = obs.shape
+        # Python scalars, not numpy's: numpy turns x / 0 into inf
+        obs = obs.tolist()
+    else:
+        shape = (len(obs),)
+    if shape != (len(program.params),):
         raise ValueError(
-            f"observation has {arr.shape} values but the policy takes "
+            f"observation has {shape} values but the policy takes "
             f"{len(program.params)} parameters"
         )
     draws = _CheckedRandom(rng)
     try:
-        # Python scalars, not numpy's: numpy turns x / 0 into inf
-        value = program.compiled(draws, *arr.tolist())
+        value = program.compiled(draws, *obs)
         return _outcome(value, spec.action, draws.used)
     except (ArithmeticError, ValueError) as exc:
         # division by zero, an overflow, a bad random bound, or an integer
@@ -120,7 +128,7 @@ def _outcome(value, action_space, used_random: bool) -> PolicyOutcome:
 
     value_text = _render_value(value)
     if isinstance(action_space, DiscreteActions):
-        if isinstance(value, bool) or not action_space.contains(value):
+        if isinstance(value, bool) or value not in action_space.labels:
             return PolicyOutcome(
                 action=None,
                 reason=InvalidReason.OUT_OF_RANGE,

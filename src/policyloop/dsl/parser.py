@@ -47,6 +47,9 @@ _RANDOM_CALLS = ("randint", "uniform")
 # CPython's refusals of input nested too deeply for its own parser
 _TOO_DEEP_FOR_CPYTHON = ("too many nested parentheses", "too many levels of indentation")
 _LOOPS = "loops are not allowed in a policy function"
+# CPython's refusal of a decimal literal over sys.get_int_max_str_digits()
+_INT_TOO_LONG_FOR_CPYTHON = "for integer string conversion"
+_INT_TOO_LONG = "an integer literal is too long; write it with an exponent instead, e.g. 1e9"
 
 
 class PolicyParseError(ValueError):
@@ -103,6 +106,8 @@ def _read(text: str) -> ast.Module:
         col = max(exc.offset or 1, 1) if line else 0
         if exc.msg.startswith(_TOO_DEEP_FOR_CPYTHON):
             raise _too_deep(line, col) from None
+        if _INT_TOO_LONG_FOR_CPYTHON in exc.msg:
+            raise PolicyParseError(_INT_TOO_LONG, line, col) from None
         if not re.search(r"^\s*def\s", text, re.MULTILINE):
             raise PolicyParseError(
                 "a policy must be a single function definition starting with 'def'",
@@ -281,9 +286,7 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
     try:
         canonical = ast.unparse(func)
     except ValueError:  # an integer literal too long to print, e.g. 0xfff...
-        raise PolicyParseError(
-            "an integer literal is too long; write it with an exponent instead, e.g. 1e9"
-        ) from None
+        raise PolicyParseError(_INT_TOO_LONG) from None
     return PolicyProgram(func.name, params, canonical, source, uses_random, _compile(func))
 
 

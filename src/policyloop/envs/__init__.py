@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Union
 
-import numpy as np
-
 from .acrobot import AcrobotEnv
 from .cartpole import (
     CartPoleEnv,
@@ -58,7 +56,7 @@ def describe(task_id: Union[str, TaskId]) -> dict[str, str]:
     return dict(get_spec(task_id).description_slots)
 
 
-def reset(task_id: Union[str, TaskId], seed: int) -> np.ndarray:
+def reset(task_id: Union[str, TaskId], seed: int) -> tuple:
     """Initial observation for a fresh instance of the task."""
     return make(task_id).reset(seed)
 

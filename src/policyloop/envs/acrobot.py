@@ -135,7 +135,7 @@ class AcrobotEnv(Environment):
         self.reward_floor = reward_floor
         self._cumulative = 0.0
 
-    def reset(self, seed: int) -> np.ndarray:
+    def reset(self, seed: int) -> tuple:
         self._cumulative = 0.0
         return super().reset(seed)
 
@@ -160,14 +160,11 @@ class AcrobotEnv(Environment):
 
     def _observe(self, state):
         theta1, theta2, dtheta1, dtheta2 = state
-        return np.array(
-            [
-                math.cos(theta1),
-                math.sin(theta1),
-                math.cos(theta2),
-                math.sin(theta2),
-                dtheta1,
-                dtheta2,
-            ],
-            dtype=np.float64,
+        return (
+            math.cos(theta1),
+            math.sin(theta1),
+            math.cos(theta2),
+            math.sin(theta2),
+            dtheta1,
+            dtheta2,
         )

@@ -20,7 +20,6 @@ from .core import (
     EnvSpec,
     TaskId,
     TerminationCause,
-    round_half_away,
 )
 
 GRAVITY = 9.8
@@ -174,36 +173,37 @@ class CartPoleStar1Env(_CartPoleBase):
     )
 
 
-def normalize_star2(raw: np.ndarray) -> np.ndarray:
+def normalize_star2(raw) -> tuple[int, int, int, int]:
     """Map a native cart-pole observation onto the integer grid [-50, 50].
 
     Positions and angles scale from their native bounds; velocities saturate
     at +/-5 (m/s, rad/s) first because they are unbounded natively. Rounding
     is half away from zero.
     """
-    x, x_dot, theta, theta_dot = (float(v) for v in raw)
+    x, x_dot, theta, theta_dot = raw
     x_dot = min(max(x_dot, -VELOCITY_CLAMP), VELOCITY_CLAMP)
     theta_dot = min(max(theta_dot, -VELOCITY_CLAMP), VELOCITY_CLAMP)
-    scaled = (
-        x * STAR2_GRID / X_OBS_BOUND,
-        x_dot * STAR2_GRID / VELOCITY_CLAMP,
-        theta * STAR2_GRID / THETA_OBS_BOUND,
-        theta_dot * STAR2_GRID / VELOCITY_CLAMP,
+    x = x * STAR2_GRID / X_OBS_BOUND
+    x_dot = x_dot * STAR2_GRID / VELOCITY_CLAMP
+    theta = theta * STAR2_GRID / THETA_OBS_BOUND
+    theta_dot = theta_dot * STAR2_GRID / VELOCITY_CLAMP
+    copysign, floor = math.copysign, math.floor
+    return (
+        int(copysign(floor(abs(x) + 0.5), x)),
+        int(copysign(floor(abs(x_dot) + 0.5), x_dot)),
+        int(copysign(floor(abs(theta) + 0.5), theta)),
+        int(copysign(floor(abs(theta_dot) + 0.5), theta_dot)),
     )
-    return round_half_away(scaled)
 
 
-def denormalize_star2(grid_obs: np.ndarray) -> np.ndarray:
+def denormalize_star2(grid_obs) -> tuple[float, float, float, float]:
     """Inverse of :func:`normalize_star2` up to rounding."""
-    gx, gxd, gt, gtd = (float(v) for v in grid_obs)
-    return np.array(
-        [
-            gx * X_OBS_BOUND / STAR2_GRID,
-            gxd * VELOCITY_CLAMP / STAR2_GRID,
-            gt * THETA_OBS_BOUND / STAR2_GRID,
-            gtd * VELOCITY_CLAMP / STAR2_GRID,
-        ],
-        dtype=np.float64,
+    gx, gxd, gt, gtd = grid_obs
+    return (
+        gx * X_OBS_BOUND / STAR2_GRID,
+        gxd * VELOCITY_CLAMP / STAR2_GRID,
+        gt * THETA_OBS_BOUND / STAR2_GRID,
+        gtd * VELOCITY_CLAMP / STAR2_GRID,
     )
 
 
@@ -239,7 +239,7 @@ class CartPoleStar2Env(_CartPoleBase):
     )
 
     def _observe(self, state):
-        return normalize_star2(np.array(state, dtype=np.float64))
+        return normalize_star2(state)
 
 
 class InvertedPendulumEnv(Environment):
@@ -305,4 +305,4 @@ class InvertedPendulumEnv(Environment):
 
     def _observe(self, state):
         x, x_dot, theta, theta_dot = state
-        return np.array([x, theta, x_dot, theta_dot], dtype=np.float64)
+        return (x, theta, x_dot, theta_dot)

@@ -3,7 +3,9 @@ step results and the seeded environment base class.
 
 Every environment is a single-threaded state machine. All randomness flows
 through a per-instance PRNG seeded at reset, so (seed, action sequence)
-fully determines a trajectory.
+fully determines a trajectory. Observations are tuples of Python scalars
+(ints on CartPoleStar2, floats elsewhere): a policy gets Python arithmetic,
+and a step builds no numpy object.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -65,9 +67,6 @@ class DiscreteActions:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.meanings):
             raise ValueError("labels and meanings must align")
-
-    def contains(self, value: float) -> bool:
-        return any(value == lab for lab in self.labels)
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,8 @@ class EnvSpec:
         return isinstance(self.action, DiscreteActions)
 
 
-@dataclass
-class StepResult:
-    observation: np.ndarray
+class StepResult(NamedTuple):
+    observation: tuple
     reward: float
     terminated: bool
     truncated: bool
@@ -153,7 +151,7 @@ class Environment:
 
     # -- interface -----------------------------------------------------------
 
-    def reset(self, seed: int) -> np.ndarray:
+    def reset(self, seed: int) -> tuple:
         rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
         self._state = self._reset_state(rng)
         self._steps = 0
@@ -163,15 +161,16 @@ class Environment:
         if self._state is None:
             raise RuntimeError("step() before reset()")
         action = self._coerce_action(action)
-        self._state, reward, terminated, cause = self._step_state(self._state, action)
+        state, reward, terminated, cause = self._step_state(self._state, action)
+        self._state = state
         self._steps += 1
         truncated = False
         if not terminated and self._steps >= self.spec.max_steps:
             truncated = True
             cause = TerminationCause.STEP_LIMIT
-        return StepResult(self.observe(), reward, terminated, truncated, cause)
+        return StepResult(self._observe(state), reward, terminated, truncated, cause)
 
-    def observe(self) -> np.ndarray:
+    def observe(self) -> tuple:
         assert self._state is not None
         return self._observe(self._state)
 
@@ -196,13 +195,13 @@ class Environment:
     ) -> tuple[tuple[float, ...], float, bool, TerminationCause]:
         raise NotImplementedError
 
-    def _observe(self, state: tuple[float, ...]) -> np.ndarray:
-        return np.array(state, dtype=np.float64)
+    def _observe(self, state: tuple[float, ...]) -> tuple:
+        return state
 
     def _coerce_action(self, action: Union[int, float]) -> float:
         act = self.spec.action
         if isinstance(act, DiscreteActions):
-            if not act.contains(action):
+            if action not in act.labels:
                 raise ValueError(
                     f"action {action!r} not in label set {act.labels} for {self.spec.task_id}"
                 )
@@ -219,12 +218,6 @@ def derive_seed(*parts: object) -> int:
     text = "/".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def round_half_away(values: Sequence[float]) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (symmetric around 0)."""
-    arr = np.asarray(values, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(arr) + 0.5), arr).astype(np.int64)
 
 
 def wrap_angle(theta: float) -> float:

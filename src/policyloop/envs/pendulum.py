@@ -83,4 +83,4 @@ class PendulumEnv(Environment):
 
     def _observe(self, state):
         theta, theta_dot = state
-        return np.array([math.cos(theta), math.sin(theta), theta_dot], dtype=np.float64)
+        return (math.cos(theta), math.sin(theta), theta_dot)

@@ -112,16 +112,18 @@ class RunRecord:
 
     def canonical_json(self) -> str:
         """Deterministic serialization used for replay comparison."""
-        return json.dumps(self.to_dict(include_wall_clock=False), sort_keys=True)
+        return json.dumps(self.to_dict(include_wall_clock=False), sort_keys=True, allow_nan=False)
 
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         # written beside the target and renamed over it, so a crash mid-write
-        # leaves the previous record whole instead of truncated JSON
+        # leaves the previous record whole instead of truncated JSON; NaN and
+        # infinities are refused, since JSON has no text for them
         temp = path.with_name(f".{path.name}.tmp")
         try:
-            temp.write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+            text = json.dumps(self.to_dict(), indent=2, allow_nan=False)
+            temp.write_text(text, encoding="utf-8")
             temp.replace(path)
         except BaseException:
             temp.unlink(missing_ok=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -47,6 +48,11 @@ def _require_rows(matrix: Matrix) -> None:
         raise MetricsError("no reward data given")
 
 
+def _require_finite(values: Iterable[float], what: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise MetricsError(f"{what} contain a non-finite value")
+
+
 def _padded(matrix: Matrix, r_max: Optional[float], t_max: Optional[int]) -> list[list[float]]:
     """Rows that stopped early after reaching the maximum are carried forward
     at r_max, keeping the nominal episode count; other short rows stay short."""
@@ -74,6 +80,7 @@ def average_reward(
     values = [v for row in rows for v in row]
     if not values:
         raise MetricsError("reward rows are all empty")
+    _require_finite(values, "reward rows")
     return float(np.mean(values))
 
 
@@ -129,6 +136,7 @@ def robustness_from_returns(
         returns = eval_returns[rep]
         if not returns:
             raise MetricsError(f"no evaluation returns for replication {rep}")
+        _require_finite(returns, f"evaluation returns for replication {rep}")
         hits = sum(1 for r in returns if r == r_max)
         fractions.append(hits / len(returns))
     return float(np.mean(fractions))

@@ -42,8 +42,8 @@ def test_reset_is_deterministic(task):
 def test_star2_reset_is_integer_grid():
     for seed in range(50):
         obs = envs.reset(TaskId.CARTPOLE_STAR2, seed)
-        assert obs.dtype == np.int64
-        assert np.all(np.abs(obs) <= 50)
+        assert len(obs) == 4
+        assert all(type(v) is int and abs(v) <= 50 for v in obs), obs
 
 
 def test_pendulum_reset_on_unit_circle():
@@ -205,18 +205,21 @@ def test_acrobot_reward_floor_off_by_default_and_configurable():
 @pytest.mark.parametrize(
     "native,expected",
     [
-        ([0.0, 0.0, 0.0, 0.0], [0, 0, 0, 0]),
-        ([4.8, 0.0, 0.0, 0.0], [50, 0, 0, 0]),
-        ([2.4, 1.0, -0.209, 0.0], [25, 10, -25, 0]),
+        ((0.0, 0.0, 0.0, 0.0), (0, 0, 0, 0)),
+        ((4.8, 0.0, 0.0, 0.0), (50, 0, 0, 0)),
+        ((2.4, 1.0, -0.209, 0.0), (25, 10, -25, 0)),
     ],
 )
 def test_normalize_star2_examples(native, expected):
-    assert normalize_star2(np.array(native)).tolist() == expected
+    out = normalize_star2(native)
+    assert out == expected
+    assert all(type(v) is int for v in out)
 
 
 def test_normalize_star2_saturates_velocities():
-    out = normalize_star2(np.array([0.0, 7.5, 0.0, -9.0]))
-    assert out.tolist() == [0, 50, 0, -50]
+    out = normalize_star2((0.0, 7.5, 0.0, -9.0))
+    assert out == (0, 50, 0, -50)
+    assert all(type(v) is int for v in out)
 
 
 def test_star2_round_trip_is_identity_on_grid():
@@ -237,8 +240,8 @@ def test_star2_round_trip_is_identity_on_grid():
 
 def test_star2_rounding_half_away_from_zero():
     # 0.048 m -> 0.5 on the grid -> rounds to 1; symmetric for negatives
-    assert normalize_star2(np.array([0.048, 0.0, 0.0, 0.0])).tolist()[0] == 1
-    assert normalize_star2(np.array([-0.048, 0.0, 0.0, 0.0])).tolist()[0] == -1
+    assert normalize_star2((0.048, 0.0, 0.0, 0.0)) == (1, 0, 0, 0)
+    assert normalize_star2((-0.048, 0.0, 0.0, 0.0)) == (-1, 0, 0, 0)
 
 
 # -- trajectory invariants -------------------------------------------------
@@ -257,7 +260,12 @@ def test_replay_is_bit_identical(task):
         for action in actions:
             result = env.step(action)
             rows.append(
-                (result.observation.tobytes(), result.reward, result.terminated, result.truncated)
+                (
+                    np.asarray(result.observation, dtype=np.float64).tobytes(),
+                    result.reward,
+                    result.terminated,
+                    result.truncated,
+                )
             )
             if result.done:
                 break

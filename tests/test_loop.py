@@ -410,6 +410,26 @@ def test_failed_save_keeps_the_previous_record(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_save_refuses_non_finite_values_and_keeps_the_previous_record(tmp_path, bad):
+    record = _session_record()
+    path = record.save(tmp_path / "record.json")
+    before = path.read_bytes()
+    record.strategies[0].per_episode_returns[0] = bad
+    with pytest.raises(ValueError, match="JSON compliant"):
+        record.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_canonical_json_refuses_non_finite_values(bad):
+    record = _session_record()
+    record.strategies[-1].mean_reward = bad
+    with pytest.raises(ValueError, match="JSON compliant"):
+        record.canonical_json()
+
+
 def test_replay_reproduces_the_record():
     record = _session_record()
     matches, rerun = replay(record)

@@ -222,6 +222,18 @@ def test_average_reward_empty_errors():
         average_reward([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_average_reward_rejects_non_finite(bad):
+    with pytest.raises(MetricsError, match="non-finite"):
+        average_reward([[1.0, 2.0], [3.0, bad]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_robustness_from_returns_rejects_non_finite(bad):
+    with pytest.raises(MetricsError, match="non-finite"):
+        robustness_from_returns({0: [R_MAX, R_MAX], 3: [R_MAX, bad]}, R_MAX)
+
+
 def test_success_requires_r_max():
     with pytest.raises(MetricNotApplicableError):
         success([[1.0]], None, 10)

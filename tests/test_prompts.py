@@ -339,5 +339,5 @@ def test_extract_code_empty_response_is_an_error(star2_spec):
 
 def test_extract_code_overlong_integer_is_a_parse_error(star2_spec):
     source = transcript_text("code_iter0.py").replace("return 2", "return " + "2" * 5000, 1)
-    with pytest.raises(PolicyParseError, match="digits"):
+    with pytest.raises(PolicyParseError, match="integer literal is too long; write it with an exponent"):
         extract_code(source, star2_spec)
