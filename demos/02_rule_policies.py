@@ -28,7 +28,7 @@ def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):
 
 spec = get_spec(TaskId.CARTPOLE_STAR2)
 program = parse(SOURCE, expected_params=spec.obs_names)
-print("parsed OK; uses random fallback:", program.uses_random_fallback)
+print("parsed OK:", program.name, program.params)
 print("\ncanonical re-rendering:\n")
 print(to_source(program))
 

@@ -10,6 +10,10 @@ Pure with respect to the environment: the only effects are draws from the
 caller-supplied rng when a program uses its random builtins. Rule
 comparisons are exact real comparisons (generated rules use integer-ish
 thresholds; an epsilon would silently change their meaning).
+
+A valid outcome carries the action and nothing else; only an invalid one
+renders the value the program produced, for its trace line and the repair
+feedback.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ class PolicyOutcome(NamedTuple):
 
     action: Optional[Union[int, float]]
     reason: Optional[InvalidReason] = None
-    # Text of the raw value the program produced ("None" when control fell
-    # off the end); this is what trace lines and repair feedback show.
+    # Invalid outcomes only: text of the raw value the program produced
+    # ("None" when control fell off the end or raised), which trace lines
+    # and repair feedback show.
     value_text: str = ""
     detail: str = ""
-    used_random: bool = False
 
     @property
     def is_valid(self) -> bool:
@@ -49,16 +53,14 @@ class PolicyOutcome(NamedTuple):
 
 class _CheckedRandom:
     """The ``random`` a compiled policy sees: the rng's two draws with the
-    language's bound checks, noting whether a draw was asked for."""
+    language's bound checks."""
 
-    __slots__ = ("rng", "used")
+    __slots__ = ("rng",)
 
     def __init__(self, rng: random.Random):
         self.rng = rng
-        self.used = False
 
     def randint(self, lo, hi) -> int:
-        self.used = True
         if not (_integral(lo) and _integral(hi)):
             raise ValueError(f"random.randint requires integer bounds, got ({lo}, {hi})")
         lo, hi = int(lo), int(hi)
@@ -67,7 +69,6 @@ class _CheckedRandom:
         return self.rng.randint(lo, hi)
 
     def uniform(self, lo, hi) -> float:
-        self.used = True
         return self.rng.uniform(float(lo), float(hi))
 
 
@@ -100,10 +101,8 @@ def evaluate(
             f"observation has {shape} values but the policy takes "
             f"{len(program.params)} parameters"
         )
-    draws = _CheckedRandom(rng)
     try:
-        value = program.compiled(draws, *obs)
-        return _outcome(value, spec.action, draws.used)
+        return _outcome(program.compiled(_CheckedRandom(rng), *obs), spec.action)
     except (ArithmeticError, ValueError) as exc:
         # division by zero, an overflow, a bad random bound, or an integer
         # too long to print
@@ -112,42 +111,36 @@ def evaluate(
             reason=InvalidReason.RUNTIME_ERROR,
             value_text="None",
             detail=str(exc),
-            used_random=draws.used,
         )
 
 
-def _outcome(value, action_space, used_random: bool) -> PolicyOutcome:
+def _outcome(value, action_space) -> PolicyOutcome:
     if value is None:
         return PolicyOutcome(
             action=None,
             reason=InvalidReason.NO_RULE_FIRED,
             value_text="None",
             detail="no rule fired for this observation",
-            used_random=used_random,
         )
-
-    value_text = _render_value(value)
     if isinstance(action_space, DiscreteActions):
         if isinstance(value, bool) or value not in action_space.labels:
+            value_text = _render_value(value)
             return PolicyOutcome(
                 action=None,
                 reason=InvalidReason.OUT_OF_RANGE,
                 value_text=value_text,
                 detail=f"value {value_text} is not one of {list(action_space.labels)}",
-                used_random=used_random,
             )
-        return PolicyOutcome(action=int(value), value_text=value_text, used_random=used_random)
+        return PolicyOutcome(int(value))
     assert isinstance(action_space, ContinuousAction)
     number = float(value)
     if not math.isfinite(number):
         # clamping would pass NaN on, and the dynamics never terminate on it
+        value_text = _render_value(value)
         return PolicyOutcome(
             action=None,
             reason=InvalidReason.OUT_OF_RANGE,
             value_text=value_text,
             detail=f"value {value_text} is not a finite number",
-            used_random=used_random,
         )
-    return PolicyOutcome(
-        action=action_space.clamp(number), value_text=value_text, used_random=used_random
-    )
+    return PolicyOutcome(action_space.clamp(number))

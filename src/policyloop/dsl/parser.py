@@ -21,8 +21,11 @@ message phrased for feeding straight back to the model in a repair prompt.
 
 :func:`parse` compiles each validated program once, with ``random``
 prepended as the first parameter, into a plain Python function
-(``PolicyProgram.compiled``) with no builtins. The canonical text that
-:func:`to_source` returns is :func:`ast.unparse` of the same tree.
+(``PolicyProgram.compiled``) with no builtins, and keeps no tree. The
+canonical text that :func:`to_source` returns, and that ``==``, ``hash``
+and ``repr`` compare, is :func:`ast.unparse` of the function; it is
+computed from ``source_text`` on first use, because the loop itself never
+asks for it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from __future__ import annotations
 import ast
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 # Printing and compiling a program recurse once or more per level.
@@ -67,16 +71,35 @@ class PolicyParseError(ValueError):
         return self.message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PolicyProgram:
     name: str
     params: tuple[str, ...]
-    # ast.unparse of the validated function: what ==, hash and repr compare
-    canonical: str
-    source_text: str = field(compare=False)
-    uses_random_fallback: bool = field(compare=False)
+    source_text: str
     # f(random, *params), compiled from the validated tree
-    compiled: Callable = field(compare=False, repr=False)
+    compiled: Callable
+
+    @cached_property
+    def canonical(self) -> str:
+        """ast.unparse of the validated function: what ==, hash and repr compare."""
+        return ast.unparse(_tree(self.source_text))
+
+    def _key(self) -> tuple:
+        return (self.name, self.params, self.canonical)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PolicyProgram(name={self.name!r}, params={self.params!r}, "
+            f"canonical={self.canonical!r}, source_text={self.source_text!r})"
+        )
 
 
 def _error(message: str, node: Optional[ast.AST] = None) -> PolicyParseError:
@@ -124,6 +147,11 @@ def _read(text: str) -> ast.Module:
         raise PolicyParseError(str(exc)) from None
 
 
+def _tree(source: str) -> ast.FunctionDef:
+    """The policy's function definition, as CPython's parser reads it."""
+    return _function(_read(source.replace("\t", "    ")))
+
+
 def _function(module: ast.Module) -> ast.FunctionDef:
     """The one plain ``def`` after the leading imports."""
     stmts = module.body
@@ -164,11 +192,9 @@ def _function(module: ast.Module) -> ast.FunctionDef:
     return func
 
 
-def _check(func: ast.FunctionDef) -> bool:
-    """Walk the body against the whitelist, without recursion; return
-    whether it calls a random builtin."""
+def _check(func: ast.FunctionDef) -> None:
+    """Walk the body against the whitelist, without recursion."""
     params = {arg.arg for arg in func.args.args}
-    uses_random = False
     pending: list[tuple[ast.AST, int]] = [(stmt, 1) for stmt in reversed(func.body)]
     while pending:
         node, depth = pending.pop()
@@ -222,6 +248,11 @@ def _check(func: ast.FunctionDef) -> bool:
                     f"the literal {node.value!r:.20} is not allowed; use int and float numbers only",
                     node,
                 )
+            if type(node.value) is int:
+                try:
+                    str(node.value)
+                except ValueError:  # too long to print, e.g. 0xfff...
+                    raise _error(_INT_TOO_LONG, node) from None
             children = []
         elif kind is ast.Name:
             if node.id not in params:
@@ -234,7 +265,6 @@ def _check(func: ast.FunctionDef) -> bool:
             children = []
         elif kind is ast.Call:
             _check_call(node)
-            uses_random = True
             children = node.args
         elif kind in (ast.For, ast.While):
             raise _error(_LOOPS, node)
@@ -245,7 +275,6 @@ def _check(func: ast.FunctionDef) -> bool:
         else:
             raise _error(f"{kind.__name__} expressions are not allowed in a policy function", node)
         pending.extend((child, depth + 1) for child in reversed(children))
-    return uses_random
 
 
 def _check_call(node: ast.Call) -> None:
@@ -274,7 +303,7 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
     names), the function header must declare exactly those names in order.
     Raises :class:`PolicyParseError` on any violation.
     """
-    func = _function(_read(source.replace("\t", "    ")))
+    func = _tree(source)
     params = tuple(arg.arg for arg in func.args.args)
     if expected_params is not None and params != tuple(expected_params):
         raise PolicyParseError(
@@ -282,12 +311,8 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
             f"({', '.join(expected_params)}) in this order, but the definition "
             f"declares ({', '.join(params)})"
         )
-    uses_random = _check(func)
-    try:
-        canonical = ast.unparse(func)
-    except ValueError:  # an integer literal too long to print, e.g. 0xfff...
-        raise PolicyParseError(_INT_TOO_LONG) from None
-    return PolicyProgram(func.name, params, canonical, source, uses_random, _compile(func))
+    _check(func)
+    return PolicyProgram(func.name, params, source, _compile(func))
 
 
 def _compile(func: ast.FunctionDef) -> Callable:

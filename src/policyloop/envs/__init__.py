@@ -43,8 +43,8 @@ ENV_CLASSES = {
 ALL_TASKS = tuple(ENV_CLASSES)
 
 
-def make(task_id: Union[str, TaskId], **kwargs) -> Environment:
-    return ENV_CLASSES[parse_task_id(task_id)](**kwargs)
+def make(task_id: Union[str, TaskId]) -> Environment:
+    return ENV_CLASSES[parse_task_id(task_id)]()
 
 
 def get_spec(task_id: Union[str, TaskId]) -> EnvSpec:

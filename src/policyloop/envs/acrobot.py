@@ -2,15 +2,14 @@
 
 Standard two-link book dynamics integrated with a single RK4 step of 0.2 s
 per tick. Reward is -1 per step until the tip rises above the target height
-(-cos(theta1) - cos(theta1 + theta2) > 1.0), 0 on the goal step. An optional
-cumulative-reward floor can end episodes early; it is off by default because
-full 500-step episodes (return -500) are the reference behavior.
+(-cos(theta1) - cos(theta1 + theta2) > 1.0), 0 on the goal step. Only the
+goal or the 500-step limit ends an episode, so a policy that never reaches
+the goal scores -500.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -85,10 +84,7 @@ class AcrobotEnv(Environment):
             "angular_velocity_theta1",
             "angular_velocity_theta2",
         ),
-        action=DiscreteActions(
-            labels=(0, 1, 2),
-            meanings=("negative torque", "no torque", "positive torque"),
-        ),
+        action=DiscreteActions(labels=(0, 1, 2)),
         max_steps=500,
         description_slots={
             "Agent": (
@@ -130,15 +126,6 @@ class AcrobotEnv(Environment):
         improve_goal_text="raising the tip above the target height sooner",
     )
 
-    def __init__(self, reward_floor: Optional[float] = None) -> None:
-        super().__init__()
-        self.reward_floor = reward_floor
-        self._cumulative = 0.0
-
-    def reset(self, seed: int) -> tuple:
-        self._cumulative = 0.0
-        return super().reset(seed)
-
     def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
         return tuple(rng.uniform(-0.1, 0.1, size=4).tolist())
 
@@ -153,9 +140,6 @@ class AcrobotEnv(Environment):
 
         if tip_above_goal(theta1, theta2):
             return new_state, 0.0, True, TerminationCause.GOAL_REACHED
-        self._cumulative += -1.0
-        if self.reward_floor is not None and self._cumulative < self.reward_floor:
-            return new_state, -1.0, True, TerminationCause.BOUNDS_EXCEEDED
         return new_state, -1.0, False, TerminationCause.NONE
 
     def _observe(self, state):

@@ -131,7 +131,7 @@ class CartPoleEnv(_CartPoleBase):
         task_id=TaskId.CARTPOLE,
         obs_dim=4,
         obs_names=_CARTPOLE_OBS_NAMES,
-        action=DiscreteActions(labels=(0, 1), meanings=("left", "right")),
+        action=DiscreteActions(labels=(0, 1)),
         max_steps=500,
         description_slots=_cartpole_slots(
             _NATIVE_OBS_TEXT,
@@ -156,7 +156,7 @@ class CartPoleStar1Env(_CartPoleBase):
         task_id=TaskId.CARTPOLE_STAR1,
         obs_dim=4,
         obs_names=_CARTPOLE_OBS_NAMES,
-        action=DiscreteActions(labels=(1, 2), meanings=("left", "right")),
+        action=DiscreteActions(labels=(1, 2)),
         max_steps=500,
         description_slots=_cartpole_slots(
             _NATIVE_OBS_TEXT,
@@ -216,7 +216,7 @@ class CartPoleStar2Env(_CartPoleBase):
         task_id=TaskId.CARTPOLE_STAR2,
         obs_dim=4,
         obs_names=_CARTPOLE_OBS_NAMES,
-        action=DiscreteActions(labels=(1, 2), meanings=("left", "right")),
+        action=DiscreteActions(labels=(1, 2)),
         max_steps=500,
         description_slots=_cartpole_slots(
             "A 4D vector in the following order:\n"

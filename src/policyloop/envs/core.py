@@ -58,15 +58,10 @@ class TerminationCause(str, Enum):
 
 @dataclass(frozen=True)
 class DiscreteActions:
-    """Finite action set. ``labels[i]`` is the wire value, ``meanings[i]`` a
-    short human description used in prompt text."""
+    """Finite action set: the values a policy may return. The task's prompt
+    texts tell the model what each one does."""
 
     labels: tuple[int, ...]
-    meanings: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.meanings):
-            raise ValueError("labels and meanings must align")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ class MountainCarDiscreteEnv(Environment):
         task_id=TaskId.MOUNTAIN_CAR_DISCRETE,
         obs_dim=2,
         obs_names=("position", "velocity"),
-        action=DiscreteActions(labels=(0, 1, 2), meanings=("left", "nothing", "right")),
+        action=DiscreteActions(labels=(0, 1, 2)),
         max_steps=200,
         description_slots={
             "Agent": (

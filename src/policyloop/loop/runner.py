@@ -33,7 +33,7 @@ from ..prompts import (
     render_p2,
     render_p4,
 )
-from ..prompts.pipeline import NoRulesError
+from ..prompts.pipeline import EmptyResponseError, NoRulesError
 from .config import LoopConfig
 from .records import RunRecord, RunStatus, Strategy
 
@@ -317,7 +317,8 @@ def run_replication(
             )
     except RepairBudgetExhausted:
         record.status = RunStatus.ABORTED_REPAIR_BUDGET
-    except GatewayError:
+    except (GatewayError, EmptyResponseError):
+        # a blank strategy answer; over HTTP the gateway refuses it itself
         record.status = RunStatus.ABORTED_BACKEND
     record.responses = recorder.transcript
     record.wall_clock = time.monotonic() - started

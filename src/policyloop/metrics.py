@@ -286,38 +286,21 @@ def compute_report(
     matrix = reward_sequences(records)
 
     avg = average_reward(matrix, r_max, t_max)
-    if r_max is None:
-        return MetricsReport(
-            average_reward=avg,
-            success=None,
-            robustness=None,
-            learning_time=None,
-            fom=None,
-            successful_set=[],
-            n_reps=len(records),
-            n_episodes=t_max,
-            r_max=None,
-            n_eval=n_eval,
-            improvement_ratio=improvement_ratio(records, None),
-            task_id=records[0].task_id.value,
-            model_name=records[0].model_name,
-            temperature=records[0].temperature,
-        )
-
-    succ = success(matrix, r_max, t_max)
-    lt = learning_time(matrix, r_max, t_max)
-    rob = (
-        robustness(records, r_max, t_max, n_eval=n_eval)
-        if include_robustness
-        else None
-    )
+    succ = lt = rob = None
+    hits: list[int] = []
+    if r_max is not None:
+        succ = success(matrix, r_max, t_max)
+        lt = learning_time(matrix, r_max, t_max)
+        if include_robustness:
+            rob = robustness(records, r_max, t_max, n_eval=n_eval)
+        hits = successful_set(matrix, r_max, t_max)
     return MetricsReport(
         average_reward=avg,
         success=succ,
         robustness=rob,
         learning_time=lt,
         fom=figure_of_merit(rob, succ, lt),
-        successful_set=successful_set(matrix, r_max, t_max),
+        successful_set=hits,
         n_reps=len(records),
         n_episodes=t_max,
         r_max=r_max,
@@ -329,8 +312,8 @@ def compute_report(
     )
 
 
-def _cell(value: Optional[float], width: int) -> str:
-    return (f"{value:.2f}" if value is not None else "-").rjust(width)
+def _cell(value: Optional[float]) -> str:
+    return f"{value:.2f}" if value is not None else "-"
 
 
 def render_table(reports: Iterable[MetricsReport]) -> str:
@@ -347,11 +330,11 @@ def render_table(reports: Iterable[MetricsReport]) -> str:
                 rep.model_name or "-",
                 f"{rep.temperature:.1f}" if rep.temperature is not None else "-",
                 f"{rep.average_reward:.2f}",
-                _cell(rep.success, 0).strip(),
-                _cell(rep.robustness, 0).strip(),
-                _cell(rep.learning_time, 0).strip(),
-                _cell(rep.fom, 0).strip(),
-                _cell(rep.improvement_ratio, 0).strip(),
+                _cell(rep.success),
+                _cell(rep.robustness),
+                _cell(rep.learning_time),
+                _cell(rep.fom),
+                _cell(rep.improvement_ratio),
             ]
         )
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]

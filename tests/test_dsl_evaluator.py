@@ -147,10 +147,12 @@ def test_uniform_fallback_for_continuous(pendulum_spec):
         "        return 0\n"
         "    return random.uniform(-2.0, 2.0)\n"
     )
-    outcome = evaluate(program, np.array([0.0, 0.0, 0.0]), random.Random(3), pendulum_spec)
+    rng = random.Random(3)
+    before = rng.getstate()
+    outcome = evaluate(program, np.array([0.0, 0.0, 0.0]), rng, pendulum_spec)
     assert outcome.is_valid
     assert -2.0 <= outcome.action <= 2.0
-    assert outcome.used_random
+    assert rng.getstate() != before  # the fallback drew
 
 
 def test_observation_length_mismatch(iter0_program, star2_spec):
@@ -252,19 +254,19 @@ def test_iter0_program_matches_hand_transcription_on_grid(iter0_program, star2_s
             for pa in grid:
                 for pav in grid:
                     expected = _hand_transcribed_iter0(cp, cv, pa, pav, "random")
+                    rng = random.Random(checked)
+                    before = rng.getstate()
                     outcome = evaluate(
-                        iter0_program,
-                        np.array([cp, cv, pa, pav]),
-                        random.Random(checked),
-                        star2_spec,
+                        iter0_program, np.array([cp, cv, pa, pav]), rng, star2_spec
                     )
+                    drew = rng.getstate() != before
                     assert outcome.is_valid
                     if expected == "random":
-                        assert outcome.used_random, (cp, cv, pa, pav)
+                        assert drew, (cp, cv, pa, pav)
                         assert outcome.action in (1, 2)
                         fallback_points += 1
                     else:
-                        assert not outcome.used_random, (cp, cv, pa, pav)
+                        assert not drew, (cp, cv, pa, pav)
                         assert outcome.action == expected, (cp, cv, pa, pav)
                     checked += 1
     assert checked == 14_641

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from policyloop.dsl import PolicyParseError, parse, to_source
+from policyloop.dsl import InvalidReason, PolicyParseError, parse, to_source
 
 CARTPOLE_PARAMS = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
 
@@ -16,7 +16,6 @@ def test_session_program_parses_with_random_fallback(star2_spec):
     program = parse(transcript_text("code_iter0.py"), expected_params=star2_spec.obs_names)
     assert program.name == "get_action"
     assert program.params == CARTPOLE_PARAMS
-    assert program.uses_random_fallback
     # last top-level statement is the random fallback return
     assert to_source(program).splitlines()[-1] == "    return random.randint(1, 2)"
 
@@ -358,6 +357,44 @@ def test_overlong_integer_literal_is_a_parse_error():
     # hexadecimal literals have no digit limit, but their decimal text does
     with pytest.raises(PolicyParseError, match="too long"):
         parse(_HEAD + "    return 0x" + "f" * 5000 + "\n")
+
+
+SESSION_PROGRAMS = ("code_iter0.py", "code_iter1.py", "code_iter2.py", "code_optimal.py")
+
+
+def test_parsing_and_running_never_print_the_program(monkeypatch, star2_spec):
+    """The canonical text is computed on first use only: parse, evaluate and
+    whole episodes run with ast.unparse unavailable, and the text computed
+    afterwards is the one a fresh parse gives."""
+    import ast
+
+    from policyloop.dsl import evaluate, run_episode
+
+    def refuse(node):
+        raise AssertionError("ast.unparse called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ast, "unparse", refuse)
+        programs = [
+            parse(transcript_text(name), expected_params=star2_spec.obs_names)
+            for name in SESSION_PROGRAMS
+        ]
+        for program in programs:
+            assert evaluate(program, (0, 0, 0, 0), random.Random(0), star2_spec).reason in (
+                None,
+                InvalidReason.NO_RULE_FIRED,
+            )
+            run_episode(program, star2_spec.task_id, 0, random.Random(0))
+        # the over-long literal is still refused while the tree is checked
+        with pytest.raises(PolicyParseError, match="too long"):
+            parse(_HEAD + "    return 0x" + "f" * 5000 + "\n")
+    for name, program in zip(SESSION_PROGRAMS, programs):
+        fresh = parse(transcript_text(name), expected_params=star2_spec.obs_names)
+        assert to_source(program) == ast.unparse(ast.parse(transcript_text(name)).body[-1])
+        assert to_source(program) == to_source(fresh)
+        assert program == fresh and hash(program) == hash(fresh)
+        assert repr(program) == repr(fresh)
+        assert parse(to_source(program)) == program
 
 
 # Outside the language, and refused before as well as now.

@@ -185,20 +185,6 @@ def test_acrobot_full_episode_return_minus_500():
     assert result.truncated
 
 
-def test_acrobot_reward_floor_off_by_default_and_configurable():
-    default = make(TaskId.ACROBOT)
-    assert default.reward_floor is None
-    floored = make(TaskId.ACROBOT, reward_floor=-100.0)
-    floored.reset(11)
-    total, done = 0.0, False
-    while not done:
-        result = floored.step(1)
-        total += result.reward
-        done = result.done
-    assert total == -101.0
-    assert result.terminated
-
-
 # -- star2 encoding -------------------------------------------------------
 
 

@@ -365,6 +365,22 @@ def test_gateway_error_aborts_without_a_second_call():
     assert record.responses == scripted_session()[:4]
 
 
+@pytest.mark.parametrize(
+    "script, epochs",
+    [(["   "], 1), (scripted_session()[:3] + ["   "], 5)],
+    ids=["p1", "p4"],
+)
+def test_blank_strategy_answer_aborts_with_backend_status(script, epochs):
+    # over HTTP the gateway refuses a blank completion and the run ends the same way
+    config = LoopConfig.for_task("CartPoleStar2", epochs=epochs)
+    record = run_replication("CartPoleStar2", config, ScriptedBackend(script))
+    assert record.status is RunStatus.ABORTED_BACKEND
+    assert record.responses == script
+    assert len(record.strategies) == len(script) // 3
+    matches, _ = replay(record)
+    assert matches  # byte-identical canonical JSON
+
+
 def test_too_deeply_nested_code_is_repaired():
     deep = (
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"

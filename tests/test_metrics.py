@@ -369,8 +369,27 @@ def test_compute_report_composes_components():
 def test_compute_report_without_defined_max():
     records = make_records([[-500.0, -200.0]], task="Acrobot", epochs=50)
     report = compute_report(records, t_max=50)
-    assert report.success is None and report.fom is None
-    assert report.average_reward == -350.0
+    assert report.to_dict() == {
+        "task_id": "Acrobot",
+        "model_name": "scripted-model",
+        "temperature": 0.0,
+        "average_reward": -350.0,
+        "success": None,
+        "robustness": None,
+        "learning_time": None,
+        "fom": None,
+        "improvement_ratio": 1.0,
+        "successful_set": [],
+        "n_reps": 1,
+        "n_episodes": 50,
+        "r_max": None,
+        "n_eval": 2000,
+    }
+    assert render_table([report]).splitlines() == [
+        "Task     Model           Temp  AvgReward  Success  Robustness  LearnTime  FoM  Improv",
+        "-------  --------------  ----  ---------  -------  ----------  ---------  ---  ------",
+        "Acrobot  scripted-model  0.0   -350.00    -        -           -          -    1.00  ",
+    ]
 
 
 def test_compute_report_rejects_mixed_cells():
