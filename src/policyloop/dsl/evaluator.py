@@ -3,13 +3,15 @@
 A policy runs as the Python function :func:`~.parser.parse` compiled once
 from its validated tree (``PolicyProgram.compiled``); the language is a
 strict subset of Python, so CPython's semantics are the language's. This
-module supplies the checked random builtins and turns what the function
-returns or raises into a typed :class:`PolicyOutcome`.
+module calls it with the caller's rng and turns what it returns or raises
+into a typed :class:`PolicyOutcome`; the action space's ``coerce`` decides
+which values are actions.
 
 Pure with respect to the environment: the only effects are draws from the
-caller-supplied rng when a program uses its random builtins. Rule
-comparisons are exact real comparisons (generated rules use integer-ish
-thresholds; an epsilon would silently change their meaning).
+caller-supplied rng when a program calls ``random.randint`` or
+``random.uniform``. Rule comparisons are exact real comparisons (generated
+rules use integer-ish thresholds; an epsilon would silently change their
+meaning).
 
 A valid outcome carries the action and nothing else; only an invalid one
 renders the value the program produced, for its trace line and the repair
@@ -18,14 +20,13 @@ feedback.
 
 from __future__ import annotations
 
-import math
 import random
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ..envs.core import ContinuousAction, DiscreteActions, EnvSpec
+from ..envs.core import EnvSpec
 from .parser import PolicyProgram
 
 
@@ -49,31 +50,6 @@ class PolicyOutcome(NamedTuple):
     @property
     def is_valid(self) -> bool:
         return self.reason is None
-
-
-class _CheckedRandom:
-    """The ``random`` a compiled policy sees: the rng's two draws with the
-    language's bound checks."""
-
-    __slots__ = ("rng",)
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-
-    def randint(self, lo, hi) -> int:
-        if not (_integral(lo) and _integral(hi)):
-            raise ValueError(f"random.randint requires integer bounds, got ({lo}, {hi})")
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ValueError(f"random.randint range is empty: ({lo}, {hi})")
-        return self.rng.randint(lo, hi)
-
-    def uniform(self, lo, hi) -> float:
-        return self.rng.uniform(float(lo), float(hi))
-
-
-def _integral(value) -> bool:
-    return isinstance(value, int) or (math.isfinite(value) and value.is_integer())
 
 
 def _render_value(value) -> str:
@@ -102,45 +78,30 @@ def evaluate(
             f"{len(program.params)} parameters"
         )
     try:
-        return _outcome(program.compiled(_CheckedRandom(rng), *obs), spec.action)
+        value = program.compiled(rng, *obs)
+        if value is None:
+            return PolicyOutcome(
+                action=None,
+                reason=InvalidReason.NO_RULE_FIRED,
+                value_text="None",
+                detail="no rule fired for this observation",
+            )
+        action = spec.action.coerce(value)
+        if action is not None:
+            return PolicyOutcome(action)
+        value_text = _render_value(value)
     except (ArithmeticError, ValueError) as exc:
         # division by zero, an overflow, a bad random bound, or an integer
-        # too long to print
+        # too long to print or too large for a float
         return PolicyOutcome(
             action=None,
             reason=InvalidReason.RUNTIME_ERROR,
             value_text="None",
             detail=str(exc),
         )
-
-
-def _outcome(value, action_space) -> PolicyOutcome:
-    if value is None:
-        return PolicyOutcome(
-            action=None,
-            reason=InvalidReason.NO_RULE_FIRED,
-            value_text="None",
-            detail="no rule fired for this observation",
-        )
-    if isinstance(action_space, DiscreteActions):
-        if isinstance(value, bool) or value not in action_space.labels:
-            value_text = _render_value(value)
-            return PolicyOutcome(
-                action=None,
-                reason=InvalidReason.OUT_OF_RANGE,
-                value_text=value_text,
-                detail=f"value {value_text} is not one of {list(action_space.labels)}",
-            )
-        return PolicyOutcome(int(value))
-    assert isinstance(action_space, ContinuousAction)
-    number = float(value)
-    if not math.isfinite(number):
-        # clamping would pass NaN on, and the dynamics never terminate on it
-        value_text = _render_value(value)
-        return PolicyOutcome(
-            action=None,
-            reason=InvalidReason.OUT_OF_RANGE,
-            value_text=value_text,
-            detail=f"value {value_text} is not a finite number",
-        )
-    return PolicyOutcome(action_space.clamp(number))
+    return PolicyOutcome(
+        action=None,
+        reason=InvalidReason.OUT_OF_RANGE,
+        value_text=value_text,
+        detail=f"value {value_text} is not a valid action; expected {spec.action_invalid_text}",
+    )

@@ -19,18 +19,22 @@ printing and compiling a program never overflow the stack. Every refusal,
 CPython's included, is a :class:`PolicyParseError` with line/column and a
 message phrased for feeding straight back to the model in a repair prompt.
 
-:func:`parse` compiles each validated program once, with ``random``
-prepended as the first parameter, into a plain Python function
-(``PolicyProgram.compiled``) with no builtins, and keeps no tree. The
-canonical text that :func:`to_source` returns, and that ``==``, ``hash``
-and ``repr`` compare, is :func:`ast.unparse` of the function; it is
-computed from ``source_text`` on first use, because the loop itself never
-asks for it.
+:func:`parse` compiles each validated program once into a plain Python
+function of the caller's :class:`random.Random` and the parameters
+(``PolicyProgram.compiled``), with no builtins, and keeps no tree. Each
+``random.randint``/``random.uniform`` call is compiled into a call of
+:func:`checked_randint`/:func:`checked_uniform` on that rng. The canonical
+text that :func:`to_source` returns, and that ``==``, ``hash`` and
+``repr`` compare, is :func:`ast.unparse` of the function; it is computed
+from ``source_text`` on first use, because the loop itself never asks for
+it.
 """
 
 from __future__ import annotations
 
 import ast
+import math
+import random
 import re
 import warnings
 from dataclasses import dataclass
@@ -76,7 +80,7 @@ class PolicyProgram:
     name: str
     params: tuple[str, ...]
     source_text: str
-    # f(random, *params), compiled from the validated tree
+    # f(rng, *params), compiled from the validated tree
     compiled: Callable
 
     @cached_property
@@ -192,9 +196,11 @@ def _function(module: ast.Module) -> ast.FunctionDef:
     return func
 
 
-def _check(func: ast.FunctionDef) -> None:
-    """Walk the body against the whitelist, without recursion."""
+def _check(func: ast.FunctionDef) -> list[ast.Call]:
+    """Walk the body against the whitelist, without recursion; return its
+    random calls."""
     params = {arg.arg for arg in func.args.args}
+    draws: list[ast.Call] = []
     pending: list[tuple[ast.AST, int]] = [(stmt, 1) for stmt in reversed(func.body)]
     while pending:
         node, depth = pending.pop()
@@ -265,6 +271,7 @@ def _check(func: ast.FunctionDef) -> None:
             children = []
         elif kind is ast.Call:
             _check_call(node)
+            draws.append(node)
             children = node.args
         elif kind in (ast.For, ast.While):
             raise _error(_LOOPS, node)
@@ -275,6 +282,7 @@ def _check(func: ast.FunctionDef) -> None:
         else:
             raise _error(f"{kind.__name__} expressions are not allowed in a policy function", node)
         pending.extend((child, depth + 1) for child in reversed(children))
+    return draws
 
 
 def _check_call(node: ast.Call) -> None:
@@ -311,20 +319,48 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
             f"({', '.join(expected_params)}) in this order, but the definition "
             f"declares ({', '.join(params)})"
         )
-    _check(func)
-    return PolicyProgram(func.name, params, source, _compile(func))
+    return PolicyProgram(func.name, params, source, _compile(func, _check(func)))
 
 
-def _compile(func: ast.FunctionDef) -> Callable:
+def _integral(value) -> bool:
+    return isinstance(value, int) or (math.isfinite(value) and value.is_integer())
+
+
+def checked_randint(rng: random.Random, lo, hi) -> int:
+    """``random.randint(lo, hi)`` in a policy: integral, ordered bounds."""
+    if not (_integral(lo) and _integral(hi)):
+        raise ValueError(f"random.randint requires integer bounds, got ({lo}, {hi})")
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"random.randint range is empty: ({lo}, {hi})")
+    return rng.randint(lo, hi)
+
+
+def checked_uniform(rng: random.Random, lo, hi) -> float:
+    """``random.uniform(lo, hi)`` in a policy."""
+    return rng.uniform(float(lo), float(hi))
+
+
+# Global names of the checked draws in a compiled policy. No parameter can
+# take them: a parameter name has no dot.
+_DRAWS = {"random.randint": checked_randint, "random.uniform": checked_uniform}
+
+
+def _compile(func: ast.FunctionDef, draws: list[ast.Call]) -> Callable:
     """The validated function as a Python function of (random, *params).
 
-    It reads no global name, so it gets no builtins; ``random`` is the
-    caller's object providing ``randint`` and ``uniform``. Taking the
-    function out of its globals leaves no reference cycle for the
-    collector to find.
+    The parameter ``random`` is the caller's rng, and each call
+    ``random.<draw>(lo, hi)`` in ``draws`` becomes ``"random.<draw>"(random,
+    lo, hi)``. Its only globals are the two checked draws: no builtins.
+    Taking the function out of its globals leaves no reference cycle for
+    the collector to find.
     """
+    for call in draws:
+        name = ast.Name(f"random.{call.func.attr}", ast.Load())
+        call.args.insert(0, ast.copy_location(ast.Name("random", ast.Load()), call))
+        call.func = ast.copy_location(name, call.func)
     func.args.args.insert(0, ast.arg("random", lineno=func.lineno, col_offset=0))
-    namespace: dict = {"__builtins__": {}}
+    namespace: dict = {"__builtins__": {}, **_DRAWS}
     exec(compile(ast.Module([func], []), "<policy>", "exec"), namespace)
     return namespace.pop(func.name)
 

@@ -126,12 +126,13 @@ class AcrobotEnv(Environment):
         improve_goal_text="raising the tip above the target height sooner",
     )
 
+    terminal_cause = TerminationCause.GOAL_REACHED
+
     def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
         return tuple(rng.uniform(-0.1, 0.1, size=4).tolist())
 
     def _step_state(self, state, action):
-        torque = TORQUES[int(action)]
-        theta1, theta2, dtheta1, dtheta2 = rk4_step(state, torque)
+        theta1, theta2, dtheta1, dtheta2 = rk4_step(state, TORQUES[action])
         theta1 = wrap_angle(theta1)
         theta2 = wrap_angle(theta2)
         dtheta1 = min(max(dtheta1, -MAX_VEL_1), MAX_VEL_1)
@@ -139,8 +140,8 @@ class AcrobotEnv(Environment):
         new_state = (theta1, theta2, dtheta1, dtheta2)
 
         if tip_above_goal(theta1, theta2):
-            return new_state, 0.0, True, TerminationCause.GOAL_REACHED
-        return new_state, -1.0, False, TerminationCause.NONE
+            return new_state, 0.0, True
+        return new_state, -1.0, False
 
     def _observe(self, state):
         theta1, theta2, dtheta1, dtheta2 = state

@@ -75,17 +75,15 @@ class _CartPoleBase(Environment):
 
     # label -> force sign; set per variant
     _force_by_label: dict[int, float] = {}
+    terminal_cause = TerminationCause.BOUNDS_EXCEEDED
 
     def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
         return tuple(rng.uniform(-0.05, 0.05, size=4).tolist())
 
     def _step_state(self, state, action):
-        force = self._force_by_label[int(action)] * FORCE_MAG
-        new_state = cartpole_step(state, force)
-        terminated = cartpole_failed(new_state)
-        cause = TerminationCause.BOUNDS_EXCEEDED if terminated else TerminationCause.NONE
+        new_state = cartpole_step(state, self._force_by_label[action] * FORCE_MAG)
         # The step that leaves the allowed region still earns its +1.
-        return new_state, 1.0, terminated, cause
+        return new_state, 1.0, cartpole_failed(new_state)
 
 
 _CARTPOLE_OBS_NAMES = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
@@ -293,15 +291,14 @@ class InvertedPendulumEnv(Environment):
     )
 
     THETA_FAIL = 0.2
+    terminal_cause = TerminationCause.BOUNDS_EXCEEDED
 
     def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
         return tuple(rng.uniform(-0.01, 0.01, size=4).tolist())
 
-    def _step_state(self, state, action):
-        new_state = cartpole_step(state, float(action))
-        terminated = abs(new_state[2]) > self.THETA_FAIL
-        cause = TerminationCause.BOUNDS_EXCEEDED if terminated else TerminationCause.NONE
-        return new_state, 1.0, terminated, cause
+    def _step_state(self, state, force):
+        new_state = cartpole_step(state, force)
+        return new_state, 1.0, abs(new_state[2]) > self.THETA_FAIL
 
     def _observe(self, state):
         x, x_dot, theta, theta_dot = state

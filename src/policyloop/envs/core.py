@@ -63,14 +63,31 @@ class DiscreteActions:
 
     labels: tuple[int, ...]
 
+    def coerce(self, value) -> Optional[int]:
+        """``value`` as an int when it equals a label (a bool does not), else None."""
+        if isinstance(value, bool) or value not in self.labels:
+            return None
+        return int(value)
+
 
 @dataclass(frozen=True)
 class ContinuousAction:
     lo: float
     hi: float
 
-    def clamp(self, value: float) -> float:
-        return min(max(value, self.lo), self.hi)
+    def coerce(self, value) -> Optional[float]:
+        """``value`` clamped into [lo, hi] when it is a finite number, else None.
+
+        An int too large for a float raises OverflowError.
+        """
+        try:
+            number = float(value)
+        except TypeError:  # None
+            return None
+        if not math.isfinite(number):
+            # clamping would pass NaN on, and the dynamics never terminate on it
+            return None
+        return min(max(number, self.lo), self.hi)
 
 
 ActionSpace = Union[DiscreteActions, ContinuousAction]
@@ -100,7 +117,7 @@ class EnvSpec:
     r_max: Optional[float] = None
     # True when observations are reported on the integer grid.
     integer_observations: bool = False
-    # Prompt-side phrasings derived from the action space / goal.
+    # Prompt-side phrasings of the action space and the goal, written per task.
     action_choice_text: str = ""
     action_returns_text: str = ""
     action_invalid_text: str = ""
@@ -134,11 +151,14 @@ class StepResult(NamedTuple):
 class Environment:
     """Base class: deterministic, seedable reset/step state machine.
 
-    Subclasses implement ``_reset_state`` and ``_step_state``; this class owns
-    step counting, truncation and the observation encoding hook.
+    Subclasses implement ``_reset_state`` and ``_step_state``, may override
+    the observation encoding ``_observe``, and set ``terminal_cause``, the
+    cause of every termination ``_step_state`` reports. This class owns the
+    action check, step counting and truncation.
     """
 
     spec: EnvSpec
+    terminal_cause: TerminationCause
 
     def __init__(self) -> None:
         self._state: Optional[tuple[float, ...]] = None
@@ -155,15 +175,22 @@ class Environment:
     def step(self, action: Union[int, float]) -> StepResult:
         if self._state is None:
             raise RuntimeError("step() before reset()")
-        action = self._coerce_action(action)
-        state, reward, terminated, cause = self._step_state(self._state, action)
+        spec = self.spec
+        coerced = spec.action.coerce(action)
+        if coerced is None:
+            raise ValueError(
+                f"action {action!r} is not a valid action for {spec.task_id}; "
+                f"expected {spec.action_invalid_text}"
+            )
+        state, reward, terminated = self._step_state(self._state, coerced)
         self._state = state
         self._steps += 1
-        truncated = False
-        if not terminated and self._steps >= self.spec.max_steps:
-            truncated = True
-            cause = TerminationCause.STEP_LIMIT
-        return StepResult(self._observe(state), reward, terminated, truncated, cause)
+        obs = self._observe(state)
+        if terminated:
+            return StepResult(obs, reward, True, False, self.terminal_cause)
+        if self._steps >= spec.max_steps:
+            return StepResult(obs, reward, False, True, TerminationCause.STEP_LIMIT)
+        return StepResult(obs, reward, False, False)
 
     def observe(self) -> tuple:
         assert self._state is not None
@@ -186,22 +213,14 @@ class Environment:
         raise NotImplementedError
 
     def _step_state(
-        self, state: tuple[float, ...], action: float
-    ) -> tuple[tuple[float, ...], float, bool, TerminationCause]:
+        self, state: tuple[float, ...], action: Union[int, float]
+    ) -> tuple[tuple[float, ...], float, bool]:
+        """(next state, reward, terminated) under a coerced action: an int
+        label, or a clamped float."""
         raise NotImplementedError
 
     def _observe(self, state: tuple[float, ...]) -> tuple:
         return state
-
-    def _coerce_action(self, action: Union[int, float]) -> float:
-        act = self.spec.action
-        if isinstance(act, DiscreteActions):
-            if action not in act.labels:
-                raise ValueError(
-                    f"action {action!r} not in label set {act.labels} for {self.spec.task_id}"
-                )
-            return int(action)
-        return act.clamp(float(action))
 
 
 def derive_seed(*parts: object) -> int:

@@ -81,16 +81,16 @@ class MountainCarDiscreteEnv(Environment):
         improve_goal_text="reaching the top of the right hill sooner",
     )
 
+    terminal_cause = TerminationCause.GOAL_REACHED
+
     def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
         return (float(rng.uniform(-0.6, -0.4)), 0.0)
 
     def _step_state(self, state, action):
         position, velocity = state
-        push = (int(action) - 1) * DISCRETE_FORCE
-        position, velocity = _slide(position, velocity, push)
+        position, velocity = _slide(position, velocity, (action - 1) * DISCRETE_FORCE)
         terminated = position >= DISCRETE_GOAL and velocity >= 0.0
-        cause = TerminationCause.GOAL_REACHED if terminated else TerminationCause.NONE
-        return (position, velocity), -1.0, terminated, cause
+        return (position, velocity), -1.0, terminated
 
 
 class MountainCarContinuousEnv(Environment):
@@ -136,14 +136,14 @@ class MountainCarContinuousEnv(Environment):
         improve_goal_text="reaching the top of the right hill sooner",
     )
 
+    terminal_cause = TerminationCause.GOAL_REACHED
+
     def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
         return (float(rng.uniform(-0.6, -0.4)), 0.0)
 
-    def _step_state(self, state, action):
+    def _step_state(self, state, force):
         position, velocity = state
-        force = float(action)  # pre-clamped by the action space
         position, velocity = _slide(position, velocity, force * CONTINUOUS_POWER)
         terminated = position >= CONTINUOUS_GOAL and velocity >= 0.0
         reward = -0.1 * force * force + (100.0 if terminated else 0.0)
-        cause = TerminationCause.GOAL_REACHED if terminated else TerminationCause.NONE
-        return (position, velocity), reward, terminated, cause
+        return (position, velocity), reward, terminated

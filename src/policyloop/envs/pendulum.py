@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import ContinuousAction, Environment, EnvSpec, TaskId, TerminationCause, wrap_angle
+from .core import ContinuousAction, Environment, EnvSpec, TaskId, wrap_angle
 
 G = 10.0
 MASS = 1.0
@@ -67,9 +67,8 @@ class PendulumEnv(Environment):
         theta_dot = float(rng.uniform(-1.0, 1.0))
         return (theta, theta_dot)
 
-    def _step_state(self, state, action):
+    def _step_state(self, state, torque):
         theta, theta_dot = state
-        torque = float(action)  # pre-clamped by the action space
         angle = wrap_angle(theta)
         cost = angle * angle + 0.1 * theta_dot * theta_dot + 0.001 * torque * torque
 
@@ -79,7 +78,7 @@ class PendulumEnv(Environment):
         ) * DT
         new_theta_dot = min(max(new_theta_dot, -MAX_SPEED), MAX_SPEED)
         new_theta = theta + new_theta_dot * DT
-        return (new_theta, new_theta_dot), -cost, False, TerminationCause.NONE
+        return (new_theta, new_theta_dot), -cost, False
 
     def _observe(self, state):
         theta, theta_dot = state

@@ -25,14 +25,6 @@ from typing import Optional
 
 TEMPERATURE_MAX = 3.2
 
-# Per-stage completion budgets, sized from typical transcript lengths.
-DEFAULT_MAX_TOKENS = {
-    "strategy": 2048,
-    "rules": 1024,
-    "code": 1024,
-    "reflection": 4096,
-}
-
 
 class GatewayError(Exception):
     """Base class for backend failures."""

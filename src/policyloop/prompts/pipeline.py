@@ -1,10 +1,11 @@
 """Rendering of the four pipeline prompts and extraction of the structured
 artifacts (strategy text, rule text, policy code) from model responses.
 
-Prompt texts live as plain .txt templates next to this module; every slot
-must resolve or rendering fails. The reflection prompt is assembled from
-named blocks so ablation switches can excise whole blocks without leaving
-dangling headers, and so tests can diff conditions structurally.
+Prompt texts live as plain .txt templates next to this module; every
+``{slot}`` field must resolve or rendering fails, and the text filled in,
+model text included, is used as it is. The reflection prompt is assembled
+from named blocks so ablation switches can excise whole blocks without
+leaving dangling headers, and so tests can diff conditions structurally.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ from typing import Optional, Sequence
 
 from ..dsl.parser import PolicyParseError, PolicyProgram, parse
 from ..envs.core import EnvSpec
-from ..gateway import DEFAULT_MAX_TOKENS, ChatRequest
+from ..gateway import ChatRequest
 
 _NUMBER_WORDS = {2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven"}
-
-_UNRESOLVED_MARKERS = (
-    "[Agent]",
-    "[Goal and Reward]",
-    "[Observation Vector]",
-    "[Action Vector]",
-    "[Termination Conditions]",
-)
 
 
 class Stage(str, Enum):
@@ -37,6 +30,15 @@ class Stage(str, Enum):
     P2_RULES = "P2_rules"
     P3_CODE = "P3_code"
     P4_REFLECT = "P4_reflect"
+
+
+# Per-stage completion budgets, sized from typical transcript lengths.
+STAGE_MAX_TOKENS = {
+    Stage.P1_STRATEGY: 2048,
+    Stage.P2_RULES: 1024,
+    Stage.P3_CODE: 1024,
+    Stage.P4_REFLECT: 4096,
+}
 
 
 class Ablation(str, Enum):
@@ -91,17 +93,11 @@ def _template(name: str) -> str:
 
 def _fill(template_name: str, **slots: object) -> str:
     try:
-        text = _template(template_name).format(**slots)
+        return _template(template_name).format(**slots)
     except (KeyError, IndexError) as exc:
         raise PromptError(
             f"unresolved slot {exc} in template {template_name!r}"
         ) from None
-    for marker in _UNRESOLVED_MARKERS:
-        if marker in text:
-            raise PromptError(
-                f"template {template_name!r} rendered with unresolved marker {marker}"
-            )
-    return text
 
 
 def format_reward(value: float) -> str:
@@ -318,27 +314,18 @@ def render_p4(
     return "\n\n".join(text for _, text in blocks)
 
 
-_STAGE_KIND = {
-    Stage.P1_STRATEGY: "strategy",
-    Stage.P2_RULES: "rules",
-    Stage.P3_CODE: "code",
-    Stage.P4_REFLECT: "reflection",
-}
-
-
 def build_request(
     stage: Stage,
     prompt_text: str,
     model_name: str,
     temperature: float,
     request_seed: Optional[int] = None,
-    max_tokens: Optional[int] = None,
 ) -> ChatRequest:
     return ChatRequest(
         model_name=model_name,
         temperature=temperature,
         messages=[{"role": "user", "content": prompt_text}],
-        max_tokens=max_tokens or DEFAULT_MAX_TOKENS[_STAGE_KIND[stage]],
+        max_tokens=STAGE_MAX_TOKENS[stage],
         request_seed=request_seed,
     )
 
@@ -479,7 +466,6 @@ def generate_program(
     temperature: float,
     request_seed: Optional[int] = None,
     budget: int = 10,
-    max_tokens: Optional[int] = None,
 ) -> CodeResult:
     """Prompt 3, re-asked until a response parses, at most ``budget``
     attempts in total (always at least one).
@@ -491,9 +477,7 @@ def generate_program(
     errors: list[str] = []
     for attempt in range(1, max(budget, 1) + 1):
         prompt = render_p3(spec, rules_text, error=errors[-1] if errors else None)
-        request = build_request(
-            Stage.P3_CODE, prompt, model_name, temperature, request_seed, max_tokens
-        )
+        request = build_request(Stage.P3_CODE, prompt, model_name, temperature, request_seed)
         text = backend.complete(request).text
         try:
             return CodeResult(program=extract_code(text, spec), attempts=attempt)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from policyloop import envs
-from policyloop.dsl import parse, run_episode
+from policyloop.dsl import InvalidReason, PolicyProgram, evaluate, parse, run_episode
 from policyloop.envs import (
     ALL_TASKS,
     TaskId,
@@ -351,6 +351,59 @@ def test_terminated_and_truncated_are_exclusive(task):
             result = env.step(random_action(spec, rng))
             assert not (result.terminated and result.truncated)
             done = result.done
+
+
+# -- action validity -------------------------------------------------------
+
+_ACTION_VALUES = (
+    ("-1", -1),
+    ("7", 7),
+    ("True", True),
+    ("False", False),
+    ("1.0", 1.0),
+    ("1.5", 1.5),
+    ("nan", math.nan),
+    ("inf", math.inf),
+    ("-inf", -math.inf),
+    ("10**400", 10**400),
+)
+
+
+def _action_cases():
+    for task in ALL_TASKS:
+        spec = get_spec(task)
+        ends = spec.action.labels if spec.is_discrete else (spec.action.lo, spec.action.hi)
+        for value in ends:
+            yield pytest.param(task, value, id=f"{task.value}-end-{value}")
+        for name, value in _ACTION_VALUES:
+            yield pytest.param(task, value, id=f"{task.value}-{name}")
+
+
+@pytest.mark.parametrize("task, value", _action_cases())
+def test_policy_and_step_agree_on_which_actions_are_valid(task, value):
+    """A value a policy returns is a valid action exactly when ``env.step``
+    takes it, and both turn it into the same action. NaN and infinities are
+    refused on every task, bools on the discrete ones."""
+    spec = get_spec(task)
+    program = PolicyProgram("get_action", spec.obs_names, "", lambda rng, *obs: value)
+    env, other = make(task), make(task)
+    outcome = evaluate(program, env.reset(0), random.Random(0), spec)
+    other.reset(0)
+    if outcome.is_valid:
+        assert type(outcome.action) is (int if spec.is_discrete else float)
+        assert env.step(value) == other.step(outcome.action)
+    elif outcome.reason is InvalidReason.RUNTIME_ERROR:
+        # an int too large for a float, on a continuous task
+        assert not spec.is_discrete and value == 10**400
+        with pytest.raises(OverflowError):
+            env.step(value)
+    else:
+        with pytest.raises(ValueError, match="is not a valid action"):
+            env.step(value)
+    if isinstance(value, bool) and spec.is_discrete:
+        assert not outcome.is_valid
+    if not (isinstance(value, int) or math.isfinite(value)):
+        assert not outcome.is_valid
 
 
 # -- describe --------------------------------------------------------------

@@ -453,6 +453,25 @@ def test_replay_reproduces_the_record():
     assert rerun.per_iteration_rewards == record.per_iteration_rewards
 
 
+def test_bracketed_slot_names_in_model_text_do_not_break_the_run():
+    """Model text is filled into the prompts as it is: a strategy or rule
+    text that holds a task-description slot name in brackets renders, and
+    the run completes and replays."""
+    script = scripted_session()
+    script[0] = "[Agent] " + script[0]
+    first_rule, rest = script[1].split("\n", 1)
+    script[1] = f"{first_rule}\n[Goal and Reward]\n{rest}"
+    record = run_replication(
+        TaskId.CARTPOLE_STAR2, _config(epochs=2), ScriptedBackend(script), 0, 0.0
+    )
+    assert record.status is RunStatus.COMPLETED
+    assert len(record.strategies) == 2
+    assert record.strategies[0].strategy_text.startswith("[Agent] ")
+    assert "\n[Goal and Reward]\n" in record.strategies[0].rules_text
+    matches, _ = replay(record)
+    assert matches
+
+
 def test_replay_detects_divergence():
     record = _session_record()
     tampered = RunRecord.from_dict(record.to_dict())

@@ -45,13 +45,36 @@ def test_p3_render_matches_fixture(star2_spec):
     assert rendered == fixture_text("p3_iter0_cartpole_star2.txt")
 
 
+_SLOT_MARKERS = (
+    "[Agent]",
+    "[Goal and Reward]",
+    "[Observation Vector]",
+    "[Action Vector]",
+    "[Termination Conditions]",
+)
+
+
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_all_tasks_render_without_unresolved_markers(task):
+    """Every template slot resolves, in every prompt and, for the reflection
+    prompt, under every ablation with every optional block present."""
     spec = get_spec(task)
-    for text in (render_p1(spec), render_p2(spec, "s"), render_p3(spec, "r")):
+    texts = [render_p1(spec), render_p2(spec, "s"), render_p3(spec, "r"), render_p3(spec, "r", "e")]
+    for ablation in Ablation:
+        texts.append(
+            render_p4(
+                spec,
+                _summary(116.1, window=("[-1 -3  9  6];2",), invalid="None"),
+                previous=_summary(49.85),
+                best=_summary(49.85),
+                history_rewards=[49.85, 116.1],
+                ablation=ablation,
+            )
+        )
+    for text in texts:
         assert "{" not in text and "}" not in text
-        assert "[Agent]" not in text
-        assert "[Observation Vector]" not in text
+        for marker in _SLOT_MARKERS:
+            assert marker not in text
 
 
 def test_p3_repair_suffix_contains_error(star2_spec):
@@ -256,6 +279,8 @@ def test_build_request_stage_budgets(star2_spec):
     request = build_request(Stage.P1_STRATEGY, "text", "model-x", 0.8, request_seed=5)
     assert request.max_tokens == 2048
     assert request.messages == [{"role": "user", "content": "text"}]
+    assert build_request(Stage.P2_RULES, "text", "m", 0.0).max_tokens == 1024
+    assert build_request(Stage.P3_CODE, "text", "m", 0.0).max_tokens == 1024
     assert build_request(Stage.P4_REFLECT, "text", "m", 0.0).max_tokens == 4096
 
 
