@@ -4,6 +4,14 @@ An episode ends on the usual termination/truncation rules, or immediately
 when the policy produces an unusable action; that step earns no reward and
 its trace line records the offending value verbatim (e.g. ``None``).
 
+Each step is one ``evaluate`` call, which returns an already coerced
+action, and one call of the env's ``_step_state`` hook; the next
+observation comes from its ``_observe`` hook. State and return stay in
+locals, the step count is the number of actions taken, the step limit
+bounds the loop, and the env's state and step count are written back when
+the episode ends, so the env reads as after the same public ``env.step``
+calls.
+
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
 lines are never shown pays nothing for them.
@@ -68,28 +76,37 @@ def run_episode(
 
     ``rng`` feeds only the policy's random builtins; environment randomness
     is fully determined by ``seed``. Pass ``env`` to reuse an instance
-    across episodes (it is reset here either way).
+    across episodes (it is reset here either way). Afterwards ``env.state``
+    and ``env.steps`` read as after the same ``env.step`` calls.
     """
     env = env if env is not None else make(task_id)
     spec = env.spec
     obs = env.reset(seed)
     trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
-    observations, actions, step = trace.observations, trace.actions, env.step
+    observations, actions = trace.observations, trace.actions
+    step_state, observe = env._step_state, env._observe
+    state = env._state
     total_reward = 0.0
-
-    while True:
+    # ``evaluate`` has coerced the action already, so each step is one policy
+    # call and one physics call; the step limit is the loop bound
+    for _ in range(spec.max_steps):
         observations.append(obs)
         outcome = evaluate(program, obs, rng, spec)
-        if not outcome.is_valid:
-            trace.total_reward = total_reward
+        action = outcome.action
+        if action is None:  # an invalid outcome
             trace.cause = TerminationCause.INVALID_ACTION
             trace.invalid_outcome = outcome
-            return trace
-
-        actions.append(outcome.action)
-        obs, reward, terminated, truncated, cause = step(outcome.action)
+            break
+        actions.append(action)
+        state, reward, terminated = step_state(state, action)
         total_reward += reward
-        if terminated or truncated:
-            trace.total_reward = total_reward
-            trace.cause = cause
-            return trace
+        if terminated:
+            trace.cause = env.terminal_cause
+            break
+        obs = observe(state)
+    else:
+        trace.cause = TerminationCause.STEP_LIMIT
+    env._state = state
+    env._steps = len(actions)
+    trace.total_reward = total_reward
+    return trace

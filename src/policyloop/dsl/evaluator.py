@@ -45,7 +45,6 @@ class PolicyOutcome(NamedTuple):
     # ("None" when control fell off the end or raised), which trace lines
     # and repair feedback show.
     value_text: str = ""
-    detail: str = ""
 
     @property
     def is_valid(self) -> bool:
@@ -58,6 +57,12 @@ def _render_value(value) -> str:
     return f"{float(value):g}"
 
 
+def _length_error(shape: tuple, n_params: int) -> ValueError:
+    return ValueError(
+        f"observation has {shape} values but the policy takes {n_params} parameters"
+    )
+
+
 def evaluate(
     program: PolicyProgram, obs: Sequence, rng: random.Random, spec: EnvSpec
 ) -> PolicyOutcome:
@@ -66,17 +71,14 @@ def evaluate(
     ``obs`` is any sequence; an environment's tuple of Python scalars goes
     to the policy as it is.
     """
+    n_params = len(program.params)
     if isinstance(obs, np.ndarray):
-        shape = obs.shape
+        if obs.shape != (n_params,):
+            raise _length_error(obs.shape, n_params)
         # Python scalars, not numpy's: numpy turns x / 0 into inf
         obs = obs.tolist()
-    else:
-        shape = (len(obs),)
-    if shape != (len(program.params),):
-        raise ValueError(
-            f"observation has {shape} values but the policy takes "
-            f"{len(program.params)} parameters"
-        )
+    elif len(obs) != n_params:
+        raise _length_error((len(obs),), n_params)
     try:
         value = program.compiled(rng, *obs)
         if value is None:
@@ -84,24 +86,21 @@ def evaluate(
                 action=None,
                 reason=InvalidReason.NO_RULE_FIRED,
                 value_text="None",
-                detail="no rule fired for this observation",
             )
         action = spec.action.coerce(value)
         if action is not None:
             return PolicyOutcome(action)
         value_text = _render_value(value)
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError):
         # division by zero, an overflow, a bad random bound, or an integer
         # too long to print or too large for a float
         return PolicyOutcome(
             action=None,
             reason=InvalidReason.RUNTIME_ERROR,
             value_text="None",
-            detail=str(exc),
         )
     return PolicyOutcome(
         action=None,
         reason=InvalidReason.OUT_OF_RANGE,
         value_text=value_text,
-        detail=f"value {value_text} is not a valid action; expected {spec.action_invalid_text}",
     )

@@ -5,6 +5,11 @@ per tick. Reward is -1 per step until the tip rises above the target height
 (-cos(theta1) - cos(theta1 + theta2) > 1.0), 0 on the goal step. Only the
 goal or the 500-step limit ends an episode, so a policy that never reaches
 the goal scores -500.
+
+The integrator is straight-line scalar code: no tuples per RK4 stage, and
+constant sub-products computed once. It performs the textbook's float
+operations in the textbook's order, so it rounds bit for bit as the plain
+transcription of the equations does.
 """
 
 from __future__ import annotations
@@ -28,43 +33,68 @@ MAX_VEL_2 = 9.0 * math.pi  # ~28.274
 TORQUES = (-1.0, 0.0, 1.0)
 
 
-def acrobot_derivatives(s: tuple[float, float, float, float], torque: float):
-    """Time derivatives of (theta1, theta2, dtheta1, dtheta2)."""
-    m1, m2 = LINK_MASS_1, LINK_MASS_2
-    l1 = LINK_LENGTH_1
-    lc1, lc2 = LINK_COM_1, LINK_COM_2
-    i1 = i2 = LINK_MOI
-    g = GRAVITY
-    theta1, theta2, dtheta1, dtheta2 = s
+# Constant sub-products of the equations below, each one a product or sum
+# that left-to-right evaluation computes before any state enters it, so the
+# hoisted form rounds exactly as the textbook expressions do.
+_M1_LC1_SQ = LINK_MASS_1 * LINK_COM_1**2
+_L1_SQ_PLUS_LC2_SQ = LINK_LENGTH_1**2 + LINK_COM_2**2
+_TWO_L1_LC2 = 2 * LINK_LENGTH_1 * LINK_COM_2
+_LC2_SQ = LINK_COM_2**2
+_L1_LC2 = LINK_LENGTH_1 * LINK_COM_2
+_M2_LC2_G = LINK_MASS_2 * LINK_COM_2 * GRAVITY
+_NEG_M2_L1_LC2 = -LINK_MASS_2 * LINK_LENGTH_1 * LINK_COM_2
+_TWO_M2_L1_LC2 = 2 * LINK_MASS_2 * LINK_LENGTH_1 * LINK_COM_2
+_LINK1_GRAVITY = (LINK_MASS_1 * LINK_COM_1 + LINK_MASS_2 * LINK_LENGTH_1) * GRAVITY
+_M2_L1_LC2 = LINK_MASS_2 * LINK_LENGTH_1 * LINK_COM_2
+_M2_LC2_SQ_PLUS_I2 = LINK_MASS_2 * LINK_COM_2**2 + LINK_MOI
+_HALF_PI = math.pi / 2.0
 
-    d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * math.cos(theta2)) + i1 + i2
-    d2 = m2 * (lc2**2 + l1 * lc2 * math.cos(theta2)) + i2
-    phi2 = m2 * lc2 * g * math.cos(theta1 + theta2 - math.pi / 2.0)
+
+def _accelerations(theta1, theta2, dtheta1, dtheta2, torque):
+    """(ddtheta1, ddtheta2) of the two-link book equations, in the textbook's
+    operation order (each ``* m2`` and ``+ i`` kept, even where it is exact)."""
+    m2 = LINK_MASS_2
+    i1 = i2 = LINK_MOI
+    cos2 = math.cos(theta2)
+    sin2 = math.sin(theta2)
+    d1 = _M1_LC1_SQ + m2 * (_L1_SQ_PLUS_LC2_SQ + _TWO_L1_LC2 * cos2) + i1 + i2
+    d2 = m2 * (_LC2_SQ + _L1_LC2 * cos2) + i2
+    phi2 = _M2_LC2_G * math.cos(theta1 + theta2 - _HALF_PI)
     phi1 = (
-        -m2 * l1 * lc2 * dtheta2**2 * math.sin(theta2)
-        - 2 * m2 * l1 * lc2 * dtheta2 * dtheta1 * math.sin(theta2)
-        + (m1 * lc1 + m2 * l1) * g * math.cos(theta1 - math.pi / 2.0)
+        _NEG_M2_L1_LC2 * dtheta2**2 * sin2
+        - _TWO_M2_L1_LC2 * dtheta2 * dtheta1 * sin2
+        + _LINK1_GRAVITY * math.cos(theta1 - _HALF_PI)
         + phi2
     )
-    ddtheta2 = (
-        torque + d2 / d1 * phi1 - m2 * l1 * lc2 * dtheta1**2 * math.sin(theta2) - phi2
-    ) / (m2 * lc2**2 + i2 - d2**2 / d1)
+    ddtheta2 = (torque + d2 / d1 * phi1 - _M2_L1_LC2 * dtheta1**2 * sin2 - phi2) / (
+        _M2_LC2_SQ_PLUS_I2 - d2**2 / d1
+    )
     ddtheta1 = -(d2 * ddtheta2 + phi1) / d1
-    return (dtheta1, dtheta2, ddtheta1, ddtheta2)
+    return ddtheta1, ddtheta2
 
 
 def rk4_step(s: tuple[float, float, float, float], torque: float, dt: float = DT):
-    """One classic Runge-Kutta step of the acrobot equations."""
-    k1 = acrobot_derivatives(s, torque)
-    s2 = tuple(si + dt / 2.0 * ki for si, ki in zip(s, k1))
-    k2 = acrobot_derivatives(s2, torque)
-    s3 = tuple(si + dt / 2.0 * ki for si, ki in zip(s, k2))
-    k3 = acrobot_derivatives(s3, torque)
-    s4 = tuple(si + dt * ki for si, ki in zip(s, k3))
-    k4 = acrobot_derivatives(s4, torque)
-    return tuple(
-        si + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for si, a, b, c, d in zip(s, k1, k2, k3, k4)
+    """One classic Runge-Kutta step of the acrobot equations.
+
+    Straight-line scalar code: stage k's derivatives are the four locals
+    ``a{k}``/``b{k}`` (velocities) and ``c{k}``/``d{k}`` (accelerations).
+    """
+    half = dt / 2.0
+    t1, t2, w1, w2 = s
+    a1, b1 = w1, w2
+    c1, d1 = _accelerations(t1, t2, w1, w2, torque)
+    a2, b2 = w1 + half * c1, w2 + half * d1
+    c2, d2 = _accelerations(t1 + half * a1, t2 + half * b1, a2, b2, torque)
+    a3, b3 = w1 + half * c2, w2 + half * d2
+    c3, d3 = _accelerations(t1 + half * a2, t2 + half * b2, a3, b3, torque)
+    a4, b4 = w1 + dt * c3, w2 + dt * d3
+    c4, d4 = _accelerations(t1 + dt * a3, t2 + dt * b3, a4, b4, torque)
+    sixth = dt / 6.0
+    return (
+        t1 + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+        t2 + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+        w1 + sixth * (c1 + 2 * c2 + 2 * c3 + c4),
+        w2 + sixth * (d1 + 2 * d2 + 2 * d3 + d4),
     )
 
 

@@ -155,6 +155,12 @@ class Environment:
     the observation encoding ``_observe``, and set ``terminal_cause``, the
     cause of every termination ``_step_state`` reports. This class owns the
     action check, step counting and truncation.
+
+    ``step`` is the public single-step API, and it checks every action.
+    ``dsl.run_episode`` drives the hooks directly with actions its policy
+    evaluation has coerced already, and keeps the same bookkeeping: the
+    ``state`` and ``steps`` it leaves behind are those of the same ``step``
+    calls.
     """
 
     spec: EnvSpec

@@ -109,3 +109,49 @@ def star2_encode_ref(native):
     for value in (x * 50.0 / 4.8, xd * 10.0, th * 50.0 / 0.418, thd * 10.0):
         out.append(int(math.floor(abs(value) + 0.5) * (1 if value >= 0 else -1)))
     return out
+
+
+# Frozen copy of the package's original generator-form Acrobot integrator.
+# The package's straight-line ``rk4_step`` must equal it bit for bit; unlike
+# ``acrobot_ref`` above, this is the same arithmetic in the same order, not
+# an independent derivation.
+
+_ACROBOT_DT = 0.2
+
+
+def acrobot_derivatives_generator_form(s, torque):
+    m1, m2 = 1.0, 1.0
+    l1 = 1.0
+    lc1, lc2 = 0.5, 0.5
+    i1 = i2 = 1.0
+    g = 9.8
+    theta1, theta2, dtheta1, dtheta2 = s
+
+    d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * math.cos(theta2)) + i1 + i2
+    d2 = m2 * (lc2**2 + l1 * lc2 * math.cos(theta2)) + i2
+    phi2 = m2 * lc2 * g * math.cos(theta1 + theta2 - math.pi / 2.0)
+    phi1 = (
+        -m2 * l1 * lc2 * dtheta2**2 * math.sin(theta2)
+        - 2 * m2 * l1 * lc2 * dtheta2 * dtheta1 * math.sin(theta2)
+        + (m1 * lc1 + m2 * l1) * g * math.cos(theta1 - math.pi / 2.0)
+        + phi2
+    )
+    ddtheta2 = (
+        torque + d2 / d1 * phi1 - m2 * l1 * lc2 * dtheta1**2 * math.sin(theta2) - phi2
+    ) / (m2 * lc2**2 + i2 - d2**2 / d1)
+    ddtheta1 = -(d2 * ddtheta2 + phi1) / d1
+    return (dtheta1, dtheta2, ddtheta1, ddtheta2)
+
+
+def rk4_step_generator_form(s, torque, dt=_ACROBOT_DT):
+    k1 = acrobot_derivatives_generator_form(s, torque)
+    s2 = tuple(si + dt / 2.0 * ki for si, ki in zip(s, k1))
+    k2 = acrobot_derivatives_generator_form(s2, torque)
+    s3 = tuple(si + dt / 2.0 * ki for si, ki in zip(s, k2))
+    k3 = acrobot_derivatives_generator_form(s3, torque)
+    s4 = tuple(si + dt * ki for si, ki in zip(s, k3))
+    k4 = acrobot_derivatives_generator_form(s4, torque)
+    return tuple(
+        si + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for si, a, b, c, d in zip(s, k1, k2, k3, k4)
+    )

@@ -81,11 +81,14 @@ def test_discrete_accepts_float_equal_to_label(star2_spec):
 def test_randint_empty_range_is_runtime_error(star2_spec):
     program = parse(
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
-        "    return random.randint(2, 1)\n"
+        "    return random.randint(2, cart_position)\n"
     )
     outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert "empty" in outcome.detail
+    assert outcome.action is None and outcome.value_text == "None"
+    # the empty range is what failed: a non-empty one draws a valid action
+    outcome = evaluate(program, np.array([2, 0, 0, 0]), random.Random(0), star2_spec)
+    assert outcome.is_valid and outcome.action == 2
 
 
 def test_division_by_zero_is_runtime_error(star2_spec):
@@ -95,7 +98,10 @@ def test_division_by_zero_is_runtime_error(star2_spec):
     )
     outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert "division" in outcome.detail
+    assert outcome.action is None and outcome.value_text == "None"
+    # the zero divisor is what failed: a nonzero one gives a valid action
+    outcome = evaluate(program, np.array([1, 0, 0, 0]), random.Random(0), star2_spec)
+    assert outcome.is_valid and outcome.action == 1
 
 
 _ZEROS_400 = "1" + "0" * 400  # an integer too large for a float

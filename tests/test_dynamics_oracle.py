@@ -1,12 +1,19 @@
 """Cross-checks every task's dynamics against independently coded reference
 integrators, step by step over full episodes."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
+from policyloop.envs.acrobot import (
+    MAX_VEL_1,
+    MAX_VEL_2,
+    TORQUES,
+    rk4_step,
+)
 from policyloop.envs.cartpole import FORCE_MAG
 
 from reference_dynamics import (
@@ -15,6 +22,7 @@ from reference_dynamics import (
     mountain_car_ref,
     pendulum_ref,
     pendulum_ref_reward,
+    rk4_step_generator_form,
     star2_encode_ref,
 )
 
@@ -95,3 +103,18 @@ def test_pendulum_rewards_agree_with_reference():
             result = env.step(torque)
             assert result.reward == pytest.approx(expected, abs=TOL)
             state = pendulum_ref(state, torque)
+
+
+def test_acrobot_rk4_is_bitwise_equal_to_the_generator_form():
+    # exact equality, not a tolerance: the straight-line integrator must round
+    # every operation as the original did, or replayed Acrobot traces drift
+    rng = random.Random(20240)
+    for _ in range(10_000):
+        state = (
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-MAX_VEL_1, MAX_VEL_1),
+            rng.uniform(-MAX_VEL_2, MAX_VEL_2),
+        )
+        for torque in TORQUES:
+            assert rk4_step(state, torque) == rk4_step_generator_form(state, torque), state

@@ -2,12 +2,13 @@
 
 import hashlib
 import random
+import textwrap
 
 import pytest
 
-from policyloop.dsl import InvalidReason, parse, run_episode
+from policyloop.dsl import InvalidReason, evaluate, parse, run_episode
 from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
-from policyloop.envs.core import TerminationCause
+from policyloop.envs.core import Environment, TerminationCause
 
 from conftest import transcript_text
 
@@ -194,6 +195,159 @@ def test_policy_sees_python_scalars(task):
     trace = run_episode(program, task, seed=0, rng=random.Random(0))
     assert trace.cause is TerminationCause.INVALID_ACTION
     assert trace.invalid_outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert "division by zero" in trace.invalid_outcome.detail
+    assert trace.invalid_outcome.value_text == "None"
     assert trace.length == 1 and trace.total_reward == 0.0
     assert trace.lines()[0].endswith(";None")
+
+
+# run_episode advances the env through its _step_state/_observe hooks; these
+# tests pin it to the same rollout written with the public single-step API.
+
+# A policy per task that survives to the step limit, and one that makes the
+# physics terminate early (Pendulum never terminates, so it has none).
+_TO_LIMIT = {
+    TaskId.CARTPOLE: (
+        "    if 0.1 * cart_velocity + 3 * pole_angle + pole_angular_velocity > 0:\n"
+        "        return 1\n"
+        "    return 0\n"
+    ),
+    TaskId.CARTPOLE_STAR1: (
+        "    if 0.1 * cart_velocity + 3 * pole_angle + pole_angular_velocity > 0:\n"
+        "        return 2\n"
+        "    return 1\n"
+    ),
+    TaskId.CARTPOLE_STAR2: (
+        "    if 0.02 * cart_position + 0.1 * cart_velocity + 0.5 * pole_angle"
+        " + pole_angular_velocity > 0:\n"
+        "        return 2\n"
+        "    return 1\n"
+    ),
+    TaskId.INVERTED_PENDULUM: (
+        "    return 1.0 * cart_position + 2.0 * cart_velocity + 30.0 * pole_angle"
+        " + 5.0 * pole_angular_velocity\n"
+    ),
+    TaskId.ACROBOT: "    return 1\n",
+    TaskId.PENDULUM: "    return 0.0\n",
+    TaskId.MOUNTAIN_CAR_DISCRETE: "    return 1\n",
+    TaskId.MOUNTAIN_CAR_CONTINUOUS: "    return 0.0\n",
+}
+_TO_TERMINATION = {
+    TaskId.CARTPOLE: "    return 1\n",
+    TaskId.CARTPOLE_STAR1: "    return 2\n",
+    TaskId.CARTPOLE_STAR2: "    return 1\n",
+    TaskId.INVERTED_PENDULUM: "    return 3.0\n",
+    TaskId.ACROBOT: (
+        "    if angular_velocity_theta1 < 0:\n"
+        "        return 2\n"
+        "    return 0\n"
+    ),
+    TaskId.MOUNTAIN_CAR_DISCRETE: (
+        "    if velocity > 0:\n"
+        "        return 2\n"
+        "    return 0\n"
+    ),
+    TaskId.MOUNTAIN_CAR_CONTINUOUS: (
+        "    if velocity >= 0:\n"
+        "        return 1.0\n"
+        "    return -1.0\n"
+    ),
+}
+_SEEDS = range(3)
+
+
+def _policy_source(task, kind):
+    """A policy for ``task`` whose episodes end the way ``kind`` names.
+
+    The invalid kinds play the step-limit policy and, on a 3 % draw from
+    the policy's rng, end it mid-episode: with a label that is no action
+    (discrete), by falling off the end (None, continuous), or by dividing
+    by zero.
+    """
+    spec = get_spec(task)
+    if kind == "limit":
+        return _header(spec) + _TO_LIMIT[task]
+    if kind == "terminated":
+        return _header(spec) + _TO_TERMINATION[task]
+    first = spec.obs_names[0]
+    if kind == "runtime_error":
+        tail = f"    return {first} / ({first} - {first})\n"
+    else:
+        tail = "    return 7\n" if spec.is_discrete else ""
+    gate = "    if random.uniform(0, 1) < 0.97:\n" + textwrap.indent(_TO_LIMIT[task], "    ")
+    return _header(spec) + gate + tail
+
+
+def _step_by_step(program, seed, rng, env):
+    """The rollout written with reset, evaluate and the public env.step."""
+    spec = env.spec
+    obs = env.reset(seed)
+    observations, actions, total_reward = [], [], 0.0
+    while True:
+        observations.append(obs)
+        outcome = evaluate(program, obs, rng, spec)
+        if not outcome.is_valid:
+            return observations, actions, total_reward, TerminationCause.INVALID_ACTION, outcome
+        actions.append(outcome.action)
+        obs, reward, terminated, truncated, cause = env.step(outcome.action)
+        total_reward += reward
+        if terminated or truncated:
+            return observations, actions, total_reward, cause, None
+
+
+_CASES = [
+    (task, kind)
+    for task in ALL_TASKS
+    for kind in ("limit", "terminated", "invalid_value", "runtime_error")
+    if kind != "terminated" or task in _TO_TERMINATION
+]
+
+
+@pytest.mark.parametrize("task, kind", _CASES, ids=[f"{t.value}-{k}" for t, k in _CASES])
+def test_run_episode_matches_the_public_step_loop(task, kind):
+    spec = get_spec(task)
+    program = parse(_policy_source(task, kind), expected_params=spec.obs_names)
+    env, reference_env = make(task), make(task)  # each reused across seeds
+    lengths = []
+    for seed in _SEEDS:
+        trace = run_episode(program, task, seed, random.Random(seed), env=env)
+        expected = _step_by_step(program, seed, random.Random(seed), reference_env)
+        got = (
+            trace.observations,
+            trace.actions,
+            trace.total_reward,
+            trace.cause,
+            trace.invalid_outcome,
+        )
+        assert got == expected, (kind, seed)
+        assert env.state == reference_env.state and env.steps == reference_env.steps
+
+        # each policy ends its episodes the way its kind says
+        if kind == "limit":
+            assert trace.cause is TerminationCause.STEP_LIMIT
+            assert env.steps == spec.max_steps
+        elif kind == "terminated":
+            assert trace.cause is env.terminal_cause
+            assert env.steps < spec.max_steps
+        else:
+            reason = trace.invalid_outcome.reason
+            if kind == "runtime_error":
+                assert reason is InvalidReason.RUNTIME_ERROR
+            elif spec.is_discrete:
+                assert reason is InvalidReason.OUT_OF_RANGE
+            else:
+                assert reason is InvalidReason.NO_RULE_FIRED
+            assert env.steps == len(trace.actions) == trace.length - 1
+        lengths.append(trace.length)
+    # no kind ends every episode on its first step, invalid ones included
+    assert max(lengths) > 1, lengths
+
+
+@pytest.mark.parametrize("task", ALL_TASKS, ids=lambda task: task.value)
+def test_run_episode_does_not_go_through_env_step(task, monkeypatch):
+    def refuse(self, action):
+        raise AssertionError("run_episode called env.step")
+
+    monkeypatch.setattr(Environment, "step", refuse)
+    program = parse(_policy_source(task, "limit"))
+    trace = run_episode(program, task, 0, random.Random(0))
+    assert trace.cause is TerminationCause.STEP_LIMIT

@@ -147,6 +147,7 @@ def local_server():
     _Script.requests = []
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

@@ -237,6 +237,7 @@ def test_identical_responses_over_http_match_the_scripted_record():
         over_http = run_replication(TaskId.CARTPOLE_STAR2, _config(), backend, 0, 0.0)
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=2)
 
     scripted = _session_record()
