@@ -198,16 +198,64 @@ def _function(module: ast.Module) -> ast.FunctionDef:
 
 def _check(func: ast.FunctionDef) -> list[ast.Call]:
     """Walk the body against the whitelist, without recursion; return its
-    random calls."""
+    random calls.
+
+    The walk is pre-order, left to right: children are pushed in reverse.
+    The commonest node kinds are tested first, and a leaf pushes nothing.
+    """
     params = {arg.arg for arg in func.args.args}
     draws: list[ast.Call] = []
     pending: list[tuple[ast.AST, int]] = [(stmt, 1) for stmt in reversed(func.body)]
+    push, pop = pending.append, pending.pop
     while pending:
-        node, depth = pending.pop()
+        node, depth = pop()
         if depth > MAX_NESTING:
             raise _too_deep(node.lineno, node.col_offset + 1)
         kind = type(node)
-        if kind is ast.If:
+        if kind is ast.Name:
+            if node.id not in params:
+                raise _error(
+                    f"unknown identifier {node.id!r}; only the function parameters "
+                    f"{', '.join(arg.arg for arg in func.args.args)} and numeric "
+                    "literals may be referenced",
+                    node,
+                )
+            continue
+        if kind is ast.Constant:
+            if type(node.value) not in (int, float):
+                raise _error(
+                    f"the literal {node.value!r:.20} is not allowed; use int and float numbers only",
+                    node,
+                )
+            if type(node.value) is int:
+                try:
+                    str(node.value)
+                except ValueError:  # too long to print, e.g. 0xfff...
+                    raise _error(_INT_TOO_LONG, node) from None
+            continue
+        depth += 1
+        if kind is ast.Compare:
+            for op in node.ops:
+                if not isinstance(op, _COMPARE_OPS):
+                    raise _error(
+                        f"comparison {type(op).__name__} is not allowed; "
+                        "use < <= > >= == != only",
+                        node,
+                    )
+            for child in reversed(node.comparators):
+                push((child, depth))
+            push((node.left, depth))
+        elif kind is ast.BinOp:
+            if not isinstance(node.op, _BINARY_OPS):
+                raise _error(
+                    f"operator {type(node.op).__name__} is not allowed; use + - * / only", node
+                )
+            push((node.right, depth))
+            push((node.left, depth))
+        elif kind is ast.BoolOp:
+            for child in reversed(node.values):
+                push((child, depth))
+        elif kind is ast.If:
             # an elif, or an else block holding one if, continues the chain
             chain = [node]
             while len(chain[-1].orelse) == 1 and type(chain[-1].orelse[0]) is ast.If:
@@ -219,60 +267,27 @@ def _check(func: ast.FunctionDef) -> list[ast.Call]:
                     "compute the action from the observations",
                     node,
                 )
-            children = [part for branch in chain for part in (branch.test, *branch.body)]
-            children += chain[-1].orelse
+            for child in reversed(chain[-1].orelse):
+                push((child, depth))
+            for branch in reversed(chain):
+                for child in reversed(branch.body):
+                    push((child, depth))
+                push((branch.test, depth))
         elif kind is ast.Return:
             if node.value is None:
                 raise _error("'return' must return a value", node)
-            children = [node.value]
-        elif kind is ast.Pass:
-            children = []
-        elif kind is ast.BinOp:
-            if not isinstance(node.op, _BINARY_OPS):
-                raise _error(
-                    f"operator {type(node.op).__name__} is not allowed; use + - * / only", node
-                )
-            children = [node.left, node.right]
+            push((node.value, depth))
         elif kind is ast.UnaryOp:
             if not isinstance(node.op, _UNARY_OPS):
                 raise _error(f"operator {type(node.op).__name__} is not allowed", node)
-            children = [node.operand]
-        elif kind is ast.BoolOp:
-            children = node.values
-        elif kind is ast.Compare:
-            for op in node.ops:
-                if not isinstance(op, _COMPARE_OPS):
-                    raise _error(
-                        f"comparison {type(op).__name__} is not allowed; "
-                        "use < <= > >= == != only",
-                        node,
-                    )
-            children = [node.left, *node.comparators]
-        elif kind is ast.Constant:
-            if type(node.value) not in (int, float):
-                raise _error(
-                    f"the literal {node.value!r:.20} is not allowed; use int and float numbers only",
-                    node,
-                )
-            if type(node.value) is int:
-                try:
-                    str(node.value)
-                except ValueError:  # too long to print, e.g. 0xfff...
-                    raise _error(_INT_TOO_LONG, node) from None
-            children = []
-        elif kind is ast.Name:
-            if node.id not in params:
-                raise _error(
-                    f"unknown identifier {node.id!r}; only the function parameters "
-                    f"{', '.join(arg.arg for arg in func.args.args)} and numeric "
-                    "literals may be referenced",
-                    node,
-                )
-            children = []
+            push((node.operand, depth))
         elif kind is ast.Call:
             _check_call(node)
             draws.append(node)
-            children = node.args
+            for child in reversed(node.args):
+                push((child, depth))
+        elif kind is ast.Pass:
+            pass
         elif kind in (ast.For, ast.While):
             raise _error(_LOOPS, node)
         elif kind in (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr):
@@ -281,7 +296,6 @@ def _check(func: ast.FunctionDef) -> list[ast.Call]:
             raise _error("only if/elif/else chains and return statements are allowed here", node)
         else:
             raise _error(f"{kind.__name__} expressions are not allowed in a policy function", node)
-        pending.extend((child, depth + 1) for child in reversed(children))
     return draws
 
 

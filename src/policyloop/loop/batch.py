@@ -2,6 +2,7 @@
 
 Each cell runs independently; a record is persisted as soon as its
 replication finishes, so a crashed batch keeps everything completed so far.
+An unexpected error ends only its own cell, as an ``aborted_error`` record.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from ..envs.core import TaskId, parse_task_id
 from ..prompts import SensoryMotorWindow
@@ -25,6 +25,8 @@ class RunStatus(str, Enum):
     COMPLETED = "completed"
     ABORTED_REPAIR_BUDGET = "aborted_repair_budget"
     ABORTED_BACKEND = "aborted_backend"
+    # any other exception; the record keeps its type and message
+    ABORTED_ERROR = "aborted_error"
 
 
 @dataclass
@@ -89,6 +91,8 @@ class RunRecord:
     status: RunStatus = RunStatus.COMPLETED
     responses: list[str] = field(default_factory=list)
     wall_clock: float = 0.0
+    # "<type>: <message>" of the exception that ended an aborted_error run
+    error: Optional[str] = None
 
     @property
     def per_iteration_rewards(self) -> list[float]:
@@ -106,6 +110,8 @@ class RunRecord:
             "status": self.status.value,
             "responses": list(self.responses),
         }
+        if self.error is not None:
+            data["error"] = self.error
         if include_wall_clock:
             data["wall_clock"] = self.wall_clock
         return data
@@ -143,6 +149,7 @@ class RunRecord:
             status=RunStatus(data["status"]),
             responses=list(data["responses"]),
             wall_clock=data.get("wall_clock", 0.0),
+            error=data.get("error"),
         )
 
     @classmethod

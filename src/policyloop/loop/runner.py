@@ -276,7 +276,11 @@ def run_replication(
     replication_index: int = 0,
     temperature: Optional[float] = None,
 ) -> RunRecord:
-    """Initialize, then refine until the epoch budget or the task maximum."""
+    """Initialize, then refine until the epoch budget or the task maximum.
+
+    A failure ends the run with an ``aborted_*`` status instead of raising;
+    only ``KeyboardInterrupt`` and ``SystemExit`` propagate.
+    """
     task_id = parse_task_id(task_id)
     spec = get_spec(task_id)
     temperature = config.temperatures[0] if temperature is None else temperature
@@ -320,6 +324,11 @@ def run_replication(
     except (GatewayError, EmptyResponseError):
         # a blank strategy answer; over HTTP the gateway refuses it itself
         record.status = RunStatus.ABORTED_BACKEND
+    except Exception as exc:
+        # anything else ends this replication only; KeyboardInterrupt and
+        # SystemExit still stop the batch
+        record.status = RunStatus.ABORTED_ERROR
+        record.error = f"{type(exc).__name__}: {exc}"
     record.responses = recorder.transcript
     record.wall_clock = time.monotonic() - started
     return record

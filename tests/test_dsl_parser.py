@@ -359,6 +359,106 @@ def test_overlong_integer_literal_is_a_parse_error():
         parse(_HEAD + "    return 0x" + "f" * 5000 + "\n")
 
 
+_LONG_CHAIN = "".join(
+    f"    {'if' if i == 0 else 'elif'} a > {i}:\n        return zz\n" for i in range(201)
+)
+_NAMES_ONLY = "only the function parameters a, b and numeric literals may be referenced"
+_CALLS_ONLY = "only random.randint and random.uniform may be called"
+# One program per refusal of the whitelist walk, each with later faults too;
+# the first fault in walk order (pre-order, left to right) is reported.
+MULTI_FAULT_PROGRAMS = {
+    "too-deep": (
+        "def f(a, b):\n    return " + "-" * 60 + "a\n    return zz\n",
+        (
+            "the function nests brackets, operators or blocks more than 50 levels deep; "
+            "write it as a flatter if/elif chain",
+            2,
+            61,
+        ),
+    ),
+    "long-chain": (
+        "def f(a, b):\n" + _LONG_CHAIN + "    return yy\n",
+        (
+            "this if/elif chain has 201 branches, more than the 200 allowed; merge rules "
+            "with 'and'/'or' or compute the action from the observations",
+            2,
+            5,
+        ),
+    ),
+    "bare-return": (
+        "def f(a, b):\n    if a > 0:\n        return\n    return zz + 'x'\n",
+        ("'return' must return a value", 3, 9),
+    ),
+    "binary-operator": (
+        "def f(a, b):\n    return a + (b ** 2) * (a // b) + zz\n",
+        ("operator Pow is not allowed; use + - * / only", 2, 17),
+    ),
+    "unary-operator": (
+        "def f(a, b):\n    return -a + ~b + zz\n",
+        ("operator Invert is not allowed", 2, 17),
+    ),
+    "comparison": (
+        "def f(a, b):\n    if a < b in zz:\n        return 'x'\n    return a is b\n",
+        ("comparison In is not allowed; use < <= > >= == != only", 2, 8),
+    ),
+    "literal": (
+        "def f(a, b):\n    return a + 'x' * None\n",
+        ("the literal 'x' is not allowed; use int and float numbers only", 2, 16),
+    ),
+    "long-integer": (
+        "def f(a, b):\n    return a + 0x" + "f" * 4000 + " + 'x'\n",
+        ("an integer literal is too long; write it with an exponent instead, e.g. 1e9", 2, 16),
+    ),
+    "unknown-name": (
+        "def f(a, b):\n    if a > 0 and zz < b:\n        return yy\n    return a\n",
+        (f"unknown identifier 'zz'; {_NAMES_ONLY}", 2, 18),
+    ),
+    "chain-order": (
+        "def f(a, b):\n    if a > 0:\n        return a\n    elif yy > 0:\n        return zz\n"
+        "    else:\n        return xx\n",
+        (f"unknown identifier 'yy'; {_NAMES_ONLY}", 4, 10),
+    ),
+    "foreign-call": (
+        "def f(a, b):\n    return a + abs(b) + random.choice(a, b)\n",
+        (f"call to 'abs' is not allowed; {_CALLS_ONLY}", 2, 16),
+    ),
+    "random-attribute": (
+        "def f(a, b):\n    return random.choice(a, b) + random.randint(zz)\n",
+        (f"random.choice is not allowed; {_CALLS_ONLY}", 2, 12),
+    ),
+    "random-arity": (
+        "def f(a, b):\n    return random.uniform(a) + random.randint(1, zz)\n",
+        ("random.uniform takes exactly two arguments (lo, hi)", 2, 12),
+    ),
+    "loop": (
+        "def f(a, b):\n    if a > 0:\n        while b:\n            return zz\n    x = 1\n",
+        ("loops are not allowed in a policy function", 3, 9),
+    ),
+    "assignment": (
+        "def f(a, b):\n    if a > 0:\n        pass\n    else:\n        b += 1\n    return zz\n",
+        ("assignments are not allowed in a policy function", 5, 9),
+    ),
+    "statement": (
+        "def f(a, b):\n    if a:\n        return 1\n    elif b:\n        global a\n    return zz\n",
+        ("only if/elif/else chains and return statements are allowed here", 5, 9),
+    ),
+    "expression": (
+        "def f(a, b):\n    if a:\n        return 1\n    elif b > 0:\n        return [a, zz]\n"
+        "    return a if b else zz\n",
+        ("List expressions are not allowed in a policy function", 5, 16),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "source, fault", MULTI_FAULT_PROGRAMS.values(), ids=MULTI_FAULT_PROGRAMS.keys()
+)
+def test_first_fault_in_walk_order_is_reported(source, fault):
+    with pytest.raises(PolicyParseError) as info:
+        parse(source)
+    assert (info.value.message, info.value.line, info.value.col) == fault
+
+
 SESSION_PROGRAMS = ("code_iter0.py", "code_iter1.py", "code_iter2.py", "code_optimal.py")
 
 

@@ -505,6 +505,54 @@ def test_batch_survives_a_policy_that_overflows(tmp_path):
     assert record.strategies[0].window.invalid_value_text == "None"
 
 
+def test_batch_contains_an_unexpected_error_in_one_cell(tmp_path, monkeypatch):
+    from policyloop.loop import runner
+
+    def batch(out_dir):
+        return run_batch(
+            tasks=["CartPoleStar2"],
+            backend_factory=lambda *cell: ScriptedBackend(scripted_session()),
+            replications=2,
+            out_dir=out_dir,
+            seed_root=3,
+            config_overrides={"epochs": 3},
+        )
+
+    clean = batch(tmp_path / "clean")
+    evaluate_program = runner.evaluate_program
+
+    def boom_in_cell_0(program, task_id, config, replication, iteration):
+        if replication == 0:
+            raise RuntimeError("boom")
+        return evaluate_program(program, task_id, config, replication, iteration)
+
+    monkeypatch.setattr(runner, "evaluate_program", boom_in_cell_0)
+    failed, kept = batch(tmp_path / "patched")
+
+    loaded = RunRecord.load(next((tmp_path / "patched").glob("*_r000.json")))
+    for record in (failed, loaded):
+        assert record.status is RunStatus.ABORTED_ERROR
+        assert record.error == "RuntimeError: boom"
+        assert record.strategies == []
+    assert loaded.canonical_json() == failed.canonical_json()
+    assert kept.canonical_json() == clean[1].canonical_json()
+    # a record without an error keeps the old form: no "error" key
+    assert "error" not in clean[1].to_dict()
+    matches, rerun = replay(loaded)
+    assert matches and rerun.canonical_json() == loaded.canonical_json()
+
+
+def test_interrupts_are_not_contained(monkeypatch):
+    from policyloop.loop import runner
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "evaluate_program", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _session_record()
+
+
 def test_batch_cardinality_and_persistence(tmp_path):
     def factory(task, model, temperature, replication):
         return ScriptedBackend(scripted_session())
