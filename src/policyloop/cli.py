@@ -127,13 +127,64 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+_MISSING = object()
+
+
+def _json_text(value) -> str:
+    return "(missing)" if value is _MISSING else json.dumps(value, sort_keys=True)
+
+
+def _first_difference(stored, replayed, path: str = ""):
+    """(path, stored, replayed) at the first leaf where two record trees differ,
+    walked in the order their canonical JSON writes them (sorted keys, list
+    order), or None. Leaves compare by their JSON text, as replay does."""
+    if isinstance(stored, dict) and isinstance(replayed, dict):
+        for key in sorted(stored.keys() | replayed.keys()):
+            found = _first_difference(
+                stored.get(key, _MISSING),
+                replayed.get(key, _MISSING),
+                f"{path}.{key}" if path else key,
+            )
+            if found:
+                return found
+        return None
+    if isinstance(stored, list) and isinstance(replayed, list):
+        for i in range(max(len(stored), len(replayed))):
+            found = _first_difference(
+                stored[i] if i < len(stored) else _MISSING,
+                replayed[i] if i < len(replayed) else _MISSING,
+                f"{path}[{i}]",
+            )
+            if found:
+                return found
+        return None
+    if _json_text(stored) != _json_text(replayed):
+        return path, stored, replayed
+    return None
+
+
+def _short(value, limit: int = 80) -> str:
+    text = _json_text(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     record = RunRecord.load(args.record)
     matches, rerun = replay(record)
     if args.out:
         rerun.save(args.out)
-    print("replay matches original" if matches else "REPLAY MISMATCH")
-    return 0 if matches else 1
+    if matches:
+        print("replay matches original")
+        return 0
+    found = _first_difference(
+        record.to_dict(include_wall_clock=False), rerun.to_dict(include_wall_clock=False)
+    )
+    if found is None:
+        print("REPLAY MISMATCH")
+    else:
+        path, stored, replayed = found
+        print(f"REPLAY MISMATCH at {path}: {_short(stored)} != {_short(replayed)}")
+    return 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

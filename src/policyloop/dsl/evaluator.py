@@ -15,7 +15,11 @@ meaning).
 
 A valid outcome carries the action and nothing else; only an invalid one
 renders the value the program produced, for its trace line and the repair
-feedback.
+feedback. A valid outcome is built as
+``tuple.__new__(PolicyOutcome, (action, None, ""))``, with ``tuple.__new__``
+bound once at module level: the same ``PolicyOutcome``, with the same fields,
+as ``PolicyOutcome(action)``, without the Python-level ``__new__`` that a
+NamedTuple call runs on every step.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ class PolicyOutcome(NamedTuple):
     @property
     def is_valid(self) -> bool:
         return self.reason is None
+
+
+# ``PolicyOutcome(action)`` without the NamedTuple's Python-level ``__new__``
+_tuple_new = tuple.__new__
 
 
 def _render_value(value) -> str:
@@ -89,7 +97,7 @@ def evaluate(
             )
         action = spec.action.coerce(value)
         if action is not None:
-            return PolicyOutcome(action)
+            return _tuple_new(PolicyOutcome, (action, None, ""))
         value_text = _render_value(value)
     except (ArithmeticError, ValueError):
         # division by zero, an overflow, a bad random bound, or an integer

@@ -4,7 +4,13 @@ approximation.
 
 Dynamics follow the canonical classic-control formulation: a pole of half
 length 0.5 on a 1.0 kg cart, 0.1 kg pole mass, 10 N bang-bang force,
-Euler-integrated at dt = 0.02.
+Euler-integrated at dt = 0.02. One tick is one call, ``cartpole_step``, and
+the bounds test sits inline in ``_step_state``.
+
+CartPoleStar2 reports the state on an integer grid in [-50, 50], rounded
+half away from zero; ``normalize_star2`` rounds the magnitude with
+``floor(abs(v) + 0.5)`` and puts the sign back with a ``v < 0.0`` test,
+which is equivalent to ``copysign`` on the int it produces.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ VELOCITY_CLAMP = 5.0
 STAR2_GRID = 50.0
 
 
-def _cartpole_derivatives(x_dot: float, theta: float, theta_dot: float, force: float):
+def cartpole_step(state: tuple[float, ...], force: float) -> tuple[float, ...]:
+    """One Euler tick of the cart-pole equations under the given force."""
+    x, x_dot, theta, theta_dot = state
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
@@ -51,23 +59,12 @@ def _cartpole_derivatives(x_dot: float, theta: float, theta_dot: float, force: f
         HALF_POLE_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS)
     )
     x_acc = temp - POLE_MASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-    return x_acc, theta_acc
-
-
-def cartpole_step(state: tuple[float, ...], force: float) -> tuple[float, ...]:
-    """One Euler tick of the cart-pole equations under the given force."""
-    x, x_dot, theta, theta_dot = state
-    x_acc, theta_acc = _cartpole_derivatives(x_dot, theta, theta_dot, force)
-    x = x + DT * x_dot
-    x_dot = x_dot + DT * x_acc
-    theta = theta + DT * theta_dot
-    theta_dot = theta_dot + DT * theta_acc
-    return (x, x_dot, theta, theta_dot)
-
-
-def cartpole_failed(state: tuple[float, ...]) -> bool:
-    x, _, theta, _ = state
-    return abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT
+    return (
+        x + DT * x_dot,
+        x_dot + DT * x_acc,
+        theta + DT * theta_dot,
+        theta_dot + DT * theta_acc,
+    )
 
 
 class _CartPoleBase(Environment):
@@ -82,8 +79,9 @@ class _CartPoleBase(Environment):
 
     def _step_state(self, state, action):
         new_state = cartpole_step(state, self._force_by_label[action] * FORCE_MAG)
+        x, _, theta, _ = new_state
         # The step that leaves the allowed region still earns its +1.
-        return new_state, 1.0, cartpole_failed(new_state)
+        return new_state, 1.0, abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT
 
 
 _CARTPOLE_OBS_NAMES = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
@@ -176,21 +174,35 @@ def normalize_star2(raw) -> tuple[int, int, int, int]:
 
     Positions and angles scale from their native bounds; velocities saturate
     at +/-5 (m/s, rad/s) first because they are unbounded natively. Rounding
-    is half away from zero.
+    is half away from zero: ``floor(abs(v) + 0.5)`` rounds the magnitude to
+    an int, and the sign test ``v < 0.0`` negates it; on that int this is
+    equivalent to ``int(copysign(n, v))`` (a -0.0 gives 0 either way). NaN
+    raises ValueError and an infinite position or angle OverflowError, both
+    from ``floor``.
     """
     x, x_dot, theta, theta_dot = raw
-    x_dot = min(max(x_dot, -VELOCITY_CLAMP), VELOCITY_CLAMP)
-    theta_dot = min(max(theta_dot, -VELOCITY_CLAMP), VELOCITY_CLAMP)
+    if x_dot > VELOCITY_CLAMP:
+        x_dot = VELOCITY_CLAMP
+    elif x_dot < -VELOCITY_CLAMP:
+        x_dot = -VELOCITY_CLAMP
+    if theta_dot > VELOCITY_CLAMP:
+        theta_dot = VELOCITY_CLAMP
+    elif theta_dot < -VELOCITY_CLAMP:
+        theta_dot = -VELOCITY_CLAMP
     x = x * STAR2_GRID / X_OBS_BOUND
     x_dot = x_dot * STAR2_GRID / VELOCITY_CLAMP
     theta = theta * STAR2_GRID / THETA_OBS_BOUND
     theta_dot = theta_dot * STAR2_GRID / VELOCITY_CLAMP
-    copysign, floor = math.copysign, math.floor
+    floor = math.floor
+    gx = floor(abs(x) + 0.5)
+    gxd = floor(abs(x_dot) + 0.5)
+    gt = floor(abs(theta) + 0.5)
+    gtd = floor(abs(theta_dot) + 0.5)
     return (
-        int(copysign(floor(abs(x) + 0.5), x)),
-        int(copysign(floor(abs(x_dot) + 0.5), x_dot)),
-        int(copysign(floor(abs(theta) + 0.5), theta)),
-        int(copysign(floor(abs(theta_dot) + 0.5), theta_dot)),
+        -gx if x < 0.0 else gx,
+        -gxd if x_dot < 0.0 else gxd,
+        -gt if theta < 0.0 else gt,
+        -gtd if theta_dot < 0.0 else gtd,
     )
 
 
@@ -236,8 +248,7 @@ class CartPoleStar2Env(_CartPoleBase):
         improve_goal_text="keeping the pole balanced for longer",
     )
 
-    def _observe(self, state):
-        return normalize_star2(state)
+    _observe = staticmethod(normalize_star2)
 
 
 class InvertedPendulumEnv(Environment):

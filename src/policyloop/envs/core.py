@@ -87,7 +87,11 @@ class ContinuousAction:
         if not math.isfinite(number):
             # clamping would pass NaN on, and the dynamics never terminate on it
             return None
-        return min(max(number, self.lo), self.hi)
+        if number < self.lo:
+            return self.lo
+        if number > self.hi:
+            return self.hi
+        return number
 
 
 ActionSpace = Union[DiscreteActions, ContinuousAction]

@@ -7,6 +7,7 @@ An unexpected error ends only its own cell, as an ``aborted_error`` record.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
@@ -16,6 +17,13 @@ from .records import RunRecord, default_record_name
 from .runner import run_replication
 
 BackendFactory = Callable[[TaskId, str, float, int], object]
+
+
+def _record_path(out_dir: Path, record: RunRecord) -> Path:
+    path = out_dir / default_record_name(record)
+    if Path(os.path.abspath(path)).parent != Path(os.path.abspath(out_dir)):
+        raise ValueError(f"record name {path.name!r} would be saved outside {out_dir}")
+    return path
 
 
 def run_batch(
@@ -59,5 +67,5 @@ def run_batch(
                     record = run_replication(task, config, backend, rep, temperature)
                     records.append(record)
                     if out_path is not None:
-                        record.save(out_path / default_record_name(record))
+                        record.save(_record_path(out_path, record))
     return records

@@ -158,9 +158,14 @@ class RunRecord:
             return cls.from_dict(json.load(fh))
 
 
+# Path separators and NUL in a model id, e.g. "meta-llama/Llama-3.1-70B-Instruct"
+_NOT_IN_FILE_NAMES = str.maketrans({"/": "_", "\\": "_", "\0": "_"})
+
+
 def default_record_name(record: RunRecord) -> str:
+    """One file name per cell. The model id's ``/``, ``\\`` and NUL become
+    ``_``, so the name never reaches into another directory; an id without
+    them is pasted in as it is."""
     temp = str(record.temperature).replace(".", "_")
-    return (
-        f"{record.task_id.value}_{record.model_name}_t{temp}"
-        f"_r{record.replication_index:03d}.json"
-    )
+    model = record.model_name.translate(_NOT_IN_FILE_NAMES)
+    return f"{record.task_id.value}_{model}_t{temp}_r{record.replication_index:03d}.json"

@@ -155,3 +155,77 @@ def rk4_step_generator_form(s, torque, dt=_ACROBOT_DT):
         si + dt / 6.0 * (a + 2 * b + 2 * c + d)
         for si, a, b, c, d in zip(s, k1, k2, k3, k4)
     )
+
+
+# Frozen copies of the package's original cart-pole step, CartPoleStar2
+# encoding and action-space coercion. The package's one-call
+# ``cartpole_step``, sign-test ``normalize_star2`` and comparison-clamp
+# ``coerce`` must equal them bit for bit; again the same arithmetic in the
+# same order, not independent derivations.
+
+_GRAVITY = 9.8
+_MASS_POLE = 0.1
+_TOTAL_MASS = 1.0 + _MASS_POLE
+_HALF_POLE_LENGTH = 0.5
+_POLE_MASS_LENGTH = _MASS_POLE * _HALF_POLE_LENGTH
+_CARTPOLE_DT = 0.02
+
+
+def cartpole_derivatives_two_call_form(x_dot, theta, theta_dot, force):
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    temp = (force + _POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / _TOTAL_MASS
+    theta_acc = (_GRAVITY * sin_t - cos_t * temp) / (
+        _HALF_POLE_LENGTH * (4.0 / 3.0 - _MASS_POLE * cos_t * cos_t / _TOTAL_MASS)
+    )
+    x_acc = temp - _POLE_MASS_LENGTH * theta_acc * cos_t / _TOTAL_MASS
+    return x_acc, theta_acc
+
+
+def cartpole_step_two_call_form(state, force):
+    x, x_dot, theta, theta_dot = state
+    x_acc, theta_acc = cartpole_derivatives_two_call_form(x_dot, theta, theta_dot, force)
+    x = x + _CARTPOLE_DT * x_dot
+    x_dot = x_dot + _CARTPOLE_DT * x_acc
+    theta = theta + _CARTPOLE_DT * theta_dot
+    theta_dot = theta_dot + _CARTPOLE_DT * theta_acc
+    return (x, x_dot, theta, theta_dot)
+
+
+_X_OBS_BOUND = 4.8
+_THETA_OBS_BOUND = 0.418
+_VELOCITY_CLAMP = 5.0
+_STAR2_GRID = 50.0
+
+
+def normalize_star2_copysign_form(raw):
+    x, x_dot, theta, theta_dot = raw
+    x_dot = min(max(x_dot, -_VELOCITY_CLAMP), _VELOCITY_CLAMP)
+    theta_dot = min(max(theta_dot, -_VELOCITY_CLAMP), _VELOCITY_CLAMP)
+    x = x * _STAR2_GRID / _X_OBS_BOUND
+    x_dot = x_dot * _STAR2_GRID / _VELOCITY_CLAMP
+    theta = theta * _STAR2_GRID / _THETA_OBS_BOUND
+    theta_dot = theta_dot * _STAR2_GRID / _VELOCITY_CLAMP
+    copysign, floor = math.copysign, math.floor
+    return (
+        int(copysign(floor(abs(x) + 0.5), x)),
+        int(copysign(floor(abs(x_dot) + 0.5), x_dot)),
+        int(copysign(floor(abs(theta) + 0.5), theta)),
+        int(copysign(floor(abs(theta_dot) + 0.5), theta_dot)),
+    )
+
+
+def discrete_coerce_original(labels, value):
+    if isinstance(value, bool) or value not in labels:
+        return None
+    return int(value)
+
+
+def continuous_coerce_min_max_form(lo, hi, value):
+    try:
+        number = float(value)
+    except TypeError:
+        return None
+    if not math.isfinite(number):
+        return None
+    return min(max(number, lo), hi)

@@ -63,9 +63,27 @@ def test_replay_flags_tampered_record(tmp_path, script_file, capsys):
     data = json.loads(record_path.read_text())
     data["responses"][2] = data["responses"][-1]  # swap in the final policy early
     record_path.write_text(json.dumps(data))
+    capsys.readouterr()
     exit_code = main(["replay", str(record_path)])
     assert exit_code == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    # the early 500 ends the rerun, so its transcript is the first to differ
+    # in canonical key order
+    out = capsys.readouterr().out
+    assert out.startswith('REPLAY MISMATCH at responses[3]: "')
+    assert out.endswith('... != (missing)\n')
+
+
+def test_replay_names_the_first_differing_path(tmp_path, script_file, capsys):
+    main(_run_args(tmp_path, script_file))
+    record_path = tmp_path / "record.json"
+    data = json.loads(record_path.read_text())
+    data["strategies"][1]["mean_reward"] = 1.5
+    data["strategies"][2]["mean_reward"] = 2.5
+    data["wall_clock"] = -1.0  # not part of what replay compares
+    record_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["replay", str(record_path)]) == 1
+    assert capsys.readouterr().out == "REPLAY MISMATCH at strategies[1].mean_reward: 1.5 != 4.7\n"
 
 
 def test_batch_and_metrics(tmp_path, capsys):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from policyloop.dsl import InvalidReason, evaluate, parse
+from policyloop.dsl import InvalidReason, PolicyOutcome, evaluate, parse
 from policyloop.envs import get_spec
 
 from conftest import transcript_text
@@ -47,6 +47,14 @@ def test_fallback_draws_follow_the_rng(iter0_program, star2_spec):
         for _ in range(50)
     ]
     assert drawn == replay
+
+
+def test_valid_outcome_is_the_same_named_tuple(iter0_program, star2_spec):
+    outcome = evaluate(iter0_program, (0, 0, 5, 0), random.Random(0), star2_spec)
+    assert type(outcome) is PolicyOutcome
+    assert outcome == PolicyOutcome(2) == (2, None, "")
+    assert outcome._asdict() == {"action": 2, "reason": None, "value_text": ""}
+    assert outcome.is_valid
 
 
 def test_no_rule_fired_reports_none(star2_spec):

@@ -14,11 +14,24 @@ from policyloop.envs.acrobot import (
     TORQUES,
     rk4_step,
 )
-from policyloop.envs.cartpole import FORCE_MAG
+from policyloop.envs.cartpole import (
+    FORCE_MAG,
+    STAR2_GRID,
+    THETA_OBS_BOUND,
+    VELOCITY_CLAMP,
+    X_OBS_BOUND,
+    cartpole_step,
+    normalize_star2,
+)
+from policyloop.envs.core import ContinuousAction, DiscreteActions
 
 from reference_dynamics import (
     acrobot_ref,
     cartpole_ref,
+    cartpole_step_two_call_form,
+    continuous_coerce_min_max_form,
+    discrete_coerce_original,
+    normalize_star2_copysign_form,
     mountain_car_ref,
     pendulum_ref,
     pendulum_ref_reward,
@@ -118,3 +131,191 @@ def test_acrobot_rk4_is_bitwise_equal_to_the_generator_form():
         )
         for torque in TORQUES:
             assert rk4_step(state, torque) == rk4_step_generator_form(state, torque), state
+
+
+# -- cart-pole step, Star2 encoding and coerce: bit for bit -----------------
+
+
+def _exact(value):
+    """A value with its type and, for floats, every bit, so that ``==``
+    tells 0.0 from -0.0 and an int from an equal float."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    if isinstance(value, float):
+        return (type(value), value.hex())
+    return (type(value), value)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, exactly, or the type of what it raises."""
+    try:
+        return ("returned", _exact(fn(*args)))
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return ("raised", type(exc))
+
+
+def _random_cartpole_states(seed, n):
+    # velocities well beyond the +/-5 saturation of the Star2 encoding, and
+    # positions and angles beyond the native bounds
+    rng = random.Random(seed)
+    return [
+        (
+            rng.uniform(-6.0, 6.0),
+            rng.uniform(-12.0, 12.0),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-12.0, 12.0),
+        )
+        for _ in range(n)
+    ]
+
+
+_SIGNED_ZERO_STATES = [
+    (a, b, c, d) for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0) for d in (0.0, -0.0)
+]
+
+
+def test_cartpole_step_is_bitwise_equal_to_the_two_call_form():
+    rng = random.Random(7331)
+    states = _random_cartpole_states(7330, 10_000) + _SIGNED_ZERO_STATES
+    for state in states:
+        for force in (FORCE_MAG, -FORCE_MAG, 0.0, -0.0, rng.uniform(-3.0, 3.0)):
+            assert _exact(cartpole_step(state, force)) == _exact(
+                cartpole_step_two_call_form(state, force)
+            ), (state, force)
+
+
+def test_cartpole_step_on_non_finite_states_matches_the_two_call_form():
+    for special in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            state = [0.01, -0.02, 0.03, -0.04]
+            state[i] = special
+            for force in (FORCE_MAG, -FORCE_MAG):
+                assert _outcome(cartpole_step, tuple(state), force) == _outcome(
+                    cartpole_step_two_call_form, tuple(state), force
+                ), (state, force)
+
+
+def test_normalize_star2_is_exactly_the_copysign_form_on_random_states():
+    for state in _random_cartpole_states(5050, 10_000) + _SIGNED_ZERO_STATES:
+        new = normalize_star2(state)
+        assert _exact(new) == _exact(normalize_star2_copysign_form(state)), state
+        assert all(type(v) is int for v in new), state
+
+
+def _raws_around_ties(bound, limit):
+    """Raw values whose scaled value ``v * STAR2_GRID / bound`` is a half-grid
+    tie in [-limit, limit] or one of its two ``nextafter`` neighbours.
+
+    Each tie is approached by walking the raw floats around ``tie * bound /
+    STAR2_GRID`` one ulp at a time; a scaled value no float maps onto never
+    reaches the rounding, so it cannot be fed in. Also returns how many ties
+    were hit exactly.
+    """
+    raws, exact_ties = [], 0
+    for doubled in range(-2 * limit + 1, 2 * limit, 2):
+        tie = doubled / 2
+        wanted = {math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf)}
+        raw = tie * bound / STAR2_GRID
+        for _ in range(40):
+            raw = math.nextafter(raw, -math.inf)
+        for _ in range(81):
+            scaled = raw * STAR2_GRID / bound
+            if scaled in wanted:
+                raws.append(raw)
+                exact_ties += scaled == tie
+            raw = math.nextafter(raw, math.inf)
+    return raws, exact_ties
+
+
+@pytest.mark.parametrize(
+    "component, bound, limit",
+    [
+        (0, X_OBS_BOUND, 60),
+        (1, VELOCITY_CLAMP, 50),  # the +/-5 saturation caps the grid at 50
+        (2, THETA_OBS_BOUND, 60),
+        (3, VELOCITY_CLAMP, 50),
+    ],
+    ids=["cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity"],
+)
+def test_normalize_star2_rounds_every_half_grid_tie_as_the_copysign_form(
+    component, bound, limit
+):
+    raws, exact_ties = _raws_around_ties(bound, limit)
+    # most ties are reachable exactly; a test that fed none would pin nothing
+    assert exact_ties >= limit * 2 * 3 // 4
+    for raw in raws:
+        for sign_zero in (0.0, -0.0):
+            state = [sign_zero] * 4
+            state[component] = raw
+            new = normalize_star2(state)
+            assert _exact(new) == _exact(normalize_star2_copysign_form(state)), raw
+            assert all(type(v) is int for v in new), raw
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("component", range(4))
+def test_normalize_star2_non_finite_inputs_match_the_copysign_form(special, component):
+    # NaN raises ValueError and a position or angle infinity OverflowError;
+    # an infinite velocity saturates to the grid edge
+    state = [0.1, -0.2, 0.03, -0.4]
+    state[component] = special
+    assert _outcome(normalize_star2, state) == _outcome(normalize_star2_copysign_form, state)
+
+
+_HUGE_INT = 10**400  # too large for a float
+
+_COERCE_VALUES = [
+    True,
+    False,
+    1.0,
+    2.0,
+    np.int64(2),
+    np.float64(1.5),
+    3,
+    0,
+    None,
+    0.0,
+    -0.0,
+    1.5,
+    -2.0,
+    3.0,
+    -3.0,
+    2.0000000000000004,
+    -1.0000000000000002,
+    math.nextafter(3.0, math.inf),
+    math.nextafter(-3.0, -math.inf),
+    4.5,
+    -1e300,
+    1e300,
+    math.nan,
+    math.inf,
+    -math.inf,
+    _HUGE_INT,
+    -_HUGE_INT,
+]
+
+_ACTION_SPACES = sorted({get_spec(task).action for task in ALL_TASKS}, key=repr)
+
+
+def _space_id(space):
+    if isinstance(space, DiscreteActions):
+        return "labels-" + "-".join(map(str, space.labels))
+    return f"range-{space.hi:g}"
+
+
+@pytest.mark.parametrize("space", _ACTION_SPACES, ids=_space_id)
+def test_coerce_is_exactly_the_original_form(space):
+    for value in _COERCE_VALUES:
+        if isinstance(space, DiscreteActions):
+            expected = _outcome(discrete_coerce_original, space.labels, value)
+        else:
+            expected = _outcome(continuous_coerce_min_max_form, space.lo, space.hi, value)
+        assert _outcome(space.coerce, value) == expected, value
+
+
+def test_continuous_coerce_of_an_int_too_large_for_a_float_raises_overflow():
+    space = ContinuousAction(lo=-3.0, hi=3.0)
+    with pytest.raises(OverflowError):
+        space.coerce(_HUGE_INT)
+    assert _outcome(space.coerce, -0.0) == ("returned", (float, "-0x0.0p+0"))
+    assert _outcome(DiscreteActions(labels=(1, 2)).coerce, np.int64(2)) == ("returned", (int, 2))

@@ -574,6 +574,54 @@ def test_batch_cardinality_and_persistence(tmp_path):
     assert temps == [0.0, 0.8]
 
 
+@pytest.mark.parametrize(
+    "model, file_model",
+    [
+        ("meta-llama/Llama-3.1-70B-Instruct", "meta-llama_Llama-3.1-70B-Instruct"),
+        ("../../x", ".._.._x"),
+        ("a\\b\0c", "a_b_c"),
+        # ids without a separator keep the name they always had
+        ("qwen2.5:72b", "qwen2.5:72b"),
+        ("local-model", "local-model"),
+    ],
+    ids=["slash", "dot-dot", "backslash-nul", "colon", "plain"],
+)
+def test_batch_saves_one_file_per_cell_inside_out_dir(tmp_path, model, file_model):
+    out_dir = tmp_path / "records"
+    (record,) = run_batch(
+        tasks=["CartPoleStar2"],
+        backend_factory=lambda *cell: ScriptedBackend(scripted_session()),
+        replications=1,
+        model_names=[model],
+        temperatures=[0.0],
+        out_dir=out_dir,
+        seed_root=3,
+        config_overrides={"epochs": 1},
+    )
+    name = f"CartPoleStar2_{file_model}_t0_0_r000.json"
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [
+        Path("records") / name
+    ]
+    assert RunRecord.load(out_dir / name).canonical_json() == record.canonical_json()
+    assert record.model_name == model
+
+
+def test_batch_refuses_a_record_name_outside_out_dir(tmp_path, monkeypatch):
+    from policyloop.loop import batch
+
+    monkeypatch.setattr(batch, "default_record_name", lambda record: "../escaped.json")
+    with pytest.raises(ValueError, match="outside"):
+        run_batch(
+            tasks=["CartPoleStar2"],
+            backend_factory=lambda *cell: ScriptedBackend(scripted_session()),
+            replications=1,
+            out_dir=tmp_path / "records",
+            seed_root=3,
+            config_overrides={"epochs": 1},
+        )
+    assert not (tmp_path / "escaped.json").exists()
+
+
 def test_ten_identical_scripted_replications_all_succeed():
     from policyloop.metrics import reward_sequences, success
 
