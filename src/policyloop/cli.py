@@ -176,14 +176,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if matches:
         print("replay matches original")
         return 0
-    found = _first_difference(
+    # canonical JSON that differs has a first differing leaf
+    path, stored, replayed = _first_difference(
         record.to_dict(include_wall_clock=False), rerun.to_dict(include_wall_clock=False)
     )
-    if found is None:
-        print("REPLAY MISMATCH")
-    else:
-        path, stored, replayed = found
-        print(f"REPLAY MISMATCH at {path}: {_short(stored)} != {_short(replayed)}")
+    print(f"REPLAY MISMATCH at {path}: {_short(stored)} != {_short(replayed)}")
     return 1
 
 
