@@ -1,8 +1,7 @@
 """Sandboxed, loop-free rule-policy language: CPython's parser plus a node
 whitelist, compilation, evaluation, episodes."""
 
-from .episode import EpisodeTrace, run_episode
-from .evaluator import InvalidReason, PolicyOutcome, evaluate
+from .episode import EpisodeTrace, InvalidReason, PolicyOutcome, evaluate, run_episode
 from .parser import PolicyParseError, PolicyProgram, parse, to_source
 
 __all__ = [

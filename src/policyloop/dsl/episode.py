@@ -1,16 +1,28 @@
-"""Rolling a parsed policy through an environment.
+"""Running a parsed policy: its outcome on one observation, and whole
+episodes through an environment.
+
+A policy runs as the Python function :func:`~.parser.parse` compiled once
+from its validated tree (``PolicyProgram.compiled``); the language is a
+strict subset of Python, so CPython's semantics are the language's. The
+action space's ``coerce`` decides which returned values are actions. Rule
+comparisons are exact real comparisons (generated rules use integer-ish
+thresholds; an epsilon would silently change their meaning). The only
+effects of a policy call are draws from the caller's rng when the program
+calls ``random.randint`` or ``random.uniform``.
 
 An episode ends on the usual termination/truncation rules, or immediately
 when the policy produces an unusable action; that step earns no reward and
 its trace line records the offending value verbatim (e.g. ``None``).
 
-Each step is one ``evaluate`` call, which returns an already coerced
-action, and one call of the env's ``_step_state`` hook; the next
-observation comes from its ``_observe`` hook. State and return stay in
-locals, the step count is the number of actions taken, the step limit
-bounds the loop, and the env's state and step count are written back when
-the episode ends, so the env reads as after the same public ``env.step``
-calls.
+``run_episode`` checks the observation length once, after ``reset``. Each
+step is then one call of the compiled policy, one ``coerce`` and one call
+of the env's ``_step_state`` hook; the next observation comes from its
+``_observe`` hook. A valid step builds no outcome object: only an unusable
+action goes through ``_invalid_outcome``, the classifier the public
+``evaluate`` shares, so both give the same reasons and texts. State and
+return stay in locals, the step limit bounds the loop, and the env's state
+and step count are written back when the episode ends, so the env reads as
+after the same public ``env.step`` calls.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -21,13 +33,91 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from enum import Enum
+from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from ..envs import make
-from ..envs.core import TaskId, TerminationCause
+from ..envs.core import EnvSpec, TaskId, TerminationCause
 from ..envs.trace import render_action_value, step_line
-from .evaluator import PolicyOutcome, evaluate
 from .parser import PolicyProgram
+
+
+class InvalidReason(str, Enum):
+    NO_RULE_FIRED = "no_rule_fired"
+    OUT_OF_RANGE = "out_of_range"
+    RUNTIME_ERROR = "runtime_error"
+
+
+class PolicyOutcome(NamedTuple):
+    """Result of mapping one observation through a policy."""
+
+    action: Optional[Union[int, float]]
+    reason: Optional[InvalidReason] = None
+    # Invalid outcomes only: text of the raw value the program produced
+    # ("None" when control fell off the end or raised), which trace lines
+    # and repair feedback show.
+    value_text: str = ""
+
+    @property
+    def is_valid(self) -> bool:
+        return self.reason is None
+
+
+# What a policy call "returned" when it or ``coerce`` raised
+_RAISED = object()
+
+# Division by zero, an overflow, a bad random bound, or an integer too long
+# to print or too large for a float
+_RUNTIME_ERRORS = (ArithmeticError, ValueError)
+
+
+def _invalid_outcome(value) -> PolicyOutcome:
+    """The outcome of a policy call whose value ``coerce`` did not accept:
+    ``None``, a rejected value, or ``_RAISED``."""
+    if value is None:
+        return PolicyOutcome(None, InvalidReason.NO_RULE_FIRED, "None")
+    if value is not _RAISED:
+        try:
+            # ints, bools included, as they print; anything else as a float
+            text = str(value) if isinstance(value, int) else f"{float(value):g}"
+            return PolicyOutcome(None, InvalidReason.OUT_OF_RANGE, text)
+        except _RUNTIME_ERRORS:
+            pass
+    return PolicyOutcome(None, InvalidReason.RUNTIME_ERROR, "None")
+
+
+def _length_error(shape: tuple, n_params: int) -> ValueError:
+    return ValueError(
+        f"observation has {shape} values but the policy takes {n_params} parameters"
+    )
+
+
+def evaluate(
+    program: PolicyProgram, obs: Sequence, rng: random.Random, spec: EnvSpec
+) -> PolicyOutcome:
+    """Map an observation to an action (or a typed invalid outcome).
+
+    ``obs`` is any sequence; an environment's tuple of Python scalars goes
+    to the policy as it is.
+    """
+    n_params = len(program.params)
+    if isinstance(obs, np.ndarray):
+        if obs.shape != (n_params,):
+            raise _length_error(obs.shape, n_params)
+        # Python scalars, not numpy's: numpy turns x / 0 into inf
+        obs = obs.tolist()
+    elif len(obs) != n_params:
+        raise _length_error((len(obs),), n_params)
+    try:
+        value = program.compiled(rng, *obs)
+        action = spec.action.coerce(value)
+    except _RUNTIME_ERRORS:
+        return _invalid_outcome(_RAISED)
+    if action is None:
+        return _invalid_outcome(value)
+    return PolicyOutcome(action)
 
 
 @dataclass
@@ -82,20 +172,28 @@ def run_episode(
     env = env if env is not None else make(task_id)
     spec = env.spec
     obs = env.reset(seed)
+    # every observation of an env has the length of its first
+    n_params = len(program.params)
+    if len(obs) != n_params:
+        raise _length_error((len(obs),), n_params)
     trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
     observations, actions = trace.observations, trace.actions
+    compiled, coerce = program.compiled, spec.action.coerce
     step_state, observe = env._step_state, env._observe
     state = env._state
     total_reward = 0.0
-    # ``evaluate`` has coerced the action already, so each step is one policy
-    # call and one physics call; the step limit is the loop bound
+    # coerce maps None to None too, so one test finds every unusable action
     for _ in range(spec.max_steps):
         observations.append(obs)
-        outcome = evaluate(program, obs, rng, spec)
-        action = outcome.action
-        if action is None:  # an invalid outcome
+        try:
+            value = compiled(rng, *obs)
+            action = coerce(value)
+        except _RUNTIME_ERRORS:
+            value = _RAISED
+            action = None
+        if action is None:
             trace.cause = TerminationCause.INVALID_ACTION
-            trace.invalid_outcome = outcome
+            trace.invalid_outcome = _invalid_outcome(value)
             break
         actions.append(action)
         state, reward, terminated = step_state(state, action)

@@ -203,7 +203,8 @@ class Environment:
         return StepResult(obs, reward, False, False)
 
     def observe(self) -> tuple:
-        assert self._state is not None
+        if self._state is None:
+            raise RuntimeError("observe() before reset()")
         return self._observe(self._state)
 
     @property

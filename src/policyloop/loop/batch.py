@@ -26,6 +26,22 @@ def _record_path(out_dir: Path, record: RunRecord) -> Path:
     return path
 
 
+def _record_paths(out_dir: Path, cells: list[tuple]) -> list[Path]:
+    """Every cell's record path, refusing two cells that would share one
+    (model ids that differ only in a path separator, a repeated model or
+    temperature): the later record would silently replace the earlier."""
+    owners: dict[Path, str] = {}
+    for task, config, model, temperature, rep in cells:
+        # a record with the fields the file name reads, as run_replication sets them
+        named = RunRecord(task, model, temperature, rep, config.seed_root, config)
+        path = _record_path(out_dir, named)
+        cell = f"({task.value}, {model!r}, temperature {temperature}, replication {rep})"
+        if path in owners:
+            raise ValueError(f"cells {owners[path]} and {cell} would both write {path.name!r}")
+        owners[path] = cell
+    return list(owners)
+
+
 def run_batch(
     tasks: Iterable[Union[str, TaskId]],
     backend_factory: BackendFactory,
@@ -41,31 +57,25 @@ def run_batch(
     ``backend_factory(task, model, temperature, replication)`` supplies a
     backend per cell, which keeps replications independent (fresh scripted
     queues in tests, plain HTTP clients otherwise). ``temperatures`` falls
-    back to each config's own set when omitted.
+    back to each config's own set when omitted. Every record path is known,
+    and checked, before the first cell runs.
     """
     overrides = dict(config_overrides or {})
-    records: list[RunRecord] = []
-    out_path = Path(out_dir) if out_dir is not None else None
-
-    for task in tasks:
-        task = parse_task_id(task)
+    model_names = tuple(model_names)  # read once, for every task
+    if temperatures is not None:
+        overrides["temperatures"] = tuple(temperatures)
+    cells = []
+    for task in map(parse_task_id, tasks):
         for model in model_names:
-            config = LoopConfig.for_task(
-                task,
-                model_name=model,
-                seed_root=seed_root,
-                **(
-                    {"temperatures": tuple(temperatures)}
-                    if temperatures is not None
-                    else {}
-                ),
-                **overrides,
-            )
+            config = LoopConfig.for_task(task, model_name=model, seed_root=seed_root, **overrides)
             for temperature in config.temperatures:
-                for rep in range(replications):
-                    backend = backend_factory(task, model, temperature, rep)
-                    record = run_replication(task, config, backend, rep, temperature)
-                    records.append(record)
-                    if out_path is not None:
-                        record.save(_record_path(out_path, record))
+                cells += [(task, config, model, temperature, rep) for rep in range(replications)]
+    paths = _record_paths(Path(out_dir), cells) if out_dir is not None else [None] * len(cells)
+    records: list[RunRecord] = []
+    for (task, config, model, temperature, rep), path in zip(cells, paths):
+        backend = backend_factory(task, model, temperature, rep)
+        record = run_replication(task, config, backend, rep, temperature)
+        records.append(record)
+        if path is not None:
+            record.save(path)
     return records

@@ -1,6 +1,10 @@
 """The command-line surface: run, ablate, batch, replay, metrics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +131,35 @@ def test_batch_and_metrics(tmp_path, capsys):
     assert report[0]["success"] == 1.0
     assert report[0]["robustness"] == 1.0
     assert curve_csv.read_text().startswith("task,model,temperature")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli(hash_seed, *args):
+    """``python -m policyloop.cli`` in a fresh process with its own hash seed."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "policyloop.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_records_and_reports_do_not_depend_on_the_hash_seed(tmp_path, script_file):
+    """Replay in one process cannot see a dependence on set or dict-of-str
+    order; a record made under one hash seed must replay under another."""
+    run = _cli(1, *_run_args(tmp_path, script_file))
+    assert run.returncode == 0, run.stderr
+    record = str(tmp_path / "record.json")
+    replayed = _cli(2, "replay", record)
+    assert replayed.returncode == 0, replayed.stdout + replayed.stderr
+    assert "replay matches original" in replayed.stdout
+    reports = []
+    for hash_seed in (1, 2):
+        report = tmp_path / f"report_{hash_seed}.json"
+        metrics = _cli(hash_seed, "metrics", record, "--n-eval", "50", "--json", str(report))
+        assert metrics.returncode == 0, metrics.stderr
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])[0]["robustness"] == 1.0

@@ -353,6 +353,18 @@ def test_terminated_and_truncated_are_exclusive(task):
             done = result.done
 
 
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_nothing_reads_or_steps_an_env_before_reset(task):
+    env = make(task)
+    with pytest.raises(RuntimeError, match=r"observe\(\) before reset\(\)"):
+        env.observe()
+    with pytest.raises(RuntimeError, match=r"step\(\) before reset\(\)"):
+        env.step(random_action(get_spec(task), random.Random(0)))
+    with pytest.raises(RuntimeError, match=r"before reset\(\)"):
+        env.state
+    assert env.reset(0) == env.observe()
+
+
 # -- action validity -------------------------------------------------------
 
 _ACTION_VALUES = (

@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 from policyloop.dsl import InvalidReason, evaluate, parse, run_episode
+from policyloop.dsl import episode
 from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
 from policyloop.envs.core import Environment, TerminationCause
 
@@ -351,3 +352,69 @@ def test_run_episode_does_not_go_through_env_step(task, monkeypatch):
     program = parse(_policy_source(task, "limit"))
     trace = run_episode(program, task, 0, random.Random(0))
     assert trace.cause is TerminationCause.STEP_LIMIT
+
+
+@pytest.mark.parametrize("task", ALL_TASKS, ids=lambda task: task.value)
+def test_run_episode_does_not_call_evaluate(task, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run_episode called evaluate")
+
+    monkeypatch.setattr(episode, "evaluate", refuse)
+    program = parse(_policy_source(task, "limit"))
+    assert run_episode(program, task, 0, random.Random(0)).cause is TerminationCause.STEP_LIMIT
+    # an unusable action is classified without it too
+    program = parse(_policy_source(task, "runtime_error"))
+    assert run_episode(program, task, 0, random.Random(0)).ended_invalid
+
+
+# Each way a step's policy call can end, on its first step: run_episode calls
+# the compiled policy and coerce inline, and must give the outcome the public
+# evaluate gives on the same observation and rng. reason None: a valid action.
+_HUGE = "1" + "0" * 400  # too large for a float
+_LONG = "9" * 4000  # its square is too long to print
+_OUTCOMES = {
+    "fall-through": (TaskId.CARTPOLE_STAR2, "if pole_angle > 10000:\n        return 1", "no_rule_fired", "None"),
+    "out-of-range-label": (TaskId.CARTPOLE_STAR2, "return 3", "out_of_range", "3"),
+    "true": (TaskId.CARTPOLE, "return pole_angle == pole_angle", "out_of_range", "True"),
+    "float-label": (TaskId.CARTPOLE, "return 2 / 2", None, 1),
+    "nan": (TaskId.PENDULUM, "return 1e308 * 10 - 1e308 * 10", "out_of_range", "nan"),
+    "inf": (TaskId.MOUNTAIN_CAR_CONTINUOUS, "return -1e308 * 10", "out_of_range", "-inf"),
+    "int-too-large-for-a-float": (TaskId.INVERTED_PENDULUM, f"return {_HUGE}", "runtime_error", "None"),
+    "int-too-long-to-print": (TaskId.ACROBOT, f"return {_LONG} * {_LONG}", "runtime_error", "None"),
+    "division-by-zero": (TaskId.CARTPOLE_STAR1, "return 1 / (pole_angle - pole_angle)", "runtime_error", "None"),
+    "bad-randint-bounds": (TaskId.MOUNTAIN_CAR_DISCRETE, "return random.randint(2, 1)", "runtime_error", "None"),
+}
+
+
+@pytest.mark.parametrize("task, body, reason, text", _OUTCOMES.values(), ids=list(_OUTCOMES))
+def test_first_step_outcome_is_the_public_evaluate(task, body, reason, text):
+    spec = get_spec(task)
+    program = parse(_header(spec) + f"    {body}\n", expected_params=spec.obs_names)
+    for seed in range(3):
+        trace = run_episode(program, task, seed, random.Random(seed))
+        first_obs = make(task).reset(seed)
+        expected = evaluate(program, first_obs, random.Random(seed), spec)
+        assert trace.observations[0] == first_obs
+        if reason is None:
+            assert expected.is_valid and type(expected.action) is type(text)
+            assert trace.actions[0] == expected.action == text
+            assert type(trace.actions[0]) is type(text)
+        else:
+            assert trace.length == 1 and trace.actions == []
+            assert trace.invalid_outcome == expected
+            assert expected == (None, InvalidReason(reason), text)
+            assert trace.lines()[0].endswith(f";{text}")
+
+
+def test_wrong_arity_raises_the_evaluate_message_before_any_draw():
+    task = TaskId.CARTPOLE
+    program = parse("def get_action(a, b, c):\n    return random.randint(0, 1)\n")
+    with pytest.raises(ValueError) as public:
+        evaluate(program, make(task).reset(0), random.Random(0), get_spec(task))
+    rng = random.Random(0)
+    before = rng.getstate()
+    with pytest.raises(ValueError) as rolled:
+        run_episode(program, task, 0, rng)
+    message = "observation has (4,) values but the policy takes 3 parameters"
+    assert str(rolled.value) == str(public.value) == message
+    assert rng.getstate() == before

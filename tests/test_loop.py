@@ -622,6 +622,54 @@ def test_batch_refuses_a_record_name_outside_out_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "escaped.json").exists()
 
 
+@pytest.mark.parametrize(
+    "models, temperatures",
+    [
+        (["org/model", "org_model"], [0.0]),
+        (["org/model", "org\\model"], [0.0]),
+        (["local-model", "local-model"], [0.0]),
+        (["local-model"], [0.5, 0.5]),
+    ],
+    ids=["slash-underscore", "slash-backslash", "repeated-model", "repeated-temperature"],
+)
+def test_batch_refuses_two_cells_with_one_record_file(tmp_path, models, temperatures):
+    def factory(*cell):
+        raise AssertionError("a cell ran")
+
+    with pytest.raises(ValueError, match="would both write") as info:
+        run_batch(
+            tasks=["CartPole"],
+            backend_factory=factory,
+            replications=1,
+            model_names=models,
+            temperatures=temperatures,
+            out_dir=tmp_path,
+        )
+    # both cells are named
+    assert f"{models[0]!r}" in str(info.value) and f"{models[-1]!r}" in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_batch_saves_a_distinct_matrix_one_file_per_cell(tmp_path):
+    tasks = ["CartPoleStar2", "CartPoleStar1"]
+    models, temperatures = ["org/model", "a-b"], [0.0, 0.5]
+    records = run_batch(
+        tasks=tasks,
+        backend_factory=lambda *cell: ScriptedBackend(scripted_session()),
+        replications=2,
+        # generators are read once, and serve every task and model
+        model_names=(m for m in models),
+        temperatures=(t for t in temperatures),
+        out_dir=tmp_path,
+        seed_root=3,
+        config_overrides={"epochs": 1},
+    )
+    cells = [(t, m, x, r) for t in tasks for m in models for x in temperatures for r in range(2)]
+    got = [(r.task_id.value, r.model_name, r.temperature, r.replication_index) for r in records]
+    assert got == cells
+    assert len(list(tmp_path.glob("*.json"))) == len(cells)
+
+
 def test_ten_identical_scripted_replications_all_succeed():
     from policyloop.metrics import reward_sequences, success
 
