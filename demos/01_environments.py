@@ -3,10 +3,8 @@
 Run with:  python demos/01_environments.py
 """
 
-import numpy as np
-
 from policyloop import envs
-from policyloop.envs import TaskId, describe, make, normalize_star2
+from policyloop.envs import TaskId, describe, make, normalize_star2, render_observation
 
 # Every task exposes the same reset/step state machine, fully determined by
 # the reset seed and the action sequence.
@@ -31,7 +29,7 @@ obs = env.reset(3)
 print("\npendulum rollout (constant torque 1.0):")
 for _ in range(5):
     result = env.step(1.0)
-    print(f"  obs={np.round(result.observation, 3)} reward={result.reward:.3f}")
+    print(f"  obs={render_observation(result.observation)} reward={result.reward:.3f}")
 
 # The per-task description texts that fill the prompt templates.
 print("\nCartPoleStar2 description slots:")

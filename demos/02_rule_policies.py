@@ -5,8 +5,6 @@ Run with:  python demos/02_rule_policies.py
 
 import random
 
-import numpy as np
-
 from policyloop.dsl import PolicyParseError, evaluate, parse, run_episode, to_source
 from policyloop.envs import TaskId, get_spec
 
@@ -34,9 +32,9 @@ print(to_source(program))
 
 # Evaluation maps one observation to one action; the rng only feeds the
 # random builtins, so seeded evaluation replays exactly.
-obs = np.array([0, 0, 5, 0])
+obs = (0, 0, 5, 0)
 outcome = evaluate(program, obs, random.Random(0), spec)
-print(f"evaluate({obs.tolist()}) -> action {outcome.action}")
+print(f"evaluate({list(obs)}) -> action {outcome.action}")
 
 # A full episode: the trace records one "<obs>;<action>" line per step,
 # the same rendering the reflection prompt embeds.

@@ -24,6 +24,16 @@ from .prompts import Ablation
 TASK_NAMES = [t.value for t in ALL_TASKS]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend-url", help="chat-completions endpoint base URL")
     parser.add_argument("--gateway-config", help="JSON file with gateway settings")
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("records", nargs="+")
     p_metrics.add_argument("--r-max", type=float)
     p_metrics.add_argument("--t-max", type=int)
-    p_metrics.add_argument("--n-eval", type=int, default=2000)
+    p_metrics.add_argument("--n-eval", type=_positive_int, default=2000)
     p_metrics.add_argument(
         "--no-rerun", action="store_true", help="skip the robustness re-evaluation"
     )

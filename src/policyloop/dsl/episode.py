@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
 from ..envs import make
 from ..envs.core import EnvSpec, TaskId, TerminationCause
 from ..envs.trace import render_action_value, step_line
@@ -100,12 +98,15 @@ def evaluate(
     """Map an observation to an action (or a typed invalid outcome).
 
     ``obs`` is any sequence; an environment's tuple of Python scalars goes
-    to the policy as it is.
+    to the policy as it is. An array (anything with ``.shape`` and
+    ``.tolist()``, such as a numpy vector) must be 1-D and is read as Python
+    scalars.
     """
     n_params = len(program.params)
-    if isinstance(obs, np.ndarray):
-        if obs.shape != (n_params,):
-            raise _length_error(obs.shape, n_params)
+    shape = getattr(obs, "shape", None)
+    if shape is not None:
+        if tuple(shape) != (n_params,):
+            raise _length_error(tuple(shape), n_params)
         # Python scalars, not numpy's: numpy turns x / 0 into inf
         obs = obs.tolist()
     elif len(obs) != n_params:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import DiscreteActions, Environment, EnvSpec, TaskId, TerminationCause, wrap_angle
+from .seeding import UniformStream
 
 LINK_LENGTH_1 = 1.0
 LINK_MASS_1 = 1.0
@@ -158,8 +157,14 @@ class AcrobotEnv(Environment):
 
     terminal_cause = TerminationCause.GOAL_REACHED
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
-        return tuple(rng.uniform(-0.1, 0.1, size=4).tolist())
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        uniform = rng.uniform
+        return (
+            uniform(-0.1, 0.1),
+            uniform(-0.1, 0.1),
+            uniform(-0.1, 0.1),
+            uniform(-0.1, 0.1),
+        )
 
     def _step_state(self, state, action):
         theta1, theta2, dtheta1, dtheta2 = rk4_step(state, TORQUES[action])

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     ContinuousAction,
     DiscreteActions,
@@ -27,6 +25,7 @@ from .core import (
     TaskId,
     TerminationCause,
 )
+from .seeding import UniformStream
 
 GRAVITY = 9.8
 MASS_CART = 1.0
@@ -74,8 +73,14 @@ class _CartPoleBase(Environment):
     _force_by_label: dict[int, float] = {}
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
-        return tuple(rng.uniform(-0.05, 0.05, size=4).tolist())
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        uniform = rng.uniform
+        return (
+            uniform(-0.05, 0.05),
+            uniform(-0.05, 0.05),
+            uniform(-0.05, 0.05),
+            uniform(-0.05, 0.05),
+        )
 
     def _step_state(self, state, action):
         new_state = cartpole_step(state, self._force_by_label[action] * FORCE_MAG)
@@ -304,8 +309,14 @@ class InvertedPendulumEnv(Environment):
     THETA_FAIL = 0.2
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
-        return tuple(rng.uniform(-0.01, 0.01, size=4).tolist())
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        uniform = rng.uniform
+        return (
+            uniform(-0.01, 0.01),
+            uniform(-0.01, 0.01),
+            uniform(-0.01, 0.01),
+            uniform(-0.01, 0.01),
+        )
 
     def _step_state(self, state, force):
         new_state = cartpole_step(state, force)

@@ -1,11 +1,13 @@
 """Core types shared by all control tasks: task ids, action spaces, env specs,
 step results and the seeded environment base class.
 
-Every environment is a single-threaded state machine. All randomness flows
-through a per-instance PRNG seeded at reset, so (seed, action sequence)
-fully determines a trajectory. Observations are tuples of Python scalars
-(ints on CartPoleStar2, floats elsewhere): a policy gets Python arithmetic,
-and a step builds no numpy object.
+Every environment is a single-threaded state machine. Its only randomness
+is the initial state, drawn at reset from a :class:`~.seeding.UniformStream`
+seeded with the reset seed, so (seed, action sequence) fully determines a
+trajectory. That stream is numpy's ``Generator(PCG64(seed)).uniform``
+reproduced in plain Python, so the package runs without numpy and no numpy
+version can move an episode. Observations are tuples of Python scalars
+(ints on CartPoleStar2, floats elsewhere): a policy gets Python arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-import numpy as np
+from .seeding import UniformStream
 
 
 class TaskId(str, Enum):
@@ -177,8 +179,9 @@ class Environment:
     # -- interface -----------------------------------------------------------
 
     def reset(self, seed: int) -> tuple:
-        rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
-        self._state = self._reset_state(rng)
+        """Draw a fresh initial state from ``seed``, taken modulo 2**64 (so
+        a negative seed is its two's complement), and return its observation."""
+        self._state = self._reset_state(UniformStream(seed & 0xFFFFFFFFFFFFFFFF))
         self._steps = 0
         return self.observe()
 
@@ -220,7 +223,9 @@ class Environment:
 
     # -- hooks ---------------------------------------------------------------
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        """The initial native state; each ``rng.uniform(low, high)`` call is
+        the next draw, so the order of the calls is part of the task."""
         raise NotImplementedError
 
     def _step_state(

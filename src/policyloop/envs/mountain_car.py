@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     ContinuousAction,
     DiscreteActions,
@@ -19,6 +17,7 @@ from .core import (
     TaskId,
     TerminationCause,
 )
+from .seeding import UniformStream
 
 MIN_POSITION = -1.2
 MAX_POSITION = 0.6
@@ -83,8 +82,8 @@ class MountainCarDiscreteEnv(Environment):
 
     terminal_cause = TerminationCause.GOAL_REACHED
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
-        return (float(rng.uniform(-0.6, -0.4)), 0.0)
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        return (rng.uniform(-0.6, -0.4), 0.0)
 
     def _step_state(self, state, action):
         position, velocity = state
@@ -138,8 +137,8 @@ class MountainCarContinuousEnv(Environment):
 
     terminal_cause = TerminationCause.GOAL_REACHED
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
-        return (float(rng.uniform(-0.6, -0.4)), 0.0)
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        return (rng.uniform(-0.6, -0.4), 0.0)
 
     def _step_state(self, state, force):
         position, velocity = state

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import ContinuousAction, Environment, EnvSpec, TaskId, wrap_angle
+from .seeding import UniformStream
 
 G = 10.0
 MASS = 1.0
@@ -62,10 +61,8 @@ class PendulumEnv(Environment):
         improve_goal_text="bringing the bar upright and keeping it there",
     )
 
-    def _reset_state(self, rng: np.random.Generator) -> tuple[float, ...]:
-        theta = float(rng.uniform(-math.pi, math.pi))
-        theta_dot = float(rng.uniform(-1.0, 1.0))
-        return (theta, theta_dot)
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        return (rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0))
 
     def _step_state(self, state, torque):
         theta, theta_dot = state

@@ -115,6 +115,17 @@ class GatewayConfig:
 
     ENV_PREFIX = "POLICYLOOP_"
 
+    def __post_init__(self) -> None:
+        # written so that NaN fails each test too
+        if not self.retries >= 0:
+            raise ValueError(f"retries must be at least 0, got {self.retries}")
+        if not self.backoff >= 0:
+            raise ValueError(f"backoff must be at least 0, got {self.backoff}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not self.context_budget >= 1:
+            raise ValueError(f"context_budget must be at least 1, got {self.context_budget}")
+
     @classmethod
     def from_file(cls, path: str) -> "GatewayConfig":
         with open(path, "r", encoding="utf-8") as fh:

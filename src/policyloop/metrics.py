@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .dsl.episode import run_episode
 from .dsl.parser import parse
 from .envs import get_spec, make
@@ -41,6 +39,48 @@ class MetricsError(ValueError):
 class MetricNotApplicableError(MetricsError):
     """The task has no defined maximum reward, so success-relative metrics
     cannot be computed."""
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise summation of float64 values (``pairwise_sum`` in its
+    add loop): a plain running sum below 8 values, eight interleaved
+    accumulators up to 128, and above that two halves split at a multiple
+    of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[stop:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` to the bit: the sum starts from add's
+    identity 0.0 (so a lone -0.0 averages to 0.0), then is divided by the
+    count. Ints are summed as floats, as numpy casts them; numpy casts in
+    buffers of 8,192 values, so only an all-int list longer than that can
+    differ from it."""
+    values = [float(v) for v in values]
+    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
 def _require_rows(matrix: Matrix) -> None:
@@ -81,7 +121,7 @@ def average_reward(
     if not values:
         raise MetricsError("reward rows are all empty")
     _require_finite(values, "reward rows")
-    return float(np.mean(values))
+    return _mean(values)
 
 
 def first_hit(row: Sequence[float], r_max: float, t_max: int) -> Optional[int]:
@@ -121,7 +161,7 @@ def learning_time(matrix: Matrix, r_max: float, t_max: int) -> Optional[float]:
     ]
     if not hits:
         return None
-    return float(np.mean([t / t_max for t in hits]))
+    return _mean([t / t_max for t in hits])
 
 
 def robustness_from_returns(
@@ -139,7 +179,7 @@ def robustness_from_returns(
         _require_finite(returns, f"evaluation returns for replication {rep}")
         hits = sum(1 for r in returns if r == r_max)
         fractions.append(hits / len(returns))
-    return float(np.mean(fractions))
+    return _mean(fractions)
 
 
 def figure_of_merit(
@@ -190,6 +230,8 @@ def robustness(
 ) -> Optional[float]:
     """Re-run each successful replication's first maximal strategy on
     n_eval fresh seeded episodes and average the maximal-episode fractions."""
+    if n_eval < 1:
+        raise MetricsError(f"n_eval must be at least 1, got {n_eval}")
     _check_same_cell(records)
     eval_returns: dict[int, list[float]] = {}
     for j, record in enumerate(records):
@@ -223,8 +265,8 @@ def improvement_ratio(
     rows = [r.per_iteration_rewards for r in records if r.per_iteration_rewards]
     if not rows:
         raise MetricsError("records contain no evaluated strategies")
-    initial = float(np.mean([row[0] for row in rows]))
-    best = float(np.mean([max(row) for row in rows]))
+    initial = _mean([row[0] for row in rows])
+    best = _mean([max(row) for row in rows])
     reference = r_max if r_max is not None else max(max(row) for row in rows)
     return improvement_ratio_values(initial, best, reference)
 

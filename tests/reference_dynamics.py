@@ -229,3 +229,34 @@ def continuous_coerce_min_max_form(lo, hi, value):
     if not math.isfinite(number):
         return None
     return min(max(number, lo), hi)
+
+
+# Frozen copy of the package's original numpy-based reset: every task drew
+# its initial state from ``Generator(PCG64(seed))``. The package's
+# plain-Python ``UniformStream`` must give the same states bit for bit.
+# numpy is imported here only, so the other references load without it.
+
+_RESET_BOUNDS_4 = {
+    "CartPole": 0.05,
+    "CartPoleStar1": 0.05,
+    "CartPoleStar2": 0.05,
+    "InvertedPendulum": 0.01,
+    "Acrobot": 0.1,
+}
+
+
+def reset_state_numpy_form(task, seed):
+    """The native initial state ``make(task).reset(seed)`` drew through numpy."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
+    if task in _RESET_BOUNDS_4:
+        bound = _RESET_BOUNDS_4[task]
+        return tuple(rng.uniform(-bound, bound, size=4).tolist())
+    if task == "Pendulum":
+        theta = float(rng.uniform(-math.pi, math.pi))
+        theta_dot = float(rng.uniform(-1.0, 1.0))
+        return (theta, theta_dot)
+    if task in ("MountainCarDiscrete", "MountainCarContinuous"):
+        return (float(rng.uniform(-0.6, -0.4)), 0.0)
+    raise KeyError(task)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,3 +164,65 @@ def test_records_and_reports_do_not_depend_on_the_hash_seed(tmp_path, script_fil
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])[0]["robustness"] == 1.0
+
+
+def test_metrics_refuses_fewer_than_one_evaluation_episode(tmp_path, script_file, capsys):
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["metrics", str(tmp_path / "record.json"), "--n-eval", bad])
+        assert exit_info.value.code == 2
+        assert f"argument --n-eval: must be at least 1, got {bad}" in capsys.readouterr().err
+
+
+# -- without numpy ---------------------------------------------------------------
+
+
+def _python(flags, *args, cwd):
+    """``python <flags> <args>`` with only the package's source on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *flags, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _pipeline(out_dir, script_file, flags):
+    """run --script, replay, then metrics --json, as one user would; returns
+    the record and report bytes."""
+    out_dir.mkdir()
+    cli = ("-m", "policyloop.cli")
+    for args in (
+        _run_args(out_dir, script_file),
+        ["replay", "record.json"],
+        ["metrics", "record.json", "--n-eval", "50", "--json", "report.json"],
+    ):
+        done = _python(flags, *cli, *args, cwd=out_dir)
+        assert done.returncode == 0, (flags, args, done.stdout + done.stderr)
+    record = (out_dir / "record.json").read_text(encoding="utf-8")
+    # the one field that differs between two runs of the same record
+    record = re.sub(r'"wall_clock": [^,}]+', '"wall_clock": 0', record)
+    return record, (out_dir / "report.json").read_bytes()
+
+
+def test_pipeline_runs_without_site_packages(tmp_path, script_file):
+    """``python -S`` skips site-packages, so numpy cannot load: the runtime
+    needs nothing outside the standard library, and gives the same bytes."""
+    no_numpy = _python(["-S"], "-c", "import numpy", cwd=tmp_path)
+    assert "ModuleNotFoundError" in no_numpy.stderr
+    bare = _pipeline(tmp_path / "bare", script_file, ["-S"])
+    usual = _pipeline(tmp_path / "usual", script_file, [])
+    assert bare == usual
+    assert json.loads(bare[1])[0]["robustness"] == 1.0
+
+
+def test_importing_the_package_loads_no_numpy(tmp_path):
+    check = (
+        "import sys, policyloop, policyloop.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    done = _python([], "-c", check, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+

@@ -2,6 +2,7 @@
 client exercised against a local throwaway server."""
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -280,3 +281,49 @@ def test_gateway_config_env_overrides(monkeypatch, tmp_path):
     assert config.base_url == "http://env-host"
     assert config.timeout == 7
     assert config.retries == 5
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("retries", -1, "retries must be at least 0, got -1"),
+        ("backoff", -0.5, "backoff must be at least 0, got -0.5"),
+        ("backoff", float("nan"), "backoff must be at least 0, got nan"),
+        ("timeout", 0.0, "timeout must be positive, got 0.0"),
+        ("timeout", -1.0, "timeout must be positive, got -1.0"),
+        ("context_budget", 0, "context_budget must be at least 1, got 0"),
+    ],
+)
+def test_gateway_config_refuses_unusable_values(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GatewayConfig(**{field: value})
+    # every other way of building a config goes through the same check
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HttpChatBackend(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "env_name, raw, field",
+    [
+        ("RETRIES", "-1", "retries"),
+        ("TIMEOUT", "0", "timeout"),
+        ("CONTEXT_BUDGET", "0", "context_budget"),
+    ],
+)
+def test_gateway_config_refuses_unusable_environment_values(monkeypatch, env_name, raw, field):
+    monkeypatch.setenv("POLICYLOOP_" + env_name, raw)
+    with pytest.raises(ValueError, match=field):
+        GatewayConfig.load()
+
+
+def test_gateway_config_refuses_unusable_file_values(tmp_path):
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps({"backoff": -1}))
+    with pytest.raises(ValueError, match="backoff must be at least 0"):
+        GatewayConfig.from_file(str(path))
+
+
+def test_gateway_config_accepts_the_edge_values():
+    config = GatewayConfig(retries=0, backoff=0.0, timeout=0.01, context_budget=1)
+    assert (config.retries, config.backoff, config.context_budget) == (0, 0.0, 1)
+

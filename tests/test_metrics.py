@@ -1,6 +1,7 @@
 """Metric arithmetic against brute-force transcriptions, reported-value
 regressions, range/monotonicity properties, and the robustness re-run."""
 
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from policyloop.metrics import (
     MetricNotApplicableError,
+    _mean,
     MetricsError,
     average_reward,
     compute_report,
@@ -131,6 +133,52 @@ def test_oracle_equivalence_on_randomized_matrices():
                 brute_eq5(expected_rob, brute_eq2(matrix, R_MAX, T_MAX), expected_lt),
                 abs=1e-9,
             )
+
+
+# -- the mean ----------------------------------------------------------------------
+
+# numpy's pairwise sum switches form below 8, at 128 and at each split
+PAIRWISE_EDGES = [7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]
+
+
+def _same_float(a, b):
+    return math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
+
+
+def test_mean_matches_numpy_on_lengths_1_to_3000():
+    """Values spread over 16 orders of magnitude, so any other summation
+    order rounds differently somewhere."""
+    gen = np.random.default_rng(7)
+    misses = []
+    for n in range(1, 3001):
+        values = (gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)).tolist()
+        if not _same_float(_mean(values), float(np.mean(values))):
+            misses.append(n)
+    assert misses == []
+
+
+@pytest.mark.parametrize("n", PAIRWISE_EDGES)
+def test_mean_matches_numpy_at_the_pairwise_edges(n):
+    gen = np.random.default_rng(n)
+    for _ in range(50):
+        values = (gen.random(n) * 10.0 ** gen.integers(-3, 17, n)).tolist()
+        assert _same_float(_mean(values), float(np.mean(values)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, *PAIRWISE_EDGES, 3000])
+def test_mean_matches_numpy_on_ints(n):
+    gen = np.random.default_rng(n)
+    for high in (10, 2**40, 2**62):
+        values = gen.integers(-high, high, n).tolist()
+        assert all(type(v) is int for v in values)
+        assert _same_float(_mean(values), float(np.mean(values)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 129, 257])
+def test_mean_matches_numpy_on_signed_zeros(n):
+    cases = ([-0.0] * n, [0.0] * n, [-0.0, 0.0] * n, [0.0, -0.0] * n, [-0.0] * n + [1e-300, -1e-300])
+    for values in cases:
+        assert _same_float(_mean(values), float(np.mean(values))), values
 
 
 # -- reported-value regressions -------------------------------------------------
@@ -342,6 +390,15 @@ def test_robustness_is_deterministic():
     a = robustness(records, R_MAX, t_max=10, n_eval=60)
     b = robustness(records, R_MAX, t_max=10, n_eval=60)
     assert a == b
+
+
+@pytest.mark.parametrize("n_eval", [0, -1])
+def test_robustness_refuses_fewer_than_one_episode(n_eval):
+    records = make_records([[R_MAX]], program_source="this is not parsed")
+    with pytest.raises(MetricsError, match=f"n_eval must be at least 1, got {n_eval}"):
+        robustness(records, R_MAX, t_max=10, n_eval=n_eval)
+    with pytest.raises(MetricsError, match="n_eval"):
+        compute_report(records, r_max=R_MAX, t_max=10, n_eval=n_eval)
 
 
 def test_robustness_absent_without_successes():
