@@ -105,8 +105,8 @@ def evaluate(
     n_params = len(program.params)
     shape = getattr(obs, "shape", None)
     if shape is not None:
-        if tuple(shape) != (n_params,):
-            raise _length_error(tuple(shape), n_params)
+        if shape != (n_params,):
+            raise _length_error(shape, n_params)
         # Python scalars, not numpy's: numpy turns x / 0 into inf
         obs = obs.tolist()
     elif len(obs) != n_params:
