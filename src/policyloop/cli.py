@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from .envs import ALL_TASKS
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
@@ -42,14 +43,21 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _gateway_config(path: Optional[str], base_url: Optional[str]) -> GatewayConfig:
+    """The settings from ``path`` and POLICYLOOP_*, with ``base_url`` (when
+    given) in place of theirs; a bad setting is a usage error."""
+    try:
+        config = GatewayConfig.load(path)
+    except ValueError as exc:
+        build_parser().error(f"gateway settings: {exc}")
+    return replace(config, base_url=base_url) if base_url else config
+
+
 def _make_backend(args: argparse.Namespace):
     if args.script:
         with open(args.script, "r", encoding="utf-8") as fh:
             return ScriptedBackend(json.load(fh))
-    config = GatewayConfig.load(args.gateway_config)
-    if args.backend_url:
-        return HttpChatBackend(config, base_url=args.backend_url)
-    return HttpChatBackend(config)
+    return HttpChatBackend(_gateway_config(args.gateway_config, args.backend_url))
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -57,9 +65,9 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with LoopConfig fields")
     parser.add_argument("--model", default="local-model")
     parser.add_argument("--temperature", type=float, default=0.0)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--eval-episodes", type=int)
-    parser.add_argument("--window-size", type=int)
+    parser.add_argument("--epochs", type=_positive_int)
+    parser.add_argument("--eval-episodes", type=_positive_int)
+    parser.add_argument("--window-size", type=_positive_int)
     parser.add_argument("--seed-root", type=int, default=0)
     parser.add_argument("--replication", type=int, default=0)
     parser.add_argument("--out", help="path for the run record JSON")
@@ -115,9 +123,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         def backend_factory(task, model, temperature, replication):
             return ScriptedBackend(list(script))
     else:
-        gateway = GatewayConfig.load(args.gateway_config)
-        if spec.get("base_url"):
-            gateway = replace(gateway, base_url=spec["base_url"])
+        gateway = _gateway_config(args.gateway_config, spec.get("base_url"))
 
         def backend_factory(task, model, temperature, replication):
             return HttpChatBackend(gateway)

@@ -145,7 +145,11 @@ class GatewayConfig:
         for env_name, (attr, cast) in mapping.items():
             raw = os.environ.get(self.ENV_PREFIX + env_name)
             if raw is not None:
-                values[attr] = cast(raw)
+                try:
+                    values[attr] = cast(raw)
+                except ValueError:
+                    name = self.ENV_PREFIX + env_name
+                    raise ValueError(f"{name} must be {cast.__name__}, got {raw!r}") from None
         return replace(self, **values)
 
     @classmethod

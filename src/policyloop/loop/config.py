@@ -58,8 +58,12 @@ class LoopConfig:
             raise ValueError("eval_episodes must be >= 1")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
+        if self.repair_budget < 1:
+            raise ValueError("repair_budget must be >= 1")
         self.ablation = Ablation(self.ablation)
         self.temperatures = tuple(float(t) for t in self.temperatures)
+        if not self.temperatures:
+            raise ValueError("temperatures must name at least one temperature")
         for t in self.temperatures:
             if not 0.0 <= t <= TEMPERATURE_MAX:
                 raise ValueError(f"temperature {t} outside [0, {TEMPERATURE_MAX}]")

@@ -189,12 +189,12 @@ def initialize(
     return _synthesize(task_id, config, backend, replication, 0, strategy_text, temperature)
 
 
-def _summary(strategy: Strategy, config: LoopConfig, with_window: bool) -> StrategySummary:
+def _summary(strategy: Strategy, config: LoopConfig) -> StrategySummary:
     return StrategySummary(
         rules_text=strategy.rules_text,
         mean_reward=strategy.mean_reward,
         eval_episodes=config.eval_episodes,
-        window=strategy.window if with_window else None,
+        window=strategy.window,
     )
 
 
@@ -221,9 +221,9 @@ def refine(
 
     prompt = render_p4(
         spec,
-        _summary(current, config, with_window=True),
-        previous=_summary(previous, config, with_window=False) if previous else None,
-        best=_summary(best, config, with_window=False) if best else None,
+        _summary(current, config),
+        previous=_summary(previous, config) if previous else None,
+        best=_summary(best, config) if best else None,
         history_rewards=[s.mean_reward for s in history],
         window_size=config.window_size,
         ablation=config.ablation,

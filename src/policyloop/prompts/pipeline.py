@@ -106,10 +106,12 @@ def format_reward(value: float) -> str:
     return text if text not in ("", "-") else "0"
 
 
-def _reward_with_max(value: float, r_max: Optional[float]) -> str:
-    if r_max is None:
-        return format_reward(value)
-    return f"{format_reward(value)}/{format_reward(r_max)}"
+def _trial_slots(summary: StrategySummary, r_max: Optional[float]) -> dict:
+    """The ``episodes`` and ``reward`` slots of a strategy's reward line."""
+    reward = format_reward(summary.mean_reward)
+    if r_max is not None:
+        reward += "/" + format_reward(r_max)
+    return {"episodes": summary.eval_episodes, "reward": reward}
 
 
 def render_task_description(spec: EnvSpec) -> str:
@@ -157,6 +159,20 @@ def render_p3(spec: EnvSpec, rules_text: str, error: Optional[str] = None) -> st
     return text
 
 
+# The optional reflection-prompt blocks each ablation keeps (the description
+# and instruction always stay). Without "window" the current strategy gets a
+# reward line instead; the invalid-action feedback goes with "current".
+_P4_KEPT_BLOCKS = {
+    Ablation.BASELINE: ("reward_sequence", "current", "window", "previous", "best"),
+    Ablation.NO_DATA: (),
+    Ablation.NO_SENSORY_MOTOR_DATA: ("reward_sequence", "current", "previous", "best"),
+    Ablation.NO_PREVIOUS_STRATEGY: ("reward_sequence", "current", "window", "best"),
+    Ablation.NO_BEST_STRATEGY: ("reward_sequence", "current", "window", "previous"),
+    Ablation.ONLY_CURRENT_STRATEGY: ("current", "window"),
+    Ablation.ONLY_BEST_STRATEGY_DATA: ("best",),
+}
+
+
 def p4_blocks(
     spec: EnvSpec,
     current: StrategySummary,
@@ -170,129 +186,44 @@ def p4_blocks(
 
     ``previous`` and ``best`` are supplied by the caller when they exist
     (from iteration 2 on); the reward-sequence line appears once
-    ``history_rewards`` has at least two entries. Ablations excise blocks:
-
-      NoData              -> everything between description and instruction
-      NoSensoryMotorData  -> current window replaced by its reward line
-      NoPreviousStrategy  -> previous block
-      NoBestStrategy      -> best block
-      OnlyCurrentStrategy -> keeps current + window only
-      OnlyBestStrategyData-> keeps best only
+    ``history_rewards`` has at least two entries. Only ``current``'s window
+    is read. ``_P4_KEPT_BLOCKS`` says which blocks each ablation keeps.
     """
-    if current.window is not None and len(current.window.lines) > window_size:
+    window = current.window
+    if window is not None and len(window.lines) > window_size:
         raise PromptError(
-            f"window has {len(current.window.lines)} lines, more than the "
+            f"window has {len(window.lines)} lines, more than the "
             f"configured size {window_size}"
         )
 
-    r_max = spec.r_max
-    blocks: list[tuple[str, str]] = [
-        ("task_description", "The task description is: " + render_task_description(spec))
-    ]
+    kept = _P4_KEPT_BLOCKS[ablation]
+    blocks = [("task_description", "The task description is: " + render_task_description(spec))]
+    if "reward_sequence" in kept and len(history_rewards) >= 2:
+        rewards = ", ".join(format_reward(r) for r in history_rewards)
+        text = _fill("p4_reward_sequence", count=len(history_rewards), rewards=rewards)
+        blocks.append(("reward_sequence", text))
 
-    keep_sequence = ablation in (
-        Ablation.BASELINE,
-        Ablation.NO_SENSORY_MOTOR_DATA,
-        Ablation.NO_PREVIOUS_STRATEGY,
-        Ablation.NO_BEST_STRATEGY,
-    )
-    keep_current = ablation not in (Ablation.NO_DATA, Ablation.ONLY_BEST_STRATEGY_DATA)
-    keep_window = keep_current and ablation is not Ablation.NO_SENSORY_MOTOR_DATA
-    keep_previous = previous is not None and ablation in (
-        Ablation.BASELINE,
-        Ablation.NO_SENSORY_MOTOR_DATA,
-        Ablation.NO_BEST_STRATEGY,
-    )
-    keep_best = best is not None and ablation in (
-        Ablation.BASELINE,
-        Ablation.NO_SENSORY_MOTOR_DATA,
-        Ablation.NO_PREVIOUS_STRATEGY,
-        Ablation.ONLY_BEST_STRATEGY_DATA,
-    )
-
-    if keep_sequence and len(history_rewards) >= 2:
-        blocks.append(
-            (
-                "reward_sequence",
-                _fill(
-                    "p4_reward_sequence",
-                    count=len(history_rewards),
-                    rewards=", ".join(format_reward(r) for r in history_rewards),
-                ),
-            )
-        )
-
-    if keep_current:
+    if "current" in kept:
         blocks.append(("current_strategy", _fill("p4_current", rules=current.rules_text)))
-        reward_text = _reward_with_max(current.mean_reward, r_max)
-        if keep_window and current.window is not None:
-            blocks.append(
-                (
-                    "current_window",
-                    _fill(
-                        "p4_window",
-                        window_len=len(current.window.lines),
-                        episodes=current.eval_episodes,
-                        reward=reward_text,
-                        lines="\n".join(current.window.lines),
-                    ),
-                )
-            )
+        trials = _trial_slots(current, spec.r_max)
+        if "window" in kept and window is not None:
+            lines = "\n".join(window.lines)
+            text = _fill("p4_window", window_len=len(window.lines), lines=lines, **trials)
+            blocks.append(("current_window", text))
         else:
-            blocks.append(
-                (
-                    "current_reward",
-                    _fill("p4_reward", episodes=current.eval_episodes, reward=reward_text),
-                )
-            )
+            blocks.append(("current_reward", _fill("p4_reward", **trials)))
 
-    if keep_previous:
-        assert previous is not None
-        blocks.append(
-            (
-                "previous_strategy",
-                _fill(
-                    "p4_previous",
-                    rules=previous.rules_text,
-                    episodes=previous.eval_episodes,
-                    reward=_reward_with_max(previous.mean_reward, r_max),
-                ),
-            )
-        )
-
-    if keep_best:
-        assert best is not None
-        blocks.append(
-            (
-                "best_strategy",
-                _fill(
-                    "p4_best",
-                    rules=best.rules_text,
-                    episodes=best.eval_episodes,
-                    reward=_reward_with_max(best.mean_reward, r_max),
-                ),
-            )
-        )
+    for name, summary in (("previous", previous), ("best", best)):
+        if name in kept and summary is not None:
+            slots = _trial_slots(summary, spec.r_max)
+            text = _fill(f"p4_{name}", rules=summary.rules_text, **slots)
+            blocks.append((f"{name}_strategy", text))
 
     blocks.append(("instruction", _fill("p4_instruction", improve_goal=spec.improve_goal_text)))
-
-    window = current.window
-    if (
-        keep_current
-        and window is not None
-        and window.invalid_value_text is not None
-        and ablation is not Ablation.NO_DATA
-    ):
-        blocks.append(
-            (
-                "error_feedback",
-                _fill(
-                    "p4_error",
-                    valid_actions=spec.action_invalid_text,
-                    value=window.invalid_value_text,
-                ),
-            )
-        )
+    if "current" in kept and window is not None and window.invalid_value_text is not None:
+        invalid = window.invalid_value_text
+        text = _fill("p4_error", valid_actions=spec.action_invalid_text, value=invalid)
+        blocks.append(("error_feedback", text))
     return blocks
 
 

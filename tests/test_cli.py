@@ -176,6 +176,57 @@ def test_metrics_refuses_fewer_than_one_evaluation_episode(tmp_path, script_file
         assert f"argument --n-eval: must be at least 1, got {bad}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--epochs", "--eval-episodes", "--window-size"])
+def test_count_options_refuse_zero(tmp_path, script_file, capsys, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main(_run_args(tmp_path, script_file, extra=(option, "0")))
+    assert exit_info.value.code == 2
+    assert f"argument {option}: must be at least 1, got 0" in capsys.readouterr().err
+
+
+# -- bad gateway settings ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "env, gateway_config, setting",
+    [
+        ({"POLICYLOOP_RETRIES": "abc"}, None, "POLICYLOOP_RETRIES"),
+        ({"POLICYLOOP_RETRIES": "-1"}, None, "retries"),
+        ({}, {"timeout": 0}, "timeout"),
+    ],
+    ids=["retries-not-an-int", "retries-negative", "timeout-zero-in-file"],
+)
+def test_bad_gateway_setting_is_a_usage_error(
+    tmp_path, monkeypatch, env, gateway_config, setting
+):
+    """``policyloop run`` against an HTTP backend it never gets to call."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    args = ["run", "--task", "CartPole", "--backend-url", "http://127.0.0.1:9",
+            "--out", str(tmp_path / "record.json")]
+    if gateway_config is not None:
+        (tmp_path / "gateway.json").write_text(json.dumps(gateway_config))
+        args += ["--gateway-config", str(tmp_path / "gateway.json")]
+    done = _cli(0, *args)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "policyloop: error:" in done.stderr
+    assert setting in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "record.json").exists()
+
+
+def test_batch_refuses_a_bad_gateway_setting(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("POLICYLOOP_RETRIES", "-1")
+    batch_config = tmp_path / "batch.json"
+    batch_config.write_text(json.dumps({"tasks": ["CartPole"], "base_url": "http://127.0.0.1:9"}))
+    out_dir = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", "--config", str(batch_config), "--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert "gateway settings: retries must be at least 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # -- without numpy ---------------------------------------------------------------
 
 

@@ -64,6 +64,21 @@ def test_config_rejects_bad_values():
         LoopConfig.for_task("CartPole", temperatures=(4.0,))
 
 
+def test_config_refuses_an_empty_temperature_set():
+    """Every replication runs at one of the config's temperatures; with none
+    there is nothing to run, not an empty batch or an IndexError."""
+    with pytest.raises(ValueError, match="at least one temperature"):
+        LoopConfig.for_task("CartPole", temperatures=())
+    with pytest.raises(ValueError, match="at least one temperature"):
+        run_batch(["CartPole"], lambda *cell: ScriptedBackend([]), temperatures=[])
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_config_refuses_a_repair_budget_below_one(budget):
+    with pytest.raises(ValueError, match="repair_budget must be >= 1"):
+        LoopConfig.for_task("CartPole", repair_budget=budget)
+
+
 # -- initialize ----------------------------------------------------------------
 
 
