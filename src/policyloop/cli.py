@@ -5,6 +5,8 @@ Subcommands: ``run`` (one replication), ``batch`` (the full matrix),
 condition) and ``metrics`` (aggregate stored records). Backends come from
 --backend-url/--gateway-config (HTTP) or --script (a JSON list of canned
 responses); POLICYLOOP_* environment variables override gateway settings.
+A setting the command cannot use (a missing file, a bad value) is a usage
+error: exit 2 before anything runs, and no record is written.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .envs import ALL_TASKS
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
@@ -35,6 +37,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _usage_error(message: str) -> NoReturn:
+    build_parser().error(message)
+
+
+def _read_json(path: str, option: str, kind: type):
+    """The JSON value of type ``kind`` in the file ``option`` names."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"{option} {path}: {exc}")
+    if not isinstance(data, kind):
+        _usage_error(f"{option} {path}: expected a JSON {'object' if kind is dict else 'list'}")
+    return data
+
+
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend-url", help="chat-completions endpoint base URL")
     parser.add_argument("--gateway-config", help="JSON file with gateway settings")
@@ -48,56 +66,54 @@ def _gateway_config(path: Optional[str], base_url: Optional[str]) -> GatewayConf
     given) in place of theirs; a bad setting is a usage error."""
     try:
         config = GatewayConfig.load(path)
-    except ValueError as exc:
-        build_parser().error(f"gateway settings: {exc}")
+    except (OSError, TypeError, ValueError) as exc:
+        _usage_error(f"gateway settings{f' in {path}' if path else ''}: {exc}")
     return replace(config, base_url=base_url) if base_url else config
 
 
 def _make_backend(args: argparse.Namespace):
     if args.script:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            return ScriptedBackend(json.load(fh))
+        return ScriptedBackend(_read_json(args.script, "--script", list))
     return HttpChatBackend(_gateway_config(args.gateway_config, args.backend_url))
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", required=True, choices=TASK_NAMES)
     parser.add_argument("--config", help="JSON file with LoopConfig fields")
-    parser.add_argument("--model", default="local-model")
-    parser.add_argument("--temperature", type=float, default=0.0)
+    parser.add_argument("--model")
+    parser.add_argument("--temperature", type=float)
     parser.add_argument("--epochs", type=_positive_int)
     parser.add_argument("--eval-episodes", type=_positive_int)
     parser.add_argument("--window-size", type=_positive_int)
-    parser.add_argument("--seed-root", type=int, default=0)
+    parser.add_argument("--seed-root", type=int)
     parser.add_argument("--replication", type=int, default=0)
     parser.add_argument("--out", help="path for the run record JSON")
     _add_backend_args(parser)
 
 
-def _config_from_args(args: argparse.Namespace, ablation: Ablation) -> LoopConfig:
-    overrides: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides.update(json.load(fh))
-    overrides.update(
-        {
-            "model_name": args.model,
-            "temperatures": (args.temperature,),
-            "seed_root": args.seed_root,
-            "ablation": ablation,
-        }
-    )
-    if args.window_size is not None:
-        overrides["window_size"] = args.window_size
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.eval_episodes is not None:
-        overrides["eval_episodes"] = args.eval_episodes
-    return LoopConfig.for_task(args.task, **overrides)
+def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) -> LoopConfig:
+    """Each setting from its flag when given, else from the --config file,
+    else LoopConfig's default; ablate's condition always wins."""
+    settings = _read_json(args.config, "--config", dict) if args.config else {}
+    flags = {
+        "model_name": args.model,
+        "temperatures": None if args.temperature is None else (args.temperature,),
+        "seed_root": args.seed_root,
+        "epochs": args.epochs,
+        "eval_episodes": args.eval_episodes,
+        "window_size": args.window_size,
+        "ablation": ablation,
+    }
+    settings.update((name, value) for name, value in flags.items() if value is not None)
+    try:
+        return LoopConfig.for_task(args.task, **settings)
+    except (TypeError, ValueError) as exc:
+        _usage_error(f"loop settings{f' in {args.config}' if args.config else ''}: {exc}")
 
 
-def _cmd_run(args: argparse.Namespace, ablation: Ablation = Ablation.BASELINE) -> int:
+def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> int:
     config = _config_from_args(args, ablation)
+    # without --temperature the run uses the config's first temperature
     record = run_replication(
         args.task, config, _make_backend(args), args.replication, args.temperature
     )
@@ -115,29 +131,31 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-
+    spec = _read_json(args.config, "--config", dict)
     script = spec.get("script")
-    if script:
-        def backend_factory(task, model, temperature, replication):
-            return ScriptedBackend(list(script))
-    else:
-        gateway = _gateway_config(args.gateway_config, spec.get("base_url"))
+    gateway = None if script else _gateway_config(args.gateway_config, spec.get("base_url"))
+    started = []  # cells whose backend was made, so whose run began
 
-        def backend_factory(task, model, temperature, replication):
-            return HttpChatBackend(gateway)
+    def backend_factory(task, model, temperature, replication):
+        started.append(task)
+        return ScriptedBackend(list(script)) if script else HttpChatBackend(gateway)
 
-    records = run_batch(
-        tasks=spec.get("tasks", ["CartPoleStar1"]),
-        backend_factory=backend_factory,
-        replications=spec.get("replications", 10),
-        model_names=spec.get("models", ["local-model"]),
-        temperatures=spec.get("temperatures"),
-        out_dir=args.out_dir,
-        seed_root=spec.get("seed_root", 0),
-        config_overrides=spec.get("config", {}),
-    )
+    try:
+        records = run_batch(
+            tasks=spec.get("tasks", ["CartPoleStar1"]),
+            backend_factory=backend_factory,
+            replications=spec.get("replications", 10),
+            model_names=spec.get("models", ["local-model"]),
+            temperatures=spec.get("temperatures"),
+            out_dir=args.out_dir,
+            seed_root=spec.get("seed_root", 0),
+            config_overrides=spec.get("config", {}),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        if started:
+            raise
+        # run_batch checks every cell's settings before it makes a backend
+        _usage_error(f"batch settings in {args.config}: {exc}")
     completed = sum(1 for r in records if r.status.value == "completed")
     print(f"{len(records)} records ({completed} completed) written to {args.out_dir}")
     return 0

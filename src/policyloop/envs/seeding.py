@@ -11,20 +11,19 @@ Seeding follows numpy's ``SeedSequence``:
 * the seed is split into 32-bit words, least significant first; a seed
   below ``2**32`` gives one word, and a missing second word hashes exactly
   as the zero padding of the pool does, so every seed here is two words;
-* a pool of four words is filled with ``hashmix``, then every word is mixed
-  into every other one; each ``hashmix`` call advances a multiplier, so
-  the xor and multiply constants of the 16 calls are a fixed sequence;
-* eight output words are hashed out of the pool with a second multiplier
-  sequence and paired little-endian into four 64-bit words ``v0..v3``.
+* a pool of four words is filled with ``hashmix``: the two seed words, then
+  zero padding; then every word is hashed and mixed into every other one,
+  source-major (word 0 into words 1, 2, 3, then word 1, ...). Each
+  ``hashmix`` call advances a multiplier, so the xor and multiply constants
+  of these 4 + 12 calls are a fixed table, ``_POOL_HASHES``;
+* eight output words are hashed out of the pool, cycling over it, with a
+  second table, ``_OUT_HASHES``, and paired little-endian into four 64-bit
+  words ``v0..v3``.
 
 PCG64 is then seeded with state ``v0 << 64 | v1`` and stream ``v2 << 64 |
 v3`` (``pcg_setseq_128_srandom_r``). Each draw advances the 128-bit LCG and
 outputs XSL-RR, and ``uniform`` is ``low + (high - low) * u`` with ``u`` the
 top 53 bits of that output over ``2**53``, as numpy's ``random_uniform``.
-
-The pool is written out step by step, not looped over a table: a reset
-seeds one stream and draws at most four values, so seeding dominates it,
-and the unrolled form is cheaper than numpy's own ``PCG64(seed)``.
 """
 
 from __future__ import annotations
@@ -63,23 +62,13 @@ def _hash(value: int, xor: int, mult: int) -> int:
     return value ^ (value >> 16)
 
 
-# The 16 hashmix calls of a four-word pool: four fills, then twelve mixes.
-(
-    (_XA0, _MA0), (_XA1, _MA1), (_XA2, _MA2), (_XA3, _MA3),
-    (_XA4, _MA4), (_XA5, _MA5), (_XA6, _MA6), (_XA7, _MA7),
-    (_XA8, _MA8), (_XA9, _MA9), (_XA10, _MA10), (_XA11, _MA11),
-    (_XA12, _MA12), (_XA13, _MA13), (_XA14, _MA14), (_XA15, _MA15),
-) = _constants(_INIT_A, _MULT_A, 16)
+# (xor, multiply) of each hash: the pool's four fills and twelve mixes, then
+# the eight output words
+_POOL_HASHES = _constants(_INIT_A, _MULT_A, 16)
+_OUT_HASHES = _constants(_INIT_B, _MULT_B, 8)
 
-# The last two pool words only ever hold zero padding.
-_POOL2 = _hash(0, _XA2, _MA2)
-_POOL3 = _hash(0, _XA3, _MA3)
-
-# The eight output hashes.
-(
-    (_XB0, _MB0), (_XB1, _MB1), (_XB2, _MB2), (_XB3, _MB3),
-    (_XB4, _MB4), (_XB5, _MB5), (_XB6, _MB6), (_XB7, _MB7),
-) = _constants(_INIT_B, _MULT_B, 8)
+# (source, destination) of the twelve mixes, source-major
+_MIXES = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
 
 
 class UniformStream:
@@ -90,74 +79,18 @@ class UniformStream:
     def __init__(self, seed: int) -> None:
         if not 0 <= seed <= _M64:
             raise ValueError(f"seed {seed} is outside [0, 2**64)")
-        # Fill the pool: hash the two seed words as _hash() does. Mixing
-        # word y into word x is (L*x - R*y) mod 2**32, then the same xorshift.
-        h = (((seed & _M32) ^ _XA0) * _MA0) & _M32
-        p0 = h ^ (h >> 16)
-        h = (((seed >> 32) ^ _XA1) * _MA1) & _M32
-        p1 = h ^ (h >> 16)
-        p2 = _POOL2
-        p3 = _POOL3
-        # Mix every word into every other one, source-major.
-        h = ((p0 ^ _XA4) * _MA4) & _M32
-        m = (_MIX_L * p1 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p1 = m ^ (m >> 16)
-        h = ((p0 ^ _XA5) * _MA5) & _M32
-        m = (_MIX_L * p2 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p2 = m ^ (m >> 16)
-        h = ((p0 ^ _XA6) * _MA6) & _M32
-        m = (_MIX_L * p3 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p3 = m ^ (m >> 16)
-        h = ((p1 ^ _XA7) * _MA7) & _M32
-        m = (_MIX_L * p0 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p0 = m ^ (m >> 16)
-        h = ((p1 ^ _XA8) * _MA8) & _M32
-        m = (_MIX_L * p2 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p2 = m ^ (m >> 16)
-        h = ((p1 ^ _XA9) * _MA9) & _M32
-        m = (_MIX_L * p3 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p3 = m ^ (m >> 16)
-        h = ((p2 ^ _XA10) * _MA10) & _M32
-        m = (_MIX_L * p0 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p0 = m ^ (m >> 16)
-        h = ((p2 ^ _XA11) * _MA11) & _M32
-        m = (_MIX_L * p1 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p1 = m ^ (m >> 16)
-        h = ((p2 ^ _XA12) * _MA12) & _M32
-        m = (_MIX_L * p3 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p3 = m ^ (m >> 16)
-        h = ((p3 ^ _XA13) * _MA13) & _M32
-        m = (_MIX_L * p0 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p0 = m ^ (m >> 16)
-        h = ((p3 ^ _XA14) * _MA14) & _M32
-        m = (_MIX_L * p1 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p1 = m ^ (m >> 16)
-        h = ((p3 ^ _XA15) * _MA15) & _M32
-        m = (_MIX_L * p2 - _MIX_R * (h ^ (h >> 16))) & _M32
-        p2 = m ^ (m >> 16)
-        # Hash out eight words, cycling over the pool.
-        w0 = ((p0 ^ _XB0) * _MB0) & _M32
-        w1 = ((p1 ^ _XB1) * _MB1) & _M32
-        w2 = ((p2 ^ _XB2) * _MB2) & _M32
-        w3 = ((p3 ^ _XB3) * _MB3) & _M32
-        w4 = ((p0 ^ _XB4) * _MB4) & _M32
-        w5 = ((p1 ^ _XB5) * _MB5) & _M32
-        w6 = ((p2 ^ _XB6) * _MB6) & _M32
-        w7 = ((p3 ^ _XB7) * _MB7) & _M32
+        words = (seed & _M32, seed >> 32, 0, 0)
+        pool = [_hash(word, xor, mult) for word, (xor, mult) in zip(words, _POOL_HASHES)]
+        # mixing word y into word x is (L*x - R*hash(y)) mod 2**32, then the
+        # same xorshift as _hash()
+        for (src, dst), (xor, mult) in zip(_MIXES, _POOL_HASHES[4:]):
+            m = (_MIX_L * pool[dst] - _MIX_R * _hash(pool[src], xor, mult)) & _M32
+            pool[dst] = m ^ (m >> 16)
+        w = [_hash(word, xor, mult) for word, (xor, mult) in zip(pool * 2, _OUT_HASHES)]
         # state = v0 << 64 | v1 and stream = v2 << 64 | v3, where
         # v_k = w_(2k+1) << 32 | w_(2k)
-        start = (
-            (w1 ^ (w1 >> 16)) << 96
-            | (w0 ^ (w0 >> 16)) << 64
-            | (w3 ^ (w3 >> 16)) << 32
-            | (w2 ^ (w2 >> 16))
-        )
-        stream = (
-            (w5 ^ (w5 >> 16)) << 96
-            | (w4 ^ (w4 >> 16)) << 64
-            | (w7 ^ (w7 >> 16)) << 32
-            | (w6 ^ (w6 >> 16))
-        )
+        start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        stream = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
         # pcg_setseq_128_srandom_r: from state 0, step, add the start, step.
         inc = ((stream << 1) | 1) & _M128
         self._inc = inc

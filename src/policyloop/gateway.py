@@ -116,6 +116,8 @@ class GatewayConfig:
     ENV_PREFIX = "POLICYLOOP_"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base_url, str):
+            raise TypeError(f"base_url must be a string, got {self.base_url!r}")
         # written so that NaN fails each test too
         if not self.retries >= 0:
             raise ValueError(f"retries must be at least 0, got {self.retries}")
@@ -130,6 +132,8 @@ class GatewayConfig:
     def from_file(cls, path: str) -> "GatewayConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
 
     def with_env_overrides(self) -> "GatewayConfig":

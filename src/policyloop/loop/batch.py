@@ -58,9 +58,16 @@ def run_batch(
     backend per cell, which keeps replications independent (fresh scripted
     queues in tests, plain HTTP clients otherwise). ``temperatures`` falls
     back to each config's own set when omitted. Every record path is known,
-    and checked, before the first cell runs.
+    and checked, before the first cell runs. ``config_overrides`` may not
+    set ``seed_root`` or ``model_name``: the arguments of those names do.
     """
     overrides = dict(config_overrides or {})
+    taken = sorted(overrides.keys() & {"seed_root", "model_name"})
+    if taken:
+        raise ValueError(
+            f"config_overrides may not set {' or '.join(taken)}; "
+            "run_batch takes them from its seed_root and model_names"
+        )
     model_names = tuple(model_names)  # read once, for every task
     if temperatures is not None:
         overrides["temperatures"] = tuple(temperatures)

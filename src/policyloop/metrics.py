@@ -53,18 +53,12 @@ def _pairwise_sum(values: list[float]) -> float:
             total += value
         return total
     if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        r = values[:8]
         stop = n - n % 8
         for i in range(8, stop, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
         for value in values[stop:]:
             total += value
         return total

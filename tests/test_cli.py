@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from policyloop.cli import main
-from policyloop.loop import RunRecord
+from policyloop.gateway import ScriptedBackend
+from policyloop.loop import LoopConfig, RunRecord, run_replication
 
 from conftest import scripted_session
 
@@ -225,6 +226,115 @@ def test_batch_refuses_a_bad_gateway_setting(tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "gateway settings: retries must be at least 0, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# -- bad settings files --------------------------------------------------------
+
+# (the file to write, its JSON or None for a missing file, the command after
+# "policyloop", and a word the error must name)
+BAD_SETTINGS = {
+    "config-repair-budget-zero": (
+        "cfg.json", {"repair_budget": 0}, ["run", "--config", "cfg.json"], "repair_budget"
+    ),
+    "config-unknown-setting": (
+        "cfg.json", {"bogus": 1}, ["run", "--config", "cfg.json"], "bogus"
+    ),
+    "config-missing": (
+        "cfg.json", None, ["run", "--config", "cfg.json"], "cfg.json"
+    ),
+    "script-missing": (
+        "gone.json", None, ["run", "--script", "gone.json"], "gone.json"
+    ),
+    "gateway-timeout-not-a-number": (
+        "gw.json", {"timeout": "x"},
+        ["run", "--backend-url", "http://127.0.0.1:9", "--gateway-config", "gw.json"], "gw.json",
+    ),
+    "gateway-config-not-an-object": (
+        "gw.json", [1],
+        ["run", "--backend-url", "http://127.0.0.1:9", "--gateway-config", "gw.json"], "gw.json",
+    ),
+    "gateway-base-url-not-a-string": (
+        "gw.json", {"base_url": 5}, ["run", "--gateway-config", "gw.json"], "base_url"
+    ),
+    "gateway-config-missing": (
+        "gw.json", None,
+        ["run", "--backend-url", "http://127.0.0.1:9", "--gateway-config", "gw.json"], "gw.json",
+    ),
+    "batch-config-sets-seed-root": (
+        "batch.json", {"tasks": ["CartPole"], "script": ["x"], "config": {"seed_root": 1}},
+        ["batch", "--config", "batch.json"], "seed_root",
+    ),
+    "batch-config-sets-model-name": (
+        "batch.json", {"tasks": ["CartPole"], "script": ["x"], "config": {"model_name": "m"}},
+        ["batch", "--config", "batch.json"], "model_name",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SETTINGS))
+def test_bad_settings_are_usage_errors(tmp_path, script_file, case):
+    """Exit 2 with ``policyloop: error:`` naming the file or the setting;
+    no traceback and no record."""
+    name, content, command, named = BAD_SETTINGS[case]
+    if content is not None:
+        (tmp_path / name).write_text(json.dumps(content))
+    args = [str(tmp_path / a) if a == name else a for a in command]
+    if command[0] == "run":
+        args += ["--task", "CartPole", "--out", str(tmp_path / "record.json")]
+        if "--config" in command:
+            args += ["--script", str(script_file)]
+    else:
+        args += ["--out-dir", str(tmp_path / "runs")]
+    done = _cli(0, *args)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "policyloop: error:" in done.stderr
+    assert named in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "record.json").exists()
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):
+    settings = {
+        "model_name": "from-file",
+        "seed_root": 7,
+        "temperatures": [0.5],
+        "ablation": "NoData",
+        "epochs": 3,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(settings))
+    base = ["--task", "CartPoleStar2", "--script", str(script_file),
+            "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "record.json")]
+
+    main(["run", *base])
+    record = RunRecord.load(tmp_path / "record.json")
+    assert (record.model_name, record.seed_root, record.temperature) == ("from-file", 7, 0.5)
+    assert record.config.ablation.value == "NoData"
+    assert record.config.epochs == 3
+
+    main(["run", *base, "--model", "from-flag", "--seed-root", "2", "--temperature", "0"])
+    record = RunRecord.load(tmp_path / "record.json")
+    assert (record.model_name, record.seed_root, record.temperature) == ("from-flag", 2, 0.0)
+    assert record.config.temperatures == (0.0,)
+    assert record.config.ablation.value == "NoData"
+
+    main(["ablate", "NoSensoryMotorData", *base])
+    record = RunRecord.load(tmp_path / "record.json")
+    assert record.config.ablation.value == "NoSensoryMotorData"  # the condition wins
+    assert (record.model_name, record.seed_root) == ("from-file", 7)
+
+
+def test_run_without_settings_uses_the_loop_defaults(tmp_path, script_file):
+    main(["run", "--task", "CartPoleStar2", "--script", str(script_file),
+          "--out", str(tmp_path / "record.json")])
+    expected = run_replication(
+        "CartPoleStar2",
+        LoopConfig.for_task("CartPoleStar2"),
+        ScriptedBackend(scripted_session()),
+        0,
+        0.0,
+    )
+    assert RunRecord.load(tmp_path / "record.json").canonical_json() == expected.canonical_json()
 
 
 # -- without numpy ---------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from policyloop.envs import TaskId
+from policyloop.envs import TaskId, derive_seed, get_spec
 from policyloop.gateway import GatewayError, ScriptedBackend
 from policyloop.loop import (
     LoopConfig,
@@ -19,10 +19,12 @@ from policyloop.loop import (
     run_replication,
 )
 from policyloop.loop.runner import episode_seed, policy_rng_seed
+from policyloop.prompts import render_p2
 
 from conftest import scripted_session, transcript_text
 
 BAD = "no code here"
+NO_RULES = "Keep the pole upright by reacting to its lean."
 
 
 def _config(**overrides):
@@ -350,6 +352,44 @@ def test_repair_budget_exhaustion_aborts_with_status():
     assert record.responses.count(BAD) == 10
 
 
+def test_rules_are_asked_again_when_the_answer_has_none():
+    session = scripted_session()
+    script = session[:1] + [NO_RULES] + session[1:]
+    backend = ScriptedBackend(script)
+    record = run_replication(TaskId.CARTPOLE_STAR2, _config(), backend, 0, 0.0)
+    assert record.status is RunStatus.COMPLETED
+    assert record.responses == script
+    first, second = backend.requests[1:3]  # iteration 0's two Prompt-2 requests
+    strategy = transcript_text("strategy_iter0.txt")
+    assert first.messages[0]["content"] == render_p2(get_spec("CartPoleStar2"), strategy)
+    assert second.messages[0]["content"] == first.messages[0]["content"] + (
+        "\n\nYour previous response did not contain any rules. "
+        "Your response should contain only the rules, no other explanation."
+    )
+    assert first.request_seed == derive_seed(3, 0, 0, "p2#1") & 0x7FFFFFFF
+    assert second.request_seed == derive_seed(3, 0, 0, "p2#2") & 0x7FFFFFFF
+    assert second.request_seed != first.request_seed
+    assert record.strategies[0].rules_text == transcript_text("rules_iter0.txt")
+    matches, _ = replay(record)
+    assert matches
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_rule_less_answers_exhaust_the_repair_budget(budget):
+    rules = transcript_text("rules_iter0.txt")  # never asked for
+    script = [transcript_text("strategy_iter0.txt")] + [NO_RULES] * budget + [rules]
+    backend = ScriptedBackend(script)
+    record = run_replication(
+        TaskId.CARTPOLE_STAR2, _config(repair_budget=budget), backend, 0, 0.0
+    )
+    assert record.status is RunStatus.ABORTED_REPAIR_BUDGET
+    assert record.strategies == []
+    # Prompt 1, then exactly ``budget`` Prompt-2 requests and no Prompt 3
+    assert len(backend.requests) == 1 + budget
+    assert backend.remaining == 1
+    assert record.responses == script[:-1]
+
+
 def test_backend_exhaustion_aborts_with_status():
     truncated = scripted_session()[:11]  # stops before the final code response
     record = run_replication(
@@ -663,6 +703,21 @@ def test_batch_refuses_two_cells_with_one_record_file(tmp_path, models, temperat
     # both cells are named
     assert f"{models[0]!r}" in str(info.value) and f"{models[-1]!r}" in str(info.value)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["seed_root", "model_name"])
+def test_batch_refuses_overrides_it_sets_itself(tmp_path, key):
+    made = []
+    with pytest.raises(ValueError, match=f"may not set {key}"):
+        run_batch(
+            tasks=["CartPole"],
+            backend_factory=lambda *cell: made.append(cell),
+            replications=1,
+            out_dir=tmp_path / "runs",
+            config_overrides={key: 1},
+        )
+    assert made == []  # refused before any backend was made
+    assert not (tmp_path / "runs").exists()
 
 
 def test_batch_saves_a_distinct_matrix_one_file_per_cell(tmp_path):
