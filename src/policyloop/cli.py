@@ -71,9 +71,17 @@ def _gateway_config(path: Optional[str], base_url: Optional[str]) -> GatewayConf
     return replace(config, base_url=base_url) if base_url else config
 
 
+def _script(responses, where: str) -> list:
+    """``responses`` when it is a list of response texts; a usage error else."""
+    if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+        _usage_error(f"{where}: expected a JSON list of strings")
+    return responses
+
+
 def _make_backend(args: argparse.Namespace):
     if args.script:
-        return ScriptedBackend(_read_json(args.script, "--script", list))
+        responses = _read_json(args.script, "--script", list)
+        return ScriptedBackend(_script(responses, f"--script {args.script}"))
     return HttpChatBackend(_gateway_config(args.gateway_config, args.backend_url))
 
 
@@ -133,6 +141,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     spec = _read_json(args.config, "--config", dict)
     script = spec.get("script")
+    if script:
+        _script(script, f"batch settings in {args.config}: script")
     gateway = None if script else _gateway_config(args.gateway_config, spec.get("base_url"))
     started = []  # cells whose backend was made, so whose run began
 

@@ -25,6 +25,23 @@ from typing import Optional
 
 TEMPERATURE_MAX = 3.2
 
+_TYPES = {
+    "an int": int,
+    "a number": (int, float),
+    "a bool": bool,
+    "a string": str,
+    "a list": (list, tuple),
+}
+
+
+def require_type(kind: str, **values) -> None:
+    """Raise TypeError naming the first of ``values`` that is not ``kind``,
+    one of the keys of ``_TYPES``. A bool is not taken for an int or a
+    number, though Python counts it as one."""
+    for name, value in values.items():
+        if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "a bool"):
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
+
 
 class GatewayError(Exception):
     """Base class for backend failures."""
@@ -116,8 +133,9 @@ class GatewayConfig:
     ENV_PREFIX = "POLICYLOOP_"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_url, str):
-            raise TypeError(f"base_url must be a string, got {self.base_url!r}")
+        require_type("a string", base_url=self.base_url)
+        require_type("an int", retries=self.retries, context_budget=self.context_budget)
+        require_type("a number", timeout=self.timeout, backoff=self.backoff)
         # written so that NaN fails each test too
         if not self.retries >= 0:
             raise ValueError(f"retries must be at least 0, got {self.retries}")
@@ -134,7 +152,8 @@ class GatewayConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        return cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
+        # an unknown key is refused by __init__, with its name
+        return cls(**data)
 
     def with_env_overrides(self) -> "GatewayConfig":
         """Environment variables beat file values (POLICYLOOP_BASE_URL etc.)."""

@@ -9,11 +9,11 @@ for the cart-pole family, where the 500 ceiling is well defined.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 from ..envs.core import TaskId, parse_task_id
-from ..gateway import TEMPERATURE_MAX
+from ..gateway import TEMPERATURE_MAX, require_type
 from ..prompts import Ablation
 
 CARTPOLE_FAMILY = (TaskId.CARTPOLE, TaskId.CARTPOLE_STAR1, TaskId.CARTPOLE_STAR2)
@@ -52,6 +52,19 @@ class LoopConfig:
     seed_root: int = 0
 
     def __post_init__(self) -> None:
+        require_type(
+            "an int",
+            epochs=self.epochs,
+            eval_episodes=self.eval_episodes,
+            window_size=self.window_size,
+            repair_budget=self.repair_budget,
+            seed_root=self.seed_root,
+        )
+        require_type("a bool", stop_on_max=self.stop_on_max, retest_at_max=self.retest_at_max)
+        require_type("a string", model_name=self.model_name)
+        require_type("a list", temperatures=self.temperatures)
+        for t in self.temperatures:
+            require_type("a number", temperature=t)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.eval_episodes < 1:
@@ -78,14 +91,3 @@ class LoopConfig:
         }
         values.update(overrides)
         return cls(**values)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["ablation"] = self.ablation.value
-        data["temperatures"] = list(self.temperatures)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoopConfig":
-        known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        return cls(**known)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from typing import Optional, Union
 
 from ..dsl.episode import EpisodeTrace, run_episode
@@ -257,11 +258,9 @@ def retest(
     iteration = strategy.iteration_index + 1
     program = parse_policy(strategy.program_source, expected_params=spec.obs_names)
     mean, returns, window = evaluate_program(program, task_id, config, replication, iteration)
-    return Strategy(
+    return replace(
+        strategy,
         iteration_index=iteration,
-        strategy_text=strategy.strategy_text,
-        rules_text=strategy.rules_text,
-        program_source=strategy.program_source,
         mean_reward=mean,
         per_episode_returns=returns,
         window=window,

@@ -27,7 +27,7 @@ from .dsl.episode import run_episode
 from .dsl.parser import parse
 from .envs import get_spec, make
 from .envs.core import derive_seed
-from .loop.records import RunRecord
+from .loop.records import RunRecord, as_json
 
 Matrix = Sequence[Sequence[float]]
 
@@ -265,40 +265,25 @@ def improvement_ratio(
     return improvement_ratio_values(initial, best, reference)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MetricsReport:
+    task_id: str = ""
+    model_name: str = ""
+    temperature: Optional[float] = None
     average_reward: float
     success: Optional[float]
     robustness: Optional[float]
     learning_time: Optional[float]
     fom: Optional[float]
+    improvement_ratio: Optional[float] = None
     successful_set: list[int]
     n_reps: int
     n_episodes: int
     r_max: Optional[float]
     n_eval: int
-    improvement_ratio: Optional[float] = None
-    task_id: str = ""
-    model_name: str = ""
-    temperature: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "model_name": self.model_name,
-            "temperature": self.temperature,
-            "average_reward": self.average_reward,
-            "success": self.success,
-            "robustness": self.robustness,
-            "learning_time": self.learning_time,
-            "fom": self.fom,
-            "improvement_ratio": self.improvement_ratio,
-            "successful_set": list(self.successful_set),
-            "n_reps": self.n_reps,
-            "n_episodes": self.n_episodes,
-            "r_max": self.r_max,
-            "n_eval": self.n_eval,
-        }
+        return as_json(self)
 
 
 def compute_report(

@@ -294,6 +294,78 @@ def test_bad_settings_are_usage_errors(tmp_path, script_file, case):
     assert not (tmp_path / "runs").exists()
 
 
+# -- settings of the wrong type --------------------------------------------------
+
+# (the gateway settings file, the text the error must hold)
+WRONG_GATEWAY_SETTINGS = {
+    "a-string-for-a-number": ({"timeout": "x"}, "timeout must be a number, got 'x'"),
+    "a-float-for-an-int": ({"retries": 1.5}, "retries must be an int, got 1.5"),
+    "a-bool-for-an-int": ({"retries": True}, "retries must be an int, got True"),
+    "a-float-budget": ({"context_budget": 4096.0}, "context_budget must be an int, got 4096.0"),
+    "a-bool-for-a-number": ({"backoff": False}, "backoff must be a number, got False"),
+    "an-unknown-key": ({"retires": 0}, "unexpected keyword argument 'retires'"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_GATEWAY_SETTINGS))
+def test_gateway_file_of_the_wrong_form_is_a_usage_error(tmp_path, case):
+    settings, message = WRONG_GATEWAY_SETTINGS[case]
+    (tmp_path / "gw.json").write_text(json.dumps(settings))
+    done = _cli(0, "run", "--task", "CartPole", "--backend-url", "http://127.0.0.1:9",
+                "--gateway-config", str(tmp_path / "gw.json"),
+                "--out", str(tmp_path / "record.json"))
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "policyloop: error: gateway settings in" in done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "record.json").exists()
+
+
+WRONG_LOOP_SETTINGS = {
+    "epochs": (1.5, "epochs must be an int, got 1.5"),
+    "eval_episodes": (2.5, "eval_episodes must be an int, got 2.5"),
+    "window_size": (2.5, "window_size must be an int, got 2.5"),
+    "repair_budget": (1.5, "repair_budget must be an int, got 1.5"),
+    "seed_root": (True, "seed_root must be an int, got True"),
+    "stop_on_max": ("no", "stop_on_max must be a bool, got 'no'"),
+    "retest_at_max": (0, "retest_at_max must be a bool, got 0"),
+    "model_name": (5, "model_name must be a string, got 5"),
+    "temperatures": (["0.5"], "temperature must be a number, got '0.5'"),
+}
+
+
+@pytest.mark.parametrize("setting", list(WRONG_LOOP_SETTINGS))
+def test_loop_setting_of_the_wrong_type_is_a_usage_error(tmp_path, script_file, capsys, setting):
+    value, message = WRONG_LOOP_SETTINGS[setting]
+    (tmp_path / "cfg.json").write_text(json.dumps({setting: value}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--task", "CartPoleStar2", "--script", str(script_file),
+              "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "record.json")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "record.json").exists()
+
+
+def test_script_with_a_response_that_is_not_text_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "session.json").write_text(json.dumps([1, 2]))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--task", "CartPole", "--script", str(tmp_path / "session.json"),
+              "--out", str(tmp_path / "record.json")])
+    assert exit_info.value.code == 2
+    assert "expected a JSON list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "record.json").exists()
+
+
+def test_batch_script_with_a_response_that_is_not_text_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "batch.json").write_text(json.dumps({"tasks": ["CartPole"], "script": [1, 2]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", "--config", str(tmp_path / "batch.json"),
+              "--out-dir", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert "script: expected a JSON list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):
     settings = {
         "model_name": "from-file",

@@ -450,6 +450,14 @@ def test_too_deeply_nested_code_is_repaired():
     assert len(record.strategies) == 4
 
 
+def test_loop_config_refuses_the_wrong_types():
+    with pytest.raises(TypeError, match="epochs must be an int, got True"):
+        LoopConfig(epochs=True, eval_episodes=1)
+    with pytest.raises(TypeError, match="temperatures must be a list, got '0.5'"):
+        LoopConfig(epochs=1, eval_episodes=1, temperatures="0.5")
+    assert LoopConfig(epochs=1, eval_episodes=1, temperatures=[0, 0.5]).temperatures == (0.0, 0.5)
+
+
 # -- records and replay ---------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from policyloop.cli import main
 from policyloop.envs import ALL_TASKS
 from policyloop.loop import RunRecord, RunStatus, replay
 from policyloop.metrics import compute_report
@@ -65,3 +66,64 @@ def test_replay_gives_the_stored_canonical_json(name):
 def test_report_equals_the_stored_one(name):
     report = compute_report([_load(name)], n_eval=50).to_dict()
     assert json.dumps(report, sort_keys=True) == json.dumps(REPORTS[name], sort_keys=True)
+
+
+# -- the formats a saved record and a report keep ------------------------------------
+
+
+def test_keys_an_older_record_lacks_take_their_defaults():
+    data = json.loads((CORPUS / "CartPoleStar2_code_repaired.json").read_text(encoding="utf-8"))
+    del data["wall_clock"]
+    for strategy in data["strategies"]:
+        del strategy["repair_attempts"]
+        del strategy["window"]["invalid_value_text"]
+    record = RunRecord.from_dict(data)
+    assert record.wall_clock == 0.0
+    assert record.error is None
+    assert record.strategies
+    for strategy in record.strategies:
+        assert strategy.repair_attempts == 1
+        assert strategy.window.invalid_value_text is None
+
+
+def test_unknown_keys_are_ignored_on_load():
+    name = "CartPoleStar2_code_repaired.json"
+    data = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+    data["telemetry"] = {"calls": 3}
+    data["config"]["bogus"] = 1
+    for strategy in data["strategies"]:
+        strategy["notes"] = "kept by a newer writer"
+        strategy["window"]["extra"] = []
+    assert RunRecord.from_dict(data).canonical_json() == _load(name).canonical_json()
+
+
+def test_metrics_json_keeps_its_bytes(tmp_path):
+    """``reports.json`` is compared with sorted keys; this pins the key order
+    and layout that ``policyloop metrics --json`` writes."""
+    out = tmp_path / "report.json"
+    main(["metrics", str(CORPUS / "CartPoleStar2_completed.json"), "--n-eval", "5",
+          "--json", str(out)])
+    assert out.read_text(encoding="utf-8") == METRICS_JSON
+
+
+METRICS_JSON = """\
+[
+  {
+    "task_id": "CartPoleStar2",
+    "model_name": "meta-llama/Llama-3.1-70B-Instruct",
+    "temperature": 0.0,
+    "average_reward": 213.18,
+    "success": 1.0,
+    "robustness": 1.0,
+    "learning_time": 0.8,
+    "fom": 1.25,
+    "improvement_ratio": 1.0,
+    "successful_set": [
+      0
+    ],
+    "n_reps": 1,
+    "n_episodes": 5,
+    "r_max": 500.0,
+    "n_eval": 5
+  }
+]"""
