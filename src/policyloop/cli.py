@@ -138,11 +138,31 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return _cmd_run(args, ablation=Ablation(args.condition))
 
 
+# Each key a batch file may hold, and the run_batch argument it sets; a key
+# left out takes run_batch's default. "script" and "base_url" pick the backend.
+_BATCH_KEYS = {
+    "tasks": "tasks",
+    "models": "model_names",
+    "temperatures": "temperatures",
+    "replications": "replications",
+    "seed_root": "seed_root",
+    "config": "config_overrides",
+    "script": None,
+    "base_url": None,
+}
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     spec = _read_json(args.config, "--config", dict)
+    where = f"batch settings in {args.config}"
+    unknown = sorted(spec.keys() - _BATCH_KEYS.keys())
+    if unknown:
+        _usage_error(f"{where}: unknown setting {', '.join(map(repr, unknown))}")
+    settings = {arg: spec[key] for key, arg in _BATCH_KEYS.items() if arg and key in spec}
+    settings.setdefault("tasks", ["CartPoleStar1"])
     script = spec.get("script")
-    if script:
-        _script(script, f"batch settings in {args.config}: script")
+    if "script" in spec and not _script(script, f"{where}: script"):
+        _usage_error(f"{where}: script: expected at least one response")
     gateway = None if script else _gateway_config(args.gateway_config, spec.get("base_url"))
     started = []  # cells whose backend was made, so whose run began
 
@@ -151,21 +171,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return ScriptedBackend(list(script)) if script else HttpChatBackend(gateway)
 
     try:
-        records = run_batch(
-            tasks=spec.get("tasks", ["CartPoleStar1"]),
-            backend_factory=backend_factory,
-            replications=spec.get("replications", 10),
-            model_names=spec.get("models", ["local-model"]),
-            temperatures=spec.get("temperatures"),
-            out_dir=args.out_dir,
-            seed_root=spec.get("seed_root", 0),
-            config_overrides=spec.get("config", {}),
-        )
+        records = run_batch(backend_factory=backend_factory, out_dir=args.out_dir, **settings)
     except (KeyError, TypeError, ValueError) as exc:
         if started:
             raise
         # run_batch checks every cell's settings before it makes a backend
-        _usage_error(f"batch settings in {args.config}: {exc}")
+        _usage_error(f"{where}: {exc}")
     completed = sum(1 for r in records if r.status.value == "completed")
     print(f"{len(records)} records ({completed} completed) written to {args.out_dir}")
     return 0
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics = sub.add_parser("metrics", help="aggregate stored run records")
     p_metrics.add_argument("records", nargs="+")
     p_metrics.add_argument("--r-max", type=float)
-    p_metrics.add_argument("--t-max", type=int)
+    p_metrics.add_argument("--t-max", type=_positive_int)
     p_metrics.add_argument("--n-eval", type=_positive_int, default=2000)
     p_metrics.add_argument(
         "--no-rerun", action="store_true", help="skip the robustness re-evaluation"

@@ -193,6 +193,12 @@ def completions_url(base_url: str) -> str:
 _CONTEXT_HINTS = ("context length", "context_length", "maximum context", "too many tokens")
 
 
+def _token_count(value) -> int:
+    """A token count from a completion's ``usage`` block; anything but an
+    int of at least 0 reads as 0, so the completion is still used."""
+    return value if type(value) is int and value >= 0 else 0
+
+
 class HttpChatBackend:
     """Stateless client for an OpenAI-compatible /v1/chat/completions endpoint."""
 
@@ -248,11 +254,12 @@ class HttpChatBackend:
             ) from None
         if not isinstance(text, str) or not text.strip():
             raise MalformedResponseError("endpoint returned an empty completion")
-        usage = data.get("usage") or {}
+        usage = data.get("usage")
+        usage = usage if isinstance(usage, dict) else {}
         return ChatResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=_token_count(usage.get("prompt_tokens")),
+            completion_tokens=_token_count(usage.get("completion_tokens")),
             latency=latency,
         )
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from ..envs.core import TaskId, parse_task_id
+from ..gateway import require_type
 from .config import LoopConfig
 from .records import RunRecord, default_record_name
 from .runner import run_replication
@@ -60,6 +61,8 @@ def run_batch(
     back to each config's own set when omitted. Every record path is known,
     and checked, before the first cell runs. ``config_overrides`` may not
     set ``seed_root`` or ``model_name``: the arguments of those names do.
+    A batch of no cells (no task, no model, fewer than one replication) is
+    refused, as a wrong-typed ``replications`` is.
     """
     overrides = dict(config_overrides or {})
     taken = sorted(overrides.keys() & {"seed_root", "model_name"})
@@ -68,11 +71,19 @@ def run_batch(
             f"config_overrides may not set {' or '.join(taken)}; "
             "run_batch takes them from its seed_root and model_names"
         )
+    require_type("an int", replications=replications)
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
+    tasks = [parse_task_id(task) for task in tasks]
     model_names = tuple(model_names)  # read once, for every task
+    if not tasks:
+        raise ValueError("tasks must name at least one task")
+    if not model_names:
+        raise ValueError("model_names must name at least one model")
     if temperatures is not None:
         overrides["temperatures"] = tuple(temperatures)
     cells = []
-    for task in map(parse_task_id, tasks):
+    for task in tasks:
         for model in model_names:
             config = LoopConfig.for_task(task, model_name=model, seed_root=seed_root, **overrides)
             for temperature in config.temperatures:

@@ -1,8 +1,8 @@
 """One replication of the refinement loop.
 
-Initialization runs Prompts 1-3 (with the bounded code-repair loop) and
-evaluates the resulting policy; every following epoch reflects with
-Prompt 4, re-derives rules and code, and evaluates again. Strategy memory
+Initialization runs Prompts 1-3 (rules and code each re-asked within the
+repair budget) and evaluates the resulting policy; every following epoch
+reflects with Prompt 4, re-derives rules and code, and evaluates again. Strategy memory
 feeds the reflection prompt with the current, previous and best strategies.
 
 All episode seeds are pure functions of (seed_root, replication, iteration,
@@ -26,6 +26,7 @@ from ..prompts import (
     SensoryMotorWindow,
     Stage,
     StrategySummary,
+    ask_until_parsed,
     build_request,
     extract_rules,
     extract_strategy,
@@ -34,7 +35,7 @@ from ..prompts import (
     render_p2,
     render_p4,
 )
-from ..prompts.pipeline import EmptyResponseError, NoRulesError
+from ..prompts.pipeline import EmptyResponseError
 from .config import LoopConfig
 from .records import RunRecord, RunStatus, Strategy
 
@@ -100,36 +101,6 @@ def _request_seed(config: LoopConfig, replication: int, iteration: int, stage: s
     return derive_seed(config.seed_root, replication, iteration, stage) & 0x7FFFFFFF
 
 
-def _rules_from_strategy(
-    spec, strategy_text: str, config: LoopConfig, backend, replication: int, iteration: int,
-    temperature: float,
-) -> str:
-    """Prompt 2, re-asked with feedback up to the repair budget when the
-    response carries no extractable rules."""
-    attempt = 0
-    prompt = render_p2(spec, strategy_text)
-    while True:
-        attempt += 1
-        request = build_request(
-            Stage.P2_RULES,
-            prompt,
-            config.model_name,
-            temperature,
-            _request_seed(config, replication, iteration, f"p2#{attempt}"),
-        )
-        text = backend.complete(request).text
-        try:
-            return extract_rules(text)
-        except NoRulesError as exc:
-            if attempt >= config.repair_budget:
-                raise RepairBudgetExhausted(attempts=attempt, errors=[str(exc)]) from None
-            prompt = (
-                render_p2(spec, strategy_text)
-                + "\n\nYour previous response did not contain any rules. "
-                "Your response should contain only the rules, no other explanation."
-            )
-
-
 def _synthesize(
     task_id: TaskId,
     config: LoopConfig,
@@ -141,9 +112,13 @@ def _synthesize(
 ) -> Strategy:
     """Strategy text -> rules -> program -> evaluation record."""
     spec = get_spec(task_id)
-    rules_text = _rules_from_strategy(
-        spec, strategy_text, config, backend, replication, iteration, temperature
-    )
+
+    def rules_request(attempt: int, _error: Optional[str]) -> ChatRequest:
+        prompt = render_p2(spec, strategy_text, reask=attempt > 1)
+        seed = _request_seed(config, replication, iteration, f"p2#{attempt}")
+        return build_request(Stage.P2_RULES, prompt, config.model_name, temperature, seed)
+
+    rules_text, _ = ask_until_parsed(backend, config.repair_budget, rules_request, extract_rules)
     code = generate_program(
         backend,
         spec,

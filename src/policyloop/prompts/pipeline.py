@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..dsl.parser import PolicyParseError, PolicyProgram, parse
 from ..envs.core import EnvSpec
@@ -134,13 +134,16 @@ def render_p1(spec: EnvSpec) -> str:
     )
 
 
-def render_p2(spec: EnvSpec, strategy_text: str) -> str:
-    return _fill(
+def render_p2(spec: EnvSpec, strategy_text: str, reask: bool = False) -> str:
+    text = _fill(
         "p2",
         task_description=render_task_description(spec),
         strategy=strategy_text,
         action_choice=spec.action_choice_text,
     )
+    if reask:
+        text = text + "\n\n" + _fill("p2_error")
+    return text
 
 
 def render_p3(spec: EnvSpec, rules_text: str, error: Optional[str] = None) -> str:
@@ -368,19 +371,37 @@ def extract_code(response_text: str, spec: EnvSpec) -> PolicyProgram:
 
 
 # --------------------------------------------------------------------------
-# Bounded repair loop
+# Bounded re-ask loop
 # --------------------------------------------------------------------------
 
 
 class RepairBudgetExhausted(Exception):
-    """The model failed to produce a parseable policy within the budget."""
+    """The model gave no usable answer within the budget."""
 
     def __init__(self, attempts: int, errors: list[str]):
         self.attempts = attempts
         self.errors = errors
         super().__init__(
-            f"no valid policy after {attempts} attempts; last error: {errors[-1]}"
+            f"no usable answer after {attempts} attempts; last error: {errors[-1]}"
         )
+
+
+def ask_until_parsed(
+    backend, budget: int, request_for: Callable[[int, Optional[str]], ChatRequest],
+    parse_text: Callable[[str], object],
+) -> tuple[object, int]:
+    """Send ``request_for(attempt, last_error)`` and return ``(parse_text(answer),
+    attempt)``, re-asking on ``NoRulesError`` or ``PolicyParseError`` for at most
+    ``max(budget, 1)`` attempts, then raising :class:`RepairBudgetExhausted` with
+    every attempt's error. Any other error propagates at once."""
+    errors: list[str] = []
+    for attempt in range(1, max(budget, 1) + 1):
+        text = backend.complete(request_for(attempt, errors[-1] if errors else None)).text
+        try:
+            return parse_text(text), attempt
+        except (NoRulesError, PolicyParseError) as exc:
+            errors.append(str(exc))
+    raise RepairBudgetExhausted(attempts=len(errors), errors=errors)
 
 
 @dataclass
@@ -402,16 +423,15 @@ def generate_program(
     attempts in total (always at least one).
 
     Each repair prompt is the full Prompt 3 (description and rules included)
-    plus the previous attempt's error. ``attempts`` in the result counts
-    every code response consumed.
+    plus the previous attempt's error, under the same ``request_seed``.
+    ``attempts`` in the result counts every code response consumed.
     """
-    errors: list[str] = []
-    for attempt in range(1, max(budget, 1) + 1):
-        prompt = render_p3(spec, rules_text, error=errors[-1] if errors else None)
-        request = build_request(Stage.P3_CODE, prompt, model_name, temperature, request_seed)
-        text = backend.complete(request).text
-        try:
-            return CodeResult(program=extract_code(text, spec), attempts=attempt)
-        except PolicyParseError as exc:
-            errors.append(str(exc))
-    raise RepairBudgetExhausted(attempts=len(errors), errors=errors)
+
+    def request_for(attempt: int, error: Optional[str]) -> ChatRequest:
+        prompt = render_p3(spec, rules_text, error=error)
+        return build_request(Stage.P3_CODE, prompt, model_name, temperature, request_seed)
+
+    program, attempts = ask_until_parsed(
+        backend, budget, request_for, lambda text: extract_code(text, spec)
+    )
+    return CodeResult(program=program, attempts=attempts)

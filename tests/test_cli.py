@@ -232,6 +232,7 @@ def test_batch_refuses_a_bad_gateway_setting(tmp_path, monkeypatch, capsys):
 
 # (the file to write, its JSON or None for a missing file, the command after
 # "policyloop", and a word the error must name)
+OFFLINE_BATCH = {"tasks": ["CartPole"], "script": ["x"], "config": {"epochs": 1}}
 BAD_SETTINGS = {
     "config-repair-budget-zero": (
         "cfg.json", {"repair_budget": 0}, ["run", "--config", "cfg.json"], "repair_budget"
@@ -267,6 +268,30 @@ BAD_SETTINGS = {
     "batch-config-sets-model-name": (
         "batch.json", {"tasks": ["CartPole"], "script": ["x"], "config": {"model_name": "m"}},
         ["batch", "--config", "batch.json"], "model_name",
+    ),
+    "batch-unknown-key": (
+        "batch.json", {**OFFLINE_BATCH, "replicatoins": 1},
+        ["batch", "--config", "batch.json"], "'replicatoins'",
+    ),
+    "batch-zero-replications": (
+        "batch.json", {**OFFLINE_BATCH, "replications": 0},
+        ["batch", "--config", "batch.json"], "replications",
+    ),
+    "batch-negative-replications": (
+        "batch.json", {**OFFLINE_BATCH, "replications": -1},
+        ["batch", "--config", "batch.json"], "replications",
+    ),
+    "batch-bool-replications": (
+        "batch.json", {**OFFLINE_BATCH, "replications": True},
+        ["batch", "--config", "batch.json"], "replications",
+    ),
+    "batch-no-models": (
+        "batch.json", {**OFFLINE_BATCH, "models": []},
+        ["batch", "--config", "batch.json"], "model_names",
+    ),
+    "batch-empty-script": (
+        "batch.json", {"tasks": ["CartPole"], "script": [], "base_url": "http://127.0.0.1:9"},
+        ["batch", "--config", "batch.json"], "script",
     ),
 }
 
@@ -364,6 +389,16 @@ def test_batch_script_with_a_response_that_is_not_text_is_a_usage_error(tmp_path
     assert exit_info.value.code == 2
     assert "script: expected a JSON list of strings" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("bad", ["0", "-1"])
+def test_metrics_refuses_a_horizon_below_one(tmp_path, script_file, capsys, bad):
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["metrics", str(tmp_path / "record.json"), "--t-max", bad, "--no-rerun"])
+    assert exit_info.value.code == 2
+    assert f"argument --t-max: must be at least 1, got {bad}" in capsys.readouterr().err
 
 
 def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):

@@ -263,6 +263,21 @@ def test_failing_stage_makes_at_most_retries_plus_one_requests(local_server, sta
     assert len(_Script.requests) == sent
 
 
+@pytest.mark.parametrize(
+    "usage",
+    [{"prompt_tokens": None}, [1], {"completion_tokens": "n/a"},
+     {"prompt_tokens": True, "completion_tokens": -3}],
+    ids=["null-count", "not-an-object", "text-count", "bool-and-negative"],
+)
+def test_a_usable_completion_survives_its_usage_block(local_server, usage):
+    body = {"choices": [{"message": {"content": "the plan"}}], "usage": usage}
+    _Script.responses = [(200, json.dumps(body))]
+    response = _backend(local_server).complete(_req())
+    assert response.text == "the plan"
+    assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
+    assert len(_Script.requests) == 1
+
+
 def test_transport_error_when_nothing_listens():
     config = GatewayConfig(base_url="http://127.0.0.1:9", timeout=0.5, retries=1, backoff=0.0)
     with pytest.raises(TransportError):

@@ -374,6 +374,22 @@ def test_rules_are_asked_again_when_the_answer_has_none():
     assert matches
 
 
+def test_every_request_carries_its_stage_seed():
+    """Each Prompt-2 re-ask has a seed of its own; every code repair keeps the
+    one Prompt-3 seed of its iteration."""
+    session = scripted_session()
+    script = session[:1] + [NO_RULES] + session[1:2] + [BAD] + session[2:6]
+    backend = ScriptedBackend(script)
+    record = run_replication(TaskId.CARTPOLE_STAR2, _config(epochs=2), backend, 0, 0.0)
+    assert record.status is RunStatus.COMPLETED
+    assert backend.remaining == 0
+    stages = [(0, "p1"), (0, "p2#1"), (0, "p2#2"), (0, "p3"), (0, "p3"),
+              (1, "p4"), (1, "p2#1"), (1, "p3")]
+    assert [request.request_seed for request in backend.requests] == [
+        derive_seed(3, 0, iteration, stage) & 0x7FFFFFFF for iteration, stage in stages
+    ]
+
+
 @pytest.mark.parametrize("budget", [1, 3])
 def test_rule_less_answers_exhaust_the_repair_budget(budget):
     rules = transcript_text("rules_iter0.txt")  # never asked for
@@ -726,6 +742,27 @@ def test_batch_refuses_overrides_it_sets_itself(tmp_path, key):
         )
     assert made == []  # refused before any backend was made
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"tasks": []}, "tasks must name at least one task"),
+        ({"model_names": []}, "model_names must name at least one model"),
+        ({"replications": 0}, "replications must be at least 1, got 0"),
+        ({"replications": True}, "replications must be an int, got True"),
+    ],
+    ids=["no-tasks", "no-models", "zero-replications", "bool-replications"],
+)
+def test_batch_refuses_a_matrix_without_cells(tmp_path, settings, message):
+    made = []
+    with pytest.raises((TypeError, ValueError), match=message):
+        run_batch(
+            **{"tasks": ["CartPole"], "replications": 1, **settings},
+            backend_factory=lambda *cell: made.append(cell),
+            out_dir=tmp_path / "runs",
+        )
+    assert made == [] and not (tmp_path / "runs").exists()
 
 
 def test_batch_saves_a_distinct_matrix_one_file_per_cell(tmp_path):
