@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
 
@@ -72,9 +83,12 @@ def _gateway_config(path: Optional[str], base_url: Optional[str]) -> GatewayConf
 
 
 def _script(responses, where: str) -> list:
-    """``responses`` when it is a list of response texts; a usage error else."""
+    """``responses`` when it is a list of at least one response text; a
+    usage error else."""
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
         _usage_error(f"{where}: expected a JSON list of strings")
+    if not responses:
+        _usage_error(f"{where}: expected at least one response")
     return responses
 
 
@@ -161,8 +175,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     settings = {arg: spec[key] for key, arg in _BATCH_KEYS.items() if arg and key in spec}
     settings.setdefault("tasks", ["CartPoleStar1"])
     script = spec.get("script")
-    if "script" in spec and not _script(script, f"{where}: script"):
-        _usage_error(f"{where}: script: expected at least one response")
+    if "script" in spec:
+        _script(script, f"{where}: script")
     gateway = None if script else _gateway_config(args.gateway_config, spec.get("base_url"))
     started = []  # cells whose backend was made, so whose run began
 
@@ -301,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="aggregate stored run records")
     p_metrics.add_argument("records", nargs="+")
-    p_metrics.add_argument("--r-max", type=float)
+    p_metrics.add_argument("--r-max", type=_finite_float)
     p_metrics.add_argument("--t-max", type=_positive_int)
     p_metrics.add_argument("--n-eval", type=_positive_int, default=2000)
     p_metrics.add_argument(

@@ -14,15 +14,21 @@ An episode ends on the usual termination/truncation rules, or immediately
 when the policy produces an unusable action; that step earns no reward and
 its trace line records the offending value verbatim (e.g. ``None``).
 
-``run_episode`` checks the observation length once, after ``reset``. Each
-step is then one call of the compiled policy, one ``coerce`` and one call
-of the env's ``_step_state`` hook; the next observation comes from its
-``_observe`` hook. A valid step builds no outcome object: only an unusable
-action goes through ``_invalid_outcome``, the classifier the public
-``evaluate`` shares, so both give the same reasons and texts. State and
-return stay in locals, the step limit bounds the loop, and the env's state
-and step count are written back when the episode ends, so the env reads as
-after the same public ``env.step`` calls.
+A compiled policy is called as ``f(rng, obs)`` with the observation tuple,
+which it unpacks into its parameters. ``run_episode`` checks the
+observation length once, after ``reset``, and then hands the policy to
+the env's ``_rollout``, which plays the steps. On the cart-pole family
+that is one fused loop with the action check, the physics and the
+observation encoding inline (``envs/cartpole.py``); on the other tasks
+each step is one call of the policy, one ``coerce`` and one call of the
+``_step_state`` hook, and the next observation comes from the ``_observe``
+hook. Either way a valid step builds no outcome object: the rollout hands
+back the unusable value that ended the episode (``RAISED`` when the call
+raised one of the policy's error types), and only that goes through
+``_invalid_outcome``, the classifier the public ``evaluate`` shares, so
+both give the same reasons and texts. The env's state and step count are
+written back when the episode ends, so the env reads as after the same
+public ``env.step`` calls.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -37,7 +43,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ..envs import make
-from ..envs.core import EnvSpec, TaskId, TerminationCause
+from ..envs.core import RAISED, EnvSpec, TaskId, TerminationCause
 from ..envs.trace import render_action_value, step_line
 from .parser import PolicyProgram
 
@@ -63,9 +69,6 @@ class PolicyOutcome(NamedTuple):
         return self.reason is None
 
 
-# What a policy call "returned" when it or ``coerce`` raised
-_RAISED = object()
-
 # Division by zero, an overflow, a bad random bound, or an integer too long
 # to print or too large for a float
 _RUNTIME_ERRORS = (ArithmeticError, ValueError)
@@ -73,10 +76,10 @@ _RUNTIME_ERRORS = (ArithmeticError, ValueError)
 
 def _invalid_outcome(value) -> PolicyOutcome:
     """The outcome of a policy call whose value ``coerce`` did not accept:
-    ``None``, a rejected value, or ``_RAISED``."""
+    ``None``, a rejected value, or ``RAISED``."""
     if value is None:
         return PolicyOutcome(None, InvalidReason.NO_RULE_FIRED, "None")
-    if value is not _RAISED:
+    if value is not RAISED:
         try:
             # ints, bools included, as they print; anything else as a float
             text = str(value) if isinstance(value, int) else f"{float(value):g}"
@@ -112,10 +115,10 @@ def evaluate(
     elif len(obs) != n_params:
         raise _length_error((len(obs),), n_params)
     try:
-        value = program.compiled(rng, *obs)
+        value = program.compiled(rng, obs)
         action = spec.action.coerce(value)
     except _RUNTIME_ERRORS:
-        return _invalid_outcome(_RAISED)
+        return _invalid_outcome(RAISED)
     if action is None:
         return _invalid_outcome(value)
     return PolicyOutcome(action)
@@ -178,34 +181,9 @@ def run_episode(
     if len(obs) != n_params:
         raise _length_error((len(obs),), n_params)
     trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
-    observations, actions = trace.observations, trace.actions
-    compiled, coerce = program.compiled, spec.action.coerce
-    step_state, observe = env._step_state, env._observe
-    state = env._state
-    total_reward = 0.0
-    # coerce maps None to None too, so one test finds every unusable action
-    for _ in range(spec.max_steps):
-        observations.append(obs)
-        try:
-            value = compiled(rng, *obs)
-            action = coerce(value)
-        except _RUNTIME_ERRORS:
-            value = _RAISED
-            action = None
-        if action is None:
-            trace.cause = TerminationCause.INVALID_ACTION
-            trace.invalid_outcome = _invalid_outcome(value)
-            break
-        actions.append(action)
-        state, reward, terminated = step_state(state, action)
-        total_reward += reward
-        if terminated:
-            trace.cause = env.terminal_cause
-            break
-        obs = observe(state)
-    else:
-        trace.cause = TerminationCause.STEP_LIMIT
-    env._state = state
-    env._steps = len(actions)
-    trace.total_reward = total_reward
+    trace.total_reward, trace.cause, value = env._rollout(
+        program.compiled, rng, obs, trace.observations, trace.actions, _RUNTIME_ERRORS
+    )
+    if trace.cause is TerminationCause.INVALID_ACTION:
+        trace.invalid_outcome = _invalid_outcome(value)
     return trace

@@ -20,8 +20,10 @@ CPython's included, is a :class:`PolicyParseError` with line/column and a
 message phrased for feeding straight back to the model in a repair prompt.
 
 :func:`parse` compiles each validated program once into a plain Python
-function of the caller's :class:`random.Random` and the parameters
-(``PolicyProgram.compiled``), with no builtins, and keeps no tree. Each
+function ``f(random, obs)`` of the caller's :class:`random.Random` and the
+observation tuple (``PolicyProgram.compiled``), with no builtins, and keeps
+no tree. Its first statement unpacks the observation into the parameters,
+so a call passes one tuple and the caller checks its length. Each
 ``random.randint``/``random.uniform`` call is compiled into a call of
 :func:`checked_randint`/:func:`checked_uniform` on that rng. The canonical
 text that :func:`to_source` returns, and that ``==``, ``hash`` and
@@ -80,7 +82,8 @@ class PolicyProgram:
     name: str
     params: tuple[str, ...]
     source_text: str
-    # f(rng, *params), compiled from the validated tree
+    # f(rng, obs), compiled from the validated tree; obs holds one value per
+    # parameter, in order
     compiled: Callable
 
     @cached_property
@@ -355,25 +358,32 @@ def checked_uniform(rng: random.Random, lo, hi) -> float:
     return rng.uniform(float(lo), float(hi))
 
 
-# Global names of the checked draws in a compiled policy. No parameter can
-# take them: a parameter name has no dot.
+# Global names of the checked draws in a compiled policy, and the name of its
+# observation argument. No parameter can take them: a parameter name is an
+# identifier, with no dot or bracket.
 _DRAWS = {"random.randint": checked_randint, "random.uniform": checked_uniform}
+_OBS = "(observation)"
 
 
 def _compile(func: ast.FunctionDef, draws: list[ast.Call]) -> Callable:
-    """The validated function as a Python function of (random, *params).
+    """The validated function as a Python function of (random, obs).
 
     The parameter ``random`` is the caller's rng, and each call
     ``random.<draw>(lo, hi)`` in ``draws`` becomes ``"random.<draw>"(random,
-    lo, hi)``. Its only globals are the two checked draws: no builtins.
-    Taking the function out of its globals leaves no reference cycle for
-    the collector to find.
+    lo, hi)``. The first statement ``p1, ..., pn = obs`` unpacks the
+    observation into the declared parameters. Its only globals are the two
+    checked draws: no builtins. Taking the function out of its globals
+    leaves no reference cycle for the collector to find.
     """
     for call in draws:
         name = ast.Name(f"random.{call.func.attr}", ast.Load())
         call.args.insert(0, ast.copy_location(ast.Name("random", ast.Load()), call))
         call.func = ast.copy_location(name, call.func)
-    func.args.args.insert(0, ast.arg("random", lineno=func.lineno, col_offset=0))
+    at = {"lineno": func.lineno, "col_offset": 0}
+    targets = [ast.Name(arg.arg, ast.Store(), **at) for arg in func.args.args]
+    obs = ast.Name(_OBS, ast.Load(), **at)
+    func.body.insert(0, ast.Assign([ast.Tuple(targets, ast.Store(), **at)], obs, **at))
+    func.args.args = [ast.arg("random", **at), ast.arg(_OBS, **at)]
     namespace: dict = {"__builtins__": {}, **_DRAWS}
     exec(compile(ast.Module([func], []), "<policy>", "exec"), namespace)
     return namespace.pop(func.name)

@@ -11,6 +11,17 @@ CartPoleStar2 reports the state on an integer grid in [-50, 50], rounded
 half away from zero; ``normalize_star2`` rounds the magnitude with
 ``floor(abs(v) + 0.5)`` and puts the sign back with a ``v < 0.0`` test,
 which is equivalent to ``copysign`` on the int it produces.
+
+``env.step`` runs these through the ``_step_state``/``_observe`` hooks.
+Whole episodes (``dsl.run_episode``) run through one fused loop that the
+four tasks share, ``_CartPoleFamily._rollout``: each step calls the policy
+once as ``policy(rng, obs)``, then runs inline the action check (a label
+maps to -10 or +10 N and a bool is refused; or a finite number is clamped
+to [-3, 3]), the body of ``cartpole_step`` in the same expressions and
+order, the bounds test and the observation encoding (the state as it is,
+``normalize_star2``'s grid, or InvertedPendulum's reordering). It takes
+the same steps, bit for bit, as the public ``step`` loop, which the tests
+keep as its reference.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 import math
 
 from .core import (
+    RAISED,
     ContinuousAction,
     DiscreteActions,
     Environment,
@@ -66,12 +78,122 @@ def cartpole_step(state: tuple[float, ...], force: float) -> tuple[float, ...]:
     )
 
 
-class _CartPoleBase(Environment):
-    """Shared mechanics for the three discrete cart-pole variants."""
+class _CartPoleFamily(Environment):
+    """The four cart-pole tasks, and the one episode loop they share.
 
-    # label -> force sign; set per variant
-    _force_by_label: dict[int, float] = {}
+    ``_rollout`` is ``Environment._rollout`` with the hooks inlined: per step
+    one call of the policy, then the action check, the body of
+    ``cartpole_step``, the bounds test and the observation encoding, with
+    the state in four locals. The class attributes below say what a task's
+    ``_step_state`` and ``_observe`` do, and the loop does the same.
+    """
+
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
+    # label -> force sign, set per discrete variant; empty on InvertedPendulum
+    _force_by_label: dict[int, float] = {}
+    # the episode ends when abs(x) or abs(theta) exceeds its limit
+    _x_limit = X_LIMIT
+    _theta_limit = THETA_LIMIT
+    # the observation is normalize_star2 of the state (CartPoleStar2), or the
+    # state in the order (x, theta, x_dot, theta_dot) (InvertedPendulum)
+    _grid = False
+    _reordered = False
+
+    def _rollout(self, policy, rng, obs, observations, actions, errors):
+        spec = self.spec
+        forces = {label: sign * FORCE_MAG for label, sign in self._force_by_label.items()}
+        # a label as its int (a float label is one too), for the recorded action
+        labels = {label: label for label in forces}
+        lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
+        x_limit, theta_limit = self._x_limit, self._theta_limit
+        grid, reordered = self._grid, self._reordered
+        append_obs, append_action = observations.append, actions.append
+        cos, sin, floor, inf = math.cos, math.sin, math.floor, math.inf
+        x, x_dot, theta, theta_dot = self._state
+        cause = TerminationCause.STEP_LIMIT
+        for _ in range(spec.max_steps):
+            append_obs(obs)
+            try:
+                value = policy(rng, obs)
+                if forces:
+                    # as DiscreteActions.coerce: a label, never a bool
+                    action = None if value.__class__ is bool else labels.get(value)
+                elif value is None:
+                    action = None
+                else:
+                    # as ContinuousAction.coerce: a finite number, clamped
+                    action = float(value)
+                    if not -inf < action < inf:
+                        action = None
+                    elif action < lo:
+                        action = lo
+                    elif action > hi:
+                        action = hi
+            except errors:
+                value = RAISED
+                action = None
+            if action is None:
+                cause = TerminationCause.INVALID_ACTION
+                break
+            append_action(action)
+            force = forces[action] if forces else action
+            # cartpole_step
+            cos_t = cos(theta)
+            sin_t = sin(theta)
+            temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
+            theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+                HALF_POLE_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS)
+            )
+            x_acc = temp - POLE_MASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
+            x, x_dot, theta, theta_dot = (
+                x + DT * x_dot,
+                x_dot + DT * x_acc,
+                theta + DT * theta_dot,
+                theta_dot + DT * theta_acc,
+            )
+            # The step that leaves the allowed region still earns its +1.
+            if abs(x) > x_limit or abs(theta) > theta_limit:
+                cause = self.terminal_cause
+                break
+            if grid:
+                # normalize_star2
+                v = x_dot
+                if v > VELOCITY_CLAMP:
+                    v = VELOCITY_CLAMP
+                elif v < -VELOCITY_CLAMP:
+                    v = -VELOCITY_CLAMP
+                w = theta_dot
+                if w > VELOCITY_CLAMP:
+                    w = VELOCITY_CLAMP
+                elif w < -VELOCITY_CLAMP:
+                    w = -VELOCITY_CLAMP
+                p = x * STAR2_GRID / X_OBS_BOUND
+                v = v * STAR2_GRID / VELOCITY_CLAMP
+                a = theta * STAR2_GRID / THETA_OBS_BOUND
+                w = w * STAR2_GRID / VELOCITY_CLAMP
+                gp = floor(abs(p) + 0.5)
+                gv = floor(abs(v) + 0.5)
+                ga = floor(abs(a) + 0.5)
+                gw = floor(abs(w) + 0.5)
+                obs = (
+                    -gp if p < 0.0 else gp,
+                    -gv if v < 0.0 else gv,
+                    -ga if a < 0.0 else ga,
+                    -gw if w < 0.0 else gw,
+                )
+            elif reordered:
+                obs = (x, theta, x_dot, theta_dot)
+            else:
+                obs = (x, x_dot, theta, theta_dot)
+        self._state = (x, x_dot, theta, theta_dot)
+        self._steps = len(actions)
+        # +1 per step taken: the sum of that many 1.0s
+        total_reward = float(len(actions))
+        return total_reward, cause, value if cause is TerminationCause.INVALID_ACTION else None
+
+
+class _CartPoleBase(_CartPoleFamily):
+    """Shared mechanics for the three discrete cart-pole variants."""
 
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
         uniform = rng.uniform
@@ -254,9 +376,10 @@ class CartPoleStar2Env(_CartPoleBase):
     )
 
     _observe = staticmethod(normalize_star2)
+    _grid = True
 
 
-class InvertedPendulumEnv(Environment):
+class InvertedPendulumEnv(_CartPoleFamily):
     """Pole balancing with a continuous force in [-3, 3] N.
 
     Built on the same cart-pole equations: identical geometry, +1 per step
@@ -307,7 +430,9 @@ class InvertedPendulumEnv(Environment):
     )
 
     THETA_FAIL = 0.2
-    terminal_cause = TerminationCause.BOUNDS_EXCEEDED
+    _x_limit = math.inf
+    _theta_limit = THETA_FAIL
+    _reordered = True
 
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
         uniform = rng.uniform

@@ -154,6 +154,10 @@ class StepResult(NamedTuple):
         return self.terminated or self.truncated
 
 
+# What a policy "returned" in a rollout when it, or the action check, raised
+RAISED = object()
+
+
 class Environment:
     """Base class: deterministic, seedable reset/step state machine.
 
@@ -163,10 +167,11 @@ class Environment:
     action check, step counting and truncation.
 
     ``step`` is the public single-step API, and it checks every action.
-    ``dsl.run_episode`` drives the hooks directly with actions its policy
-    evaluation has coerced already, and keeps the same bookkeeping: the
-    ``state`` and ``steps`` it leaves behind are those of the same ``step``
-    calls.
+    ``dsl.run_episode`` plays whole episodes through ``_rollout`` instead,
+    which keeps the same bookkeeping: the ``state`` and ``steps`` it leaves
+    behind are those of the same ``step`` calls. This class's ``_rollout``
+    drives the hooks; a task family may override it with a loop of its own
+    that takes the same steps.
     """
 
     spec: EnvSpec
@@ -237,6 +242,47 @@ class Environment:
 
     def _observe(self, state: tuple[float, ...]) -> tuple:
         return state
+
+    def _rollout(self, policy, rng, obs, observations, actions, errors):
+        """Play ``policy`` from the state ``reset`` left until the episode ends.
+
+        ``obs`` is the observation of that state. Each step appends the
+        observation to ``observations``, calls ``policy(rng, obs)``, and
+        appends the action, which the action space's ``coerce`` made of the
+        returned value, to ``actions``. A value ``coerce`` refuses, or one of
+        ``errors`` raised by either call, ends the episode with no reward.
+        Returns (return, cause, value): ``value`` is the unusable value, or
+        ``RAISED``, when ``cause`` is ``INVALID_ACTION``, and None otherwise.
+        The env's state and step count are written back at the end.
+        """
+        coerce = self.spec.action.coerce
+        step_state, observe = self._step_state, self._observe
+        state = self._state
+        total_reward = 0.0
+        # coerce maps None to None too, so one test finds every unusable action
+        for _ in range(self.spec.max_steps):
+            observations.append(obs)
+            try:
+                value = policy(rng, obs)
+                action = coerce(value)
+            except errors:
+                value = RAISED
+                action = None
+            if action is None:
+                cause = TerminationCause.INVALID_ACTION
+                break
+            actions.append(action)
+            state, reward, terminated = step_state(state, action)
+            total_reward += reward
+            if terminated:
+                cause, value = self.terminal_cause, None
+                break
+            obs = observe(state)
+        else:
+            cause, value = TerminationCause.STEP_LIMIT, None
+        self._state = state
+        self._steps = len(actions)
+        return total_reward, cause, value
 
 
 def derive_seed(*parts: object) -> int:

@@ -246,6 +246,9 @@ BAD_SETTINGS = {
     "script-missing": (
         "gone.json", None, ["run", "--script", "gone.json"], "gone.json"
     ),
+    "script-empty": (
+        "session.json", [], ["run", "--script", "session.json"], "expected at least one response"
+    ),
     "gateway-timeout-not-a-number": (
         "gw.json", {"timeout": "x"},
         ["run", "--backend-url", "http://127.0.0.1:9", "--gateway-config", "gw.json"], "gw.json",
@@ -399,6 +402,17 @@ def test_metrics_refuses_a_horizon_below_one(tmp_path, script_file, capsys, bad)
         main(["metrics", str(tmp_path / "record.json"), "--t-max", bad, "--no-rerun"])
     assert exit_info.value.code == 2
     assert f"argument --t-max: must be at least 1, got {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_metrics_refuses_a_reward_bound_that_is_not_finite(tmp_path, script_file, capsys, bad):
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        # "--r-max -inf" would read -inf as an option
+        main(["metrics", str(tmp_path / "record.json"), f"--r-max={bad}", "--no-rerun"])
+    assert exit_info.value.code == 2
+    assert f"argument --r-max: must be a finite number, got {bad}" in capsys.readouterr().err
 
 
 def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from policyloop.dsl import InvalidReason, PolicyParseError, parse, to_source
+from policyloop.dsl import parser
 
 CARTPOLE_PARAMS = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
 
@@ -105,7 +106,7 @@ def test_chained_comparison_parses_as_single_compare():
     assert "    if -5 <= a <= 5:" in to_source(program)
     assert program != parse("def f(a):\n    if (-5 <= a) <= 5:\n        return 1\n    return 2\n")
     # (-5 <= 10) <= 5 holds, -5 <= 10 <= 5 does not
-    assert program.compiled(random, 10) == 2
+    assert program.compiled(random, (10,)) == 2
 
 
 def test_boolean_operators_and_nesting():
@@ -121,8 +122,8 @@ def test_boolean_operators_and_nesting():
     program = parse(src)
     assert program == parse(src.replace("a > 0 and b > 0 or not a < -1", "(a > 0 and b > 0) or (not a < -1)"))
     assert program != parse(src.replace("a > 0 and b > 0 or not a < -1", "a > 0 and (b > 0 or not a < -1)"))
-    assert program.compiled(random, -5, 1) == 0  # every disjunct false
-    assert program.compiled(random, 2, 1) == 1
+    assert program.compiled(random, (-5, 1)) == 0  # every disjunct false
+    assert program.compiled(random, (2, 1)) == 1
 
 
 def test_pass_only_body_is_allowed():
@@ -171,7 +172,21 @@ def test_round_trip_preserves_operator_structure():
 def test_number_literals():
     program = parse("def f(a):\n    return 0.5 + 2 + 1e2 + 0.25\n")
     assert to_source(program) == "def f(a):\n    return 0.5 + 2 + 100.0 + 0.25"
-    assert program.compiled(random, 0) == 102.75
+    assert program.compiled(random, (0,)) == 102.75
+
+
+def test_the_observation_argument_cannot_clash_with_a_parameter():
+    """A compiled policy is f(random, obs) and unpacks obs into its declared
+    parameters; obs has a name that is no identifier, so no parameter can
+    take it, whatever the parameters are called."""
+    hidden = parser._OBS
+    assert not hidden.isidentifier()
+    with pytest.raises(PolicyParseError):
+        parse(f"def f({hidden}):\n    return 1\n")
+    program = parse("def f(obs, observation, obs_, a):\n    return obs - observation * obs_ + a\n")
+    assert program.compiled.__code__.co_varnames[:2] == ("random", hidden)
+    assert program.compiled(random, (5, 2, 3, 0.5)) == -0.5
+    assert parse("def f():\n    return 1\n").compiled(random, ()) == 1
 
 
 def test_nothing_but_prose_is_an_error():

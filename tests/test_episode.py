@@ -8,7 +8,7 @@ import pytest
 
 from policyloop.dsl import InvalidReason, evaluate, parse, run_episode
 from policyloop.dsl import episode
-from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
+from policyloop.envs import ALL_TASKS, TaskId, cartpole, get_spec, make
 from policyloop.envs.core import Environment, TerminationCause
 
 from conftest import transcript_text
@@ -201,8 +201,10 @@ def test_policy_sees_python_scalars(task):
     assert trace.lines()[0].endswith(";None")
 
 
-# run_episode advances the env through its _step_state/_observe hooks; these
-# tests pin it to the same rollout written with the public single-step API.
+# run_episode plays an episode through the env's _rollout: the cart-pole
+# family's fused loop, or the _step_state/_observe hook loop of the other
+# tasks. These tests pin both to the same rollout written with the public
+# single-step API.
 
 # A policy per task that survives to the step limit, and one that makes the
 # physics terminate early (Pendulum never terminates, so it has none).
@@ -262,7 +264,9 @@ def _policy_source(task, kind):
     The invalid kinds play the step-limit policy and, on a 3 % draw from
     the policy's rng, end it mid-episode: with a label that is no action
     (discrete), by falling off the end (None, continuous), or by dividing
-    by zero.
+    by zero. The odd values are, on further draws, a float label, a bool,
+    inf, NaN and an int too large for a float; the task takes some of them
+    as actions and the episode goes on, until one it refuses ends it.
     """
     spec = get_spec(task)
     if kind == "limit":
@@ -272,6 +276,18 @@ def _policy_source(task, kind):
     first = spec.obs_names[0]
     if kind == "runtime_error":
         tail = f"    return {first} / ({first} - {first})\n"
+    elif kind == "odd_value":
+        tail = (
+            "    if random.uniform(0, 1) < 0.2:\n"
+            "        return 2.0\n"
+            "    if random.uniform(0, 1) < 0.2:\n"
+            "        return 1 < 2\n"
+            "    if random.uniform(0, 1) < 0.2:\n"
+            "        return 1e308 * 10\n"
+            "    if random.uniform(0, 1) < 0.4:\n"
+            "        return 1e308 * 10 - 1e308 * 10\n"
+            f"    return {_HUGE}\n"
+        )
     else:
         tail = "    return 7\n" if spec.is_discrete else ""
     gate = "    if random.uniform(0, 1) < 0.97:\n" + textwrap.indent(_TO_LIMIT[task], "    ")
@@ -298,7 +314,7 @@ def _step_by_step(program, seed, rng, env):
 _CASES = [
     (task, kind)
     for task in ALL_TASKS
-    for kind in ("limit", "terminated", "invalid_value", "runtime_error")
+    for kind in ("limit", "terminated", "invalid_value", "runtime_error", "odd_value")
     if kind != "terminated" or task in _TO_TERMINATION
 ]
 
@@ -333,6 +349,9 @@ def test_run_episode_matches_the_public_step_loop(task, kind):
             reason = trace.invalid_outcome.reason
             if kind == "runtime_error":
                 assert reason is InvalidReason.RUNTIME_ERROR
+            elif kind == "odd_value":
+                # a refused number, or an int too large for a continuous task
+                assert reason is not InvalidReason.NO_RULE_FIRED
             elif spec.is_discrete:
                 assert reason is InvalidReason.OUT_OF_RANGE
             else:
@@ -352,6 +371,32 @@ def test_run_episode_does_not_go_through_env_step(task, monkeypatch):
     program = parse(_policy_source(task, "limit"))
     trace = run_episode(program, task, 0, random.Random(0))
     assert trace.cause is TerminationCause.STEP_LIMIT
+
+
+_CARTPOLE_FAMILY = (
+    TaskId.CARTPOLE, TaskId.CARTPOLE_STAR1, TaskId.CARTPOLE_STAR2, TaskId.INVERTED_PENDULUM
+)
+
+
+@pytest.mark.parametrize("task", _CARTPOLE_FAMILY, ids=lambda task: task.value)
+def test_run_episode_plays_the_cartpole_family_through_the_fused_loop(task, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run_episode left the fused loop")
+
+    cls = type(make(task))
+    # reset's own observation, without the _observe hook
+    first = make(task).reset(0)
+    monkeypatch.setattr(cls, "observe", lambda self: first)
+    monkeypatch.setattr(cls, "_observe", refuse)
+    monkeypatch.setattr(cls, "_step_state", refuse)
+    monkeypatch.setattr(cartpole, "cartpole_step", refuse)
+    for kind, cause in (
+        ("limit", TerminationCause.STEP_LIMIT),
+        ("terminated", TerminationCause.BOUNDS_EXCEEDED),
+        ("odd_value", TerminationCause.INVALID_ACTION),
+    ):
+        program = parse(_policy_source(task, kind))
+        assert run_episode(program, task, 0, random.Random(0)).cause is cause
 
 
 @pytest.mark.parametrize("task", ALL_TASKS, ids=lambda task: task.value)
@@ -379,6 +424,8 @@ _OUTCOMES = {
     "float-label": (TaskId.CARTPOLE, "return 2 / 2", None, 1),
     "nan": (TaskId.PENDULUM, "return 1e308 * 10 - 1e308 * 10", "out_of_range", "nan"),
     "inf": (TaskId.MOUNTAIN_CAR_CONTINUOUS, "return -1e308 * 10", "out_of_range", "-inf"),
+    "clamped-high": (TaskId.INVERTED_PENDULUM, "return 7.5", None, 3.0),
+    "clamped-low": (TaskId.INVERTED_PENDULUM, "return -4", None, -3.0),
     "int-too-large-for-a-float": (TaskId.INVERTED_PENDULUM, f"return {_HUGE}", "runtime_error", "None"),
     "int-too-long-to-print": (TaskId.ACROBOT, f"return {_LONG} * {_LONG}", "runtime_error", "None"),
     "division-by-zero": (TaskId.CARTPOLE_STAR1, "return 1 / (pole_angle - pole_angle)", "runtime_error", "None"),
