@@ -102,7 +102,7 @@ class _CartPoleFamily(Environment):
     def _rollout(self, policy, rng, obs, observations, actions, errors):
         spec = self.spec
         forces = {label: sign * FORCE_MAG for label, sign in self._force_by_label.items()}
-        # a label as its int (a float label is one too), for the recorded action
+        # the label a returned value equals, as the int coerce records (2.0 -> 2)
         labels = {label: label for label in forces}
         lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
         x_limit, theta_limit = self._x_limit, self._theta_limit
