@@ -22,7 +22,7 @@ from typing import NoReturn, Optional
 from .envs import ALL_TASKS
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
 from .loop import LoopConfig, RunRecord, default_record_name, replay, run_batch, run_replication
-from .metrics import compute_report, render_table, reward_curve_csv
+from .metrics import MetricsError, compute_report, render_table, reward_curve_csv
 from .prompts import Ablation
 
 TASK_NAMES = [t.value for t in ALL_TASKS]
@@ -53,15 +53,26 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _read_json(path: str, option: str, kind: type):
-    """The JSON value of type ``kind`` in the file ``option`` names."""
+    """The JSON value of type ``kind`` in the file ``option`` names (an
+    empty ``option`` for a positional argument)."""
+    where = f"{option} {path}" if option else path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        _usage_error(f"{option} {path}: {exc}")
+        _usage_error(f"{where}: {exc}")
     if not isinstance(data, kind):
-        _usage_error(f"{option} {path}: expected a JSON {'object' if kind is dict else 'list'}")
+        _usage_error(f"{where}: expected a JSON {'object' if kind is dict else 'list'}")
     return data
+
+
+def _load_record(path: str) -> RunRecord:
+    """The run record in the file ``path``; one it cannot hold is a usage error."""
+    data = _read_json(path, "", dict)
+    try:
+        return RunRecord.from_dict(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _usage_error(f"{path}: not a run record ({type(exc).__name__}: {exc})")
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
@@ -238,7 +249,7 @@ def _short(value, limit: int = 80) -> str:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    record = RunRecord.load(args.record)
+    record = _load_record(args.record)
     matches, rerun = replay(record)
     if args.out:
         rerun.save(args.out)
@@ -254,16 +265,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    records = [RunRecord.load(p) for p in args.records]
+    records = [_load_record(p) for p in args.records]
     cells: dict[tuple, list[RunRecord]] = {}
     for record in records:
         cells.setdefault(
             (record.task_id, record.model_name, record.temperature), []
         ).append(record)
 
-    reports = []
-    for cell_records in cells.values():
-        reports.append(
+    try:
+        reports = [
             compute_report(
                 cell_records,
                 r_max=args.r_max,
@@ -271,7 +281,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 n_eval=args.n_eval,
                 include_robustness=not args.no_rerun,
             )
-        )
+            for cell_records in cells.values()
+        ]
+    except MetricsError as exc:
+        _usage_error(str(exc))
     print(render_table(reports))
     if args.json:
         Path(args.json).write_text(

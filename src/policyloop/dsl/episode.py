@@ -24,11 +24,11 @@ each step is one call of the policy, one ``coerce`` and one call of the
 ``_step_state`` hook, and the next observation comes from the ``_observe``
 hook. Either way a valid step builds no outcome object: the rollout hands
 back the unusable value that ended the episode (``RAISED`` when the call
-raised one of the policy's error types), and only that goes through
-``_invalid_outcome``, the classifier the public ``evaluate`` shares, so
-both give the same reasons and texts. The env's state and step count are
-written back when the episode ends, so the env reads as after the same
-public ``env.step`` calls.
+raised one of ``envs.core.POLICY_ERRORS``, which ``evaluate`` catches
+too), and only that goes through ``_invalid_outcome``, the classifier the
+public ``evaluate`` shares, so both give the same reasons and texts. The
+env's state and step count are written back when the episode ends, so the
+env reads as after the same public ``env.step`` calls.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -43,7 +43,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ..envs import make
-from ..envs.core import RAISED, EnvSpec, TaskId, TerminationCause
+from ..envs.core import POLICY_ERRORS, RAISED, EnvSpec, TaskId, TerminationCause
 from ..envs.trace import render_action_value, step_line
 from .parser import PolicyProgram
 
@@ -69,11 +69,6 @@ class PolicyOutcome(NamedTuple):
         return self.reason is None
 
 
-# Division by zero, an overflow, a bad random bound, or an integer too long
-# to print or too large for a float
-_RUNTIME_ERRORS = (ArithmeticError, ValueError)
-
-
 def _invalid_outcome(value) -> PolicyOutcome:
     """The outcome of a policy call whose value ``coerce`` did not accept:
     ``None``, a rejected value, or ``RAISED``."""
@@ -84,7 +79,7 @@ def _invalid_outcome(value) -> PolicyOutcome:
             # ints, bools included, as they print; anything else as a float
             text = str(value) if isinstance(value, int) else f"{float(value):g}"
             return PolicyOutcome(None, InvalidReason.OUT_OF_RANGE, text)
-        except _RUNTIME_ERRORS:
+        except POLICY_ERRORS:
             pass
     return PolicyOutcome(None, InvalidReason.RUNTIME_ERROR, "None")
 
@@ -117,7 +112,7 @@ def evaluate(
     try:
         value = program.compiled(rng, obs)
         action = spec.action.coerce(value)
-    except _RUNTIME_ERRORS:
+    except POLICY_ERRORS:
         return _invalid_outcome(RAISED)
     if action is None:
         return _invalid_outcome(value)
@@ -182,7 +177,7 @@ def run_episode(
         raise _length_error((len(obs),), n_params)
     trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
     trace.total_reward, trace.cause, value = env._rollout(
-        program.compiled, rng, obs, trace.observations, trace.actions, _RUNTIME_ERRORS
+        program.compiled, rng, obs, trace.observations, trace.actions
     )
     if trace.cause is TerminationCause.INVALID_ACTION:
         trace.invalid_outcome = _invalid_outcome(value)

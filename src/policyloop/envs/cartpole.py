@@ -4,24 +4,24 @@ approximation.
 
 Dynamics follow the canonical classic-control formulation: a pole of half
 length 0.5 on a 1.0 kg cart, 0.1 kg pole mass, 10 N bang-bang force,
-Euler-integrated at dt = 0.02. One tick is one call, ``cartpole_step``, and
-the bounds test sits inline in ``_step_state``.
+Euler-integrated at dt = 0.02. One tick is one call, ``cartpole_step``.
 
 CartPoleStar2 reports the state on an integer grid in [-50, 50], rounded
 half away from zero; ``normalize_star2`` rounds the magnitude with
 ``floor(abs(v) + 0.5)`` and puts the sign back with a ``v < 0.0`` test,
 which is equivalent to ``copysign`` on the int it produces.
 
-``env.step`` runs these through the ``_step_state``/``_observe`` hooks.
-Whole episodes (``dsl.run_episode``) run through one fused loop that the
-four tasks share, ``_CartPoleFamily._rollout``: each step calls the policy
-once as ``policy(rng, obs)``, then runs inline the action check (a label
-maps to -10 or +10 N and a bool is refused; or a finite number is clamped
-to [-3, 3]), the body of ``cartpole_step`` in the same expressions and
-order, the bounds test and the observation encoding (the state as it is,
-``normalize_star2``'s grid, or InvertedPendulum's reordering). It takes
-the same steps, bit for bit, as the public ``step`` loop, which the tests
-keep as its reference.
+The four tasks share one class, ``_CartPoleFamily``, and each says its
+facts once: a label's force and the grid come from its spec, the rest from
+a few class attributes. ``reset`` and ``env.step`` read them through the
+``_reset_state``/``_step_state``/``_observe`` hooks; whole episodes
+(``dsl.run_episode``) through one fused loop, ``_CartPoleFamily._rollout``.
+Each step of it calls the policy once as ``policy(rng, obs)``, then runs
+inline the action check (a label maps to its force and a bool is refused;
+or a finite number is clamped to [-3, 3]), the body of ``cartpole_step``
+in the same expressions and order, the bounds test and the observation
+encoding. It takes the same steps, bit for bit, as the public ``step``
+loop, which the tests keep as its reference.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 
 from .core import (
+    POLICY_ERRORS,
     RAISED,
     ContinuousAction,
     DiscreteActions,
@@ -79,34 +80,65 @@ def cartpole_step(state: tuple[float, ...], force: float) -> tuple[float, ...]:
 
 
 class _CartPoleFamily(Environment):
-    """The four cart-pole tasks, and the one episode loop they share.
+    """The four cart-pole tasks: one set of hooks, and the one episode loop
+    they share. Both read a discrete task's forces from its action labels
+    (the first pushes left, the second right; a continuous action is the
+    force itself), the grid from ``spec.integer_observations``, and the
+    class attributes below.
 
     ``_rollout`` is ``Environment._rollout`` with the hooks inlined: per step
     one call of the policy, then the action check, the body of
     ``cartpole_step``, the bounds test and the observation encoding, with
-    the state in four locals. The class attributes below say what a task's
-    ``_step_state`` and ``_observe`` do, and the loop does the same.
+    the state in four locals.
     """
 
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
-    # label -> force sign, set per discrete variant; empty on InvertedPendulum
-    _force_by_label: dict[int, float] = {}
     # the episode ends when abs(x) or abs(theta) exceeds its limit
     _x_limit = X_LIMIT
     _theta_limit = THETA_LIMIT
-    # the observation is normalize_star2 of the state (CartPoleStar2), or the
-    # state in the order (x, theta, x_dot, theta_dot) (InvertedPendulum)
-    _grid = False
+    # each state variable starts uniform in [-bound, bound]
+    _reset_bound = 0.05
+    # the observation is the state in the order (x, theta, x_dot, theta_dot)
     _reordered = False
 
-    def _rollout(self, policy, rng, obs, observations, actions, errors):
+    def _forces(self) -> dict[int, float]:
+        """label -> force; empty when the action is the force itself."""
+        if self.spec.is_discrete:
+            return dict(zip(self.spec.action.labels, (-FORCE_MAG, FORCE_MAG)))
+        return {}
+
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        uniform, bound = rng.uniform, self._reset_bound
+        return (
+            uniform(-bound, bound),
+            uniform(-bound, bound),
+            uniform(-bound, bound),
+            uniform(-bound, bound),
+        )
+
+    def _step_state(self, state, action):
+        forces = self._forces()
+        new_state = cartpole_step(state, forces[action] if forces else action)
+        x, _, theta, _ = new_state
+        # The step that leaves the allowed region still earns its +1.
+        return new_state, 1.0, abs(x) > self._x_limit or abs(theta) > self._theta_limit
+
+    def _observe(self, state):
+        if self.spec.integer_observations:
+            return normalize_star2(state)
+        if self._reordered:
+            x, x_dot, theta, theta_dot = state
+            return (x, theta, x_dot, theta_dot)
+        return state
+
+    def _rollout(self, policy, rng, obs, observations, actions):
         spec = self.spec
-        forces = {label: sign * FORCE_MAG for label, sign in self._force_by_label.items()}
+        forces = self._forces()
         # the label a returned value equals, as the int coerce records (2.0 -> 2)
         labels = {label: label for label in forces}
         lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
         x_limit, theta_limit = self._x_limit, self._theta_limit
-        grid, reordered = self._grid, self._reordered
+        grid, reordered = spec.integer_observations, self._reordered
         append_obs, append_action = observations.append, actions.append
         cos, sin, floor, inf = math.cos, math.sin, math.floor, math.inf
         x, x_dot, theta, theta_dot = self._state
@@ -129,7 +161,7 @@ class _CartPoleFamily(Environment):
                         action = lo
                     elif action > hi:
                         action = hi
-            except errors:
+            except POLICY_ERRORS:
                 value = RAISED
                 action = None
             if action is None:
@@ -192,25 +224,6 @@ class _CartPoleFamily(Environment):
         return total_reward, cause, value if cause is TerminationCause.INVALID_ACTION else None
 
 
-class _CartPoleBase(_CartPoleFamily):
-    """Shared mechanics for the three discrete cart-pole variants."""
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        uniform = rng.uniform
-        return (
-            uniform(-0.05, 0.05),
-            uniform(-0.05, 0.05),
-            uniform(-0.05, 0.05),
-            uniform(-0.05, 0.05),
-        )
-
-    def _step_state(self, state, action):
-        new_state = cartpole_step(state, self._force_by_label[action] * FORCE_MAG)
-        x, _, theta, _ = new_state
-        # The step that leaves the allowed region still earns its +1.
-        return new_state, 1.0, abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT
-
-
 _CARTPOLE_OBS_NAMES = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
 
 
@@ -247,9 +260,7 @@ _NATIVE_FAILURE_TEXT = (
 )
 
 
-class CartPoleEnv(_CartPoleBase):
-    _force_by_label = {0: -1.0, 1: +1.0}
-
+class CartPoleEnv(_CartPoleFamily):
     spec = EnvSpec(
         task_id=TaskId.CARTPOLE,
         obs_dim=4,
@@ -270,10 +281,8 @@ class CartPoleEnv(_CartPoleBase):
     )
 
 
-class CartPoleStar1Env(_CartPoleBase):
+class CartPoleStar1Env(_CartPoleFamily):
     """CartPole with the action encoding shifted to {1, 2}."""
-
-    _force_by_label = {1: -1.0, 2: +1.0}
 
     spec = EnvSpec(
         task_id=TaskId.CARTPOLE_STAR1,
@@ -344,10 +353,8 @@ def denormalize_star2(grid_obs) -> tuple[float, float, float, float]:
     )
 
 
-class CartPoleStar2Env(_CartPoleBase):
+class CartPoleStar2Env(_CartPoleFamily):
     """CartPole with {1, 2} actions and integer observations in [-50, 50]."""
-
-    _force_by_label = {1: -1.0, 2: +1.0}
 
     spec = EnvSpec(
         task_id=TaskId.CARTPOLE_STAR2,
@@ -374,9 +381,6 @@ class CartPoleStar2Env(_CartPoleBase):
         random_default_text="return random.randint(1, 2)",
         improve_goal_text="keeping the pole balanced for longer",
     )
-
-    _observe = staticmethod(normalize_star2)
-    _grid = True
 
 
 class InvertedPendulumEnv(_CartPoleFamily):
@@ -429,24 +433,7 @@ class InvertedPendulumEnv(_CartPoleFamily):
         improve_goal_text="keeping the pole upright for longer",
     )
 
-    THETA_FAIL = 0.2
     _x_limit = math.inf
-    _theta_limit = THETA_FAIL
+    _theta_limit = 0.2
+    _reset_bound = 0.01
     _reordered = True
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        uniform = rng.uniform
-        return (
-            uniform(-0.01, 0.01),
-            uniform(-0.01, 0.01),
-            uniform(-0.01, 0.01),
-            uniform(-0.01, 0.01),
-        )
-
-    def _step_state(self, state, force):
-        new_state = cartpole_step(state, force)
-        return new_state, 1.0, abs(new_state[2]) > self.THETA_FAIL
-
-    def _observe(self, state):
-        x, x_dot, theta, theta_dot = state
-        return (x, theta, x_dot, theta_dot)

@@ -157,6 +157,11 @@ class StepResult(NamedTuple):
 # What a policy "returned" in a rollout when it, or the action check, raised
 RAISED = object()
 
+# What a policy call, or the action check, may raise and only lose the
+# episode: division by zero, an overflow, a bad random bound, or an integer
+# too long to print or too large for a float
+POLICY_ERRORS = (ArithmeticError, ValueError)
+
 
 class Environment:
     """Base class: deterministic, seedable reset/step state machine.
@@ -243,17 +248,17 @@ class Environment:
     def _observe(self, state: tuple[float, ...]) -> tuple:
         return state
 
-    def _rollout(self, policy, rng, obs, observations, actions, errors):
+    def _rollout(self, policy, rng, obs, observations, actions):
         """Play ``policy`` from the state ``reset`` left until the episode ends.
 
         ``obs`` is the observation of that state. Each step appends the
         observation to ``observations``, calls ``policy(rng, obs)``, and
         appends the action, which the action space's ``coerce`` made of the
         returned value, to ``actions``. A value ``coerce`` refuses, or one of
-        ``errors`` raised by either call, ends the episode with no reward.
-        Returns (return, cause, value): ``value`` is the unusable value, or
-        ``RAISED``, when ``cause`` is ``INVALID_ACTION``, and None otherwise.
-        The env's state and step count are written back at the end.
+        ``POLICY_ERRORS`` raised by either call, ends the episode with no
+        reward. Returns (return, cause, value): ``value`` is the unusable
+        value, or ``RAISED``, when ``cause`` is ``INVALID_ACTION``, and None
+        otherwise. The env's state and step count are written back at the end.
         """
         coerce = self.spec.action.coerce
         step_state, observe = self._step_state, self._observe
@@ -265,7 +270,7 @@ class Environment:
             try:
                 value = policy(rng, obs)
                 action = coerce(value)
-            except errors:
+            except POLICY_ERRORS:
                 value = RAISED
                 action = None
             if action is None:

@@ -297,16 +297,26 @@ def compute_report(
 
     ``r_max``/``t_max`` default to the task's defined maximum and the
     records' configured epochs. For tasks without a maximum the
-    success-relative metrics are reported absent.
+    success-relative metrics are reported absent. A ``t_max`` above every
+    record's epoch budget, or an ``r_max`` below a reward the records
+    reached, is refused.
     """
     _check_same_cell(records)
     if r_max is None:
         r_max = get_spec(records[0].task_id).r_max
+    epochs = max(r.config.epochs for r in records)
     if t_max is None:
         t_max = records[0].config.epochs
+    elif t_max > epochs:
+        # rows that hit the maximum would be padded out to t_max
+        raise MetricsError(f"t_max {t_max} is above the records' epoch budget {epochs}")
     matrix = reward_sequences(records)
 
     avg = average_reward(matrix, r_max, t_max)
+    # average_reward refused empty or non-finite rows
+    reached = max(v for row in matrix for v in row)
+    if r_max is not None and r_max < reached:
+        raise MetricsError(f"r_max {r_max} is below the reward {reached} the records reached")
     succ = lt = rob = None
     hits: list[int] = []
     if r_max is not None:

@@ -415,6 +415,52 @@ def test_metrics_refuses_a_reward_bound_that_is_not_finite(tmp_path, script_file
     assert f"argument --r-max: must be a finite number, got {bad}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--t-max", "6"], "t_max 6 is above the records' epoch budget 5"),
+        (["--r-max", "-5"], "r_max -5.0 is below the reward 500.0 the records reached"),
+    ],
+    ids=["t-max-above-epochs", "r-max-below-a-reached-reward"],
+)
+def test_metrics_refuses_bounds_the_records_contradict(tmp_path, script_file, capsys,
+                                                       extra, message):
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    record = str(tmp_path / "record.json")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["metrics", record, *extra, "--no-rerun"])
+    assert exit_info.value.code == 2
+    assert f"policyloop: error: {message}" in capsys.readouterr().err
+    # a bound no record reached is allowed
+    assert main(["metrics", record, "--r-max", "600", "--no-rerun"]) == 0
+
+
+_NOT_A_RECORD = {
+    "missing": (None, "No such file or directory"),
+    "not-json": ("{", "Expecting property name"),
+    "a-list": ("[]", "expected a JSON object"),
+    "no-strategies": ('{"a": 1}', "not a run record (KeyError: 'strategies')"),
+    "config-not-an-object": (
+        '{"strategies": [], "task_id": "CartPole", "config": []}',
+        "not a run record (AttributeError:",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["replay", "metrics"])
+@pytest.mark.parametrize("case", sorted(_NOT_A_RECORD))
+def test_a_record_file_that_cannot_be_read_is_a_usage_error(tmp_path, command, case):
+    text, message = _NOT_A_RECORD[case]
+    if text is not None:
+        (tmp_path / "record.json").write_text(text, encoding="utf-8")
+    done = _python([], "-m", "policyloop.cli", command, "record.json", cwd=tmp_path)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert "policyloop: error: record.json: " in done.stderr
+    assert message in done.stderr
+
+
 def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):
     settings = {
         "model_name": "from-file",

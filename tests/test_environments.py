@@ -339,6 +339,21 @@ def test_spec_table(task):
         assert spec.action.labels == labels
 
 
+_CARTPOLE_FAMILY = (
+    TaskId.CARTPOLE, TaskId.CARTPOLE_STAR1, TaskId.CARTPOLE_STAR2, TaskId.INVERTED_PENDULUM
+)
+
+
+@pytest.mark.parametrize("task", _CARTPOLE_FAMILY, ids=lambda task: task.value)
+def test_cartpole_tasks_declare_data_not_hooks(task):
+    """The family's hooks and fused loop live once, on their shared base;
+    a task says only what its spec and class data cannot."""
+    cls = envs.ENV_CLASSES[task]
+    own = set(vars(cls))
+    hooks = {"_reset_state", "_step_state", "_observe", "_rollout", "_force_by_label"}
+    assert not own & hooks
+
+
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_terminated_and_truncated_are_exclusive(task):
     spec = get_spec(task)

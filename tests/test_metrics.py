@@ -456,6 +456,22 @@ def test_compute_report_rejects_mixed_cells():
         compute_report(a + b, r_max=R_MAX, t_max=10)
 
 
+def test_compute_report_refuses_a_horizon_above_the_epoch_budget():
+    records = make_records([[100.0, R_MAX]], epochs=2) + make_records([[R_MAX]], epochs=3)
+    with pytest.raises(MetricsError, match="t_max 4 is above the records' epoch budget 3"):
+        compute_report(records, r_max=R_MAX, t_max=4, include_robustness=False)
+    assert compute_report(records, r_max=R_MAX, t_max=3, include_robustness=False).n_episodes == 3
+
+
+def test_compute_report_refuses_a_maximum_below_a_reached_reward():
+    records = make_records([[100.0, R_MAX], [50.0, 60.0]], epochs=2)
+    with pytest.raises(MetricsError, match=r"r_max -5.0 is below the reward 500.0"):
+        compute_report(records, r_max=-5.0, t_max=2, include_robustness=False)
+    # a bound no record reached stays a maximum
+    report = compute_report(records, r_max=600.0, t_max=2, include_robustness=False)
+    assert report.success == 0.0
+
+
 def test_render_table_and_csv():
     records = make_records([[100.0, R_MAX]], epochs=2)
     report = compute_report(records, r_max=R_MAX, t_max=2, include_robustness=False)

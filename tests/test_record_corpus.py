@@ -12,6 +12,9 @@ make a failure here pass.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,7 @@ from policyloop.metrics import compute_report
 from conftest import FIXTURES
 
 CORPUS = FIXTURES / "records"
+SRC = FIXTURES.parent.parent / "src"
 REPORTS = json.loads((CORPUS / "reports.json").read_text(encoding="utf-8"))
 NAMES = sorted(p.name for p in CORPUS.glob("*.json") if p.name != "reports.json")
 
@@ -95,6 +99,17 @@ def test_unknown_keys_are_ignored_on_load():
         strategy["notes"] = "kept by a newer writer"
         strategy["window"]["extra"] = []
     assert RunRecord.from_dict(data).canonical_json() == _load(name).canonical_json()
+
+
+def test_make_records_check_passes():
+    """The corpus script regenerates every file and finds the same bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(CORPUS / "make_records.py"), "--check"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_metrics_json_keeps_its_bytes(tmp_path):
