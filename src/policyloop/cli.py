@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import NoReturn, Optional
+from typing import Optional
 
 from .envs import ALL_TASKS
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
@@ -48,8 +48,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _usage_error(message: str) -> NoReturn:
-    build_parser().error(message)
+class UsageError(Exception):
+    """A setting the command cannot use; ``main`` prints it under the
+    subcommand's usage line and exits with status 2."""
 
 
 def _read_json(path: str, option: str, kind: type):
@@ -60,9 +61,9 @@ def _read_json(path: str, option: str, kind: type):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        _usage_error(f"{where}: {exc}")
+        raise UsageError(f"{where}: {exc}")
     if not isinstance(data, kind):
-        _usage_error(f"{where}: expected a JSON {'object' if kind is dict else 'list'}")
+        raise UsageError(f"{where}: expected a JSON {'object' if kind is dict else 'list'}")
     return data
 
 
@@ -72,7 +73,7 @@ def _load_record(path: str) -> RunRecord:
     try:
         return RunRecord.from_dict(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _usage_error(f"{path}: not a run record ({type(exc).__name__}: {exc})")
+        raise UsageError(f"{path}: not a run record ({type(exc).__name__}: {exc})")
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
@@ -89,7 +90,7 @@ def _gateway_config(path: Optional[str], base_url: Optional[str]) -> GatewayConf
     try:
         config = GatewayConfig.load(path)
     except (OSError, TypeError, ValueError) as exc:
-        _usage_error(f"gateway settings{f' in {path}' if path else ''}: {exc}")
+        raise UsageError(f"gateway settings{f' in {path}' if path else ''}: {exc}")
     return replace(config, base_url=base_url) if base_url else config
 
 
@@ -97,9 +98,9 @@ def _script(responses, where: str) -> list:
     """``responses`` when it is a list of at least one response text; a
     usage error else."""
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-        _usage_error(f"{where}: expected a JSON list of strings")
+        raise UsageError(f"{where}: expected a JSON list of strings")
     if not responses:
-        _usage_error(f"{where}: expected at least one response")
+        raise UsageError(f"{where}: expected at least one response")
     return responses
 
 
@@ -141,7 +142,7 @@ def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) ->
     try:
         return LoopConfig.for_task(args.task, **settings)
     except (TypeError, ValueError) as exc:
-        _usage_error(f"loop settings{f' in {args.config}' if args.config else ''}: {exc}")
+        raise UsageError(f"loop settings{f' in {args.config}' if args.config else ''}: {exc}")
 
 
 def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> int:
@@ -182,7 +183,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     where = f"batch settings in {args.config}"
     unknown = sorted(spec.keys() - _BATCH_KEYS.keys())
     if unknown:
-        _usage_error(f"{where}: unknown setting {', '.join(map(repr, unknown))}")
+        raise UsageError(f"{where}: unknown setting {', '.join(map(repr, unknown))}")
     settings = {arg: spec[key] for key, arg in _BATCH_KEYS.items() if arg and key in spec}
     settings.setdefault("tasks", ["CartPoleStar1"])
     script = spec.get("script")
@@ -201,7 +202,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if started:
             raise
         # run_batch checks every cell's settings before it makes a backend
-        _usage_error(f"{where}: {exc}")
+        raise UsageError(f"{where}: {exc}")
     completed = sum(1 for r in records if r.status.value == "completed")
     print(f"{len(records)} records ({completed} completed) written to {args.out_dir}")
     return 0
@@ -284,7 +285,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             for cell_records in cells.values()
         ]
     except MetricsError as exc:
-        _usage_error(str(exc))
+        raise UsageError(str(exc))
     print(render_table(reports))
     if args.json:
         Path(args.json).write_text(
@@ -337,12 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--json", help="write the machine-readable report here")
     p_metrics.add_argument("--csv", help="write per-iteration reward curves here")
     p_metrics.set_defaults(func=_cmd_metrics)
+    for subparser in sub.choices.values():
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        args.parser.print_usage(sys.stderr)
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

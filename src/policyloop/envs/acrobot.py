@@ -104,7 +104,6 @@ def tip_above_goal(theta1: float, theta2: float) -> bool:
 class AcrobotEnv(Environment):
     spec = EnvSpec(
         task_id=TaskId.ACROBOT,
-        obs_dim=6,
         obs_names=(
             "cos_theta1",
             "sin_theta1",
@@ -114,6 +113,7 @@ class AcrobotEnv(Environment):
             "angular_velocity_theta2",
         ),
         action=DiscreteActions(labels=(0, 1, 2)),
+        action_names=("-1 torque", "no torque", "+1 torque"),
         max_steps=500,
         description_slots={
             "Agent": (
@@ -148,10 +148,6 @@ class AcrobotEnv(Environment):
                 "- The episode lasts 500 time steps"
             ),
         },
-        action_choice_text="-1 torque(0), no torque(1) or +1 torque(2)",
-        action_returns_text="0 for -1 torque; 1 for no torque; or 2 for +1 torque",
-        action_invalid_text="0 (-1 torque), 1 (no torque) or 2 (+1 torque)",
-        random_default_text="return random.randint(0, 2)",
         improve_goal_text="raising the tip above the target height sooner",
     )
 

@@ -1,6 +1,7 @@
 """Cart-pole family: the classic discrete task, two re-encoded variants used
 to defeat memorized solutions, and a continuous-force inverted pendulum
-approximation.
+approximation. A variant's spec is the one it re-encodes (CartPole's for
+CartPoleStar1, CartPoleStar1's for CartPoleStar2) with its differences replaced.
 
 Dynamics follow the canonical classic-control formulation: a pole of half
 length 0.5 on a 1.0 kg cart, 0.1 kg pole mass, 10 N bang-bang force,
@@ -27,6 +28,7 @@ loop, which the tests keep as its reference.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .core import (
     POLICY_ERRORS,
@@ -224,59 +226,39 @@ class _CartPoleFamily(Environment):
         return total_reward, cause, value if cause is TerminationCause.INVALID_ACTION else None
 
 
-_CARTPOLE_OBS_NAMES = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
-
-
-def _cartpole_slots(obs_text: str, action_text: str, failure_text: str) -> dict[str, str]:
-    return {
-        "Agent": (
-            "A cart over a track that has an unactuated pole attached to it. "
-            "A force can be applied to the cart, left or right, to counteract "
-            "the passive movement of the pole."
-        ),
-        "Goal and Reward": (
-            "Keep the pole balanced upright as long as possible to a maximum of "
-            "500 time steps."
-        ),
-        "Observation Vector": obs_text,
-        "Action Vector": action_text,
-        "Termination Conditions": failure_text,
-    }
-
-
-_NATIVE_OBS_TEXT = (
-    "A 4D vector in the following order:\n"
-    "\n"
-    "Cart position, Cart velocity, Pole angle, Pole angular velocity\n"
-    "\n"
-    "Cart position is in meters in the range [-4.8, 4.8]; cart velocity is in m/s; "
-    "pole angle is in radians in the range [-0.418, 0.418]; pole angular velocity "
-    "is in rad/s."
-)
-
-_NATIVE_FAILURE_TEXT = (
-    "- Pole angle exceeds the range [-0.2095, 0.2095] rad\n"
-    "- Cart position exceeds the range [-2.4, 2.4] m"
-)
-
-
 class CartPoleEnv(_CartPoleFamily):
     spec = EnvSpec(
         task_id=TaskId.CARTPOLE,
-        obs_dim=4,
-        obs_names=_CARTPOLE_OBS_NAMES,
+        obs_names=("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity"),
         action=DiscreteActions(labels=(0, 1)),
+        action_names=("left", "right"),
         max_steps=500,
-        description_slots=_cartpole_slots(
-            _NATIVE_OBS_TEXT,
-            "Discrete:\n0=move left(0)\n1=move right(1)",
-            _NATIVE_FAILURE_TEXT,
-        ),
+        description_slots={
+            "Agent": (
+                "A cart over a track that has an unactuated pole attached to it. "
+                "A force can be applied to the cart, left or right, to counteract "
+                "the passive movement of the pole."
+            ),
+            "Goal and Reward": (
+                "Keep the pole balanced upright as long as possible to a maximum of "
+                "500 time steps."
+            ),
+            "Observation Vector": (
+                "A 4D vector in the following order:\n"
+                "\n"
+                "Cart position, Cart velocity, Pole angle, Pole angular velocity\n"
+                "\n"
+                "Cart position is in meters in the range [-4.8, 4.8]; cart velocity is in "
+                "m/s; pole angle is in radians in the range [-0.418, 0.418]; pole angular "
+                "velocity is in rad/s."
+            ),
+            "Action Vector": "Discrete:\n0=move left(0)\n1=move right(1)",
+            "Termination Conditions": (
+                "- Pole angle exceeds the range [-0.2095, 0.2095] rad\n"
+                "- Cart position exceeds the range [-2.4, 2.4] m"
+            ),
+        },
         r_max=500.0,
-        action_choice_text="either left(0) or right(1)",
-        action_returns_text="0 for left; or 1 for right",
-        action_invalid_text="0 (left) or 1 (right)",
-        random_default_text="return random.randint(0, 1)",
         improve_goal_text="keeping the pole balanced for longer",
     )
 
@@ -284,24 +266,17 @@ class CartPoleEnv(_CartPoleFamily):
 class CartPoleStar1Env(_CartPoleFamily):
     """CartPole with the action encoding shifted to {1, 2}."""
 
-    spec = EnvSpec(
+    spec = replace(
+        CartPoleEnv.spec,
         task_id=TaskId.CARTPOLE_STAR1,
-        obs_dim=4,
-        obs_names=_CARTPOLE_OBS_NAMES,
         action=DiscreteActions(labels=(1, 2)),
-        max_steps=500,
-        description_slots=_cartpole_slots(
-            _NATIVE_OBS_TEXT,
-            "Discrete:\n1=move left(1)\n2=move right(2)\n\n"
-            "Negative values mean left direction, positive values right direction.",
-            _NATIVE_FAILURE_TEXT,
-        ),
-        r_max=500.0,
-        action_choice_text="either left(1) or right(2)",
-        action_returns_text="1 for left; or 2 for right",
-        action_invalid_text="1 (left) or 2 (right)",
-        random_default_text="return random.randint(1, 2)",
-        improve_goal_text="keeping the pole balanced for longer",
+        description_slots={
+            **CartPoleEnv.spec.description_slots,
+            "Action Vector": (
+                "Discrete:\n1=move left(1)\n2=move right(2)\n\n"
+                "Negative values mean left direction, positive values right direction."
+            ),
+        },
     )
 
 
@@ -354,32 +329,26 @@ def denormalize_star2(grid_obs) -> tuple[float, float, float, float]:
 
 
 class CartPoleStar2Env(_CartPoleFamily):
-    """CartPole with {1, 2} actions and integer observations in [-50, 50]."""
+    """CartPoleStar1 with integer observations in [-50, 50]."""
 
-    spec = EnvSpec(
+    spec = replace(
+        CartPoleStar1Env.spec,
         task_id=TaskId.CARTPOLE_STAR2,
-        obs_dim=4,
-        obs_names=_CARTPOLE_OBS_NAMES,
-        action=DiscreteActions(labels=(1, 2)),
-        max_steps=500,
-        description_slots=_cartpole_slots(
-            "A 4D vector in the following order:\n"
-            "\n"
-            "Cart position, Cart velocity, Pole angle, Pole angular velocity\n"
-            "\n"
-            "All observation variables are integer values between -50 and 50;",
-            "Discrete:\n1=move left(1)\n2=move right(2)\n\n"
-            "Negative values mean left direction, positive values right direction.",
-            "- Pole angle exceeds the range [-25,25]\n"
-            "- Cart position exceeds the range [-25,25]",
-        ),
-        r_max=500.0,
         integer_observations=True,
-        action_choice_text="either left(1) or right(2)",
-        action_returns_text="1 for left; or 2 for right",
-        action_invalid_text="1 (left) or 2 (right)",
-        random_default_text="return random.randint(1, 2)",
-        improve_goal_text="keeping the pole balanced for longer",
+        description_slots={
+            **CartPoleStar1Env.spec.description_slots,
+            "Observation Vector": (
+                "A 4D vector in the following order:\n"
+                "\n"
+                "Cart position, Cart velocity, Pole angle, Pole angular velocity\n"
+                "\n"
+                "All observation variables are integer values between -50 and 50;"
+            ),
+            "Termination Conditions": (
+                "- Pole angle exceeds the range [-25,25]\n"
+                "- Cart position exceeds the range [-25,25]"
+            ),
+        },
     )
 
 
@@ -394,9 +363,9 @@ class InvertedPendulumEnv(_CartPoleFamily):
 
     spec = EnvSpec(
         task_id=TaskId.INVERTED_PENDULUM,
-        obs_dim=4,
         obs_names=("cart_position", "pole_angle", "cart_velocity", "pole_angular_velocity"),
         action=ContinuousAction(lo=-3.0, hi=3.0),
+        action_names=("force",),
         max_steps=1000,
         description_slots={
             "Agent": (
@@ -426,10 +395,6 @@ class InvertedPendulumEnv(_CartPoleFamily):
             "Termination Conditions": "- Pole angle exceeds the range [-0.2, 0.2] rad",
         },
         r_max=1000.0,
-        action_choice_text="a continuous force value in the range [-3.0, 3.0]",
-        action_returns_text="a continuous force value in the range [-3.0, 3.0]",
-        action_invalid_text="a number in the range [-3.0, 3.0]",
-        random_default_text="return random.uniform(-3.0, 3.0)",
         improve_goal_text="keeping the pole upright for longer",
     )
 

@@ -60,8 +60,8 @@ class TerminationCause(str, Enum):
 
 @dataclass(frozen=True)
 class DiscreteActions:
-    """Finite action set: the values a policy may return. The task's prompt
-    texts tell the model what each one does."""
+    """Finite action set: the values a policy may return. The task spec's
+    ``action_names`` say what each one does."""
 
     labels: tuple[int, ...]
 
@@ -99,23 +99,27 @@ class ContinuousAction:
 ActionSpace = Union[DiscreteActions, ContinuousAction]
 
 # Template-variable names for the task description slots.
-SLOT_AGENT = "Agent"
-SLOT_GOAL = "Goal and Reward"
-SLOT_OBSERVATION = "Observation Vector"
-SLOT_ACTION = "Action Vector"
-SLOT_TERMINATION = "Termination Conditions"
-
-SLOT_NAMES = (SLOT_AGENT, SLOT_GOAL, SLOT_OBSERVATION, SLOT_ACTION, SLOT_TERMINATION)
+SLOT_NAMES = (
+    "Agent", "Goal and Reward", "Observation Vector", "Action Vector", "Termination Conditions"
+)
 
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Static description of one control task."""
+    """Static description of one control task.
+
+    The action is stated once: its labels or range in ``action``, and in
+    ``action_names`` what each label does, in the prompts' words (``("left",
+    "right")``), or for a continuous action the one quantity it sets
+    (``("force",)``). The prompts' four phrasings of the action, the
+    ``*_text`` properties, are read off these two, and ``obs_dim`` off
+    ``obs_names``.
+    """
 
     task_id: TaskId
-    obs_dim: int
     obs_names: tuple[str, ...]
     action: ActionSpace
+    action_names: tuple[str, ...]
     max_steps: int
     description_slots: dict[str, str]
     # Episode return for a perfect run, where one exists (CartPole family 500,
@@ -123,16 +127,13 @@ class EnvSpec:
     r_max: Optional[float] = None
     # True when observations are reported on the integer grid.
     integer_observations: bool = False
-    # Prompt-side phrasings of the action space and the goal, written per task.
-    action_choice_text: str = ""
-    action_returns_text: str = ""
-    action_invalid_text: str = ""
-    random_default_text: str = ""
+    # How the reflection prompt names the improvement to aim for.
     improve_goal_text: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.obs_names) != self.obs_dim:
-            raise ValueError("obs_names must have obs_dim entries")
+        expected = len(self.action.labels) if self.is_discrete else 1
+        if len(self.action_names) != expected:
+            raise ValueError(f"action_names must have {expected} entries")
         missing = [s for s in SLOT_NAMES if s not in self.description_slots]
         if missing:
             raise ValueError(f"missing description slots: {missing}")
@@ -140,6 +141,50 @@ class EnvSpec:
     @property
     def is_discrete(self) -> bool:
         return isinstance(self.action, DiscreteActions)
+
+    @property
+    def obs_dim(self) -> int:
+        return len(self.obs_names)
+
+    def _labelled(self, form: str, sep: str, last: str) -> str:
+        """Each (label, name) in ``form``, joined by ``sep``, and by ``last``
+        before the final one."""
+        pairs = zip(self.action.labels, self.action_names)
+        parts = [form.format(label=label, name=name) for label, name in pairs]
+        return sep.join(parts[:-1]) + last + parts[-1]
+
+    def _range(self) -> str:
+        return f"[{self.action.lo}, {self.action.hi}]"
+
+    @property
+    def action_choice_text(self) -> str:
+        """What P1 and P2 say the action should be: ``either left(0) or right(1)``."""
+        if not self.is_discrete:
+            return f"a continuous {self.action_names[0]} value in the range {self._range()}"
+        text = self._labelled("{name}({label})", ", ", " or ")
+        return "either " + text if len(self.action_names) == 2 else text
+
+    @property
+    def action_returns_text(self) -> str:
+        """What P3 says the function returns: ``0 for left; or 1 for right``."""
+        if not self.is_discrete:
+            return self.action_choice_text
+        return self._labelled("{label} for {name}", "; ", "; or ")
+
+    @property
+    def action_invalid_text(self) -> str:
+        """What a refused action should have been: ``0 (left) or 1 (right)``."""
+        if not self.is_discrete:
+            return f"a number in the range {self._range()}"
+        return self._labelled("{label} ({name})", ", ", " or ")
+
+    @property
+    def random_default_text(self) -> str:
+        """The random fallback P3 asks a program to end on."""
+        if not self.is_discrete:
+            return f"return random.uniform({self.action.lo}, {self.action.hi})"
+        labels = self.action.labels
+        return f"return random.randint({labels[0]}, {labels[-1]})"
 
 
 class StepResult(NamedTuple):

@@ -43,9 +43,9 @@ def _slide(position: float, velocity: float, push: float) -> tuple[float, float]
 class MountainCarDiscreteEnv(Environment):
     spec = EnvSpec(
         task_id=TaskId.MOUNTAIN_CAR_DISCRETE,
-        obs_dim=2,
         obs_names=("position", "velocity"),
         action=DiscreteActions(labels=(0, 1, 2)),
+        action_names=("left", "nothing", "right"),
         max_steps=200,
         description_slots={
             "Agent": (
@@ -73,10 +73,6 @@ class MountainCarDiscreteEnv(Environment):
                 "- The episode lasts 200 time steps"
             ),
         },
-        action_choice_text="left(0), nothing(1) or right(2)",
-        action_returns_text="0 for left; 1 for nothing; or 2 for right",
-        action_invalid_text="0 (left), 1 (nothing) or 2 (right)",
-        random_default_text="return random.randint(0, 2)",
         improve_goal_text="reaching the top of the right hill sooner",
     )
 
@@ -95,9 +91,9 @@ class MountainCarDiscreteEnv(Environment):
 class MountainCarContinuousEnv(Environment):
     spec = EnvSpec(
         task_id=TaskId.MOUNTAIN_CAR_CONTINUOUS,
-        obs_dim=2,
         obs_names=("position", "velocity"),
         action=ContinuousAction(lo=-1.0, hi=1.0),
+        action_names=("force",),
         max_steps=1000,
         description_slots={
             "Agent": (
@@ -128,10 +124,6 @@ class MountainCarContinuousEnv(Environment):
                 "- The episode lasts 1000 time steps"
             ),
         },
-        action_choice_text="a continuous force value in the range [-1.0, 1.0]",
-        action_returns_text="a continuous force value in the range [-1.0, 1.0]",
-        action_invalid_text="a number in the range [-1.0, 1.0]",
-        random_default_text="return random.uniform(-1.0, 1.0)",
         improve_goal_text="reaching the top of the right hill sooner",
     )
 

@@ -25,9 +25,9 @@ REWARD_FORMULA_TEXT = "-(theta^2 + 0.1*angular_velocity^2 + 0.001*torque^2)"
 class PendulumEnv(Environment):
     spec = EnvSpec(
         task_id=TaskId.PENDULUM,
-        obs_dim=3,
         obs_names=("x", "y", "angular_velocity"),
         action=ContinuousAction(lo=-MAX_TORQUE, hi=MAX_TORQUE),
+        action_names=("torque",),
         max_steps=200,
         description_slots={
             "Agent": (
@@ -54,10 +54,6 @@ class PendulumEnv(Environment):
             ),
             "Termination Conditions": "- The episode lasts 200 time steps",
         },
-        action_choice_text="a continuous torque value in the range [-2.0, 2.0]",
-        action_returns_text="a continuous torque value in the range [-2.0, 2.0]",
-        action_invalid_text="a number in the range [-2.0, 2.0]",
-        random_default_text="return random.uniform(-2.0, 2.0)",
         improve_goal_text="bringing the bar upright and keeping it there",
     )
 

@@ -18,21 +18,13 @@ from ..prompts import Ablation
 
 CARTPOLE_FAMILY = (TaskId.CARTPOLE, TaskId.CARTPOLE_STAR1, TaskId.CARTPOLE_STAR2)
 
-DEFAULT_EPOCHS = {
-    TaskId.CARTPOLE: 100,
-    TaskId.CARTPOLE_STAR1: 100,
-    TaskId.CARTPOLE_STAR2: 100,
-    TaskId.INVERTED_PENDULUM: 500,
+# task -> (epochs, eval_episodes); a task not listed takes (50, 10)
+_DEFAULTS = {
+    TaskId.CARTPOLE: (100, 20),
+    TaskId.CARTPOLE_STAR1: (100, 20),
+    TaskId.CARTPOLE_STAR2: (100, 20),
+    TaskId.INVERTED_PENDULUM: (500, 20),
 }
-FALLBACK_EPOCHS = 50
-
-DEFAULT_EVAL_EPISODES = {
-    TaskId.CARTPOLE: 20,
-    TaskId.CARTPOLE_STAR1: 20,
-    TaskId.CARTPOLE_STAR2: 20,
-    TaskId.INVERTED_PENDULUM: 20,
-}
-FALLBACK_EVAL_EPISODES = 10
 
 
 @dataclass
@@ -84,9 +76,10 @@ class LoopConfig:
     @classmethod
     def for_task(cls, task_id: Union[str, TaskId], **overrides) -> "LoopConfig":
         task = parse_task_id(task_id)
+        epochs, eval_episodes = _DEFAULTS.get(task, (50, 10))
         values = {
-            "epochs": DEFAULT_EPOCHS.get(task, FALLBACK_EPOCHS),
-            "eval_episodes": DEFAULT_EVAL_EPISODES.get(task, FALLBACK_EVAL_EPISODES),
+            "epochs": epochs,
+            "eval_episodes": eval_episodes,
             "stop_on_max": task in CARTPOLE_FAMILY,
         }
         values.update(overrides)

@@ -296,17 +296,17 @@ def compute_report(
     """All metrics for one experimental cell.
 
     ``r_max``/``t_max`` default to the task's defined maximum and the
-    records' configured epochs. For tasks without a maximum the
-    success-relative metrics are reported absent. A ``t_max`` above every
-    record's epoch budget, or an ``r_max`` below a reward the records
-    reached, is refused.
+    largest epoch budget among the records, so the report does not depend
+    on their order. For tasks without a maximum the success-relative
+    metrics are reported absent. A ``t_max`` above every record's epoch
+    budget, or an ``r_max`` below a reward the records reached, is refused.
     """
     _check_same_cell(records)
     if r_max is None:
         r_max = get_spec(records[0].task_id).r_max
     epochs = max(r.config.epochs for r in records)
     if t_max is None:
-        t_max = records[0].config.epochs
+        t_max = epochs
     elif t_max > epochs:
         # rows that hit the maximum would be padded out to t_max
         raise MetricsError(f"t_max {t_max} is above the records' epoch budget {epochs}")

@@ -461,6 +461,14 @@ def test_a_record_file_that_cannot_be_read_is_a_usage_error(tmp_path, command, c
     assert message in done.stderr
 
 
+@pytest.mark.parametrize("command", ["replay", "metrics"])
+def test_a_usage_error_prints_the_subcommand_usage_line(tmp_path, command):
+    done = _python([], "-m", "policyloop.cli", command, "nope.json", cwd=tmp_path)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith(f"usage: policyloop {command} [-h] ")
+    assert done.stderr.splitlines()[-1].startswith("policyloop: error: nope.json: ")
+
+
 def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):
     settings = {
         "model_name": "from-file",

@@ -1,6 +1,7 @@
 """Reset/step contracts, observation encodings and termination rules of the
 seven control tasks."""
 
+import dataclasses
 import math
 import random
 
@@ -352,6 +353,42 @@ def test_cartpole_tasks_declare_data_not_hooks(task):
     own = set(vars(cls))
     hooks = {"_reset_state", "_step_state", "_observe", "_rollout", "_force_by_label"}
     assert not own & hooks
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_spec_refuses_action_names_of_the_wrong_length(task):
+    spec = get_spec(task)
+    for names in (spec.action_names[:-1], spec.action_names + ("spare",)):
+        with pytest.raises(ValueError, match="action_names must have"):
+            dataclasses.replace(spec, action_names=names)
+
+
+@pytest.mark.parametrize(
+    "variant, base, differences, slots",
+    [
+        ("CartPoleStar1", "CartPole", {"action"}, {"Action Vector"}),
+        (
+            "CartPoleStar2",
+            "CartPoleStar1",
+            {"integer_observations"},
+            {"Observation Vector", "Termination Conditions"},
+        ),
+    ],
+)
+def test_star_variants_re_encode_the_spec_before_them(variant, base, differences, slots):
+    """A variant is the task before it with only its encoding changed: the
+    same actions' names, limits and goal, other labels or observations."""
+    new, old = get_spec(variant), get_spec(base)
+    changed = {
+        field.name
+        for field in dataclasses.fields(new)
+        if getattr(new, field.name) != getattr(old, field.name)
+    }
+    assert changed == {"task_id", "description_slots"} | differences
+    assert {
+        name for name, text in new.description_slots.items()
+        if text != old.description_slots[name]
+    } == slots
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)

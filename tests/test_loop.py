@@ -823,3 +823,23 @@ def test_batch_isolates_failures(tmp_path):
     assert statuses.count(RunStatus.COMPLETED) == 2
     assert statuses.count(RunStatus.ABORTED_REPAIR_BUDGET) == 1
     assert len(list(tmp_path.glob("*.json"))) == 3
+
+
+# task -> (epochs, eval_episodes, stop_on_max)
+LOOP_DEFAULTS = {
+    "CartPole": (100, 20, True),
+    "CartPoleStar1": (100, 20, True),
+    "CartPoleStar2": (100, 20, True),
+    "InvertedPendulum": (500, 20, False),
+    "Acrobot": (50, 10, False),
+    "Pendulum": (50, 10, False),
+    "MountainCarDiscrete": (50, 10, False),
+    "MountainCarContinuous": (50, 10, False),
+}
+
+
+def test_config_defaults_for_every_task():
+    assert sorted(LOOP_DEFAULTS) == sorted(task.value for task in TaskId)
+    for task, expected in LOOP_DEFAULTS.items():
+        config = LoopConfig.for_task(task)
+        assert (config.epochs, config.eval_episodes, config.stop_on_max) == expected

@@ -481,3 +481,14 @@ def test_render_table_and_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "task,model,temperature,replication,iteration,mean_reward"
     assert len(lines) == 3
+
+
+def test_compute_report_default_horizon_does_not_depend_on_record_order():
+    two = make_records([[100.0, R_MAX]], epochs=2)
+    three = make_records([[R_MAX]], epochs=3)
+    reports = [
+        compute_report(records, include_robustness=False).to_dict()
+        for records in (two + three, three + two)
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0]["n_episodes"] == 3
