@@ -38,6 +38,7 @@ import ast
 import math
 import random
 import re
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +61,9 @@ _LOOPS = "loops are not allowed in a policy function"
 # CPython's refusal of a decimal literal over sys.get_int_max_str_digits()
 _INT_TOO_LONG_FOR_CPYTHON = "for integer string conversion"
 _INT_TOO_LONG = "an integer literal is too long; write it with an exponent instead, e.g. 1e9"
+# warnings.catch_warnings saves and restores the process-wide filter list, so
+# two threads inside it at once can restore each other's state
+_WARNINGS_LOCK = threading.Lock()
 
 
 class PolicyParseError(ValueError):
@@ -127,7 +131,7 @@ def _too_deep(line: int = 0, col: int = 0) -> PolicyParseError:
 def _read(text: str) -> ast.Module:
     """``ast.parse``, with each way it can refuse turned into a PolicyParseError."""
     try:
-        with warnings.catch_warnings():
+        with _WARNINGS_LOCK, warnings.catch_warnings():
             # e.g. "1and" is read, with a warning that depends on the version
             warnings.simplefilter("ignore")
             return ast.parse(text)

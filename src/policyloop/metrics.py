@@ -295,13 +295,18 @@ def compute_report(
 ) -> MetricsReport:
     """All metrics for one experimental cell.
 
+    The records are taken in ``replication_index`` order, and
+    ``successful_set`` lists the replication indexes that succeeded, so the
+    report does not depend on the order the records are given in.
     ``r_max``/``t_max`` default to the task's defined maximum and the
-    largest epoch budget among the records, so the report does not depend
-    on their order. For tasks without a maximum the success-relative
-    metrics are reported absent. A ``t_max`` above every record's epoch
-    budget, or an ``r_max`` below a reward the records reached, is refused.
+    largest epoch budget among the records. For tasks without a maximum the
+    success-relative metrics are reported absent. A ``t_max`` above every
+    record's epoch budget, or an ``r_max`` below a reward the records
+    reached, is refused.
     """
     _check_same_cell(records)
+    # float sums depend on the order of their terms
+    records = sorted(records, key=lambda r: r.replication_index)
     if r_max is None:
         r_max = get_spec(records[0].task_id).r_max
     epochs = max(r.config.epochs for r in records)
@@ -324,7 +329,7 @@ def compute_report(
         lt = learning_time(matrix, r_max, t_max)
         if include_robustness:
             rob = robustness(records, r_max, t_max, n_eval=n_eval)
-        hits = successful_set(matrix, r_max, t_max)
+        hits = [records[j].replication_index for j in successful_set(matrix, r_max, t_max)]
     return MetricsReport(
         average_reward=avg,
         success=succ,

@@ -2,6 +2,9 @@
 the rule-policy language."""
 
 import random
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -530,3 +533,36 @@ OUTSIDE_THE_LANGUAGE = {
 def test_text_outside_the_language_is_rejected(source):
     with pytest.raises(PolicyParseError):
         parse(source)
+
+
+def test_concurrent_parses_leave_the_warning_filters_as_they_were():
+    # "1and" makes CPython's parser warn; each parse silences that inside
+    # warnings.catch_warnings, which swaps the process-wide filter list
+    source = _HEAD + "    if pole_angle > 1and pole_angle < 2:\n        return 1\n    return 2\n"
+    failures = []
+
+    def parse_many():
+        for _ in range(300):
+            try:
+                parse(source, expected_params=CARTPOLE_PARAMS)
+            except PolicyParseError as exc:
+                failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    for _ in range(3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = list(warnings.filters)
+            sys.setswitchinterval(1e-4)
+            try:
+                threads = [threading.Thread(target=parse_many) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            after = list(warnings.filters)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert after == before

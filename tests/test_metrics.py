@@ -1,6 +1,8 @@
 """Metric arithmetic against brute-force transcriptions, reported-value
 regressions, range/monotonicity properties, and the robustness re-run."""
 
+import itertools
+import json
 import math
 import random
 
@@ -492,3 +494,29 @@ def test_compute_report_default_horizon_does_not_depend_on_record_order():
     ]
     assert reports[0] == reports[1]
     assert reports[0]["n_episodes"] == 3
+
+
+def test_compute_report_does_not_depend_on_record_order():
+    rng = random.Random(20)
+    for _ in range(40):
+        rows = []
+        for _ in range(3):
+            row = [round(rng.uniform(9.0, 499.0), 2) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                row.append(R_MAX)
+            rows.append(row)
+        records = make_records(rows, task="CartPole", epochs=8)
+        reports = {
+            json.dumps(compute_report(order, include_robustness=False).to_dict(), sort_keys=True)
+            for order in itertools.permutations(records)
+        }
+        assert len(reports) == 1, rows
+
+
+def test_compute_report_names_successful_replications_by_index():
+    records = make_records([[100.0, R_MAX], [100.0, 200.0]], epochs=2)
+    for order in (records, records[::-1]):
+        assert compute_report(order, include_robustness=False).successful_set == [0]
+    # replication 1 alone succeeded
+    records = make_records([[100.0, 200.0], [100.0, R_MAX]], epochs=2)
+    assert compute_report(records[1:], include_robustness=False).successful_set == [1]
