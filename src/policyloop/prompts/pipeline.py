@@ -271,7 +271,11 @@ def build_request(
 # Response extraction
 # --------------------------------------------------------------------------
 
-_FENCE_RE = re.compile(r"```[ \t]*[A-Za-z0-9_+-]*[ \t]*\n(.*?)(?:```|\Z)", re.DOTALL)
+# A block runs to the first ``` after its opening line, or to the end of the
+# text. Its body is matched as runs of anything but a backtick, joined by
+# backticks that do not start ```; that ends where a lazy (.*?) would, without
+# trying the end of the block at every character.
+_FENCE_RE = re.compile(r"```[ \t]*[A-Za-z0-9_+-]*[ \t]*\n([^`]*(?:`(?!``)[^`]*)*)(?:```|\Z)")
 
 
 def strip_code_fences(text: str) -> str:

@@ -31,7 +31,7 @@ from perfbench import sessions
 # perfbench.sessions writes no weak program for MountainCarDiscrete
 SESSION_TASKS = [task for task in TaskId if task is not TaskId.MOUNTAIN_CAR_DISCRETE]
 FUZZ_ATOMS = (
-    " ", " ", "  ", "    ", "\t", "\n", "\n", "\n", "\r", "\x0c", "```",
+    " ", " ", "  ", "    ", "\t", "\n", "\n", "\n", "\r", "\x0c", "`", "```",
     "def ", "import ", "#", "if", "then", "<", "=", "0", "1", "7",
 )
 
