@@ -4,7 +4,7 @@ Run with:  python demos/01_environments.py
 """
 
 from policyloop import envs
-from policyloop.envs import TaskId, describe, make, normalize_star2, render_observation
+from policyloop.envs import TaskId, describe, make, render_observation
 
 # Every task exposes the same reset/step state machine, fully determined by
 # the reset seed and the action sequence.
@@ -18,10 +18,11 @@ print("\nseeded resets are reproducible:")
 print("  CartPole seed 42 ->", envs.reset("CartPole", 42))
 print("  CartPole seed 42 ->", envs.reset("CartPole", 42))
 
-# The integer-grid cart-pole variant reports every observation on [-50, 50].
-print("\nCartPoleStar2 reset:", envs.reset(TaskId.CARTPOLE_STAR2, 7))
-native = (2.4, 1.0, -0.209, 0.0)
-print("native", native, "-> grid", normalize_star2(native))
+# The integer-grid cart-pole variant reports every observation on [-50, 50];
+# the env keeps the native state it encodes.
+env = make(TaskId.CARTPOLE_STAR2)
+env.reset(7)
+print("\nCartPoleStar2 reset: native", env.state, "-> grid", env.observe())
 
 # Rolling a pendulum for a few steps under constant torque.
 env = make(TaskId.PENDULUM)

@@ -17,18 +17,19 @@ its trace line records the offending value verbatim (e.g. ``None``).
 A compiled policy is called as ``f(rng, obs)`` with the observation tuple,
 which it unpacks into its parameters. ``run_episode`` checks the
 observation length once, after ``reset``, and then hands the policy to
-the env's ``_rollout``, which plays the steps. On the cart-pole family
-that is one fused loop with the action check, the physics and the
-observation encoding inline (``envs/cartpole.py``); on the other tasks
-each step is one call of the policy, one ``coerce`` and one call of the
-``_step_state`` hook, and the next observation comes from the ``_observe``
-hook. Either way a valid step builds no outcome object: the rollout hands
-back the unusable value that ended the episode (``RAISED`` when the call
-raised one of ``envs.core.POLICY_ERRORS``, which ``evaluate`` catches
-too), and only that goes through ``_invalid_outcome``, the classifier the
-public ``evaluate`` shares, so both give the same reasons and texts. The
-env's state and step count are written back when the episode ends, so the
-env reads as after the same public ``env.step`` calls.
+the env's ``_rollout``, the one driver of every env, which ``reset`` and
+``env.step`` run for one step. Each step of it encodes the observation
+and calls the policy once; on the cart-pole family the action check, the
+physics and the encoding are inline (``envs/cartpole.py``), on the other
+tasks they are the action space's ``coerce`` and the env's ``_step_state``
+and ``_observe`` hooks. Either way a valid step builds no outcome object:
+the rollout hands back the unusable value that ended the episode
+(``RAISED`` when the call raised one of ``envs.core.POLICY_ERRORS``, which
+``evaluate`` catches too), and only that goes through ``_invalid_outcome``,
+the classifier the public ``evaluate`` shares, so both give the same
+reasons and texts. The env's state and step count are written back when
+the episode ends, so the env reads as after the same public ``env.step``
+calls.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -176,9 +177,12 @@ def run_episode(
     if len(obs) != n_params:
         raise _length_error((len(obs),), n_params)
     trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
-    trace.total_reward, trace.cause, value = env._rollout(
-        program.compiled, rng, obs, trace.observations, trace.actions
+    total_reward, trace.cause, value = env._rollout(
+        program.compiled, rng, spec.max_steps, trace.observations, trace.actions
     )
+    # the rollout sums from -0.0, so that one step keeps its reward's sign;
+    # an episode's return is a sum from 0.0, which never reads -0.0
+    trace.total_reward = total_reward + 0.0
     if trace.cause is TerminationCause.INVALID_ACTION:
         trace.invalid_outcome = _invalid_outcome(value)
     return trace

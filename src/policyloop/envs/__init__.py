@@ -1,4 +1,4 @@
-"""Native, seedable implementations of the seven classic control tasks."""
+"""Native, seedable implementations of the eight classic control tasks."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from .cartpole import (
     CartPoleStar1Env,
     CartPoleStar2Env,
     InvertedPendulumEnv,
-    denormalize_star2,
-    normalize_star2,
 )
 from .core import (
     ContinuousAction,
@@ -80,12 +78,10 @@ __all__ = [
     "TaskId",
     "TerminationCause",
     "UnknownTaskError",
-    "denormalize_star2",
     "derive_seed",
     "describe",
     "get_spec",
     "make",
-    "normalize_star2",
     "parse_task_id",
     "render_action_value",
     "render_observation",

@@ -5,24 +5,23 @@ CartPoleStar1, CartPoleStar1's for CartPoleStar2) with its differences replaced.
 
 Dynamics follow the canonical classic-control formulation: a pole of half
 length 0.5 on a 1.0 kg cart, 0.1 kg pole mass, 10 N bang-bang force,
-Euler-integrated at dt = 0.02. One tick is one call, ``cartpole_step``.
+Euler-integrated at dt = 0.02.
 
 CartPoleStar2 reports the state on an integer grid in [-50, 50], rounded
-half away from zero; ``normalize_star2`` rounds the magnitude with
-``floor(abs(v) + 0.5)`` and puts the sign back with a ``v < 0.0`` test,
-which is equivalent to ``copysign`` on the int it produces.
+half away from zero: ``floor(abs(v) + 0.5)`` rounds the magnitude and a
+``v < 0.0`` test puts the sign back, which is equivalent to ``copysign``
+on the int it produces.
 
 The four tasks share one class, ``_CartPoleFamily``, and each says its
 facts once: a label's force and the grid come from its spec, the rest from
-a few class attributes. ``reset`` and ``env.step`` read them through the
-``_reset_state``/``_step_state``/``_observe`` hooks; whole episodes
-(``dsl.run_episode``) through one fused loop, ``_CartPoleFamily._rollout``.
-Each step of it calls the policy once as ``policy(rng, obs)``, then runs
-inline the action check (a label maps to its force and a bool is refused;
-or a finite number is clamped to [-3, 3]), the body of ``cartpole_step``
-in the same expressions and order, the bounds test and the observation
-encoding. It takes the same steps, bit for bit, as the public ``step``
-loop, which the tests keep as its reference.
+a few class attributes. All of them are read in one place, the family's
+``_rollout``, the only driver of these envs: ``reset``, ``observe`` and
+``step`` run it for one step, and ``dsl.run_episode`` for a whole episode.
+Each step of it encodes the observation, calls the policy once as
+``policy(rng, obs)``, then runs inline the action check (a label maps to
+its force and a bool is refused; or a finite number is clamped to [-3, 3]),
+the Euler tick and the bounds test. Tests pin the tick, the encoding and
+the action check bit for bit to frozen copies of their earlier forms.
 """
 
 from __future__ import annotations
@@ -63,35 +62,17 @@ VELOCITY_CLAMP = 5.0
 STAR2_GRID = 50.0
 
 
-def cartpole_step(state: tuple[float, ...], force: float) -> tuple[float, ...]:
-    """One Euler tick of the cart-pole equations under the given force."""
-    x, x_dot, theta, theta_dot = state
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
-    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-        HALF_POLE_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS)
-    )
-    x_acc = temp - POLE_MASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-    return (
-        x + DT * x_dot,
-        x_dot + DT * x_acc,
-        theta + DT * theta_dot,
-        theta_dot + DT * theta_acc,
-    )
-
-
 class _CartPoleFamily(Environment):
-    """The four cart-pole tasks: one set of hooks, and the one episode loop
-    they share. Both read a discrete task's forces from its action labels
-    (the first pushes left, the second right; a continuous action is the
-    force itself), the grid from ``spec.integer_observations``, and the
-    class attributes below.
+    """The four cart-pole tasks and the one episode loop they share. It
+    reads a discrete task's forces from its action labels (the first
+    pushes left, the second right; a continuous action is the force
+    itself), the grid from ``spec.integer_observations``, and the class
+    attributes below.
 
-    ``_rollout`` is ``Environment._rollout`` with the hooks inlined: per step
-    one call of the policy, then the action check, the body of
-    ``cartpole_step``, the bounds test and the observation encoding, with
-    the state in four locals.
+    ``_rollout`` is ``Environment._rollout`` with a step written out: per
+    step the observation encoding, one call of the policy, the action
+    check, the Euler tick and the bounds test, with the state in four
+    locals.
     """
 
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
@@ -102,12 +83,18 @@ class _CartPoleFamily(Environment):
     _reset_bound = 0.05
     # the observation is the state in the order (x, theta, x_dot, theta_dot)
     _reordered = False
+    # label -> force, empty when the action is the force itself; and the
+    # label a returned value equals, as the int coerce records (2.0 -> 2).
+    # Both are set once per task class, from its spec.
+    _forces: dict[int, float] = {}
+    _labels: dict[int, int] = {}
 
-    def _forces(self) -> dict[int, float]:
-        """label -> force; empty when the action is the force itself."""
-        if self.spec.is_discrete:
-            return dict(zip(self.spec.action.labels, (-FORCE_MAG, FORCE_MAG)))
-        return {}
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.spec.is_discrete:
+            labels = cls.spec.action.labels
+            cls._forces = dict(zip(labels, (-FORCE_MAG, FORCE_MAG)))
+            cls._labels = {label: label for label in labels}
 
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
         uniform, bound = rng.uniform, self._reset_bound
@@ -118,26 +105,9 @@ class _CartPoleFamily(Environment):
             uniform(-bound, bound),
         )
 
-    def _step_state(self, state, action):
-        forces = self._forces()
-        new_state = cartpole_step(state, forces[action] if forces else action)
-        x, _, theta, _ = new_state
-        # The step that leaves the allowed region still earns its +1.
-        return new_state, 1.0, abs(x) > self._x_limit or abs(theta) > self._theta_limit
-
-    def _observe(self, state):
-        if self.spec.integer_observations:
-            return normalize_star2(state)
-        if self._reordered:
-            x, x_dot, theta, theta_dot = state
-            return (x, theta, x_dot, theta_dot)
-        return state
-
-    def _rollout(self, policy, rng, obs, observations, actions):
+    def _rollout(self, policy, rng, limit, observations, actions):
         spec = self.spec
-        forces = self._forces()
-        # the label a returned value equals, as the int coerce records (2.0 -> 2)
-        labels = {label: label for label in forces}
+        forces, labels = self._forces, self._labels
         lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
         x_limit, theta_limit = self._x_limit, self._theta_limit
         grid, reordered = spec.integer_observations, self._reordered
@@ -145,7 +115,39 @@ class _CartPoleFamily(Environment):
         cos, sin, floor, inf = math.cos, math.sin, math.floor, math.inf
         x, x_dot, theta, theta_dot = self._state
         cause = TerminationCause.STEP_LIMIT
-        for _ in range(spec.max_steps):
+        for _ in range(limit):
+            if grid:
+                # velocities saturate at +/-5 first: they are unbounded natively
+                v = x_dot
+                if v > VELOCITY_CLAMP:
+                    v = VELOCITY_CLAMP
+                elif v < -VELOCITY_CLAMP:
+                    v = -VELOCITY_CLAMP
+                w = theta_dot
+                if w > VELOCITY_CLAMP:
+                    w = VELOCITY_CLAMP
+                elif w < -VELOCITY_CLAMP:
+                    w = -VELOCITY_CLAMP
+                p = x * STAR2_GRID / X_OBS_BOUND
+                v = v * STAR2_GRID / VELOCITY_CLAMP
+                a = theta * STAR2_GRID / THETA_OBS_BOUND
+                w = w * STAR2_GRID / VELOCITY_CLAMP
+                # NaN raises ValueError here, an infinite position or angle
+                # OverflowError
+                gp = floor(abs(p) + 0.5)
+                gv = floor(abs(v) + 0.5)
+                ga = floor(abs(a) + 0.5)
+                gw = floor(abs(w) + 0.5)
+                obs = (
+                    -gp if p < 0.0 else gp,
+                    -gv if v < 0.0 else gv,
+                    -ga if a < 0.0 else ga,
+                    -gw if w < 0.0 else gw,
+                )
+            elif reordered:
+                obs = (x, theta, x_dot, theta_dot)
+            else:
+                obs = (x, x_dot, theta, theta_dot)
             append_obs(obs)
             try:
                 value = policy(rng, obs)
@@ -171,7 +173,6 @@ class _CartPoleFamily(Environment):
                 break
             append_action(action)
             force = forces[action] if forces else action
-            # cartpole_step
             cos_t = cos(theta)
             sin_t = sin(theta)
             temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
@@ -189,38 +190,8 @@ class _CartPoleFamily(Environment):
             if abs(x) > x_limit or abs(theta) > theta_limit:
                 cause = self.terminal_cause
                 break
-            if grid:
-                # normalize_star2
-                v = x_dot
-                if v > VELOCITY_CLAMP:
-                    v = VELOCITY_CLAMP
-                elif v < -VELOCITY_CLAMP:
-                    v = -VELOCITY_CLAMP
-                w = theta_dot
-                if w > VELOCITY_CLAMP:
-                    w = VELOCITY_CLAMP
-                elif w < -VELOCITY_CLAMP:
-                    w = -VELOCITY_CLAMP
-                p = x * STAR2_GRID / X_OBS_BOUND
-                v = v * STAR2_GRID / VELOCITY_CLAMP
-                a = theta * STAR2_GRID / THETA_OBS_BOUND
-                w = w * STAR2_GRID / VELOCITY_CLAMP
-                gp = floor(abs(p) + 0.5)
-                gv = floor(abs(v) + 0.5)
-                ga = floor(abs(a) + 0.5)
-                gw = floor(abs(w) + 0.5)
-                obs = (
-                    -gp if p < 0.0 else gp,
-                    -gv if v < 0.0 else gv,
-                    -ga if a < 0.0 else ga,
-                    -gw if w < 0.0 else gw,
-                )
-            elif reordered:
-                obs = (x, theta, x_dot, theta_dot)
-            else:
-                obs = (x, x_dot, theta, theta_dot)
         self._state = (x, x_dot, theta, theta_dot)
-        self._steps = len(actions)
+        self._steps += len(actions)
         # +1 per step taken: the sum of that many 1.0s
         total_reward = float(len(actions))
         return total_reward, cause, value if cause is TerminationCause.INVALID_ACTION else None
@@ -277,54 +248,6 @@ class CartPoleStar1Env(_CartPoleFamily):
                 "Negative values mean left direction, positive values right direction."
             ),
         },
-    )
-
-
-def normalize_star2(raw) -> tuple[int, int, int, int]:
-    """Map a native cart-pole observation onto the integer grid [-50, 50].
-
-    Positions and angles scale from their native bounds; velocities saturate
-    at +/-5 (m/s, rad/s) first because they are unbounded natively. Rounding
-    is half away from zero: ``floor(abs(v) + 0.5)`` rounds the magnitude to
-    an int, and the sign test ``v < 0.0`` negates it; on that int this is
-    equivalent to ``int(copysign(n, v))`` (a -0.0 gives 0 either way). NaN
-    raises ValueError and an infinite position or angle OverflowError, both
-    from ``floor``.
-    """
-    x, x_dot, theta, theta_dot = raw
-    if x_dot > VELOCITY_CLAMP:
-        x_dot = VELOCITY_CLAMP
-    elif x_dot < -VELOCITY_CLAMP:
-        x_dot = -VELOCITY_CLAMP
-    if theta_dot > VELOCITY_CLAMP:
-        theta_dot = VELOCITY_CLAMP
-    elif theta_dot < -VELOCITY_CLAMP:
-        theta_dot = -VELOCITY_CLAMP
-    x = x * STAR2_GRID / X_OBS_BOUND
-    x_dot = x_dot * STAR2_GRID / VELOCITY_CLAMP
-    theta = theta * STAR2_GRID / THETA_OBS_BOUND
-    theta_dot = theta_dot * STAR2_GRID / VELOCITY_CLAMP
-    floor = math.floor
-    gx = floor(abs(x) + 0.5)
-    gxd = floor(abs(x_dot) + 0.5)
-    gt = floor(abs(theta) + 0.5)
-    gtd = floor(abs(theta_dot) + 0.5)
-    return (
-        -gx if x < 0.0 else gx,
-        -gxd if x_dot < 0.0 else gxd,
-        -gt if theta < 0.0 else gt,
-        -gtd if theta_dot < 0.0 else gtd,
-    )
-
-
-def denormalize_star2(grid_obs) -> tuple[float, float, float, float]:
-    """Inverse of :func:`normalize_star2` up to rounding."""
-    gx, gxd, gt, gtd = grid_obs
-    return (
-        gx * X_OBS_BOUND / STAR2_GRID,
-        gxd * VELOCITY_CLAMP / STAR2_GRID,
-        gt * THETA_OBS_BOUND / STAR2_GRID,
-        gtd * VELOCITY_CLAMP / STAR2_GRID,
     )
 
 

@@ -211,17 +211,15 @@ POLICY_ERRORS = (ArithmeticError, ValueError)
 class Environment:
     """Base class: deterministic, seedable reset/step state machine.
 
-    Subclasses implement ``_reset_state`` and ``_step_state``, may override
-    the observation encoding ``_observe``, and set ``terminal_cause``, the
-    cause of every termination ``_step_state`` reports. This class owns the
-    action check, step counting and truncation.
-
-    ``step`` is the public single-step API, and it checks every action.
-    ``dsl.run_episode`` plays whole episodes through ``_rollout`` instead,
-    which keeps the same bookkeeping: the ``state`` and ``steps`` it leaves
-    behind are those of the same ``step`` calls. This class's ``_rollout``
-    drives the hooks; a task family may override it with a loop of its own
-    that takes the same steps.
+    ``_rollout`` is the one driver of an env: ``reset`` and ``observe``
+    read the observation it encodes at the top of its first step, ``step``
+    is one step of it, and ``dsl.run_episode`` plays whole episodes through
+    it. So ``state`` and ``steps`` read the same after an episode as after
+    the same ``step`` calls. Subclasses implement ``_reset_state``, and
+    either a ``_rollout`` of their own, as the cart-pole family does, or
+    the hooks this class's ``_rollout`` drives: ``_step_state``, the
+    encoding ``_observe``, and ``terminal_cause``, the cause of every
+    termination ``_step_state`` reports.
     """
 
     spec: EnvSpec
@@ -250,12 +248,12 @@ class Environment:
                 f"action {action!r} is not a valid action for {spec.task_id}; "
                 f"expected {spec.action_invalid_text}"
             )
-        state, reward, terminated = self._step_state(self._state, coerced)
-        self._state = state
-        self._steps += 1
-        obs = self._observe(state)
-        if terminated:
-            return StepResult(obs, reward, True, False, self.terminal_cause)
+        reward, cause, _ = self._rollout(lambda rng, obs: coerced, None, 1, [], [])
+        obs = self.observe()
+        # a coerced action is never refused, so one step ends at the limit of 1
+        # unless the physics terminated it
+        if cause is not TerminationCause.STEP_LIMIT:
+            return StepResult(obs, reward, True, False, cause)
         if self._steps >= spec.max_steps:
             return StepResult(obs, reward, False, True, TerminationCause.STEP_LIMIT)
         return StepResult(obs, reward, False, False)
@@ -263,7 +261,9 @@ class Environment:
     def observe(self) -> tuple:
         if self._state is None:
             raise RuntimeError("observe() before reset()")
-        return self._observe(self._state)
+        observations: list[tuple] = []
+        self._rollout(_no_action, None, 1, observations, [])
+        return observations[0]
 
     @property
     def state(self) -> tuple[float, ...]:
@@ -293,24 +293,28 @@ class Environment:
     def _observe(self, state: tuple[float, ...]) -> tuple:
         return state
 
-    def _rollout(self, policy, rng, obs, observations, actions):
-        """Play ``policy`` from the state ``reset`` left until the episode ends.
+    def _rollout(self, policy, rng, limit, observations, actions):
+        """Play ``policy`` from the current state for at most ``limit`` steps.
 
-        ``obs`` is the observation of that state. Each step appends the
-        observation to ``observations``, calls ``policy(rng, obs)``, and
-        appends the action, which the action space's ``coerce`` made of the
-        returned value, to ``actions``. A value ``coerce`` refuses, or one of
-        ``POLICY_ERRORS`` raised by either call, ends the episode with no
-        reward. Returns (return, cause, value): ``value`` is the unusable
-        value, or ``RAISED``, when ``cause`` is ``INVALID_ACTION``, and None
-        otherwise. The env's state and step count are written back at the end.
+        Each step encodes the state's observation, appends it to
+        ``observations`` (which, like ``actions``, starts empty), calls
+        ``policy(rng, obs)``, and appends the action, which the action
+        space's ``coerce`` made of the returned value, to ``actions``. A
+        value ``coerce`` refuses, or one of ``POLICY_ERRORS`` raised by
+        either call, ends the rollout with no reward. Returns (return,
+        cause, value): the return is the sum of the rewards from -0.0, so
+        a one-step rollout returns that step's reward bit for bit; ``value``
+        is the unusable value, or ``RAISED``, when ``cause`` is
+        ``INVALID_ACTION``, and None otherwise. At the end the state is
+        written back, and the step count grows by the steps taken.
         """
         coerce = self.spec.action.coerce
         step_state, observe = self._step_state, self._observe
         state = self._state
-        total_reward = 0.0
+        total_reward = -0.0
         # coerce maps None to None too, so one test finds every unusable action
-        for _ in range(self.spec.max_steps):
+        for _ in range(limit):
+            obs = observe(state)
             observations.append(obs)
             try:
                 value = policy(rng, obs)
@@ -327,12 +331,17 @@ class Environment:
             if terminated:
                 cause, value = self.terminal_cause, None
                 break
-            obs = observe(state)
         else:
             cause, value = TerminationCause.STEP_LIMIT, None
         self._state = state
-        self._steps = len(actions)
+        self._steps += len(actions)
         return total_reward, cause, value
+
+
+def _no_action(rng, obs) -> None:
+    """The policy ``observe`` rolls out: it ends the rollout on its first
+    step, having encoded the observation and changed nothing."""
+    return None
 
 
 def derive_seed(*parts: object) -> int:

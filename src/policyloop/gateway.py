@@ -14,6 +14,7 @@ sensory-motor window).
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
@@ -225,7 +226,13 @@ class HttpChatBackend:
             try:
                 req = urllib.request.Request(self.url, data=payload, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
-                    body = resp.read().decode("utf-8")
+                    try:
+                        body = resp.read().decode("utf-8")
+                    except (http.client.IncompleteRead, UnicodeDecodeError) as exc:
+                        # cut short of its Content-Length, or not UTF-8
+                        raise MalformedResponseError(
+                            f"endpoint returned an unreadable body: {exc}"
+                        ) from None
                 return self._parse(body, time.monotonic() - started)
             except urllib.error.HTTPError as exc:
                 body = exc.read().decode("utf-8", errors="replace")
@@ -248,7 +255,7 @@ class HttpChatBackend:
         try:
             data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+        except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError):
             raise MalformedResponseError(
                 f"endpoint returned an unusable body: {body[:200]}"
             ) from None

@@ -91,6 +91,33 @@ def make_records(
     return records
 
 
+def reference_step_forms(env):
+    """(coerce, tick, observe) of one step of ``env``'s task, written without
+    the env's ``_rollout``: ``coerce(value)`` is the action or None,
+    ``tick(state, action)`` is (next state, reward, terminated), and
+    ``observe(state)`` the observation. On the cart-pole family all three
+    are the frozen forms of ``reference_dynamics``; on the other tasks the
+    frozen coerce forms and the env's own ``_step_state``/``_observe`` hooks.
+    """
+    from functools import partial
+
+    import reference_dynamics as ref
+
+    spec = env.spec
+    task = spec.task_id.value
+    if task in ref.CARTPOLE_FAMILY_TASKS:
+        return (
+            partial(ref.cartpole_family_coerce_form, task),
+            partial(ref.cartpole_family_step_form, task),
+            partial(ref.cartpole_family_observation_form, task),
+        )
+    if spec.is_discrete:
+        coerce = partial(ref.discrete_coerce_original, spec.action.labels)
+    else:
+        coerce = partial(ref.continuous_coerce_min_max_form, spec.action.lo, spec.action.hi)
+    return coerce, env._step_state, env._observe
+
+
 def config_task(task):
     from policyloop.envs import parse_task_id
 

@@ -158,10 +158,10 @@ def rk4_step_generator_form(s, torque, dt=_ACROBOT_DT):
 
 
 # Frozen copies of the package's original cart-pole step, CartPoleStar2
-# encoding and action-space coercion. The package's one-call
-# ``cartpole_step``, sign-test ``normalize_star2`` and comparison-clamp
-# ``coerce`` must equal them bit for bit; again the same arithmetic in the
-# same order, not independent derivations.
+# encoding and action-space coercion. The package's cart-pole tick and
+# sign-test encoding, both inline in the family's rollout, and its
+# comparison-clamp ``coerce`` must equal them bit for bit; again the same
+# arithmetic in the same order, not independent derivations.
 
 _GRAVITY = 9.8
 _MASS_POLE = 0.1
@@ -229,6 +229,49 @@ def continuous_coerce_min_max_form(lo, hi, value):
     if not math.isfinite(number):
         return None
     return min(max(number, lo), hi)
+
+
+# The cart-pole family's public step, composed of the frozen forms above:
+# the action check, one tick, the bounds test and the observation. Per
+# task: its labels (None for the continuous force in [-3, 3]), its limits
+# on abs(x) and abs(theta), and how it reports the state.
+
+_CARTPOLE_THETA_LIMIT = 12.0 * 2.0 * math.pi / 360.0
+CARTPOLE_FAMILY_TASKS = {
+    "CartPole": ((0, 1), 2.4, _CARTPOLE_THETA_LIMIT, "native"),
+    "CartPoleStar1": ((1, 2), 2.4, _CARTPOLE_THETA_LIMIT, "native"),
+    "CartPoleStar2": ((1, 2), 2.4, _CARTPOLE_THETA_LIMIT, "grid"),
+    "InvertedPendulum": (None, math.inf, 0.2, "reordered"),
+}
+
+
+def cartpole_family_coerce_form(task, value):
+    labels = CARTPOLE_FAMILY_TASKS[task][0]
+    if labels is None:
+        return continuous_coerce_min_max_form(-3.0, 3.0, value)
+    return discrete_coerce_original(labels, value)
+
+
+def cartpole_family_observation_form(task, state):
+    kind = CARTPOLE_FAMILY_TASKS[task][3]
+    if kind == "grid":
+        return normalize_star2_copysign_form(state)
+    x, x_dot, theta, theta_dot = state
+    if kind == "reordered":
+        return (x, theta, x_dot, theta_dot)
+    return (x, x_dot, theta, theta_dot)
+
+
+def cartpole_family_step_form(task, state, action):
+    """(next state, reward, terminated) under an action the coerce form took."""
+    labels, x_limit, theta_limit, _ = CARTPOLE_FAMILY_TASKS[task]
+    if labels is None:
+        force = action
+    else:
+        force = 10.0 if action == labels[1] else -10.0
+    state = cartpole_step_two_call_form(state, force)
+    x, _, theta, _ = state
+    return state, 1.0, abs(x) > x_limit or abs(theta) > theta_limit
 
 
 # Frozen copy of the package's original numpy-based reset: every task drew

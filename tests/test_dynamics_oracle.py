@@ -20,10 +20,8 @@ from policyloop.envs.cartpole import (
     THETA_OBS_BOUND,
     VELOCITY_CLAMP,
     X_OBS_BOUND,
-    cartpole_step,
-    normalize_star2,
 )
-from policyloop.envs.core import ContinuousAction, DiscreteActions
+from policyloop.envs.core import RAISED, ContinuousAction, DiscreteActions
 
 from reference_dynamics import (
     acrobot_ref,
@@ -134,6 +132,12 @@ def test_acrobot_rk4_is_bitwise_equal_to_the_generator_form():
 
 
 # -- cart-pole step, Star2 encoding and coerce: bit for bit -----------------
+#
+# The cart-pole physics and the Star2 encoding are written once, inline in
+# the family's _rollout, which env.step and env.observe() run. These tests
+# drive them from set states, on the forces a task can apply: +/-10 through
+# CartPole's labels, and [-3, 3], signed zeros included, through
+# InvertedPendulum's continuous action.
 
 
 def _exact(value):
@@ -152,6 +156,24 @@ def _outcome(fn, *args):
         return ("returned", _exact(fn(*args)))
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
         return ("raised", type(exc))
+
+
+def _env_at(task, state):
+    env = make(task)
+    env.reset(0)
+    env._state = tuple(state)
+    return env
+
+
+def _stepped_state(task, state, action):
+    """The native state ``env.step(action)`` leaves from ``state``."""
+    env = _env_at(task, state)
+    env.step(action)
+    return env.state
+
+
+def _observation(task, state):
+    return _env_at(task, state).observe()
 
 
 def _random_cartpole_states(seed, n):
@@ -173,15 +195,26 @@ _SIGNED_ZERO_STATES = [
     (a, b, c, d) for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0) for d in (0.0, -0.0)
 ]
 
+# (task, action, the force it applies)
+_CARTPOLE_PUSHES = [
+    (TaskId.CARTPOLE, 0, -FORCE_MAG),
+    (TaskId.CARTPOLE, 1, FORCE_MAG),
+    (TaskId.INVERTED_PENDULUM, 0.0, 0.0),
+    (TaskId.INVERTED_PENDULUM, -0.0, -0.0),
+    (TaskId.INVERTED_PENDULUM, 3.0, 3.0),
+    (TaskId.INVERTED_PENDULUM, -3.0, -3.0),
+]
+
 
 def test_cartpole_step_is_bitwise_equal_to_the_two_call_form():
     rng = random.Random(7331)
     states = _random_cartpole_states(7330, 10_000) + _SIGNED_ZERO_STATES
     for state in states:
-        for force in (FORCE_MAG, -FORCE_MAG, 0.0, -0.0, rng.uniform(-3.0, 3.0)):
-            assert _exact(cartpole_step(state, force)) == _exact(
+        drawn = rng.uniform(-3.0, 3.0)
+        for task, action, force in _CARTPOLE_PUSHES + [(TaskId.INVERTED_PENDULUM, drawn, drawn)]:
+            assert _exact(_stepped_state(task, state, action)) == _exact(
                 cartpole_step_two_call_form(state, force)
-            ), (state, force)
+            ), (task, state, action)
 
 
 def test_cartpole_step_on_non_finite_states_matches_the_two_call_form():
@@ -189,15 +222,15 @@ def test_cartpole_step_on_non_finite_states_matches_the_two_call_form():
         for i in range(4):
             state = [0.01, -0.02, 0.03, -0.04]
             state[i] = special
-            for force in (FORCE_MAG, -FORCE_MAG):
-                assert _outcome(cartpole_step, tuple(state), force) == _outcome(
+            for task, action, force in _CARTPOLE_PUSHES:
+                assert _outcome(_stepped_state, task, tuple(state), action) == _outcome(
                     cartpole_step_two_call_form, tuple(state), force
-                ), (state, force)
+                ), (task, state, action)
 
 
-def test_normalize_star2_is_exactly_the_copysign_form_on_random_states():
+def test_star2_observation_is_exactly_the_copysign_form_on_random_states():
     for state in _random_cartpole_states(5050, 10_000) + _SIGNED_ZERO_STATES:
-        new = normalize_star2(state)
+        new = _observation(TaskId.CARTPOLE_STAR2, state)
         assert _exact(new) == _exact(normalize_star2_copysign_form(state)), state
         assert all(type(v) is int for v in new), state
 
@@ -237,7 +270,7 @@ def _raws_around_ties(bound, limit):
     ],
     ids=["cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity"],
 )
-def test_normalize_star2_rounds_every_half_grid_tie_as_the_copysign_form(
+def test_star2_observation_rounds_every_half_grid_tie_as_the_copysign_form(
     component, bound, limit
 ):
     raws, exact_ties = _raws_around_ties(bound, limit)
@@ -247,19 +280,21 @@ def test_normalize_star2_rounds_every_half_grid_tie_as_the_copysign_form(
         for sign_zero in (0.0, -0.0):
             state = [sign_zero] * 4
             state[component] = raw
-            new = normalize_star2(state)
+            new = _observation(TaskId.CARTPOLE_STAR2, state)
             assert _exact(new) == _exact(normalize_star2_copysign_form(state)), raw
             assert all(type(v) is int for v in new), raw
 
 
 @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("component", range(4))
-def test_normalize_star2_non_finite_inputs_match_the_copysign_form(special, component):
+def test_star2_observation_of_non_finite_states_matches_the_copysign_form(special, component):
     # NaN raises ValueError and a position or angle infinity OverflowError;
     # an infinite velocity saturates to the grid edge
     state = [0.1, -0.2, 0.03, -0.4]
     state[component] = special
-    assert _outcome(normalize_star2, state) == _outcome(normalize_star2_copysign_form, state)
+    assert _outcome(_observation, TaskId.CARTPOLE_STAR2, state) == _outcome(
+        normalize_star2_copysign_form, state
+    )
 
 
 _HUGE_INT = 10**400  # too large for a float
@@ -303,14 +338,33 @@ def _space_id(space):
     return f"range-{space.hi:g}"
 
 
+def _rollout_action(task, value):
+    """The action a one-step rollout of ``task`` takes when its policy
+    returns ``value``, or None when it refuses the value. A check that
+    raised, which the rollout reports as RAISED, raises OverflowError here,
+    the one error the coerce forms raise."""
+    env = make(task)
+    env.reset(0)
+    actions = []
+    _, _, refused = env._rollout(lambda rng, obs: value, None, 1, [], actions)
+    if refused is RAISED:
+        raise OverflowError
+    return actions[0] if actions else None
+
+
 @pytest.mark.parametrize("space", _ACTION_SPACES, ids=_space_id)
 def test_coerce_is_exactly_the_original_form(space):
+    # and so is the action check of the rollout of every task with this
+    # space, which the cart-pole family writes out inline
+    tasks = [task for task in ALL_TASKS if get_spec(task).action == space]
     for value in _COERCE_VALUES:
         if isinstance(space, DiscreteActions):
             expected = _outcome(discrete_coerce_original, space.labels, value)
         else:
             expected = _outcome(continuous_coerce_min_max_form, space.lo, space.hi, value)
         assert _outcome(space.coerce, value) == expected, value
+        for task in tasks:
+            assert _outcome(_rollout_action, task, value) == expected, (task, value)
 
 
 def test_continuous_coerce_of_an_int_too_large_for_a_float_raises_overflow():

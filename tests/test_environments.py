@@ -1,5 +1,5 @@
 """Reset/step contracts, observation encodings and termination rules of the
-seven control tasks."""
+eight control tasks."""
 
 import dataclasses
 import math
@@ -10,16 +10,11 @@ import pytest
 
 from policyloop import envs
 from policyloop.dsl import InvalidReason, PolicyProgram, evaluate, parse, run_episode
-from policyloop.envs import (
-    ALL_TASKS,
-    TaskId,
-    denormalize_star2,
-    describe,
-    get_spec,
-    make,
-    normalize_star2,
-)
+from policyloop.envs import ALL_TASKS, StepResult, TaskId, describe, get_spec, make
 from policyloop.envs.core import TerminationCause, UnknownTaskError
+
+from conftest import reference_step_forms
+from reference_dynamics import continuous_coerce_min_max_form, discrete_coerce_original
 
 
 def random_action(spec, rng):
@@ -63,10 +58,16 @@ def test_unknown_task_rejected():
 
 
 def test_pendulum_reward_zero_at_upright_rest():
+    # a task with no terminal_cause steps, and its reward keeps its sign:
+    # -0.0, where a sum of the one reward from 0.0 would read 0.0
     env = make(TaskId.PENDULUM)
     env.reset(0)
     env._state = (0.0, 0.0)
-    assert env.step(0.0).reward == 0.0
+    result = env.step(0.0)
+    assert not hasattr(env, "terminal_cause")
+    assert result == StepResult((1.0, 0.0, 0.0), 0.0, False, False)
+    assert math.copysign(1.0, result.reward) == -1.0
+    assert env.state == (0.0, 0.0) and env.steps == 1
 
 
 def test_pendulum_reward_at_downward_rest():
@@ -189,6 +190,14 @@ def test_acrobot_full_episode_return_minus_500():
 # -- star2 encoding -------------------------------------------------------
 
 
+def _star2_observation(native):
+    """The observation a CartPoleStar2 env reports in the native state ``native``."""
+    env = make(TaskId.CARTPOLE_STAR2)
+    env.reset(0)
+    env._state = native
+    return env.observe()
+
+
 @pytest.mark.parametrize(
     "native,expected",
     [
@@ -197,38 +206,22 @@ def test_acrobot_full_episode_return_minus_500():
         ((2.4, 1.0, -0.209, 0.0), (25, 10, -25, 0)),
     ],
 )
-def test_normalize_star2_examples(native, expected):
-    out = normalize_star2(native)
+def test_star2_observation_examples(native, expected):
+    out = _star2_observation(native)
     assert out == expected
     assert all(type(v) is int for v in out)
 
 
-def test_normalize_star2_saturates_velocities():
-    out = normalize_star2((0.0, 7.5, 0.0, -9.0))
+def test_star2_observation_saturates_velocities():
+    out = _star2_observation((0.0, 7.5, 0.0, -9.0))
     assert out == (0, 50, 0, -50)
     assert all(type(v) is int for v in out)
 
 
-def test_star2_round_trip_is_identity_on_grid():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        native = np.array(
-            [
-                rng.uniform(-4.8, 4.8),
-                rng.uniform(-6, 6),
-                rng.uniform(-0.418, 0.418),
-                rng.uniform(-6, 6),
-            ]
-        )
-        grid = normalize_star2(native)
-        again = normalize_star2(denormalize_star2(grid))
-        assert np.array_equal(grid, again)
-
-
 def test_star2_rounding_half_away_from_zero():
     # 0.048 m -> 0.5 on the grid -> rounds to 1; symmetric for negatives
-    assert normalize_star2((0.048, 0.0, 0.0, 0.0)) == (1, 0, 0, 0)
-    assert normalize_star2((-0.048, 0.0, 0.0, 0.0)) == (-1, 0, 0, 0)
+    assert _star2_observation((0.048, 0.0, 0.0, 0.0)) == (1, 0, 0, 0)
+    assert _star2_observation((-0.048, 0.0, 0.0, 0.0)) == (-1, 0, 0, 0)
 
 
 # -- trajectory invariants -------------------------------------------------
@@ -351,7 +344,7 @@ def test_cartpole_tasks_declare_data_not_hooks(task):
     a task says only what its spec and class data cannot."""
     cls = envs.ENV_CLASSES[task]
     own = set(vars(cls))
-    hooks = {"_reset_state", "_step_state", "_observe", "_rollout", "_force_by_label"}
+    hooks = {"_reset_state", "_step_state", "_observe", "_rollout"}
     assert not own & hooks
 
 
@@ -406,6 +399,40 @@ def test_terminated_and_truncated_are_exclusive(task):
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
+def test_step_is_the_reference_step_bit_for_bit(task):
+    """``step``'s whole result, the state and the step count, against one
+    step of ``reference_step_forms``: truncated at ``max_steps`` and on past
+    it, terminated with the task's own cause. Continuous actions include
+    -0.0 and values to clamp."""
+    spec = get_spec(task)
+    env = make(task)
+    coerce, tick, observe = reference_step_forms(env)
+    rng = random.Random(29)
+    for seed in range(3):
+        env.reset(seed)
+        state = env.state
+        for steps in range(1, spec.max_steps + 3):
+            if spec.is_discrete or steps % 4:
+                value = random_action(spec, rng)
+            else:
+                value = rng.choice((0.0, -0.0, 2 * spec.action.lo, 2 * spec.action.hi))
+            state, reward, terminated = tick(state, coerce(value))
+            if terminated:
+                expected = StepResult(observe(state), reward, True, False, env.terminal_cause)
+            elif steps >= spec.max_steps:
+                expected = StepResult(
+                    observe(state), reward, False, True, TerminationCause.STEP_LIMIT
+                )
+            else:
+                expected = StepResult(observe(state), reward, False, False)
+            result = env.step(value)
+            assert repr(result) == repr(expected), (seed, steps)
+            assert repr(env.state) == repr(state) and env.steps == steps
+            if terminated:
+                break
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
 def test_nothing_reads_or_steps_an_env_before_reset(task):
     env = make(task)
     with pytest.raises(RuntimeError, match=r"observe\(\) before reset\(\)"):
@@ -445,29 +472,46 @@ def _action_cases():
 
 @pytest.mark.parametrize("task, value", _action_cases())
 def test_policy_and_step_agree_on_which_actions_are_valid(task, value):
-    """A value a policy returns is a valid action exactly when ``env.step``
-    takes it, and both turn it into the same action. NaN and infinities are
-    refused on every task, bools on the discrete ones."""
+    """A value a policy returns is a valid action exactly when the frozen
+    coerce form takes it, and then the rollout's action check, ``evaluate``
+    and ``env.step`` all turn it into that action; ``env.step`` refuses
+    the others. NaN and infinities are refused on every task, bools on the
+    discrete ones, and an int too large for a float raises OverflowError."""
     spec = get_spec(task)
+    try:
+        if spec.is_discrete:
+            expected = discrete_coerce_original(spec.action.labels, value)
+        else:
+            expected = continuous_coerce_min_max_form(spec.action.lo, spec.action.hi, value)
+    except OverflowError:
+        expected = OverflowError
     program = PolicyProgram("get_action", spec.obs_names, "", lambda rng, *obs: value)
+    trace = run_episode(program, task, 0, random.Random(0))
+    outcome = evaluate(program, make(task).reset(0), random.Random(0), spec)
     env, other = make(task), make(task)
-    outcome = evaluate(program, env.reset(0), random.Random(0), spec)
+    env.reset(0)
     other.reset(0)
-    if outcome.is_valid:
-        assert type(outcome.action) is (int if spec.is_discrete else float)
-        assert env.step(value) == other.step(outcome.action)
-    elif outcome.reason is InvalidReason.RUNTIME_ERROR:
-        # an int too large for a float, on a continuous task
+    if expected is OverflowError:
         assert not spec.is_discrete and value == 10**400
+        assert outcome.reason is InvalidReason.RUNTIME_ERROR
+        assert trace.invalid_outcome == outcome
         with pytest.raises(OverflowError):
             env.step(value)
-    else:
+    elif expected is None:
+        assert outcome.reason is InvalidReason.OUT_OF_RANGE
+        assert trace.invalid_outcome == outcome and trace.actions == []
         with pytest.raises(ValueError, match="is not a valid action"):
             env.step(value)
+    else:
+        assert type(expected) is (int if spec.is_discrete else float)
+        # repr tells -0.0 from 0.0 and an int from an equal float
+        assert repr(trace.actions[0]) == repr(outcome.action) == repr(expected)
+        assert env.step(value) == other.step(expected)
+        assert env.state == other.state
     if isinstance(value, bool) and spec.is_discrete:
-        assert not outcome.is_valid
+        assert expected is None
     if not (isinstance(value, int) or math.isfinite(value)):
-        assert not outcome.is_valid
+        assert expected is None
 
 
 # -- describe --------------------------------------------------------------

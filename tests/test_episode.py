@@ -9,9 +9,9 @@ import pytest
 from policyloop.dsl import InvalidReason, evaluate, parse, run_episode
 from policyloop.dsl import episode
 from policyloop.envs import ALL_TASKS, TaskId, cartpole, get_spec, make
-from policyloop.envs.core import Environment, TerminationCause
+from policyloop.envs.core import POLICY_ERRORS, Environment, TerminationCause
 
-from conftest import transcript_text
+from conftest import reference_step_forms, transcript_text
 
 
 def test_gappy_program_ends_with_literal_none_line(star2_spec):
@@ -203,8 +203,10 @@ def test_policy_sees_python_scalars(task):
 
 # run_episode plays an episode through the env's _rollout: the cart-pole
 # family's fused loop, or the _step_state/_observe hook loop of the other
-# tasks. These tests pin both to the same rollout written with the public
-# single-step API.
+# tasks. env.step is one step of the same rollout, so these tests pin both
+# to a step loop that shares no code with either: the frozen forms of
+# tests/reference_dynamics.py on the cart-pole family, and the frozen
+# coerce forms around the env's hooks on the other tasks.
 
 # A policy per task that survives to the step limit, and one that makes the
 # physics terminate early (Pendulum never terminates, so it has none).
@@ -295,20 +297,35 @@ def _policy_source(task, kind):
 
 
 def _step_by_step(program, seed, rng, env):
-    """The rollout written with reset, evaluate and the public env.step."""
+    """The rollout written as a loop of reference steps from the state that
+    ``env.reset(seed)`` draws; also returns the state and step count."""
     spec = env.spec
-    obs = env.reset(seed)
+    coerce, tick, observe = reference_step_forms(env)
+    env.reset(seed)
+    state = env.state
     observations, actions, total_reward = [], [], 0.0
     while True:
+        obs = observe(state)
         observations.append(obs)
-        outcome = evaluate(program, obs, rng, spec)
-        if not outcome.is_valid:
-            return observations, actions, total_reward, TerminationCause.INVALID_ACTION, outcome
-        actions.append(outcome.action)
-        obs, reward, terminated, truncated, cause = env.step(outcome.action)
+        drawn = rng.getstate()
+        try:
+            action = coerce(program.compiled(rng, obs))
+        except POLICY_ERRORS:
+            action = None
+        if action is None:
+            # the public evaluate classifies the value, from the same draws
+            rng.setstate(drawn)
+            outcome = evaluate(program, obs, rng, spec)
+            cause = TerminationCause.INVALID_ACTION
+            return observations, actions, total_reward, cause, outcome, state
+        actions.append(action)
+        state, reward, terminated = tick(state, action)
         total_reward += reward
-        if terminated or truncated:
-            return observations, actions, total_reward, cause, None
+        if terminated:
+            return observations, actions, total_reward, env.terminal_cause, None, state
+        if len(actions) == spec.max_steps:
+            cause = TerminationCause.STEP_LIMIT
+            return observations, actions, total_reward, cause, None, state
 
 
 _CASES = [
@@ -334,9 +351,12 @@ def test_run_episode_matches_the_public_step_loop(task, kind):
             trace.total_reward,
             trace.cause,
             trace.invalid_outcome,
+            env.state,
         )
         assert got == expected, (kind, seed)
-        assert env.state == reference_env.state and env.steps == reference_env.steps
+        # bit for bit: repr tells -0.0 from 0.0 and an int from an equal float
+        assert repr(got) == repr(expected), (kind, seed)
+        assert env.steps == len(trace.actions)
 
         # each policy ends its episodes the way its kind says
         if kind == "limit":
@@ -373,30 +393,10 @@ def test_run_episode_does_not_go_through_env_step(task, monkeypatch):
     assert trace.cause is TerminationCause.STEP_LIMIT
 
 
-_CARTPOLE_FAMILY = (
-    TaskId.CARTPOLE, TaskId.CARTPOLE_STAR1, TaskId.CARTPOLE_STAR2, TaskId.INVERTED_PENDULUM
-)
-
-
-@pytest.mark.parametrize("task", _CARTPOLE_FAMILY, ids=lambda task: task.value)
-def test_run_episode_plays_the_cartpole_family_through_the_fused_loop(task, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("run_episode left the fused loop")
-
-    cls = type(make(task))
-    # reset's own observation, without the _observe hook
-    first = make(task).reset(0)
-    monkeypatch.setattr(cls, "observe", lambda self: first)
-    monkeypatch.setattr(cls, "_observe", refuse)
-    monkeypatch.setattr(cls, "_step_state", refuse)
-    monkeypatch.setattr(cartpole, "cartpole_step", refuse)
-    for kind, cause in (
-        ("limit", TerminationCause.STEP_LIMIT),
-        ("terminated", TerminationCause.BOUNDS_EXCEEDED),
-        ("odd_value", TerminationCause.INVALID_ACTION),
-    ):
-        program = parse(_policy_source(task, kind))
-        assert run_episode(program, task, 0, random.Random(0)).cause is cause
+def test_the_cartpole_family_has_no_step_or_observe_hooks():
+    """Its physics, bounds test and encoding are written once, in its
+    _rollout, which reset, observe and step run too."""
+    assert not {"_step_state", "_observe"} & set(vars(cartpole._CartPoleFamily))
 
 
 @pytest.mark.parametrize("task", ALL_TASKS, ids=lambda task: task.value)

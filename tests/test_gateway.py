@@ -121,17 +121,21 @@ def test_completions_url(base, expected):
 
 
 class _Script(BaseHTTPRequestHandler):
+    """Answers each POST with the next of ``responses``: (status, body), the
+    body a str or raw bytes, or (status, body, declared length) for a body
+    shorter than the Content-Length it is sent with."""
+
     responses = []
     requests = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         _Script.requests.append(json.loads(self.rfile.read(length)))
-        status, body = _Script.responses.pop(0)
-        payload = body.encode("utf-8")
+        status, body, *declared = _Script.responses.pop(0)
+        payload = body if isinstance(body, bytes) else body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(declared[0] if declared else len(payload)))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -236,6 +240,24 @@ def test_malformed_body_is_flagged(local_server):
     with pytest.raises(MalformedResponseError, match="unusable body"):
         _backend(local_server).complete(_req())
     assert len(_Script.requests) == 3
+
+
+_HOSTILE_BODIES = {
+    "invalid-utf8": (200, _ok_body().encode("utf-8").replace(b"fine", b"f\xffne")),
+    "deep-nesting": (200, "[" * 100_000),
+    "short-body": (200, _ok_body(), len(_ok_body()) + 10),
+}
+
+
+@pytest.mark.parametrize("response", _HOSTILE_BODIES.values(), ids=list(_HOSTILE_BODIES))
+def test_a_hostile_body_is_a_retried_malformed_response(local_server, response):
+    _Script.responses = [response] * 3
+    with pytest.raises(MalformedResponseError, match="unreadable body|unusable body"):
+        _backend(local_server).complete(_req())
+    assert len(_Script.requests) == 3
+    # and a usable answer after one is taken
+    _Script.responses = [response, (200, _ok_body("second try"))]
+    assert _backend(local_server).complete(_req()).text == "second try"
 
 
 def test_empty_completion_is_flagged(local_server):
