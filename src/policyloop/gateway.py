@@ -4,9 +4,11 @@ deterministic tests.
 
 Every prompt is sent as a self-contained exchange; the client holds no
 conversation state. The HTTP client is the only retry layer: transport
-failures, 5xx responses and empty or unusable completions retry with
-exponential backoff up to ``retries`` times, so one call makes at most
-``retries + 1`` attempts; 4xx responses never retry. Requests whose
+failures, 5xx responses and empty or unusable completions (a body that is
+not UTF-8, nests too deep for ``json`` or is cut short of its
+Content-Length among them) retry with exponential backoff up to
+``retries`` times, so one call makes at most ``retries + 1`` attempts; 4xx
+responses never retry. Requests whose
 estimated size exceeds the configured context budget fail fast with a
 distinct error so callers can shrink their payload (e.g. use a smaller
 sensory-motor window).
@@ -235,7 +237,11 @@ class HttpChatBackend:
                         ) from None
                 return self._parse(body, time.monotonic() - started)
             except urllib.error.HTTPError as exc:
-                body = exc.read().decode("utf-8", errors="replace")
+                try:
+                    raw = exc.read()
+                except http.client.IncompleteRead as short:
+                    raw = short.partial  # the status still decides
+                body = raw.decode("utf-8", errors="replace")
                 if 400 <= exc.code < 500:
                     lowered = body.lower()
                     if any(hint in lowered for hint in _CONTEXT_HINTS):

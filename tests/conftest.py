@@ -95,26 +95,27 @@ def reference_step_forms(env):
     """(coerce, tick, observe) of one step of ``env``'s task, written without
     the env's ``_rollout``: ``coerce(value)`` is the action or None,
     ``tick(state, action)`` is (next state, reward, terminated), and
-    ``observe(state)`` the observation. On the cart-pole family all three
-    are the frozen forms of ``reference_dynamics``; on the other tasks the
-    frozen coerce forms and the env's own ``_step_state``/``_observe`` hooks.
+    ``observe(state)`` the observation. ``coerce`` is a frozen coerce form
+    of ``reference_dynamics``; on the cart-pole family ``tick`` and
+    ``observe`` are its frozen forms too, and on the other tasks the env's
+    own ``_step_state``/``_observe`` hooks.
     """
     from functools import partial
 
     import reference_dynamics as ref
 
     spec = env.spec
-    task = spec.task_id.value
-    if task in ref.CARTPOLE_FAMILY_TASKS:
-        return (
-            partial(ref.cartpole_family_coerce_form, task),
-            partial(ref.cartpole_family_step_form, task),
-            partial(ref.cartpole_family_observation_form, task),
-        )
     if spec.is_discrete:
         coerce = partial(ref.discrete_coerce_original, spec.action.labels)
     else:
         coerce = partial(ref.continuous_coerce_min_max_form, spec.action.lo, spec.action.hi)
+    task = spec.task_id.value
+    if task in ref.CARTPOLE_FAMILY_TASKS:
+        return (
+            coerce,
+            partial(ref.cartpole_family_step_form, task),
+            partial(ref.cartpole_family_observation_form, task),
+        )
     return coerce, env._step_state, env._observe
 
 

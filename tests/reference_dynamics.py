@@ -231,10 +231,10 @@ def continuous_coerce_min_max_form(lo, hi, value):
     return min(max(number, lo), hi)
 
 
-# The cart-pole family's public step, composed of the frozen forms above:
-# the action check, one tick, the bounds test and the observation. Per
-# task: its labels (None for the continuous force in [-3, 3]), its limits
-# on abs(x) and abs(theta), and how it reports the state.
+# The cart-pole family's step, composed of the frozen forms above: one
+# tick, the bounds test and the observation. Per task: its labels (None
+# for the continuous force), its limits on abs(x) and abs(theta), and how
+# it reports the state.
 
 _CARTPOLE_THETA_LIMIT = 12.0 * 2.0 * math.pi / 360.0
 CARTPOLE_FAMILY_TASKS = {
@@ -243,13 +243,6 @@ CARTPOLE_FAMILY_TASKS = {
     "CartPoleStar2": ((1, 2), 2.4, _CARTPOLE_THETA_LIMIT, "grid"),
     "InvertedPendulum": (None, math.inf, 0.2, "reordered"),
 }
-
-
-def cartpole_family_coerce_form(task, value):
-    labels = CARTPOLE_FAMILY_TASKS[task][0]
-    if labels is None:
-        return continuous_coerce_min_max_form(-3.0, 3.0, value)
-    return discrete_coerce_original(labels, value)
 
 
 def cartpole_family_observation_form(task, state):

@@ -298,7 +298,7 @@ def _policy_source(task, kind):
 
 def _step_by_step(program, seed, rng, env):
     """The rollout written as a loop of reference steps from the state that
-    ``env.reset(seed)`` draws; also returns the state and step count."""
+    ``env.reset(seed)`` draws; also returns the native state it ends in."""
     spec = env.spec
     coerce, tick, observe = reference_step_forms(env)
     env.reset(seed)

@@ -260,6 +260,17 @@ def test_a_hostile_body_is_a_retried_malformed_response(local_server, response):
     assert _backend(local_server).complete(_req()).text == "second try"
 
 
+def test_an_error_body_cut_short_is_still_its_status(local_server):
+    _Script.responses = [(503, "busy", 100), (200, _ok_body("second try"))]
+    assert _backend(local_server).complete(_req()).text == "second try"
+    assert len(_Script.requests) == 2
+    _Script.responses = [(401, "bad key", 100)]
+    with pytest.raises(BackendHTTPError) as info:
+        _backend(local_server).complete(_req())
+    assert (info.value.status, info.value.body) == (401, "bad key")
+    assert len(_Script.requests) == 3
+
+
 def test_empty_completion_is_flagged(local_server):
     _Script.responses = [(200, _EMPTY)] * 3
     with pytest.raises(MalformedResponseError, match="empty"):
