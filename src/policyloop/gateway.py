@@ -5,13 +5,12 @@ deterministic tests.
 Every prompt is sent as a self-contained exchange; the client holds no
 conversation state. The HTTP client is the only retry layer: transport
 failures, 5xx responses and empty or unusable completions (a body that is
-not UTF-8, nests too deep for ``json`` or is cut short of its
-Content-Length among them) retry with exponential backoff up to
-``retries`` times, so one call makes at most ``retries + 1`` attempts; 4xx
-responses never retry. Requests whose
-estimated size exceeds the configured context budget fail fast with a
-distinct error so callers can shrink their payload (e.g. use a smaller
-sensory-motor window).
+not UTF-8, nests too deep for ``json``, is cut short of its Content-Length
+or is longer than ``RESPONSE_BYTES_MAX`` among them) retry with exponential
+backoff up to ``retries`` times, so one call makes at most ``retries + 1``
+attempts; 4xx responses never retry. Requests whose estimated size
+exceeds the configured context budget fail fast with a distinct error so
+callers can shrink their payload (e.g. use a smaller sensory-motor window).
 """
 
 from __future__ import annotations
@@ -27,6 +26,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 TEMPERATURE_MAX = 3.2
+
+# the most bytes of a response body that are read: far above any completion
+# of a few thousand tokens; an error body is cut here, a longer success body
+# is unusable
+RESPONSE_BYTES_MAX = 8 * 1024 * 1024
 
 _TYPES = {
     "an int": int,
@@ -202,6 +206,23 @@ def _token_count(value) -> int:
     return value if type(value) is int and value >= 0 else 0
 
 
+def _read_body(resp: http.client.HTTPResponse) -> bytes:
+    """The body of a success response, of which at most
+    ``RESPONSE_BYTES_MAX`` + 1 bytes are read. A longer body is a
+    ``MalformedResponseError``; one cut short of its Content-Length raises
+    ``IncompleteRead``, as an unbounded read does."""
+    raw = resp.read(RESPONSE_BYTES_MAX + 1)
+    if len(raw) > RESPONSE_BYTES_MAX:
+        raise MalformedResponseError(
+            f"endpoint returned an unreadable body: over {RESPONSE_BYTES_MAX} bytes"
+        )
+    # a bounded read returns what came before the connection closed, and
+    # leaves the declared bytes still missing in ``length``
+    if resp.length:
+        raise http.client.IncompleteRead(raw, resp.length)
+    return raw
+
+
 class HttpChatBackend:
     """Stateless client for an OpenAI-compatible /v1/chat/completions endpoint."""
 
@@ -229,7 +250,7 @@ class HttpChatBackend:
                 req = urllib.request.Request(self.url, data=payload, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
                     try:
-                        body = resp.read().decode("utf-8")
+                        body = _read_body(resp).decode("utf-8")
                     except (http.client.IncompleteRead, UnicodeDecodeError) as exc:
                         # cut short of its Content-Length, or not UTF-8
                         raise MalformedResponseError(
@@ -238,9 +259,11 @@ class HttpChatBackend:
                 return self._parse(body, time.monotonic() - started)
             except urllib.error.HTTPError as exc:
                 try:
-                    raw = exc.read()
+                    raw = exc.read(RESPONSE_BYTES_MAX)
                 except http.client.IncompleteRead as short:
                     raw = short.partial  # the status still decides
+                finally:
+                    exc.close()  # a bounded read leaves a short body's socket open
                 body = raw.decode("utf-8", errors="replace")
                 if 400 <= exc.code < 500:
                     lowered = body.lower()

@@ -27,7 +27,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopConfig:
     epochs: int
     eval_episodes: int

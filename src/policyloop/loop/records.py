@@ -67,7 +67,7 @@ class RunStatus(str, Enum):
     ABORTED_ERROR = "aborted_error"
 
 
-@dataclass
+@dataclass(slots=True)
 class Strategy:
     """One refinement iteration: texts, compiled policy and its evaluation."""
 
@@ -81,7 +81,7 @@ class Strategy:
     repair_attempts: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     task_id: TaskId
     model_name: str

@@ -67,10 +67,13 @@ def evaluate_program(
     replication: int,
     iteration: int,
 ) -> tuple[float, list[float], SensoryMotorWindow]:
-    """Run the evaluation episodes; the window comes from the worst one."""
+    """Run the evaluation episodes; the window comes from the worst one,
+    the earliest of equal returns."""
     env = make(task_id)
     returns: list[float] = []
-    traces: list[EpisodeTrace] = []
+    # only the worst trace so far is kept: each holds its observations
+    worst: Optional[EpisodeTrace] = None
+    worst_idx = 0
     for ep in range(config.eval_episodes):
         rng = random.Random(policy_rng_seed(config.seed_root, replication, iteration, ep))
         trace = run_episode(
@@ -80,11 +83,11 @@ def evaluate_program(
             rng,
             env=env,
         )
-        traces.append(trace)
         returns.append(trace.total_reward)
+        if worst is None or trace.total_reward < worst.total_reward:
+            worst, worst_idx = trace, ep
+        del trace  # so that a trace that is not the worst is freed now
 
-    worst_idx = min(range(len(returns)), key=lambda i: returns[i])
-    worst = traces[worst_idx]
     window = SensoryMotorWindow(
         lines=tuple(worst.window_lines(config.window_size)),
         source_episode=worst_idx,

@@ -66,7 +66,7 @@ class NoRulesError(PromptError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensoryMotorWindow:
     """The last observation/action lines of one evaluation episode."""
 

@@ -14,6 +14,7 @@ from policyloop.gateway import (
     ContextLengthError,
     GatewayConfig,
     HttpChatBackend,
+    RESPONSE_BYTES_MAX,
     MalformedResponseError,
     ScriptedBackend,
     ScriptExhaustedError,
@@ -246,6 +247,8 @@ _HOSTILE_BODIES = {
     "invalid-utf8": (200, _ok_body().encode("utf-8").replace(b"fine", b"f\xffne")),
     "deep-nesting": (200, "[" * 100_000),
     "short-body": (200, _ok_body(), len(_ok_body()) + 10),
+    # a usable completion, but for its leading spaces one byte over the cap
+    "oversized": (200, _ok_body().rjust(RESPONSE_BYTES_MAX + 1)),
 }
 
 

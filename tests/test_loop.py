@@ -2,10 +2,12 @@
 rules, seed purity, determinism, aborts and the batch runner."""
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from policyloop.dsl.parser import parse as parse_policy
 from policyloop.envs import TaskId, derive_seed, get_spec
 from policyloop.gateway import GatewayError, ScriptedBackend
 from policyloop.loop import (
@@ -18,6 +20,7 @@ from policyloop.loop import (
     run_batch,
     run_replication,
 )
+from policyloop.loop import runner
 from policyloop.loop.runner import episode_seed, policy_rng_seed
 from policyloop.prompts import render_p2
 
@@ -128,6 +131,38 @@ def test_window_size_bounds_the_window(size):
     backend = ScriptedBackend(scripted_session()[:3])
     strategy = initialize(TaskId.CARTPOLE_STAR2, _config(window_size=size), backend)
     assert len(strategy.window.lines) <= size
+
+
+def test_evaluation_keeps_only_the_worst_trace_alive(monkeypatch):
+    # each trace holds every observation of its episode
+    refs = []
+    most = 0
+
+    def spy(*args, **kwargs):
+        nonlocal most
+        trace = real_run_episode(*args, **kwargs)
+        refs.append(weakref.ref(trace))
+        most = max(most, sum(ref() is not None for ref in refs))
+        return trace
+
+    real_run_episode = runner.run_episode
+    monkeypatch.setattr(runner, "run_episode", spy)
+    backend = ScriptedBackend(scripted_session()[:3])
+    strategy = initialize(TaskId.CARTPOLE_STAR2, _config(), backend)
+    assert len(refs) == len(strategy.per_episode_returns) == 20
+    assert most <= 2
+
+
+def test_the_window_comes_from_the_earliest_of_equal_worst_returns():
+    program = parse_policy(
+        "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
+        "    pass\n"
+    )
+    mean, returns, window = runner.evaluate_program(
+        program, TaskId.CARTPOLE_STAR2, _config(), 0, 0
+    )
+    assert returns == [0.0] * 20
+    assert (window.source_episode, window.invalid_value_text) == (0, "None")
 
 
 # -- refine and strategy memory --------------------------------------------------

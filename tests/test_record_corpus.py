@@ -11,8 +11,11 @@ purpose, and name there which bytes moved and why. Never regenerate one to
 make a failure here pass.
 """
 
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -99,6 +102,31 @@ def test_unknown_keys_are_ignored_on_load():
         strategy["notes"] = "kept by a newer writer"
         strategy["window"]["extra"] = []
     assert RunRecord.from_dict(data).canonical_json() == _load(name).canonical_json()
+
+
+def _record_tree(record):
+    """The record, its config, a strategy and that strategy's window."""
+    strategy = record.strategies[-1]
+    return {
+        "record": record,
+        "config": record.config,
+        "strategy": strategy,
+        "window": strategy.window,
+    }
+
+
+@pytest.mark.parametrize("part", ["record", "config", "strategy", "window"])
+def test_the_record_tree_is_slotted(part):
+    value = _record_tree(_load("CartPoleStar2_code_repaired.json"))[part]
+    assert "__slots__" in vars(type(value))
+    assert not hasattr(value, "__dict__")
+    # through object's __setattr__: the frozen window's own raises TypeError
+    # for an undeclared name before Python 3.12, a fault of dataclasses there
+    with pytest.raises(AttributeError):
+        object.__setattr__(value, "undeclared", 1)
+    assert dataclasses.replace(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_make_records_check_passes():
