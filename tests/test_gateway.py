@@ -9,12 +9,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from policyloop.gateway import (
+    RESPONSE_BYTES_MAX,
     BackendHTTPError,
     ChatRequest,
     ContextLengthError,
     GatewayConfig,
     HttpChatBackend,
-    RESPONSE_BYTES_MAX,
     MalformedResponseError,
     ScriptedBackend,
     ScriptExhaustedError,

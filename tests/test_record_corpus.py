@@ -120,8 +120,8 @@ def test_the_record_tree_is_slotted(part):
     value = _record_tree(_load("CartPoleStar2_code_repaired.json"))[part]
     assert "__slots__" in vars(type(value))
     assert not hasattr(value, "__dict__")
-    # through object's __setattr__: the frozen window's own raises TypeError
-    # for an undeclared name before Python 3.12, a fault of dataclasses there
+    # through object's __setattr__: on Python 3.11 the frozen window's own
+    # raises TypeError for an undeclared name, a fault of dataclasses there
     with pytest.raises(AttributeError):
         object.__setattr__(value, "undeclared", 1)
     assert dataclasses.replace(value) == value
