@@ -44,7 +44,14 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ..envs import make
-from ..envs.core import POLICY_ERRORS, RAISED, EnvSpec, TaskId, TerminationCause
+from ..envs.core import (
+    INVALID_ACTION,
+    POLICY_ERRORS,
+    RAISED,
+    EnvSpec,
+    TaskId,
+    TerminationCause,
+)
 from ..envs.trace import render_action_value, step_line
 from .parser import PolicyProgram
 
@@ -138,7 +145,7 @@ class EpisodeTrace:
 
     @property
     def ended_invalid(self) -> bool:
-        return self.cause is TerminationCause.INVALID_ACTION
+        return self.cause is INVALID_ACTION
 
     def _line(self, i: int) -> str:
         if i < len(self.actions):
@@ -183,6 +190,6 @@ def run_episode(
     # the rollout sums from -0.0, so that one step keeps its reward's sign;
     # an episode's return is a sum from 0.0, which never reads -0.0
     trace.total_reward = total_reward + 0.0
-    if trace.cause is TerminationCause.INVALID_ACTION:
+    if trace.cause is INVALID_ACTION:
         trace.invalid_outcome = _invalid_outcome(value)
     return trace

@@ -8,9 +8,10 @@ length 0.5 on a 1.0 kg cart, 0.1 kg pole mass, 10 N bang-bang force,
 Euler-integrated at dt = 0.02.
 
 CartPoleStar2 reports the state on an integer grid in [-50, 50], rounded
-half away from zero: ``floor(abs(v) + 0.5)`` rounds the magnitude and a
-``v < 0.0`` test puts the sign back, which is equivalent to ``copysign``
-on the int it produces.
+half away from zero: ``floor(v + 0.5)`` when ``v >= 0.0``, else
+``-floor(0.5 - v)``. For a negative ``v``, ``0.5 - v`` is the same IEEE sum
+as ``abs(v) + 0.5``, so this is ``copysign`` of the rounded magnitude, as an
+int, and ``-0.0`` gives 0.
 
 The four tasks share one class, ``_CartPoleFamily``, and each says its
 facts once: a label's force and the grid come from its spec, the rest from
@@ -30,8 +31,10 @@ import math
 from dataclasses import replace
 
 from .core import (
+    INVALID_ACTION,
     POLICY_ERRORS,
     RAISED,
+    STEP_LIMIT,
     ContinuousAction,
     DiscreteActions,
     Environment,
@@ -72,11 +75,17 @@ class _CartPoleFamily(Environment):
     ``_rollout`` is ``Environment._rollout`` with a step written out: per
     step the observation encoding, one call of the policy, the action
     check, the Euler tick and the bounds test, with the state in four
-    locals.
+    locals. Every name it reads in the loop is a local, the module
+    constants included; the tick assigns the four state variables one
+    after another, and the bounds test compares with both signs of each
+    limit, ``-limit`` read once per rollout. Each float expression has the
+    operands and the order of the frozen reference forms, so a rollout is
+    bit for bit theirs.
     """
 
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
-    # the episode ends when abs(x) or abs(theta) exceeds its limit
+    # the episode ends when abs(x) or abs(theta) exceeds its limit; a NaN
+    # exceeds neither
     _x_limit = X_LIMIT
     _theta_limit = THETA_LIMIT
     # each state variable starts uniform in [-bound, bound]
@@ -110,39 +119,41 @@ class _CartPoleFamily(Environment):
         forces, labels = self._forces, self._labels
         lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
         x_limit, theta_limit = self._x_limit, self._theta_limit
+        x_floor, theta_floor = -x_limit, -theta_limit
         grid, reordered = spec.integer_observations, self._reordered
         append_obs, append_action = observations.append, actions.append
-        cos, sin, floor, inf = math.cos, math.sin, math.floor, math.inf
+        # every name the loop reads is a local, read once per rollout
+        cos, sin, floor, inf, neg_inf = math.cos, math.sin, math.floor, math.inf, -math.inf
+        gravity, mass_pole, total_mass = GRAVITY, MASS_POLE, TOTAL_MASS
+        half_pole_length, pole_mass_length, dt = HALF_POLE_LENGTH, POLE_MASS_LENGTH, DT
+        star2_grid, x_obs_bound, theta_obs_bound = STAR2_GRID, X_OBS_BOUND, THETA_OBS_BOUND
+        velocity_clamp, neg_velocity_clamp = VELOCITY_CLAMP, -VELOCITY_CLAMP
         x, x_dot, theta, theta_dot = self._state
-        cause = TerminationCause.STEP_LIMIT
+        cause = STEP_LIMIT
         for _ in range(limit):
             if grid:
                 # velocities saturate at +/-5 first: they are unbounded natively
                 v = x_dot
-                if v > VELOCITY_CLAMP:
-                    v = VELOCITY_CLAMP
-                elif v < -VELOCITY_CLAMP:
-                    v = -VELOCITY_CLAMP
+                if v > velocity_clamp:
+                    v = velocity_clamp
+                elif v < neg_velocity_clamp:
+                    v = neg_velocity_clamp
                 w = theta_dot
-                if w > VELOCITY_CLAMP:
-                    w = VELOCITY_CLAMP
-                elif w < -VELOCITY_CLAMP:
-                    w = -VELOCITY_CLAMP
-                p = x * STAR2_GRID / X_OBS_BOUND
-                v = v * STAR2_GRID / VELOCITY_CLAMP
-                a = theta * STAR2_GRID / THETA_OBS_BOUND
-                w = w * STAR2_GRID / VELOCITY_CLAMP
-                # NaN raises ValueError here, an infinite position or angle
-                # OverflowError
-                gp = floor(abs(p) + 0.5)
-                gv = floor(abs(v) + 0.5)
-                ga = floor(abs(a) + 0.5)
-                gw = floor(abs(w) + 0.5)
+                if w > velocity_clamp:
+                    w = velocity_clamp
+                elif w < neg_velocity_clamp:
+                    w = neg_velocity_clamp
+                p = x * star2_grid / x_obs_bound
+                v = v * star2_grid / velocity_clamp
+                a = theta * star2_grid / theta_obs_bound
+                w = w * star2_grid / velocity_clamp
+                # half away from zero; NaN raises ValueError here, an infinite
+                # position or angle OverflowError
                 obs = (
-                    -gp if p < 0.0 else gp,
-                    -gv if v < 0.0 else gv,
-                    -ga if a < 0.0 else ga,
-                    -gw if w < 0.0 else gw,
+                    floor(p + 0.5) if p >= 0.0 else -floor(0.5 - p),
+                    floor(v + 0.5) if v >= 0.0 else -floor(0.5 - v),
+                    floor(a + 0.5) if a >= 0.0 else -floor(0.5 - a),
+                    floor(w + 0.5) if w >= 0.0 else -floor(0.5 - w),
                 )
             elif reordered:
                 obs = (x, theta, x_dot, theta_dot)
@@ -159,7 +170,7 @@ class _CartPoleFamily(Environment):
                 else:
                     # as ContinuousAction.coerce: a finite number, clamped
                     action = float(value)
-                    if not -inf < action < inf:
+                    if not neg_inf < action < inf:
                         action = None
                     elif action < lo:
                         action = lo
@@ -169,32 +180,32 @@ class _CartPoleFamily(Environment):
                 value = RAISED
                 action = None
             if action is None:
-                cause = TerminationCause.INVALID_ACTION
+                cause = INVALID_ACTION
                 break
             append_action(action)
             force = forces[action] if forces else action
             cos_t = cos(theta)
             sin_t = sin(theta)
-            temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
-            theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-                HALF_POLE_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS)
+            temp = (force + pole_mass_length * theta_dot * theta_dot * sin_t) / total_mass
+            theta_acc = (gravity * sin_t - cos_t * temp) / (
+                half_pole_length * (4.0 / 3.0 - mass_pole * cos_t * cos_t / total_mass)
             )
-            x_acc = temp - POLE_MASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-            x, x_dot, theta, theta_dot = (
-                x + DT * x_dot,
-                x_dot + DT * x_acc,
-                theta + DT * theta_dot,
-                theta_dot + DT * theta_acc,
-            )
-            # The step that leaves the allowed region still earns its +1.
-            if abs(x) > x_limit or abs(theta) > theta_limit:
+            x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
+            # each line reads only values the lines before it left alone
+            x = x + dt * x_dot
+            x_dot = x_dot + dt * x_acc
+            theta = theta + dt * theta_dot
+            theta_dot = theta_dot + dt * theta_acc
+            # abs(x) > x_limit or abs(theta) > theta_limit. The step that
+            # leaves the allowed region still earns its +1.
+            if x > x_limit or x < x_floor or theta > theta_limit or theta < theta_floor:
                 cause = self.terminal_cause
                 break
         self._state = (x, x_dot, theta, theta_dot)
         self._steps += len(actions)
         # +1 per step taken: the sum of that many 1.0s
         total_reward = float(len(actions))
-        return total_reward, cause, value if cause is TerminationCause.INVALID_ACTION else None
+        return total_reward, cause, value if cause is INVALID_ACTION else None
 
 
 class CartPoleEnv(_CartPoleFamily):

@@ -8,9 +8,12 @@ failures, 5xx responses and empty or unusable completions (a body that is
 not UTF-8, nests too deep for ``json``, is cut short of its Content-Length
 or is longer than ``RESPONSE_BYTES_MAX`` among them) retry with exponential
 backoff up to ``retries`` times, so one call makes at most ``retries + 1``
-attempts; 4xx responses never retry. Requests whose estimated size
-exceeds the configured context budget fail fast with a distinct error so
-callers can shrink their payload (e.g. use a smaller sensory-motor window).
+attempts; 4xx responses never retry. Each attempt's body must have arrived
+``timeout`` seconds after the attempt began: one that still trickles in
+then is a transport failure, so a slow server cannot hold a call open.
+Requests whose estimated size exceeds the configured context budget fail
+fast with a distinct error so callers can shrink their payload (e.g. use a
+smaller sensory-motor window).
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ TEMPERATURE_MAX = 3.2
 # of a few thousand tokens; an error body is cut here, a longer success body
 # is unusable
 RESPONSE_BYTES_MAX = 8 * 1024 * 1024
+# the most bytes one read of a body asks for
+_CHUNK_BYTES = 64 * 1024
 
 _TYPES = {
     "an int": int,
@@ -206,18 +211,41 @@ def _token_count(value) -> int:
     return value if type(value) is int and value >= 0 else 0
 
 
-def _read_body(resp: http.client.HTTPResponse) -> bytes:
+def _read_capped(resp, cap: int, deadline: float) -> bytes:
+    """At most ``cap`` bytes of a response body, read one socket read at a
+    time, so that a body which trickles in stops at ``deadline`` (a
+    ``time.monotonic`` time) with a ``TimeoutError``. A read that has
+    started waits at most the socket timeout. The body ends early when
+    the connection closes; a chunked body cut short raises
+    ``IncompleteRead`` with all that came."""
+    chunks, size = [], 0
+    while size < cap:
+        try:
+            chunk = resp.read1(min(cap - size, _CHUNK_BYTES))
+        except http.client.IncompleteRead as short:
+            short.partial = b"".join(chunks) + short.partial
+            raise
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+        if time.monotonic() > deadline:
+            raise TimeoutError("the response body was still arriving at the attempt's deadline")
+    return b"".join(chunks)
+
+
+def _read_body(resp: http.client.HTTPResponse, deadline: float) -> bytes:
     """The body of a success response, of which at most
-    ``RESPONSE_BYTES_MAX`` + 1 bytes are read. A longer body is a
-    ``MalformedResponseError``; one cut short of its Content-Length raises
-    ``IncompleteRead``, as an unbounded read does."""
-    raw = resp.read(RESPONSE_BYTES_MAX + 1)
+    ``RESPONSE_BYTES_MAX`` + 1 bytes are read by ``deadline``. A longer
+    body is a ``MalformedResponseError``; one cut short of its
+    Content-Length raises ``IncompleteRead``, as an unbounded read does."""
+    raw = _read_capped(resp, RESPONSE_BYTES_MAX + 1, deadline)
     if len(raw) > RESPONSE_BYTES_MAX:
         raise MalformedResponseError(
             f"endpoint returned an unreadable body: over {RESPONSE_BYTES_MAX} bytes"
         )
-    # a bounded read returns what came before the connection closed, and
-    # leaves the declared bytes still missing in ``length``
+    # a read that met the closed connection leaves the declared bytes still
+    # missing in ``length``
     if resp.length:
         raise http.client.IncompleteRead(raw, resp.length)
     return raw
@@ -246,11 +274,13 @@ class HttpChatBackend:
             if attempt:
                 time.sleep(self.config.backoff * 2 ** (attempt - 1))
             started = time.monotonic()
+            # a body still arriving after this time ends the attempt
+            deadline = started + self.config.timeout
             try:
                 req = urllib.request.Request(self.url, data=payload, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
                     try:
-                        body = _read_body(resp).decode("utf-8")
+                        body = _read_body(resp, deadline).decode("utf-8")
                     except (http.client.IncompleteRead, UnicodeDecodeError) as exc:
                         # cut short of its Content-Length, or not UTF-8
                         raise MalformedResponseError(
@@ -258,10 +288,14 @@ class HttpChatBackend:
                         ) from None
                 return self._parse(body, time.monotonic() - started)
             except urllib.error.HTTPError as exc:
+                # a body cut short is what came: the status still decides
                 try:
-                    raw = exc.read(RESPONSE_BYTES_MAX)
-                except http.client.IncompleteRead as short:
-                    raw = short.partial  # the status still decides
+                    raw = _read_capped(exc, RESPONSE_BYTES_MAX, deadline)
+                except http.client.IncompleteRead as short:  # chunked
+                    raw = short.partial
+                except OSError as error:  # the deadline, or a dropped connection
+                    last_error = error
+                    continue
                 finally:
                     exc.close()  # a bounded read leaves a short body's socket open
                 body = raw.decode("utf-8", errors="replace")

@@ -21,10 +21,13 @@ from policyloop.envs.cartpole import (
     VELOCITY_CLAMP,
     X_OBS_BOUND,
 )
-from policyloop.envs.core import RAISED, ContinuousAction, DiscreteActions
+from policyloop.envs.core import RAISED, ContinuousAction, DiscreteActions, TerminationCause
 
 from reference_dynamics import (
+    CARTPOLE_FAMILY_TASKS,
     acrobot_ref,
+    cartpole_family_observation_form,
+    cartpole_family_step_form,
     cartpole_ref,
     cartpole_step_two_call_form,
     continuous_coerce_min_max_form,
@@ -226,6 +229,52 @@ def test_cartpole_step_on_non_finite_states_matches_the_two_call_form():
                 assert _outcome(_stepped_state, task, tuple(state), action) == _outcome(
                     cartpole_step_two_call_form, tuple(state), force
                 ), (task, state, action)
+
+
+def _edges(limit):
+    """The values of x or theta at which the bounds test may turn: each
+    side of the limit, one ulp beyond it, the non-finite values and the
+    two zeros."""
+    return [
+        limit,
+        -limit,
+        math.nextafter(limit, math.inf),
+        math.nextafter(-limit, -math.inf),
+        math.nan,
+        math.inf,
+        -math.inf,
+        0.0,
+        -0.0,
+    ]
+
+
+def _step_ending(task, state, action):
+    result = _env_at(task, state).step(action)
+    return result.terminated, result.cause
+
+
+def _reference_step_ending(task, state, action):
+    # a step is a one-step rollout, which encodes the state it starts from
+    cartpole_family_observation_form(task.value, state)
+    state, _, terminated = cartpole_family_step_form(task.value, state, action)
+    cartpole_family_observation_form(task.value, state)
+    return terminated, TerminationCause.BOUNDS_EXCEEDED if terminated else TerminationCause.NONE
+
+
+@pytest.mark.parametrize("component", [0, 2], ids=["cart_position", "pole_angle"])
+@pytest.mark.parametrize("task", [TaskId(name) for name in CARTPOLE_FAMILY_TASKS])
+def test_cartpole_bounds_test_at_its_edges_matches_the_step_form(task, component):
+    # with both velocities zero the tick leaves x and theta as they are set,
+    # so the bounds test sees each edge value itself; a NaN ends no episode,
+    # and on CartPoleStar2 a non-finite position or angle raises in the encoding
+    labels, x_limit, theta_limit, _ = CARTPOLE_FAMILY_TASKS[task.value]
+    action = 0.0 if labels is None else labels[0]
+    for value in _edges(x_limit if component == 0 else theta_limit):
+        state = [0.0, 0.0, 0.0, 0.0]
+        state[component] = value
+        assert _outcome(_step_ending, task, tuple(state), action) == _outcome(
+            _reference_step_ending, task, tuple(state), action
+        ), (task, state)
 
 
 def test_star2_observation_is_exactly_the_copysign_form_on_random_states():

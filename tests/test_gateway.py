@@ -4,6 +4,7 @@ client exercised against a local throwaway server."""
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -22,7 +23,7 @@ from policyloop.gateway import (
     completions_url,
     count_budget,
 )
-from policyloop.loop import LoopConfig, RunStatus, run_replication
+from policyloop.loop import LoopConfig, RunStatus, run_batch, run_replication
 
 
 def _req(text="hello", temperature=0.0, seed=None):
@@ -121,10 +122,23 @@ def test_completions_url(base, expected):
 # -- HTTP client against a local server ------------------------------------------
 
 
+_TRICKLE_GAP_S = 0.02
+
+
+class _Trickle(str):
+    """A body that ``_Script`` sends one byte every ``_TRICKLE_GAP_S`` seconds."""
+
+
+class _CutChunk(str):
+    """A body that ``_Script`` sends chunked, as one chunk 10 bytes short of
+    its declared size."""
+
+
 class _Script(BaseHTTPRequestHandler):
     """Answers each POST with the next of ``responses``: (status, body), the
-    body a str or raw bytes, or (status, body, declared length) for a body
-    shorter than the Content-Length it is sent with."""
+    body a str, raw bytes, a ``_Trickle`` or a ``_CutChunk``, or (status,
+    body, declared length) for a body shorter than the Content-Length it is
+    sent with."""
 
     responses = []
     requests = []
@@ -136,9 +150,21 @@ class _Script(BaseHTTPRequestHandler):
         payload = body if isinstance(body, bytes) else body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(declared[0] if declared else len(payload)))
+        if isinstance(body, _CutChunk):
+            self.send_header("Transfer-Encoding", "chunked")
+            payload = b"%x\r\n" % (len(payload) + 10) + payload
+        else:
+            self.send_header("Content-Length", str(declared[0] if declared else len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        try:
+            if isinstance(body, _Trickle):
+                for i in range(len(payload)):
+                    self.wfile.write(payload[i : i + 1])
+                    time.sleep(_TRICKLE_GAP_S)
+            else:
+                self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client stopped reading
 
     def log_message(self, *args):
         pass
@@ -158,13 +184,8 @@ def local_server():
 
 
 def _backend(server, **overrides):
-    config = GatewayConfig(
-        base_url=f"http://127.0.0.1:{server.server_port}",
-        timeout=5.0,
-        retries=2,
-        backoff=0.0,
-        **overrides,
-    )
+    settings = {"timeout": 5.0, "retries": 2, "backoff": 0.0, **overrides}
+    config = GatewayConfig(base_url=f"http://127.0.0.1:{server.server_port}", **settings)
     return HttpChatBackend(config)
 
 
@@ -247,6 +268,7 @@ _HOSTILE_BODIES = {
     "invalid-utf8": (200, _ok_body().encode("utf-8").replace(b"fine", b"f\xffne")),
     "deep-nesting": (200, "[" * 100_000),
     "short-body": (200, _ok_body(), len(_ok_body()) + 10),
+    "short-chunk": (200, _CutChunk(_ok_body())),
     # a usable completion, but for its leading spaces one byte over the cap
     "oversized": (200, _ok_body().rjust(RESPONSE_BYTES_MAX + 1)),
 }
@@ -268,6 +290,56 @@ def test_an_error_body_cut_short_is_still_its_status(local_server):
     assert _backend(local_server).complete(_req()).text == "second try"
     assert len(_Script.requests) == 2
     _Script.responses = [(401, "bad key", 100)]
+    with pytest.raises(BackendHTTPError) as info:
+        _backend(local_server).complete(_req())
+    assert (info.value.status, info.value.body) == (401, "bad key")
+    assert len(_Script.requests) == 3
+
+
+# a usable completion that takes 8 s to arrive, against a 0.5 s timeout
+_TRICKLING = _Trickle(_ok_body().rjust(400))
+
+
+@pytest.mark.parametrize("status", [200, 503, 401], ids=["success", "5xx", "4xx"])
+def test_a_trickling_body_is_a_retried_transport_error(local_server, status):
+    # each byte comes well within the socket timeout, so only a deadline on
+    # the whole attempt stops it; the status of an error body then cannot decide
+    _Script.responses = [(status, _TRICKLING)] * 2
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="after 2 attempts.*deadline"):
+        _backend(local_server, timeout=0.5, retries=1).complete(_req())
+    assert time.monotonic() - started < 4.0
+    assert len(_Script.requests) == 2
+
+
+def test_a_batch_records_a_trickling_endpoint_and_runs_the_next_cell(local_server, tmp_path):
+    from conftest import scripted_session
+
+    _Script.responses = [(200, _TRICKLING)] * 2
+    trickling = _backend(local_server, timeout=0.5, retries=1)
+    started = time.monotonic()
+    records = run_batch(
+        tasks=["CartPoleStar2"],
+        backend_factory=lambda task, model, temperature, rep: (
+            trickling if rep == 0 else ScriptedBackend(scripted_session()[:3])
+        ),
+        replications=2,
+        temperatures=[0.0],
+        out_dir=tmp_path,
+        config_overrides={"epochs": 1},
+    )
+    assert time.monotonic() - started < 4.0
+    assert [record.status for record in records] == [
+        RunStatus.ABORTED_BACKEND,
+        RunStatus.COMPLETED,
+    ]
+    assert len(_Script.requests) == 2
+
+
+def test_a_chunked_error_body_cut_short_keeps_all_that_came(local_server):
+    _Script.responses = [(503, _CutChunk("busy")), (200, _ok_body("second try"))]
+    assert _backend(local_server).complete(_req()).text == "second try"
+    _Script.responses = [(401, _CutChunk("bad key"))]
     with pytest.raises(BackendHTTPError) as info:
         _backend(local_server).complete(_req())
     assert (info.value.status, info.value.body) == (401, "bad key")
