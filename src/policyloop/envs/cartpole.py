@@ -75,12 +75,11 @@ class _CartPoleFamily(Environment):
     ``_rollout`` is ``Environment._rollout`` with a step written out: per
     step the observation encoding, one call of the policy, the action
     check, the Euler tick and the bounds test, with the state in four
-    locals. Every name it reads in the loop is a local, the module
-    constants included; the tick assigns the four state variables one
-    after another, and the bounds test compares with both signs of each
-    limit, ``-limit`` read once per rollout. Each float expression has the
-    operands and the order of the frozen reference forms, so a rollout is
-    bit for bit theirs.
+    locals. The module constants and functions every step reads are
+    locals, read once per rollout; the tick assigns the four state
+    variables one after another, and the bounds test compares with both
+    signs of each limit. Each float expression has the operands and the
+    order of the frozen reference forms, so a rollout is bit for bit theirs.
     """
 
     terminal_cause = TerminationCause.BOUNDS_EXCEEDED
@@ -122,7 +121,7 @@ class _CartPoleFamily(Environment):
         x_floor, theta_floor = -x_limit, -theta_limit
         grid, reordered = spec.integer_observations, self._reordered
         append_obs, append_action = observations.append, actions.append
-        # every name the loop reads is a local, read once per rollout
+        # the names every step reads, as locals read once per rollout
         cos, sin, floor, inf, neg_inf = math.cos, math.sin, math.floor, math.inf, -math.inf
         gravity, mass_pole, total_mass = GRAVITY, MASS_POLE, TOTAL_MASS
         half_pole_length, pole_mass_length, dt = HALF_POLE_LENGTH, POLE_MASS_LENGTH, DT

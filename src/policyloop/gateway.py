@@ -230,7 +230,7 @@ def _read_capped(resp, cap: int, deadline: float) -> bytes:
         chunks.append(chunk)
         size += len(chunk)
         if time.monotonic() > deadline:
-            raise TimeoutError("the response body was still arriving at the attempt's deadline")
+            raise TimeoutError("the attempt's deadline passed while its response body was read")
     return b"".join(chunks)
 
 

@@ -122,11 +122,16 @@ def test_completions_url(base, expected):
 # -- HTTP client against a local server ------------------------------------------
 
 
-_TRICKLE_GAP_S = 0.02
-
-
 class _Trickle(str):
-    """A body that ``_Script`` sends one byte every ``_TRICKLE_GAP_S`` seconds."""
+    """A body that ``_Script`` sends one byte every ``gap_s`` seconds."""
+
+    gap_s = 0.02
+
+
+class _Stall(_Trickle):
+    """A trickle slower than any socket timeout the tests set."""
+
+    gap_s = 0.5
 
 
 class _CutChunk(str):
@@ -160,7 +165,7 @@ class _Script(BaseHTTPRequestHandler):
             if isinstance(body, _Trickle):
                 for i in range(len(payload)):
                     self.wfile.write(payload[i : i + 1])
-                    time.sleep(_TRICKLE_GAP_S)
+                    time.sleep(body.gap_s)
             else:
                 self.wfile.write(payload)
         except (BrokenPipeError, ConnectionResetError):
@@ -310,6 +315,13 @@ def test_a_trickling_body_is_a_retried_transport_error(local_server, status):
         _backend(local_server, timeout=0.5, retries=1).complete(_req())
     assert time.monotonic() - started < 4.0
     assert len(_Script.requests) == 2
+
+
+def test_an_error_body_that_stalls_is_a_retried_transport_error(local_server):
+    # the socket timeout ends the read of the error body
+    _Script.responses = [(503, _Stall("busy"))] * 2
+    with pytest.raises(TransportError, match="after 2 attempts"):
+        _backend(local_server, timeout=0.2, retries=1).complete(_req())
 
 
 def test_a_batch_records_a_trickling_endpoint_and_runs_the_next_cell(local_server, tmp_path):
