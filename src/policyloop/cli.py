@@ -89,9 +89,9 @@ def _gateway_config(path: Optional[str], base_url: Optional[str]) -> GatewayConf
     given) in place of theirs; a bad setting is a usage error."""
     try:
         config = GatewayConfig.load(path)
+        return replace(config, base_url=base_url) if base_url else config
     except (OSError, TypeError, ValueError) as exc:
         raise UsageError(f"gateway settings{f' in {path}' if path else ''}: {exc}")
-    return replace(config, base_url=base_url) if base_url else config
 
 
 def _script(responses, where: str) -> list:

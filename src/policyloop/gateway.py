@@ -8,7 +8,9 @@ failures, 5xx responses and empty or unusable completions (a body that is
 not UTF-8, nests too deep for ``json``, is cut short of its Content-Length
 or is longer than ``RESPONSE_BYTES_MAX`` among them) retry with exponential
 backoff up to ``retries`` times, so one call makes at most ``retries + 1``
-attempts; 4xx responses never retry. Each attempt's body must have arrived
+attempts; 4xx responses never retry. A redirect is never followed: a 3xx
+is that attempt's answer and retries as a 5xx does. One reader takes the
+body of every status, and each attempt's body must have arrived
 ``timeout`` seconds after the attempt began: one that still trickles in
 then is a transport failure, so a slow server cannot hold a call open.
 Requests whose estimated size exceeds the configured context budget fail
@@ -22,8 +24,10 @@ import http.client
 import json
 import math
 import os
+import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -157,6 +161,32 @@ class GatewayConfig:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if not self.context_budget >= 1:
             raise ValueError(f"context_budget must be at least 1, got {self.context_budget}")
+        # the most that socket.settimeout and time.sleep take
+        if not self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX}, got {self.timeout}")
+        if not math.isfinite(self.backoff):
+            raise ValueError(f"backoff must be finite, got {self.backoff}")
+        try:  # the float power of a huge retries overflows at once
+            longest = self.backoff * 2.0 ** (self.retries - 1) if self.retries else 0.0
+        except OverflowError:  # so would the sleep before attempt 1025
+            longest = math.inf
+        if not longest <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"the longest back-off, backoff * 2 ** (retries - 1), must be at most "
+                f"{threading.TIMEOUT_MAX}, got {longest} (backoff {self.backoff}, "
+                f"retries {self.retries})"
+            )
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            # reading the port refuses one that is no number in 0-65535, which
+            # urlopen would raise past every retry; nothing listens on port 0
+            usable = url.scheme in ("http", "https") and url.hostname and url.port != 0
+        except ValueError:  # that port, or a bracketed host that is no IPv6 address
+            usable = False
+        if not usable:
+            raise ValueError(
+                f"base_url must be an http or https URL with a host, got {self.base_url!r}"
+            )
 
     @classmethod
     def from_file(cls, path: str) -> "GatewayConfig":
@@ -194,12 +224,13 @@ class GatewayConfig:
 
 
 def completions_url(base_url: str) -> str:
-    base = base_url.rstrip("/")
-    if base.endswith("/chat/completions"):
-        return base
-    if base.endswith("/v1"):
-        return base + "/chat/completions"
-    return base + "/v1/chat/completions"
+    """``base_url`` with its path extended to end in /v1/chat/completions;
+    a query string stays at the end."""
+    url = urllib.parse.urlsplit(base_url)
+    path = url.path.rstrip("/")
+    if not path.endswith("/chat/completions"):
+        path += "/chat/completions" if path.endswith("/v1") else "/v1/chat/completions"
+    return urllib.parse.urlunsplit(url._replace(path=path))
 
 
 _CONTEXT_HINTS = ("context length", "context_length", "maximum context", "too many tokens")
@@ -211,44 +242,41 @@ def _token_count(value) -> int:
     return value if type(value) is int and value >= 0 else 0
 
 
-def _read_capped(resp, cap: int, deadline: float) -> bytes:
-    """At most ``cap`` bytes of a response body, read one socket read at a
-    time, so that a body which trickles in stops at ``deadline`` (a
-    ``time.monotonic`` time) with a ``TimeoutError``. A read that has
-    started waits at most the socket timeout. The body ends early when
-    the connection closes; a chunked body cut short raises
-    ``IncompleteRead`` with all that came."""
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect, so a 3xx is the attempt's answer: following it
+    would send the call, with its Authorization header, to the host that
+    the Location header names."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+# built once, as urlopen builds its own, but with redirects never followed
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
+def _read_capped(resp, deadline: float) -> tuple[bytes, bool]:
+    """The first ``RESPONSE_BYTES_MAX`` + 1 bytes of a response body,
+    whatever its status, and whether they came whole. The body is read one
+    socket read at a time, so that one which trickles in stops at
+    ``deadline`` (a ``time.monotonic`` time) with a ``TimeoutError``; a read
+    that has started waits at most the socket timeout. A body cut short of
+    its Content-Length or of a chunk keeps all that came."""
     chunks, size = [], 0
-    while size < cap:
-        try:
-            chunk = resp.read1(min(cap - size, _CHUNK_BYTES))
-        except http.client.IncompleteRead as short:
-            short.partial = b"".join(chunks) + short.partial
-            raise
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size += len(chunk)
-        if time.monotonic() > deadline:
-            raise TimeoutError("the attempt's deadline passed while its response body was read")
-    return b"".join(chunks)
-
-
-def _read_body(resp: http.client.HTTPResponse, deadline: float) -> bytes:
-    """The body of a success response, of which at most
-    ``RESPONSE_BYTES_MAX`` + 1 bytes are read by ``deadline``. A longer
-    body is a ``MalformedResponseError``; one cut short of its
-    Content-Length raises ``IncompleteRead``, as an unbounded read does."""
-    raw = _read_capped(resp, RESPONSE_BYTES_MAX + 1, deadline)
-    if len(raw) > RESPONSE_BYTES_MAX:
-        raise MalformedResponseError(
-            f"endpoint returned an unreadable body: over {RESPONSE_BYTES_MAX} bytes"
-        )
+    try:
+        while size <= RESPONSE_BYTES_MAX:
+            chunk = resp.read1(min(RESPONSE_BYTES_MAX + 1 - size, _CHUNK_BYTES))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+            if time.monotonic() > deadline:
+                raise TimeoutError("the attempt's deadline passed while its response body was read")
+    except http.client.IncompleteRead as short:  # a chunked body
+        return b"".join(chunks) + short.partial, False
     # a read that met the closed connection leaves the declared bytes still
     # missing in ``length``
-    if resp.length:
-        raise http.client.IncompleteRead(raw, resp.length)
-    return raw
+    return b"".join(chunks), not resp.length
 
 
 class HttpChatBackend:
@@ -278,35 +306,33 @@ class HttpChatBackend:
             deadline = started + self.config.timeout
             try:
                 req = urllib.request.Request(self.url, data=payload, headers=headers)
-                with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
-                    try:
-                        body = _read_body(resp, deadline).decode("utf-8")
-                    except (http.client.IncompleteRead, UnicodeDecodeError) as exc:
-                        # cut short of its Content-Length, or not UTF-8
-                        raise MalformedResponseError(
-                            f"endpoint returned an unreadable body: {exc}"
-                        ) from None
-                return self._parse(body, time.monotonic() - started)
-            except urllib.error.HTTPError as exc:
-                # a body cut short is what came: the status still decides
                 try:
-                    raw = _read_capped(exc, RESPONSE_BYTES_MAX, deadline)
-                except http.client.IncompleteRead as short:  # chunked
-                    raw = short.partial
-                except OSError as error:  # the deadline, or a dropped connection
-                    last_error = error
-                    continue
-                finally:
-                    exc.close()  # a bounded read leaves a short body's socket open
-                body = raw.decode("utf-8", errors="replace")
-                if 400 <= exc.code < 500:
-                    lowered = body.lower()
-                    if any(hint in lowered for hint in _CONTEXT_HINTS):
-                        raise ContextLengthError(body[:500]) from None
-                    raise BackendHTTPError(exc.code, body) from None
-                last_error = BackendHTTPError(exc.code, body)
-            except (urllib.error.URLError, TimeoutError, OSError, MalformedResponseError) as exc:
+                    resp = _OPENER.open(req, timeout=self.config.timeout)
+                except urllib.error.HTTPError as answer:  # a status outside 2xx is an answer too
+                    resp = answer
+                with resp:
+                    raw, whole = _read_capped(resp, deadline)
+                if 200 <= resp.status < 300:
+                    if len(raw) > RESPONSE_BYTES_MAX:
+                        problem = f"over {RESPONSE_BYTES_MAX} bytes"
+                    elif not whole:
+                        problem = f"cut short after {len(raw)} bytes"
+                    else:
+                        try:
+                            return self._parse(raw.decode("utf-8"), time.monotonic() - started)
+                        except UnicodeDecodeError as exc:
+                            problem = str(exc)
+                    raise MalformedResponseError(f"endpoint returned an unreadable body: {problem}")
+            except (OSError, MalformedResponseError) as exc:  # URLError is an OSError
                 last_error = exc
+                continue
+            # a body cut short is what came: the status still decides
+            body = raw[:RESPONSE_BYTES_MAX].decode("utf-8", errors="replace")
+            if 400 <= resp.status < 500:
+                if any(hint in body.lower() for hint in _CONTEXT_HINTS):
+                    raise ContextLengthError(body[:500])
+                raise BackendHTTPError(resp.status, body)
+            last_error = BackendHTTPError(resp.status, body)
         if isinstance(last_error, MalformedResponseError):
             raise last_error
         raise TransportError(

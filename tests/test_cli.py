@@ -194,8 +194,11 @@ def test_count_options_refuse_zero(tmp_path, script_file, capsys, option):
         ({"POLICYLOOP_RETRIES": "abc"}, None, "POLICYLOOP_RETRIES"),
         ({"POLICYLOOP_RETRIES": "-1"}, None, "retries"),
         ({}, {"timeout": 0}, "timeout"),
+        ({"POLICYLOOP_TIMEOUT": "inf"}, None, "timeout must be at most"),
+        ({}, {"backoff": 1e300}, "the longest back-off"),
     ],
-    ids=["retries-not-an-int", "retries-negative", "timeout-zero-in-file"],
+    ids=["retries-not-an-int", "retries-negative", "timeout-zero-in-file",
+         "timeout-inf", "backoff-too-long-in-file"],
 )
 def test_bad_gateway_setting_is_a_usage_error(
     tmp_path, monkeypatch, env, gateway_config, setting
@@ -226,6 +229,16 @@ def test_batch_refuses_a_bad_gateway_setting(tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "gateway settings: retries must be at least 0, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("base_url", ["localhost:11434", "http://host:port"])
+def test_a_backend_url_the_gateway_cannot_send_to_is_a_usage_error(tmp_path, base_url):
+    done = _cli(0, "run", "--task", "CartPoleStar2", "--backend-url", base_url,
+                "--out", str(tmp_path / "record.json"))
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert f"base_url must be an http or https URL with a host, got {base_url!r}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "record.json").exists()
 
 
 # -- bad settings files --------------------------------------------------------
@@ -260,6 +273,10 @@ BAD_SETTINGS = {
     "gateway-base-url-not-a-string": (
         "gw.json", {"base_url": 5}, ["run", "--gateway-config", "gw.json"], "base_url"
     ),
+    "gateway-base-url-without-a-scheme": (
+        "gw.json", {"base_url": "localhost:11434"}, ["run", "--gateway-config", "gw.json"],
+        "base_url",
+    ),
     "gateway-config-missing": (
         "gw.json", None,
         ["run", "--backend-url", "http://127.0.0.1:9", "--gateway-config", "gw.json"], "gw.json",
@@ -291,6 +308,10 @@ BAD_SETTINGS = {
     "batch-no-models": (
         "batch.json", {**OFFLINE_BATCH, "models": []},
         ["batch", "--config", "batch.json"], "model_names",
+    ),
+    "batch-base-url-without-a-scheme": (
+        "batch.json", {"tasks": ["CartPole"], "base_url": "localhost:11434"},
+        ["batch", "--config", "batch.json"], "base_url",
     ),
     "batch-empty-script": (
         "batch.json", {"tasks": ["CartPole"], "script": [], "base_url": "http://127.0.0.1:9"},

@@ -3,6 +3,7 @@ client exercised against a local throwaway server."""
 
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -113,6 +114,13 @@ def test_budget_is_stable_for_fixture_prompt():
         ("http://host:8000/", "http://host:8000/v1/chat/completions"),
         ("http://host:8000/v1", "http://host:8000/v1/chat/completions"),
         ("http://host:8000/v1/chat/completions", "http://host:8000/v1/chat/completions"),
+        # a query string stays at the end
+        ("http://host:8000?api-version=2", "http://host:8000/v1/chat/completions?api-version=2"),
+        ("http://host:8000/v1?api-version=2", "http://host:8000/v1/chat/completions?api-version=2"),
+        (
+            "https://host/openai/chat/completions?api-version=2",
+            "https://host/openai/chat/completions?api-version=2",
+        ),
     ],
 )
 def test_completions_url(base, expected):
@@ -398,6 +406,57 @@ def test_a_usable_completion_survives_its_usage_block(local_server, usage):
     assert len(_Script.requests) == 1
 
 
+class _Redirecting(BaseHTTPRequestHandler):
+    """Records each request in its server's ``seen``, then answers it with
+    the server's ``status`` and a completion, or with a redirect to the
+    server's ``location`` when it has one."""
+
+    def _answer(self):
+        self.server.seen.append((self.command, self.path, self.headers.get("Authorization")))
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = b"" if self.server.location else _ok_body("from the redirect").encode("utf-8")
+        self.send_response(self.server.status)
+        if self.server.location:
+            self.send_header("Location", self.server.location)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def redirecting_server():
+    """A server that redirects every call, and the server it redirects to."""
+    servers = [HTTPServer(("127.0.0.1", 0), _Redirecting) for _ in range(2)]
+    threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+    for thread in threads:
+        thread.start()
+    redirecting, recording = servers
+    recording.seen, recording.location, recording.status = [], None, 200
+    redirecting.seen = []
+    redirecting.location = f"http://127.0.0.1:{recording.server_port}/steal"
+    yield redirecting, recording
+    for server, thread in zip(servers, threads):
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_a_redirect_is_a_retried_answer_never_followed(redirecting_server, status):
+    redirecting, recording = redirecting_server
+    redirecting.status = status
+    backend = _backend(redirecting, api_key="sk-secret")
+    with pytest.raises(TransportError, match=f"after 3 attempts: HTTP {status}"):
+        backend.complete(_req())
+    assert [method for method, _, _ in redirecting.seen] == ["POST"] * 3
+    assert recording.seen == []
+
+
 def test_transport_error_when_nothing_listens():
     config = GatewayConfig(base_url="http://127.0.0.1:9", timeout=0.5, retries=1, backoff=0.0)
     with pytest.raises(TransportError):
@@ -427,6 +486,20 @@ def test_gateway_config_env_overrides(monkeypatch, tmp_path):
         ("timeout", 0.0, "timeout must be positive, got 0.0"),
         ("timeout", -1.0, "timeout must be positive, got -1.0"),
         ("context_budget", 0, "context_budget must be at least 1, got 0"),
+        # what socket.settimeout and time.sleep cannot take
+        ("timeout", float("inf"), f"timeout must be at most {threading.TIMEOUT_MAX}, got inf"),
+        ("timeout", 1e10, f"timeout must be at most {threading.TIMEOUT_MAX}, got 10000000000.0"),
+        ("backoff", float("inf"), "backoff must be finite, got inf"),
+        ("backoff", 1e300, "the longest back-off, backoff * 2 ** (retries - 1), must be at most"),
+        # 0.5 * 2 ** 35 seconds; and 2.0 ** 1999 overflows a float
+        ("retries", 36, f"at most {threading.TIMEOUT_MAX}, got 17179869184.0"),
+        ("retries", 2000, f"at most {threading.TIMEOUT_MAX}, got inf"),
+        # what urlopen cannot send to
+        ("base_url", "localhost:11434", "base_url must be an http or https URL with a host"),
+        ("base_url", "ftp://host/v1", "base_url must be an http or https URL with a host"),
+        ("base_url", "http:///v1", "base_url must be an http or https URL with a host"),
+        ("base_url", "http://host:port", "base_url must be an http or https URL with a host"),
+        ("base_url", "http://[::1/v1", "base_url must be an http or https URL with a host"),
     ],
 )
 def test_gateway_config_refuses_unusable_values(field, value, message):
@@ -462,3 +535,11 @@ def test_gateway_config_accepts_the_edge_values():
     config = GatewayConfig(retries=0, backoff=0.0, timeout=0.01, context_budget=1)
     assert (config.retries, config.backoff, config.context_budget) == (0, 0.0, 1)
 
+
+def test_gateway_config_accepts_the_largest_timeout_and_back_off():
+    GatewayConfig(timeout=threading.TIMEOUT_MAX, backoff=threading.TIMEOUT_MAX, retries=1)
+    GatewayConfig(backoff=threading.TIMEOUT_MAX / 2**33, retries=34)
+    GatewayConfig(base_url="https://[::1]:8443/v1?api-version=2")
+    # the bound is one the socket layer takes
+    with socket.socket() as sock:
+        sock.settimeout(threading.TIMEOUT_MAX)
