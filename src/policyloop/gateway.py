@@ -4,15 +4,16 @@ deterministic tests.
 
 Every prompt is sent as a self-contained exchange; the client holds no
 conversation state. The HTTP client is the only retry layer: transport
-failures, 5xx responses and empty or unusable completions (a body that is
-not UTF-8, nests too deep for ``json``, is cut short of its Content-Length
-or is longer than ``RESPONSE_BYTES_MAX`` among them) retry with exponential
-backoff up to ``retries`` times, so one call makes at most ``retries + 1``
-attempts; 4xx responses never retry. A redirect is never followed: a 3xx
-is that attempt's answer and retries as a 5xx does. One reader takes the
-body of every status, and each attempt's body must have arrived
-``timeout`` seconds after the attempt began: one that still trickles in
-then is a transport failure, so a slow server cannot hold a call open.
+failures (a garbled status line or headers among them), 5xx responses and
+empty or unusable completions (a body that is not UTF-8, nests too deep
+for ``json``, is cut short of its Content-Length or is longer than
+``RESPONSE_BYTES_MAX`` among them) retry with exponential backoff up to
+``retries`` times, so one call makes at most ``retries + 1`` attempts; 4xx
+responses and an empty completion cut at ``max_tokens`` never retry. Each
+attempt opens its own connection to ``base_url`` (no ``*_proxy`` variable
+is read) and follows no redirect: a 3xx retries as a 5xx does. One
+deadline, ``timeout`` seconds after the attempt began, bounds its status
+line, headers and body, so a slow server cannot hold a call open.
 Requests whose estimated size exceeds the configured context budget fail
 fast with a distinct error so callers can shrink their payload (e.g. use a
 smaller sensory-motor window).
@@ -21,14 +22,13 @@ smaller sensory-motor window).
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import math
 import os
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -80,6 +80,10 @@ class ContextLengthError(GatewayError):
 
 class MalformedResponseError(GatewayError):
     """The endpoint answered but not with a usable completion."""
+
+
+class TruncatedCompletionError(GatewayError):
+    """The model spent the request's ``max_tokens`` before any content; a retry would too."""
 
 
 class ScriptExhaustedError(GatewayError):
@@ -179,7 +183,7 @@ class GatewayConfig:
         try:
             url = urllib.parse.urlsplit(self.base_url)
             # reading the port refuses one that is no number in 0-65535, which
-            # urlopen would raise past every retry; nothing listens on port 0
+            # each attempt would raise past every retry; nothing listens on port 0
             usable = url.scheme in ("http", "https") and url.hostname and url.port != 0
         except ValueError:  # that port, or a bracketed host that is no IPv6 address
             usable = False
@@ -242,25 +246,34 @@ def _token_count(value) -> int:
     return value if type(value) is int and value >= 0 else 0
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follows no redirect, so a 3xx is the attempt's answer: following it
-    would send the call, with its Authorization header, to the host that
-    the Location header names."""
+class _DeadlineSocket(io.RawIOBase):
+    """A connection's socket as ``http.client.HTTPResponse`` reads it, which
+    is only through ``makefile("rb")``: no read of the status line, headers
+    or body waits past ``deadline``, a ``time.monotonic`` time."""
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+    def __init__(self, sock, deadline: float):
+        self._sock, self._deadline = sock, deadline
+
+    def makefile(self, mode):
+        return io.BufferedReader(self)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        try:
+            left = self._deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError
+            self._sock.settimeout(left)
+            return self._sock.recv_into(buffer)
+        except TimeoutError:
+            raise TimeoutError("the attempt's deadline passed before its response had come") from None
 
 
-# built once, as urlopen builds its own, but with redirects never followed
-_OPENER = urllib.request.build_opener(_NoRedirect)
-
-
-def _read_capped(resp, deadline: float) -> tuple[bytes, bool]:
+def _read_capped(resp) -> tuple[bytes, bool]:
     """The first ``RESPONSE_BYTES_MAX`` + 1 bytes of a response body,
-    whatever its status, and whether they came whole. The body is read one
-    socket read at a time, so that one which trickles in stops at
-    ``deadline`` (a ``time.monotonic`` time) with a ``TimeoutError``; a read
-    that has started waits at most the socket timeout. A body cut short of
+    whatever its status, and whether they came whole. A body cut short of
     its Content-Length or of a chunk keeps all that came."""
     chunks, size = [], 0
     try:
@@ -270,8 +283,6 @@ def _read_capped(resp, deadline: float) -> tuple[bytes, bool]:
                 break
             chunks.append(chunk)
             size += len(chunk)
-            if time.monotonic() > deadline:
-                raise TimeoutError("the attempt's deadline passed while its response body was read")
     except http.client.IncompleteRead as short:  # a chunked body
         return b"".join(chunks) + short.partial, False
     # a read that met the closed connection leaves the declared bytes still
@@ -293,25 +304,26 @@ class HttpChatBackend:
                 f"configured context budget of {self.config.context_budget}"
             )
         payload = json.dumps(request.to_wire()).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
+        url = urllib.parse.urlsplit(self.url)
+        target = url.path + (f"?{url.query}" if url.query else "")
+        # an HTTPSConnection's default context verifies the certificate and the host name
+        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
 
         last_error: Optional[Exception] = None
         for attempt in range(self.config.retries + 1):
             if attempt:
                 time.sleep(self.config.backoff * 2 ** (attempt - 1))
             started = time.monotonic()
-            # a body still arriving after this time ends the attempt
-            deadline = started + self.config.timeout
+            conn = connection(url.hostname, url.port, timeout=self.config.timeout)
             try:
-                req = urllib.request.Request(self.url, data=payload, headers=headers)
-                try:
-                    resp = _OPENER.open(req, timeout=self.config.timeout)
-                except urllib.error.HTTPError as answer:  # a status outside 2xx is an answer too
-                    resp = answer
-                with resp:
-                    raw, whole = _read_capped(resp, deadline)
+                conn.request("POST", target, payload, headers)
+                sock = _DeadlineSocket(conn.sock, started + self.config.timeout)
+                with http.client.HTTPResponse(sock, method="POST") as resp:
+                    resp.begin()
+                    raw, whole = _read_capped(resp)
                 if 200 <= resp.status < 300:
                     if len(raw) > RESPONSE_BYTES_MAX:
                         problem = f"over {RESPONSE_BYTES_MAX} bytes"
@@ -319,13 +331,16 @@ class HttpChatBackend:
                         problem = f"cut short after {len(raw)} bytes"
                     else:
                         try:
-                            return self._parse(raw.decode("utf-8"), time.monotonic() - started)
+                            body = raw.decode("utf-8")
+                            return self._parse(body, time.monotonic() - started, request.max_tokens)
                         except UnicodeDecodeError as exc:
                             problem = str(exc)
                     raise MalformedResponseError(f"endpoint returned an unreadable body: {problem}")
-            except (OSError, MalformedResponseError) as exc:  # URLError is an OSError
+            except (OSError, http.client.HTTPException, MalformedResponseError) as exc:
                 last_error = exc
                 continue
+            finally:
+                conn.close()
             # a body cut short is what came: the status still decides
             body = raw[:RESPONSE_BYTES_MAX].decode("utf-8", errors="replace")
             if 400 <= resp.status < 500:
@@ -340,7 +355,7 @@ class HttpChatBackend:
         )
 
     @staticmethod
-    def _parse(body: str, latency: float) -> ChatResponse:
+    def _parse(body: str, latency: float, max_tokens: int) -> ChatResponse:
         try:
             data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
@@ -349,6 +364,10 @@ class HttpChatBackend:
                 f"endpoint returned an unusable body: {body[:200]}"
             ) from None
         if not isinstance(text, str) or not text.strip():
+            if data["choices"][0].get("finish_reason") == "length":
+                raise TruncatedCompletionError(
+                    f"the model reached the request's max_tokens of {max_tokens} before any content"
+                )
             raise MalformedResponseError("endpoint returned an empty completion")
         usage = data.get("usage")
         usage = usage if isinstance(usage, dict) else {}

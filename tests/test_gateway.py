@@ -2,11 +2,19 @@
 client exercised against a local throwaway server."""
 
 import json
+import os
 import re
+import shutil
 import socket
+import socketserver
+import ssl
+import subprocess
+import sys
 import threading
 import time
+from http.client import parse_headers
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +29,13 @@ from policyloop.gateway import (
     ScriptedBackend,
     ScriptExhaustedError,
     TransportError,
+    TruncatedCompletionError,
     completions_url,
     count_budget,
 )
 from policyloop.loop import LoopConfig, RunStatus, run_batch, run_replication
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _req(text="hello", temperature=0.0, seed=None):
@@ -461,6 +472,232 @@ def test_transport_error_when_nothing_listens():
     config = GatewayConfig(base_url="http://127.0.0.1:9", timeout=0.5, retries=1, backoff=0.0)
     with pytest.raises(TransportError):
         HttpChatBackend(config).complete(_req())
+
+
+def test_proxy_variables_do_not_divert_a_call(local_server, redirecting_server):
+    _, proxy = redirecting_server  # records each request and answers a completion
+    # a fresh interpreter, so that the variable is set before the gateway is
+    # imported, as it is when a shell exports it
+    env = {name: value for name, value in os.environ.items() if name.lower() != "no_proxy"}
+    env["http_proxy"] = f"http://127.0.0.1:{proxy.server_port}"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    call = (
+        "from policyloop.gateway import ChatRequest, GatewayConfig, HttpChatBackend\n"
+        f"config = GatewayConfig(base_url='http://127.0.0.1:{local_server.server_port}',"
+        " api_key='sk-secret', retries=0)\n"
+        "request = ChatRequest('m', 0.0, [{'role': 'user', 'content': 'hi'}])\n"
+        "print(HttpChatBackend(config).complete(request).text)\n"
+    )
+    _Script.responses = [(200, _ok_body("straight from the endpoint"))]
+    done = subprocess.run(
+        [sys.executable, "-c", call], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "straight from the endpoint", done.stderr
+    assert proxy.seen == []
+
+
+# -- answers that are no HTTP, from a raw socket ----------------------------------
+
+
+class _RawServer(socketserver.TCPServer):
+    """Reads each request whole, then writes ``answer`` as it is: one byte
+    every ``gap_s`` seconds when that is set, then falls silent for
+    ``stall_s`` seconds. ``BaseHTTPRequestHandler`` always writes a valid
+    status line, so this server writes its own."""
+
+    answer, gap_s, stall_s, requests = b"", 0.0, 0.0, 0
+
+    @property
+    def server_port(self):
+        return self.server_address[1]
+
+
+class _RawAnswer(socketserver.StreamRequestHandler):
+    def handle(self):
+        self.rfile.readline()  # the request line
+        headers = parse_headers(self.rfile)
+        self.rfile.read(int(headers["Content-Length"]))
+        self.server.requests += 1
+        try:
+            if self.server.gap_s:
+                for i in range(len(self.server.answer)):
+                    self.wfile.write(self.server.answer[i : i + 1])
+                    time.sleep(self.server.gap_s)
+            else:
+                self.wfile.write(self.server.answer)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client stopped reading
+        time.sleep(self.server.stall_s)
+
+
+@pytest.fixture
+def raw_server():
+    server = _RawServer(("127.0.0.1", 0), _RawAnswer)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=2)
+
+
+_GARBLED = {
+    "no-http": b"HELLO THERE\r\n\r\n",
+    "101-headers": b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: y\r\n" % i for i in range(101)) + b"\r\n",
+    "long-header": b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("answer", _GARBLED.values(), ids=list(_GARBLED))
+def test_a_garbled_status_line_or_header_block_is_a_retried_transport_error(raw_server, answer):
+    raw_server.answer = answer
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        _backend(raw_server).complete(_req())
+    assert raw_server.requests == 3
+
+
+def test_a_replication_records_a_garbled_answer_as_a_backend_abort(raw_server):
+    raw_server.answer = _GARBLED["no-http"]
+    config = LoopConfig.for_task("CartPoleStar2", epochs=2, eval_episodes=1)
+    record = run_replication("CartPoleStar2", config, _backend(raw_server))
+    assert record.status is RunStatus.ABORTED_BACKEND
+    assert raw_server.requests == 3
+
+
+def test_a_trickling_status_line_and_headers_end_at_the_deadline(raw_server):
+    # each byte comes well within the socket timeout; the whole head takes 3.9 s
+    header = b"X-Pad: " + b"p" * 51 + b"\r\n"
+    assert len(header) == 60
+    raw_server.answer, raw_server.gap_s = b"HTTP/1.1 200 OK\r\n" + header + b"\r\n", 0.05
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="after 2 attempts.*deadline"):
+        _backend(raw_server, timeout=0.5, retries=1).complete(_req())
+    assert time.monotonic() - started < 4.0
+    assert raw_server.requests == 2
+
+
+def test_a_read_that_starts_before_the_deadline_ends_at_it(raw_server):
+    # the status line takes 0.6 s, then the server falls silent: the read
+    # that waits then ends at the deadline, not a whole timeout later (1.6 s)
+    raw_server.answer, raw_server.gap_s, raw_server.stall_s = b"HTTP/1.1 200 OK\r\n", 0.035, 2.0
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="deadline"):
+        _backend(raw_server, timeout=1.0, retries=0).complete(_req())
+    assert time.monotonic() - started < 1.4
+
+
+# -- HTTPS ------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def certificate(tmp_path_factory):
+    """A self-signed certificate for 127.0.0.1 and its key, made for this run."""
+    if shutil.which("openssl") is None:
+        if os.environ.get("CI"):
+            pytest.fail("the HTTPS tests need openssl")
+        pytest.skip("openssl is not installed")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "2",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+         "-addext", "basicConstraints=critical,CA:TRUE",
+         "-addext", "keyUsage=critical,keyCertSign,digitalSignature",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True,
+        capture_output=True,
+    )
+    return cert, key
+
+
+@pytest.fixture
+def tls_server(certificate, monkeypatch):
+    """``_Script`` served over TLS, with the client trusting its certificate."""
+    cert, key = certificate
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    server = HTTPServer(("127.0.0.1", 0), _Script)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _Script.responses = []
+    _Script.requests = []
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=2)
+
+
+def _tls_backend(server, **overrides):
+    settings = {"timeout": 5.0, "retries": 2, "backoff": 0.0, **overrides}
+    config = GatewayConfig(base_url=f"https://127.0.0.1:{server.server_port}", **settings)
+    return HttpChatBackend(config)
+
+
+def test_https_roundtrip(tls_server):
+    _Script.responses = [(200, _ok_body("over tls"))]
+    assert _tls_backend(tls_server).complete(_req()).text == "over tls"
+    assert len(_Script.requests) == 1
+
+
+def test_a_trickling_body_over_https_ends_at_the_deadline(tls_server):
+    _Script.responses = [(200, _TRICKLING)] * 2
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="after 2 attempts.*deadline"):
+        _tls_backend(tls_server, timeout=0.5, retries=1).complete(_req())
+    assert time.monotonic() - started < 4.0
+    assert len(_Script.requests) == 2
+
+
+def test_an_untrusted_certificate_is_refused_before_the_request(tls_server, monkeypatch):
+    monkeypatch.delenv("SSL_CERT_FILE")
+    # a client that skipped the check would get this completion
+    _Script.responses = [(200, _ok_body())] * 3
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        _tls_backend(tls_server).complete(_req())
+    assert _Script.requests == []
+
+
+# -- a completion cut at max_tokens -----------------------------------------------
+
+
+_CUT = json.dumps(
+    {
+        "choices": [
+            {
+                "message": {"content": "", "reasoning_content": "First, the pole angle..."},
+                "finish_reason": "length",
+            }
+        ]
+    }
+)
+
+
+def test_an_empty_completion_cut_at_max_tokens_is_not_retried(local_server):
+    _Script.responses = [(200, _CUT)] * 3
+    with pytest.raises(TruncatedCompletionError, match="max_tokens of 128"):
+        _backend(local_server, backoff=5.0).complete(_req())
+    assert len(_Script.requests) == 1
+    # an empty completion that says it stopped is still retried
+    stopped = {"choices": [{"message": {"content": ""}, "finish_reason": "stop"}]}
+    _Script.responses = [(200, json.dumps(stopped)), (200, _ok_body("second try"))]
+    assert _backend(local_server).complete(_req()).text == "second try"
+    assert len(_Script.requests) == 3
+
+
+def test_a_batch_records_a_completion_cut_at_max_tokens_as_a_backend_abort(local_server, tmp_path):
+    _Script.responses = [(200, _CUT)] * 4
+    records = run_batch(
+        tasks=["CartPoleStar2"],
+        backend_factory=lambda task, model, temperature, rep: _backend(local_server),
+        replications=1,
+        temperatures=[0.0],
+        out_dir=tmp_path,
+        config_overrides={"epochs": 1},
+    )
+    assert [record.status for record in records] == [RunStatus.ABORTED_BACKEND]
+    assert len(_Script.requests) == 1
 
 
 # -- config ---------------------------------------------------------------------
