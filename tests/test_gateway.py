@@ -577,9 +577,9 @@ def test_a_trickling_status_line_and_headers_end_at_the_deadline(raw_server):
 
 
 def test_a_read_that_starts_before_the_deadline_ends_at_it(raw_server):
-    # the status line takes 0.6 s, then the server falls silent: the read
-    # that waits then ends at the deadline, not a whole timeout later (1.6 s)
-    raw_server.answer, raw_server.gap_s, raw_server.stall_s = b"HTTP/1.1 200 OK\r\n", 0.035, 2.0
+    # the status line takes 0.8 s, then the server falls silent: the read
+    # that waits then ends at the deadline, not a whole timeout later (1.8 s)
+    raw_server.answer, raw_server.gap_s, raw_server.stall_s = b"HTTP/1.1 200 OK\r\n", 0.05, 2.0
     started = time.monotonic()
     with pytest.raises(TransportError, match="deadline"):
         _backend(raw_server, timeout=1.0, retries=0).complete(_req())
