@@ -28,7 +28,7 @@ config = LoopConfig.for_task(
     model_name=os.environ.get("POLICYLOOP_MODEL", "llama3"),
     seed_root=1,
 )
-backend = HttpChatBackend(GatewayConfig().with_env_overrides())
+backend = HttpChatBackend(GatewayConfig.load())
 
 record = run_replication("CartPoleStar1", config, backend, replication_index=0, temperature=0.0)
 

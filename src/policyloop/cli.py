@@ -6,14 +6,16 @@ condition) and ``metrics`` (aggregate stored records). Backends come from
 --backend-url/--gateway-config (HTTP) or --script (a JSON list of canned
 responses); POLICYLOOP_* environment variables override gateway settings.
 A setting the command cannot use (a missing file, a bad value) is a usage
-error: exit 2 before anything runs, and no record is written.
+error: exit 2 before anything runs, and no record is written. The commands
+check no bound themselves: ``LoopConfig``, ``GatewayConfig``, ``run_batch``
+and ``compute_report`` refuse what they cannot use, and each refusal is
+turned into the usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,26 +28,6 @@ from .metrics import MetricsError, compute_report, render_table, reward_curve_cs
 from .prompts import Ablation
 
 TASK_NAMES = [t.value for t in ALL_TASKS]
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
 
 
 class UsageError(Exception):
@@ -116,9 +98,9 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with LoopConfig fields")
     parser.add_argument("--model")
     parser.add_argument("--temperature", type=float)
-    parser.add_argument("--epochs", type=_positive_int)
-    parser.add_argument("--eval-episodes", type=_positive_int)
-    parser.add_argument("--window-size", type=_positive_int)
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--eval-episodes", type=int)
+    parser.add_argument("--window-size", type=int)
     parser.add_argument("--seed-root", type=int)
     parser.add_argument("--replication", type=int, default=0)
     parser.add_argument("--out", help="path for the run record JSON")
@@ -288,14 +270,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise UsageError(str(exc))
     print(render_table(reports))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8"
-        )
+        _write_text(args.json, json.dumps([r.to_dict() for r in reports], indent=2))
         print(f"machine-readable report written to {args.json}")
     if args.csv:
-        Path(args.csv).write_text(reward_curve_csv(records), encoding="utf-8")
+        _write_text(args.csv, reward_curve_csv(records))
         print(f"reward curves written to {args.csv}")
     return 0
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, making its parent directories first, as
+    ``RunRecord.save`` does."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="aggregate stored run records")
     p_metrics.add_argument("records", nargs="+")
-    p_metrics.add_argument("--r-max", type=_finite_float)
-    p_metrics.add_argument("--t-max", type=_positive_int)
-    p_metrics.add_argument("--n-eval", type=_positive_int, default=2000)
+    p_metrics.add_argument("--r-max", type=float)
+    p_metrics.add_argument("--t-max", type=int)
+    p_metrics.add_argument("--n-eval", type=int, default=2000)
     p_metrics.add_argument(
         "--no-rerun", action="store_true", help="skip the robustness re-evaluation"
     )

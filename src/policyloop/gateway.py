@@ -17,6 +17,11 @@ line, headers and body, so a slow server cannot hold a call open.
 Requests whose estimated size exceeds the configured context budget fail
 fast with a distinct error so callers can shrink their payload (e.g. use a
 smaller sensory-motor window).
+
+``GatewayConfig.load`` is the one way in from outside: a JSON file's
+values, each POLICYLOOP_* variable that is set in place of its value.
+``GatewayConfig`` checks every value, once, and refuses any that a call
+could not use, such as a base URL ``http.client`` cannot send to.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import os
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 TEMPERATURE_MAX = 3.2
@@ -141,7 +146,18 @@ def count_budget(request: ChatRequest) -> int:
     return total
 
 
-@dataclass
+# each variable GatewayConfig.load reads: (the field it sets, its type)
+_ENV_SETTINGS = {
+    "POLICYLOOP_BASE_URL": ("base_url", str),
+    "POLICYLOOP_API_KEY": ("api_key", str),
+    "POLICYLOOP_TIMEOUT": ("timeout", float),
+    "POLICYLOOP_RETRIES": ("retries", int),
+    "POLICYLOOP_CONTEXT_BUDGET": ("context_budget", int),
+}
+
+
+# frozen, so the values __post_init__ checked are the values every call uses
+@dataclass(frozen=True)
 class GatewayConfig:
     base_url: str = "http://localhost:11434"
     api_key: Optional[str] = None
@@ -149,8 +165,6 @@ class GatewayConfig:
     retries: int = 3
     backoff: float = 0.5
     context_budget: int = 32768
-
-    ENV_PREFIX = "POLICYLOOP_"
 
     def __post_init__(self) -> None:
         require_type("a string", base_url=self.base_url)
@@ -191,40 +205,37 @@ class GatewayConfig:
             raise ValueError(
                 f"base_url must be an http or https URL with a host, got {self.base_url!r}"
             )
-
-    @classmethod
-    def from_file(cls, path: str) -> "GatewayConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        # an unknown key is refused by __init__, with its name
-        return cls(**data)
-
-    def with_env_overrides(self) -> "GatewayConfig":
-        """Environment variables beat file values (POLICYLOOP_BASE_URL etc.)."""
-        mapping = {
-            "BASE_URL": ("base_url", str),
-            "API_KEY": ("api_key", str),
-            "TIMEOUT": ("timeout", float),
-            "RETRIES": ("retries", int),
-            "CONTEXT_BUDGET": ("context_budget", int),
-        }
-        values = {}
-        for env_name, (attr, cast) in mapping.items():
-            raw = os.environ.get(self.ENV_PREFIX + env_name)
-            if raw is not None:
-                try:
-                    values[attr] = cast(raw)
-                except ValueError:
-                    name = self.ENV_PREFIX + env_name
-                    raise ValueError(f"{name} must be {cast.__name__}, got {raw!r}") from None
-        return replace(self, **values)
+        # what http.client refuses to send, which each attempt would raise
+        # past every retry; a host that is not ASCII is sent IDNA-encoded
+        if any(c <= " " or c == "\x7f" for c in url.hostname):
+            raise ValueError(
+                f"base_url's host must hold no space or control character, got {self.base_url!r}"
+            )
+        if not all("!" <= c <= "~" for c in url.path + url.query):
+            raise ValueError(
+                f"base_url's path and query must be ASCII with no space or control "
+                f"character, got {self.base_url!r}"
+            )
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "GatewayConfig":
-        config = cls.from_file(path) if path else cls()
-        return config.with_env_overrides()
+        """The settings in the JSON object at ``path`` (when given) with each
+        POLICYLOOP_* variable that is set in place of its value, checked once."""
+        values = {}
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+            if not isinstance(values, dict):
+                raise TypeError(f"expected a JSON object, got {type(values).__name__}")
+        for name, (field, cast) in _ENV_SETTINGS.items():
+            raw = os.environ.get(name)
+            if raw is not None:
+                try:
+                    values[field] = cast(raw)
+                except ValueError:
+                    raise ValueError(f"{name} must be {cast.__name__}, got {raw!r}") from None
+        # an unknown key in the file is refused by __init__, with its name
+        return cls(**values)
 
 
 def completions_url(base_url: str) -> str:
@@ -293,8 +304,8 @@ def _read_capped(resp) -> tuple[bytes, bool]:
 class HttpChatBackend:
     """Stateless client for an OpenAI-compatible /v1/chat/completions endpoint."""
 
-    def __init__(self, config: Optional[GatewayConfig] = None, **overrides):
-        self.config = replace(config or GatewayConfig(), **overrides)
+    def __init__(self, config: Optional[GatewayConfig] = None):
+        self.config = config or GatewayConfig()
         self.url = completions_url(self.config.base_url)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -403,4 +414,4 @@ class ScriptedBackend:
             )
         text = self._responses[self._cursor]
         self._cursor += 1
-        return ChatResponse(text=text, completion_tokens=len(text) // 4)
+        return ChatResponse(text=text)

@@ -57,14 +57,10 @@ class LoopConfig:
         require_type("a list", temperatures=self.temperatures)
         for t in self.temperatures:
             require_type("a number", temperature=t)
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if self.repair_budget < 1:
-            raise ValueError("repair_budget must be >= 1")
+        for name in ("epochs", "eval_episodes", "window_size", "repair_budget"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.ablation = Ablation(self.ablation)
         self.temperatures = tuple(float(t) for t in self.temperatures)
         if not self.temperatures:

@@ -122,7 +122,7 @@ def _synthesize(
         return build_request(Stage.P2_RULES, prompt, config.model_name, temperature, seed)
 
     rules_text, _ = ask_until_parsed(backend, config.repair_budget, rules_request, extract_rules)
-    code = generate_program(
+    program, attempts = generate_program(
         backend,
         spec,
         rules_text,
@@ -131,18 +131,16 @@ def _synthesize(
         request_seed=_request_seed(config, replication, iteration, "p3"),
         budget=config.repair_budget,
     )
-    mean, returns, window = evaluate_program(
-        code.program, task_id, config, replication, iteration
-    )
+    mean, returns, window = evaluate_program(program, task_id, config, replication, iteration)
     return Strategy(
         iteration_index=iteration,
         strategy_text=strategy_text,
         rules_text=rules_text,
-        program_source=code.program.source_text,
+        program_source=program.source_text,
         mean_reward=mean,
         per_episode_returns=returns,
         window=window,
-        repair_attempts=code.attempts,
+        repair_attempts=attempts,
     )
 
 

@@ -87,6 +87,11 @@ def _require_finite(values: Iterable[float], what: str) -> None:
         raise MetricsError(f"{what} contain a non-finite value")
 
 
+def _require_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise MetricsError(f"{name} must be at least 1, got {value}")
+
+
 def _padded(matrix: Matrix, r_max: Optional[float], t_max: Optional[int]) -> list[list[float]]:
     """Rows that stopped early after reaching the maximum are carried forward
     at r_max, keeping the nominal episode count; other short rows stay short."""
@@ -224,8 +229,7 @@ def robustness(
 ) -> Optional[float]:
     """Re-run each successful replication's first maximal strategy on
     n_eval fresh seeded episodes and average the maximal-episode fractions."""
-    if n_eval < 1:
-        raise MetricsError(f"n_eval must be at least 1, got {n_eval}")
+    _require_at_least_one("n_eval", n_eval)
     _check_same_cell(records)
     eval_returns: dict[int, list[float]] = {}
     for j, record in enumerate(records):
@@ -300,19 +304,24 @@ def compute_report(
     report does not depend on the order the records are given in.
     ``r_max``/``t_max`` default to the task's defined maximum and the
     largest epoch budget among the records. For tasks without a maximum the
-    success-relative metrics are reported absent. A ``t_max`` above every
-    record's epoch budget, or an ``r_max`` below a reward the records
-    reached, is refused.
+    success-relative metrics are reported absent. An ``r_max`` that is not
+    finite or is below a reward the records reached, a ``t_max`` below 1 or
+    above every record's epoch budget, and an ``n_eval`` below 1 are
+    refused, whether or not robustness runs.
     """
     _check_same_cell(records)
+    _require_at_least_one("n_eval", n_eval)
     # float sums depend on the order of their terms
     records = sorted(records, key=lambda r: r.replication_index)
     if r_max is None:
         r_max = get_spec(records[0].task_id).r_max
+    elif not math.isfinite(r_max):
+        raise MetricsError(f"r_max must be finite, got {r_max}")
     epochs = max(r.config.epochs for r in records)
     if t_max is None:
         t_max = epochs
-    elif t_max > epochs:
+    _require_at_least_one("t_max", t_max)
+    if t_max > epochs:
         # rows that hit the maximum would be padded out to t_max
         raise MetricsError(f"t_max {t_max} is above the records' epoch budget {epochs}")
     matrix = reward_sequences(records)

@@ -428,12 +428,6 @@ def ask_until_parsed(
     raise RepairBudgetExhausted(attempts=len(errors), errors=errors)
 
 
-@dataclass
-class CodeResult:
-    program: PolicyProgram
-    attempts: int
-
-
 def generate_program(
     backend,
     spec: EnvSpec,
@@ -442,20 +436,17 @@ def generate_program(
     temperature: float,
     request_seed: Optional[int] = None,
     budget: int = 10,
-) -> CodeResult:
-    """Prompt 3, re-asked until a response parses, at most ``budget``
-    attempts in total (always at least one).
+) -> tuple[PolicyProgram, int]:
+    """``(program, attempts)``: Prompt 3, re-asked until a response parses,
+    at most ``budget`` attempts in total (always at least one).
 
     Each repair prompt is the full Prompt 3 (description and rules included)
     plus the previous attempt's error, under the same ``request_seed``.
-    ``attempts`` in the result counts every code response consumed.
+    ``attempts`` counts every code response consumed.
     """
 
     def request_for(attempt: int, error: Optional[str]) -> ChatRequest:
         prompt = render_p3(spec, rules_text, error=error)
         return build_request(Stage.P3_CODE, prompt, model_name, temperature, request_seed)
 
-    program, attempts = ask_until_parsed(
-        backend, budget, request_for, lambda text: extract_code(text, spec)
-    )
-    return CodeResult(program=program, attempts=attempts)
+    return ask_until_parsed(backend, budget, request_for, lambda text: extract_code(text, spec))

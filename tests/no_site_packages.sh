@@ -24,12 +24,14 @@ python -S -c "import json, sys; json.dump({'tasks': ['CartPoleStar2'], 'models':
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/batch"
 for record in "$out"/batch/*.json; do python -S -m policyloop.cli replay "$record"; done
 # a base URL the gateway cannot send to is a usage error: exit 2, no record
-status=0
-python -S -m policyloop.cli run --task CartPoleStar2 --backend-url localhost:11434 \
-  --out "$out/never.json" 2>/dev/null || status=$?
-if [ "$status" -ne 2 ] || [ -e "$out/never.json" ]; then
-  echo "--backend-url localhost:11434 exited $status; expected 2 and no record"; exit 1
-fi
+for base_url in localhost:11434 'http://a b:8000'; do
+  status=0
+  python -S -m policyloop.cli run --task CartPoleStar2 --backend-url "$base_url" \
+    --out "$out/never.json" 2>/dev/null || status=$?
+  if [ "$status" -ne 2 ] || [ -e "$out/never.json" ]; then
+    echo "--backend-url '$base_url' exited $status; expected 2 and no record"; exit 1
+  fi
+done
 # the frozen corpus: every record but the one made by a patched run
 # replays, and its script still writes the committed bytes
 for record in tests/fixtures/records/*.json; do

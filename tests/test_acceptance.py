@@ -12,6 +12,7 @@ monotone, final 500) rather than value-for-value.
 import os
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,11 +181,11 @@ def test_criterion_6_repair_loop_boundaries(star2_spec):
     responses abort the replication with the dedicated status."""
     bad = "cannot help"
     good = transcript_text("code_optimal.py")
-    result = generate_program(
+    _, attempts = generate_program(
         ScriptedBackend([bad] * 9 + [good]), star2_spec, "rules",
         model_name="m", temperature=0.0, budget=10,
     )
-    assert result.attempts == 10
+    assert attempts == 10
 
     with pytest.raises(RepairBudgetExhausted) as info:
         generate_program(
@@ -244,8 +245,9 @@ def test_criterion_9_optional_live_smoke(tmp_path):
         model_name=os.environ.get("POLICYLOOP_SMOKE_MODEL", "llama3"),
         seed_root=1,
     )
+    # the named smoke URL wins over POLICYLOOP_BASE_URL
     backend = HttpChatBackend(
-        GatewayConfig(base_url=os.environ["POLICYLOOP_SMOKE_URL"]).with_env_overrides()
+        replace(GatewayConfig.load(), base_url=os.environ["POLICYLOOP_SMOKE_URL"])
     )
     record = run_replication("CartPoleStar1", config, backend, 0, 0.0)
     path = record.save(tmp_path / "smoke.json")

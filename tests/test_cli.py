@@ -174,7 +174,16 @@ def test_metrics_refuses_fewer_than_one_evaluation_episode(tmp_path, script_file
         with pytest.raises(SystemExit) as exit_info:
             main(["metrics", str(tmp_path / "record.json"), "--n-eval", bad])
         assert exit_info.value.code == 2
-        assert f"argument --n-eval: must be at least 1, got {bad}" in capsys.readouterr().err
+        assert f"policyloop: error: n_eval must be at least 1, got {bad}" in capsys.readouterr().err
+
+
+def test_metrics_makes_the_directories_it_writes_into(tmp_path, script_file, capsys):
+    main(_run_args(tmp_path, script_file))
+    report, curves = tmp_path / "out" / "report.json", tmp_path / "curves" / "a" / "c.csv"
+    assert main(["metrics", str(tmp_path / "record.json"), "--no-rerun",
+                 "--json", str(report), "--csv", str(curves)]) == 0
+    assert json.loads(report.read_text())[0]["success"] == 1.0
+    assert curves.read_text().startswith("task,model,temperature")
 
 
 @pytest.mark.parametrize("option", ["--epochs", "--eval-episodes", "--window-size"])
@@ -182,7 +191,8 @@ def test_count_options_refuse_zero(tmp_path, script_file, capsys, option):
     with pytest.raises(SystemExit) as exit_info:
         main(_run_args(tmp_path, script_file, extra=(option, "0")))
     assert exit_info.value.code == 2
-    assert f"argument {option}: must be at least 1, got 0" in capsys.readouterr().err
+    field = option[2:].replace("-", "_")
+    assert f"loop settings: {field} must be at least 1, got 0" in capsys.readouterr().err
 
 
 # -- bad gateway settings ----------------------------------------------------------
@@ -231,12 +241,23 @@ def test_batch_refuses_a_bad_gateway_setting(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("base_url", ["localhost:11434", "http://host:port"])
-def test_a_backend_url_the_gateway_cannot_send_to_is_a_usage_error(tmp_path, base_url):
+@pytest.mark.parametrize(
+    "base_url, message",
+    [
+        ("localhost:11434", "base_url must be an http or https URL with a host"),
+        ("http://host:port", "base_url must be an http or https URL with a host"),
+        ("http://a b:8000", "base_url's host must hold no space or control character"),
+        ("http://127.0.0.1:9/x y",
+         "base_url's path and query must be ASCII with no space or control character"),
+        ("http://127.0.0.1:9/\u00fc",
+         "base_url's path and query must be ASCII with no space or control character"),
+    ],
+)
+def test_a_backend_url_the_gateway_cannot_send_to_is_a_usage_error(tmp_path, base_url, message):
     done = _cli(0, "run", "--task", "CartPoleStar2", "--backend-url", base_url,
                 "--out", str(tmp_path / "record.json"))
     assert done.returncode == 2, done.stdout + done.stderr
-    assert f"base_url must be an http or https URL with a host, got {base_url!r}" in done.stderr
+    assert f"{message}, got {base_url!r}" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "record.json").exists()
 
@@ -422,7 +443,7 @@ def test_metrics_refuses_a_horizon_below_one(tmp_path, script_file, capsys, bad)
     with pytest.raises(SystemExit) as exit_info:
         main(["metrics", str(tmp_path / "record.json"), "--t-max", bad, "--no-rerun"])
     assert exit_info.value.code == 2
-    assert f"argument --t-max: must be at least 1, got {bad}" in capsys.readouterr().err
+    assert f"policyloop: error: t_max must be at least 1, got {bad}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -433,7 +454,7 @@ def test_metrics_refuses_a_reward_bound_that_is_not_finite(tmp_path, script_file
         # "--r-max -inf" would read -inf as an option
         main(["metrics", str(tmp_path / "record.json"), f"--r-max={bad}", "--no-rerun"])
     assert exit_info.value.code == 2
-    assert f"argument --r-max: must be a finite number, got {bad}" in capsys.readouterr().err
+    assert f"policyloop: error: r_max must be finite, got {bad}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Gateway behavior: scripted backend, budget heuristic, and the HTTP
 client exercised against a local throwaway server."""
 
+import dataclasses
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from policyloop.gateway import (
     RESPONSE_BYTES_MAX,
     BackendHTTPError,
     ChatRequest,
+    ChatResponse,
     ContextLengthError,
     GatewayConfig,
     HttpChatBackend,
@@ -73,7 +75,8 @@ def test_request_seed_rides_the_wire_body():
 
 def test_scripted_backend_plays_in_order_then_errors():
     backend = ScriptedBackend(["r1", "r2"])
-    assert backend.complete(_req()).text == "r1"
+    # no token counts: the script has none to give
+    assert backend.complete(_req()) == ChatResponse(text="r1")
     assert backend.complete(_req()).text == "r2"
     with pytest.raises(ScriptExhaustedError):
         backend.complete(_req())
@@ -731,20 +734,26 @@ def test_gateway_config_env_overrides(monkeypatch, tmp_path):
         # 0.5 * 2 ** 35 seconds; and 2.0 ** 1999 overflows a float
         ("retries", 36, f"at most {threading.TIMEOUT_MAX}, got 17179869184.0"),
         ("retries", 2000, f"at most {threading.TIMEOUT_MAX}, got inf"),
-        # what urlopen cannot send to
+        # what a connection cannot be opened to
         ("base_url", "localhost:11434", "base_url must be an http or https URL with a host"),
         ("base_url", "ftp://host/v1", "base_url must be an http or https URL with a host"),
         ("base_url", "http:///v1", "base_url must be an http or https URL with a host"),
         ("base_url", "http://host:port", "base_url must be an http or https URL with a host"),
         ("base_url", "http://[::1/v1", "base_url must be an http or https URL with a host"),
+        # what http.client refuses to send: InvalidURL, or UnicodeEncodeError
+        ("base_url", "http://a b:8000",
+         "base_url's host must hold no space or control character, got 'http://a b:8000'"),
+        ("base_url", "http://127.0.0.1:9/x y",
+         "base_url's path and query must be ASCII with no space or control character, "
+         "got 'http://127.0.0.1:9/x y'"),
+        ("base_url", "http://127.0.0.1:9/\u00fc",
+         "base_url's path and query must be ASCII with no space or control character, "
+         "got 'http://127.0.0.1:9/\u00fc'"),
     ],
 )
 def test_gateway_config_refuses_unusable_values(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         GatewayConfig(**{field: value})
-    # every other way of building a config goes through the same check
-    with pytest.raises(ValueError, match=re.escape(message)):
-        HttpChatBackend(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -765,7 +774,24 @@ def test_gateway_config_refuses_unusable_file_values(tmp_path):
     path = tmp_path / "gw.json"
     path.write_text(json.dumps({"backoff": -1}))
     with pytest.raises(ValueError, match="backoff must be at least 0"):
-        GatewayConfig.from_file(str(path))
+        GatewayConfig.load(str(path))
+
+
+def test_a_checked_gateway_config_cannot_be_changed():
+    config = GatewayConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.base_url = "http://a b:8000"
+    # a changed copy is checked again
+    with pytest.raises(ValueError, match="base_url's host"):
+        dataclasses.replace(config, base_url="http://a b:8000")
+
+
+def test_gateway_config_checks_the_merged_settings_once(monkeypatch, tmp_path):
+    """A file value that a variable replaces is never checked."""
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps({"base_url": "localhost:11434", "timeout": 7}))
+    monkeypatch.setenv("POLICYLOOP_BASE_URL", "http://env-host")
+    assert GatewayConfig.load(str(path)) == GatewayConfig(base_url="http://env-host", timeout=7)
 
 
 def test_gateway_config_accepts_the_edge_values():
@@ -777,6 +803,8 @@ def test_gateway_config_accepts_the_largest_timeout_and_back_off():
     GatewayConfig(timeout=threading.TIMEOUT_MAX, backoff=threading.TIMEOUT_MAX, retries=1)
     GatewayConfig(backoff=threading.TIMEOUT_MAX / 2**33, retries=34)
     GatewayConfig(base_url="https://[::1]:8443/v1?api-version=2")
+    # http.client sends a host that is not ASCII IDNA-encoded
+    GatewayConfig(base_url="http://b\u00fccher.invalid:8000/v1?a=%C3%BC")
     # the bound is one the socket layer takes
     with socket.socket() as sock:
         sock.settimeout(threading.TIMEOUT_MAX)

@@ -80,7 +80,7 @@ def test_config_refuses_an_empty_temperature_set():
 
 @pytest.mark.parametrize("budget", [0, -3])
 def test_config_refuses_a_repair_budget_below_one(budget):
-    with pytest.raises(ValueError, match="repair_budget must be >= 1"):
+    with pytest.raises(ValueError, match=f"repair_budget must be at least 1, got {budget}"):
         LoopConfig.for_task("CartPole", repair_budget=budget)
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from policyloop.metrics import (
     success,
     successful_set,
 )
+from policyloop.loop import RunRecord
 
-from conftest import make_records, transcript_text
+from conftest import FIXTURES, make_records, transcript_text
 
 R_MAX = 500.0
 T_MAX = 100
@@ -472,6 +474,30 @@ def test_compute_report_refuses_a_maximum_below_a_reached_reward():
     # a bound no record reached stays a maximum
     report = compute_report(records, r_max=600.0, t_max=2, include_robustness=False)
     assert report.success == 0.0
+
+
+COMPLETED = FIXTURES / "records" / "CartPoleStar2_completed.json"
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"r_max": math.nan}, "r_max must be finite, got nan"),
+        ({"r_max": math.inf}, "r_max must be finite, got inf"),
+        ({"r_max": -math.inf}, "r_max must be finite, got -inf"),
+        ({"t_max": 0}, "t_max must be at least 1, got 0"),
+        ({"t_max": -3}, "t_max must be at least 1, got -3"),
+        ({"n_eval": 0}, "n_eval must be at least 1, got 0"),
+        ({"n_eval": -5}, "n_eval must be at least 1, got -5"),
+    ],
+)
+def test_compute_report_refuses_bounds_that_define_no_metric(bounds, message):
+    """Checked whether or not robustness runs: a record that reached 500
+    would otherwise score success 0.0 under r_max=nan, and n_episodes -3."""
+    records = [RunRecord.load(COMPLETED)]
+    with pytest.raises(MetricsError, match=re.escape(message)):
+        compute_report(records, include_robustness=False, **bounds)
+    assert compute_report(records, include_robustness=False).success == 1.0
 
 
 def test_render_table_and_csv():

@@ -27,8 +27,8 @@ def _generate(backend, spec, budget=10):
 
 def test_first_response_good_means_one_attempt(star2_spec):
     backend = ScriptedBackend([good()])
-    result = _generate(backend, star2_spec)
-    assert result.attempts == 1
+    _, attempts = _generate(backend, star2_spec)
+    assert attempts == 1
     assert len(backend.requests) == 1
     # no repair prompt was sent
     assert "previous response produced" not in backend.requests[0].messages[0]["content"]
@@ -36,8 +36,8 @@ def test_first_response_good_means_one_attempt(star2_spec):
 
 def test_nine_bad_then_good_succeeds_at_attempts_ten(star2_spec):
     backend = ScriptedBackend([BAD] * 9 + [good()])
-    result = _generate(backend, star2_spec)
-    assert result.attempts == 10
+    _, attempts = _generate(backend, star2_spec)
+    assert attempts == 10
     assert len(backend.requests) == 10
 
 
@@ -52,8 +52,8 @@ def test_ten_bad_exhausts_the_budget(star2_spec):
 
 def test_repair_prompt_carries_error_and_rules(star2_spec):
     backend = ScriptedBackend([ALSO_BAD, good()])
-    result = _generate(backend, star2_spec)
-    assert result.attempts == 2
+    _, attempts = _generate(backend, star2_spec)
+    assert attempts == 2
     repair_prompt = backend.requests[1].messages[0]["content"]
     assert "loops are not allowed" in repair_prompt
     # the basic information needed to regenerate: description + rules
@@ -63,8 +63,8 @@ def test_repair_prompt_carries_error_and_rules(star2_spec):
 
 def test_repair_loop_entry_counts_the_failed_attempt(star2_spec):
     backend = ScriptedBackend([ALSO_BAD, good()])
-    result = _generate(backend, star2_spec)
-    assert result.attempts == 2  # the prior failure plus this success
+    _, attempts = _generate(backend, star2_spec)
+    assert attempts == 2  # the prior failure plus this success
     with pytest.raises(PolicyParseError) as first_error:
         extract_code(ALSO_BAD, star2_spec)
     assert str(first_error.value) in backend.requests[1].messages[0]["content"]
