@@ -18,11 +18,11 @@ A compiled policy is called as ``f(rng, obs)`` with the observation tuple,
 which it unpacks into its parameters. ``run_episode`` checks the
 observation length once, after ``reset``, and then hands the policy to
 the env's ``_rollout``, the one driver of every env, which ``reset`` and
-``env.step`` run for one step. Each step of it encodes the observation
-and calls the policy once; on the cart-pole family the action check, the
-physics and the encoding are inline (``envs/cartpole.py``), on the other
-tasks they are the action space's ``coerce`` and the env's ``_step_state``
-and ``_observe`` hooks. Either way a valid step builds no outcome object:
+``env.step`` run for one step. Each step of it encodes the observation,
+calls the policy once, and runs inline the action check, which takes what
+the action space's ``coerce`` takes, the physics and the termination test
+(``envs/cartpole.py``, ``envs/acrobot.py`` and the others). A valid step
+builds no outcome object:
 the rollout hands back the unusable value that ended the episode
 (``RAISED`` when the call raised one of ``envs.core.POLICY_ERRORS``, which
 ``evaluate`` catches too), and only that goes through ``_invalid_outcome``,

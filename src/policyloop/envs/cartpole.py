@@ -72,10 +72,9 @@ class _CartPoleFamily(Environment):
     itself), the grid from ``spec.integer_observations``, and the class
     attributes below.
 
-    ``_rollout`` is ``Environment._rollout`` with a step written out: per
-    step the observation encoding, one call of the policy, the action
-    check, the Euler tick and the bounds test, with the state in four
-    locals. The module constants and functions every step reads are
+    ``_rollout`` writes out, per step, the observation encoding, one call
+    of the policy, the action check, the Euler tick and the bounds test,
+    with the state in four locals. The module constants and functions every step reads are
     locals, read once per rollout; the tick assigns the four state
     variables one after another, and the bounds test compares with both
     signs of each limit. Each float expression has the operands and the
@@ -91,18 +90,14 @@ class _CartPoleFamily(Environment):
     _reset_bound = 0.05
     # the observation is the state in the order (x, theta, x_dot, theta_dot)
     _reordered = False
-    # label -> force, empty when the action is the force itself; and the
-    # label a returned value equals, as the int coerce records (2.0 -> 2).
-    # Both are set once per task class, from its spec.
+    # label -> force, empty when the action is the force itself; set once
+    # per task class, from its spec
     _forces: dict[int, float] = {}
-    _labels: dict[int, int] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if cls.spec.is_discrete:
-            labels = cls.spec.action.labels
-            cls._forces = dict(zip(labels, (-FORCE_MAG, FORCE_MAG)))
-            cls._labels = {label: label for label in labels}
+            cls._forces = dict(zip(cls.spec.action.labels, (-FORCE_MAG, FORCE_MAG)))
 
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
         uniform, bound = rng.uniform, self._reset_bound

@@ -221,15 +221,25 @@ class Environment:
     read the observation it encodes at the top of its first step, ``step``
     is one step of it, and ``dsl.run_episode`` plays whole episodes through
     it. So ``state`` and ``steps`` read the same after an episode as after
-    the same ``step`` calls. Subclasses implement ``_reset_state``, and
-    either a ``_rollout`` of their own, as the cart-pole family does, or
-    the hooks this class's ``_rollout`` drives: ``_step_state``, the
-    encoding ``_observe``, and ``terminal_cause``, the cause of every
-    termination ``_step_state`` reports.
+    the same ``step`` calls. Subclasses implement ``_reset_state`` and a
+    ``_rollout`` of their own or of their family, with each step's
+    observation, action check, physics and termination test inline, and
+    set ``terminal_cause``, the cause of every termination the physics
+    reports, on a task that has one.
     """
 
     spec: EnvSpec
     terminal_cause: TerminationCause
+    # On a discrete task: the label a returned value equals, as the int
+    # coerce records (2.0 -> 2), for the rollout's inline action check.
+    # Set once per class that declares a discrete spec.
+    _labels: dict[int, int] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        spec = vars(cls).get("spec")
+        if spec is not None and spec.is_discrete:
+            cls._labels = {label: label for label in spec.action.labels}
 
     def __init__(self) -> None:
         self._state: Optional[tuple[float, ...]] = None
@@ -289,59 +299,22 @@ class Environment:
         the next draw, so the order of the calls is part of the task."""
         raise NotImplementedError
 
-    def _step_state(
-        self, state: tuple[float, ...], action: Union[int, float]
-    ) -> tuple[tuple[float, ...], float, bool]:
-        """(next state, reward, terminated) under a coerced action: an int
-        label, or a clamped float."""
-        raise NotImplementedError
-
-    def _observe(self, state: tuple[float, ...]) -> tuple:
-        return state
-
     def _rollout(self, policy, rng, limit, observations, actions):
         """Play ``policy`` from the current state for at most ``limit`` steps.
 
         Each step encodes the state's observation, appends it to
         ``observations`` (which, like ``actions``, starts empty), calls
-        ``policy(rng, obs)``, and appends the action, which the action
-        space's ``coerce`` made of the returned value, to ``actions``. A
-        value ``coerce`` refuses, or one of ``POLICY_ERRORS`` raised by
-        either call, ends the rollout with no reward. Returns (return,
-        cause, value): the return is the sum of the rewards from -0.0, so
-        a one-step rollout returns that step's reward bit for bit; ``value``
-        is the unusable value, or ``RAISED``, when ``cause`` is
+        ``policy(rng, obs)``, and appends the action that the action
+        space's ``coerce`` would make of the returned value to ``actions``.
+        A value ``coerce`` refuses, or one of ``POLICY_ERRORS`` raised by
+        the call or the check, ends the rollout with no reward. Returns
+        (return, cause, value): the return is the sum of the rewards from
+        -0.0, so a one-step rollout returns that step's reward bit for bit;
+        ``value`` is the unusable value, or ``RAISED``, when ``cause`` is
         ``INVALID_ACTION``, and None otherwise. At the end the state is
         written back, and the step count grows by the steps taken.
         """
-        coerce = self.spec.action.coerce
-        step_state, observe = self._step_state, self._observe
-        state = self._state
-        total_reward = -0.0
-        # coerce maps None to None too, so one test finds every unusable action
-        for _ in range(limit):
-            obs = observe(state)
-            observations.append(obs)
-            try:
-                value = policy(rng, obs)
-                action = coerce(value)
-            except POLICY_ERRORS:
-                value = RAISED
-                action = None
-            if action is None:
-                cause = INVALID_ACTION
-                break
-            actions.append(action)
-            state, reward, terminated = step_state(state, action)
-            total_reward += reward
-            if terminated:
-                cause, value = self.terminal_cause, None
-                break
-        else:
-            cause, value = STEP_LIMIT, None
-        self._state = state
-        self._steps += len(actions)
-        return total_reward, cause, value
+        raise NotImplementedError
 
 
 def _no_action(rng, obs) -> None:
@@ -360,7 +333,3 @@ def derive_seed(*parts: object) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
-
-def wrap_angle(theta: float) -> float:
-    """Map an angle to [-pi, pi)."""
-    return ((theta + math.pi) % (2.0 * math.pi)) - math.pi

@@ -3,6 +3,15 @@
 A car in a valley must build momentum to reach the right hilltop. The
 discrete task pays -1 per step until position >= 0.5; the continuous task
 pays -0.1*force^2 per step plus +100 on reaching its goal at 0.45.
+
+The two tasks share one class, ``_MountainCarFamily``, and its one episode
+loop, ``_rollout``, the only driver of these envs: ``reset``, ``observe``
+and ``step`` run it for one step, and ``dsl.run_episode`` for a whole
+episode. Each step of it encodes the observation, calls the policy once,
+then runs inline the action check (a label maps to its push and a bool is
+refused; or a finite number is clamped to [-1, 1]), the hill dynamics, the
+goal test and the reward, with the operations of the frozen step forms
+that tests pin it to, in their order.
 """
 
 from __future__ import annotations
@@ -10,6 +19,10 @@ from __future__ import annotations
 import math
 
 from .core import (
+    INVALID_ACTION,
+    POLICY_ERRORS,
+    RAISED,
+    STEP_LIMIT,
     ContinuousAction,
     DiscreteActions,
     Environment,
@@ -29,18 +42,97 @@ DISCRETE_GOAL = 0.5
 CONTINUOUS_GOAL = 0.45
 
 
-def _slide(position: float, velocity: float, push: float) -> tuple[float, float]:
-    """Common hill dynamics: apply the push, then gravity along the slope."""
-    velocity += push - GRAVITY * math.cos(3.0 * position)
-    velocity = min(max(velocity, -MAX_SPEED), MAX_SPEED)
-    position += velocity
-    position = min(max(position, MIN_POSITION), MAX_POSITION)
-    if position == MIN_POSITION and velocity < 0.0:
-        velocity = 0.0
-    return position, velocity
+class _MountainCarFamily(Environment):
+    """The two mountain-car tasks and the one episode loop they share. A
+    discrete task's pushes come from its labels (left, nothing, right); a
+    continuous action is the force, scaled by ``CONTINUOUS_POWER``. The
+    goal is class data."""
+
+    terminal_cause = TerminationCause.GOAL_REACHED
+    # the episode ends when position >= goal with velocity >= 0
+    _goal: float
+    # label -> push, empty when the action is the force; set once per task
+    # class, from its spec
+    _pushes: dict[int, float] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.spec.is_discrete:
+            cls._pushes = dict(
+                zip(cls.spec.action.labels, (-DISCRETE_FORCE, 0.0, DISCRETE_FORCE))
+            )
+
+    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
+        return (rng.uniform(-0.6, -0.4), 0.0)
+
+    def _rollout(self, policy, rng, limit, observations, actions):
+        spec = self.spec
+        pushes, labels, goal = self._pushes, self._labels, self._goal
+        lo, hi = (None, None) if pushes else (spec.action.lo, spec.action.hi)
+        append_obs, append_action = observations.append, actions.append
+        # the names every step reads, as locals read once per rollout
+        cos, inf, neg_inf = math.cos, math.inf, -math.inf
+        gravity, power = GRAVITY, CONTINUOUS_POWER
+        max_speed, neg_max_speed = MAX_SPEED, -MAX_SPEED
+        min_position, max_position = MIN_POSITION, MAX_POSITION
+        position, velocity = self._state
+        total_reward = -0.0
+        cause = STEP_LIMIT
+        for _ in range(limit):
+            obs = (position, velocity)
+            append_obs(obs)
+            try:
+                value = policy(rng, obs)
+                if pushes:
+                    # as DiscreteActions.coerce: a label, never a bool
+                    action = None if value.__class__ is bool else labels.get(value)
+                elif value is None:
+                    action = None
+                else:
+                    # as ContinuousAction.coerce: a finite number, clamped
+                    action = float(value)
+                    if not neg_inf < action < inf:
+                        action = None
+                    elif action < lo:
+                        action = lo
+                    elif action > hi:
+                        action = hi
+            except POLICY_ERRORS:
+                value = RAISED
+                action = None
+            if action is None:
+                cause = INVALID_ACTION
+                break
+            append_action(action)
+            # the push, then gravity along the slope; a NaN passes the clamps
+            push = pushes[action] if pushes else action * power
+            velocity = velocity + (push - gravity * cos(3.0 * position))
+            if velocity > max_speed:
+                velocity = max_speed
+            elif velocity < neg_max_speed:
+                velocity = neg_max_speed
+            position = position + velocity
+            if position > max_position:
+                position = max_position
+            elif position < min_position:
+                position = min_position
+            # the left wall stops the car
+            if position == min_position and velocity < 0.0:
+                velocity = 0.0
+            terminated = position >= goal and velocity >= 0.0
+            if pushes:
+                total_reward -= 1.0
+            else:
+                total_reward += -0.1 * action * action + (100.0 if terminated else 0.0)
+            if terminated:
+                cause = self.terminal_cause
+                break
+        self._state = (position, velocity)
+        self._steps += len(actions)
+        return total_reward, cause, value if cause is INVALID_ACTION else None
 
 
-class MountainCarDiscreteEnv(Environment):
+class MountainCarDiscreteEnv(_MountainCarFamily):
     spec = EnvSpec(
         task_id=TaskId.MOUNTAIN_CAR_DISCRETE,
         obs_names=("position", "velocity"),
@@ -76,19 +168,10 @@ class MountainCarDiscreteEnv(Environment):
         improve_goal_text="reaching the top of the right hill sooner",
     )
 
-    terminal_cause = TerminationCause.GOAL_REACHED
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        return (rng.uniform(-0.6, -0.4), 0.0)
-
-    def _step_state(self, state, action):
-        position, velocity = state
-        position, velocity = _slide(position, velocity, (action - 1) * DISCRETE_FORCE)
-        terminated = position >= DISCRETE_GOAL and velocity >= 0.0
-        return (position, velocity), -1.0, terminated
+    _goal = DISCRETE_GOAL
 
 
-class MountainCarContinuousEnv(Environment):
+class MountainCarContinuousEnv(_MountainCarFamily):
     spec = EnvSpec(
         task_id=TaskId.MOUNTAIN_CAR_CONTINUOUS,
         obs_names=("position", "velocity"),
@@ -127,14 +210,4 @@ class MountainCarContinuousEnv(Environment):
         improve_goal_text="reaching the top of the right hill sooner",
     )
 
-    terminal_cause = TerminationCause.GOAL_REACHED
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        return (rng.uniform(-0.6, -0.4), 0.0)
-
-    def _step_state(self, state, force):
-        position, velocity = state
-        position, velocity = _slide(position, velocity, force * CONTINUOUS_POWER)
-        terminated = position >= CONTINUOUS_GOAL and velocity >= 0.0
-        reward = -0.1 * force * force + (100.0 if terminated else 0.0)
-        return (position, velocity), reward, terminated
+    _goal = CONTINUOUS_GOAL

@@ -3,13 +3,27 @@
 State is (angle, angular velocity) with the angle measured from upright.
 Per-step reward is -(theta^2 + 0.1*theta_dot^2 + 0.001*torque^2) with theta
 wrapped to [-pi, pi]; episodes run a fixed 200 steps with no failure state.
+
+The env's one driver is its ``_rollout``: each step of it encodes the
+observation, calls the policy once, then runs inline the action check (a
+finite number, clamped to [-2, 2]), the reward and the Euler tick, with the
+operations of the frozen step form that tests pin it to, in its order.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ContinuousAction, Environment, EnvSpec, TaskId, wrap_angle
+from .core import (
+    INVALID_ACTION,
+    POLICY_ERRORS,
+    RAISED,
+    STEP_LIMIT,
+    ContinuousAction,
+    Environment,
+    EnvSpec,
+    TaskId,
+)
 from .seeding import UniformStream
 
 G = 10.0
@@ -18,6 +32,11 @@ LENGTH = 1.0
 DT = 0.05
 MAX_TORQUE = 2.0
 MAX_SPEED = 8.0
+
+# 3g/(2l) and 3/(ml^2), as the step's left-to-right evaluation computes
+# them before any state enters
+_GRAVITY_TERM = 3.0 * G / (2.0 * LENGTH)
+_TORQUE_TERM = 3.0 / (MASS * LENGTH * LENGTH)
 
 REWARD_FORMULA_TEXT = "-(theta^2 + 0.1*angular_velocity^2 + 0.001*torque^2)"
 
@@ -60,19 +79,49 @@ class PendulumEnv(Environment):
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
         return (rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0))
 
-    def _step_state(self, state, torque):
-        theta, theta_dot = state
-        angle = wrap_angle(theta)
-        cost = angle * angle + 0.1 * theta_dot * theta_dot + 0.001 * torque * torque
-
-        new_theta_dot = theta_dot + (
-            3.0 * G / (2.0 * LENGTH) * math.sin(theta)
-            + 3.0 / (MASS * LENGTH * LENGTH) * torque
-        ) * DT
-        new_theta_dot = min(max(new_theta_dot, -MAX_SPEED), MAX_SPEED)
-        new_theta = theta + new_theta_dot * DT
-        return (new_theta, new_theta_dot), -cost, False
-
-    def _observe(self, state):
-        theta, theta_dot = state
-        return (math.cos(theta), math.sin(theta), theta_dot)
+    def _rollout(self, policy, rng, limit, observations, actions):
+        append_obs, append_action = observations.append, actions.append
+        # the names every step reads, as locals read once per rollout
+        cos, sin, pi, two_pi = math.cos, math.sin, math.pi, 2.0 * math.pi
+        inf, neg_inf, lo, hi = math.inf, -math.inf, self.spec.action.lo, self.spec.action.hi
+        gravity_term, torque_term, dt = _GRAVITY_TERM, _TORQUE_TERM, DT
+        max_speed, neg_max_speed = MAX_SPEED, -MAX_SPEED
+        theta, theta_dot = self._state
+        total_reward = -0.0
+        cause = STEP_LIMIT
+        for _ in range(limit):
+            sin_t = sin(theta)
+            obs = (cos(theta), sin_t, theta_dot)
+            append_obs(obs)
+            try:
+                value = policy(rng, obs)
+                if value is None:
+                    action = None
+                else:
+                    # as ContinuousAction.coerce: a finite number, clamped
+                    action = float(value)
+                    if not neg_inf < action < inf:
+                        action = None
+                    elif action < lo:
+                        action = lo
+                    elif action > hi:
+                        action = hi
+            except POLICY_ERRORS:
+                value = RAISED
+                action = None
+            if action is None:
+                cause = INVALID_ACTION
+                break
+            append_action(action)
+            # the cost of the angle wrapped to [-pi, pi)
+            angle = (theta + pi) % two_pi - pi
+            total_reward -= angle * angle + 0.1 * theta_dot * theta_dot + 0.001 * action * action
+            theta_dot = theta_dot + (gravity_term * sin_t + torque_term * action) * dt
+            if theta_dot > max_speed:
+                theta_dot = max_speed
+            elif theta_dot < neg_max_speed:
+                theta_dot = neg_max_speed
+            theta = theta + theta_dot * dt
+        self._state = (theta, theta_dot)
+        self._steps += len(actions)
+        return total_reward, cause, value if cause is INVALID_ACTION else None

@@ -211,6 +211,13 @@ class GatewayConfig:
             raise ValueError(
                 f"base_url's host must hold no space or control character, got {self.base_url!r}"
             )
+        if not url.hostname.isascii():
+            try:  # an empty label, or one over 63 characters
+                url.hostname.encode("idna")
+            except UnicodeError:
+                raise ValueError(
+                    f"base_url's host must be encodable as IDNA, got {self.base_url!r}"
+                ) from None
         if not all("!" <= c <= "~" for c in url.path + url.query):
             raise ValueError(
                 f"base_url's path and query must be ASCII with no space or control "

@@ -95,10 +95,8 @@ def reference_step_forms(env):
     """(coerce, tick, observe) of one step of ``env``'s task, written without
     the env's ``_rollout``: ``coerce(value)`` is the action or None,
     ``tick(state, action)`` is (next state, reward, terminated), and
-    ``observe(state)`` the observation. ``coerce`` is a frozen coerce form
-    of ``reference_dynamics``; on the cart-pole family ``tick`` and
-    ``observe`` are its frozen forms too, and on the other tasks the env's
-    own ``_step_state``/``_observe`` hooks.
+    ``observe(state)`` the observation. All three are frozen forms of
+    ``reference_dynamics``.
     """
     from functools import partial
 
@@ -116,7 +114,8 @@ def reference_step_forms(env):
             partial(ref.cartpole_family_step_form, task),
             partial(ref.cartpole_family_observation_form, task),
         )
-    return coerce, env._step_state, env._observe
+    tick, observe = ref.FLOAT_TASK_FORMS[task]
+    return coerce, tick, observe
 
 
 def config_task(task):

@@ -24,7 +24,7 @@ python -S -c "import json, sys; json.dump({'tasks': ['CartPoleStar2'], 'models':
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/batch"
 for record in "$out"/batch/*.json; do python -S -m policyloop.cli replay "$record"; done
 # a base URL the gateway cannot send to is a usage error: exit 2, no record
-for base_url in localhost:11434 'http://a b:8000'; do
+for base_url in localhost:11434 'http://a b:8000' 'http://ü..b:8000'; do
   status=0
   python -S -m policyloop.cli run --task CartPoleStar2 --backend-url "$base_url" \
     --out "$out/never.json" 2>/dev/null || status=$?

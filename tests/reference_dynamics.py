@@ -157,6 +157,126 @@ def rk4_step_generator_form(s, torque, dt=_ACROBOT_DT):
     )
 
 
+# Frozen copies of the steps of Acrobot, Pendulum and the two MountainCars
+# as the package wrote them before their rollouts were fused: each task's
+# ``_step_state`` and ``_observe`` hooks, and the helpers they called
+# (``wrap_angle``, ``tip_above_goal``, ``_slide``). Acrobot's integrator is
+# the generator form above, which the package's straight-line ``rk4_step``
+# equalled bit for bit. Each fused rollout must equal these forms bit for
+# bit: the same arithmetic in the same order.
+
+
+def wrap_angle_form(theta):
+    """Map an angle to [-pi, pi)."""
+    return ((theta + math.pi) % (2.0 * math.pi)) - math.pi
+
+
+def tip_above_goal_form(theta1, theta2):
+    return -math.cos(theta1) - math.cos(theta2 + theta1) > 1.0
+
+
+_ACROBOT_TORQUES = (-1.0, 0.0, 1.0)
+ACROBOT_MAX_VEL_1 = 4.0 * math.pi
+ACROBOT_MAX_VEL_2 = 9.0 * math.pi
+
+
+def acrobot_step_form(state, action):
+    """(next state, reward, terminated) under a label the coerce form took."""
+    theta1, theta2, dtheta1, dtheta2 = rk4_step_generator_form(state, _ACROBOT_TORQUES[action])
+    theta1 = wrap_angle_form(theta1)
+    theta2 = wrap_angle_form(theta2)
+    dtheta1 = min(max(dtheta1, -ACROBOT_MAX_VEL_1), ACROBOT_MAX_VEL_1)
+    dtheta2 = min(max(dtheta2, -ACROBOT_MAX_VEL_2), ACROBOT_MAX_VEL_2)
+    new_state = (theta1, theta2, dtheta1, dtheta2)
+    if tip_above_goal_form(theta1, theta2):
+        return new_state, 0.0, True
+    return new_state, -1.0, False
+
+
+def acrobot_observation_form(state):
+    theta1, theta2, dtheta1, dtheta2 = state
+    return (
+        math.cos(theta1),
+        math.sin(theta1),
+        math.cos(theta2),
+        math.sin(theta2),
+        dtheta1,
+        dtheta2,
+    )
+
+
+_PENDULUM_G = 10.0
+_PENDULUM_MASS = 1.0
+_PENDULUM_LENGTH = 1.0
+_PENDULUM_DT = 0.05
+PENDULUM_MAX_SPEED = 8.0
+
+
+def pendulum_step_form(state, torque):
+    """(next state, reward, terminated) under a torque the coerce form took."""
+    theta, theta_dot = state
+    angle = wrap_angle_form(theta)
+    cost = angle * angle + 0.1 * theta_dot * theta_dot + 0.001 * torque * torque
+
+    new_theta_dot = theta_dot + (
+        3.0 * _PENDULUM_G / (2.0 * _PENDULUM_LENGTH) * math.sin(theta)
+        + 3.0 / (_PENDULUM_MASS * _PENDULUM_LENGTH * _PENDULUM_LENGTH) * torque
+    ) * _PENDULUM_DT
+    new_theta_dot = min(max(new_theta_dot, -PENDULUM_MAX_SPEED), PENDULUM_MAX_SPEED)
+    new_theta = theta + new_theta_dot * _PENDULUM_DT
+    return (new_theta, new_theta_dot), -cost, False
+
+
+def pendulum_observation_form(state):
+    theta, theta_dot = state
+    return (math.cos(theta), math.sin(theta), theta_dot)
+
+
+MOUNTAIN_CAR_MIN_POSITION = -1.2
+MOUNTAIN_CAR_MAX_POSITION = 0.6
+MOUNTAIN_CAR_MAX_SPEED = 0.07
+_MOUNTAIN_CAR_GRAVITY = 0.0025
+
+
+def slide_form(position, velocity, push):
+    """Common hill dynamics: apply the push, then gravity along the slope."""
+    velocity += push - _MOUNTAIN_CAR_GRAVITY * math.cos(3.0 * position)
+    velocity = min(max(velocity, -MOUNTAIN_CAR_MAX_SPEED), MOUNTAIN_CAR_MAX_SPEED)
+    position += velocity
+    position = min(max(position, MOUNTAIN_CAR_MIN_POSITION), MOUNTAIN_CAR_MAX_POSITION)
+    if position == MOUNTAIN_CAR_MIN_POSITION and velocity < 0.0:
+        velocity = 0.0
+    return position, velocity
+
+
+def mountain_car_discrete_step_form(state, action):
+    position, velocity = state
+    position, velocity = slide_form(position, velocity, (action - 1) * 0.001)
+    terminated = position >= 0.5 and velocity >= 0.0
+    return (position, velocity), -1.0, terminated
+
+
+def mountain_car_continuous_step_form(state, force):
+    position, velocity = state
+    position, velocity = slide_form(position, velocity, force * 0.0015)
+    terminated = position >= 0.45 and velocity >= 0.0
+    reward = -0.1 * force * force + (100.0 if terminated else 0.0)
+    return (position, velocity), reward, terminated
+
+
+def mountain_car_observation_form(state):
+    return state
+
+
+# task -> (step form, observation form)
+FLOAT_TASK_FORMS = {
+    "Acrobot": (acrobot_step_form, acrobot_observation_form),
+    "Pendulum": (pendulum_step_form, pendulum_observation_form),
+    "MountainCarDiscrete": (mountain_car_discrete_step_form, mountain_car_observation_form),
+    "MountainCarContinuous": (mountain_car_continuous_step_form, mountain_car_observation_form),
+}
+
+
 # Frozen copies of the package's original cart-pole step, CartPoleStar2
 # encoding and action-space coercion. The package's cart-pole tick and
 # sign-test encoding, both inline in the family's rollout, and its

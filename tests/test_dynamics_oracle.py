@@ -1,6 +1,7 @@
 """Cross-checks every task's dynamics against independently coded reference
 integrators, step by step over full episodes."""
 
+import itertools
 import math
 import random
 
@@ -8,12 +9,6 @@ import numpy as np
 import pytest
 
 from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
-from policyloop.envs.acrobot import (
-    MAX_VEL_1,
-    MAX_VEL_2,
-    TORQUES,
-    rk4_step,
-)
 from policyloop.envs.cartpole import (
     FORCE_MAG,
     STAR2_GRID,
@@ -21,10 +16,24 @@ from policyloop.envs.cartpole import (
     VELOCITY_CLAMP,
     X_OBS_BOUND,
 )
-from policyloop.envs.core import RAISED, ContinuousAction, DiscreteActions, TerminationCause
+from policyloop.envs.core import (
+    POLICY_ERRORS,
+    RAISED,
+    ContinuousAction,
+    DiscreteActions,
+    StepResult,
+    TerminationCause,
+)
 
+from conftest import reference_step_forms
 from reference_dynamics import (
+    ACROBOT_MAX_VEL_1,
+    ACROBOT_MAX_VEL_2,
     CARTPOLE_FAMILY_TASKS,
+    MOUNTAIN_CAR_MAX_POSITION,
+    MOUNTAIN_CAR_MAX_SPEED,
+    MOUNTAIN_CAR_MIN_POSITION,
+    PENDULUM_MAX_SPEED,
     acrobot_ref,
     cartpole_family_observation_form,
     cartpole_family_step_form,
@@ -117,21 +126,6 @@ def test_pendulum_rewards_agree_with_reference():
             result = env.step(torque)
             assert result.reward == pytest.approx(expected, abs=TOL)
             state = pendulum_ref(state, torque)
-
-
-def test_acrobot_rk4_is_bitwise_equal_to_the_generator_form():
-    # exact equality, not a tolerance: the straight-line integrator must round
-    # every operation as the original did, or replayed Acrobot traces drift
-    rng = random.Random(20240)
-    for _ in range(10_000):
-        state = (
-            rng.uniform(-math.pi, math.pi),
-            rng.uniform(-math.pi, math.pi),
-            rng.uniform(-MAX_VEL_1, MAX_VEL_1),
-            rng.uniform(-MAX_VEL_2, MAX_VEL_2),
-        )
-        for torque in TORQUES:
-            assert rk4_step(state, torque) == rk4_step_generator_form(state, torque), state
 
 
 # -- cart-pole step, Star2 encoding and coerce: bit for bit -----------------
@@ -422,3 +416,312 @@ def test_continuous_coerce_of_an_int_too_large_for_a_float_raises_overflow():
         space.coerce(_HUGE_INT)
     assert _outcome(space.coerce, -0.0) == ("returned", (float, "-0x0.0p+0"))
     assert _outcome(DiscreteActions(labels=(1, 2)).coerce, np.int64(2)) == ("returned", (int, 2))
+
+
+# -- Acrobot, Pendulum and MountainCar: bit for bit ---------------------------
+#
+# Each of these tasks' observation, action check, physics and termination
+# test are written once, inline in its (or its family's) _rollout. These
+# tests drive step and the rollout from set states and compare every
+# result, the state and the step count with the frozen step forms of
+# tests/reference_dynamics.py, which the package's hooks were: Acrobot's
+# RK4 is the generator form.
+
+_FLOAT_TASKS = (
+    TaskId.ACROBOT,
+    TaskId.PENDULUM,
+    TaskId.MOUNTAIN_CAR_DISCRETE,
+    TaskId.MOUNTAIN_CAR_CONTINUOUS,
+)
+
+
+def _step_actions(task):
+    """Every label; or the ends of the range, both zeros, a value inside
+    and two to clamp."""
+    action = get_spec(task).action
+    if isinstance(action, DiscreteActions):
+        return list(action.labels)
+    return [action.lo, action.hi, 0.0, -0.0, 0.37 * action.hi, 2 * action.lo, 2 * action.hi]
+
+
+def _step_result(task, state, action):
+    """``env.step(action)`` from ``state``: its result, the state and the
+    step count it leaves."""
+    env = _env_at(task, state)
+    result = env.step(action)
+    return result, env.state, env.steps
+
+
+def _reference_step_result(task, state, action):
+    env = make(task)
+    coerce, tick, observe = reference_step_forms(env)
+    # a step is a one-step rollout, which encodes the state it starts from
+    observe(state)
+    state, reward, terminated = tick(state, coerce(action))
+    if terminated:
+        result = StepResult(observe(state), reward, True, False, env.terminal_cause)
+    else:
+        result = StepResult(observe(state), reward, False, False)
+    return result, state, 1
+
+
+def _assert_steps_match(task, states):
+    for state in states:
+        for action in _step_actions(task):
+            assert _outcome(_step_result, task, state, action) == _outcome(
+                _reference_step_result, task, state, action
+            ), (task, state, action)
+
+
+def _random_states(task, seed, n, wide=False):
+    """States drawn where the task goes; ``wide`` draws every component in
+    +/-40, beyond every wrap and clamp."""
+    rng = random.Random(seed)
+    if wide:
+        env = make(task)
+        env.reset(0)
+        dim = len(env.state)
+        return [tuple(rng.uniform(-40.0, 40.0) for _ in range(dim)) for _ in range(n)]
+    if task is TaskId.ACROBOT:
+        return [
+            (
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(-ACROBOT_MAX_VEL_1, ACROBOT_MAX_VEL_1),
+                rng.uniform(-ACROBOT_MAX_VEL_2, ACROBOT_MAX_VEL_2),
+            )
+            for _ in range(n)
+        ]
+    if task is TaskId.PENDULUM:
+        return [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(n)]
+    return [(rng.uniform(-1.3, 0.7), rng.uniform(-0.1, 0.1)) for _ in range(n)]
+
+
+def test_acrobot_step_is_bitwise_equal_to_the_generator_form():
+    # exact equality, not a tolerance: the fused step must round every
+    # operation as the original did, or replayed Acrobot traces drift
+    states = _random_states(TaskId.ACROBOT, 20240, 10_000)
+    _assert_steps_match(TaskId.ACROBOT, states)
+    _assert_steps_match(TaskId.ACROBOT, _random_states(TaskId.ACROBOT, 20241, 3_000, wide=True))
+
+
+@pytest.mark.parametrize("task", _FLOAT_TASKS[1:], ids=lambda task: task.value)
+def test_float_task_step_is_bitwise_equal_to_the_frozen_form(task):
+    _assert_steps_match(task, _random_states(task, 4040, 3_000))
+    _assert_steps_match(task, _random_states(task, 4041, 1_000, wide=True))
+
+
+@pytest.mark.parametrize("task", _FLOAT_TASKS, ids=lambda task: task.value)
+def test_float_task_step_on_special_states_matches_the_frozen_form(task):
+    # a NaN passes the wraps and clamps; an infinite angle or position
+    # raises ValueError in cos or sin; each signed zero keeps its sign
+    # where the frozen form keeps it
+    base = _random_states(task, 99, 1)[0]
+    states = []
+    for i in range(len(base)):
+        for special in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+            state = list(base)
+            state[i] = special
+            states.append(tuple(state))
+    states += itertools.product((0.0, -0.0), repeat=len(base))
+    _assert_steps_match(task, states)
+
+
+def _landing(edge, image, lo, hi, walk=16):
+    """Inputs x in about [lo, hi] at which ``image(x)`` is ``edge`` or one
+    ulp from it: each crossing of ``edge`` that a 64-point scan finds is
+    bisected down to adjacent floats, and the floats within ``walk`` ulps
+    of it are kept when their image is one of the three."""
+    xs = [lo + (hi - lo) * k / 64 for k in range(65)]
+    above = [image(x) > edge for x in xs]
+    wanted = {math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)}
+    found = []
+    for a, b, a_above, b_above in zip(xs, xs[1:], above, above[1:]):
+        if a_above == b_above:
+            continue
+        while math.nextafter(a, b) != b:
+            middle = (a + b) / 2
+            if (image(middle) > edge) == a_above:
+                a = middle
+            else:
+                b = middle
+        for _ in range(walk):
+            a = math.nextafter(a, -math.inf)
+        for _ in range(2 * walk + 1):
+            if image(a) in wanted:
+                found.append(a)
+            a = math.nextafter(a, math.inf)
+    return found
+
+
+def _edge_states(task, seed):
+    """(states, exact): states whose step hands each clamp (and
+    MountainCar's goal and left wall) a value on its edge or one ulp from
+    it, and how many of those values were the edge itself.
+
+    The value the clamp or test sees is written out here from the frozen
+    forms, before the clamp, as ``image`` of the one state component
+    varied.
+    """
+    rng = random.Random(seed)
+    states, exact = [], 0
+
+    def collect(base, component, edge, image, width):
+        nonlocal exact
+        for x in _landing(edge, image, edge - width, edge + width):
+            state = list(base)
+            state[component] = x
+            states.append(tuple(state))
+            exact += image(x) == edge
+
+    if task is TaskId.ACROBOT:
+        for component, limit in ((2, ACROBOT_MAX_VEL_1), (3, ACROBOT_MAX_VEL_2)):
+            for edge in (limit, -limit):
+                for k in range(12):
+                    base = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0, 0.0]
+                    torque = (-1.0, 0.0, 1.0)[k % 3]
+
+                    def image(x, base=base, component=component, torque=torque):
+                        state = list(base)
+                        state[component] = x
+                        return rk4_step_generator_form(tuple(state), torque)[component]
+
+                    collect(base, component, edge, image, 4.0)
+    elif task is TaskId.PENDULUM:
+        for edge in (PENDULUM_MAX_SPEED, -PENDULUM_MAX_SPEED):
+            for k in range(12):
+                theta = 0.0 if k == 0 else rng.uniform(-math.pi, math.pi)
+                torque = rng.uniform(-2.0, 2.0)
+
+                def image(x, theta=theta, torque=torque):
+                    return x + (15.0 * math.sin(theta) + 3.0 * torque) * 0.05
+
+                collect((theta, 0.0), 1, edge, image, 4.0)
+    else:
+        push = 0.0  # the middle label, and a force of 0.0
+
+        def velocity(position, velocity):
+            return velocity + (push - 0.0025 * math.cos(3.0 * position))
+
+        def clamped(value):
+            return min(max(value, -MOUNTAIN_CAR_MAX_SPEED), MOUNTAIN_CAR_MAX_SPEED)
+
+        for edge in (MOUNTAIN_CAR_MAX_SPEED, -MOUNTAIN_CAR_MAX_SPEED):
+            for _ in range(12):
+                position = rng.uniform(-1.1, 0.5)
+                collect(
+                    (position, 0.0), 1, edge,
+                    lambda x, position=position: velocity(position, x), 0.05,
+                )
+        # the right and left walls, the goals; on the left wall with a
+        # negative velocity, which stops the car, and with a positive one
+        goal = 0.5 if task is TaskId.MOUNTAIN_CAR_DISCRETE else 0.45
+        for edge, speeds in (
+            (MOUNTAIN_CAR_MAX_POSITION, (0.01, 0.06)),
+            (goal, (0.0, 0.01, 0.06, -0.01)),
+            (MOUNTAIN_CAR_MIN_POSITION, (-0.06, -0.01, 0.0, 0.01)),
+        ):
+            for speed in speeds:
+                collect(
+                    (edge, speed), 0, edge,
+                    lambda x, speed=speed: x + clamped(velocity(x, speed)), 0.1,
+                )
+    return states, exact
+
+
+@pytest.mark.parametrize("task", _FLOAT_TASKS, ids=lambda task: task.value)
+def test_float_task_clamps_at_their_edges_match_the_frozen_form(task):
+    states, exact = _edge_states(task, 515)
+    # a test that reached no edge itself would pin nothing
+    assert exact >= 4, exact
+    _assert_steps_match(task, states)
+
+
+# A policy that returns an unusable value, or raises, on its call ``at``:
+# before it, valid actions drawn from its own rng. An exception class is
+# raised: the rollout ends on each of POLICY_ERRORS, and lets TypeError out.
+_EXCEPTIONS = [ZeroDivisionError, OverflowError, ValueError, TypeError]
+_BAD_VALUES = {
+    "discrete": [7, True, None, 2.5, math.nan] + _EXCEPTIONS,
+    "continuous": [None, math.nan, math.inf, -math.inf, 10**400] + _EXCEPTIONS,
+}
+
+
+def _policy(task, bad, at, seed):
+    spec = get_spec(task)
+    draws = random.Random(seed)
+    calls = 0
+
+    def policy(rng, obs):
+        nonlocal calls
+        calls += 1
+        if calls - 1 == at:
+            if isinstance(bad, type):
+                raise bad("the policy failed")
+            return bad
+        if spec.is_discrete:
+            return draws.choice(spec.action.labels)
+        return draws.uniform(2 * spec.action.lo, 2 * spec.action.hi)
+
+    return policy
+
+
+def _reference_rollout(task, state, policy, limit):
+    """The rollout as a loop of frozen reference steps: (return, cause,
+    value, observations, actions, state), the lists as tuples."""
+    env = make(task)
+    coerce, tick, observe = reference_step_forms(env)
+    observations, actions, total_reward = [], [], -0.0
+    for _ in range(limit):
+        obs = observe(state)
+        observations.append(obs)
+        try:
+            value = policy(None, obs)
+            action = coerce(value)
+        except POLICY_ERRORS:
+            value, action = RAISED, None
+        if action is None:
+            cause = TerminationCause.INVALID_ACTION
+            break
+        actions.append(action)
+        state, reward, terminated = tick(state, action)
+        total_reward += reward
+        if terminated:
+            cause, value = env.terminal_cause, None
+            break
+    else:
+        cause, value = TerminationCause.STEP_LIMIT, None
+    return total_reward, cause, value, tuple(observations), tuple(actions), state
+
+
+def _rollout(task, state, policy, limit):
+    env = _env_at(task, state)
+    observations, actions = [], []
+    total_reward, cause, value = env._rollout(policy, None, limit, observations, actions)
+    assert env.steps == len(actions)
+    return total_reward, cause, value, tuple(observations), tuple(actions), env.state
+
+
+@pytest.mark.parametrize("task", _FLOAT_TASKS, ids=lambda task: task.value)
+def test_float_task_rollout_with_a_bad_policy_matches_the_frozen_form(task):
+    spec = get_spec(task)
+    kind = "discrete" if spec.is_discrete else "continuous"
+    invalid = _exact(TerminationCause.INVALID_ACTION)
+    ended_by_the_bad_value = 0
+    for seed in range(4):
+        env = make(task)
+        env.reset(seed)
+        state = env.state
+        for bad in _BAD_VALUES[kind]:
+            for at in (0, 1, 37):
+                got = _outcome(_rollout, task, state, _policy(task, bad, at, seed), spec.max_steps)
+                expected = _outcome(
+                    _reference_rollout, task, state, _policy(task, bad, at, seed), spec.max_steps
+                )
+                assert got == expected, (state, bad, at)
+                # only the bad value ends an episode invalid, on its step
+                if got[0] == "returned" and got[1][1] == invalid:
+                    assert len(got[1][4]) == at
+                    ended_by_the_bad_value += 1
+    # from a reset state the physics ends few of these episodes first
+    assert ended_by_the_bad_value >= 3 * 4 * (len(_BAD_VALUES[kind]) - 1) * 3 // 4

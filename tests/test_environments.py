@@ -14,7 +14,11 @@ from policyloop.envs import ALL_TASKS, StepResult, TaskId, describe, get_spec, m
 from policyloop.envs.core import TerminationCause, UnknownTaskError
 
 from conftest import reference_step_forms
-from reference_dynamics import continuous_coerce_min_max_form, discrete_coerce_original
+from reference_dynamics import (
+    continuous_coerce_min_max_form,
+    discrete_coerce_original,
+    tip_above_goal_form,
+)
 
 
 def random_action(spec, rng):
@@ -292,19 +296,33 @@ def test_cartpole_termination_soundness_under_random_play():
             done = result.done
 
 
-def test_acrobot_termination_soundness_under_random_play():
-    from policyloop.envs.acrobot import tip_above_goal
-
+def test_acrobot_ends_exactly_when_the_frozen_goal_test_holds():
+    # from set states around the goal height, each step terminates with the
+    # goal's cause exactly when the frozen tip test holds on the state it
+    # leaves, which is the frozen generator-form step's
     env = make(TaskId.ACROBOT)
+    coerce, tick, _ = reference_step_forms(env)
     rng = random.Random(17)
-    for episode in range(5):
-        env.reset(episode)
-        done = False
-        while not done:
-            result = env.step(rng.choice((0, 1, 2)))
-            theta1, theta2, _, _ = env.state
-            assert result.terminated == tip_above_goal(theta1, theta2)
-            done = result.done
+    ends = 0
+    for _ in range(2_000):
+        state = (
+            rng.choice((-1.0, 1.0)) * rng.uniform(2.0, math.pi),
+            rng.uniform(-1.5, 1.5),
+            rng.uniform(-4.0, 4.0),
+            rng.uniform(-4.0, 4.0),
+        )
+        action = rng.choice((0, 1, 2))
+        env.reset(0)
+        env._state = state
+        result = env.step(action)
+        expected, _, _ = tick(state, coerce(action))
+        assert repr(env.state) == repr(expected), state
+        theta1, theta2, _, _ = env.state
+        assert result.terminated == tip_above_goal_form(theta1, theta2), state
+        if result.terminated:
+            assert result.cause is TerminationCause.GOAL_REACHED and result.reward == 0.0
+        ends += result.terminated
+    assert 200 < ends < 1_800, ends
 
 
 EXPECTED_SHAPE = {
@@ -346,6 +364,22 @@ def test_cartpole_tasks_declare_data_not_hooks(task):
     own = set(vars(cls))
     hooks = {"_reset_state", "_step_state", "_observe", "_rollout"}
     assert not own & hooks
+
+
+def test_no_env_class_has_step_or_observe_hooks():
+    """Each task's observation and physics are written once, inline in its
+    own or its family's _rollout; no class, the base included, keeps a
+    hook for them, and the base's _rollout is no driver."""
+    classes = {
+        cls for env_class in envs.ENV_CLASSES.values() for cls in env_class.__mro__
+    } - {object}
+    assert envs.Environment in classes
+    for cls in classes:
+        assert not {"_step_state", "_observe"} & set(vars(cls)), cls
+    for env_class in envs.ENV_CLASSES.values():
+        assert env_class._rollout is not envs.Environment._rollout, env_class
+    with pytest.raises(NotImplementedError):
+        envs.Environment()._rollout(lambda rng, obs: None, None, 1, [], [])
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)

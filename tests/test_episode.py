@@ -201,12 +201,10 @@ def test_policy_sees_python_scalars(task):
     assert trace.lines()[0].endswith(";None")
 
 
-# run_episode plays an episode through the env's _rollout: the cart-pole
-# family's fused loop, or the _step_state/_observe hook loop of the other
-# tasks. env.step is one step of the same rollout, so these tests pin both
-# to a step loop that shares no code with either: the frozen forms of
-# tests/reference_dynamics.py on the cart-pole family, and the frozen
-# coerce forms around the env's hooks on the other tasks.
+# run_episode plays an episode through the env's _rollout, the fused loop
+# of its task or family. env.step is one step of the same rollout, so these
+# tests pin both to a step loop that shares no code with either: the frozen
+# forms of tests/reference_dynamics.py.
 
 # A policy per task that survives to the step limit, and one that makes the
 # physics terminate early (Pendulum never terminates, so it has none).

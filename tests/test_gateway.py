@@ -2,6 +2,7 @@
 client exercised against a local throwaway server."""
 
 import dataclasses
+import http.client
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.parse
 from http.client import parse_headers
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -743,6 +745,11 @@ def test_gateway_config_env_overrides(monkeypatch, tmp_path):
         # what http.client refuses to send: InvalidURL, or UnicodeEncodeError
         ("base_url", "http://a b:8000",
          "base_url's host must hold no space or control character, got 'http://a b:8000'"),
+        # UnicodeError from the Host header of a host IDNA cannot encode
+        ("base_url", "http://\u00fc..b:8000",
+         "base_url's host must be encodable as IDNA, got 'http://\u00fc..b:8000'"),
+        ("base_url", "http://\u00fc" + "a" * 63 + ".example",
+         "base_url's host must be encodable as IDNA"),
         ("base_url", "http://127.0.0.1:9/x y",
          "base_url's path and query must be ASCII with no space or control character, "
          "got 'http://127.0.0.1:9/x y'"),
@@ -799,12 +806,41 @@ def test_gateway_config_accepts_the_edge_values():
     assert (config.retries, config.backoff, config.context_budget) == (0, 0.0, 1)
 
 
+@pytest.mark.parametrize(
+    "base_url, usable",
+    [
+        ("http://b\u00fccher.example:8000", True),
+        ("http://a..b:8000", True),  # ASCII goes out as it is
+        ("http://\u00fc..b:8000", False),
+        ("http://\u00fc" + "a" * 63 + ".example", False),
+    ],
+)
+def test_a_host_is_refused_exactly_when_http_client_cannot_encode_it(base_url, usable):
+    url = urllib.parse.urlsplit(base_url)
+    # putrequest builds the Host header without opening a connection
+    conn = http.client.HTTPConnection(url.hostname, url.port)
+    try:
+        conn.putrequest("POST", "/v1/chat/completions")
+        sent = True
+    except UnicodeError:
+        sent = False
+    finally:
+        conn.close()
+    assert sent is usable
+    if usable:
+        GatewayConfig(base_url=base_url)
+    else:
+        with pytest.raises(ValueError, match="base_url's host must be encodable as IDNA"):
+            GatewayConfig(base_url=base_url)
+
+
 def test_gateway_config_accepts_the_largest_timeout_and_back_off():
     GatewayConfig(timeout=threading.TIMEOUT_MAX, backoff=threading.TIMEOUT_MAX, retries=1)
     GatewayConfig(backoff=threading.TIMEOUT_MAX / 2**33, retries=34)
     GatewayConfig(base_url="https://[::1]:8443/v1?api-version=2")
     # http.client sends a host that is not ASCII IDNA-encoded
     GatewayConfig(base_url="http://b\u00fccher.invalid:8000/v1?a=%C3%BC")
+    GatewayConfig(base_url="http://b\u00fccher.example:8000")
     # the bound is one the socket layer takes
     with socket.socket() as sock:
         sock.settimeout(threading.TIMEOUT_MAX)
