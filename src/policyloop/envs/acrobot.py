@@ -254,6 +254,7 @@ class AcrobotEnv(Environment):
             # the tip above the target height
             cos_t1 = cos(t1)
             if -cos_t1 - cos(t2 + t1) > 1.0:
+                # the goal step earns 0.0, which turns a return of -0.0 into 0.0
                 total_reward += 0.0
                 cause = self.terminal_cause
                 break
