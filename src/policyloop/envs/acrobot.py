@@ -32,7 +32,6 @@ from .core import (
     TaskId,
     TerminationCause,
 )
-from .seeding import UniformStream
 
 LINK_LENGTH_1 = 1.0
 LINK_MASS_1 = 1.0
@@ -44,7 +43,6 @@ GRAVITY = 9.8
 DT = 0.2
 MAX_VEL_1 = 4.0 * math.pi  # ~12.567
 MAX_VEL_2 = 9.0 * math.pi  # ~28.274
-TORQUES = (-1.0, 0.0, 1.0)
 
 
 # Constant sub-products of the equations, each one a product or sum that
@@ -117,18 +115,13 @@ class AcrobotEnv(Environment):
     )
 
     terminal_cause = TerminationCause.GOAL_REACHED
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        uniform = rng.uniform
-        return (
-            uniform(-0.1, 0.1),
-            uniform(-0.1, 0.1),
-            uniform(-0.1, 0.1),
-            uniform(-0.1, 0.1),
-        )
+    # both angles and both angular velocities start in [-0.1, 0.1]
+    _reset_ranges = ((-0.1, 0.1),) * 4
+    # the torque on the first joint
+    _effects = (-1.0, 0.0, 1.0)
 
     def _rollout(self, policy, rng, limit, observations, actions):
-        labels, torques = self._labels, TORQUES
+        labels, torques = self._labels, self._effect_of
         append_obs, append_action = observations.append, actions.append
         # the names every step reads, as locals read once per rollout
         cos, sin, pi, two_pi = math.cos, math.sin, math.pi, 2.0 * math.pi

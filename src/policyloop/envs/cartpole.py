@@ -14,10 +14,11 @@ as ``abs(v) + 0.5``, so this is ``copysign`` of the rounded magnitude, as an
 int, and ``-0.0`` gives 0.
 
 The four tasks share one class, ``_CartPoleFamily``, and each says its
-facts once: a label's force and the grid come from its spec, the rest from
-a few class attributes. All of them are read in one place, the family's
-``_rollout``, the only driver of these envs: ``reset``, ``observe`` and
-``step`` run it for one step, and ``dsl.run_episode`` for a whole episode.
+facts once: the grid comes from its spec, the reset ranges (which
+``Environment`` draws), the labels' forces, the bounds and the observation
+order from class attributes. The family's ``_rollout`` is the only
+driver of these envs: ``reset``, ``observe`` and ``step`` run it for one
+step, and ``dsl.run_episode`` for a whole episode.
 Each step of it encodes the observation, calls the policy once as
 ``policy(rng, obs)``, then runs inline the action check (a label maps to
 its force and a bool is refused; or a finite number is clamped to [-3, 3]),
@@ -42,7 +43,6 @@ from .core import (
     TaskId,
     TerminationCause,
 )
-from .seeding import UniformStream
 
 GRAVITY = 9.8
 MASS_CART = 1.0
@@ -67,10 +67,8 @@ STAR2_GRID = 50.0
 
 class _CartPoleFamily(Environment):
     """The four cart-pole tasks and the one episode loop they share. It
-    reads a discrete task's forces from its action labels (the first
-    pushes left, the second right; a continuous action is the force
-    itself), the grid from ``spec.integer_observations``, and the class
-    attributes below.
+    reads the grid from ``spec.integer_observations`` and the rest from
+    the class attributes below; a continuous action is the force itself.
 
     ``_rollout`` writes out, per step, the observation encoding, one call
     of the policy, the action check, the Euler tick and the bounds test,
@@ -86,31 +84,17 @@ class _CartPoleFamily(Environment):
     # exceeds neither
     _x_limit = X_LIMIT
     _theta_limit = THETA_LIMIT
-    # each state variable starts uniform in [-bound, bound]
-    _reset_bound = 0.05
+    # each state variable starts uniform in [-0.05, 0.05]
+    _reset_ranges = ((-0.05, 0.05),) * 4
     # the observation is the state in the order (x, theta, x_dot, theta_dot)
     _reordered = False
-    # label -> force, empty when the action is the force itself; set once
-    # per task class, from its spec
-    _forces: dict[int, float] = {}
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.spec.is_discrete:
-            cls._forces = dict(zip(cls.spec.action.labels, (-FORCE_MAG, FORCE_MAG)))
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        uniform, bound = rng.uniform, self._reset_bound
-        return (
-            uniform(-bound, bound),
-            uniform(-bound, bound),
-            uniform(-bound, bound),
-            uniform(-bound, bound),
-        )
+    # a discrete task's first label pushes left, the second right
+    _effects = (-FORCE_MAG, FORCE_MAG)
 
     def _rollout(self, policy, rng, limit, observations, actions):
         spec = self.spec
-        forces, labels = self._forces, self._labels
+        # label -> force, empty when the action is the force itself
+        forces, labels = self._effect_of, self._labels
         lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
         x_limit, theta_limit = self._x_limit, self._theta_limit
         x_floor, theta_floor = -x_limit, -theta_limit
@@ -197,8 +181,8 @@ class _CartPoleFamily(Environment):
                 break
         self._state = (x, x_dot, theta, theta_dot)
         self._steps += len(actions)
-        # +1 per step taken: the sum of that many 1.0s
-        total_reward = float(len(actions))
+        # +1 per step taken: the sum of that many 1.0s from -0.0
+        total_reward = float(len(actions)) if actions else -0.0
         return total_reward, cause, value if cause is INVALID_ACTION else None
 
 
@@ -328,5 +312,5 @@ class InvertedPendulumEnv(_CartPoleFamily):
 
     _x_limit = math.inf
     _theta_limit = 0.2
-    _reset_bound = 0.01
+    _reset_ranges = ((-0.01, 0.01),) * 4
     _reordered = True

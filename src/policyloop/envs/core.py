@@ -3,7 +3,8 @@ step results and the seeded environment base class.
 
 Every environment is a single-threaded state machine. Its only randomness
 is the initial state, drawn at reset from a :class:`~.seeding.UniformStream`
-seeded with the reset seed, so (seed, action sequence) fully determines a
+seeded with the reset seed, one draw per range of the task's
+``_reset_ranges``, so (seed, action sequence) fully determines a
 trajectory. That stream is numpy's ``Generator(PCG64(seed)).uniform``
 reproduced in plain Python, so the package runs without numpy and no numpy
 version can move an episode. Observations are tuples of Python scalars
@@ -221,25 +222,33 @@ class Environment:
     read the observation it encodes at the top of its first step, ``step``
     is one step of it, and ``dsl.run_episode`` plays whole episodes through
     it. So ``state`` and ``steps`` read the same after an episode as after
-    the same ``step`` calls. Subclasses implement ``_reset_state`` and a
-    ``_rollout`` of their own or of their family, with each step's
-    observation, action check, physics and termination test inline, and
-    set ``terminal_cause``, the cause of every termination the physics
-    reports, on a task that has one.
+    the same ``step`` calls. A task is a ``spec``, class data and a
+    ``_rollout`` of its own or of its family, with each step's observation,
+    action check, physics and termination test inline. The class data:
+    ``_reset_ranges``, the reset distribution; on a discrete task
+    ``_effects``, what each label does; and ``terminal_cause``, the cause
+    of every termination the physics reports, on a task that has one.
     """
 
     spec: EnvSpec
     terminal_cause: TerminationCause
-    # On a discrete task: the label a returned value equals, as the int
-    # coerce records (2.0 -> 2), for the rollout's inline action check.
-    # Set once per class that declares a discrete spec.
+    # (low, high) of each native state variable's uniform reset draw, in order
+    _reset_ranges: tuple[tuple[float, float], ...]
+    # On a discrete task: each label's effect (a force, a push, a torque), in
+    # the spec's label order. Built from them once per class that declares a
+    # discrete spec, for the rollout's inline action check: the label a
+    # returned value equals, as the int coerce records (2.0 -> 2), and its effect.
+    _effects: tuple[float, ...] = ()
     _labels: dict[int, int] = {}
+    _effect_of: dict[int, float] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         spec = vars(cls).get("spec")
         if spec is not None and spec.is_discrete:
-            cls._labels = {label: label for label in spec.action.labels}
+            labels = spec.action.labels
+            cls._labels = {label: label for label in labels}
+            cls._effect_of = dict(zip(labels, cls._effects, strict=True))
 
     def __init__(self) -> None:
         self._state: Optional[tuple[float, ...]] = None
@@ -292,12 +301,14 @@ class Environment:
     def steps(self) -> int:
         return self._steps
 
-    # -- hooks ---------------------------------------------------------------
+    # -- the reset draw and the driver -----------------------------------------
 
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        """The initial native state; each ``rng.uniform(low, high)`` call is
-        the next draw, so the order of the calls is part of the task."""
-        raise NotImplementedError
+        """The initial native state: one ``rng.uniform(low, high)`` draw per
+        ``_reset_ranges`` pair, in order. A pair with ``low == high`` draws
+        exactly ``low``, as numpy's ``uniform`` does."""
+        uniform = rng.uniform
+        return tuple([uniform(low, high) for low, high in self._reset_ranges])
 
     def _rollout(self, policy, rng, limit, observations, actions):
         """Play ``policy`` from the current state for at most ``limit`` steps.

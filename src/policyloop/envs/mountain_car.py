@@ -30,7 +30,6 @@ from .core import (
     TaskId,
     TerminationCause,
 )
-from .seeding import UniformStream
 
 MIN_POSITION = -1.2
 MAX_POSITION = 0.6
@@ -44,30 +43,21 @@ CONTINUOUS_GOAL = 0.45
 
 class _MountainCarFamily(Environment):
     """The two mountain-car tasks and the one episode loop they share. A
-    discrete task's pushes come from its labels (left, nothing, right); a
-    continuous action is the force, scaled by ``CONTINUOUS_POWER``. The
-    goal is class data."""
+    continuous action is the force, scaled by ``CONTINUOUS_POWER``; the
+    goal, the reset ranges and a discrete task's pushes are class data."""
 
     terminal_cause = TerminationCause.GOAL_REACHED
     # the episode ends when position >= goal with velocity >= 0
     _goal: float
-    # label -> push, empty when the action is the force; set once per task
-    # class, from its spec
-    _pushes: dict[int, float] = {}
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.spec.is_discrete:
-            cls._pushes = dict(
-                zip(cls.spec.action.labels, (-DISCRETE_FORCE, 0.0, DISCRETE_FORCE))
-            )
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        return (rng.uniform(-0.6, -0.4), 0.0)
+    # the car starts at rest, somewhere in [-0.6, -0.4]
+    _reset_ranges = ((-0.6, -0.4), (0.0, 0.0))
+    # a discrete task's labels push left, not at all, right
+    _effects = (-DISCRETE_FORCE, 0.0, DISCRETE_FORCE)
 
     def _rollout(self, policy, rng, limit, observations, actions):
         spec = self.spec
-        pushes, labels, goal = self._pushes, self._labels, self._goal
+        # label -> push, empty when the action is the force
+        pushes, labels, goal = self._effect_of, self._labels, self._goal
         lo, hi = (None, None) if pushes else (spec.action.lo, spec.action.hi)
         append_obs, append_action = observations.append, actions.append
         # the names every step reads, as locals read once per rollout

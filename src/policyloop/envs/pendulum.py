@@ -24,7 +24,6 @@ from .core import (
     EnvSpec,
     TaskId,
 )
-from .seeding import UniformStream
 
 G = 10.0
 MASS = 1.0
@@ -76,8 +75,8 @@ class PendulumEnv(Environment):
         improve_goal_text="bringing the bar upright and keeping it there",
     )
 
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        return (rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0))
+    # any angle, and an angular velocity in [-1, 1]
+    _reset_ranges = ((-math.pi, math.pi), (-1.0, 1.0))
 
     def _rollout(self, policy, rng, limit, observations, actions):
         append_obs, append_action = observations.append, actions.append

@@ -13,6 +13,7 @@ from policyloop.dsl import InvalidReason, PolicyProgram, evaluate, parse, run_ep
 from policyloop.envs import ALL_TASKS, StepResult, TaskId, describe, get_spec, make
 from policyloop.envs.core import TerminationCause, UnknownTaskError
 
+import reference_dynamics as ref
 from conftest import reference_step_forms
 from reference_dynamics import (
     continuous_coerce_min_max_form,
@@ -351,19 +352,85 @@ def test_spec_table(task):
         assert spec.action.labels == labels
 
 
-_CARTPOLE_FAMILY = (
-    TaskId.CARTPOLE, TaskId.CARTPOLE_STAR1, TaskId.CARTPOLE_STAR2, TaskId.INVERTED_PENDULUM
+def _env_classes():
+    """Every class in every env's MRO, ``Environment`` included."""
+    return {
+        cls for env_class in envs.ENV_CLASSES.values() for cls in env_class.__mro__
+    } - {object}
+
+
+def test_tasks_declare_data_not_hooks():
+    """A task is a spec, class data and its own or its family's _rollout:
+    the reset draw and the label tables are built once, by the base, and a
+    task that shares its family's loop has none of its own."""
+    mechanism = {"_reset_state", "__init_subclass__"}
+    for cls in _env_classes():
+        own = mechanism & set(vars(cls))
+        assert own == (mechanism if cls is envs.Environment else set()), cls
+    for env_class in envs.ENV_CLASSES.values():
+        if env_class.__base__ is not envs.Environment:
+            assert "_rollout" not in vars(env_class), env_class
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_reset_ranges_have_one_pair_per_state_variable(task):
+    env = make(task)
+    env.reset(7)
+    ranges = type(env)._reset_ranges
+    assert len(ranges) == len(env.state)
+    for low, high in ranges:
+        assert type(low) is float and type(high) is float
+        assert low <= high
+
+
+def _frozen_effect(task, label):
+    """The force, push or torque that the frozen step form of ``task``
+    applies for ``label``, each as that form computes it."""
+    if task.value in ref.CARTPOLE_FAMILY_TASKS:
+        labels = ref.CARTPOLE_FAMILY_TASKS[task.value][0]
+        return 10.0 if label == labels[1] else -10.0  # cartpole_family_step_form
+    if task is TaskId.ACROBOT:
+        return ref._ACROBOT_TORQUES[label]  # acrobot_step_form
+    assert task is TaskId.MOUNTAIN_CAR_DISCRETE
+    return (label - 1) * 0.001  # mountain_car_discrete_step_form
+
+
+@pytest.mark.parametrize(
+    "task", [task for task in ALL_TASKS if get_spec(task).is_discrete], ids=str
 )
-
-
-@pytest.mark.parametrize("task", _CARTPOLE_FAMILY, ids=lambda task: task.value)
-def test_cartpole_tasks_declare_data_not_hooks(task):
-    """The family's hooks and fused loop live once, on their shared base;
-    a task says only what its spec and class data cannot."""
+def test_label_tables_are_the_spec_labels_and_the_frozen_effects(task):
     cls = envs.ENV_CLASSES[task]
-    own = set(vars(cls))
-    hooks = {"_reset_state", "_step_state", "_observe", "_rollout"}
-    assert not own & hooks
+    labels = cls.spec.action.labels
+    assert cls._labels == {label: label for label in labels}
+    assert list(cls._effect_of) == list(labels)
+    assert {label: effect.hex() for label, effect in cls._effect_of.items()} == {
+        label: float(_frozen_effect(task, label)).hex() for label in labels
+    }
+
+
+@pytest.mark.parametrize("task", [t for t in ALL_TASKS if not get_spec(t).is_discrete], ids=str)
+def test_continuous_tasks_have_no_label_tables(task):
+    cls = envs.ENV_CLASSES[task]
+    assert cls._labels == {} and cls._effect_of == {}
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+@pytest.mark.parametrize("body", ["if {0} > 1e300:\n        return 0", "return 1 / ({0} - {0})"],
+                         ids=["returns-none", "raises"])
+def test_a_rollout_refused_at_step_0_returns_minus_zero(task, body):
+    """The rollout's return is the sum of its rewards from -0.0, on every
+    task; the episode's is that plus 0.0."""
+    spec = get_spec(task)
+    params = ", ".join(spec.obs_names)
+    program = parse(f"def get_action({params}):\n    {body.format(spec.obs_names[0])}\n")
+    env = make(task)
+    env.reset(11)
+    total_reward, cause, _ = env._rollout(program.compiled, random.Random(0), 5, [], [])
+    assert cause is TerminationCause.INVALID_ACTION
+    assert total_reward == 0.0 and math.copysign(1.0, total_reward) == -1.0
+    trace = run_episode(program, task, seed=11, rng=random.Random(0))
+    assert trace.length == 1 and trace.ended_invalid
+    assert trace.total_reward == 0.0 and math.copysign(1.0, trace.total_reward) == 1.0
 
 
 def test_no_env_class_has_step_or_observe_hooks():
