@@ -84,7 +84,6 @@ class _CartPoleFamily(Environment):
     # exceeds neither
     _x_limit = X_LIMIT
     _theta_limit = THETA_LIMIT
-    # each state variable starts uniform in [-0.05, 0.05]
     _reset_ranges = ((-0.05, 0.05),) * 4
     # the observation is the state in the order (x, theta, x_dot, theta_dot)
     _reordered = False

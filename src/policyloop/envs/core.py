@@ -238,7 +238,7 @@ class Environment:
     # the spec's label order. Built from them once per class that declares a
     # discrete spec, for the rollout's inline action check: the label a
     # returned value equals, as the int coerce records (2.0 -> 2), and its effect.
-    _effects: tuple[float, ...] = ()
+    _effects: tuple[float, ...]
     _labels: dict[int, int] = {}
     _effect_of: dict[int, float] = {}
 

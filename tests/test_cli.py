@@ -148,23 +148,32 @@ def _cli(hash_seed, *args):
     )
 
 
+def _shown(hash_seed, proc):
+    """What an assertion on a ``_cli`` run shows when it fails."""
+    return (
+        f"PYTHONHASHSEED={hash_seed} {' '.join(proc.args[1:])}: exit {proc.returncode}\n"
+        f"--- stdout ---\n{proc.stdout}--- stderr ---\n{proc.stderr}"
+    )
+
+
 def test_records_and_reports_do_not_depend_on_the_hash_seed(tmp_path, script_file):
     """Replay in one process cannot see a dependence on set or dict-of-str
     order; a record made under one hash seed must replay under another."""
     run = _cli(1, *_run_args(tmp_path, script_file))
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == 0, _shown(1, run)
     record = str(tmp_path / "record.json")
     replayed = _cli(2, "replay", record)
-    assert replayed.returncode == 0, replayed.stdout + replayed.stderr
-    assert "replay matches original" in replayed.stdout
-    reports = []
+    assert replayed.returncode == 0, _shown(2, replayed)
+    assert "replay matches original" in replayed.stdout, _shown(2, replayed)
+    reports, shown = [], []
     for hash_seed in (1, 2):
         report = tmp_path / f"report_{hash_seed}.json"
         metrics = _cli(hash_seed, "metrics", record, "--n-eval", "50", "--json", str(report))
-        assert metrics.returncode == 0, metrics.stderr
+        shown.append(_shown(hash_seed, metrics))
+        assert metrics.returncode == 0, shown[-1]
         reports.append(report.read_bytes())
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])[0]["robustness"] == 1.0
+    assert reports[0] == reports[1], "\n".join(shown)
+    assert json.loads(reports[0])[0]["robustness"] == 1.0, "\n".join(shown)
 
 
 def test_metrics_refuses_fewer_than_one_evaluation_episode(tmp_path, script_file, capsys):

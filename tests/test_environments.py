@@ -395,23 +395,18 @@ def _frozen_effect(task, label):
     return (label - 1) * 0.001  # mountain_car_discrete_step_form
 
 
-@pytest.mark.parametrize(
-    "task", [task for task in ALL_TASKS if get_spec(task).is_discrete], ids=str
-)
+@pytest.mark.parametrize("task", ALL_TASKS)
 def test_label_tables_are_the_spec_labels_and_the_frozen_effects(task):
     cls = envs.ENV_CLASSES[task]
+    if not cls.spec.is_discrete:
+        assert cls._labels == {} and cls._effect_of == {}
+        return
     labels = cls.spec.action.labels
     assert cls._labels == {label: label for label in labels}
     assert list(cls._effect_of) == list(labels)
     assert {label: effect.hex() for label, effect in cls._effect_of.items()} == {
         label: float(_frozen_effect(task, label)).hex() for label in labels
     }
-
-
-@pytest.mark.parametrize("task", [t for t in ALL_TASKS if not get_spec(t).is_discrete], ids=str)
-def test_continuous_tasks_have_no_label_tables(task):
-    cls = envs.ENV_CLASSES[task]
-    assert cls._labels == {} and cls._effect_of == {}
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
@@ -437,9 +432,7 @@ def test_no_env_class_has_step_or_observe_hooks():
     """Each task's observation and physics are written once, inline in its
     own or its family's _rollout; no class, the base included, keeps a
     hook for them, and the base's _rollout is no driver."""
-    classes = {
-        cls for env_class in envs.ENV_CLASSES.values() for cls in env_class.__mro__
-    } - {object}
+    classes = _env_classes()
     assert envs.Environment in classes
     for cls in classes:
         assert not {"_step_state", "_observe"} & set(vars(cls)), cls
