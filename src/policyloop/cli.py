@@ -58,6 +58,18 @@ def _load_record(path: str) -> RunRecord:
         raise UsageError(f"{path}: not a run record ({type(exc).__name__}: {exc})")
 
 
+def _check_output(path: str, option: str) -> None:
+    """Refuse, before any work, an output path that cannot take a file: an
+    existing directory, or a path under an existing file."""
+    if Path(path).is_dir():
+        raise UsageError(f"{option} {path}: is a directory")
+    for parent in Path(path).parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise UsageError(f"{option} {path}: {parent} is not a directory")
+            return
+
+
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend-url", help="chat-completions endpoint base URL")
     parser.add_argument("--gateway-config", help="JSON file with gateway settings")
@@ -129,6 +141,8 @@ def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) ->
 
 def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> int:
     config = _config_from_args(args, ablation)
+    if args.out:
+        _check_output(args.out, "--out")
     # without --temperature the run uses the config's first temperature
     record = run_replication(
         args.task, config, _make_backend(args), args.replication, args.temperature
@@ -180,10 +194,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     try:
         records = run_batch(backend_factory=backend_factory, out_dir=args.out_dir, **settings)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         if started:
             raise
-        # run_batch checks every cell's settings before it makes a backend
+        # run_batch checks every cell's settings, and makes out_dir, before
+        # it makes a backend
+        if isinstance(exc, OSError):
+            raise UsageError(f"--out-dir {args.out_dir}: {exc}")
         raise UsageError(f"{where}: {exc}")
     completed = sum(1 for r in records if r.status.value == "completed")
     print(f"{len(records)} records ({completed} completed) written to {args.out_dir}")
@@ -233,6 +250,8 @@ def _short(value, limit: int = 80) -> str:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     record = _load_record(args.record)
+    if args.out:
+        _check_output(args.out, "--out")
     matches, rerun = replay(record)
     if args.out:
         rerun.save(args.out)
@@ -249,6 +268,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     records = [_load_record(p) for p in args.records]
+    for path, option in ((args.json, "--json"), (args.csv, "--csv")):
+        if path:
+            _check_output(path, option)
     cells: dict[tuple, list[RunRecord]] = {}
     for record in records:
         cells.setdefault(

@@ -59,8 +59,10 @@ def run_batch(
     backend per cell, which keeps replications independent (fresh scripted
     queues in tests, plain HTTP clients otherwise). ``temperatures`` falls
     back to each config's own set when omitted. Every record path is known,
-    and checked, before the first cell runs. ``config_overrides`` may not
-    set ``seed_root`` or ``model_name``: the arguments of those names do.
+    and checked, and ``out_dir`` made, before the first cell runs, so an
+    ``out_dir`` that cannot be a directory raises ``OSError`` before any
+    backend is made. ``config_overrides`` may not set ``seed_root`` or
+    ``model_name``: the arguments of those names do.
     A batch of no cells (no task, no model, fewer than one replication) is
     refused, as a wrong-typed ``replications`` is.
     """
@@ -88,7 +90,10 @@ def run_batch(
             config = LoopConfig.for_task(task, model_name=model, seed_root=seed_root, **overrides)
             for temperature in config.temperatures:
                 cells += [(task, config, model, temperature, rep) for rep in range(replications)]
-    paths = _record_paths(Path(out_dir), cells) if out_dir is not None else [None] * len(cells)
+    paths = [None] * len(cells)
+    if out_dir is not None:
+        paths = _record_paths(Path(out_dir), cells)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
     for (task, config, model, temperature, rep), path in zip(cells, paths):
         backend = backend_factory(task, model, temperature, rep)

@@ -1,9 +1,10 @@
 """One replication of the refinement loop.
 
-Initialization runs Prompts 1-3 (rules and code each re-asked within the
-repair budget) and evaluates the resulting policy; every following epoch
-reflects with Prompt 4, re-derives rules and code, and evaluates again. Strategy memory
-feeds the reflection prompt with the current, previous and best strategies.
+Every iteration is one step with two openings: a strategy from Prompt 1
+(the task description) at iteration 0, or from Prompt 4 (reflection on the
+current, previous and best strategies) after it; then rules (Prompt 2) and
+code (Prompt 3), each re-asked within the repair budget, and an evaluation
+of the resulting policy.
 
 All episode seeds are pure functions of (seed_root, replication, iteration,
 episode), so a record plus its response transcript replays bit-for-bit.
@@ -104,17 +105,39 @@ def _request_seed(config: LoopConfig, replication: int, iteration: int, stage: s
     return derive_seed(config.seed_root, replication, iteration, stage) & 0x7FFFFFFF
 
 
-def _synthesize(
+def _next_strategy(
+    history: list[Strategy],
     task_id: TaskId,
     config: LoopConfig,
     backend,
     replication: int,
-    iteration: int,
-    strategy_text: str,
     temperature: float,
 ) -> Strategy:
-    """Strategy text -> rules -> program -> evaluation record."""
+    """The iteration after ``history``: a strategy from Prompt 1 when the
+    history is empty, else from Prompt 4 on it; then its rules, its program
+    and their evaluation."""
     spec = get_spec(task_id)
+    iteration = len(history)
+    if not history:
+        stage, seed_key, prompt = Stage.P1_STRATEGY, "p1", render_p1(spec)
+    else:
+        current = history[-1]
+        previous = history[-2] if len(history) >= 2 else None
+        # max() keeps the earliest of equal rewards
+        best = max(history, key=lambda s: s.mean_reward) if len(history) >= 2 else None
+        stage, seed_key = Stage.P4_REFLECT, "p4"
+        prompt = render_p4(
+            spec,
+            _summary(current, config),
+            previous=_summary(previous, config) if previous else None,
+            best=_summary(best, config) if best else None,
+            history_rewards=[s.mean_reward for s in history],
+            window_size=config.window_size,
+            ablation=config.ablation,
+        )
+    seed = _request_seed(config, replication, iteration, seed_key)
+    request = build_request(stage, prompt, config.model_name, temperature, seed)
+    strategy_text = extract_strategy(backend.complete(request).text)
 
     def rules_request(attempt: int, _error: Optional[str]) -> ChatRequest:
         prompt = render_p2(spec, strategy_text, reask=attempt > 1)
@@ -153,17 +176,8 @@ def initialize(
 ) -> Strategy:
     """Prompts 1-3 plus evaluation; yields the iteration-0 strategy."""
     task_id = parse_task_id(task_id)
-    spec = get_spec(task_id)
     temperature = config.temperatures[0] if temperature is None else temperature
-    request = build_request(
-        Stage.P1_STRATEGY,
-        render_p1(spec),
-        config.model_name,
-        temperature,
-        _request_seed(config, replication, 0, "p1"),
-    )
-    strategy_text = extract_strategy(backend.complete(request).text)
-    return _synthesize(task_id, config, backend, replication, 0, strategy_text, temperature)
+    return _next_strategy([], task_id, config, backend, replication, temperature)
 
 
 def _summary(strategy: Strategy, config: LoopConfig) -> StrategySummary:
@@ -187,35 +201,8 @@ def refine(
     if not history:
         raise ValueError("refine() needs a non-empty history")
     task_id = parse_task_id(task_id)
-    spec = get_spec(task_id)
     temperature = config.temperatures[0] if temperature is None else temperature
-    iteration = len(history)
-
-    current = history[-1]
-    previous = history[-2] if len(history) >= 2 else None
-    # max() keeps the earliest of equal rewards
-    best = max(history, key=lambda s: s.mean_reward) if len(history) >= 2 else None
-
-    prompt = render_p4(
-        spec,
-        _summary(current, config),
-        previous=_summary(previous, config) if previous else None,
-        best=_summary(best, config) if best else None,
-        history_rewards=[s.mean_reward for s in history],
-        window_size=config.window_size,
-        ablation=config.ablation,
-    )
-    request = build_request(
-        Stage.P4_REFLECT,
-        prompt,
-        config.model_name,
-        temperature,
-        _request_seed(config, replication, iteration, "p4"),
-    )
-    strategy_text = extract_strategy(backend.complete(request).text)
-    return _synthesize(
-        task_id, config, backend, replication, iteration, strategy_text, temperature
-    )
+    return _next_strategy(history, task_id, config, backend, replication, temperature)
 
 
 def retest(

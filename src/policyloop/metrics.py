@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .dsl.episode import run_episode
-from .dsl.parser import parse
+from .dsl.parser import PolicyParseError, parse
 from .envs import get_spec, make
 from .envs.core import derive_seed
 from .loop.records import RunRecord, as_json
@@ -238,7 +238,15 @@ def robustness(
             continue
         strategy = record.strategies[hit - 1]
         spec = get_spec(record.task_id)
-        program = parse(strategy.program_source, expected_params=spec.obs_names)
+        try:
+            program = parse(strategy.program_source, expected_params=spec.obs_names)
+        except PolicyParseError as exc:
+            # a hand-edited record, or one from a parser that accepted more
+            raise MetricsError(
+                f"replication {record.replication_index}, iteration "
+                f"{strategy.iteration_index}: the first maximal program no longer "
+                f"parses ({exc})"
+            ) from exc
         env = make(record.task_id)
         returns = []
         for ep in range(n_eval):
@@ -274,7 +282,7 @@ class MetricsReport:
     task_id: str = ""
     model_name: str = ""
     temperature: Optional[float] = None
-    average_reward: float
+    average_reward: Optional[float]
     success: Optional[float]
     robustness: Optional[float]
     learning_time: Optional[float]
@@ -304,9 +312,11 @@ def compute_report(
     report does not depend on the order the records are given in.
     ``r_max``/``t_max`` default to the task's defined maximum and the
     largest epoch budget among the records. For tasks without a maximum the
-    success-relative metrics are reported absent. An ``r_max`` that is not
-    finite or is below a reward the records reached, a ``t_max`` below 1 or
-    above every record's epoch budget, and an ``n_eval`` below 1 are
+    success-relative metrics are reported absent. A cell in which no
+    replication reached its first evaluation scores success 0.0 where the
+    task has a maximum, and every other metric absent. An ``r_max`` that is
+    not finite or is below a reward the records reached, a ``t_max`` below 1
+    or above every record's epoch budget, and an ``n_eval`` below 1 are
     refused, whether or not robustness runs.
     """
     _check_same_cell(records)
@@ -326,11 +336,16 @@ def compute_report(
         raise MetricsError(f"t_max {t_max} is above the records' epoch budget {epochs}")
     matrix = reward_sequences(records)
 
-    avg = average_reward(matrix, r_max, t_max)
-    # average_reward refused empty or non-finite rows
-    reached = max(v for row in matrix for v in row)
-    if r_max is not None and r_max < reached:
-        raise MetricsError(f"r_max {r_max} is below the reward {reached} the records reached")
+    # a cell of replications that all aborted before their first evaluation
+    # has no reward to average or improve on
+    avg = improvement = None
+    if any(matrix):
+        avg = average_reward(matrix, r_max, t_max)
+        # average_reward refused non-finite rows
+        reached = max(v for row in matrix for v in row)
+        if r_max is not None and r_max < reached:
+            raise MetricsError(f"r_max {r_max} is below the reward {reached} the records reached")
+        improvement = improvement_ratio(records, r_max)
     succ = lt = rob = None
     hits: list[int] = []
     if r_max is not None:
@@ -350,7 +365,7 @@ def compute_report(
         n_episodes=t_max,
         r_max=r_max,
         n_eval=n_eval,
-        improvement_ratio=improvement_ratio(records, r_max),
+        improvement_ratio=improvement,
         task_id=records[0].task_id.value,
         model_name=records[0].model_name,
         temperature=records[0].temperature,
@@ -374,7 +389,7 @@ def render_table(reports: Iterable[MetricsReport]) -> str:
                 rep.task_id or "-",
                 rep.model_name or "-",
                 f"{rep.temperature:.1f}" if rep.temperature is not None else "-",
-                f"{rep.average_reward:.2f}",
+                _cell(rep.average_reward),
                 _cell(rep.success),
                 _cell(rep.robustness),
                 _cell(rep.learning_time),

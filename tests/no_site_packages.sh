@@ -32,6 +32,21 @@ for base_url in localhost:11434 'http://a b:8000' 'http://ü..b:8000'; do
     echo "--backend-url '$base_url' exited $status; expected 2 and no record"; exit 1
   fi
 done
+# an output path that cannot take the file is a usage error before any
+# model call: exit 2, and nothing written
+mkdir "$out/taken"
+echo kept > "$out/file"
+status=0
+python -S -m policyloop.cli run --task CartPoleStar2 --script "$out/session.json" \
+  --out "$out/taken" 2>/dev/null || status=$?
+if [ "$status" -ne 2 ] || [ -n "$(ls -A "$out/taken")" ]; then
+  echo "run --out <existing directory> exited $status; expected 2 and nothing written"; exit 1
+fi
+status=0
+python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/file" 2>/dev/null || status=$?
+if [ "$status" -ne 2 ] || [ "$(cat "$out/file")" != kept ]; then
+  echo "batch --out-dir <existing file> exited $status; expected 2 and nothing written"; exit 1
+fi
 # the frozen corpus: every record but the one made by a patched run
 # replays, and its script still writes the committed bytes
 for record in tests/fixtures/records/*.json; do

@@ -13,7 +13,7 @@ from policyloop.cli import main
 from policyloop.gateway import ScriptedBackend
 from policyloop.loop import LoopConfig, RunRecord, run_replication
 
-from conftest import scripted_session
+from conftest import scripted_session, transcript_text
 
 
 @pytest.fixture
@@ -202,6 +202,131 @@ def test_count_options_refuse_zero(tmp_path, script_file, capsys, option):
     assert exit_info.value.code == 2
     field = option[2:].replace("-", "_")
     assert f"loop settings: {field} must be at least 1, got 0" in capsys.readouterr().err
+
+
+# -- records that stop short of a rerun -------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent / "fixtures" / "records"
+
+
+def test_metrics_scores_a_cell_with_no_evaluation_beside_a_corpus_cell(tmp_path, capsys):
+    """A run whose backend ran out at Prompt 2 left no strategy; its cell
+    gets a row of its own, and the other cell is scored as before."""
+    (tmp_path / "strategy.json").write_text(json.dumps([transcript_text("strategy_iter0.txt")]))
+    aborted = tmp_path / "aborted.json"
+    assert main(["run", "--task", "CartPoleStar2", "--script", str(tmp_path / "strategy.json"),
+                 "--out", str(aborted)]) == 1
+    assert RunRecord.load(aborted).strategies == []
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["metrics", str(aborted), str(CORPUS / "Acrobot_random.json"),
+                 "--no-rerun", "--json", str(report)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:4]
+    assert [row.split() for row in rows] == [
+        ["CartPoleStar2", "local-model", "0.0", "-", "0.00", "-", "-", "-", "-"],
+        ["Acrobot", "random-model", "0.0", "-500.00", "-", "-", "-", "-", "-"],
+    ]
+    empty, acrobot = json.loads(report.read_text())
+    assert (empty["average_reward"], empty["success"], empty["improvement_ratio"]) == (None, 0.0, None)
+    assert acrobot["average_reward"] == -500.0
+
+
+def test_a_first_maximal_program_that_no_longer_parses_is_a_usage_error(tmp_path):
+    data = json.loads((CORPUS / "CartPoleStar2_completed.json").read_text())
+    first = [s["mean_reward"] for s in data["strategies"]].index(500.0)
+    data["strategies"][first]["program_source"] = "def get_action(:\n"
+    (tmp_path / "record.json").write_text(json.dumps(data))
+    done = _python([], "-m", "policyloop.cli", "metrics", "record.json", "--n-eval", "5",
+                   cwd=tmp_path)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert (f"policyloop: error: replication 0, iteration {first}: "
+            "the first maximal program no longer parses (") in done.stderr
+    scored = _python([], "-m", "policyloop.cli", "metrics", "record.json", "--no-rerun",
+                     cwd=tmp_path)
+    assert scored.returncode == 0, scored.stdout + scored.stderr
+    assert scored.stdout.splitlines()[2].split()[3:5] == ["213.18", "1.00"]
+
+
+# -- output paths checked before the work that fills them ---------------------------
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """Every scripted backend the CLI makes, with the requests it received."""
+    made = []
+
+    def recorded(responses):
+        made.append(ScriptedBackend(responses))
+        return made[-1]
+
+    monkeypatch.setattr("policyloop.cli.ScriptedBackend", recorded)
+    return made
+
+
+@pytest.fixture
+def taken(tmp_path):
+    """An empty directory and a file, neither of which may change."""
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("kept")
+    yield {"directory": tmp_path / "taken", "under-a-file": tmp_path / "file" / "out.json"}
+    assert list((tmp_path / "taken").iterdir()) == []
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def _usage_error(capsys, args) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command", [["run"], ["ablate", "NoData"]], ids=["run", "ablate"])
+def test_run_refuses_an_out_path_before_any_request(
+    tmp_path, script_file, capsys, backends, taken, command, where
+):
+    args = _run_args(tmp_path, script_file, extra=("--out", str(taken[where])))[1:]
+    error = _usage_error(capsys, command + args)
+    assert error.startswith(f"policyloop: error: --out {taken[where]}: ")
+    assert not any(backend.requests for backend in backends)
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_batch_refuses_an_out_dir_before_any_request(tmp_path, capsys, backends, taken, where):
+    batch_config = tmp_path / "batch.json"
+    batch_config.write_text(json.dumps({**OFFLINE_BATCH, "script": scripted_session()}))
+    out_dir = tmp_path / "file" if where == "file" else taken["under-a-file"]
+    error = _usage_error(capsys, ["batch", "--config", str(batch_config), "--out-dir", str(out_dir)])
+    assert error.startswith(f"policyloop: error: --out-dir {out_dir}: ")
+    assert backends == []
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("option", ["--json", "--csv"])
+def test_metrics_refuses_an_output_path_before_the_rerun(
+    tmp_path, script_file, capsys, monkeypatch, taken, option, where
+):
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    scored = []
+    monkeypatch.setattr("policyloop.cli.compute_report", lambda *a, **k: scored.append(a))
+    error = _usage_error(capsys, ["metrics", str(tmp_path / "record.json"), option, str(taken[where])])
+    assert error.startswith(f"policyloop: error: {option} {taken[where]}: ")
+    assert scored == []
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_replay_refuses_an_out_path_before_the_rerun(
+    tmp_path, script_file, capsys, monkeypatch, taken, where
+):
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    replayed = []
+    monkeypatch.setattr("policyloop.cli.replay", lambda *a: replayed.append(a))
+    error = _usage_error(capsys, ["replay", str(tmp_path / "record.json"), "--out", str(taken[where])])
+    assert error.startswith(f"policyloop: error: --out {taken[where]}: ")
+    assert replayed == []
 
 
 # -- bad gateway settings ----------------------------------------------------------

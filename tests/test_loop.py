@@ -178,6 +178,13 @@ def test_refine_appends_next_iteration():
     assert second.rules_text == transcript_text("rules_iter1.txt")
 
 
+def test_refine_needs_a_history():
+    backend = ScriptedBackend(scripted_session())
+    with pytest.raises(ValueError, match=r"refine\(\) needs a non-empty history"):
+        refine([], TaskId.CARTPOLE_STAR2, _config(), backend)
+    assert backend.requests == []
+
+
 def test_first_reflection_prompt_has_no_history_blocks():
     script = scripted_session()
     backend = ScriptedBackend(script[:6])
@@ -411,17 +418,19 @@ def test_rules_are_asked_again_when_the_answer_has_none():
 
 def test_every_request_carries_its_stage_seed():
     """Each Prompt-2 re-ask has a seed of its own; every code repair keeps the
-    one Prompt-3 seed of its iteration."""
+    one Prompt-3 seed of its iteration. Each request's token limit is its
+    stage's: iteration 0 opens with Prompt 1, every later one with Prompt 4."""
     session = scripted_session()
     script = session[:1] + [NO_RULES] + session[1:2] + [BAD] + session[2:6]
     backend = ScriptedBackend(script)
     record = run_replication(TaskId.CARTPOLE_STAR2, _config(epochs=2), backend, 0, 0.0)
     assert record.status is RunStatus.COMPLETED
     assert backend.remaining == 0
-    stages = [(0, "p1"), (0, "p2#1"), (0, "p2#2"), (0, "p3"), (0, "p3"),
-              (1, "p4"), (1, "p2#1"), (1, "p3")]
-    assert [request.request_seed for request in backend.requests] == [
-        derive_seed(3, 0, iteration, stage) & 0x7FFFFFFF for iteration, stage in stages
+    stages = [(0, "p1", 2048), (0, "p2#1", 1024), (0, "p2#2", 1024), (0, "p3", 1024),
+              (0, "p3", 1024), (1, "p4", 4096), (1, "p2#1", 1024), (1, "p3", 1024)]
+    assert [(request.request_seed, request.max_tokens) for request in backend.requests] == [
+        (derive_seed(3, 0, iteration, stage) & 0x7FFFFFFF, max_tokens)
+        for iteration, stage, max_tokens in stages
     ]
 
 
@@ -686,6 +695,44 @@ def test_batch_cardinality_and_persistence(tmp_path):
     assert all(r.status is RunStatus.COMPLETED for r in records)
     temps = sorted({r.temperature for r in records})
     assert temps == [0.0, 0.8]
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_batch_makes_out_dir_before_the_first_backend(tmp_path, under_a_file):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    made = []
+
+    def factory(*cell):
+        made.append(cell)
+        return ScriptedBackend(scripted_session())
+
+    with pytest.raises(OSError):
+        run_batch(
+            tasks=["CartPoleStar2"],
+            backend_factory=factory,
+            replications=2,
+            out_dir=taken / "runs" if under_a_file else taken,
+            config_overrides={"epochs": 1},
+        )
+    assert made == []
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "kept"
+    # an out_dir not there yet is made before any cell runs
+    out_dir = tmp_path / "new" / "runs"
+
+    def factory_after_out_dir(*cell):
+        made.append(out_dir.is_dir())
+        return ScriptedBackend(scripted_session())
+
+    run_batch(
+        tasks=["CartPoleStar2"],
+        backend_factory=factory_after_out_dir,
+        replications=1,
+        out_dir=out_dir,
+        config_overrides={"epochs": 1},
+    )
+    assert made == [True]
 
 
 @pytest.mark.parametrize(

@@ -546,3 +546,48 @@ def test_compute_report_names_successful_replications_by_index():
     # replication 1 alone succeeded
     records = make_records([[100.0, 200.0], [100.0, R_MAX]], epochs=2)
     assert compute_report(records[1:], include_robustness=False).successful_set == [1]
+
+
+@pytest.mark.parametrize("include_robustness", [True, False])
+def test_a_cell_with_no_evaluation_scores_success_zero_and_nothing_else(include_robustness):
+    """Every replication aborted before its first evaluation: success 0.0
+    where the task has a maximum, every reward-based metric absent."""
+    records = make_records([[], []], epochs=5)
+    report = compute_report(records, n_eval=5, include_robustness=include_robustness)
+    assert report.to_dict() == {
+        "task_id": "CartPoleStar2",
+        "model_name": "scripted-model",
+        "temperature": 0.0,
+        "average_reward": None,
+        "success": 0.0,
+        "robustness": None,
+        "learning_time": None,
+        "fom": None,
+        "improvement_ratio": None,
+        "successful_set": [],
+        "n_reps": 2,
+        "n_episodes": 5,
+        "r_max": R_MAX,
+        "n_eval": 5,
+    }
+    assert render_table([report]).splitlines()[-1].split() == [
+        "CartPoleStar2", "scripted-model", "0.0", "-", "0.00", "-", "-", "-", "-",
+    ]
+    # a task without a maximum has no success to score either
+    report = compute_report(make_records([[]], task="Acrobot", epochs=5))
+    assert (report.average_reward, report.success, report.improvement_ratio) == (None, None, None)
+    # the matrix-level functions still refuse rows with no reward
+    with pytest.raises(MetricsError, match="reward rows are all empty"):
+        average_reward([[], []])
+    with pytest.raises(MetricsError, match="no evaluated strategies"):
+        improvement_ratio(records, R_MAX)
+
+
+def test_a_first_maximal_program_that_no_longer_parses_is_a_metrics_error():
+    records = make_records([[100.0, 200.0], [100.0, R_MAX, R_MAX]], program_source="def (")
+    message = r"replication 1, iteration 1: the first maximal program no longer parses \("
+    with pytest.raises(MetricsError, match=message):
+        robustness(records, R_MAX, t_max=10, n_eval=5)
+    with pytest.raises(MetricsError, match=message):
+        compute_report(records, n_eval=5)
+    assert compute_report(records, include_robustness=False).success == 0.5
