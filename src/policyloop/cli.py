@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .envs import ALL_TASKS
+from .envs import ALL_TASKS, TaskId
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
 from .loop import LoopConfig, RunRecord, default_record_name, replay, run_batch, run_replication
 from .metrics import MetricsError, compute_report, render_table, reward_curve_csv
@@ -141,13 +141,15 @@ def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) ->
 
 def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> int:
     config = _config_from_args(args, ablation)
-    if args.out:
-        _check_output(args.out, "--out")
     # without --temperature the run uses the config's first temperature
-    record = run_replication(
-        args.task, config, _make_backend(args), args.replication, args.temperature
+    temperature = config.temperatures[0] if args.temperature is None else args.temperature
+    # a record with the fields the file name reads, as run_replication sets them
+    named = RunRecord(
+        TaskId(args.task), config.model_name, temperature, args.replication, config.seed_root, config
     )
-    out = Path(args.out) if args.out else Path(default_record_name(record))
+    out = args.out or default_record_name(named)
+    _check_output(out, "--out" if args.out else "record")
+    record = run_replication(args.task, config, _make_backend(args), args.replication, temperature)
     record.save(out)
     rewards = ", ".join(f"{r:.2f}" for r in record.per_iteration_rewards)
     print(f"status={record.status.value} iterations={len(record.strategies)}")

@@ -6,17 +6,18 @@ Every prompt is sent as a self-contained exchange; the client holds no
 conversation state. The HTTP client is the only retry layer: transport
 failures (a garbled status line or headers among them), 5xx responses and
 empty or unusable completions (a body that is not UTF-8, nests too deep
-for ``json``, is cut short of its Content-Length or is longer than
-``RESPONSE_BYTES_MAX`` among them) retry with exponential backoff up to
-``retries`` times, so one call makes at most ``retries + 1`` attempts; 4xx
-responses and an empty completion cut at ``max_tokens`` never retry. Each
-attempt opens its own connection to ``base_url`` (no ``*_proxy`` variable
-is read) and follows no redirect: a 3xx retries as a 5xx does. One
-deadline, ``timeout`` seconds after the attempt began, bounds its status
-line, headers and body, so a slow server cannot hold a call open.
-Requests whose estimated size exceeds the configured context budget fail
-fast with a distinct error so callers can shrink their payload (e.g. use a
-smaller sensory-motor window).
+for ``json``, holds an integer of over 4,300 digits, is cut short of its
+Content-Length or is longer than ``RESPONSE_BYTES_MAX`` among them) retry
+with exponential backoff up to ``retries`` times, so one call makes at most
+``retries + 1`` attempts; 4xx responses and an empty completion cut at
+``max_tokens`` never retry. Each attempt opens its own connection to the
+host and port resolved once from ``base_url`` (no ``*_proxy`` variable is
+read; one TLS context per backend) and follows no redirect: a 3xx retries
+as a 5xx does. One deadline, ``timeout`` seconds after the attempt began,
+bounds its status line, headers and body, so a slow server cannot hold a
+call open. Requests whose estimated size exceeds the configured context
+budget fail fast with a distinct error so callers can shrink their payload
+(e.g. use a smaller sensory-motor window).
 
 ``GatewayConfig.load`` is the one way in from outside: a JSON file's
 values, each POLICYLOOP_* variable that is set in place of its value.
@@ -31,6 +32,7 @@ import io
 import json
 import math
 import os
+import ssl
 import threading
 import time
 import urllib.parse
@@ -202,27 +204,14 @@ class GatewayConfig:
         except ValueError:  # that port, or a bracketed host that is no IPv6 address
             usable = False
         if not usable:
-            raise ValueError(
-                f"base_url must be an http or https URL with a host, got {self.base_url!r}"
-            )
-        # what http.client refuses to send, which each attempt would raise
-        # past every retry; a host that is not ASCII is sent IDNA-encoded
-        if any(c <= " " or c == "\x7f" for c in url.hostname):
-            raise ValueError(
-                f"base_url's host must hold no space or control character, got {self.base_url!r}"
-            )
-        if not url.hostname.isascii():
-            try:  # an empty label, or one over 63 characters
-                url.hostname.encode("idna")
-            except UnicodeError:
-                raise ValueError(
-                    f"base_url's host must be encodable as IDNA, got {self.base_url!r}"
-                ) from None
-        if not all("!" <= c <= "~" for c in url.path + url.query):
-            raise ValueError(
-                f"base_url's path and query must be ASCII with no space or control "
-                f"character, got {self.base_url!r}"
-            )
+            raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
+        # what each attempt would raise past every retry, http.client refuses in a dry
+        # request line and Host header (no socket; an HTTPSConnection loads the CA bundle)
+        _, host, port, target = _endpoint(self.base_url)
+        try:
+            http.client.HTTPConnection(host, port).putrequest("POST", target)
+        except (http.client.InvalidURL, UnicodeError) as exc:
+            raise ValueError(f"http.client cannot send to base_url {self.base_url!r}: {exc}") from None
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "GatewayConfig":
@@ -253,6 +242,15 @@ def completions_url(base_url: str) -> str:
     if not path.endswith("/chat/completions"):
         path += "/chat/completions" if path.endswith("/v1") else "/v1/chat/completions"
     return urllib.parse.urlunsplit(url._replace(path=path))
+
+
+def _endpoint(base_url: str) -> tuple[type, str, int, str]:
+    """The connection class, host, port and request target of ``base_url``'s completions
+    URL. The port is always given: given none, http.client reads one off an IPv6 host."""
+    url = urllib.parse.urlsplit(completions_url(base_url))
+    connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    target = url.path + (f"?{url.query}" if url.query else "")
+    return connection, url.hostname, url.port or connection.default_port, target
 
 
 _CONTEXT_HINTS = ("context length", "context_length", "maximum context", "too many tokens")
@@ -313,7 +311,12 @@ class HttpChatBackend:
 
     def __init__(self, config: Optional[GatewayConfig] = None):
         self.config = config or GatewayConfig()
-        self.url = completions_url(self.config.base_url)
+        self._connection, self._host, self._port, self._target = _endpoint(self.config.base_url)
+        self._tls = {}  # one context for every attempt: making one loads the CA bundle
+        if self._connection is http.client.HTTPSConnection:
+            # the one an HTTPSConnection given none makes: it verifies the certificate and host name
+            self._tls["context"] = ssl._create_default_https_context()
+            self._tls["context"].set_alpn_protocols(["http/1.1"])
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if count_budget(request) > self.config.context_budget:
@@ -325,19 +328,15 @@ class HttpChatBackend:
         headers = {"Content-Type": "application/json", "Connection": "close"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
-        url = urllib.parse.urlsplit(self.url)
-        target = url.path + (f"?{url.query}" if url.query else "")
-        # an HTTPSConnection's default context verifies the certificate and the host name
-        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
 
         last_error: Optional[Exception] = None
         for attempt in range(self.config.retries + 1):
             if attempt:
                 time.sleep(self.config.backoff * 2 ** (attempt - 1))
             started = time.monotonic()
-            conn = connection(url.hostname, url.port, timeout=self.config.timeout)
+            conn = self._connection(self._host, self._port, timeout=self.config.timeout, **self._tls)
             try:
-                conn.request("POST", target, payload, headers)
+                conn.request("POST", self._target, payload, headers)
                 sock = _DeadlineSocket(conn.sock, started + self.config.timeout)
                 with http.client.HTTPResponse(sock, method="POST") as resp:
                     resp.begin()
@@ -377,7 +376,7 @@ class HttpChatBackend:
         try:
             data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError):
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             raise MalformedResponseError(
                 f"endpoint returned an unusable body: {body[:200]}"
             ) from None

@@ -30,7 +30,8 @@ def _record_path(out_dir: Path, record: RunRecord) -> Path:
 def _record_paths(out_dir: Path, cells: list[tuple]) -> list[Path]:
     """Every cell's record path, refusing two cells that would share one
     (model ids that differ only in a path separator, a repeated model or
-    temperature): the later record would silently replace the earlier."""
+    temperature): the later record would silently replace the earlier; and
+    refusing a path that is a directory, which no record can be saved to."""
     owners: dict[Path, str] = {}
     for task, config, model, temperature, rep in cells:
         # a record with the fields the file name reads, as run_replication sets them
@@ -39,6 +40,8 @@ def _record_paths(out_dir: Path, cells: list[tuple]) -> list[Path]:
         cell = f"({task.value}, {model!r}, temperature {temperature}, replication {rep})"
         if path in owners:
             raise ValueError(f"cells {owners[path]} and {cell} would both write {path.name!r}")
+        if path.is_dir():
+            raise ValueError(f"cell {cell} would write {path}, which is a directory")
         owners[path] = cell
     return list(owners)
 

@@ -4,6 +4,7 @@
 # PYTHONPATH=src: bash tests/no_site_packages.sh
 set -euo pipefail
 if python -S -c "import numpy" 2>/dev/null; then echo "numpy loads under -S"; exit 1; fi
+root=$PWD
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 python -S -c "import json, sys; json.dump([open('tests/fixtures/transcripts/' + n, encoding='utf-8').read().strip() for n in sys.argv[2:]], open(sys.argv[1], 'w'))" \
@@ -24,7 +25,7 @@ python -S -c "import json, sys; json.dump({'tasks': ['CartPoleStar2'], 'models':
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/batch"
 for record in "$out"/batch/*.json; do python -S -m policyloop.cli replay "$record"; done
 # a base URL the gateway cannot send to is a usage error: exit 2, no record
-for base_url in localhost:11434 'http://a b:8000' 'http://ü..b:8000'; do
+for base_url in localhost:11434 'http://a b:8000' 'http://ü..b:8000' 'http://127.0.0.1:9/x y'; do
   status=0
   python -S -m policyloop.cli run --task CartPoleStar2 --backend-url "$base_url" \
     --out "$out/never.json" 2>/dev/null || status=$?
@@ -41,6 +42,17 @@ python -S -m policyloop.cli run --task CartPoleStar2 --script "$out/session.json
   --out "$out/taken" 2>/dev/null || status=$?
 if [ "$status" -ne 2 ] || [ -n "$(ls -A "$out/taken")" ]; then
   echo "run --out <existing directory> exited $status; expected 2 and nothing written"; exit 1
+fi
+# without --out the record goes to the working directory, under the name
+# run_batch gives the cell
+default=CartPoleStar2_scripted-model_t0_0_r000.json
+mkdir -p "$out/here/$default"
+status=0
+(cd "$out/here" && PYTHONPATH="$root/src" python -S -m policyloop.cli run --task CartPoleStar2 \
+  --script "$out/session.json" --model scripted-model) 2>/dev/null || status=$?
+if [ "$status" -ne 2 ] || [ -n "$(ls -A "$out/here/$default")" ] || [ "$(ls -A "$out/here")" != "$default" ]; then
+  echo "run without --out beside a directory named $default exited $status; expected 2 and nothing written"
+  exit 1
 fi
 status=0
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/file" 2>/dev/null || status=$?

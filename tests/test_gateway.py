@@ -300,6 +300,8 @@ _HOSTILE_BODIES = {
     "short-chunk": (200, _CutChunk(_ok_body())),
     # a usable completion, but for its leading spaces one byte over the cap
     "oversized": (200, _ok_body().rjust(RESPONSE_BYTES_MAX + 1)),
+    # json refuses an integer of over 4,300 digits with a ValueError
+    "huge-integer": (200, _ok_body().replace('"prompt_tokens": 5', f'"prompt_tokens": {"9" * 5000}')),
 }
 
 
@@ -479,6 +481,30 @@ def test_transport_error_when_nothing_listens():
         HttpChatBackend(config).complete(_req())
 
 
+@pytest.mark.parametrize(
+    "base_url, address",
+    [
+        ("http://[::1]/v1", ("::1", 80)),
+        ("https://[::1]/v1", ("::1", 443)),
+        # given no port, http.client would read one off the end of the host
+        ("http://[::ffff:127.0.0.1]/v1", ("::ffff:127.0.0.1", 80)),
+    ],
+)
+def test_an_ipv6_host_without_a_port_is_dialled_at_the_scheme_default(
+    monkeypatch, base_url, address
+):
+    dialled = []
+
+    def refuse(address, *args):
+        dialled.append(address)
+        raise ConnectionRefusedError("nothing listens")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    with pytest.raises(TransportError, match="after 1 attempts: nothing listens"):
+        HttpChatBackend(GatewayConfig(base_url=base_url, retries=0)).complete(_req())
+    assert dialled == [address]
+
+
 def test_proxy_variables_do_not_divert_a_call(local_server, redirecting_server):
     _, proxy = redirecting_server  # records each request and answers a completion
     # a fresh interpreter, so that the variable is set before the gateway is
@@ -646,6 +672,20 @@ def test_https_roundtrip(tls_server):
     assert len(_Script.requests) == 1
 
 
+def test_a_backend_makes_one_tls_context_for_all_its_attempts(tls_server, monkeypatch):
+    made = []
+
+    def counted(make=ssl._create_default_https_context):
+        made.append(make())
+        return made[-1]
+
+    monkeypatch.setattr(ssl, "_create_default_https_context", counted)
+    _Script.responses = [(500, "boom"), (503, "busy"), (200, _ok_body("over tls"))]
+    assert _tls_backend(tls_server).complete(_req()).text == "over tls"
+    assert len(_Script.requests) == 3
+    assert len(made) == 1
+
+
 def test_a_trickling_body_over_https_ends_at_the_deadline(tls_server):
     _Script.responses = [(200, _TRICKLING)] * 2
     started = time.monotonic()
@@ -744,18 +784,26 @@ def test_gateway_config_env_overrides(monkeypatch, tmp_path):
         ("base_url", "http://[::1/v1", "base_url must be an http or https URL with a host"),
         # what http.client refuses to send: InvalidURL, or UnicodeEncodeError
         ("base_url", "http://a b:8000",
-         "base_url's host must hold no space or control character, got 'http://a b:8000'"),
-        # UnicodeError from the Host header of a host IDNA cannot encode
+         "http.client cannot send to base_url 'http://a b:8000': "
+         "URL can't contain control characters"),
+        # UnicodeError from the Host header of a host IDNA cannot encode, in
+        # words that differ between Python versions
         ("base_url", "http://\u00fc..b:8000",
-         "base_url's host must be encodable as IDNA, got 'http://\u00fc..b:8000'"),
+         "http.client cannot send to base_url 'http://\u00fc..b:8000': "),
         ("base_url", "http://\u00fc" + "a" * 63 + ".example",
-         "base_url's host must be encodable as IDNA"),
+         "http.client cannot send to base_url 'http://\u00fc" + "a" * 63 + ".example': "),
         ("base_url", "http://127.0.0.1:9/x y",
-         "base_url's path and query must be ASCII with no space or control character, "
-         "got 'http://127.0.0.1:9/x y'"),
+         "http.client cannot send to base_url 'http://127.0.0.1:9/x y': "
+         "URL can't contain control characters"),
+        ("base_url", "http://127.0.0.1:9/x\x7f",
+         "http.client cannot send to base_url 'http://127.0.0.1:9/x\\x7f': "
+         "URL can't contain control characters"),
         ("base_url", "http://127.0.0.1:9/\u00fc",
-         "base_url's path and query must be ASCII with no space or control character, "
-         "got 'http://127.0.0.1:9/\u00fc'"),
+         "http.client cannot send to base_url 'http://127.0.0.1:9/\u00fc': "
+         "'ascii' codec can't encode character"),
+        ("base_url", "http://127.0.0.1:9/v1?a=\u00fc",
+         "http.client cannot send to base_url 'http://127.0.0.1:9/v1?a=\u00fc': "
+         "'ascii' codec can't encode character"),
     ],
 )
 def test_gateway_config_refuses_unusable_values(field, value, message):
@@ -789,7 +837,7 @@ def test_a_checked_gateway_config_cannot_be_changed():
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.base_url = "http://a b:8000"
     # a changed copy is checked again
-    with pytest.raises(ValueError, match="base_url's host"):
+    with pytest.raises(ValueError, match="http.client cannot send to base_url"):
         dataclasses.replace(config, base_url="http://a b:8000")
 
 
@@ -830,7 +878,7 @@ def test_a_host_is_refused_exactly_when_http_client_cannot_encode_it(base_url, u
     if usable:
         GatewayConfig(base_url=base_url)
     else:
-        with pytest.raises(ValueError, match="base_url's host must be encodable as IDNA"):
+        with pytest.raises(ValueError, match="http.client cannot send to base_url"):
             GatewayConfig(base_url=base_url)
 
 
@@ -838,6 +886,9 @@ def test_gateway_config_accepts_the_largest_timeout_and_back_off():
     GatewayConfig(timeout=threading.TIMEOUT_MAX, backoff=threading.TIMEOUT_MAX, retries=1)
     GatewayConfig(backoff=threading.TIMEOUT_MAX / 2**33, retries=34)
     GatewayConfig(base_url="https://[::1]:8443/v1?api-version=2")
+    # an IPv6 host without a port
+    GatewayConfig(base_url="http://[::1]/v1")
+    GatewayConfig(base_url="http://[::ffff:127.0.0.1]/v1")
     # http.client sends a host that is not ASCII IDNA-encoded
     GatewayConfig(base_url="http://b\u00fccher.invalid:8000/v1?a=%C3%BC")
     GatewayConfig(base_url="http://b\u00fccher.example:8000")

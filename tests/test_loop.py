@@ -767,6 +767,29 @@ def test_batch_saves_one_file_per_cell_inside_out_dir(tmp_path, model, file_mode
     assert record.model_name == model
 
 
+def test_batch_refuses_a_record_path_that_is_a_directory(tmp_path):
+    def factory(*cell):
+        raise AssertionError("a cell ran")
+
+    taken = tmp_path / "records" / "CartPoleStar2_local-model_t0_0_r001.json"
+    taken.mkdir(parents=True)
+    with pytest.raises(ValueError) as info:
+        run_batch(
+            tasks=["CartPoleStar2"],
+            backend_factory=factory,
+            replications=3,
+            temperatures=[0.0],
+            out_dir=tmp_path / "records",
+            config_overrides={"epochs": 1},
+        )
+    assert str(info.value) == (
+        "cell (CartPoleStar2, 'local-model', temperature 0.0, replication 1) "
+        f"would write {taken}, which is a directory"
+    )
+    assert list((tmp_path / "records").iterdir()) == [taken]
+    assert list(taken.iterdir()) == []
+
+
 def test_batch_refuses_a_record_name_outside_out_dir(tmp_path, monkeypatch):
     from policyloop.loop import batch
 
