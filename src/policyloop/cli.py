@@ -23,7 +23,7 @@ from typing import Optional
 
 from .envs import ALL_TASKS, TaskId
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
-from .loop import LoopConfig, RunRecord, default_record_name, replay, run_batch, run_replication
+from .loop import LoopConfig, RunRecord, cell_record_name, replay, run_batch, run_replication
 from .metrics import MetricsError, compute_report, render_table, reward_curve_csv
 from .prompts import Ablation
 
@@ -141,13 +141,10 @@ def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) ->
 
 def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> int:
     config = _config_from_args(args, ablation)
-    # without --temperature the run uses the config's first temperature
-    temperature = config.temperatures[0] if args.temperature is None else args.temperature
-    # a record with the fields the file name reads, as run_replication sets them
-    named = RunRecord(
-        TaskId(args.task), config.model_name, temperature, args.replication, config.seed_root, config
+    temperature = config.temperatures[0]  # --temperature, when given, is the only one
+    out = args.out or cell_record_name(
+        TaskId(args.task), config.model_name, temperature, args.replication
     )
-    out = args.out or default_record_name(named)
     _check_output(out, "--out" if args.out else "record")
     record = run_replication(args.task, config, _make_backend(args), args.replication, temperature)
     record.save(out)

@@ -12,12 +12,12 @@ with exponential backoff up to ``retries`` times, so one call makes at most
 ``retries + 1`` attempts; 4xx responses and an empty completion cut at
 ``max_tokens`` never retry. Each attempt opens its own connection to the
 host and port resolved once from ``base_url`` (no ``*_proxy`` variable is
-read; one TLS context per backend) and follows no redirect: a 3xx retries
-as a 5xx does. One deadline, ``timeout`` seconds after the attempt began,
-bounds its status line, headers and body, so a slow server cannot hold a
-call open. Requests whose estimated size exceeds the configured context
-budget fail fast with a distinct error so callers can shrink their payload
-(e.g. use a smaller sensory-motor window).
+read) and follows no redirect: a 3xx retries as a 5xx does. One deadline,
+``timeout`` seconds after the attempt began, bounds its status line,
+headers and body, so a slow server cannot hold a call open. Requests whose
+estimated size exceeds the configured context budget fail fast with a
+distinct error so callers can shrink their payload (e.g. use a smaller
+sensory-motor window).
 
 ``GatewayConfig.load`` is the one way in from outside: a JSON file's
 values, each POLICYLOOP_* variable that is set in place of its value.
@@ -32,7 +32,6 @@ import io
 import json
 import math
 import os
-import ssl
 import threading
 import time
 import urllib.parse
@@ -204,14 +203,18 @@ class GatewayConfig:
         except ValueError:  # that port, or a bracketed host that is no IPv6 address
             usable = False
         if not usable:
-            raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
+            raise ValueError(
+                f"base_url must be an http or https URL with a host, got {self.base_url!r}"
+            )
         # what each attempt would raise past every retry, http.client refuses in a dry
         # request line and Host header (no socket; an HTTPSConnection loads the CA bundle)
         _, host, port, target = _endpoint(self.base_url)
         try:
             http.client.HTTPConnection(host, port).putrequest("POST", target)
         except (http.client.InvalidURL, UnicodeError) as exc:
-            raise ValueError(f"http.client cannot send to base_url {self.base_url!r}: {exc}") from None
+            raise ValueError(
+                f"http.client cannot send to base_url {self.base_url!r}: {exc}"
+            ) from None
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "GatewayConfig":
@@ -245,8 +248,9 @@ def completions_url(base_url: str) -> str:
 
 
 def _endpoint(base_url: str) -> tuple[type, str, int, str]:
-    """The connection class, host, port and request target of ``base_url``'s completions
-    URL. The port is always given: given none, http.client reads one off an IPv6 host."""
+    """The connection class, host, port and request target of ``base_url``'s
+    completions URL. The port is always given: given none, http.client reads
+    one off the end of an IPv6 host."""
     url = urllib.parse.urlsplit(completions_url(base_url))
     connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
     target = url.path + (f"?{url.query}" if url.query else "")
@@ -312,11 +316,6 @@ class HttpChatBackend:
     def __init__(self, config: Optional[GatewayConfig] = None):
         self.config = config or GatewayConfig()
         self._connection, self._host, self._port, self._target = _endpoint(self.config.base_url)
-        self._tls = {}  # one context for every attempt: making one loads the CA bundle
-        if self._connection is http.client.HTTPSConnection:
-            # the one an HTTPSConnection given none makes: it verifies the certificate and host name
-            self._tls["context"] = ssl._create_default_https_context()
-            self._tls["context"].set_alpn_protocols(["http/1.1"])
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if count_budget(request) > self.config.context_budget:
@@ -334,7 +333,8 @@ class HttpChatBackend:
             if attempt:
                 time.sleep(self.config.backoff * 2 ** (attempt - 1))
             started = time.monotonic()
-            conn = self._connection(self._host, self._port, timeout=self.config.timeout, **self._tls)
+            # an HTTPSConnection's default context verifies the certificate and the host name
+            conn = self._connection(self._host, self._port, timeout=self.config.timeout)
             try:
                 conn.request("POST", self._target, payload, headers)
                 sock = _DeadlineSocket(conn.sock, started + self.config.timeout)

@@ -2,7 +2,7 @@
 
 from .batch import run_batch
 from .config import CARTPOLE_FAMILY, LoopConfig
-from .records import RunRecord, RunStatus, Strategy, default_record_name
+from .records import RunRecord, RunStatus, Strategy, cell_record_name, default_record_name
 from .runner import (
     episode_seed,
     evaluate_program,
@@ -20,6 +20,7 @@ __all__ = [
     "RunRecord",
     "RunStatus",
     "Strategy",
+    "cell_record_name",
     "default_record_name",
     "episode_seed",
     "evaluate_program",

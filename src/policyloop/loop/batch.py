@@ -14,14 +14,14 @@ from typing import Callable, Iterable, Optional, Union
 from ..envs.core import TaskId, parse_task_id
 from ..gateway import require_type
 from .config import LoopConfig
-from .records import RunRecord, default_record_name
+from .records import RunRecord, cell_record_name
 from .runner import run_replication
 
 BackendFactory = Callable[[TaskId, str, float, int], object]
 
 
-def _record_path(out_dir: Path, record: RunRecord) -> Path:
-    path = out_dir / default_record_name(record)
+def _record_path(out_dir: Path, name: str) -> Path:
+    path = out_dir / name
     if Path(os.path.abspath(path)).parent != Path(os.path.abspath(out_dir)):
         raise ValueError(f"record name {path.name!r} would be saved outside {out_dir}")
     return path
@@ -33,10 +33,8 @@ def _record_paths(out_dir: Path, cells: list[tuple]) -> list[Path]:
     temperature): the later record would silently replace the earlier; and
     refusing a path that is a directory, which no record can be saved to."""
     owners: dict[Path, str] = {}
-    for task, config, model, temperature, rep in cells:
-        # a record with the fields the file name reads, as run_replication sets them
-        named = RunRecord(task, model, temperature, rep, config.seed_root, config)
-        path = _record_path(out_dir, named)
+    for task, _, model, temperature, rep in cells:
+        path = _record_path(out_dir, cell_record_name(task, model, temperature, rep))
         cell = f"({task.value}, {model!r}, temperature {temperature}, replication {rep})"
         if path in owners:
             raise ValueError(f"cells {owners[path]} and {cell} would both write {path.name!r}")

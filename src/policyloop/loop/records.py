@@ -154,10 +154,17 @@ class RunRecord:
 _NOT_IN_FILE_NAMES = str.maketrans({"/": "_", "\\": "_", "\0": "_"})
 
 
-def default_record_name(record: RunRecord) -> str:
+def cell_record_name(task_id: TaskId, model_name: str, temperature: float, replication: int) -> str:
     """One file name per cell. The model id's ``/``, ``\\`` and NUL become
     ``_``, so the name never reaches into another directory; an id without
     them is pasted in as it is."""
-    temp = str(record.temperature).replace(".", "_")
-    model = record.model_name.translate(_NOT_IN_FILE_NAMES)
-    return f"{record.task_id.value}_{model}_t{temp}_r{record.replication_index:03d}.json"
+    temp = str(temperature).replace(".", "_")
+    model = model_name.translate(_NOT_IN_FILE_NAMES)
+    return f"{task_id.value}_{model}_t{temp}_r{replication:03d}.json"
+
+
+def default_record_name(record: RunRecord) -> str:
+    """The file name of ``record``'s cell (``cell_record_name``)."""
+    return cell_record_name(
+        record.task_id, record.model_name, record.temperature, record.replication_index
+    )

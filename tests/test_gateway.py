@@ -672,20 +672,6 @@ def test_https_roundtrip(tls_server):
     assert len(_Script.requests) == 1
 
 
-def test_a_backend_makes_one_tls_context_for_all_its_attempts(tls_server, monkeypatch):
-    made = []
-
-    def counted(make=ssl._create_default_https_context):
-        made.append(make())
-        return made[-1]
-
-    monkeypatch.setattr(ssl, "_create_default_https_context", counted)
-    _Script.responses = [(500, "boom"), (503, "busy"), (200, _ok_body("over tls"))]
-    assert _tls_backend(tls_server).complete(_req()).text == "over tls"
-    assert len(_Script.requests) == 3
-    assert len(made) == 1
-
-
 def test_a_trickling_body_over_https_ends_at_the_deadline(tls_server):
     _Script.responses = [(200, _TRICKLING)] * 2
     started = time.monotonic()

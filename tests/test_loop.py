@@ -793,7 +793,7 @@ def test_batch_refuses_a_record_path_that_is_a_directory(tmp_path):
 def test_batch_refuses_a_record_name_outside_out_dir(tmp_path, monkeypatch):
     from policyloop.loop import batch
 
-    monkeypatch.setattr(batch, "default_record_name", lambda record: "../escaped.json")
+    monkeypatch.setattr(batch, "cell_record_name", lambda *cell: "../escaped.json")
     with pytest.raises(ValueError, match="outside"):
         run_batch(
             tasks=["CartPoleStar2"],
