@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import threading
 import time
 import urllib.parse
@@ -147,6 +148,10 @@ def count_budget(request: ChatRequest) -> int:
     return total
 
 
+# what urlsplit deletes (a tab, CR or LF anywhere) or strips (a C0 control or
+# space at the start), so that the URL it reads is not the one given
+_DROPPED_BY_URLSPLIT = re.compile(r"\A[\x00-\x20]|[\t\r\n]")
+
 # each variable GatewayConfig.load reads: (the field it sets, its type)
 _ENV_SETTINGS = {
     "POLICYLOOP_BASE_URL": ("base_url", str),
@@ -194,6 +199,11 @@ class GatewayConfig:
                 f"the longest back-off, backoff * 2 ** (retries - 1), must be at most "
                 f"{threading.TIMEOUT_MAX}, got {longest} (backoff {self.backoff}, "
                 f"retries {self.retries})"
+            )
+        if _DROPPED_BY_URLSPLIT.search(self.base_url):
+            raise ValueError(
+                "base_url must hold no tab, CR or LF and start with no control character "
+                f"or space, got {self.base_url!r}"
             )
         try:
             url = urllib.parse.urlsplit(self.base_url)

@@ -59,20 +59,20 @@ def run_batch(
     ``backend_factory(task, model, temperature, replication)`` supplies a
     backend per cell, which keeps replications independent (fresh scripted
     queues in tests, plain HTTP clients otherwise). ``temperatures`` falls
-    back to each config's own set when omitted. Every record path is known,
+    back to ``LoopConfig``'s default when omitted. Every record path is known,
     and checked, and ``out_dir`` made, before the first cell runs, so an
     ``out_dir`` that cannot be a directory raises ``OSError`` before any
-    backend is made. ``config_overrides`` may not set ``seed_root`` or
-    ``model_name``: the arguments of those names do.
+    backend is made. ``config_overrides`` may not set ``seed_root``,
+    ``model_name`` or ``temperatures``: the arguments of those names do.
     A batch of no cells (no task, no model, fewer than one replication) is
     refused, as a wrong-typed ``replications`` is.
     """
     overrides = dict(config_overrides or {})
-    taken = sorted(overrides.keys() & {"seed_root", "model_name"})
+    taken = sorted(overrides.keys() & {"seed_root", "model_name", "temperatures"})
     if taken:
         raise ValueError(
             f"config_overrides may not set {' or '.join(taken)}; "
-            "run_batch takes them from its seed_root and model_names"
+            "run_batch takes them from its seed_root, model_names and temperatures"
         )
     require_type("an int", replications=replications)
     if replications < 1:

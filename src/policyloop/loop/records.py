@@ -11,7 +11,8 @@ The JSON form is read off the dataclasses (``as_json``): each record,
 config, strategy and window is written as its fields in declaration order,
 so a new field is saved by declaring it. ``error`` is written only when a
 run ended ``aborted_error``. Loading keeps the keys a class declares:
-unknown keys are ignored and missing ones take the field's default.
+unknown keys are ignored and missing ones take the field's default. A
+record, its config and each strategy refuse a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..envs.core import TaskId, parse_task_id
+from ..gateway import require_type
 from ..prompts import SensoryMotorWindow
 from .config import LoopConfig
 
@@ -59,6 +61,18 @@ def _from_json(cls, data: dict, **converted):
     return cls(**values)
 
 
+def mean(values) -> float:
+    """The sum of ``values``, taken left to right from 0.0, over their
+    count: what ``sum(values) / len(values)`` gives on CPython 3.10 and
+    3.11 (3.12 sums floats with compensation, which can round the last
+    digit otherwise). Every stored mean and report is this, so a record
+    replays on any Python. A lone -0.0 averages to 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 class RunStatus(str, Enum):
     COMPLETED = "completed"
     ABORTED_REPAIR_BUDGET = "aborted_repair_budget"
@@ -69,7 +83,8 @@ class RunStatus(str, Enum):
 
 @dataclass(slots=True)
 class Strategy:
-    """One refinement iteration: texts, compiled policy and its evaluation."""
+    """One refinement iteration: texts, compiled policy and its evaluation;
+    ``mean_reward`` is ``mean(per_episode_returns)``."""
 
     iteration_index: int
     strategy_text: str
@@ -79,6 +94,21 @@ class Strategy:
     per_episode_returns: list[float]
     window: SensoryMotorWindow
     repair_attempts: int = 1
+
+    def __post_init__(self) -> None:
+        require_type(
+            "a string",
+            strategy_text=self.strategy_text,
+            rules_text=self.rules_text,
+            program_source=self.program_source,
+        )
+        require_type(
+            "an int", iteration_index=self.iteration_index, repair_attempts=self.repair_attempts
+        )
+        require_type("a number", mean_reward=self.mean_reward)
+        require_type("a list", per_episode_returns=self.per_episode_returns)
+        for value in self.per_episode_returns:
+            require_type("a number", per_episode_return=value)
 
 
 @dataclass(slots=True)
@@ -95,6 +125,18 @@ class RunRecord:
     # "<type>: <message>" of the exception that ended an aborted_error run
     error: Optional[str] = None
     wall_clock: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.task_id = parse_task_id(self.task_id)
+        self.status = RunStatus(self.status)
+        require_type("a string", model_name=self.model_name)
+        require_type("a number", temperature=self.temperature, wall_clock=self.wall_clock)
+        require_type("an int", replication_index=self.replication_index, seed_root=self.seed_root)
+        require_type("a list", strategies=self.strategies, responses=self.responses)
+        for response in self.responses:
+            require_type("a string", response=response)
+        if self.error is not None:
+            require_type("a string", error=self.error)
 
     @property
     def per_iteration_rewards(self) -> list[float]:
@@ -136,12 +178,7 @@ class RunRecord:
             window = _from_json(SensoryMotorWindow, w, lines=tuple(w["lines"]))
             strategies.append(_from_json(Strategy, s, window=window))
         return _from_json(
-            cls,
-            data,
-            task_id=parse_task_id(data["task_id"]),
-            config=_from_json(LoopConfig, data["config"]),
-            strategies=strategies,
-            status=RunStatus(data["status"]),
+            cls, data, config=_from_json(LoopConfig, data["config"]), strategies=strategies
         )
 
     @classmethod

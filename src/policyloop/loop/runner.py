@@ -38,7 +38,7 @@ from ..prompts import (
 )
 from ..prompts.pipeline import EmptyResponseError
 from .config import LoopConfig
-from .records import RunRecord, RunStatus, Strategy
+from .records import RunRecord, RunStatus, Strategy, mean
 
 class _Recorder:
     """Captures every raw response so the record can be replayed."""
@@ -97,8 +97,7 @@ def evaluate_program(
             worst.invalid_outcome.value_text if worst.ended_invalid else None
         ),
     )
-    mean = sum(returns) / len(returns)
-    return mean, returns, window
+    return mean(returns), returns, window
 
 
 def _request_seed(config: LoopConfig, replication: int, iteration: int, stage: str) -> int:
@@ -154,13 +153,13 @@ def _next_strategy(
         request_seed=_request_seed(config, replication, iteration, "p3"),
         budget=config.repair_budget,
     )
-    mean, returns, window = evaluate_program(program, task_id, config, replication, iteration)
+    reward, returns, window = evaluate_program(program, task_id, config, replication, iteration)
     return Strategy(
         iteration_index=iteration,
         strategy_text=strategy_text,
         rules_text=rules_text,
         program_source=program.source_text,
-        mean_reward=mean,
+        mean_reward=reward,
         per_episode_returns=returns,
         window=window,
         repair_attempts=attempts,
@@ -220,11 +219,11 @@ def retest(
     spec = get_spec(task_id)
     iteration = strategy.iteration_index + 1
     program = parse_policy(strategy.program_source, expected_params=spec.obs_names)
-    mean, returns, window = evaluate_program(program, task_id, config, replication, iteration)
+    reward, returns, window = evaluate_program(program, task_id, config, replication, iteration)
     return replace(
         strategy,
         iteration_index=iteration,
-        mean_reward=mean,
+        mean_reward=reward,
         per_episode_returns=returns,
         window=window,
         repair_attempts=0,
@@ -296,17 +295,16 @@ def run_replication(
     return record
 
 
-def replay(record: RunRecord, backend=None) -> tuple[bool, RunRecord]:
-    """Re-run a record against its stored transcript (or a provided backend).
+def replay(record: RunRecord) -> tuple[bool, RunRecord]:
+    """Re-run a record against its stored transcript.
 
     Returns (matches, new_record); ``matches`` is byte-equality of the two
     canonical JSON forms.
     """
-    backend = backend if backend is not None else ScriptedBackend(record.responses)
     rerun = run_replication(
         record.task_id,
         record.config,
-        backend,
+        ScriptedBackend(record.responses),
         record.replication_index,
         temperature=record.temperature,
     )

@@ -12,6 +12,8 @@ success is squared to punish unreliable convergence.
 The matrix-level functions operate on plain per-replication reward
 sequences and are the reference arithmetic; record-level wrappers extract
 those sequences (and re-run policies for robustness) from RunRecords.
+Every average is ``loop.records.mean``, the one the runner stores each
+``mean_reward`` with: a left-to-right sum over the count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .dsl.episode import run_episode
 from .dsl.parser import PolicyParseError, parse
 from .envs import get_spec, make
 from .envs.core import derive_seed
-from .loop.records import RunRecord, as_json
+from .loop.records import RunRecord, as_json, mean
 
 Matrix = Sequence[Sequence[float]]
 
@@ -39,42 +41,6 @@ class MetricsError(ValueError):
 class MetricNotApplicableError(MetricsError):
     """The task has no defined maximum reward, so success-relative metrics
     cannot be computed."""
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's pairwise summation of float64 values (``pairwise_sum`` in its
-    add loop): a plain running sum below 8 values, eight interleaved
-    accumulators up to 128, and above that two halves split at a multiple
-    of 8."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        r = values[:8]
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in values[stop:]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
-def _mean(values: Sequence[float]) -> float:
-    """``float(np.mean(values))`` to the bit: the sum starts from add's
-    identity 0.0 (so a lone -0.0 averages to 0.0), then is divided by the
-    count. Ints are summed as floats, as numpy casts them; numpy casts in
-    buffers of 8,192 values, so only an all-int list longer than that can
-    differ from it."""
-    values = [float(v) for v in values]
-    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
 def _require_rows(matrix: Matrix) -> None:
@@ -120,7 +86,7 @@ def average_reward(
     if not values:
         raise MetricsError("reward rows are all empty")
     _require_finite(values, "reward rows")
-    return _mean(values)
+    return mean(values)
 
 
 def first_hit(row: Sequence[float], r_max: float, t_max: int) -> Optional[int]:
@@ -160,7 +126,7 @@ def learning_time(matrix: Matrix, r_max: float, t_max: int) -> Optional[float]:
     ]
     if not hits:
         return None
-    return _mean([t / t_max for t in hits])
+    return mean([t / t_max for t in hits])
 
 
 def robustness_from_returns(
@@ -178,7 +144,7 @@ def robustness_from_returns(
         _require_finite(returns, f"evaluation returns for replication {rep}")
         hits = sum(1 for r in returns if r == r_max)
         fractions.append(hits / len(returns))
-    return _mean(fractions)
+    return mean(fractions)
 
 
 def figure_of_merit(
@@ -271,8 +237,8 @@ def improvement_ratio(
     rows = [r.per_iteration_rewards for r in records if r.per_iteration_rewards]
     if not rows:
         raise MetricsError("records contain no evaluated strategies")
-    initial = _mean([row[0] for row in rows])
-    best = _mean([max(row) for row in rows])
+    initial = mean([row[0] for row in rows])
+    best = mean([max(row) for row in rows])
     reference = r_max if r_max is not None else max(max(row) for row in rows)
     return improvement_ratio_values(initial, best, reference)
 

@@ -25,7 +25,8 @@ python -S -c "import json, sys; json.dump({'tasks': ['CartPoleStar2'], 'models':
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/batch"
 for record in "$out"/batch/*.json; do python -S -m policyloop.cli replay "$record"; done
 # a base URL the gateway cannot send to is a usage error: exit 2, no record
-for base_url in localhost:11434 'http://a b:8000' 'http://ü..b:8000' 'http://127.0.0.1:9/x y'; do
+for base_url in localhost:11434 'http://a b:8000' 'http://ü..b:8000' 'http://127.0.0.1:9/x y' \
+  $'http://127.0.0.1:9/v\t1'; do
   status=0
   python -S -m policyloop.cli run --task CartPoleStar2 --backend-url "$base_url" \
     --out "$out/never.json" 2>/dev/null || status=$?
@@ -58,6 +59,14 @@ status=0
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/file" 2>/dev/null || status=$?
 if [ "$status" -ne 2 ] || [ "$(cat "$out/file")" != kept ]; then
   echo "batch --out-dir <existing file> exited $status; expected 2 and nothing written"; exit 1
+fi
+# a record field of the wrong type is a usage error: exit 2
+python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = None; json.dump(r, open(sys.argv[2], 'w'))" \
+  tests/fixtures/records/CartPoleStar2_completed.json "$out/null_mean.json"
+status=0
+python -S -m policyloop.cli metrics "$out/null_mean.json" --no-rerun 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "metrics on a record whose mean_reward is null exited $status; expected 2"; exit 1
 fi
 # the frozen corpus: every record but the one made by a patched run
 # replays, and its script still writes the committed bytes

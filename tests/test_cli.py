@@ -13,7 +13,7 @@ from policyloop.cli import main
 from policyloop.gateway import ScriptedBackend
 from policyloop.loop import LoopConfig, RunRecord, run_replication
 
-from conftest import scripted_session, transcript_text
+from conftest import FIXTURES, scripted_session, transcript_text
 
 
 @pytest.fixture
@@ -485,6 +485,11 @@ BAD_SETTINGS = {
         "batch.json", {"tasks": ["CartPole"], "script": ["x"], "config": {"model_name": "m"}},
         ["batch", "--config", "batch.json"], "model_name",
     ),
+    "batch-config-sets-temperatures": (
+        "batch.json",
+        {"tasks": ["CartPole"], "script": ["x"], "config": {"temperatures": [0.5, 0.9]}},
+        ["batch", "--config", "batch.json"], "temperatures",
+    ),
     "batch-unknown-key": (
         "batch.json", {**OFFLINE_BATCH, "replicatoins": 1},
         ["batch", "--config", "batch.json"], "'replicatoins'",
@@ -684,6 +689,41 @@ def test_a_usage_error_prints_the_subcommand_usage_line(tmp_path, command):
     assert done.returncode == 2, done.stdout + done.stderr
     assert done.stderr.startswith(f"usage: policyloop {command} [-h] ")
     assert done.stderr.splitlines()[-1].startswith("policyloop: error: nope.json: ")
+
+
+# a corpus record with one field set to a value of the wrong type
+_WRONG_TYPES = {
+    "mean-reward-null": ("mean_reward", None, "mean_reward must be a number, got None"),
+    "mean-reward-text": ("mean_reward", "x", "mean_reward must be a number, got 'x'"),
+    "program-source-int": ("program_source", 5, "program_source must be a string, got 5"),
+    "temperature-text": ("temperature", "hot", "temperature must be a number, got 'hot'"),
+    "replication-index-text": (
+        "replication_index", "0", "replication_index must be an int, got '0'"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["replay", "metrics"])
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_a_record_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, command, case):
+    field, value, message = _WRONG_TYPES[case]
+    data = json.loads((FIXTURES / "records" / "CartPoleStar2_completed.json").read_text())
+    if field in data:
+        data[field] = value
+    else:
+        data["strategies"][0][field] = value
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    # robustness re-runs the first maximal program, so metrics reads its source
+    extra = ["--n-eval", "1"] if command == "metrics" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(path), *extra])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: policyloop {command} [-h] ")
+    assert err.splitlines()[-1] == (
+        f"policyloop: error: {path}: not a run record (TypeError: {message})"
+    )
 
 
 def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):

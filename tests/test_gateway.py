@@ -768,6 +768,17 @@ def test_gateway_config_env_overrides(monkeypatch, tmp_path):
         ("base_url", "http:///v1", "base_url must be an http or https URL with a host"),
         ("base_url", "http://host:port", "base_url must be an http or https URL with a host"),
         ("base_url", "http://[::1/v1", "base_url must be an http or https URL with a host"),
+        # what urlsplit would delete or strip without a word
+        *[
+            ("base_url", url, "base_url must hold no tab, CR or LF and start with no control "
+             f"character or space, got {url!r}")
+            for url in (
+                "http://127.0.0.1:9/v\t1",
+                "http://127.0.0.1:9/v1\n",
+                " http://127.0.0.1:9/v1",
+                "\x01http://127.0.0.1:9",
+            )
+        ],
         # what http.client refuses to send: InvalidURL, or UnicodeEncodeError
         ("base_url", "http://a b:8000",
          "http.client cannot send to base_url 'http://a b:8000': "

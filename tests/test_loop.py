@@ -2,6 +2,7 @@
 rules, seed purity, determinism, aborts and the batch runner."""
 
 import json
+import math
 import weakref
 from pathlib import Path
 
@@ -124,6 +125,48 @@ def test_twenty_trial_mean_matches_reference_average():
     # the reference transcript's twenty trial rewards average to 49.85
     trials = [49, 47, 46, 39, 57, 58, 35, 47, 38, 56, 34, 40, 51, 46, 44, 77, 55, 65, 64, 49]
     assert sum(trials) / len(trials) == 49.85
+
+
+def _neumaier_sum(values, start=0):
+    """Python 3.12's sum() of floats: Neumaier's compensated summation."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_a_stored_mean_does_not_depend_on_the_python_version(monkeypatch):
+    """Each mean_reward is the left-to-right mean of its returns, even where
+    3.12's sum() would round otherwise, so a record made on 3.11 replays on
+    3.12 and later."""
+    from policyloop.loop import records
+
+    for module in (runner, records):
+        monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    program = parse_policy(
+        "def get_action(x, y, angular_velocity):\n"
+        "    if angular_velocity > 1.0:\n"
+        "        return -2.0\n"
+        "    return random.uniform(-2.0, 2.0)\n",
+        expected_params=get_spec(TaskId.PENDULUM).obs_names,
+    )
+    config = LoopConfig.for_task("Pendulum")
+    misses = []
+    for iteration in range(20):
+        reward, returns, _ = runner.evaluate_program(program, TaskId.PENDULUM, config, 0, iteration)
+        total = 0.0
+        for value in returns:
+            total += value
+        if reward != total / len(returns):
+            misses.append(iteration)
+    assert misses == []
 
 
 @pytest.mark.parametrize("size", [5, 20, 50, 100])
@@ -629,7 +672,7 @@ def test_batch_survives_a_policy_that_overflows(tmp_path):
 
 
 def test_batch_contains_an_unexpected_error_in_one_cell(tmp_path, monkeypatch):
-    from policyloop.loop import runner
+    from policyloop.loop import records, runner
 
     def batch(out_dir):
         return run_batch(
@@ -666,7 +709,7 @@ def test_batch_contains_an_unexpected_error_in_one_cell(tmp_path, monkeypatch):
 
 
 def test_interrupts_are_not_contained(monkeypatch):
-    from policyloop.loop import runner
+    from policyloop.loop import records, runner
 
     def interrupt(*args):
         raise KeyboardInterrupt
@@ -834,7 +877,7 @@ def test_batch_refuses_two_cells_with_one_record_file(tmp_path, models, temperat
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("key", ["seed_root", "model_name"])
+@pytest.mark.parametrize("key", ["seed_root", "model_name", "temperatures"])
 def test_batch_refuses_overrides_it_sets_itself(tmp_path, key):
     made = []
     with pytest.raises(ValueError, match=f"may not set {key}"):

@@ -12,7 +12,6 @@ import pytest
 
 from policyloop.metrics import (
     MetricNotApplicableError,
-    _mean,
     MetricsError,
     average_reward,
     compute_report,
@@ -29,6 +28,7 @@ from policyloop.metrics import (
     successful_set,
 )
 from policyloop.loop import RunRecord
+from policyloop.loop.records import mean as _mean
 
 from conftest import FIXTURES, make_records, transcript_text
 
@@ -141,7 +141,8 @@ def test_oracle_equivalence_on_randomized_matrices():
 
 # -- the mean ----------------------------------------------------------------------
 
-# numpy's pairwise sum switches form below 8, at 128 and at each split
+# numpy's pairwise sum switches form below 8, at 128 and at each split; the
+# shared mean sums left to right at every length
 PAIRWISE_EDGES = [7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]
 
 
@@ -149,33 +150,46 @@ def _same_float(a, b):
     return math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
 
 
-def test_mean_matches_numpy_on_lengths_1_to_3000():
+def _left_to_right_mean(values):
+    total = 0.0
+    for value in values:
+        total = total + float(value)
+    return total / len(values)
+
+
+def test_mean_matches_a_left_to_right_sum_on_lengths_1_to_3000():
     """Values spread over 16 orders of magnitude, so any other summation
     order rounds differently somewhere."""
     gen = np.random.default_rng(7)
     misses = []
     for n in range(1, 3001):
         values = (gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)).tolist()
-        if not _same_float(_mean(values), float(np.mean(values))):
+        if not _same_float(_mean(values), _left_to_right_mean(values)):
             misses.append(n)
     assert misses == []
 
 
 @pytest.mark.parametrize("n", PAIRWISE_EDGES)
-def test_mean_matches_numpy_at_the_pairwise_edges(n):
+def test_mean_matches_a_left_to_right_sum_at_the_pairwise_edges(n):
     gen = np.random.default_rng(n)
     for _ in range(50):
         values = (gen.random(n) * 10.0 ** gen.integers(-3, 17, n)).tolist()
-        assert _same_float(_mean(values), float(np.mean(values)))
+        assert _same_float(_mean(values), _left_to_right_mean(values))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, *PAIRWISE_EDGES, 3000])
-def test_mean_matches_numpy_on_ints(n):
+def test_mean_matches_a_left_to_right_sum_on_ints(n):
     gen = np.random.default_rng(n)
     for high in (10, 2**40, 2**62):
         values = gen.integers(-high, high, n).tolist()
         assert all(type(v) is int for v in values)
-        assert _same_float(_mean(values), float(np.mean(values)))
+        assert _same_float(_mean(values), _left_to_right_mean(values))
+
+
+def test_mean_sums_left_to_right_without_compensation():
+    # Python 3.12's sum() and math.fsum both give 2.0, so a mean of 0.5
+    assert _mean([1e16, 1.0, -1e16, 1.0]) == 0.25
+    assert _same_float(_mean([-0.0]), 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 129, 257])
