@@ -12,7 +12,7 @@ config, strategy and window is written as its fields in declaration order,
 so a new field is saved by declaring it. ``error`` is written only when a
 run ended ``aborted_error``. Loading keeps the keys a class declares:
 unknown keys are ignored and missing ones take the field's default. A
-record, its config and each strategy refuse a value of the wrong type.
+value of the wrong type in the record, its config or a strategy is refused.
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ class Strategy:
     window: SensoryMotorWindow
     repair_attempts: int = 1
 
-    def __post_init__(self) -> None:
+    def _check_types(self) -> None:
+        """Raise TypeError naming the first field of the wrong type, which
+        only a record file can hold: the runner builds from checked values."""
         require_type(
             "a string",
             strategy_text=self.strategy_text,
@@ -126,13 +128,12 @@ class RunRecord:
     error: Optional[str] = None
     wall_clock: float = 0.0
 
-    def __post_init__(self) -> None:
-        self.task_id = parse_task_id(self.task_id)
-        self.status = RunStatus(self.status)
+    def _check_types(self) -> None:
+        """As ``Strategy._check_types``, for the record's own fields."""
         require_type("a string", model_name=self.model_name)
         require_type("a number", temperature=self.temperature, wall_clock=self.wall_clock)
         require_type("an int", replication_index=self.replication_index, seed_root=self.seed_root)
-        require_type("a list", strategies=self.strategies, responses=self.responses)
+        require_type("a list", responses=self.responses)
         for response in self.responses:
             require_type("a string", response=response)
         if self.error is not None:
@@ -177,9 +178,17 @@ class RunRecord:
             w = s["window"]
             window = _from_json(SensoryMotorWindow, w, lines=tuple(w["lines"]))
             strategies.append(_from_json(Strategy, s, window=window))
-        return _from_json(
-            cls, data, config=_from_json(LoopConfig, data["config"]), strategies=strategies
+            strategies[-1]._check_types()
+        record = _from_json(
+            cls,
+            data,
+            task_id=parse_task_id(data["task_id"]),
+            config=_from_json(LoopConfig, data["config"]),
+            strategies=strategies,
+            status=RunStatus(data["status"]),
         )
+        record._check_types()
+        return record
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunRecord":
