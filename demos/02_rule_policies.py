@@ -5,7 +5,7 @@ Run with:  python demos/02_rule_policies.py
 
 import random
 
-from policyloop.dsl import PolicyParseError, evaluate, parse, run_episode, to_source
+from policyloop.dsl import PolicyParseError, evaluate, parse, run_episode
 from policyloop.envs import TaskId, get_spec
 
 SOURCE = """\
@@ -27,8 +27,8 @@ def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):
 spec = get_spec(TaskId.CARTPOLE_STAR2)
 program = parse(SOURCE, expected_params=spec.obs_names)
 print("parsed OK:", program.name, program.params)
-print("\ncanonical re-rendering:\n")
-print(to_source(program))
+print("\nsource text:\n")
+print(program.source_text)
 
 # Evaluation maps one observation to one action; the rng only feeds the
 # random builtins, so seeded evaluation replays exactly.

@@ -2,7 +2,7 @@
 whitelist, compilation, evaluation, episodes."""
 
 from .episode import EpisodeTrace, InvalidReason, PolicyOutcome, evaluate, run_episode
-from .parser import PolicyParseError, PolicyProgram, parse, to_source
+from .parser import PolicyParseError, PolicyProgram, parse
 
 __all__ = [
     "EpisodeTrace",
@@ -13,5 +13,4 @@ __all__ = [
     "evaluate",
     "parse",
     "run_episode",
-    "to_source",
 ]

@@ -15,7 +15,7 @@ CPython's own parser (:func:`ast.parse`) reads the text; this module only
 checks the resulting tree against a whitelist of node types, in one walk
 without recursion. Nesting (operators and indented blocks) is capped at
 ``MAX_NESTING`` levels and an if/elif chain at ``MAX_BRANCHES`` branches, so
-printing and compiling a program never overflow the stack. Every refusal,
+compiling a program never overflows the stack. Every refusal,
 CPython's included, is a :class:`PolicyParseError` with line/column and a
 message phrased for feeding straight back to the model in a repair prompt.
 
@@ -25,11 +25,9 @@ observation tuple (``PolicyProgram.compiled``), with no builtins, and keeps
 no tree. Its first statement unpacks the observation into the parameters,
 so a call passes one tuple and the caller checks its length. Each
 ``random.randint``/``random.uniform`` call is compiled into a call of
-:func:`checked_randint`/:func:`checked_uniform` on that rng. The canonical
-text that :func:`to_source` returns, and that ``==``, ``hash`` and
-``repr`` compare, is :func:`ast.unparse` of the function; it is computed
-from ``source_text`` on first use, because the loop itself never asks for
-it.
+:func:`checked_randint`/:func:`checked_uniform` on that rng. A program is
+its ``source_text`` and that function: two parses of one text are two
+programs, and records identify a program by the text they store.
 """
 
 from __future__ import annotations
@@ -40,11 +38,10 @@ import random
 import re
 import threading
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-# Printing and compiling a program recurse once or more per level.
+# Compiling a program recurses once or more per level.
 MAX_NESTING = 50
 # Each branch of a chain is one more If nested in the orelse of the one
 # before, and CPython's compiler recurses through them (it overflows at a
@@ -81,36 +78,14 @@ class PolicyParseError(ValueError):
         return self.message
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class PolicyProgram:
     name: str
     params: tuple[str, ...]
     source_text: str
     # f(rng, obs), compiled from the validated tree; obs holds one value per
     # parameter, in order
-    compiled: Callable
-
-    @cached_property
-    def canonical(self) -> str:
-        """ast.unparse of the validated function: what ==, hash and repr compare."""
-        return ast.unparse(_tree(self.source_text))
-
-    def _key(self) -> tuple:
-        return (self.name, self.params, self.canonical)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"PolicyProgram(name={self.name!r}, params={self.params!r}, "
-            f"canonical={self.canonical!r}, source_text={self.source_text!r})"
-        )
+    compiled: Callable = field(repr=False)
 
 
 def _error(message: str, node: Optional[ast.AST] = None) -> PolicyParseError:
@@ -156,11 +131,6 @@ def _read(text: str) -> ast.Module:
         raise _too_deep() from None
     except ValueError as exc:  # a NUL byte, on Python 3.10
         raise PolicyParseError(str(exc)) from None
-
-
-def _tree(source: str) -> ast.FunctionDef:
-    """The policy's function definition, as CPython's parser reads it."""
-    return _function(_read(source.replace("\t", "    ")))
 
 
 def _function(module: ast.Module) -> ast.FunctionDef:
@@ -332,7 +302,7 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
     names), the function header must declare exactly those names in order.
     Raises :class:`PolicyParseError` on any violation.
     """
-    func = _tree(source)
+    func = _function(_read(source.replace("\t", "    ")))
     params = tuple(arg.arg for arg in func.args.args)
     if expected_params is not None and params != tuple(expected_params):
         raise PolicyParseError(
@@ -391,8 +361,3 @@ def _compile(func: ast.FunctionDef, draws: list[ast.Call]) -> Callable:
     namespace: dict = {"__builtins__": {}, **_DRAWS}
     exec(compile(ast.Module([func], []), "<policy>", "exec"), namespace)
     return namespace.pop(func.name)
-
-
-def to_source(program: PolicyProgram) -> str:
-    """Canonical re-rendering of a parsed program."""
-    return program.canonical

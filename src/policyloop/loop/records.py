@@ -12,7 +12,9 @@ config, strategy and window is written as its fields in declaration order,
 so a new field is saved by declaring it. ``error`` is written only when a
 run ended ``aborted_error``. Loading keeps the keys a class declares:
 unknown keys are ignored and missing ones take the field's default. A
-value of the wrong type in the record, its config or a strategy is refused.
+value of the wrong type in the record, its config, a strategy or its window
+is refused, and so is a record whose ``seed_root``, ``model_name`` or
+``temperature`` disagrees with its config, which replay reruns from.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ class Strategy:
     repair_attempts: int = 1
 
     def _check_types(self) -> None:
-        """Raise TypeError naming the first field of the wrong type, which
-        only a record file can hold: the runner builds from checked values."""
+        """Raise TypeError naming the first field of the wrong type, the
+        window's included, which only a record file can hold: the runner
+        builds from checked values."""
         require_type(
             "a string",
             strategy_text=self.strategy_text,
@@ -111,6 +114,13 @@ class Strategy:
         require_type("a list", per_episode_returns=self.per_episode_returns)
         for value in self.per_episode_returns:
             require_type("a number", per_episode_return=value)
+        window = self.window
+        for line in window.lines:
+            require_type("a string", line=line)
+        require_type("an int", source_episode=window.source_episode)
+        require_type("a number", episode_return=window.episode_return)
+        if window.invalid_value_text is not None:
+            require_type("a string", invalid_value_text=window.invalid_value_text)
 
 
 @dataclass(slots=True)
@@ -176,6 +186,7 @@ class RunRecord:
         strategies = []
         for s in data["strategies"]:
             w = s["window"]
+            require_type("a list", lines=w["lines"])
             window = _from_json(SensoryMotorWindow, w, lines=tuple(w["lines"]))
             strategies.append(_from_json(Strategy, s, window=window))
             strategies[-1]._check_types()
@@ -188,6 +199,17 @@ class RunRecord:
             status=RunStatus(data["status"]),
         )
         record._check_types()
+        # replay reruns from the config, metrics reads these copies of it
+        config = record.config
+        for name in ("seed_root", "model_name"):
+            mine, theirs = getattr(record, name), getattr(config, name)
+            if mine != theirs:
+                raise ValueError(f"{name} {mine!r} differs from config.{name} {theirs!r}")
+        if record.temperature not in config.temperatures:
+            raise ValueError(
+                f"temperature {record.temperature!r} is not in "
+                f"config.temperatures {config.temperatures!r}"
+            )
         return record
 
     @classmethod

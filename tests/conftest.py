@@ -40,6 +40,20 @@ def scripted_session() -> list[str]:
     ]
 
 
+def assert_same_policy(program, expected):
+    """``program`` has ``expected``'s name and parameters, and its compiled
+    function returns the same action and draws the same numbers at every
+    point of the stride-10 CartPoleStar2 grid, under equal-seeded rngs."""
+    import itertools
+    import random
+
+    assert (program.name, program.params) == (expected.name, expected.params)
+    mine, theirs = random.Random(0), random.Random(0)
+    for obs in itertools.product(range(-50, 51, 10), repeat=4):
+        assert program.compiled(mine, obs) == expected.compiled(theirs, obs), obs
+    assert mine.getstate() == theirs.getstate()
+
+
 def make_records(
     reward_rows,
     task="CartPoleStar2",

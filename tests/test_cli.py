@@ -691,7 +691,8 @@ def test_a_usage_error_prints_the_subcommand_usage_line(tmp_path, command):
     assert done.stderr.splitlines()[-1].startswith("policyloop: error: nope.json: ")
 
 
-# a corpus record with one field set to a value of the wrong type
+# a corpus record with one field set to a value of the wrong type; a
+# "window." field is one of the first strategy's window
 _WRONG_TYPES = {
     "mean-reward-null": ("mean_reward", None, "mean_reward must be a number, got None"),
     "mean-reward-text": ("mean_reward", "x", "mean_reward must be a number, got 'x'"),
@@ -700,18 +701,41 @@ _WRONG_TYPES = {
     "replication-index-text": (
         "replication_index", "0", "replication_index must be an int, got '0'"
     ),
+    "window-lines-text": ("window.lines", "abc", "lines must be a list, got 'abc'"),
+    "window-line-int": ("window.lines", [5], "line must be a string, got 5"),
+    "window-source-episode-text": (
+        "window.source_episode", "0", "source_episode must be an int, got '0'"
+    ),
+    "window-episode-return-text": (
+        "window.episode_return", "x", "episode_return must be a number, got 'x'"
+    ),
+    "window-invalid-value-text-int": (
+        "window.invalid_value_text", 5, "invalid_value_text must be a string, got 5"
+    ),
+}
+
+# a corpus record with one of its config's copies changed
+_DISAGREEING = {
+    "seed-root": ("seed_root", 99, "seed_root 99 differs from config.seed_root 3"),
+    "model-name": (
+        "model_name",
+        "other",
+        "model_name 'other' differs from config.model_name 'meta-llama/Llama-3.1-70B-Instruct'",
+    ),
+    "temperature": ("temperature", 0.5, "temperature 0.5 is not in config.temperatures (0.0,)"),
 }
 
 
-@pytest.mark.parametrize("command", ["replay", "metrics"])
-@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
-def test_a_record_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, command, case):
-    field, value, message = _WRONG_TYPES[case]
+def _refusal(tmp_path, capsys, command, field, value):
+    """The last line ``command`` prints on the completed CartPoleStar2 corpus
+    record with ``field`` set to ``value``, after checking that it exits 2
+    with its usage line."""
     data = json.loads((FIXTURES / "records" / "CartPoleStar2_completed.json").read_text())
-    if field in data:
-        data[field] = value
-    else:
-        data["strategies"][0][field] = value
+    target = data if field in data else data["strategies"][0]
+    *outer, name = field.split(".")
+    for key in outer:
+        target = target[key]
+    target[name] = value
     path = tmp_path / "record.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     # robustness re-runs the first maximal program, so metrics reads its source
@@ -721,8 +745,26 @@ def test_a_record_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, com
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: policyloop {command} [-h] ")
-    assert err.splitlines()[-1] == (
-        f"policyloop: error: {path}: not a run record (TypeError: {message})"
+    return err.splitlines()[-1].replace(str(path), "<record>")
+
+
+@pytest.mark.parametrize("command", ["replay", "metrics"])
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_a_record_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, command, case):
+    field, value, message = _WRONG_TYPES[case]
+    assert _refusal(tmp_path, capsys, command, field, value) == (
+        f"policyloop: error: <record>: not a run record (TypeError: {message})"
+    )
+
+
+@pytest.mark.parametrize("command", ["replay", "metrics"])
+@pytest.mark.parametrize("case", sorted(_DISAGREEING))
+def test_a_record_that_disagrees_with_its_config_is_a_usage_error(tmp_path, capsys, command, case):
+    """replay reruns from the config, while metrics seeds robustness from
+    the record's seed_root and groups cells by its model and temperature."""
+    field, value, message = _DISAGREEING[case]
+    assert _refusal(tmp_path, capsys, command, field, value) == (
+        f"policyloop: error: <record>: not a run record (ValueError: {message})"
     )
 
 

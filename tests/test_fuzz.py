@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from policyloop.dsl import PolicyOutcome, PolicyParseError, evaluate, parse, to_source
+from policyloop.dsl import PolicyOutcome, PolicyParseError, evaluate, parse
 from policyloop.envs import get_spec
 from policyloop.envs.core import DiscreteActions
 from policyloop.prompts import extract_code
@@ -76,7 +76,6 @@ def test_extract_code_returns_a_program_or_a_parse_error(text):
         program = extract_code(text, STAR2)
     except PolicyParseError:
         return
-    assert parse(to_source(program), expected_params=STAR2.obs_names) == program
     outcome = evaluate(program, np.zeros(4, dtype=np.int64), random.Random(0), STAR2)
     assert isinstance(outcome, PolicyOutcome)
 

@@ -25,7 +25,7 @@ from policyloop.prompts import (
     render_p4,
 )
 
-from conftest import fixture_text, transcript_text
+from conftest import assert_same_policy, fixture_text, transcript_text
 
 
 # -- renders pinned against fixtures ----------------------------------------
@@ -323,7 +323,7 @@ def test_extract_rules_apology_is_an_error():
 
 def test_extract_code_parses_fixture(star2_spec, iter0_program):
     program = extract_code(transcript_text("code_iter0.py"), star2_spec)
-    assert program == iter0_program
+    assert_same_policy(program, iter0_program)
 
 
 def test_extract_code_handles_fences_and_trailing_prose(star2_spec, iter0_program):
@@ -334,14 +334,14 @@ def test_extract_code_handles_fences_and_trailing_prose(star2_spec, iter0_progra
         + "\n```\n\nThis function implements the rules faithfully."
     )
     program = extract_code(decorated, star2_spec)
-    assert program == iter0_program
+    assert_same_policy(program, iter0_program)
 
 
 def test_extract_code_unfenced_with_trailing_prose(star2_spec, iter0_program):
     source = transcript_text("code_iter0.py")
     decorated = source + "\n\nThis function checks the pole angle first."
     program = extract_code(decorated, star2_spec)
-    assert program == iter0_program
+    assert_same_policy(program, iter0_program)
 
 
 def test_extract_code_renamed_parameter_is_an_error(star2_spec):
@@ -354,7 +354,7 @@ def test_extract_code_tolerates_uniformly_indented_function(star2_spec, iter0_pr
     import textwrap
 
     indented = textwrap.indent(transcript_text("code_iter0.py"), "    ")
-    assert extract_code(indented, star2_spec) == iter0_program
+    assert_same_policy(extract_code(indented, star2_spec), iter0_program)
 
 
 def test_extract_code_empty_response_is_an_error(star2_spec):
