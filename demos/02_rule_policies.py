@@ -1,11 +1,11 @@
-"""The sandboxed rule-policy language: parse, evaluate, roll episodes.
+"""The sandboxed rule-policy language: parse, call, roll episodes.
 
 Run with:  python demos/02_rule_policies.py
 """
 
 import random
 
-from policyloop.dsl import PolicyParseError, evaluate, parse, run_episode
+from policyloop.dsl import PolicyParseError, parse, run_episode
 from policyloop.envs import TaskId, get_spec
 
 SOURCE = """\
@@ -30,11 +30,10 @@ print("parsed OK:", program.name, program.params)
 print("\nsource text:\n")
 print(program.source_text)
 
-# Evaluation maps one observation to one action; the rng only feeds the
-# random builtins, so seeded evaluation replays exactly.
+# The compiled policy maps one observation to the value it returns; the rng
+# only feeds the random builtins, so a seeded call replays exactly.
 obs = (0, 0, 5, 0)
-outcome = evaluate(program, obs, random.Random(0), spec)
-print(f"evaluate({list(obs)}) -> action {outcome.action}")
+print(f"get_action{obs} -> {program.compiled(random.Random(0), obs)}")
 
 # A full episode: the trace records one "<obs>;<action>" line per step,
 # the same rendering the reflection prompt embeds.

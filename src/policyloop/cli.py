@@ -24,6 +24,7 @@ from typing import Optional
 from .envs import ALL_TASKS, TaskId
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
 from .loop import LoopConfig, RunRecord, cell_record_name, replay, run_batch, run_replication
+from .loop.records import parse_constant
 from .metrics import MetricsError, compute_report, render_table, reward_curve_csv
 from .prompts import Ablation
 
@@ -41,7 +42,7 @@ def _read_json(path: str, option: str, kind: type):
     where = f"{option} {path}" if option else path
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=parse_constant)
     except (OSError, ValueError) as exc:
         raise UsageError(f"{where}: {exc}")
     if not isinstance(data, kind):

@@ -1,7 +1,7 @@
 """Sandboxed, loop-free rule-policy language: CPython's parser plus a node
-whitelist, compilation, evaluation, episodes."""
+whitelist, compilation, episodes."""
 
-from .episode import EpisodeTrace, InvalidReason, PolicyOutcome, evaluate, run_episode
+from .episode import EpisodeTrace, InvalidReason, PolicyOutcome, run_episode
 from .parser import PolicyParseError, PolicyProgram, parse
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "PolicyOutcome",
     "PolicyParseError",
     "PolicyProgram",
-    "evaluate",
     "parse",
     "run_episode",
 ]

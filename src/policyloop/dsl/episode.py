@@ -1,35 +1,32 @@
-"""Running a parsed policy: its outcome on one observation, and whole
-episodes through an environment.
+"""Running a parsed policy: whole episodes through an environment.
 
 A policy runs as the Python function :func:`~.parser.parse` compiled once
 from its validated tree (``PolicyProgram.compiled``); the language is a
-strict subset of Python, so CPython's semantics are the language's. The
-action space's ``coerce`` decides which returned values are actions. Rule
+strict subset of Python, so CPython's semantics are the language's. Rule
 comparisons are exact real comparisons (generated rules use integer-ish
 thresholds; an epsilon would silently change their meaning). The only
 effects of a policy call are draws from the caller's rng when the program
 calls ``random.randint`` or ``random.uniform``.
 
-An episode ends on the usual termination/truncation rules, or immediately
-when the policy produces an unusable action; that step earns no reward and
-its trace line records the offending value verbatim (e.g. ``None``).
+An episode ends on the usual termination rules, at the step limit, or
+immediately when the policy produces an unusable action; that step earns
+no reward and its trace line records the offending value verbatim (e.g.
+``None``).
 
 A compiled policy is called as ``f(rng, obs)`` with the observation tuple,
 which it unpacks into its parameters. ``run_episode`` checks the
 observation length once, after ``reset``, and then hands the policy to
-the env's ``_rollout``, the one driver of every env, which ``reset`` and
-``env.step`` run for one step. Each step of it encodes the observation,
-calls the policy once, and runs inline the action check, which takes what
-the action space's ``coerce`` takes, the physics and the termination test
-(``envs/cartpole.py``, ``envs/acrobot.py`` and the others). A valid step
-builds no outcome object:
-the rollout hands back the unusable value that ended the episode
-(``RAISED`` when the call raised one of ``envs.core.POLICY_ERRORS``, which
-``evaluate`` catches too), and only that goes through ``_invalid_outcome``,
-the classifier the public ``evaluate`` shares, so both give the same
-reasons and texts. The env's state and step count are written back when
-the episode ends, so the env reads as after the same public ``env.step``
-calls.
+the env's ``_rollout``, the one driver of every env, which ``reset`` runs
+for one step. Each step of it encodes the observation, calls the policy
+once, and runs inline the action check (a label of a discrete task, never
+a bool; or a finite number, clamped to a continuous task's range), the
+physics and the termination test (``envs/cartpole.py``,
+``envs/acrobot.py`` and the others). A valid step builds no outcome
+object: the rollout hands back the unusable value that ended the episode
+(``RAISED`` when the call or the check raised one of
+``envs.core.POLICY_ERRORS``), and only that goes through
+``_invalid_outcome``, which classifies it. The env's state is written back
+when the episode ends.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -41,14 +38,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from ..envs import make
 from ..envs.core import (
     INVALID_ACTION,
     POLICY_ERRORS,
     RAISED,
-    EnvSpec,
     TaskId,
     TerminationCause,
 )
@@ -63,68 +59,27 @@ class InvalidReason(str, Enum):
 
 
 class PolicyOutcome(NamedTuple):
-    """Result of mapping one observation through a policy."""
+    """Why the policy call that ended an episode gave no action."""
 
-    action: Optional[Union[int, float]]
-    reason: Optional[InvalidReason] = None
-    # Invalid outcomes only: text of the raw value the program produced
-    # ("None" when control fell off the end or raised), which trace lines
-    # and repair feedback show.
-    value_text: str = ""
-
-    @property
-    def is_valid(self) -> bool:
-        return self.reason is None
+    reason: InvalidReason
+    # text of the raw value the program produced ("None" when control fell
+    # off the end or raised), which trace lines and repair feedback show
+    value_text: str
 
 
 def _invalid_outcome(value) -> PolicyOutcome:
-    """The outcome of a policy call whose value ``coerce`` did not accept:
+    """The outcome of a policy call whose value the action check refused:
     ``None``, a rejected value, or ``RAISED``."""
     if value is None:
-        return PolicyOutcome(None, InvalidReason.NO_RULE_FIRED, "None")
+        return PolicyOutcome(InvalidReason.NO_RULE_FIRED, "None")
     if value is not RAISED:
         try:
             # ints, bools included, as they print; anything else as a float
             text = str(value) if isinstance(value, int) else f"{float(value):g}"
-            return PolicyOutcome(None, InvalidReason.OUT_OF_RANGE, text)
+            return PolicyOutcome(InvalidReason.OUT_OF_RANGE, text)
         except POLICY_ERRORS:
             pass
-    return PolicyOutcome(None, InvalidReason.RUNTIME_ERROR, "None")
-
-
-def _length_error(shape: tuple, n_params: int) -> ValueError:
-    return ValueError(
-        f"observation has {shape} values but the policy takes {n_params} parameters"
-    )
-
-
-def evaluate(
-    program: PolicyProgram, obs: Sequence, rng: random.Random, spec: EnvSpec
-) -> PolicyOutcome:
-    """Map an observation to an action (or a typed invalid outcome).
-
-    ``obs`` is any sequence; an environment's tuple of Python scalars goes
-    to the policy as it is. An array (anything with ``.shape`` and
-    ``.tolist()``, such as a numpy vector) must be 1-D and is read as Python
-    scalars.
-    """
-    n_params = len(program.params)
-    shape = getattr(obs, "shape", None)
-    if shape is not None:
-        if shape != (n_params,):
-            raise _length_error(shape, n_params)
-        # Python scalars, not numpy's: numpy turns x / 0 into inf
-        obs = obs.tolist()
-    elif len(obs) != n_params:
-        raise _length_error((len(obs),), n_params)
-    try:
-        value = program.compiled(rng, obs)
-        action = spec.action.coerce(value)
-    except POLICY_ERRORS:
-        return _invalid_outcome(RAISED)
-    if action is None:
-        return _invalid_outcome(value)
-    return PolicyOutcome(action)
+    return PolicyOutcome(InvalidReason.RUNTIME_ERROR, "None")
 
 
 @dataclass
@@ -173,8 +128,8 @@ def run_episode(
 
     ``rng`` feeds only the policy's random builtins; environment randomness
     is fully determined by ``seed``. Pass ``env`` to reuse an instance
-    across episodes (it is reset here either way). Afterwards ``env.state``
-    and ``env.steps`` read as after the same ``env.step`` calls.
+    across episodes (it is reset here either way); afterwards ``env.state``
+    is the state the episode ended in.
     """
     env = env if env is not None else make(task_id)
     spec = env.spec
@@ -182,7 +137,9 @@ def run_episode(
     # every observation of an env has the length of its first
     n_params = len(program.params)
     if len(obs) != n_params:
-        raise _length_error((len(obs),), n_params)
+        raise ValueError(
+            f"observation has {len(obs)} values but the policy takes {n_params} parameters"
+        )
     trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
     total_reward, trace.cause, value = env._rollout(
         program.compiled, rng, spec.max_steps, trace.observations, trace.actions

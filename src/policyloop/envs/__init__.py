@@ -16,7 +16,6 @@ from .core import (
     DiscreteActions,
     Environment,
     EnvSpec,
-    StepResult,
     TaskId,
     TerminationCause,
     UnknownTaskError,
@@ -74,7 +73,6 @@ __all__ = [
     "MountainCarContinuousEnv",
     "MountainCarDiscreteEnv",
     "PendulumEnv",
-    "StepResult",
     "TaskId",
     "TerminationCause",
     "UnknownTaskError",

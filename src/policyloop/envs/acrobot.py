@@ -6,8 +6,9 @@ per tick. Reward is -1 per step until the tip rises above the target height
 goal or the 500-step limit ends an episode, so a policy that never reaches
 the goal scores -500.
 
-The env's one driver is its ``_rollout``, which ``reset``, ``observe`` and
-``step`` run for one step and ``dsl.run_episode`` for a whole episode.
+The env's one driver is its ``_rollout``, which ``reset`` and ``observe``
+run for one step, to read the observation, and ``dsl.run_episode`` for a
+whole episode.
 Each step of it encodes the observation, calls the policy once, then runs
 inline the action check (a label, never a bool), the RK4 step, the wrap
 of both angles to [-pi, pi), the velocity clamps and the goal test. The
@@ -145,7 +146,7 @@ class AcrobotEnv(Environment):
             append_obs(obs)
             try:
                 value = policy(rng, obs)
-                # as DiscreteActions.coerce: a label, never a bool
+                # a label, never a bool (reference_dynamics.discrete_coerce_original)
                 action = None if value.__class__ is bool else labels.get(value)
             except POLICY_ERRORS:
                 value = RAISED
@@ -253,5 +254,4 @@ class AcrobotEnv(Environment):
                 break
             total_reward -= 1.0
         self._state = (t1, t2, w1, w2)
-        self._steps += len(actions)
         return total_reward, cause, value if cause is INVALID_ACTION else None

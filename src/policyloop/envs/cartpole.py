@@ -17,8 +17,8 @@ The four tasks share one class, ``_CartPoleFamily``, and each says its
 facts once: the grid comes from its spec, the reset ranges (which
 ``Environment`` draws), the labels' forces, the bounds and the observation
 order from class attributes. The family's ``_rollout`` is the only
-driver of these envs: ``reset``, ``observe`` and ``step`` run it for one
-step, and ``dsl.run_episode`` for a whole episode.
+driver of these envs: ``reset`` and ``observe`` run it for one step, to
+read the observation, and ``dsl.run_episode`` for a whole episode.
 Each step of it encodes the observation, calls the policy once as
 ``policy(rng, obs)``, then runs inline the action check (a label maps to
 its force and a bool is refused; or a finite number is clamped to [-3, 3]),
@@ -140,12 +140,12 @@ class _CartPoleFamily(Environment):
             try:
                 value = policy(rng, obs)
                 if forces:
-                    # as DiscreteActions.coerce: a label, never a bool
+                    # a label, never a bool (reference_dynamics.discrete_coerce_original)
                     action = None if value.__class__ is bool else labels.get(value)
                 elif value is None:
                     action = None
                 else:
-                    # as ContinuousAction.coerce: a finite number, clamped
+                    # a finite number, clamped (reference_dynamics.continuous_coerce_min_max_form)
                     action = float(value)
                     if not neg_inf < action < inf:
                         action = None
@@ -179,7 +179,6 @@ class _CartPoleFamily(Environment):
                 cause = self.terminal_cause
                 break
         self._state = (x, x_dot, theta, theta_dot)
-        self._steps += len(actions)
         # +1 per step taken: the sum of that many 1.0s from -0.0
         total_reward = float(len(actions)) if actions else -0.0
         return total_reward, cause, value if cause is INVALID_ACTION else None

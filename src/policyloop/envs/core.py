@@ -1,5 +1,5 @@
-"""Core types shared by all control tasks: task ids, action spaces, env specs,
-step results and the seeded environment base class.
+"""Core types shared by all control tasks: task ids, action spaces, env specs
+and the seeded environment base class.
 
 Every environment is a single-threaded state machine. Its only randomness
 is the initial state, drawn at reset from a :class:`~.seeding.UniformStream`
@@ -14,10 +14,9 @@ version can move an episode. Observations are tuples of Python scalars
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .seeding import UniformStream
 
@@ -72,35 +71,13 @@ class DiscreteActions:
 
     labels: tuple[int, ...]
 
-    def coerce(self, value) -> Optional[int]:
-        """``value`` as an int when it equals a label (a bool does not), else None."""
-        if isinstance(value, bool) or value not in self.labels:
-            return None
-        return int(value)
-
 
 @dataclass(frozen=True)
 class ContinuousAction:
+    """A finite number, which the task clamps to [lo, hi]."""
+
     lo: float
     hi: float
-
-    def coerce(self, value) -> Optional[float]:
-        """``value`` clamped into [lo, hi] when it is a finite number, else None.
-
-        An int too large for a float raises OverflowError.
-        """
-        try:
-            number = float(value)
-        except TypeError:  # None
-            return None
-        if not math.isfinite(number):
-            # clamping would pass NaN on, and the dynamics never terminate on it
-            return None
-        if number < self.lo:
-            return self.lo
-        if number > self.hi:
-            return self.hi
-        return number
 
 
 ActionSpace = Union[DiscreteActions, ContinuousAction]
@@ -194,18 +171,6 @@ class EnvSpec:
         return f"return random.randint({labels[0]}, {labels[-1]})"
 
 
-class StepResult(NamedTuple):
-    observation: tuple
-    reward: float
-    terminated: bool
-    truncated: bool
-    cause: TerminationCause = TerminationCause.NONE
-
-    @property
-    def done(self) -> bool:
-        return self.terminated or self.truncated
-
-
 # What a policy "returned" in a rollout when it, or the action check, raised
 RAISED = object()
 
@@ -216,18 +181,18 @@ POLICY_ERRORS = (ArithmeticError, ValueError)
 
 
 class Environment:
-    """Base class: deterministic, seedable reset/step state machine.
+    """Base class: a deterministic, seedable state machine, played by
+    whole episodes.
 
     ``_rollout`` is the one driver of an env: ``reset`` and ``observe``
-    read the observation it encodes at the top of its first step, ``step``
-    is one step of it, and ``dsl.run_episode`` plays whole episodes through
-    it. So ``state`` and ``steps`` read the same after an episode as after
-    the same ``step`` calls. A task is a ``spec``, class data and a
-    ``_rollout`` of its own or of its family, with each step's observation,
-    action check, physics and termination test inline. The class data:
-    ``_reset_ranges``, the reset distribution; on a discrete task
-    ``_effects``, what each label does; and ``terminal_cause``, the cause
-    of every termination the physics reports, on a task that has one.
+    read the observation it encodes at the top of its first step, and
+    ``dsl.run_episode`` plays whole episodes through it. A task is a
+    ``spec``, class data and a ``_rollout`` of its own or of its family,
+    with each step's observation, action check, physics and termination
+    test inline. The class data: ``_reset_ranges``, the reset distribution;
+    on a discrete task ``_effects``, what each label does; and
+    ``terminal_cause``, the cause of every termination the physics reports,
+    on a task that has one.
     """
 
     spec: EnvSpec
@@ -237,7 +202,7 @@ class Environment:
     # On a discrete task: each label's effect (a force, a push, a torque), in
     # the spec's label order. Built from them once per class that declares a
     # discrete spec, for the rollout's inline action check: the label a
-    # returned value equals, as the int coerce records (2.0 -> 2), and its effect.
+    # returned value equals, as the int it records (2.0 -> 2), and its effect.
     _effects: tuple[float, ...]
     _labels: dict[int, int] = {}
     _effect_of: dict[int, float] = {}
@@ -252,7 +217,6 @@ class Environment:
 
     def __init__(self) -> None:
         self._state: Optional[tuple[float, ...]] = None
-        self._steps = 0
 
     # -- interface -----------------------------------------------------------
 
@@ -260,28 +224,7 @@ class Environment:
         """Draw a fresh initial state from ``seed``, taken modulo 2**64 (so
         a negative seed is its two's complement), and return its observation."""
         self._state = self._reset_state(UniformStream(seed & 0xFFFFFFFFFFFFFFFF))
-        self._steps = 0
         return self.observe()
-
-    def step(self, action: Union[int, float]) -> StepResult:
-        if self._state is None:
-            raise RuntimeError("step() before reset()")
-        spec = self.spec
-        coerced = spec.action.coerce(action)
-        if coerced is None:
-            raise ValueError(
-                f"action {action!r} is not a valid action for {spec.task_id}; "
-                f"expected {spec.action_invalid_text}"
-            )
-        reward, cause, _ = self._rollout(lambda rng, obs: coerced, None, 1, [], [])
-        obs = self.observe()
-        # a coerced action is never refused, so one step ends at the limit of 1
-        # unless the physics terminated it
-        if cause is not STEP_LIMIT:
-            return StepResult(obs, reward, True, False, cause)
-        if self._steps >= spec.max_steps:
-            return StepResult(obs, reward, False, True, STEP_LIMIT)
-        return StepResult(obs, reward, False, False)
 
     def observe(self) -> tuple:
         if self._state is None:
@@ -297,10 +240,6 @@ class Environment:
             raise RuntimeError("no state before reset()")
         return self._state
 
-    @property
-    def steps(self) -> int:
-        return self._steps
-
     # -- the reset draw and the driver -----------------------------------------
 
     def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
@@ -315,15 +254,17 @@ class Environment:
 
         Each step encodes the state's observation, appends it to
         ``observations`` (which, like ``actions``, starts empty), calls
-        ``policy(rng, obs)``, and appends the action that the action
-        space's ``coerce`` would make of the returned value to ``actions``.
-        A value ``coerce`` refuses, or one of ``POLICY_ERRORS`` raised by
+        ``policy(rng, obs)``, and checks the returned value. On a discrete
+        task an action is a label the value equals, never a bool, recorded
+        as the int label; on a continuous task, a finite number, recorded
+        as a float clamped to the range. The action is appended to
+        ``actions``. Any other value, or one of ``POLICY_ERRORS`` raised by
         the call or the check, ends the rollout with no reward. Returns
         (return, cause, value): the return is the sum of the rewards from
         -0.0, so a one-step rollout returns that step's reward bit for bit;
         ``value`` is the unusable value, or ``RAISED``, when ``cause`` is
         ``INVALID_ACTION``, and None otherwise. At the end the state is
-        written back, and the step count grows by the steps taken.
+        written back.
         """
         raise NotImplementedError
 

@@ -5,13 +5,13 @@ discrete task pays -1 per step until position >= 0.5; the continuous task
 pays -0.1*force^2 per step plus +100 on reaching its goal at 0.45.
 
 The two tasks share one class, ``_MountainCarFamily``, and its one episode
-loop, ``_rollout``, the only driver of these envs: ``reset``, ``observe``
-and ``step`` run it for one step, and ``dsl.run_episode`` for a whole
-episode. Each step of it encodes the observation, calls the policy once,
-then runs inline the action check (a label maps to its push and a bool is
-refused; or a finite number is clamped to [-1, 1]), the hill dynamics, the
-goal test and the reward, with the operations of the frozen step forms
-that tests pin it to, in their order.
+loop, ``_rollout``, the only driver of these envs: ``reset`` and
+``observe`` run it for one step, to read the observation, and
+``dsl.run_episode`` for a whole episode. Each step of it encodes the
+observation, calls the policy once, then runs inline the action check (a
+label maps to its push and a bool is refused; or a finite number is clamped
+to [-1, 1]), the hill dynamics, the goal test and the reward, with the
+operations of the frozen step forms that tests pin it to, in their order.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ class _MountainCarFamily(Environment):
             try:
                 value = policy(rng, obs)
                 if pushes:
-                    # as DiscreteActions.coerce: a label, never a bool
+                    # a label, never a bool (reference_dynamics.discrete_coerce_original)
                     action = None if value.__class__ is bool else labels.get(value)
                 elif value is None:
                     action = None
                 else:
-                    # as ContinuousAction.coerce: a finite number, clamped
+                    # a finite number, clamped (reference_dynamics.continuous_coerce_min_max_form)
                     action = float(value)
                     if not neg_inf < action < inf:
                         action = None
@@ -118,7 +118,6 @@ class _MountainCarFamily(Environment):
                 cause = self.terminal_cause
                 break
         self._state = (position, velocity)
-        self._steps += len(actions)
         return total_reward, cause, value if cause is INVALID_ACTION else None
 
 

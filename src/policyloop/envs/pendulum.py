@@ -4,10 +4,12 @@ State is (angle, angular velocity) with the angle measured from upright.
 Per-step reward is -(theta^2 + 0.1*theta_dot^2 + 0.001*torque^2) with theta
 wrapped to [-pi, pi]; episodes run a fixed 200 steps with no failure state.
 
-The env's one driver is its ``_rollout``: each step of it encodes the
-observation, calls the policy once, then runs inline the action check (a
-finite number, clamped to [-2, 2]), the reward and the Euler tick, with the
-operations of the frozen step form that tests pin it to, in its order.
+The env's one driver is its ``_rollout``, which ``reset`` and ``observe``
+run for one step, to read the observation, and ``dsl.run_episode`` for a
+whole episode. Each step of it encodes the observation, calls the policy
+once, then runs inline the action check (a finite number, clamped to
+[-2, 2]), the reward and the Euler tick, with the operations of the frozen
+step form that tests pin it to, in its order.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class PendulumEnv(Environment):
                 if value is None:
                     action = None
                 else:
-                    # as ContinuousAction.coerce: a finite number, clamped
+                    # a finite number, clamped (reference_dynamics.continuous_coerce_min_max_form)
                     action = float(value)
                     if not neg_inf < action < inf:
                         action = None
@@ -122,5 +124,4 @@ class PendulumEnv(Environment):
                 theta_dot = neg_max_speed
             theta = theta + theta_dot * dt
         self._state = (theta, theta_dot)
-        self._steps += len(actions)
         return total_reward, cause, value if cause is INVALID_ACTION else None

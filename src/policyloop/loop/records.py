@@ -215,7 +215,13 @@ class RunRecord:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunRecord":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh, parse_constant=parse_constant))
+
+
+def parse_constant(name: str):
+    """Refuse ``NaN``, ``Infinity`` and ``-Infinity``, which ``json.load``
+    reads by default but JSON does not have; ``save`` never writes them."""
+    raise ValueError(f"{name} is not a JSON value")
 
 
 # Path separators and NUL in a model id, e.g. "meta-llama/Llama-3.1-70B-Instruct"

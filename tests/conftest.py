@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -130,6 +131,41 @@ def reference_step_forms(env):
         )
     tick, observe = ref.FLOAT_TASK_FORMS[task]
     return coerce, tick, observe
+
+
+def step(env, action):
+    """One step of ``env`` from its state: a one-step ``_rollout``, the env's
+    only driver, under a policy that returns ``action``, which the env's
+    action check must take. Returns (observation after it, reward, cause);
+    the cause is ``STEP_LIMIT`` when the step ended nothing."""
+    taken = []
+    reward, cause, _ = env._rollout(lambda rng, obs: action, None, 1, [], taken)
+    assert taken, f"the rollout refused {action!r}"
+    return env.observe(), reward, cause
+
+
+class Outcome(NamedTuple):
+    """A policy's action on one observation, or None with the reason and
+    value text of the ``PolicyOutcome`` an episode ending there records."""
+
+    action: object
+    reason: object = None
+    value_text: str = ""
+
+
+def policy_outcome(program, obs, rng, spec) -> Outcome:
+    """The ``Outcome`` of ``program`` on ``obs``: its compiled function
+    called with ``rng``, the value checked by one step of the rollout of
+    ``spec``'s task, and a refused value classified as ``run_episode``
+    classifies the one that ends an episode."""
+    from policyloop.dsl.episode import _invalid_outcome
+    from policyloop.envs import make
+
+    env = make(spec.task_id)
+    env.reset(0)
+    taken = []
+    _, _, value = env._rollout(lambda rng, _: program.compiled(rng, obs), rng, 1, [], taken)
+    return Outcome(taken[0]) if taken else Outcome(None, *_invalid_outcome(value))
 
 
 def config_task(task):

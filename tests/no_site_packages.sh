@@ -68,11 +68,14 @@ python -S -m policyloop.cli metrics "$out/null_mean.json" --no-rerun 2>/dev/null
 if [ "$status" -ne 2 ]; then
   echo "metrics on a record whose mean_reward is null exited $status; expected 2"; exit 1
 fi
-# so is a window field of the wrong type, and a seed_root other than the
-# config's: exit 2 from replay and metrics, and no traceback
+# so is a window field of the wrong type, a seed_root other than the
+# config's, and a NaN or Infinity, which JSON does not have: exit 2 from
+# replay and metrics, and no traceback
 python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['window']['lines'] = 'abc'; json.dump(r, open(sys.argv[2], 'w')); r = json.load(open(sys.argv[1])); r['seed_root'] = 99; json.dump(r, open(sys.argv[3], 'w'))" \
   tests/fixtures/records/CartPoleStar2_completed.json "$out/text_lines.json" "$out/seed_root_99.json"
-for record in "$out/text_lines.json" "$out/seed_root_99.json"; do
+python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = float('nan'); json.dump(r, open(sys.argv[2], 'w')); r = json.load(open(sys.argv[1])); r['strategies'][0]['window']['episode_return'] = float('inf'); json.dump(r, open(sys.argv[3], 'w'))" \
+  tests/fixtures/records/CartPoleStar2_completed.json "$out/nan_mean.json" "$out/inf_return.json"
+for record in "$out/text_lines.json" "$out/seed_root_99.json" "$out/nan_mean.json" "$out/inf_return.json"; do
   for command in replay "metrics --no-rerun"; do
     status=0
     python -S -m policyloop.cli $command "$record" 2>"$out/stderr" || status=$?

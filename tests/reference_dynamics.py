@@ -278,10 +278,11 @@ FLOAT_TASK_FORMS = {
 
 
 # Frozen copies of the package's original cart-pole step, CartPoleStar2
-# encoding and action-space coercion. The package's cart-pole tick and
-# sign-test encoding, both inline in the family's rollout, and its
-# comparison-clamp ``coerce`` must equal them bit for bit; again the same
-# arithmetic in the same order, not independent derivations.
+# encoding and action-space coercion (the ``coerce`` methods the action
+# spaces had). The package's cart-pole tick and sign-test encoding, both
+# inline in the family's rollout, and the action check inline in every
+# rollout must equal them bit for bit; again the same arithmetic in the
+# same order, not independent derivations.
 
 _GRAVITY = 9.8
 _MASS_POLE = 0.1

@@ -19,6 +19,7 @@ import pytest
 
 from policyloop.dsl import parse
 from policyloop.envs import ALL_TASKS, get_spec, make
+from policyloop.envs.core import STEP_LIMIT
 from policyloop.gateway import HttpChatBackend, GatewayConfig, ScriptedBackend
 from policyloop.loop import LoopConfig, RunStatus, replay, run_replication
 from policyloop.metrics import (
@@ -41,8 +42,10 @@ from conftest import (
     fixture_text,
     make_records,
     scripted_session,
+    step,
     transcript_text,
 )
+from reference_dynamics import discrete_coerce_original
 
 
 def _report(number: int, label: str) -> None:
@@ -141,15 +144,15 @@ def test_criterion_4_dynamics_oracle():
             ref_state = tuple(env.state)
             for _ in range(spec.max_steps):
                 action = dyn_tests._random_actions(spec, rng, 1)[0]
-                result = env.step(action)
+                obs, _, cause = step(env, action)
                 ref_state, ref_obs = dyn_tests._reference_step(task, ref_state, action)
                 np.testing.assert_allclose(
-                    np.asarray(result.observation, dtype=np.float64),
+                    np.asarray(obs, dtype=np.float64),
                     ref_obs,
                     rtol=0,
                     atol=1e-9,
                 )
-                if result.done:
+                if cause is not STEP_LIMIT:
                     break
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle replay took {elapsed:.2f}s"
@@ -168,17 +171,16 @@ def test_criterion_5_dsl_brute_force_grid(star2_spec, iter0_program):
                     expected = dsl_tests._hand_transcribed_iter0(cp, cv, pa, pav, "random")
                     rng = random.Random(points)
                     before = rng.getstate()
-                    outcome = dsl_tests.evaluate(
-                        iter0_program, np.array([cp, cv, pa, pav]), rng, star2_spec
-                    )
+                    value = iter0_program.compiled(rng, (cp, cv, pa, pav))
+                    action = discrete_coerce_original(star2_spec.action.labels, value)
                     drew = rng.getstate() != before
                     if expected == "random":
-                        assert drew and outcome.action in (1, 2)
+                        assert drew and action in (1, 2)
                     else:
-                        assert not drew and outcome.action == expected
+                        assert not drew and action == expected
                     points += 1
     assert points == 14_641
-    _report(5, "evaluator matches the hand transcription on all 14641 grid points")
+    _report(5, "the compiled policy matches the hand transcription on all 14641 grid points")
 
 
 def test_criterion_6_repair_loop_boundaries(star2_spec):

@@ -1,6 +1,7 @@
 """The command-line surface: run, ablate, batch, replay, metrics."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -712,6 +713,10 @@ _WRONG_TYPES = {
     "window-invalid-value-text-int": (
         "window.invalid_value_text", 5, "invalid_value_text must be a string, got 5"
     ),
+    # the constants json reads but JSON does not have: refused as the file is read
+    "mean-reward-nan": ("mean_reward", math.nan, "NaN is not a JSON value"),
+    "window-episode-return-inf": ("window.episode_return", math.inf, "Infinity is not a JSON value"),
+    "temperature-minus-inf": ("temperature", -math.inf, "-Infinity is not a JSON value"),
 }
 
 # a corpus record with one of its config's copies changed
@@ -752,8 +757,10 @@ def _refusal(tmp_path, capsys, command, field, value):
 @pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
 def test_a_record_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, command, case):
     field, value, message = _WRONG_TYPES[case]
+    if not isinstance(value, float):
+        message = f"not a run record (TypeError: {message})"
     assert _refusal(tmp_path, capsys, command, field, value) == (
-        f"policyloop: error: <record>: not a run record (TypeError: {message})"
+        f"policyloop: error: <record>: {message}"
     )
 
 

@@ -1,17 +1,22 @@
-"""Evaluator semantics: action validation, invalid outcomes, determinism,
-and a brute-force sweep of the scripted session's first program over the
-whole integer observation grid."""
+"""Policy semantics: action validation, invalid outcomes, determinism, and
+a brute-force sweep of the scripted session's first program over the whole
+integer observation grid.
+
+A policy's outcome on one observation is what the first step of a rollout
+makes of it (``conftest.policy_outcome``): the compiled function's value,
+the task's inline action check, and the classifier of a refused value.
+"""
 
 import random
 import warnings
 
-import numpy as np
 import pytest
 
-from policyloop.dsl import InvalidReason, PolicyOutcome, evaluate, parse
+from policyloop.dsl import InvalidReason, parse
 from policyloop.envs import get_spec
 
-from conftest import transcript_text
+from conftest import policy_outcome, transcript_text
+from reference_dynamics import discrete_coerce_original
 
 
 @pytest.fixture
@@ -20,15 +25,15 @@ def pendulum_spec():
 
 
 def test_first_rule_wins(iter0_program, star2_spec):
-    outcome = evaluate(iter0_program, np.array([0, 0, 5, 0]), random.Random(0), star2_spec)
-    assert outcome.is_valid
+    outcome = policy_outcome(iter0_program, (0, 0, 5, 0), random.Random(0), star2_spec)
+    assert outcome.reason is None
     assert outcome.action == 2  # positive pole angle -> move right
 
 
 def test_seeded_replay_is_identical(iter0_program, star2_spec):
     # all-zero observation falls through to the random fallback
     actions = [
-        evaluate(iter0_program, np.array([0, 0, 0, 0]), random.Random(42), star2_spec).action
+        policy_outcome(iter0_program, (0, 0, 0, 0), random.Random(42), star2_spec).action
         for _ in range(10)
     ]
     assert len(set(actions)) == 1
@@ -37,30 +42,21 @@ def test_seeded_replay_is_identical(iter0_program, star2_spec):
 def test_fallback_draws_follow_the_rng(iter0_program, star2_spec):
     rng = random.Random(7)
     drawn = [
-        evaluate(iter0_program, np.array([0, 0, 0, 0]), rng, star2_spec).action
+        policy_outcome(iter0_program, (0, 0, 0, 0), rng, star2_spec).action
         for _ in range(50)
     ]
     assert set(drawn) == {1, 2}
     rng2 = random.Random(7)
     replay = [
-        evaluate(iter0_program, np.array([0, 0, 0, 0]), rng2, star2_spec).action
+        policy_outcome(iter0_program, (0, 0, 0, 0), rng2, star2_spec).action
         for _ in range(50)
     ]
     assert drawn == replay
 
 
-def test_valid_outcome_is_the_same_named_tuple(iter0_program, star2_spec):
-    outcome = evaluate(iter0_program, (0, 0, 5, 0), random.Random(0), star2_spec)
-    assert type(outcome) is PolicyOutcome
-    assert outcome == PolicyOutcome(2) == (2, None, "")
-    assert outcome._asdict() == {"action": 2, "reason": None, "value_text": ""}
-    assert outcome.is_valid
-
-
 def test_no_rule_fired_reports_none(star2_spec):
     program = parse(transcript_text("code_iter1.py"), expected_params=star2_spec.obs_names)
-    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
-    assert not outcome.is_valid
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.NO_RULE_FIRED
     assert outcome.value_text == "None"
 
@@ -70,7 +66,7 @@ def test_discrete_out_of_range(star2_spec):
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
         "    return 3\n"
     )
-    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.OUT_OF_RANGE
     assert outcome.value_text == "3"
 
@@ -80,8 +76,8 @@ def test_discrete_accepts_float_equal_to_label(star2_spec):
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
         "    return 4 / 2\n"
     )
-    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
-    assert outcome.is_valid
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
+    assert outcome.reason is None
     assert outcome.action == 2
     assert isinstance(outcome.action, int)
 
@@ -91,12 +87,12 @@ def test_randint_empty_range_is_runtime_error(star2_spec):
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
         "    return random.randint(2, cart_position)\n"
     )
-    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.RUNTIME_ERROR
     assert outcome.action is None and outcome.value_text == "None"
     # the empty range is what failed: a non-empty one draws a valid action
-    outcome = evaluate(program, np.array([2, 0, 0, 0]), random.Random(0), star2_spec)
-    assert outcome.is_valid and outcome.action == 2
+    outcome = policy_outcome(program, (2, 0, 0, 0), random.Random(0), star2_spec)
+    assert outcome.reason is None and outcome.action == 2
 
 
 def test_division_by_zero_is_runtime_error(star2_spec):
@@ -104,12 +100,12 @@ def test_division_by_zero_is_runtime_error(star2_spec):
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
         "    return 1 / cart_position\n"
     )
-    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.RUNTIME_ERROR
     assert outcome.action is None and outcome.value_text == "None"
     # the zero divisor is what failed: a nonzero one gives a valid action
-    outcome = evaluate(program, np.array([1, 0, 0, 0]), random.Random(0), star2_spec)
-    assert outcome.is_valid and outcome.action == 1
+    outcome = policy_outcome(program, (1, 0, 0, 0), random.Random(0), star2_spec)
+    assert outcome.reason is None and outcome.action == 1
 
 
 _ZEROS_400 = "1" + "0" * 400  # an integer too large for a float
@@ -130,7 +126,7 @@ _ZEROS_400 = "1" + "0" * 400  # an integer too large for a float
 def test_numbers_out_of_float_range_are_runtime_errors(body):
     spec = get_spec("InvertedPendulum")
     program = parse(f"def get_action({', '.join(spec.obs_names)}):\n    {body}\n")
-    outcome = evaluate(program, np.array([0.0, 0.1, 0.0, 0.0]), random.Random(0), spec)
+    outcome = policy_outcome(program, (0.0, 0.1, 0.0, 0.0), random.Random(0), spec)
     assert outcome.reason is InvalidReason.RUNTIME_ERROR
     assert outcome.value_text == "None"
 
@@ -141,16 +137,16 @@ def test_integer_too_long_to_print_is_a_runtime_error(star2_spec):
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
         f"    return {big} * {big}\n"
     )
-    outcome = evaluate(program, np.array([0, 0, 0, 0]), random.Random(0), star2_spec)
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
     assert outcome.reason is InvalidReason.RUNTIME_ERROR
 
 
 def test_continuous_results_are_clamped(pendulum_spec):
     program = parse("def get_action(x, y, angular_velocity):\n    return 10 * x\n")
-    outcome = evaluate(program, np.array([1.0, 0.0, 0.0]), random.Random(0), pendulum_spec)
-    assert outcome.is_valid
+    outcome = policy_outcome(program, (1.0, 0.0, 0.0), random.Random(0), pendulum_spec)
+    assert outcome.reason is None
     assert outcome.action == 2.0  # clamped to the torque bound
-    outcome = evaluate(program, np.array([-1.0, 0.0, 0.0]), random.Random(0), pendulum_spec)
+    outcome = policy_outcome(program, (-1.0, 0.0, 0.0), random.Random(0), pendulum_spec)
     assert outcome.action == -2.0
 
 
@@ -163,22 +159,10 @@ def test_uniform_fallback_for_continuous(pendulum_spec):
     )
     rng = random.Random(3)
     before = rng.getstate()
-    outcome = evaluate(program, np.array([0.0, 0.0, 0.0]), rng, pendulum_spec)
-    assert outcome.is_valid
+    outcome = policy_outcome(program, (0.0, 0.0, 0.0), rng, pendulum_spec)
+    assert outcome.reason is None
     assert -2.0 <= outcome.action <= 2.0
     assert rng.getstate() != before  # the fallback drew
-
-
-def test_observation_length_mismatch(iter0_program, star2_spec):
-    with pytest.raises(ValueError, match="4 parameters"):
-        evaluate(iter0_program, np.array([0, 0, 0]), random.Random(0), star2_spec)
-
-
-def test_purity_no_environment_side_effects(iter0_program, star2_spec):
-    obs = np.array([1, 2, 3, 4])
-    before = obs.copy()
-    evaluate(iter0_program, obs, random.Random(0), star2_spec)
-    assert np.array_equal(obs, before)
 
 
 # -- differential check against real interpreter semantics -------------------
@@ -198,9 +182,9 @@ def test_evaluator_matches_python_execution_on_random_programs(star2_spec):
         source = random_program(rng, params)
         program = parse(source)
         for _ in range(8):
-            obs = np.array([rng.randint(-50, 50) for _ in range(4)])
+            obs = tuple(rng.randint(-50, 50) for _ in range(4))
             seed = rng.randrange(2**30)
-            mine = evaluate(program, obs, random.Random(seed), star2_spec)
+            mine = policy_outcome(program, obs, random.Random(seed), star2_spec)
 
             host_rng = random.Random(seed)
             exec(source, {"random": host_rng, "__builtins__": {}}, ns := {})
@@ -208,7 +192,7 @@ def test_evaluator_matches_python_execution_on_random_programs(star2_spec):
                 with warnings.catch_warnings():
                     # integral-float randint bounds are deprecated host-side
                     warnings.simplefilter("ignore", DeprecationWarning)
-                    raw = ns["f"](*(int(v) for v in obs))
+                    raw = ns["f"](*obs)
             except (ZeroDivisionError, ValueError):
                 # division by zero, or randint on an empty/non-integer range
                 assert mine.reason is InvalidReason.RUNTIME_ERROR
@@ -223,7 +207,7 @@ def test_evaluator_matches_python_execution_on_random_programs(star2_spec):
                     str(raw) if isinstance(raw, (bool, int)) else f"{float(raw):g}"
                 )
             else:
-                assert mine.is_valid
+                assert mine.reason is None
                 assert mine.action == raw
             checked += 1
     assert checked == 1200
@@ -270,18 +254,16 @@ def test_iter0_program_matches_hand_transcription_on_grid(iter0_program, star2_s
                     expected = _hand_transcribed_iter0(cp, cv, pa, pav, "random")
                     rng = random.Random(checked)
                     before = rng.getstate()
-                    outcome = evaluate(
-                        iter0_program, np.array([cp, cv, pa, pav]), rng, star2_spec
-                    )
+                    value = iter0_program.compiled(rng, (cp, cv, pa, pav))
+                    action = discrete_coerce_original(star2_spec.action.labels, value)
                     drew = rng.getstate() != before
-                    assert outcome.is_valid
                     if expected == "random":
                         assert drew, (cp, cv, pa, pav)
-                        assert outcome.action in (1, 2)
+                        assert action in (1, 2)
                         fallback_points += 1
                     else:
                         assert not drew, (cp, cv, pa, pav)
-                        assert outcome.action == expected, (cp, cv, pa, pav)
+                        assert action == expected, (cp, cv, pa, pav)
                     checked += 1
     assert checked == 14_641
     # the fallback is reachable exactly where pa == 0 and cv == 0 and the

@@ -14,7 +14,8 @@ from policyloop.dsl import parser
 
 CARTPOLE_PARAMS = ("cart_position", "cart_velocity", "pole_angle", "pole_angular_velocity")
 
-from conftest import transcript_text
+from conftest import policy_outcome, transcript_text
+from reference_dynamics import discrete_coerce_original
 
 
 def test_session_program_parses_with_random_fallback(star2_spec):
@@ -336,20 +337,17 @@ def test_deep_nesting_is_a_parse_error(source):
 
 
 def test_long_elif_chain_parses_and_evaluates():
-    import numpy as np
-
-    from policyloop.dsl import evaluate
     from policyloop.envs import TaskId, get_spec
 
     rules = ["    if pole_angle > 200:\n        return 2\n"]
     rules += [f"    elif pole_angle > {200 - i}:\n        return {1 + i % 2}\n" for i in range(1, 200)]
     program = parse(_HEAD + "".join(rules), expected_params=CARTPOLE_PARAMS)
-    spec = get_spec(TaskId.CARTPOLE)
+    labels = get_spec(TaskId.CARTPOLE).action.labels
     # the 190th elif is the first rule that holds
-    outcome = evaluate(program, np.array([0.0, 0.0, 10.5, 0.0]), random.Random(0), spec)
-    assert outcome.action == 1
-    outcome = evaluate(program, np.array([0.0, 0.0, -1.0, 0.0]), random.Random(0), spec)
-    assert outcome.action is None  # no rule fired
+    value = program.compiled(random.Random(0), (0.0, 0.0, 10.5, 0.0))
+    assert discrete_coerce_original(labels, value) == 1
+    value = program.compiled(random.Random(0), (0.0, 0.0, -1.0, 0.0))
+    assert value is None  # no rule fired
 
 
 def test_long_elif_chain_is_a_parse_error():
@@ -493,8 +491,8 @@ SESSION_PROGRAMS = ("code_iter0.py", "code_iter1.py", "code_iter2.py", "code_opt
 
 
 def test_parsing_and_running_never_print_the_program(monkeypatch, star2_spec):
-    """Parse, evaluate and whole episodes run with ast.unparse unavailable."""
-    from policyloop.dsl import evaluate, run_episode
+    """Parse, policy calls and whole episodes run with ast.unparse unavailable."""
+    from policyloop.dsl import run_episode
 
     def refuse(node):
         raise AssertionError("ast.unparse called")
@@ -506,7 +504,7 @@ def test_parsing_and_running_never_print_the_program(monkeypatch, star2_spec):
             for name in SESSION_PROGRAMS
         ]
         for program in programs:
-            assert evaluate(program, (0, 0, 0, 0), random.Random(0), star2_spec).reason in (
+            assert policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec).reason in (
                 None,
                 InvalidReason.NO_RULE_FIRED,
             )

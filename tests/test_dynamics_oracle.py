@@ -19,13 +19,12 @@ from policyloop.envs.cartpole import (
 from policyloop.envs.core import (
     POLICY_ERRORS,
     RAISED,
-    ContinuousAction,
+    STEP_LIMIT,
     DiscreteActions,
-    StepResult,
     TerminationCause,
 )
 
-from conftest import reference_step_forms
+from conftest import reference_step_forms, step
 from reference_dynamics import (
     ACROBOT_MAX_VEL_1,
     ACROBOT_MAX_VEL_2,
@@ -101,16 +100,16 @@ def test_dynamics_agree_with_reference(task):
         ref_state = tuple(env.state)
         actions = _random_actions(spec, rng, spec.max_steps)
         for step_idx, action in enumerate(actions):
-            result = env.step(action)
+            obs, _, cause = step(env, action)
             ref_state, ref_obs = _reference_step(task, ref_state, action)
             np.testing.assert_allclose(
-                np.asarray(result.observation, dtype=np.float64),
+                np.asarray(obs, dtype=np.float64),
                 ref_obs,
                 rtol=0,
                 atol=TOL,
                 err_msg=f"{task} sequence {sequence_idx} step {step_idx}",
             )
-            if result.done:
+            if cause is not STEP_LIMIT:
                 break
 
 
@@ -123,18 +122,18 @@ def test_pendulum_rewards_agree_with_reference():
         for _ in range(200):
             torque = rng.uniform(-2.0, 2.0)
             expected = pendulum_ref_reward(state, torque)
-            result = env.step(torque)
-            assert result.reward == pytest.approx(expected, abs=TOL)
+            _, reward, _ = step(env, torque)
+            assert reward == pytest.approx(expected, abs=TOL)
             state = pendulum_ref(state, torque)
 
 
 # -- cart-pole step, Star2 encoding and coerce: bit for bit -----------------
 #
 # The cart-pole physics and the Star2 encoding are written once, inline in
-# the family's _rollout, which env.step and env.observe() run. These tests
-# drive them from set states, on the forces a task can apply: +/-10 through
-# CartPole's labels, and [-3, 3], signed zeros included, through
-# InvertedPendulum's continuous action.
+# the family's _rollout, which env.observe() and conftest's one-step helper
+# run. These tests drive them from set states, on the forces a task can
+# apply: +/-10 through CartPole's labels, and [-3, 3], signed zeros
+# included, through InvertedPendulum's continuous action.
 
 
 def _exact(value):
@@ -163,9 +162,9 @@ def _env_at(task, state):
 
 
 def _stepped_state(task, state, action):
-    """The native state ``env.step(action)`` leaves from ``state``."""
+    """The native state one step under ``action`` leaves from ``state``."""
     env = _env_at(task, state)
-    env.step(action)
+    step(env, action)
     return env.state
 
 
@@ -243,8 +242,7 @@ def _edges(limit):
 
 
 def _step_ending(task, state, action):
-    result = _env_at(task, state).step(action)
-    return result.terminated, result.cause
+    return step(_env_at(task, state), action)[2]
 
 
 def _reference_step_ending(task, state, action):
@@ -252,7 +250,7 @@ def _reference_step_ending(task, state, action):
     cartpole_family_observation_form(task.value, state)
     state, _, terminated = cartpole_family_step_form(task.value, state, action)
     cartpole_family_observation_form(task.value, state)
-    return terminated, TerminationCause.BOUNDS_EXCEEDED if terminated else TerminationCause.NONE
+    return TerminationCause.BOUNDS_EXCEEDED if terminated else STEP_LIMIT
 
 
 @pytest.mark.parametrize("component", [0, 2], ids=["cart_position", "pole_angle"])
@@ -396,34 +394,26 @@ def _rollout_action(task, value):
 
 
 @pytest.mark.parametrize("space", _ACTION_SPACES, ids=_space_id)
-def test_coerce_is_exactly_the_original_form(space):
-    # and so is the action check of the rollout of every task with this
-    # space, which the cart-pole family writes out inline
+def test_action_check_is_exactly_the_original_coerce_form(space):
+    """The action check that the rollout of every task with this space
+    writes out inline takes each value exactly as the frozen coerce form
+    does: the same action, type and sign, or the same refusal."""
     tasks = [task for task in ALL_TASKS if get_spec(task).action == space]
     for value in _COERCE_VALUES:
         if isinstance(space, DiscreteActions):
             expected = _outcome(discrete_coerce_original, space.labels, value)
         else:
             expected = _outcome(continuous_coerce_min_max_form, space.lo, space.hi, value)
-        assert _outcome(space.coerce, value) == expected, value
         for task in tasks:
             assert _outcome(_rollout_action, task, value) == expected, (task, value)
-
-
-def test_continuous_coerce_of_an_int_too_large_for_a_float_raises_overflow():
-    space = ContinuousAction(lo=-3.0, hi=3.0)
-    with pytest.raises(OverflowError):
-        space.coerce(_HUGE_INT)
-    assert _outcome(space.coerce, -0.0) == ("returned", (float, "-0x0.0p+0"))
-    assert _outcome(DiscreteActions(labels=(1, 2)).coerce, np.int64(2)) == ("returned", (int, 2))
 
 
 # -- Acrobot, Pendulum and MountainCar: bit for bit ---------------------------
 #
 # Each of these tasks' observation, action check, physics and termination
 # test are written once, inline in its (or its family's) _rollout. These
-# tests drive step and the rollout from set states and compare every
-# result, the state and the step count with the frozen step forms of
+# tests drive one-step and whole rollouts from set states and compare every
+# result and the state with the frozen step forms of
 # tests/reference_dynamics.py, which the package's hooks were: Acrobot's
 # RK4 is the generator form.
 
@@ -445,11 +435,10 @@ def _step_actions(task):
 
 
 def _step_result(task, state, action):
-    """``env.step(action)`` from ``state``: its result, the state and the
-    step count it leaves."""
+    """One step under ``action`` from ``state``: its result and the state it
+    leaves."""
     env = _env_at(task, state)
-    result = env.step(action)
-    return result, env.state, env.steps
+    return step(env, action), env.state
 
 
 def _reference_step_result(task, state, action):
@@ -458,11 +447,7 @@ def _reference_step_result(task, state, action):
     # a step is a one-step rollout, which encodes the state it starts from
     observe(state)
     state, reward, terminated = tick(state, coerce(action))
-    if terminated:
-        result = StepResult(observe(state), reward, True, False, env.terminal_cause)
-    else:
-        result = StepResult(observe(state), reward, False, False)
-    return result, state, 1
+    return (observe(state), reward, env.terminal_cause if terminated else STEP_LIMIT), state
 
 
 def _assert_steps_match(task, states):
@@ -698,7 +683,6 @@ def _rollout(task, state, policy, limit):
     env = _env_at(task, state)
     observations, actions = [], []
     total_reward, cause, value = env._rollout(policy, None, limit, observations, actions)
-    assert env.steps == len(actions)
     return total_reward, cause, value, tuple(observations), tuple(actions), env.state
 
 

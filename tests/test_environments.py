@@ -1,5 +1,5 @@
-"""Reset/step contracts, observation encodings and termination rules of the
-eight control tasks."""
+"""Reset and rollout contracts, observation encodings and termination rules
+of the eight control tasks."""
 
 import dataclasses
 import math
@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from policyloop import envs
-from policyloop.dsl import InvalidReason, PolicyProgram, evaluate, parse, run_episode
-from policyloop.envs import ALL_TASKS, StepResult, TaskId, describe, get_spec, make
-from policyloop.envs.core import TerminationCause, UnknownTaskError
+from policyloop.dsl import InvalidReason, PolicyProgram, parse, run_episode
+from policyloop.envs import ALL_TASKS, TaskId, describe, get_spec, make
+from policyloop.envs.core import STEP_LIMIT, TerminationCause, UnknownTaskError
 
 import reference_dynamics as ref
-from conftest import reference_step_forms
+from conftest import reference_step_forms, step
 from reference_dynamics import (
     continuous_coerce_min_max_form,
     discrete_coerce_original,
@@ -59,7 +59,7 @@ def test_unknown_task_rejected():
         envs.reset("CartPoleStar3", 0)
 
 
-# -- step ----------------------------------------------------------------
+# -- one step -------------------------------------------------------------
 
 
 def test_pendulum_reward_zero_at_upright_rest():
@@ -68,11 +68,11 @@ def test_pendulum_reward_zero_at_upright_rest():
     env = make(TaskId.PENDULUM)
     env.reset(0)
     env._state = (0.0, 0.0)
-    result = env.step(0.0)
+    result = step(env, 0.0)
     assert not hasattr(env, "terminal_cause")
-    assert result == StepResult((1.0, 0.0, 0.0), 0.0, False, False)
-    assert math.copysign(1.0, result.reward) == -1.0
-    assert env.state == (0.0, 0.0) and env.steps == 1
+    assert result == ((1.0, 0.0, 0.0), 0.0, STEP_LIMIT)
+    assert math.copysign(1.0, result[1]) == -1.0
+    assert env.state == (0.0, 0.0)
 
 
 def test_pendulum_reward_at_downward_rest():
@@ -80,29 +80,30 @@ def test_pendulum_reward_at_downward_rest():
     env.reset(0)
     env._state = (math.pi, 0.0)
     # -(pi^2) from the angle term alone
-    assert env.step(0.0).reward == pytest.approx(-math.pi**2, abs=1e-9)
+    _, reward, _ = step(env, 0.0)
+    assert reward == pytest.approx(-math.pi**2, abs=1e-9)
 
 
 def test_cartpole_terminates_past_angle_limit():
     env = make(TaskId.CARTPOLE)
     env.reset(0)
     env._state = (0.0, 0.0, 0.207, 3.0)  # one tick pushes the angle past 0.2095
-    result = env.step(1)
-    assert result.terminated
-    assert result.cause is TerminationCause.BOUNDS_EXCEEDED
+    _, _, cause = step(env, 1)
+    assert cause is TerminationCause.BOUNDS_EXCEEDED
     assert abs(env.state[2]) > 0.2095
 
 
 def test_cartpole_reward_one_per_step_including_terminal():
     env = make(TaskId.CARTPOLE)
     env.reset(3)
-    total, done = 0.0, False
-    while not done:
-        result = env.step(1)  # constant push fails fast
-        total += result.reward
-        done = result.done
-    assert total == env.steps  # +1 every step, terminal included
-    assert 1 <= total <= 500
+    total = 0.0
+    for steps in range(1, 501):
+        _, reward, cause = step(env, 1)  # constant push fails fast
+        total += reward
+        if cause is not STEP_LIMIT:
+            break
+    assert cause is TerminationCause.BOUNDS_EXCEEDED
+    assert total == steps  # +1 every step, terminal included
 
 
 def test_cartpole_truncates_at_500():
@@ -123,11 +124,12 @@ def test_mountain_car_discrete_reward_bounds():
     rng = random.Random(0)
     for seed in range(5):
         env.reset(seed)
-        total, done = 0.0, False
-        while not done:
-            result = env.step(rng.choice((0, 1, 2)))
-            total += result.reward
-            done = result.done
+        total = 0.0
+        for _ in range(200):
+            _, reward, cause = step(env, rng.choice((0, 1, 2)))
+            total += reward
+            if cause is not STEP_LIMIT:
+                break
         assert -200.0 <= total <= -1.0
 
 
@@ -135,19 +137,18 @@ def test_mountain_car_discrete_goal_termination():
     env = make(TaskId.MOUNTAIN_CAR_DISCRETE)
     env.reset(0)
     env._state = (0.49, 0.05)
-    result = env.step(2)
-    assert result.terminated
-    assert result.cause is TerminationCause.GOAL_REACHED
-    assert result.reward == -1.0
+    _, reward, cause = step(env, 2)
+    assert cause is TerminationCause.GOAL_REACHED
+    assert reward == -1.0
 
 
 def test_mountain_car_continuous_goal_bonus():
     env = make(TaskId.MOUNTAIN_CAR_CONTINUOUS)
     env.reset(0)
     env._state = (0.44, 0.05)
-    result = env.step(1.0)
-    assert result.terminated
-    assert result.reward == pytest.approx(100.0 - 0.1)
+    _, reward, cause = step(env, 1.0)
+    assert cause is TerminationCause.GOAL_REACHED
+    assert reward == pytest.approx(100.0 - 0.1)
 
 
 def test_inverted_pendulum_uses_reordered_observation():
@@ -162,34 +163,27 @@ def test_inverted_pendulum_fails_only_on_angle():
     env = make(TaskId.INVERTED_PENDULUM)
     env.reset(0)
     env._state = (9.0, 0.0, 0.0, 0.0)  # far from origin but upright
-    assert not env.step(0.0).terminated
+    assert step(env, 0.0)[2] is STEP_LIMIT
     env._state = (0.0, 0.0, 0.199, 3.0)
-    assert env.step(0.0).terminated
+    assert step(env, 0.0)[2] is TerminationCause.BOUNDS_EXCEEDED
 
 
 def test_acrobot_reward_and_goal():
     env = make(TaskId.ACROBOT)
     env.reset(0)
-    result = env.step(1)
-    assert result.reward == -1.0
+    assert step(env, 1)[1:] == (-1.0, STEP_LIMIT)
     # both links horizontal-ish above the bar -> goal condition holds
     env._state = (math.pi - 0.05, 0.0, 0.0, 0.0)
-    result = env.step(1)
-    assert result.terminated
-    assert result.cause is TerminationCause.GOAL_REACHED
-    assert result.reward == 0.0
+    assert step(env, 1)[1:] == (0.0, TerminationCause.GOAL_REACHED)
 
 
 def test_acrobot_full_episode_return_minus_500():
-    env = make(TaskId.ACROBOT)
-    env.reset(11)
-    total, done = 0.0, False
-    while not done:
-        result = env.step(1)  # no torque never reaches the goal
-        total += result.reward
-        done = result.done
-    assert total == -500.0
-    assert result.truncated
+    spec = get_spec(TaskId.ACROBOT)
+    # no torque never reaches the goal
+    program = parse(f"def get_action({', '.join(spec.obs_names)}):\n    return 1\n")
+    trace = run_episode(program, TaskId.ACROBOT, seed=11, rng=random.Random(0))
+    assert trace.total_reward == -500.0
+    assert trace.cause is TerminationCause.STEP_LIMIT
 
 
 # -- star2 encoding -------------------------------------------------------
@@ -243,16 +237,9 @@ def test_replay_is_bit_identical(task):
         env.reset(321)
         rows = []
         for action in actions:
-            result = env.step(action)
-            rows.append(
-                (
-                    np.asarray(result.observation, dtype=np.float64).tobytes(),
-                    result.reward,
-                    result.terminated,
-                    result.truncated,
-                )
-            )
-            if result.done:
+            obs, reward, cause = step(env, action)
+            rows.append((np.asarray(obs, dtype=np.float64).tobytes(), reward, cause))
+            if cause is not STEP_LIMIT:
                 break
         return rows
 
@@ -264,12 +251,11 @@ def test_acrobot_observation_bounds():
     rng = random.Random(5)
     env.reset(5)
     for _ in range(300):
-        result = env.step(rng.choice((0, 1, 2)))
-        obs = result.observation
+        obs, _, cause = step(env, rng.choice((0, 1, 2)))
         assert np.all(np.abs(obs[:4]) <= 1.0 + 1e-12)
         assert abs(obs[4]) <= 4 * math.pi + 1e-12
         assert abs(obs[5]) <= 9 * math.pi + 1e-12
-        if result.done:
+        if cause is not STEP_LIMIT:
             env.reset(rng.randint(0, 10_000))
 
 
@@ -278,23 +264,23 @@ def test_pendulum_reward_never_positive():
     rng = random.Random(7)
     env.reset(7)
     for _ in range(200):
-        assert env.step(rng.uniform(-2, 2)).reward <= 0.0
+        assert step(env, rng.uniform(-2, 2))[1] <= 0.0
 
 
 def test_cartpole_termination_soundness_under_random_play():
-    # terminated is set on exactly the steps whose post-step state violates
-    # a failure bound
+    # a step terminates exactly when its post-step state violates a failure
+    # bound
     env = make(TaskId.CARTPOLE)
     rng = random.Random(13)
     for episode in range(30):
         env.reset(episode)
-        done = False
-        while not done:
-            result = env.step(rng.choice((0, 1)))
+        for _ in range(500):
+            _, _, cause = step(env, rng.choice((0, 1)))
             x, _, theta, _ = env.state
             failed = abs(x) > 2.4 or abs(theta) > 12.0 * 2.0 * math.pi / 360.0
-            assert result.terminated == failed
-            done = result.done
+            assert (cause is TerminationCause.BOUNDS_EXCEEDED) == failed
+            if failed:
+                break
 
 
 def test_acrobot_ends_exactly_when_the_frozen_goal_test_holds():
@@ -315,14 +301,15 @@ def test_acrobot_ends_exactly_when_the_frozen_goal_test_holds():
         action = rng.choice((0, 1, 2))
         env.reset(0)
         env._state = state
-        result = env.step(action)
+        _, reward, cause = step(env, action)
         expected, _, _ = tick(state, coerce(action))
         assert repr(env.state) == repr(expected), state
         theta1, theta2, _, _ = env.state
-        assert result.terminated == tip_above_goal_form(theta1, theta2), state
-        if result.terminated:
-            assert result.cause is TerminationCause.GOAL_REACHED and result.reward == 0.0
-        ends += result.terminated
+        terminated = cause is not STEP_LIMIT
+        assert terminated == tip_above_goal_form(theta1, theta2), state
+        if terminated:
+            assert cause is TerminationCause.GOAL_REACHED and reward == 0.0
+        ends += terminated
     assert 200 < ends < 1_800, ends
 
 
@@ -479,25 +466,11 @@ def test_star_variants_re_encode_the_spec_before_them(variant, base, differences
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
-def test_terminated_and_truncated_are_exclusive(task):
-    spec = get_spec(task)
-    env = make(task)
-    rng = random.Random(23)
-    for episode in range(3):
-        env.reset(episode)
-        done = False
-        while not done:
-            result = env.step(random_action(spec, rng))
-            assert not (result.terminated and result.truncated)
-            done = result.done
-
-
-@pytest.mark.parametrize("task", ALL_TASKS)
 def test_step_is_the_reference_step_bit_for_bit(task):
-    """``step``'s whole result, the state and the step count, against one
-    step of ``reference_step_forms``: truncated at ``max_steps`` and on past
-    it, terminated with the task's own cause. Continuous actions include
-    -0.0 and values to clamp."""
+    """A one-step rollout's whole result and the state it leaves, against
+    one step of ``reference_step_forms``, for an episode's worth of steps:
+    terminated with the task's own cause. Continuous actions include -0.0
+    and values to clamp."""
     spec = get_spec(task)
     env = make(task)
     coerce, tick, observe = reference_step_forms(env)
@@ -505,34 +478,25 @@ def test_step_is_the_reference_step_bit_for_bit(task):
     for seed in range(3):
         env.reset(seed)
         state = env.state
-        for steps in range(1, spec.max_steps + 3):
+        for steps in range(1, spec.max_steps + 1):
             if spec.is_discrete or steps % 4:
                 value = random_action(spec, rng)
             else:
                 value = rng.choice((0.0, -0.0, 2 * spec.action.lo, 2 * spec.action.hi))
             state, reward, terminated = tick(state, coerce(value))
-            if terminated:
-                expected = StepResult(observe(state), reward, True, False, env.terminal_cause)
-            elif steps >= spec.max_steps:
-                expected = StepResult(
-                    observe(state), reward, False, True, TerminationCause.STEP_LIMIT
-                )
-            else:
-                expected = StepResult(observe(state), reward, False, False)
-            result = env.step(value)
-            assert repr(result) == repr(expected), (seed, steps)
-            assert repr(env.state) == repr(state) and env.steps == steps
+            cause = env.terminal_cause if terminated else STEP_LIMIT
+            result = step(env, value)
+            assert repr(result) == repr((observe(state), reward, cause)), (seed, steps)
+            assert repr(env.state) == repr(state)
             if terminated:
                 break
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
-def test_nothing_reads_or_steps_an_env_before_reset(task):
+def test_nothing_reads_an_env_before_reset(task):
     env = make(task)
     with pytest.raises(RuntimeError, match=r"observe\(\) before reset\(\)"):
         env.observe()
-    with pytest.raises(RuntimeError, match=r"step\(\) before reset\(\)"):
-        env.step(random_action(get_spec(task), random.Random(0)))
     with pytest.raises(RuntimeError, match=r"before reset\(\)"):
         env.state
     assert env.reset(0) == env.observe()
@@ -565,12 +529,13 @@ def _action_cases():
 
 
 @pytest.mark.parametrize("task, value", _action_cases())
-def test_policy_and_step_agree_on_which_actions_are_valid(task, value):
+def test_policy_actions_are_valid_exactly_as_the_frozen_check_says(task, value):
     """A value a policy returns is a valid action exactly when the frozen
-    coerce form takes it, and then the rollout's action check, ``evaluate``
-    and ``env.step`` all turn it into that action; ``env.step`` refuses
-    the others. NaN and infinities are refused on every task, bools on the
-    discrete ones, and an int too large for a float raises OverflowError."""
+    coerce form takes it, and then the rollout turns it into that action
+    and steps as under that action; the episode of any other value ends
+    invalid on its first step. NaN and infinities are refused on every
+    task, bools on the discrete ones, and an int too large for a float is
+    a runtime error, which the frozen form raises as OverflowError."""
     spec = get_spec(task)
     try:
         if spec.is_discrete:
@@ -581,26 +546,21 @@ def test_policy_and_step_agree_on_which_actions_are_valid(task, value):
         expected = OverflowError
     program = PolicyProgram("get_action", spec.obs_names, "", lambda rng, *obs: value)
     trace = run_episode(program, task, 0, random.Random(0))
-    outcome = evaluate(program, make(task).reset(0), random.Random(0), spec)
-    env, other = make(task), make(task)
-    env.reset(0)
-    other.reset(0)
     if expected is OverflowError:
         assert not spec.is_discrete and value == 10**400
-        assert outcome.reason is InvalidReason.RUNTIME_ERROR
-        assert trace.invalid_outcome == outcome
-        with pytest.raises(OverflowError):
-            env.step(value)
+        assert trace.invalid_outcome.reason is InvalidReason.RUNTIME_ERROR
+        assert trace.actions == []
     elif expected is None:
-        assert outcome.reason is InvalidReason.OUT_OF_RANGE
-        assert trace.invalid_outcome == outcome and trace.actions == []
-        with pytest.raises(ValueError, match="is not a valid action"):
-            env.step(value)
+        assert trace.invalid_outcome.reason is InvalidReason.OUT_OF_RANGE
+        assert trace.actions == []
     else:
         assert type(expected) is (int if spec.is_discrete else float)
         # repr tells -0.0 from 0.0 and an int from an equal float
-        assert repr(trace.actions[0]) == repr(outcome.action) == repr(expected)
-        assert env.step(value) == other.step(expected)
+        assert repr(trace.actions[0]) == repr(expected)
+        env, other = make(task), make(task)
+        env.reset(0)
+        other.reset(0)
+        assert step(env, value) == step(other, expected)
         assert env.state == other.state
     if isinstance(value, bool) and spec.is_discrete:
         assert expected is None

@@ -6,12 +6,12 @@ import textwrap
 
 import pytest
 
-from policyloop.dsl import InvalidReason, evaluate, parse, run_episode
+from policyloop.dsl import InvalidReason, parse, run_episode
 from policyloop.dsl import episode
 from policyloop.envs import ALL_TASKS, TaskId, cartpole, get_spec, make
-from policyloop.envs.core import POLICY_ERRORS, Environment, TerminationCause
+from policyloop.envs.core import POLICY_ERRORS, RAISED, STEP_LIMIT, TerminationCause
 
-from conftest import reference_step_forms, transcript_text
+from conftest import reference_step_forms, step, transcript_text
 
 
 def test_gappy_program_ends_with_literal_none_line(star2_spec):
@@ -177,19 +177,17 @@ def test_policy_sees_python_scalars(task):
     env = make(task)
     rng = random.Random(3)
     for seed in range(2):
-        obs = env.reset(seed)
-        done = False
-        while True:
+        obs, cause = env.reset(seed), STEP_LIMIT
+        for _ in range(spec.max_steps):
             assert type(obs) is tuple and len(obs) == spec.obs_dim
             assert all(type(v) is scalar for v in obs), obs
-            if done:
+            if cause is not STEP_LIMIT:
                 break
             if spec.is_discrete:
                 action = rng.choice(spec.action.labels)
             else:
                 action = rng.uniform(spec.action.lo, spec.action.hi)
-            result = env.step(action)
-            obs, done = result.observation, result.done
+            obs, _, cause = step(env, action)
 
     first = spec.obs_names[0]
     program = parse(_header(spec) + f"    return {first} / ({first} - {first})\n")
@@ -202,9 +200,8 @@ def test_policy_sees_python_scalars(task):
 
 
 # run_episode plays an episode through the env's _rollout, the fused loop
-# of its task or family. env.step is one step of the same rollout, so these
-# tests pin both to a step loop that shares no code with either: the frozen
-# forms of tests/reference_dynamics.py.
+# of its task or family. These tests pin it to a step loop that shares no
+# code with the rollout: the frozen forms of tests/reference_dynamics.py.
 
 # A policy per task that survives to the step limit, and one that makes the
 # physics terminate early (Pendulum never terminates, so it has none).
@@ -305,15 +302,15 @@ def _step_by_step(program, seed, rng, env):
     while True:
         obs = observe(state)
         observations.append(obs)
-        drawn = rng.getstate()
         try:
-            action = coerce(program.compiled(rng, obs))
+            value = program.compiled(rng, obs)
+            action = coerce(value)
         except POLICY_ERRORS:
-            action = None
+            value, action = RAISED, None
         if action is None:
-            # the public evaluate classifies the value, from the same draws
-            rng.setstate(drawn)
-            outcome = evaluate(program, obs, rng, spec)
+            # classified as run_episode classifies it; test_first_step_outcome
+            # pins what that gives for each kind of value
+            outcome = episode._invalid_outcome(value)
             cause = TerminationCause.INVALID_ACTION
             return observations, actions, total_reward, cause, outcome, state
         actions.append(action)
@@ -335,7 +332,7 @@ _CASES = [
 
 
 @pytest.mark.parametrize("task, kind", _CASES, ids=[f"{t.value}-{k}" for t, k in _CASES])
-def test_run_episode_matches_the_public_step_loop(task, kind):
+def test_run_episode_matches_the_reference_step_loop(task, kind):
     spec = get_spec(task)
     program = parse(_policy_source(task, kind), expected_params=spec.obs_names)
     env, reference_env = make(task), make(task)  # each reused across seeds
@@ -354,15 +351,14 @@ def test_run_episode_matches_the_public_step_loop(task, kind):
         assert got == expected, (kind, seed)
         # bit for bit: repr tells -0.0 from 0.0 and an int from an equal float
         assert repr(got) == repr(expected), (kind, seed)
-        assert env.steps == len(trace.actions)
 
         # each policy ends its episodes the way its kind says
         if kind == "limit":
             assert trace.cause is TerminationCause.STEP_LIMIT
-            assert env.steps == spec.max_steps
+            assert len(trace.actions) == spec.max_steps
         elif kind == "terminated":
             assert trace.cause is env.terminal_cause
-            assert env.steps < spec.max_steps
+            assert len(trace.actions) < spec.max_steps
         else:
             reason = trace.invalid_outcome.reason
             if kind == "runtime_error":
@@ -374,45 +370,23 @@ def test_run_episode_matches_the_public_step_loop(task, kind):
                 assert reason is InvalidReason.OUT_OF_RANGE
             else:
                 assert reason is InvalidReason.NO_RULE_FIRED
-            assert env.steps == len(trace.actions) == trace.length - 1
+            assert len(trace.actions) == trace.length - 1
         lengths.append(trace.length)
     # no kind ends every episode on its first step, invalid ones included
     assert max(lengths) > 1, lengths
 
 
-@pytest.mark.parametrize("task", ALL_TASKS, ids=lambda task: task.value)
-def test_run_episode_does_not_go_through_env_step(task, monkeypatch):
-    def refuse(self, action):
-        raise AssertionError("run_episode called env.step")
-
-    monkeypatch.setattr(Environment, "step", refuse)
-    program = parse(_policy_source(task, "limit"))
-    trace = run_episode(program, task, 0, random.Random(0))
-    assert trace.cause is TerminationCause.STEP_LIMIT
-
-
 def test_the_cartpole_family_has_no_step_or_observe_hooks():
     """Its physics, bounds test and encoding are written once, in its
-    _rollout, which reset, observe and step run too."""
+    _rollout, which reset and observe run too."""
     assert not {"_step_state", "_observe"} & set(vars(cartpole._CartPoleFamily))
 
 
-@pytest.mark.parametrize("task", ALL_TASKS, ids=lambda task: task.value)
-def test_run_episode_does_not_call_evaluate(task, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("run_episode called evaluate")
-
-    monkeypatch.setattr(episode, "evaluate", refuse)
-    program = parse(_policy_source(task, "limit"))
-    assert run_episode(program, task, 0, random.Random(0)).cause is TerminationCause.STEP_LIMIT
-    # an unusable action is classified without it too
-    program = parse(_policy_source(task, "runtime_error"))
-    assert run_episode(program, task, 0, random.Random(0)).ended_invalid
-
-
-# Each way a step's policy call can end, on its first step: run_episode calls
-# the compiled policy and coerce inline, and must give the outcome the public
-# evaluate gives on the same observation and rng. reason None: a valid action.
+# Each way a step's policy call can end, on its first step: run_episode's
+# rollout calls the compiled policy and checks its value inline, and must
+# take the action the frozen coerce form makes of the value the compiled
+# function returns on the same observation and rng, or classify the value
+# as the table says. reason None: a valid action.
 _HUGE = "1" + "0" * 400  # too large for a float
 _LONG = "9" * 4000  # its square is too long to print
 _OUTCOMES = {
@@ -432,34 +406,33 @@ _OUTCOMES = {
 
 
 @pytest.mark.parametrize("task, body, reason, text", _OUTCOMES.values(), ids=list(_OUTCOMES))
-def test_first_step_outcome_is_the_public_evaluate(task, body, reason, text):
+def test_first_step_outcome_is_the_frozen_check(task, body, reason, text):
     spec = get_spec(task)
+    coerce, _, _ = reference_step_forms(make(task))
     program = parse(_header(spec) + f"    {body}\n", expected_params=spec.obs_names)
     for seed in range(3):
         trace = run_episode(program, task, seed, random.Random(seed))
         first_obs = make(task).reset(seed)
-        expected = evaluate(program, first_obs, random.Random(seed), spec)
         assert trace.observations[0] == first_obs
+        try:
+            expected = coerce(program.compiled(random.Random(seed), first_obs))
+        except POLICY_ERRORS:
+            expected = None
         if reason is None:
-            assert expected.is_valid and type(expected.action) is type(text)
-            assert trace.actions[0] == expected.action == text
-            assert type(trace.actions[0]) is type(text)
+            assert trace.actions[0] == expected == text
+            assert type(trace.actions[0]) is type(expected) is type(text)
         else:
+            assert expected is None
             assert trace.length == 1 and trace.actions == []
-            assert trace.invalid_outcome == expected
-            assert expected == (None, InvalidReason(reason), text)
+            assert trace.invalid_outcome == (InvalidReason(reason), text)
             assert trace.lines()[0].endswith(f";{text}")
 
 
-def test_wrong_arity_raises_the_evaluate_message_before_any_draw():
-    task = TaskId.CARTPOLE
+def test_wrong_arity_raises_before_any_draw():
     program = parse("def get_action(a, b, c):\n    return random.randint(0, 1)\n")
-    with pytest.raises(ValueError) as public:
-        evaluate(program, make(task).reset(0), random.Random(0), get_spec(task))
     rng = random.Random(0)
     before = rng.getstate()
     with pytest.raises(ValueError) as rolled:
-        run_episode(program, task, 0, rng)
-    message = "observation has (4,) values but the policy takes 3 parameters"
-    assert str(rolled.value) == str(public.value) == message
+        run_episode(program, TaskId.CARTPOLE, 0, rng)
+    assert str(rolled.value) == "observation has 4 values but the policy takes 3 parameters"
     assert rng.getstate() == before

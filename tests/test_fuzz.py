@@ -1,24 +1,25 @@
 """Property-based fuzzing of the policy language: whatever text a model
 sends, ``extract_code`` returns a program or raises ``PolicyParseError``, and
-a parsed program maps any observation, however extreme, to a
-``PolicyOutcome``. Derandomized, so every run draws the same examples."""
+a parsed program maps any observation, however extreme, to an action or
+a refusal: the first step of a rollout takes the action its value stands
+for, or refuses it with the reason an episode ending there records.
+Derandomized, so every run draws the same examples."""
 
 import math
 import random
 import re
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from policyloop.dsl import PolicyOutcome, PolicyParseError, evaluate, parse
+from policyloop.dsl import InvalidReason, PolicyParseError, parse
 from policyloop.envs import get_spec
 from policyloop.envs.core import DiscreteActions
 from policyloop.prompts import extract_code
 
-from conftest import transcript_text
+from conftest import policy_outcome, transcript_text
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -76,8 +77,8 @@ def test_extract_code_returns_a_program_or_a_parse_error(text):
         program = extract_code(text, STAR2)
     except PolicyParseError:
         return
-    outcome = evaluate(program, np.zeros(4, dtype=np.int64), random.Random(0), STAR2)
-    assert isinstance(outcome, PolicyOutcome)
+    outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), STAR2)
+    assert (outcome.action is None) == isinstance(outcome.reason, InvalidReason)
 
 
 BINARY = ["+", "-", "*", "/", "<", "<=", "==", "!=", "and", "or"]
@@ -116,10 +117,10 @@ def test_any_program_on_extreme_observations_gives_an_outcome(case, data):
     spec, source = case
     program = parse(source, expected_params=spec.obs_names)
     size = len(spec.obs_names)
-    obs = np.array(data.draw(st.lists(st.sampled_from(EXTREMES), min_size=size, max_size=size)))
-    outcome = evaluate(program, obs, random.Random(0), spec)
-    assert isinstance(outcome, PolicyOutcome)
-    if outcome.is_valid and isinstance(spec.action, DiscreteActions):
+    obs = tuple(data.draw(st.lists(st.sampled_from(EXTREMES), min_size=size, max_size=size)))
+    outcome = policy_outcome(program, obs, random.Random(0), spec)
+    assert (outcome.action is None) == isinstance(outcome.reason, InvalidReason)
+    if outcome.reason is None and isinstance(spec.action, DiscreteActions):
         assert outcome.action in spec.action.labels
-    elif outcome.is_valid:
+    elif outcome.reason is None:
         assert spec.action.lo <= outcome.action <= spec.action.hi
