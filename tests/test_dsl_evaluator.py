@@ -12,8 +12,8 @@ import warnings
 
 import pytest
 
-from policyloop.dsl import InvalidReason, parse
-from policyloop.envs import get_spec
+from policyloop.dsl import InvalidReason, parse, run_episode
+from policyloop.envs import get_spec, make
 
 from conftest import policy_outcome, transcript_text
 from reference_dynamics import discrete_coerce_original
@@ -163,6 +163,23 @@ def test_uniform_fallback_for_continuous(pendulum_spec):
     assert outcome.reason is None
     assert -2.0 <= outcome.action <= 2.0
     assert rng.getstate() != before  # the fallback drew
+
+
+def test_observation_length_mismatch(iter0_program):
+    # Pendulum observes 3 values; the program takes CartPoleStar2's 4
+    with pytest.raises(ValueError, match="4 parameters"):
+        run_episode(iter0_program, "Pendulum", 0, random.Random(0))
+
+
+def test_purity_no_environment_side_effects(iter0_program, star2_spec):
+    obs = [1, 2, 3, 4]
+    policy_outcome(iter0_program, obs, random.Random(0), star2_spec)
+    assert obs == [1, 2, 3, 4]
+    env = make(star2_spec.task_id)
+    obs = env.reset(0)
+    state = env.state
+    iter0_program.compiled(random.Random(0), obs)
+    assert env.state == state and env.observe() == obs
 
 
 # -- differential check against real interpreter semantics -------------------

@@ -466,6 +466,38 @@ def test_star_variants_re_encode_the_spec_before_them(variant, base, differences
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
+def test_terminated_and_truncated_are_exclusive(task):
+    """A rollout under random play ends with the task's terminal cause
+    exactly when ``reference_step_forms`` terminates, and with
+    ``STEP_LIMIT`` only at the step limit without a termination. Cut at the
+    step that terminates, the same rollout still reports the termination."""
+    spec = get_spec(task)
+    env = make(task)
+    _, tick, _ = reference_step_forms(env)
+    rng = random.Random(23)
+    for seed in range(3):
+        env.reset(seed)
+        state = env.state
+        actions = []
+        policy = lambda _rng, _obs: random_action(spec, rng)
+        _, cause, _ = env._rollout(policy, None, spec.max_steps, [], actions)
+        terminated = False
+        for taken, action in enumerate(actions, 1):
+            state, _, terminated = tick(state, action)
+            if terminated:
+                break
+        assert taken == len(actions), (seed, taken)
+        if terminated:
+            assert cause is env.terminal_cause, seed
+            env.reset(seed)
+            replay = iter(actions)
+            _, cut, _ = env._rollout(lambda _rng, _obs: next(replay), None, taken, [], [])
+            assert cut is env.terminal_cause, seed
+        else:
+            assert cause is STEP_LIMIT and len(actions) == spec.max_steps, seed
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
 def test_step_is_the_reference_step_bit_for_bit(task):
     """A one-step rollout's whole result and the state it leaves, against
     one step of ``reference_step_forms``, for an episode's worth of steps:
