@@ -88,6 +88,6 @@ records = [
     )
 ]
 
-report = compute_report(records, r_max=R_MAX, t_max=3, n_eval=100)
+report = compute_report(records, n_eval=100)
 print("\nfull report from records (robustness re-run on 100 fresh seeds):\n")
 print(render_table([report]))

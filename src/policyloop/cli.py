@@ -280,11 +280,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     try:
         reports = [
             compute_report(
-                cell_records,
-                r_max=args.r_max,
-                t_max=args.t_max,
-                n_eval=args.n_eval,
-                include_robustness=not args.no_rerun,
+                cell_records, n_eval=args.n_eval, include_robustness=not args.no_rerun
             )
             for cell_records in cells.values()
         ]
@@ -338,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="aggregate stored run records")
     p_metrics.add_argument("records", nargs="+")
-    p_metrics.add_argument("--r-max", type=float)
-    p_metrics.add_argument("--t-max", type=int)
     p_metrics.add_argument("--n-eval", type=int, default=2000)
     p_metrics.add_argument(
         "--no-rerun", action="store_true", help="skip the robustness re-evaluation"

@@ -15,8 +15,10 @@ CPython's own parser (:func:`ast.parse`) reads the text; this module only
 checks the resulting tree against a whitelist of node types, in one walk
 without recursion. Nesting (operators and indented blocks) is capped at
 ``MAX_NESTING`` levels and an if/elif chain at ``MAX_BRANCHES`` branches, so
-compiling a program never overflows the stack. Every refusal,
-CPython's included, is a :class:`PolicyParseError` with line/column and a
+compiling a program never overflows the stack; a source over
+``MAX_SOURCE_CHARS`` and an int literal of ``MAX_INT_LITERAL`` or more are
+refused, so one policy call has a bounded cost. Every refusal, CPython's
+included, is a :class:`PolicyParseError` with line/column and a
 message phrased for feeding straight back to the model in a repair prompt.
 
 :func:`parse` compiles each validated program once into a plain Python
@@ -47,6 +49,11 @@ MAX_NESTING = 50
 # before, and CPython's compiler recurses through them (it overflows at a
 # few thousand).
 MAX_BRANCHES = 200
+# The product of every literal a source can then hold has ~200,000 bits;
+# 4,000-digit literals in 153 KiB took 121 ms a step. The size cap counts
+# characters (64 KiB of ASCII) and is checked before CPython reads the text.
+MAX_SOURCE_CHARS = 64 * 1024
+MAX_INT_LITERAL = 10**30
 
 _BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _UNARY_OPS = (ast.USub, ast.UAdd, ast.Not)
@@ -204,11 +211,8 @@ def _check(func: ast.FunctionDef) -> list[ast.Call]:
                     f"the literal {node.value!r:.20} is not allowed; use int and float numbers only",
                     node,
                 )
-            if type(node.value) is int:
-                try:
-                    str(node.value)
-                except ValueError:  # too long to print, e.g. 0xfff...
-                    raise _error(_INT_TOO_LONG, node) from None
+            if type(node.value) is int and node.value >= MAX_INT_LITERAL:
+                raise _error(_INT_TOO_LONG, node)
             continue
         depth += 1
         if kind is ast.Compare:
@@ -302,6 +306,11 @@ def parse(source: str, expected_params: Optional[tuple[str, ...]] = None) -> Pol
     names), the function header must declare exactly those names in order.
     Raises :class:`PolicyParseError` on any violation.
     """
+    if len(source) > MAX_SOURCE_CHARS:
+        raise PolicyParseError(
+            f"the function is {len(source)} characters long, more than the "
+            f"{MAX_SOURCE_CHARS} allowed; write a shorter one"
+        )
     func = _function(_read(source.replace("\t", "    ")))
     params = tuple(arg.arg for arg in func.args.args)
     if expected_params is not None and params != tuple(expected_params):

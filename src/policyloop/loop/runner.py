@@ -131,7 +131,6 @@ def _next_strategy(
             previous=_summary(previous, config) if previous else None,
             best=_summary(best, config) if best else None,
             history_rewards=[s.mean_reward for s in history],
-            window_size=config.window_size,
             ablation=config.ablation,
         )
     seed = _request_seed(config, replication, iteration, seed_key)

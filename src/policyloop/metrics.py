@@ -10,8 +10,10 @@ the composite figure of merit robustness * success^2 / learning_time, where
 success is squared to punish unreliable convergence.
 
 The matrix-level functions operate on plain per-replication reward
-sequences and are the reference arithmetic; record-level wrappers extract
-those sequences (and re-run policies for robustness) from RunRecords.
+sequences, given r_max and t_max, and are the reference arithmetic;
+record-level wrappers extract those sequences (and re-run policies for
+robustness) from RunRecords, and ``compute_report`` takes the two bounds
+from the task and the records.
 Every average is ``loop.records.mean``, the one the runner stores each
 ``mean_reward`` with: a left-to-right sum over the count.
 """
@@ -266,40 +268,26 @@ class MetricsReport:
 
 def compute_report(
     records: Sequence[RunRecord],
-    r_max: Optional[float] = None,
-    t_max: Optional[int] = None,
     n_eval: int = 2000,
     include_robustness: bool = True,
 ) -> MetricsReport:
-    """All metrics for one experimental cell.
-
-    The records are taken in ``replication_index`` order, and
+    """All metrics for one experimental cell, scored against its task's
+    maximum (``get_spec(task).r_max``, absent for some tasks, and then so are
+    the success-relative metrics) and the largest ``config.epochs`` among
+    its records. The records are taken in ``replication_index`` order, and
     ``successful_set`` lists the replication indexes that succeeded, so the
-    report does not depend on the order the records are given in.
-    ``r_max``/``t_max`` default to the task's defined maximum and the
-    largest epoch budget among the records. For tasks without a maximum the
-    success-relative metrics are reported absent. A cell in which no
-    replication reached its first evaluation scores success 0.0 where the
-    task has a maximum, and every other metric absent. An ``r_max`` that is
-    not finite or is below a reward the records reached, a ``t_max`` below 1
-    or above every record's epoch budget, and an ``n_eval`` below 1 are
-    refused, whether or not robustness runs.
+    report does not depend on the order the records are given in. A cell in
+    which no replication reached its first evaluation scores success 0.0
+    where the task has a maximum, and every other metric absent. A reward
+    above the task maximum (only a hand edit makes one) and an ``n_eval``
+    below 1 are refused, whether or not robustness runs.
     """
     _check_same_cell(records)
     _require_at_least_one("n_eval", n_eval)
     # float sums depend on the order of their terms
     records = sorted(records, key=lambda r: r.replication_index)
-    if r_max is None:
-        r_max = get_spec(records[0].task_id).r_max
-    elif not math.isfinite(r_max):
-        raise MetricsError(f"r_max must be finite, got {r_max}")
-    epochs = max(r.config.epochs for r in records)
-    if t_max is None:
-        t_max = epochs
-    _require_at_least_one("t_max", t_max)
-    if t_max > epochs:
-        # rows that hit the maximum would be padded out to t_max
-        raise MetricsError(f"t_max {t_max} is above the records' epoch budget {epochs}")
+    r_max = get_spec(records[0].task_id).r_max
+    t_max = max(r.config.epochs for r in records)
     matrix = reward_sequences(records)
 
     # a cell of replications that all aborted before their first evaluation
@@ -310,7 +298,7 @@ def compute_report(
         # average_reward refused non-finite rows
         reached = max(v for row in matrix for v in row)
         if r_max is not None and r_max < reached:
-            raise MetricsError(f"r_max {r_max} is below the reward {reached} the records reached")
+            raise MetricsError(f"a record reached {reached}, above the task maximum {r_max}")
         improvement = improvement_ratio(records, r_max)
     succ = lt = rob = None
     hits: list[int] = []

@@ -184,7 +184,6 @@ def p4_blocks(
     current: StrategySummary,
     previous: Optional[StrategySummary],
     best: Optional[StrategySummary],
-    window_size: int,
     ablation: Ablation = Ablation.BASELINE,
     history_rewards: Sequence[float] = (),
 ) -> list[tuple[str, str]]:
@@ -193,15 +192,10 @@ def p4_blocks(
     ``previous`` and ``best`` are supplied by the caller when they exist
     (from iteration 2 on); the reward-sequence line appears once
     ``history_rewards`` has at least two entries. Only ``current``'s window
-    is read. ``_P4_KEPT_BLOCKS`` says which blocks each ablation keeps.
+    is read, and it is shown whole: ``evaluate_program`` cut it to the
+    configured size. ``_P4_KEPT_BLOCKS`` says which blocks each ablation keeps.
     """
     window = current.window
-    if window is not None and len(window.lines) > window_size:
-        raise PromptError(
-            f"window has {len(window.lines)} lines, more than the "
-            f"configured size {window_size}"
-        )
-
     kept = _P4_KEPT_BLOCKS[ablation]
     blocks = [("task_description", "The task description is: " + render_task_description(spec))]
     if "reward_sequence" in kept and len(history_rewards) >= 2:
@@ -239,7 +233,6 @@ def render_p4(
     previous: Optional[StrategySummary] = None,
     best: Optional[StrategySummary] = None,
     history_rewards: Sequence[float] = (),
-    window_size: int = 20,
     ablation: Ablation = Ablation.BASELINE,
 ) -> str:
     """Full reflection prompt text.
@@ -247,7 +240,7 @@ def render_p4(
     ``history_rewards`` is every prior iteration's mean reward in order; the
     sequence line only appears once there are at least two of them.
     """
-    blocks = p4_blocks(spec, current, previous, best, window_size, ablation, history_rewards)
+    blocks = p4_blocks(spec, current, previous, best, ablation, history_rewards)
     return "\n\n".join(text for _, text in blocks)
 
 

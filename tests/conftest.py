@@ -168,6 +168,14 @@ def policy_outcome(program, obs, rng, spec) -> Outcome:
     return Outcome(taken[0]) if taken else Outcome(None, *_invalid_outcome(value))
 
 
+def big_int_expression(digits: int) -> str:
+    """A bracketed product of 29-digit literals, each under the parser's
+    cap on an int literal, whose value has more than ``digits`` digits."""
+    factors = ["9" * 29] * (digits // 29 + 1)
+    groups = [" * ".join(factors[i : i + 25]) for i in range(0, len(factors), 25)]
+    return "(" + " * ".join(f"({group})" for group in groups) + ")"
+
+
 def config_task(task):
     from policyloop.envs import parse_task_id
 

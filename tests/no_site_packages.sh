@@ -84,6 +84,22 @@ for record in "$out/text_lines.json" "$out/seed_root_99.json" "$out/nan_mean.jso
     fi
   done
 done
+# a cell is scored against its task's maximum and its records' epoch
+# budget: the tasks without a maximum score with success absent, exit 0; a
+# record above the maximum, which only a hand edit makes, and a bound given
+# on the command line are usage errors, exit 2 and no traceback
+for task in Acrobot Pendulum MountainCarContinuous MountainCarDiscrete; do
+  python -S -m policyloop.cli metrics "tests/fixtures/records/${task}_random.json" --no-rerun >/dev/null
+done
+python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = 600.0; json.dump(r, open(sys.argv[2], 'w'))" \
+  tests/fixtures/records/CartPoleStar2_completed.json "$out/above_max.json"
+for args in "$out/above_max.json --no-rerun" "tests/fixtures/records/Acrobot_random.json --r-max 500"; do
+  status=0
+  python -S -m policyloop.cli metrics $args 2>"$out/stderr" || status=$?
+  if [ "$status" -ne 2 ] || grep -q Traceback "$out/stderr"; then
+    echo "metrics $args exited $status; expected 2 and no traceback"; exit 1
+  fi
+done
 # the frozen corpus: every record but the one made by a patched run
 # replays, and its script still writes the committed bytes
 for record in tests/fixtures/records/*.json; do

@@ -120,8 +120,6 @@ def test_batch_and_metrics(tmp_path, capsys):
         [
             "metrics",
             *[str(p) for p in record_files],
-            "--r-max", "500",
-            "--t-max", "5",
             "--n-eval", "20",
             "--json", str(report_json),
             "--csv", str(curve_csv),
@@ -617,46 +615,36 @@ def test_batch_script_with_a_response_that_is_not_text_is_a_usage_error(tmp_path
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("bad", ["0", "-1"])
-def test_metrics_refuses_a_horizon_below_one(tmp_path, script_file, capsys, bad):
-    main(_run_args(tmp_path, script_file))
-    capsys.readouterr()
+def test_metrics_refuses_a_record_above_the_task_maximum(tmp_path):
+    data = json.loads((CORPUS / "CartPoleStar2_completed.json").read_text())
+    data["strategies"][0]["mean_reward"] = 600.0
+    (tmp_path / "record.json").write_text(json.dumps(data))
+    done = _python([], "-m", "policyloop.cli", "metrics", "record.json", "--no-rerun",
+                   cwd=tmp_path)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert "policyloop: error: a record reached 600.0, above the task maximum 500.0" in done.stderr
+
+
+@pytest.mark.parametrize("flag", ["--r-max", "--t-max"])
+def test_metrics_takes_no_reward_bound_or_horizon(capsys, flag):
+    """A cell is scored against its task's maximum and its epoch budget."""
     with pytest.raises(SystemExit) as exit_info:
-        main(["metrics", str(tmp_path / "record.json"), "--t-max", bad, "--no-rerun"])
+        main(["metrics", str(CORPUS / "Acrobot_random.json"), flag, "500", "--no-rerun"])
     assert exit_info.value.code == 2
-    assert f"policyloop: error: t_max must be at least 1, got {bad}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 500" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_metrics_refuses_a_reward_bound_that_is_not_finite(tmp_path, script_file, capsys, bad):
-    main(_run_args(tmp_path, script_file))
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exit_info:
-        # "--r-max -inf" would read -inf as an option
-        main(["metrics", str(tmp_path / "record.json"), f"--r-max={bad}", "--no-rerun"])
-    assert exit_info.value.code == 2
-    assert f"policyloop: error: r_max must be finite, got {bad}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "extra, message",
-    [
-        (["--t-max", "6"], "t_max 6 is above the records' epoch budget 5"),
-        (["--r-max", "-5"], "r_max -5.0 is below the reward 500.0 the records reached"),
-    ],
-    ids=["t-max-above-epochs", "r-max-below-a-reached-reward"],
-)
-def test_metrics_refuses_bounds_the_records_contradict(tmp_path, script_file, capsys,
-                                                       extra, message):
-    main(_run_args(tmp_path, script_file))
-    capsys.readouterr()
-    record = str(tmp_path / "record.json")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["metrics", record, *extra, "--no-rerun"])
-    assert exit_info.value.code == 2
-    assert f"policyloop: error: {message}" in capsys.readouterr().err
-    # a bound no record reached is allowed
-    assert main(["metrics", record, "--r-max", "600", "--no-rerun"]) == 0
+@pytest.mark.parametrize("task", ["Acrobot", "Pendulum", "MountainCarContinuous", "MountainCarDiscrete"])
+def test_metrics_scores_a_task_without_a_maximum_with_success_absent(tmp_path, capsys, task):
+    record = CORPUS / f"{task}_random.json"
+    report = tmp_path / "report.json"
+    assert main(["metrics", str(record), "--no-rerun", "--json", str(report)]) == 0
+    # Success, Robustness, LearnTime and FoM
+    assert capsys.readouterr().out.splitlines()[2].split()[4:8] == ["-"] * 4
+    (scored,) = json.loads(report.read_text())
+    assert (scored["r_max"], scored["success"]) == (None, None)
+    assert scored["n_episodes"] == RunRecord.load(record).config.epochs
 
 
 _NOT_A_RECORD = {

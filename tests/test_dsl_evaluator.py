@@ -15,7 +15,7 @@ import pytest
 from policyloop.dsl import InvalidReason, parse, run_episode
 from policyloop.envs import get_spec, make
 
-from conftest import policy_outcome, transcript_text
+from conftest import big_int_expression, policy_outcome, transcript_text
 from reference_dynamics import discrete_coerce_original
 
 
@@ -108,7 +108,7 @@ def test_division_by_zero_is_runtime_error(star2_spec):
     assert outcome.reason is None and outcome.action == 1
 
 
-_ZEROS_400 = "1" + "0" * 400  # an integer too large for a float
+_ZEROS_400 = big_int_expression(400)  # an integer too large for a float
 
 
 @pytest.mark.parametrize(
@@ -132,7 +132,7 @@ def test_numbers_out_of_float_range_are_runtime_errors(body):
 
 
 def test_integer_too_long_to_print_is_a_runtime_error(star2_spec):
-    big = "9" * 4000
+    big = big_int_expression(2150)
     program = parse(
         "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
         f"    return {big} * {big}\n"

@@ -5,6 +5,7 @@ import dataclasses
 import random
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -316,16 +317,13 @@ DEEP_PROGRAMS = {
     "300-nested-parentheses": _HEAD + "    return " + "(" * 300 + "1" + ")" * 300 + "\n",
     "60-nested-sums": _HEAD + "    return " + "(pole_angle + " * 60 + "1" + ")" * 60 + "\n",
     "1000-term-sum": _HEAD + "    return 1" + " + 0" * 999 + "\n",
-    "100k-term-sum": _HEAD + "    return 1" + " + 0" * 99_999 + "\n",
+    "16k-term-sum": _HEAD + "    return 1" + " + 0" * 15_999 + "\n",
     "60-nested-ifs": _nested_ifs(60),
-    "1000-nested-ifs": _nested_ifs(1000),
+    "150-nested-ifs": _nested_ifs(150),
     "1000-nots": _nots(1000),
     "3000-nots": _nots(3000),
     "1000-unary-minuses": _HEAD + "    return " + "-" * 1000 + "1\n",
     "10000-unary-minuses": _HEAD + "    return " + "-" * 10_000 + "1\n",
-    "5000-elifs": _HEAD
-    + "    if pole_angle > 0:\n        return 1\n"
-    + "    elif pole_angle > 1:\n        return 1\n" * 5000,
 }
 
 
@@ -382,9 +380,101 @@ def test_overlong_integer_literal_is_a_parse_error():
     )
     assert "set_int_max_str_digits" not in str(info.value)
     assert info.value.line == 2 and info.value.col >= 1
-    # hexadecimal literals have no digit limit, but their decimal text does
+    # hexadecimal literals have no digit limit in CPython, but the cap holds
     with pytest.raises(PolicyParseError, match="too long"):
         parse(_HEAD + "    return 0x" + "f" * 5000 + "\n")
+
+
+@pytest.mark.parametrize("literal", [str(10**30), "1" + "0" * 40, hex(10**30), "0b1" + "0" * 100])
+def test_an_integer_literal_of_ten_to_the_thirty_is_a_parse_error(literal):
+    with pytest.raises(PolicyParseError) as info:
+        parse(_HEAD + "    if pole_angle > 0:\n        return 2 * " + literal + "\n")
+    assert info.value.message == parser._INT_TOO_LONG
+    assert (info.value.line, info.value.col) == (3, 20)
+
+
+def test_an_integer_literal_below_ten_to_the_thirty_parses():
+    for literal in (str(10**30 - 1), hex(10**30 - 1), "1" + "_000" * 9):
+        program = parse(_HEAD + f"    return {literal} - {literal} + 1\n")
+        assert program.compiled(random.Random(0), (0, 0, 0, 0)) == 1
+    # a float literal has no cap: it cannot grow past a float
+    assert parse(_HEAD + "    return 1" + "0" * 400 + ".0\n").compiled(None, (0,) * 4) == 1e400
+
+
+def _padded_to(size):
+    """A valid program of ``size`` characters, filled out with a comment."""
+    source = _HEAD + "    return 1\n"
+    return source + "#" * (size - len(source))
+
+
+# Over the size cap: inputs that CPython's parser refused as nested too
+# deep, and one it would read without complaint.
+OVERSIZED = {
+    "100k-term-sum": _HEAD + "    return 1" + " + 0" * 99_999 + "\n",
+    "1000-nested-ifs": _nested_ifs(1000),
+    "5000-elifs": _HEAD
+    + "    if pole_angle > 0:\n        return 1\n"
+    + "    elif pole_angle > 1:\n        return 1\n" * 5000,
+    "one-character-over": _padded_to(parser.MAX_SOURCE_CHARS + 1),
+}
+
+
+@pytest.mark.parametrize("source", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_a_source_over_the_size_cap_is_refused_before_it_is_read(source, monkeypatch):
+    def refuse(text):
+        raise AssertionError("the source was read")
+
+    # _read is what calls ast.parse
+    monkeypatch.setattr(parser, "_read", refuse)
+    with pytest.raises(PolicyParseError) as info:
+        parse(source)
+    assert str(info.value) == (
+        f"the function is {len(source)} characters long, more than the 65536 allowed; "
+        "write a shorter one"
+    )
+
+
+def test_a_source_at_the_size_cap_parses():
+    assert parse(_padded_to(parser.MAX_SOURCE_CHARS)).compiled(None, (0,) * 4) == 1
+
+
+def test_the_costliest_program_the_caps_admit_has_a_bounded_step():
+    """One test holding the product of as many of the largest literals as
+    the size cap leaves room for, as a left-to-right chain of 42 balanced
+    products: the longest chain the nesting cap allows, and costlier than
+    one balanced product or a shorter chain. Any product costs at most
+    about the square of its literals' total size, which the size cap bounds.
+
+    On a 2-CPU x86-64 host (Python 3.11.7) a step took 13-22 ms, min of 5,
+    so the bound leaves a margin of over 20x. Before the caps, a 153 KiB
+    program of 4,000-digit literals took 121 ms a step."""
+    from policyloop.envs import TaskId, make
+
+    literal = str(parser.MAX_INT_LITERAL - 1)
+
+    def balanced(n):
+        if n == 1:
+            return literal
+        return f"({balanced(n // 2)}*{balanced(n - n // 2)})"
+
+    def program(n):
+        factor = balanced(n // 42)
+        return _HEAD + f"    if {'*'.join([factor] * 42)} > 0:\n        return 2\n    return 1\n"
+
+    n = 42
+    while len(program(n + 42)) <= parser.MAX_SOURCE_CHARS:
+        n += 42
+    source = program(n)
+    assert n >= 1900 and len(source) > parser.MAX_SOURCE_CHARS - 2000
+    policy = parse(source, expected_params=CARTPOLE_PARAMS).compiled
+    env = make(TaskId.CARTPOLE_STAR2)
+    times = []
+    for seed in range(5):
+        env.reset(seed)
+        start = time.perf_counter()
+        env._rollout(policy, random.Random(seed), 1, [], [])
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5
 
 
 _LONG_CHAIN = "".join(

@@ -11,7 +11,7 @@ from policyloop.dsl import episode
 from policyloop.envs import ALL_TASKS, TaskId, cartpole, get_spec, make
 from policyloop.envs.core import POLICY_ERRORS, RAISED, STEP_LIMIT, TerminationCause
 
-from conftest import reference_step_forms, step, transcript_text
+from conftest import big_int_expression, reference_step_forms, step, transcript_text
 
 
 def test_gappy_program_ends_with_literal_none_line(star2_spec):
@@ -387,8 +387,8 @@ def test_the_cartpole_family_has_no_step_or_observe_hooks():
 # take the action the frozen coerce form makes of the value the compiled
 # function returns on the same observation and rng, or classify the value
 # as the table says. reason None: a valid action.
-_HUGE = "1" + "0" * 400  # too large for a float
-_LONG = "9" * 4000  # its square is too long to print
+_HUGE = big_int_expression(400)  # too large for a float
+_LONG = big_int_expression(2150)  # its square is too long to print
 _OUTCOMES = {
     "fall-through": (TaskId.CARTPOLE_STAR2, "if pole_angle > 10000:\n        return 1", "no_rule_fired", "None"),
     "out-of-range-label": (TaskId.CARTPOLE_STAR2, "return 3", "out_of_range", "3"),

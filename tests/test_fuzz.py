@@ -19,7 +19,7 @@ from policyloop.envs import get_spec
 from policyloop.envs.core import DiscreteActions
 from policyloop.prompts import extract_code
 
-from conftest import policy_outcome, transcript_text
+from conftest import big_int_expression, policy_outcome, transcript_text
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -29,7 +29,7 @@ SESSION_PROGRAMS = [
     transcript_text(name)
     for name in ("code_iter0.py", "code_iter1.py", "code_iter2.py", "code_optimal.py")
 ]
-NUMBERS = ["0", "1", "2", "0.5", "1e-320", "1e308", "1e400", "9" * 400]
+NUMBERS = ["0", "1", "2", "0.5", "1e-320", "1e308", "1e400", "9" * 29, big_int_expression(400)]
 PIECES = [
     # nested past what CPython's parser takes, and a byte it refuses
     "(" * 300, "-" * 10000, "not " * 3000, "\x00",

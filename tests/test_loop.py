@@ -25,7 +25,7 @@ from policyloop.loop import runner
 from policyloop.loop.runner import episode_seed, policy_rng_seed
 from policyloop.prompts import render_p2
 
-from conftest import scripted_session, transcript_text
+from conftest import big_int_expression, scripted_session, transcript_text
 
 BAD = "no code here"
 NO_RULES = "Keep the pole upright by reacting to its lean."
@@ -653,7 +653,7 @@ def test_replay_detects_divergence():
 def test_batch_survives_a_policy_that_overflows(tmp_path):
     overflow = (
         "def get_action(cart_position, pole_angle, cart_velocity, pole_angular_velocity):\n"
-        "    return pole_angle * 1" + "0" * 400 + "\n"
+        f"    return pole_angle * {big_int_expression(400)}\n"
     )
     script = ["Push toward the lean.", "1. If Pole Angle > 0 Then push right", overflow]
 

@@ -27,6 +27,7 @@ from policyloop.metrics import (
     success,
     successful_set,
 )
+from policyloop.envs import ALL_TASKS, get_spec
 from policyloop.loop import RunRecord
 from policyloop.loop.records import mean as _mean
 
@@ -416,7 +417,7 @@ def test_robustness_refuses_fewer_than_one_episode(n_eval):
     with pytest.raises(MetricsError, match=f"n_eval must be at least 1, got {n_eval}"):
         robustness(records, R_MAX, t_max=10, n_eval=n_eval)
     with pytest.raises(MetricsError, match="n_eval"):
-        compute_report(records, r_max=R_MAX, t_max=10, n_eval=n_eval)
+        compute_report(records, n_eval=n_eval)
 
 
 def test_robustness_absent_without_successes():
@@ -430,7 +431,7 @@ def test_robustness_absent_without_successes():
 def test_compute_report_composes_components():
     rows = [[100.0, R_MAX], [50.0, 60.0]]
     records = make_records(rows, program_source=transcript_text("code_optimal.py") + "\n", epochs=2)
-    report = compute_report(records, r_max=R_MAX, t_max=2, n_eval=20)
+    report = compute_report(records, n_eval=20)
     assert report.success == 0.5
     assert report.learning_time == pytest.approx(1.0)
     assert report.robustness == 1.0
@@ -443,7 +444,7 @@ def test_compute_report_composes_components():
 
 def test_compute_report_without_defined_max():
     records = make_records([[-500.0, -200.0]], task="Acrobot", epochs=50)
-    report = compute_report(records, t_max=50)
+    report = compute_report(records)
     assert report.to_dict() == {
         "task_id": "Acrobot",
         "model_name": "scripted-model",
@@ -471,52 +472,57 @@ def test_compute_report_rejects_mixed_cells():
     a = make_records([[1.0]], temperature=0.0)
     b = make_records([[1.0]], temperature=0.8)
     with pytest.raises(MetricsError, match="one cell"):
-        compute_report(a + b, r_max=R_MAX, t_max=10)
+        compute_report(a + b)
 
 
-def test_compute_report_refuses_a_horizon_above_the_epoch_budget():
-    records = make_records([[100.0, R_MAX]], epochs=2) + make_records([[R_MAX]], epochs=3)
-    with pytest.raises(MetricsError, match="t_max 4 is above the records' epoch budget 3"):
-        compute_report(records, r_max=R_MAX, t_max=4, include_robustness=False)
-    assert compute_report(records, r_max=R_MAX, t_max=3, include_robustness=False).n_episodes == 3
+def test_compute_report_refuses_a_reward_above_the_task_maximum():
+    """Only a hand-edited record can hold one; scored, it would count as
+    no success at all."""
+    records = make_records([[100.0, R_MAX], [50.0, 600.0]], epochs=2)
+    message = "a record reached 600.0, above the task maximum 500.0"
+    for include_robustness in (True, False):
+        with pytest.raises(MetricsError, match=re.escape(message)):
+            compute_report(records, n_eval=5, include_robustness=include_robustness)
+    assert compute_report(records[:1], include_robustness=False).success == 1.0
 
 
-def test_compute_report_refuses_a_maximum_below_a_reached_reward():
-    records = make_records([[100.0, R_MAX], [50.0, 60.0]], epochs=2)
-    with pytest.raises(MetricsError, match=r"r_max -5.0 is below the reward 500.0"):
-        compute_report(records, r_max=-5.0, t_max=2, include_robustness=False)
-    # a bound no record reached stays a maximum
-    report = compute_report(records, r_max=600.0, t_max=2, include_robustness=False)
-    assert report.success == 0.0
+@pytest.mark.parametrize("task", ALL_TASKS, ids=lambda t: t.value)
+def test_compute_report_scores_against_the_task_maximum(task):
+    r_max = get_spec(task).r_max
+    top = r_max if r_max is not None else -90.0
+    records = make_records([[top - 50.0, top], [top - 60.0] * 4], task=task, epochs=4)
+    report = compute_report(records, include_robustness=False)
+    assert (report.r_max, report.n_episodes) == (r_max, 4)
+    if r_max is None:
+        assert (report.success, report.learning_time, report.successful_set) == (None, None, [])
+    else:
+        assert (report.success, report.learning_time, report.successful_set) == (0.5, 0.5, [0])
+
+
+def test_compute_report_averages_every_row_over_the_epoch_budget():
+    """A row that stopped early at the maximum is carried to the budget, so
+    it counts as many epochs as a row that ran the whole budget."""
+    records = make_records([[100.0, R_MAX], [200.0] * 10], epochs=10)
+    report = compute_report(records, include_robustness=False)
+    assert report.average_reward == (100.0 + 9 * R_MAX + 10 * 200.0) / 20
+    assert report.n_episodes == 10
 
 
 COMPLETED = FIXTURES / "records" / "CartPoleStar2_completed.json"
 
 
-@pytest.mark.parametrize(
-    "bounds, message",
-    [
-        ({"r_max": math.nan}, "r_max must be finite, got nan"),
-        ({"r_max": math.inf}, "r_max must be finite, got inf"),
-        ({"r_max": -math.inf}, "r_max must be finite, got -inf"),
-        ({"t_max": 0}, "t_max must be at least 1, got 0"),
-        ({"t_max": -3}, "t_max must be at least 1, got -3"),
-        ({"n_eval": 0}, "n_eval must be at least 1, got 0"),
-        ({"n_eval": -5}, "n_eval must be at least 1, got -5"),
-    ],
-)
-def test_compute_report_refuses_bounds_that_define_no_metric(bounds, message):
-    """Checked whether or not robustness runs: a record that reached 500
-    would otherwise score success 0.0 under r_max=nan, and n_episodes -3."""
+@pytest.mark.parametrize("n_eval", [0, -5])
+def test_compute_report_refuses_fewer_than_one_evaluation_episode(n_eval):
+    """Checked whether or not robustness runs."""
     records = [RunRecord.load(COMPLETED)]
-    with pytest.raises(MetricsError, match=re.escape(message)):
-        compute_report(records, include_robustness=False, **bounds)
+    with pytest.raises(MetricsError, match=f"n_eval must be at least 1, got {n_eval}"):
+        compute_report(records, n_eval=n_eval, include_robustness=False)
     assert compute_report(records, include_robustness=False).success == 1.0
 
 
 def test_render_table_and_csv():
     records = make_records([[100.0, R_MAX]], epochs=2)
-    report = compute_report(records, r_max=R_MAX, t_max=2, include_robustness=False)
+    report = compute_report(records, include_robustness=False)
     table = render_table([report])
     assert "AvgReward" in table and "CartPoleStar2" in table
     csv_text = reward_curve_csv(records)

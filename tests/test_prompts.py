@@ -9,7 +9,6 @@ from policyloop.prompts import (
     Ablation,
     EmptyResponseError,
     NoRulesError,
-    PromptError,
     SensoryMotorWindow,
     Stage,
     StrategySummary,
@@ -94,7 +93,6 @@ def test_rendering_is_idempotent(star2_spec):
         previous=_summary(40.0),
         best=_summary(60.0),
         history_rewards=[40.0, 50.0],
-        window_size=20,
     )
     assert render_p4(star2_spec, **args) == render_p4(star2_spec, **args)
 
@@ -129,7 +127,6 @@ def test_first_reflection_has_no_previous_or_best(star2_spec):
         _summary(49.85, window=("[0 0 1 0];2",)),
         previous=None,
         best=None,
-        window_size=20,
     )
     assert _names(blocks) == ["task_description", "current_strategy", "current_window", "instruction"]
 
@@ -140,7 +137,6 @@ def test_baseline_reflection_block_order(star2_spec):
         _summary(116.1, window=("[-1 -3  9  6];2",)),
         previous=_summary(49.85),
         best=_summary(49.85),
-        window_size=20,
         history_rewards=[49.85, 116.1],
     )
     assert _names(blocks) == [
@@ -170,7 +166,6 @@ def test_invalid_action_feedback_line_appended(star2_spec):
         _summary(5.0, window=("[-1  6 26  5];None",), invalid="None"),
         previous=None,
         best=None,
-        window_size=20,
     )
     assert _names(blocks)[-1] == "error_feedback"
     assert blocks[-1][1] == (
@@ -193,21 +188,9 @@ def test_window_fidelity_lines_are_byte_equal(star2_spec):
         _summary(42.0, window=window_lines),
         previous=None,
         best=None,
-        window_size=20,
     )
     window_block = dict(blocks)["current_window"]
     assert "\n".join(window_lines) in window_block
-
-
-def test_window_longer_than_size_rejected(star2_spec):
-    with pytest.raises(PromptError, match="more than"):
-        p4_blocks(
-            star2_spec,
-            _summary(10.0, window=tuple(f"[0 0 0 0];1" for _ in range(21))),
-            previous=None,
-            best=None,
-            window_size=20,
-        )
 
 
 ABLATION_EXPECTED_REMOVED = {
@@ -239,7 +222,6 @@ def _ablation_blocks(star2_spec, ablation):
         _summary(116.1, window=("[-1 -3  9  6];2", "[-1  0 10  1];1")),
         previous=_summary(49.85),
         best=_summary(49.85),
-        window_size=20,
         ablation=ablation,
         history_rewards=[49.85, 116.1],
     )
@@ -265,8 +247,7 @@ def test_no_dangling_headers_under_ablation(star2_spec):
             previous=_summary(49.85),
             best=_summary(49.85),
             history_rewards=[49.85, 116.1],
-            window_size=20,
-            ablation=ablation,
+                ablation=ablation,
         )
         assert "Your experience with this strategy was:\n\n\n" not in text
         assert not text.endswith(":")

@@ -107,7 +107,7 @@ def _texts(task) -> dict:
         eval_episodes=20,
         window=window,
     )
-    blocks = dict(p4_blocks(spec, current, None, None, window_size=20))
+    blocks = dict(p4_blocks(spec, current, None, None))
     return {
         "p1": render_p1(spec),
         "p2": render_p2(spec, transcript_text("strategy_iter0.txt")),
