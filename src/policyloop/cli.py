@@ -1,15 +1,16 @@
 """Command-line entry points.
 
-Subcommands: ``run`` (one replication), ``batch`` (the full matrix),
-``replay`` (verify a stored record), ``ablate`` (a run under one ablation
-condition) and ``metrics`` (aggregate stored records). Backends come from
+Subcommands: ``run`` (one replication, under an ablation with
+--ablation), ``batch`` (the full matrix), ``replay`` (verify a stored
+record) and ``metrics`` (aggregate stored records). Backends come from
 --backend-url/--gateway-config (HTTP) or --script (a JSON list of canned
 responses); POLICYLOOP_* environment variables override gateway settings.
-A setting the command cannot use (a missing file, a bad value) is a usage
-error: exit 2 before anything runs, and no record is written. The commands
-check no bound themselves: ``LoopConfig``, ``GatewayConfig``, ``run_batch``
-and ``compute_report`` refuse what they cannot use, and each refusal is
-turned into the usage error.
+A setting the command cannot use (a missing file, a bad value, an output
+path that is one of the command's files) is a usage error: exit 2 before
+anything runs, and no file is written. The commands check no bound
+themselves: ``LoopConfig``, ``GatewayConfig``, ``run_batch`` and
+``compute_report`` refuse what they cannot use, and each refusal is turned
+into the usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 from .envs import ALL_TASKS, TaskId
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
 from .loop import LoopConfig, RunRecord, cell_record_name, replay, run_batch, run_replication
-from .loop.records import parse_constant
+from .loop.records import parse_constant, write_text
 from .metrics import MetricsError, compute_report, render_table, reward_curve_csv
 from .prompts import Ablation
 
@@ -59,11 +60,15 @@ def _load_record(path: str) -> RunRecord:
         raise UsageError(f"{path}: not a run record ({type(exc).__name__}: {exc})")
 
 
-def _check_output(path: str, option: str) -> None:
+def _check_output(path: str, option: str, *others: Optional[str]) -> None:
     """Refuse, before any work, an output path that cannot take a file: an
-    existing directory, or a path under an existing file."""
+    existing directory, a path under an existing file, or a path that
+    resolves to one of ``others``, the other files the command names."""
     if Path(path).is_dir():
         raise UsageError(f"{option} {path}: is a directory")
+    for other in others:
+        if other and Path(other).resolve() == Path(path).resolve():
+            raise UsageError(f"{option} {path}: names the same file as {other}")
     for parent in Path(path).parents:
         if parent.exists():
             if not parent.is_dir():
@@ -116,13 +121,14 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-size", type=int)
     parser.add_argument("--seed-root", type=int)
     parser.add_argument("--replication", type=int, default=0)
+    parser.add_argument("--ablation", choices=[a.value for a in Ablation])
     parser.add_argument("--out", help="path for the run record JSON")
     _add_backend_args(parser)
 
 
-def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) -> LoopConfig:
+def _config_from_args(args: argparse.Namespace) -> LoopConfig:
     """Each setting from its flag when given, else from the --config file,
-    else LoopConfig's default; ablate's condition always wins."""
+    else LoopConfig's default."""
     settings = _read_json(args.config, "--config", dict) if args.config else {}
     flags = {
         "model_name": args.model,
@@ -131,7 +137,7 @@ def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) ->
         "epochs": args.epochs,
         "eval_episodes": args.eval_episodes,
         "window_size": args.window_size,
-        "ablation": ablation,
+        "ablation": args.ablation,
     }
     settings.update((name, value) for name, value in flags.items() if value is not None)
     try:
@@ -140,13 +146,14 @@ def _config_from_args(args: argparse.Namespace, ablation: Optional[Ablation]) ->
         raise UsageError(f"loop settings{f' in {args.config}' if args.config else ''}: {exc}")
 
 
-def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> int:
-    config = _config_from_args(args, ablation)
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     temperature = config.temperatures[0]  # --temperature, when given, is the only one
     out = args.out or cell_record_name(
         TaskId(args.task), config.model_name, temperature, args.replication
     )
-    _check_output(out, "--out" if args.out else "record")
+    option = "--out" if args.out else "record"
+    _check_output(out, option, args.config, args.script, args.gateway_config)
     record = run_replication(args.task, config, _make_backend(args), args.replication, temperature)
     record.save(out)
     rewards = ", ".join(f"{r:.2f}" for r in record.per_iteration_rewards)
@@ -154,10 +161,6 @@ def _cmd_run(args: argparse.Namespace, ablation: Optional[Ablation] = None) -> i
     print(f"rewards=[{rewards}]")
     print(f"record written to {out}")
     return 0 if record.status.value == "completed" else 1
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    return _cmd_run(args, ablation=Ablation(args.condition))
 
 
 # Each key a batch file may hold, and the run_batch argument it sets; a key
@@ -251,7 +254,7 @@ def _short(value, limit: int = 80) -> str:
 def _cmd_replay(args: argparse.Namespace) -> int:
     record = _load_record(args.record)
     if args.out:
-        _check_output(args.out, "--out")
+        _check_output(args.out, "--out", args.record)
     matches, rerun = replay(record)
     if args.out:
         rerun.save(args.out)
@@ -268,9 +271,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     records = [_load_record(p) for p in args.records]
-    for path, option in ((args.json, "--json"), (args.csv, "--csv")):
-        if path:
-            _check_output(path, option)
+    if args.json:
+        _check_output(args.json, "--json", *args.records)
+    if args.csv:
+        _check_output(args.csv, "--csv", *args.records, args.json)
     cells: dict[tuple, list[RunRecord]] = {}
     for record in records:
         cells.setdefault(
@@ -288,19 +292,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise UsageError(str(exc))
     print(render_table(reports))
     if args.json:
-        _write_text(args.json, json.dumps([r.to_dict() for r in reports], indent=2))
+        write_text(args.json, json.dumps([r.to_dict() for r in reports], indent=2))
         print(f"machine-readable report written to {args.json}")
     if args.csv:
-        _write_text(args.csv, reward_curve_csv(records))
+        write_text(args.csv, reward_curve_csv(records))
         print(f"reward curves written to {args.csv}")
     return 0
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, making its parent directories first, as
-    ``RunRecord.save`` does."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,13 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single replication")
     _add_run_args(p_run)
     p_run.set_defaults(func=_cmd_run)
-
-    p_ablate = sub.add_parser("ablate", help="run a replication under an ablation")
-    p_ablate.add_argument(
-        "condition", choices=[a.value for a in Ablation if a is not Ablation.BASELINE]
-    )
-    _add_run_args(p_ablate)
-    p_ablate.set_defaults(func=_cmd_ablate)
 
     p_batch = sub.add_parser("batch", help="run a {task x model x temperature} matrix")
     p_batch.add_argument("--config", required=True, help="JSON batch description")

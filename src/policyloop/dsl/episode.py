@@ -84,8 +84,6 @@ def _invalid_outcome(value) -> PolicyOutcome:
 
 @dataclass
 class EpisodeTrace:
-    task_id: TaskId
-    seed: int
     # observations[i] is what the policy saw at step i; actions[i] is what it
     # did. An episode that ended invalid has one observation more than actions.
     observations: list[tuple] = field(default_factory=list)
@@ -132,7 +130,6 @@ def run_episode(
     is the state the episode ended in.
     """
     env = env if env is not None else make(task_id)
-    spec = env.spec
     obs = env.reset(seed)
     # every observation of an env has the length of its first
     n_params = len(program.params)
@@ -140,9 +137,9 @@ def run_episode(
         raise ValueError(
             f"observation has {len(obs)} values but the policy takes {n_params} parameters"
         )
-    trace = EpisodeTrace(task_id=spec.task_id, seed=seed)
+    trace = EpisodeTrace()
     total_reward, trace.cause, value = env._rollout(
-        program.compiled, rng, spec.max_steps, trace.observations, trace.actions
+        program.compiled, rng, env.spec.max_steps, trace.observations, trace.actions
     )
     # the rollout sums from -0.0, so that one step keeps its reward's sign;
     # an episode's return is a sum from 0.0, which never reads -0.0

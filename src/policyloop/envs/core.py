@@ -235,7 +235,8 @@ class Environment:
 
     @property
     def state(self) -> tuple[float, ...]:
-        """Native (un-encoded) state vector, exposed for replay tooling."""
+        """Native (un-encoded) state vector, which ``observe`` encodes; for
+        inspection only (tests and demo 01 read it, the loop does not)."""
         if self._state is None:
             raise RuntimeError("no state before reset()")
         return self._state

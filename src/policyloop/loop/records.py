@@ -166,20 +166,8 @@ class RunRecord:
         return json.dumps(self.to_dict(include_wall_clock=False), sort_keys=True, allow_nan=False)
 
     def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # written beside the target and renamed over it, so a crash mid-write
-        # leaves the previous record whole instead of truncated JSON; NaN and
-        # infinities are refused, since JSON has no text for them
-        temp = path.with_name(f".{path.name}.tmp")
-        try:
-            text = json.dumps(self.to_dict(), indent=2, allow_nan=False)
-            temp.write_text(text, encoding="utf-8")
-            temp.replace(path)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
-        return path
+        # NaN and infinities are refused, since JSON has no text for them
+        return write_text(path, json.dumps(self.to_dict(), indent=2, allow_nan=False))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -216,6 +204,22 @@ class RunRecord:
     def load(cls, path: Union[str, Path]) -> "RunRecord":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh, parse_constant=parse_constant))
+
+
+def write_text(path: Union[str, Path], text: str) -> Path:
+    """Write ``text`` to ``path``, making its parent directories first. The
+    text goes to a file beside the target that is renamed over it, so a
+    crash mid-write leaves the previous file whole instead of truncated."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        temp.replace(path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def parse_constant(name: str):

@@ -179,14 +179,25 @@ def reward_sequences(records: Sequence[RunRecord]) -> list[list[float]]:
 
 
 def _check_same_cell(records: Sequence[RunRecord]) -> None:
+    """Refuse records of more than one cell, and two records of one
+    replication (the same ``seed_root`` and ``replication_index``), which
+    would count it twice."""
     if not records:
         raise MetricsError("no records given")
     key = (records[0].task_id, records[0].model_name, records[0].temperature)
-    for r in records[1:]:
+    replications = set()
+    for r in records:
         if (r.task_id, r.model_name, r.temperature) != key:
             raise MetricsError(
                 "records mix tasks/models/temperatures; aggregate one cell at a time"
             )
+        replication = (r.seed_root, r.replication_index)
+        if replication in replications:
+            raise MetricsError(
+                f"cell {r.task_id.value}/{r.model_name}/t{r.temperature} holds two records "
+                f"of seed root {r.seed_root}, replication {r.replication_index}"
+            )
+        replications.add(replication)
 
 
 def robustness(
@@ -247,15 +258,15 @@ def improvement_ratio(
 
 @dataclass(kw_only=True)
 class MetricsReport:
-    task_id: str = ""
-    model_name: str = ""
-    temperature: Optional[float] = None
+    task_id: str
+    model_name: str
+    temperature: float
     average_reward: Optional[float]
     success: Optional[float]
     robustness: Optional[float]
     learning_time: Optional[float]
     fom: Optional[float]
-    improvement_ratio: Optional[float] = None
+    improvement_ratio: Optional[float]
     successful_set: list[int]
     n_reps: int
     n_episodes: int
@@ -340,9 +351,9 @@ def render_table(reports: Iterable[MetricsReport]) -> str:
     for rep in reports:
         rows.append(
             [
-                rep.task_id or "-",
-                rep.model_name or "-",
-                f"{rep.temperature:.1f}" if rep.temperature is not None else "-",
+                rep.task_id,
+                rep.model_name,
+                f"{rep.temperature:.1f}",
                 _cell(rep.average_reward),
                 _cell(rep.success),
                 _cell(rep.robustness),

@@ -16,9 +16,10 @@ python -S -m policyloop.cli run --task CartPoleStar2 --script "$out/session.json
 python -S -m policyloop.cli replay "$out/record.json"
 python -S -m policyloop.cli metrics "$out/record.json" --n-eval 50 --json "$out/report.json"
 for condition in NoData NoSensoryMotorData NoPreviousStrategy NoBestStrategy OnlyCurrentStrategy OnlyBestStrategyData; do
-  python -S -m policyloop.cli ablate "$condition" --task CartPoleStar2 --script "$out/session.json" \
-    --epochs 5 --seed-root 3 --model scripted-model --out "$out/ablate_$condition.json"
-  python -S -m policyloop.cli replay "$out/ablate_$condition.json"
+  python -S -m policyloop.cli run --ablation "$condition" --task CartPoleStar2 \
+    --script "$out/session.json" --epochs 5 --seed-root 3 --model scripted-model \
+    --out "$out/ablation_$condition.json"
+  python -S -m policyloop.cli replay "$out/ablation_$condition.json"
 done
 python -S -c "import json, sys; json.dump({'tasks': ['CartPoleStar2'], 'models': ['scripted-model'], 'temperatures': [0.0], 'replications': 2, 'seed_root': 3, 'script': json.load(open(sys.argv[2])), 'config': {'epochs': 5}}, open(sys.argv[1], 'w'))" \
   "$out/batch.json" "$out/session.json"
@@ -59,6 +60,14 @@ status=0
 python -S -m policyloop.cli batch --config "$out/batch.json" --out-dir "$out/file" 2>/dev/null || status=$?
 if [ "$status" -ne 2 ] || [ "$(cat "$out/file")" != kept ]; then
   echo "batch --out-dir <existing file> exited $status; expected 2 and nothing written"; exit 1
+fi
+# an output path that names one of the command's own files is a usage
+# error: exit 2, and the file keeps its bytes
+cp "$out/record.json" "$out/record.before"
+status=0
+python -S -m policyloop.cli metrics "$out/record.json" --json "$out/record.json" 2>/dev/null || status=$?
+if [ "$status" -ne 2 ] || ! cmp -s "$out/record.json" "$out/record.before"; then
+  echo "metrics <record> --json <same record> exited $status; expected 2 and the record kept"; exit 1
 fi
 # a record field of the wrong type is a usage error: exit 2
 python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = None; json.dump(r, open(sys.argv[2], 'w'))" \

@@ -1,4 +1,4 @@
-"""The command-line surface: run, ablate, batch, replay, metrics."""
+"""The command-line surface: run, batch, replay, metrics."""
 
 import json
 import math
@@ -46,15 +46,19 @@ def test_run_writes_a_record(tmp_path, script_file, capsys):
     assert record.per_iteration_rewards[-1] == 500.0
 
 
-def test_ablate_runs_under_condition(tmp_path, script_file, capsys):
-    exit_code = main(
-        ["ablate", "NoSensoryMotorData"] + _run_args(tmp_path, script_file)[1:]
-    )
+def test_run_runs_under_an_ablation(tmp_path, script_file, capsys):
+    exit_code = main(_run_args(tmp_path, script_file, extra=("--ablation", "NoSensoryMotorData")))
     assert exit_code == 0
     record = RunRecord.load(tmp_path / "record.json")
     assert record.config.ablation.value == "NoSensoryMotorData"
     # ablations change the reflection prompt, not the mechanics
     assert record.status.value == "completed"
+
+
+def test_there_is_no_ablate_subcommand(tmp_path, script_file, capsys):
+    error = _usage_error(capsys, ["ablate", "NoData", *_run_args(tmp_path, script_file)[1:]])
+    assert "invalid choice: 'ablate'" in error
+    assert not (tmp_path / "record.json").exists()
 
 
 def test_replay_verifies_record(tmp_path, script_file, capsys):
@@ -194,6 +198,28 @@ def test_metrics_makes_the_directories_it_writes_into(tmp_path, script_file, cap
     assert curves.read_text().startswith("task,model,temperature")
 
 
+@pytest.mark.parametrize("option", ["--json", "--csv"])
+def test_a_failed_report_write_keeps_the_previous_file(
+    tmp_path, script_file, capsys, monkeypatch, option
+):
+    main(_run_args(tmp_path, script_file))
+    out = tmp_path / "report"
+    args = ["metrics", str(tmp_path / "record.json"), "--no-rerun", option, str(out)]
+    assert main(args) == 0
+    before = out.read_bytes()
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(args)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["record.json", "report", "session.json"]
+
+
 @pytest.mark.parametrize("option", ["--epochs", "--eval-episodes", "--window-size"])
 def test_count_options_refuse_zero(tmp_path, script_file, capsys, option):
     with pytest.raises(SystemExit) as exit_info:
@@ -247,6 +273,13 @@ def test_a_first_maximal_program_that_no_longer_parses_is_a_usage_error(tmp_path
     assert scored.stdout.splitlines()[2].split()[3:5] == ["213.18", "1.00"]
 
 
+def test_metrics_refuses_a_replication_given_twice(capsys):
+    record = str(CORPUS / "CartPoleStar2_code_repaired.json")
+    error = _usage_error(capsys, ["metrics", record, record, "--no-rerun"])
+    assert error == ("policyloop: error: cell CartPoleStar2/scripted-model/t0.0 "
+                     "holds two records of seed root 3, replication 0")
+
+
 # -- output paths checked before the work that fills them ---------------------------
 
 
@@ -281,7 +314,9 @@ def _usage_error(capsys, args) -> str:
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file"])
-@pytest.mark.parametrize("command", [["run"], ["ablate", "NoData"]], ids=["run", "ablate"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["run", "--ablation", "NoData"]], ids=["run", "run-ablation"]
+)
 def test_run_refuses_an_out_path_before_any_request(
     tmp_path, script_file, capsys, backends, taken, command, where
 ):
@@ -291,7 +326,9 @@ def test_run_refuses_an_out_path_before_any_request(
     assert not any(backend.requests for backend in backends)
 
 
-@pytest.mark.parametrize("command", [["run"], ["ablate", "NoData"]], ids=["run", "ablate"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["run", "--ablation", "NoData"]], ids=["run", "run-ablation"]
+)
 def test_run_refuses_a_default_record_path_that_is_a_directory(
     tmp_path, script_file, capsys, monkeypatch, backends, command
 ):
@@ -361,6 +398,46 @@ def test_replay_refuses_an_out_path_before_the_rerun(
     error = _usage_error(capsys, ["replay", str(tmp_path / "record.json"), "--out", str(taken[where])])
     assert error.startswith(f"policyloop: error: --out {taken[where]}: ")
     assert replayed == []
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["metrics --json", "metrics --csv", "metrics --json --csv", "replay --out",
+     "run --script", "run --config", "run --gateway-config"],
+)
+def test_an_output_path_that_names_one_of_the_commands_files_is_a_usage_error(
+    tmp_path, script_file, capsys, monkeypatch, backends, taken, case
+):
+    """An output path that resolves to a file the command reads, or to the
+    other output of ``metrics``, is refused, whether it is given as the
+    input is or by another path; every file keeps its bytes."""
+    main(_run_args(tmp_path, script_file))
+    capsys.readouterr()
+    backends.clear()
+    record, report = tmp_path / "record.json", tmp_path / "report.json"
+    config, gateway = tmp_path / "cfg.json", tmp_path / "gateway.json"
+    config.write_text(json.dumps({"epochs": 5}))
+    gateway.write_text(json.dumps({"retries": 0}))
+    metrics = ["metrics", str(record), "--no-rerun"]
+    run = ["run", "--task", "CartPoleStar2", "--script", str(script_file), "--config",
+           str(config), "--gateway-config", str(gateway), "--out"]
+    command, target = {
+        "metrics --json": (metrics + ["--json"], record),
+        "metrics --csv": (metrics + ["--csv"], record),
+        "metrics --json --csv": (metrics + ["--json", str(report), "--csv"], report),
+        "replay --out": (["replay", str(record), "--out"], record),
+        "run --script": (run, script_file),
+        "run --config": (run, config),
+        "run --gateway-config": (run, gateway),
+    }[case]
+    files = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    monkeypatch.chdir(taken["directory"])
+    for spelling in (str(target), f"../{target.name}"):
+        error = _usage_error(capsys, command + [spelling])
+        option = command[-1]
+        assert error == f"policyloop: error: {option} {spelling}: names the same file as {target}"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
+    assert backends == []
 
 
 # -- bad gateway settings ----------------------------------------------------------
@@ -787,9 +864,9 @@ def test_run_config_file_settings_sit_under_the_flags(tmp_path, script_file):
     assert record.config.temperatures == (0.0,)
     assert record.config.ablation.value == "NoData"
 
-    main(["ablate", "NoSensoryMotorData", *base])
+    main(["run", *base, "--ablation", "NoSensoryMotorData"])
     record = RunRecord.load(tmp_path / "record.json")
-    assert record.config.ablation.value == "NoSensoryMotorData"  # the condition wins
+    assert record.config.ablation.value == "NoSensoryMotorData"
     assert (record.model_name, record.seed_root) == ("from-file", 7)
 
 

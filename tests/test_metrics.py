@@ -475,6 +475,23 @@ def test_compute_report_rejects_mixed_cells():
         compute_report(a + b)
 
 
+def test_compute_report_refuses_two_records_of_one_replication():
+    """Two records of one seed root and replication index would count that
+    replication twice (three copies of a success beside a failure read
+    success 0.75); a record of another seed root is another replication."""
+    repaired, aborted = (
+        RunRecord.load(FIXTURES / "records" / f"CartPoleStar2_{name}.json")
+        for name in ("code_repaired", "aborted_backend")
+    )
+    message = "cell CartPoleStar2/scripted-model/t0.0 holds two records of seed root 3, replication 0"
+    for records in ([repaired] * 3 + [aborted], [repaired, aborted]):
+        for include_robustness in (True, False):
+            with pytest.raises(MetricsError, match=re.escape(message)):
+                compute_report(records, n_eval=5, include_robustness=include_robustness)
+    report = compute_report([repaired] + make_records([[100.0]], seed_root=4), n_eval=5)
+    assert (report.n_reps, report.success, report.successful_set) == (2, 0.5, [0])
+
+
 def test_compute_report_refuses_a_reward_above_the_task_maximum():
     """Only a hand-edited record can hold one; scored, it would count as
     no success at all."""
@@ -533,7 +550,7 @@ def test_render_table_and_csv():
 
 def test_compute_report_default_horizon_does_not_depend_on_record_order():
     two = make_records([[100.0, R_MAX]], epochs=2)
-    three = make_records([[R_MAX]], epochs=3)
+    three = make_records([[R_MAX]], epochs=3, seed_root=1)
     reports = [
         compute_report(records, include_robustness=False).to_dict()
         for records in (two + three, three + two)
