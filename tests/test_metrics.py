@@ -404,6 +404,32 @@ def test_fragile_policy_matches_independent_estimate():
     assert abs(fraction - estimate) < 6 * sigma * 2**0.5
 
 
+# FRAGILE with a coin flip in the band below its threshold, so that both the
+# initial states and the policy's draws move its score
+FRAGILE_COIN = (
+    "def get_action(cart_position, cart_velocity, pole_angle, pole_angular_velocity):\n"
+    "    if 0.02 * cart_position + 0.1 * cart_velocity + 0.5 * pole_angle + pole_angular_velocity > 1:\n"
+    "        return 2\n"
+    "    if 0.02 * cart_position + 0.1 * cart_velocity + 0.5 * pole_angle + pole_angular_velocity > 0.5:\n"
+    "        return random.randint(1, 2)\n"
+    "    return 1\n"
+)
+
+
+def test_robustness_episode_seeds_are_frozen():
+    """Robustness episode ``ep`` of replication ``r`` under seed root ``s``
+    starts from ``derive_seed(s, r, "robustness", ep, "env")`` and feeds its
+    policy a ``random.Random(derive_seed(s, r, "robustness", ep, "policy"))``.
+    Each of these keys changed alone moves the value: the two last parts
+    swapped give 0.92, "policy" renamed 0.92, iteration 0 in place of
+    "robustness" 0.90, and the replication left out 0.88."""
+    record = make_records([[R_MAX]] * 4, program_source=FRAGILE_COIN, seed_root=5)[3]
+    assert record.replication_index == 3
+    assert robustness([record], R_MAX, t_max=10, n_eval=200) == 0.87
+    fragile = make_records([[R_MAX]], program_source=FRAGILE, seed_root=0)
+    assert robustness(fragile, R_MAX, t_max=10, n_eval=300) == 146 / 300
+
+
 def test_robustness_is_deterministic():
     records = make_records([[R_MAX]], program_source=FRAGILE)
     a = robustness(records, R_MAX, t_max=10, n_eval=60)
