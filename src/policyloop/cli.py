@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -290,13 +291,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         ]
     except MetricsError as exc:
         raise UsageError(str(exc))
-    print(render_table(reports))
+    # the files first, so that a closed stdout cannot stop them
+    lines = [render_table(reports)]
     if args.json:
         write_text(args.json, json.dumps([r.to_dict() for r in reports], indent=2))
-        print(f"machine-readable report written to {args.json}")
+        lines.append(f"machine-readable report written to {args.json}")
     if args.csv:
         write_text(args.csv, reward_curve_csv(records))
-        print(f"reward curves written to {args.csv}")
+        lines.append(f"reward curves written to {args.csv}")
+    print("\n".join(lines))
     return 0
 
 
@@ -340,10 +343,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout:  # None when started without one
+            sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return status
     except UsageError as exc:
         args.parser.print_usage(sys.stderr)
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # the reader closed stdout (``policyloop run ... | head -1``); Python
+        # flushes it again at exit, so from here on it writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

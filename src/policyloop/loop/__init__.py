@@ -4,14 +4,13 @@ from .batch import run_batch
 from .config import CARTPOLE_FAMILY, LoopConfig
 from .records import RunRecord, RunStatus, Strategy, cell_record_name, default_record_name
 from .runner import (
-    episode_seed,
     evaluate_program,
     initialize,
-    policy_rng_seed,
     refine,
     replay,
     retest,
     run_replication,
+    seeded_episodes,
 )
 
 __all__ = [
@@ -22,13 +21,12 @@ __all__ = [
     "Strategy",
     "cell_record_name",
     "default_record_name",
-    "episode_seed",
     "evaluate_program",
     "initialize",
-    "policy_rng_seed",
     "refine",
     "replay",
     "retest",
     "run_batch",
     "run_replication",
+    "seeded_episodes",
 ]

@@ -6,7 +6,8 @@ current, previous and best strategies) after it; then rules (Prompt 2) and
 code (Prompt 3), each re-asked within the repair budget, and an evaluation
 of the resulting policy.
 
-All episode seeds are pure functions of (seed_root, replication, iteration,
+Every episode, the robustness metric's too, comes from ``seeded_episodes``,
+whose seeds are pure functions of (seed_root, replication, iteration,
 episode), so a record plus its response transcript replays bit-for-bit.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from ..dsl.episode import EpisodeTrace, run_episode
 from ..dsl.parser import parse as parse_policy
@@ -53,12 +54,18 @@ class _Recorder:
         return response
 
 
-def episode_seed(seed_root: int, replication: int, iteration: int, episode: int) -> int:
-    return derive_seed(seed_root, replication, iteration, episode, "env")
-
-
-def policy_rng_seed(seed_root: int, replication: int, iteration: int, episode: int) -> int:
-    return derive_seed(seed_root, replication, iteration, episode, "policy")
+def seeded_episodes(
+    program, task_id: TaskId, seed_root: int, replication: int, iteration: Union[int, str], n: int
+) -> Iterator[EpisodeTrace]:
+    """The ``n`` episodes of ``program`` for one (seed_root, replication,
+    iteration), one at a time on one env. Episode ``ep`` starts from the seed
+    of those parts, ``ep`` and ``"env"``; its policy draws from a rng seeded
+    with ``"policy"`` instead. Robustness reruns pass ``"robustness"``."""
+    env = make(task_id)
+    for ep in range(n):
+        rng = random.Random(derive_seed(seed_root, replication, iteration, ep, "policy"))
+        seed = derive_seed(seed_root, replication, iteration, ep, "env")
+        yield run_episode(program, task_id, seed, rng, env=env)
 
 
 def evaluate_program(
@@ -70,23 +77,18 @@ def evaluate_program(
 ) -> tuple[float, list[float], SensoryMotorWindow]:
     """Run the evaluation episodes; the window comes from the worst one,
     the earliest of equal returns."""
-    env = make(task_id)
     returns: list[float] = []
     # only the worst trace so far is kept: each holds its observations
     worst: Optional[EpisodeTrace] = None
     worst_idx = 0
-    for ep in range(config.eval_episodes):
-        rng = random.Random(policy_rng_seed(config.seed_root, replication, iteration, ep))
-        trace = run_episode(
-            program,
-            task_id,
-            episode_seed(config.seed_root, replication, iteration, ep),
-            rng,
-            env=env,
-        )
-        returns.append(trace.total_reward)
+    episodes = seeded_episodes(
+        program, task_id, config.seed_root, replication, iteration, config.eval_episodes
+    )
+    # not enumerate(): its reused result tuple would keep the last trace alive
+    for trace in episodes:
         if worst is None or trace.total_reward < worst.total_reward:
-            worst, worst_idx = trace, ep
+            worst, worst_idx = trace, len(returns)
+        returns.append(trace.total_reward)
         del trace  # so that a trace that is not the worst is freed now
 
     window = SensoryMotorWindow(
@@ -215,9 +217,8 @@ def retest(
     configured to keep running: no prompts are sent, only fresh episodes.
     """
     task_id = parse_task_id(task_id)
-    spec = get_spec(task_id)
     iteration = strategy.iteration_index + 1
-    program = parse_policy(strategy.program_source, expected_params=spec.obs_names)
+    program = parse_policy(strategy.program_source, expected_params=get_spec(task_id).obs_names)
     reward, returns, window = evaluate_program(program, task_id, config, replication, iteration)
     return replace(
         strategy,

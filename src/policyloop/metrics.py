@@ -11,9 +11,10 @@ success is squared to punish unreliable convergence.
 
 The matrix-level functions operate on plain per-replication reward
 sequences, given r_max and t_max, and are the reference arithmetic;
-record-level wrappers extract those sequences (and re-run policies for
-robustness) from RunRecords, and ``compute_report`` takes the two bounds
-from the task and the records.
+record-level wrappers extract those sequences from RunRecords, and
+``compute_report`` takes the two bounds from the task and the records.
+Robustness re-runs a policy through the loop's own episodes,
+``loop.runner.seeded_episodes``, with ``"robustness"`` in the iteration slot.
 Every average is ``loop.records.mean``, the one the runner stores each
 ``mean_reward`` with: a left-to-right sum over the count.
 """
@@ -23,15 +24,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .dsl.episode import run_episode
 from .dsl.parser import PolicyParseError, parse
-from .envs import get_spec, make
-from .envs.core import derive_seed
+from .envs import get_spec
 from .loop.records import RunRecord, as_json, mean
+from .loop.runner import seeded_episodes
 
 Matrix = Sequence[Sequence[float]]
 
@@ -108,11 +107,7 @@ def successful_set(matrix: Matrix, r_max: float, t_max: int) -> list[int]:
 
 def success(matrix: Matrix, r_max: float, t_max: int) -> float:
     """Fraction of replications that reach r_max within t_max iterations."""
-    _require_rows(matrix)
-    if r_max is None:
-        raise MetricNotApplicableError("task defines no maximum reward")
-    hits = len(successful_set(matrix, r_max, t_max))
-    return hits / len(matrix)
+    return len(successful_set(matrix, r_max, t_max)) / len(matrix)
 
 
 def learning_time(matrix: Matrix, r_max: float, t_max: int) -> Optional[float]:
@@ -226,17 +221,11 @@ def robustness(
                 f"{strategy.iteration_index}: the first maximal program no longer "
                 f"parses ({exc})"
             ) from exc
-        env = make(record.task_id)
-        returns = []
-        for ep in range(n_eval):
-            rng = random.Random(
-                derive_seed(record.seed_root, record.replication_index, "robustness", ep, "policy")
-            )
-            seed = derive_seed(
-                record.seed_root, record.replication_index, "robustness", ep, "env"
-            )
-            returns.append(run_episode(program, record.task_id, seed, rng, env=env).total_reward)
-        eval_returns[j] = returns
+        episodes = seeded_episodes(
+            program, record.task_id, record.seed_root, record.replication_index,
+            "robustness", n_eval,
+        )
+        eval_returns[j] = [trace.total_reward for trace in episodes]
     return robustness_from_returns(eval_returns, r_max)
 
 

@@ -1,8 +1,8 @@
 """The benchmark's tracer finds its spans by name (module globals, methods
 of the environment classes); a renamed target would silently read 0, and
 the untraced run counts its episodes and steps through one of them. The
-names of the retired single-step API are the one exemption: they must stay
-gone, and their spans must read 0."""
+names the code no longer has are the one exemption: they must stay gone,
+and a span that only they fed must read 0."""
 
 import importlib
 import random
@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from policyloop import metrics
 from policyloop.dsl import episode, parse, run_episode
 from policyloop.envs import ENV_CLASSES, TaskId, get_spec
 from policyloop.gateway import HttpChatBackend
 from policyloop.loop.records import RunRecord
+
+from conftest import make_records, transcript_text
 
 ROOT = str(Path(__file__).resolve().parent.parent)
 if ROOT not in sys.path:
@@ -22,18 +25,29 @@ if ROOT not in sys.path:
 
 from perfbench.tracing import MODULE_SPANS, UNITS, Tracer
 
-# span -> (owner, name): what the tracer still patches of the single-step
-# API that whole-episode rollouts replaced (``dsl.episode.evaluate`` and
-# each env class's ``step``). The tracer skips a missing name, so these
-# spans read 0.
-RETIRED = {"dsl.evaluate": (episode, "evaluate")} | {
-    f"envs.step.{task.value}": (cls, "step") for task, cls in ENV_CLASSES.items()
-}
+# (owner, name) -> span: what the tracer still patches but the code no longer
+# has. The single-step API that whole-episode rollouts replaced
+# (``dsl.episode.evaluate`` and each env class's ``step``), and the episode
+# loop of ``metrics.robustness``, which now plays ``loop.runner``'s
+# ``seeded_episodes``. The tracer skips a missing name. Keyed by the pair:
+# ``envs.derive_seed`` is also the span of ``loop.runner.derive_seed``.
+RETIRED = {
+    (episode, "evaluate"): "dsl.evaluate",
+    (metrics, "run_episode"): "dsl.run_episode.metrics",
+    (metrics, "derive_seed"): "envs.derive_seed",
+} | {(cls, "step"): f"envs.step.{task.value}" for task, cls in ENV_CLASSES.items()}
+
+LIVE = [
+    (module_name, attr, span)
+    for module_name, attr, span in MODULE_SPANS
+    if (importlib.import_module(module_name), attr) not in RETIRED
+]
+
+# spans that only retired names fed
+DEAD = sorted(set(RETIRED.values()) - {span for _, _, span in LIVE})
 
 
-@pytest.mark.parametrize(
-    "module_name, attr", [(m, a) for m, a, span in MODULE_SPANS if span not in RETIRED]
-)
+@pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in LIVE])
 def test_every_traced_module_name_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
 
@@ -43,9 +57,8 @@ def test_every_environment_class_has_reset(task):
     assert callable(ENV_CLASSES[task].reset)
 
 
-@pytest.mark.parametrize("span", sorted(RETIRED))
-def test_retired_names_do_not_resolve(span):
-    owner, attr = RETIRED[span]
+@pytest.mark.parametrize("owner, attr", list(RETIRED), ids=list(RETIRED.values()))
+def test_retired_names_do_not_resolve(owner, attr):
     assert not hasattr(owner, attr)
 
 
@@ -56,7 +69,17 @@ def test_retired_spans_count_nothing_in_an_episode(task):
     with Tracer() as tracer:
         trace = run_episode(program, task, 0, random.Random(0))
     assert trace.length > 0 and tracer.stats["envs.reset"].count == 1
-    assert {span: tracer.stats[span].count for span in RETIRED} == dict.fromkeys(RETIRED, 0)
+    assert {span: tracer.stats[span].count for span in DEAD} == dict.fromkeys(DEAD, 0)
+
+
+def test_robustness_episodes_are_timed_under_the_loops_span():
+    records = make_records([[500.0]], program_source=transcript_text("code_optimal.py") + "\n")
+    with Tracer() as tracer:
+        assert metrics.robustness(records, 500.0, t_max=10, n_eval=3) == 1.0
+    spans = ("dsl.run_episode.loop", "dsl.run_episode.metrics", "envs.derive_seed")
+    counts = {span: tracer.stats[span].count for span in spans}
+    # an env seed and a policy seed per episode
+    assert counts == {"dsl.run_episode.loop": 3, "dsl.run_episode.metrics": 0, "envs.derive_seed": 6}
 
 
 def test_traced_methods_resolve():

@@ -22,7 +22,6 @@ from policyloop.loop import (
     run_replication,
 )
 from policyloop.loop import runner
-from policyloop.loop.runner import episode_seed, policy_rng_seed
 from policyloop.prompts import render_p2
 
 from conftest import big_int_expression, scripted_session, transcript_text
@@ -419,11 +418,29 @@ def test_seed_root_changes_the_outcome():
     assert a.per_iteration_rewards != b.per_iteration_rewards
 
 
-def test_episode_seeds_are_pure_functions():
-    assert episode_seed(3, 0, 1, 5) == episode_seed(3, 0, 1, 5)
-    seeds = {episode_seed(3, r, i, e) for r in range(3) for i in range(3) for e in range(3)}
-    assert len(seeds) == 27
-    assert policy_rng_seed(3, 0, 1, 5) != episode_seed(3, 0, 1, 5)
+def test_episode_seeds_are_pure_functions(monkeypatch, iter0_program):
+    """Each episode's env seed and policy seed are derived from its
+    (seed_root, replication, iteration, episode) and nothing else: the same
+    parts give the same seeds, and no two seeds of 27 episodes are equal."""
+    derived = []
+
+    def spy(*parts):
+        derived.append((parts, derive_seed(*parts)))
+        return derived[-1][1]
+
+    monkeypatch.setattr(runner, "derive_seed", spy)
+    for _ in range(2):
+        for r in range(3):
+            for i in range(3):
+                for _trace in runner.seeded_episodes(iter0_program, TaskId.CARTPOLE_STAR2, 3, r, i, 3):
+                    pass
+    first, second = derived[:54], derived[54:]
+    assert first == second
+    assert sorted(parts for parts, _ in first) == sorted(
+        (3, r, i, e, key) for r in range(3) for i in range(3) for e in range(3)
+        for key in ("env", "policy")
+    )
+    assert len({seed for _, seed in first}) == 54
 
 
 def test_repair_budget_exhaustion_aborts_with_status():

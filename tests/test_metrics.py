@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from policyloop.metrics import (
     successful_set,
 )
 from policyloop.envs import ALL_TASKS, get_spec
-from policyloop.loop import RunRecord
+from policyloop.loop import RunRecord, runner
 from policyloop.loop.records import mean as _mean
 
 from conftest import FIXTURES, make_records, transcript_text
@@ -428,6 +429,27 @@ def test_robustness_episode_seeds_are_frozen():
     assert robustness([record], R_MAX, t_max=10, n_eval=200) == 0.87
     fragile = make_records([[R_MAX]], program_source=FRAGILE, seed_root=0)
     assert robustness(fragile, R_MAX, t_max=10, n_eval=300) == 146 / 300
+
+
+def test_robustness_keeps_at_most_two_traces_alive(monkeypatch):
+    # each trace holds every observation of its episode; 2000 of them are
+    # the default rerun
+    refs = []
+    most = 0
+
+    def spy(*args, **kwargs):
+        nonlocal most
+        trace = real_run_episode(*args, **kwargs)
+        refs.append(weakref.ref(trace))
+        most = max(most, sum(ref() is not None for ref in refs))
+        return trace
+
+    real_run_episode = runner.run_episode
+    monkeypatch.setattr(runner, "run_episode", spy)
+    records = make_records([[R_MAX]], program_source=FRAGILE)
+    robustness(records, R_MAX, t_max=10, n_eval=50)
+    assert len(refs) == 50
+    assert most <= 2
 
 
 def test_robustness_is_deterministic():
