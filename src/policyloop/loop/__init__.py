@@ -10,7 +10,6 @@ from .runner import (
     replay,
     retest,
     run_replication,
-    seeded_episodes,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "retest",
     "run_batch",
     "run_replication",
-    "seeded_episodes",
 ]

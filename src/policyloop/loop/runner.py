@@ -84,7 +84,8 @@ def evaluate_program(
     episodes = seeded_episodes(
         program, task_id, config.seed_root, replication, iteration, config.eval_episodes
     )
-    # not enumerate(): its reused result tuple would keep the last trace alive
+    # not enumerate(): its reused result tuple holds the previous trace until
+    # the next episode has run
     for trace in episodes:
         if worst is None or trace.total_reward < worst.total_reward:
             worst, worst_idx = trace, len(returns)
@@ -217,8 +218,9 @@ def retest(
     configured to keep running: no prompts are sent, only fresh episodes.
     """
     task_id = parse_task_id(task_id)
+    spec = get_spec(task_id)
     iteration = strategy.iteration_index + 1
-    program = parse_policy(strategy.program_source, expected_params=get_spec(task_id).obs_names)
+    program = parse_policy(strategy.program_source, expected_params=spec.obs_names)
     reward, returns, window = evaluate_program(program, task_id, config, replication, iteration)
     return replace(
         strategy,

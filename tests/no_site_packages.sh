@@ -69,6 +69,24 @@ python -S -m policyloop.cli metrics "$out/record.json" --json "$out/record.json"
 if [ "$status" -ne 2 ] || ! cmp -s "$out/record.json" "$out/record.before"; then
   echo "metrics <record> --json <same record> exited $status; expected 2 and the record kept"; exit 1
 fi
+# a reader that closes stdout early (`| head -1`) leaves the command's
+# files whole: run and metrics --json, unbuffered, write theirs, then exit 1
+# and print no traceback
+closed_stdout() {  # "$@" writing to a pipe whose reader is already closed
+  python -S -c 'import os, subprocess, sys; r, w = os.pipe(); os.close(r); sys.exit(subprocess.call(sys.argv[1:], stdout=w))' "$@"
+}
+status=0
+closed_stdout python -S -u -m policyloop.cli run --task CartPoleStar2 --script "$out/session.json" \
+  --epochs 5 --seed-root 3 --model scripted-model --out "$out/closed.json" 2>"$out/stderr" || status=$?
+if [ "$status" -ne 1 ] || grep -q Traceback "$out/stderr" || ! python -S -m policyloop.cli replay "$out/closed.json"; then
+  echo "run with a closed stdout exited $status; expected 1, a record that replays and no traceback"; exit 1
+fi
+status=0
+closed_stdout python -S -u -m policyloop.cli metrics "$out/closed.json" --n-eval 50 \
+  --json "$out/closed_report.json" 2>"$out/stderr" || status=$?
+if [ "$status" -ne 1 ] || grep -q Traceback "$out/stderr" || ! cmp -s "$out/closed_report.json" "$out/report.json"; then
+  echo "metrics --json with a closed stdout exited $status; expected 1, the report and no traceback"; exit 1
+fi
 # a record field of the wrong type is a usage error: exit 2
 python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = None; json.dump(r, open(sys.argv[2], 'w'))" \
   tests/fixtures/records/CartPoleStar2_completed.json "$out/null_mean.json"

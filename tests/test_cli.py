@@ -403,21 +403,28 @@ def test_replay_refuses_an_out_path_before_the_rerun(
 @pytest.mark.parametrize(
     "case",
     ["metrics --json", "metrics --csv", "metrics --json --csv", "replay --out",
-     "run --script", "run --config", "run --gateway-config"],
+     "run --script", "run --config", "run --gateway-config", "run record --script"],
 )
 def test_an_output_path_that_names_one_of_the_commands_files_is_a_usage_error(
     tmp_path, script_file, capsys, monkeypatch, backends, taken, case
 ):
     """An output path that resolves to a file the command reads, or to the
     other output of ``metrics``, is refused, whether it is given as the
-    input is or by another path; every file keeps its bytes."""
+    input is, by another path or through a symbolic link; every file keeps
+    its bytes. ``run`` without ``--out`` writes its record under the cell's
+    name in the working directory, and a ``--script`` of that name is refused
+    however it is spelled."""
     main(_run_args(tmp_path, script_file))
     capsys.readouterr()
     backends.clear()
     record, report = tmp_path / "record.json", tmp_path / "report.json"
     config, gateway = tmp_path / "cfg.json", tmp_path / "gateway.json"
+    default = tmp_path / "CartPoleStar2_scripted-model_t0_0_r000.json"
     config.write_text(json.dumps({"epochs": 5}))
     gateway.write_text(json.dumps({"retries": 0}))
+    default.write_bytes(script_file.read_bytes())
+    links = tmp_path / "links"
+    links.mkdir()
     metrics = ["metrics", str(record), "--no-rerun"]
     run = ["run", "--task", "CartPoleStar2", "--script", str(script_file), "--config",
            str(config), "--gateway-config", str(gateway), "--out"]
@@ -429,13 +436,22 @@ def test_an_output_path_that_names_one_of_the_commands_files_is_a_usage_error(
         "run --script": (run, script_file),
         "run --config": (run, config),
         "run --gateway-config": (run, gateway),
+        "run record --script": (["run", "--task", "CartPoleStar2", "--model", "scripted-model",
+                                 "--script"], default),
     }[case]
+    (links / target.name).symlink_to(target)
     files = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
-    monkeypatch.chdir(taken["directory"])
-    for spelling in (str(target), f"../{target.name}"):
-        error = _usage_error(capsys, command + [spelling])
-        option = command[-1]
-        assert error == f"policyloop: error: {option} {spelling}: names the same file as {target}"
+    if case == "run record --script":
+        # the record's default path is the script's name in the working directory
+        monkeypatch.chdir(tmp_path)
+        for spelling in (str(default), default.name, f"links/{default.name}"):
+            error = _usage_error(capsys, command + [spelling])
+            assert error == f"policyloop: error: record {default.name}: names the same file as {spelling}"
+    else:
+        monkeypatch.chdir(taken["directory"])
+        for spelling in (str(target), f"../{target.name}", f"../links/{target.name}"):
+            error = _usage_error(capsys, command + [spelling])
+            assert error == f"policyloop: error: {command[-1]} {spelling}: names the same file as {target}"
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
     assert backends == []
 
@@ -907,6 +923,11 @@ def _pipeline(out_dir, script_file, flags):
     ):
         done = _python(flags, *cli, *args, cwd=out_dir)
         assert done.returncode == 0, (flags, args, done.stdout + done.stderr)
+    return _record_and_report(out_dir)
+
+
+def _record_and_report(out_dir):
+    """The bytes of ``record.json``, ``wall_clock`` masked, and of ``report.json``."""
     record = (out_dir / "record.json").read_text(encoding="utf-8")
     # the one field that differs between two runs of the same record
     record = re.sub(r'"wall_clock": [^,}]+', '"wall_clock": 0', record)
@@ -922,6 +943,49 @@ def test_pipeline_runs_without_site_packages(tmp_path, script_file):
     usual = _pipeline(tmp_path / "usual", script_file, [])
     assert bare == usual
     assert json.loads(bare[1])[0]["robustness"] == 1.0
+
+
+# -- a closed stdout ---------------------------------------------------------------
+
+
+def _with_closed_stdout(flags, args, cwd):
+    """``python <flags> -m policyloop.cli <args>`` writing to a pipe whose
+    reader is closed before the command starts, as ``| head -1`` leaves it."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)  # the flags choose the buffering
+    try:
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "policyloop.cli", *args],
+            env=env, cwd=cwd, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_command_after_its_files_are_written(
+    tmp_path, script_file, flags
+):
+    """``run`` and ``metrics --json`` whose reader has gone write the files
+    they write with an open stdout, then exit 1 with nothing on stderr."""
+    written = {}
+    for stdout in ("open", "closed"):
+        out_dir = tmp_path / stdout
+        out_dir.mkdir()
+        for args in (
+            _run_args(out_dir, script_file),
+            ["metrics", "record.json", "--n-eval", "50", "--json", "report.json"],
+        ):
+            if stdout == "open":
+                done = _python(flags, "-m", "policyloop.cli", *args, cwd=out_dir)
+                assert done.returncode == 0, (args, done.stderr)
+            else:
+                done = _with_closed_stdout(flags, args, out_dir)
+                assert (done.returncode, done.stderr) == (1, ""), args
+        written[stdout] = _record_and_report(out_dir)
+    assert written["closed"] == written["open"]
 
 
 def test_importing_the_package_loads_no_numpy(tmp_path):
