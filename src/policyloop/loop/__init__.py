@@ -3,14 +3,7 @@
 from .batch import run_batch
 from .config import CARTPOLE_FAMILY, LoopConfig
 from .records import RunRecord, RunStatus, Strategy, cell_record_name, default_record_name
-from .runner import (
-    evaluate_program,
-    initialize,
-    refine,
-    replay,
-    retest,
-    run_replication,
-)
+from .runner import evaluate_program, replay, run_replication
 
 __all__ = [
     "CARTPOLE_FAMILY",
@@ -21,10 +14,7 @@ __all__ = [
     "cell_record_name",
     "default_record_name",
     "evaluate_program",
-    "initialize",
-    "refine",
     "replay",
-    "retest",
     "run_batch",
     "run_replication",
 ]

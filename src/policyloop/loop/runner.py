@@ -1,10 +1,13 @@
 """One replication of the refinement loop.
 
-Every iteration is one step with two openings: a strategy from Prompt 1
-(the task description) at iteration 0, or from Prompt 4 (reflection on the
+``run_replication`` is its only driver. Every prompted iteration is one
+step, ``_next_strategy``, with two openings: a strategy from Prompt 1 (the
+task description) at iteration 0, or from Prompt 4 (reflection on the
 current, previous and best strategies) after it; then rules (Prompt 2) and
 code (Prompt 3), each re-asked within the repair budget, and an evaluation
-of the resulting policy.
+of the resulting policy. A strategy at the task maximum ends the run
+(``stop_on_max``), or with ``retest_at_max`` its program, as compiled, is
+evaluated again on the next iteration's seeds: no prompt, no parse.
 
 Every episode, the robustness metric's too, comes from ``seeded_episodes``,
 whose seeds are pure functions of (seed_root, replication, iteration,
@@ -19,7 +22,7 @@ from dataclasses import replace
 from typing import Iterator, Optional, Union
 
 from ..dsl.episode import EpisodeTrace, run_episode
-from ..dsl.parser import parse as parse_policy
+from ..dsl.parser import PolicyProgram
 from ..envs import get_spec, make
 from ..envs.core import TaskId, derive_seed, parse_task_id
 from ..gateway import ChatRequest, ChatResponse, GatewayError, ScriptedBackend
@@ -114,10 +117,10 @@ def _next_strategy(
     backend,
     replication: int,
     temperature: float,
-) -> Strategy:
+) -> tuple[Strategy, PolicyProgram]:
     """The iteration after ``history``: a strategy from Prompt 1 when the
     history is empty, else from Prompt 4 on it; then its rules, its program
-    and their evaluation."""
+    and their evaluation. Returns the strategy and its compiled program."""
     spec = get_spec(task_id)
     iteration = len(history)
     if not history:
@@ -165,20 +168,7 @@ def _next_strategy(
         per_episode_returns=returns,
         window=window,
         repair_attempts=attempts,
-    )
-
-
-def initialize(
-    task_id: Union[str, TaskId],
-    config: LoopConfig,
-    backend,
-    replication: int = 0,
-    temperature: Optional[float] = None,
-) -> Strategy:
-    """Prompts 1-3 plus evaluation; yields the iteration-0 strategy."""
-    task_id = parse_task_id(task_id)
-    temperature = config.temperatures[0] if temperature is None else temperature
-    return _next_strategy([], task_id, config, backend, replication, temperature)
+    ), program
 
 
 def _summary(strategy: Strategy, config: LoopConfig) -> StrategySummary:
@@ -190,48 +180,6 @@ def _summary(strategy: Strategy, config: LoopConfig) -> StrategySummary:
     )
 
 
-def refine(
-    history: list[Strategy],
-    task_id: Union[str, TaskId],
-    config: LoopConfig,
-    backend,
-    replication: int = 0,
-    temperature: Optional[float] = None,
-) -> Strategy:
-    """One reflect-revise-evaluate epoch appended after ``history``."""
-    if not history:
-        raise ValueError("refine() needs a non-empty history")
-    task_id = parse_task_id(task_id)
-    temperature = config.temperatures[0] if temperature is None else temperature
-    return _next_strategy(history, task_id, config, backend, replication, temperature)
-
-
-def retest(
-    strategy: Strategy,
-    task_id: Union[str, TaskId],
-    config: LoopConfig,
-    replication: int = 0,
-) -> Strategy:
-    """Re-evaluate an unchanged strategy on the next iteration's seeds.
-
-    Used when a strategy already sits at the task maximum and the loop is
-    configured to keep running: no prompts are sent, only fresh episodes.
-    """
-    task_id = parse_task_id(task_id)
-    spec = get_spec(task_id)
-    iteration = strategy.iteration_index + 1
-    program = parse_policy(strategy.program_source, expected_params=spec.obs_names)
-    reward, returns, window = evaluate_program(program, task_id, config, replication, iteration)
-    return replace(
-        strategy,
-        iteration_index=iteration,
-        mean_reward=reward,
-        per_episode_returns=returns,
-        window=window,
-        repair_attempts=0,
-    )
-
-
 def run_replication(
     task_id: Union[str, TaskId],
     config: LoopConfig,
@@ -239,13 +187,16 @@ def run_replication(
     replication_index: int = 0,
     temperature: Optional[float] = None,
 ) -> RunRecord:
-    """Initialize, then refine until the epoch budget or the task maximum.
+    """Iterate until the epoch budget or the task maximum: Prompt 1 first,
+    then Prompt 4 on the history so far. A strategy at the maximum stops the
+    run under ``stop_on_max``; otherwise, under ``retest_at_max``, the same
+    compiled program is evaluated on the next iteration's seeds.
 
     A failure ends the run with an ``aborted_*`` status instead of raising;
     only ``KeyboardInterrupt`` and ``SystemExit`` propagate.
     """
     task_id = parse_task_id(task_id)
-    spec = get_spec(task_id)
+    r_max = get_spec(task_id).r_max
     temperature = config.temperatures[0] if temperature is None else temperature
     recorder = _Recorder(backend)
 
@@ -257,31 +208,33 @@ def run_replication(
         seed_root=config.seed_root,
         config=config,
     )
+    strategies = record.strategies
     started = time.monotonic()
     try:
-        record.strategies.append(
-            initialize(task_id, config, recorder, replication_index, temperature)
-        )
-        while len(record.strategies) < config.epochs:
-            last = record.strategies[-1]
-            at_max = spec.r_max is not None and last.mean_reward >= spec.r_max
+        while len(strategies) < config.epochs:
+            at_max = r_max is not None and bool(strategies) and strategies[-1].mean_reward >= r_max
             if at_max and config.stop_on_max:
                 break
             if at_max and config.retest_at_max:
-                record.strategies.append(
-                    retest(last, task_id, config, replication_index)
+                iteration = len(strategies)
+                reward, returns, window = evaluate_program(
+                    program, task_id, config, replication_index, iteration
                 )
-                continue
-            record.strategies.append(
-                refine(
-                    record.strategies,
-                    task_id,
-                    config,
-                    recorder,
-                    replication_index,
-                    temperature,
+                strategies.append(
+                    replace(
+                        strategies[-1],
+                        iteration_index=iteration,
+                        mean_reward=reward,
+                        per_episode_returns=returns,
+                        window=window,
+                        repair_attempts=0,
+                    )
                 )
-            )
+            else:
+                strategy, program = _next_strategy(
+                    strategies, task_id, config, recorder, replication_index, temperature
+                )
+                strategies.append(strategy)
     except RepairBudgetExhausted:
         record.status = RunStatus.ABORTED_REPAIR_BUDGET
     except (GatewayError, EmptyResponseError):

@@ -15,6 +15,14 @@ python -S -m policyloop.cli run --task CartPoleStar2 --script "$out/session.json
   --epochs 5 --seed-root 3 --model scripted-model --out "$out/record.json"
 python -S -m policyloop.cli replay "$out/record.json"
 python -S -m policyloop.cli metrics "$out/record.json" --n-eval 50 --json "$out/report.json"
+# without the early stop, the maximal strategy of iteration 3 is retested
+# twice, on its compiled program, and the record replays
+python -S -c "import json, sys; json.dump({'stop_on_max': False}, open(sys.argv[1], 'w'))" "$out/no_stop.json"
+python -S -m policyloop.cli run --task CartPoleStar2 --script "$out/session.json" \
+  --config "$out/no_stop.json" --epochs 6 --seed-root 3 --model scripted-model --out "$out/retested.json"
+python -S -c "import json, sys; print([s['repair_attempts'] for s in json.load(open(sys.argv[1]))['strategies']])" \
+  "$out/retested.json" | grep -qx '\[1, 1, 1, 1, 0, 0\]' || { echo "run --epochs 6 without stop_on_max retested no strategy"; exit 1; }
+python -S -m policyloop.cli replay "$out/retested.json"
 for condition in NoData NoSensoryMotorData NoPreviousStrategy NoBestStrategy OnlyCurrentStrategy OnlyBestStrategyData; do
   python -S -m policyloop.cli run --ablation "$condition" --task CartPoleStar2 \
     --script "$out/session.json" --epochs 5 --seed-root 3 --model scripted-model \

@@ -15,6 +15,7 @@ from policyloop import metrics
 from policyloop.dsl import episode, parse, run_episode
 from policyloop.envs import ENV_CLASSES, TaskId, get_spec
 from policyloop.gateway import HttpChatBackend
+from policyloop.loop import runner
 from policyloop.loop.records import RunRecord
 
 from conftest import make_records, transcript_text
@@ -27,14 +28,21 @@ from perfbench.tracing import MODULE_SPANS, UNITS, Tracer
 
 # (owner, name) -> span: what the tracer still patches but the code no longer
 # has. The single-step API that whole-episode rollouts replaced
-# (``dsl.episode.evaluate`` and each env class's ``step``), and the episode
-# loop of ``metrics.robustness``, which now plays ``loop.runner``'s
-# ``seeded_episodes``. The tracer skips a missing name. Keyed by the pair:
-# ``envs.derive_seed`` is also the span of ``loop.runner.derive_seed``.
+# (``dsl.episode.evaluate`` and each env class's ``step``); the episode loop
+# of ``metrics.robustness``, which now plays ``loop.runner``'s
+# ``seeded_episodes``; and the wrappers ``initialize``, ``refine`` and
+# ``retest`` that ``run_replication`` folded, with the parse that only
+# ``retest`` made. The tracer skips a missing name. Keyed by the pair:
+# ``envs.derive_seed`` is also the span of ``loop.runner.derive_seed``, and
+# ``dsl.parse`` that of ``prompts.pipeline.parse`` and ``metrics.parse``.
 RETIRED = {
     (episode, "evaluate"): "dsl.evaluate",
     (metrics, "run_episode"): "dsl.run_episode.metrics",
     (metrics, "derive_seed"): "envs.derive_seed",
+    (runner, "initialize"): "loop.iteration",
+    (runner, "refine"): "loop.iteration",
+    (runner, "retest"): "loop.iteration",
+    (runner, "parse_policy"): "dsl.parse",
 } | {(cls, "step"): f"envs.step.{task.value}" for task, cls in ENV_CLASSES.items()}
 
 LIVE = [
@@ -57,7 +65,14 @@ def test_every_environment_class_has_reset(task):
     assert callable(ENV_CLASSES[task].reset)
 
 
-@pytest.mark.parametrize("owner, attr", list(RETIRED), ids=list(RETIRED.values()))
+# a span that several retired names fed is named with each of them
+RETIRED_IDS = [
+    span if list(RETIRED.values()).count(span) == 1 else f"{span}-{attr}"
+    for (_, attr), span in RETIRED.items()
+]
+
+
+@pytest.mark.parametrize("owner, attr", list(RETIRED), ids=RETIRED_IDS)
 def test_retired_names_do_not_resolve(owner, attr):
     assert not hasattr(owner, attr)
 

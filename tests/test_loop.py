@@ -15,8 +15,6 @@ from policyloop.loop import (
     LoopConfig,
     RunRecord,
     RunStatus,
-    initialize,
-    refine,
     replay,
     run_batch,
     run_replication,
@@ -34,6 +32,14 @@ def _config(**overrides):
     defaults = dict(epochs=5, seed_root=3, model_name="scripted-model")
     defaults.update(overrides)
     return LoopConfig.for_task("CartPoleStar2", **defaults)
+
+
+def _step(history, config, backend):
+    """The strategy of the iteration after ``history``."""
+    strategy, _program = runner._next_strategy(
+        history, TaskId.CARTPOLE_STAR2, config, backend, 0, 0.0
+    )
+    return strategy
 
 
 def _session_record(**overrides):
@@ -84,12 +90,12 @@ def test_config_refuses_a_repair_budget_below_one(budget):
         LoopConfig.for_task("CartPole", repair_budget=budget)
 
 
-# -- initialize ----------------------------------------------------------------
+# -- iteration 0 ----------------------------------------------------------------
 
 
 def test_initialize_builds_iteration_zero():
     backend = ScriptedBackend(scripted_session()[:3])
-    strategy = initialize(TaskId.CARTPOLE_STAR2, _config(), backend)
+    strategy = _step([], _config(), backend)
     assert strategy.iteration_index == 0
     assert strategy.strategy_text == transcript_text("strategy_iter0.txt")
     assert strategy.rules_text == transcript_text("rules_iter0.txt")
@@ -106,7 +112,7 @@ def test_initialize_builds_iteration_zero():
 
 def test_initialize_single_episode_mean():
     backend = ScriptedBackend(scripted_session()[:3])
-    strategy = initialize(TaskId.CARTPOLE_STAR2, _config(eval_episodes=1), backend)
+    strategy = _step([], _config(eval_episodes=1), backend)
     assert strategy.mean_reward == strategy.per_episode_returns[0]
 
 
@@ -116,7 +122,7 @@ def test_initialize_with_optimal_policy_means_500():
         transcript_text("rules_iter3.txt"),
         transcript_text("code_optimal.py"),
     ]
-    strategy = initialize(TaskId.CARTPOLE_STAR2, _config(), ScriptedBackend(script))
+    strategy = _step([], _config(), ScriptedBackend(script))
     assert strategy.mean_reward == 500.0
 
 
@@ -171,7 +177,7 @@ def test_a_stored_mean_does_not_depend_on_the_python_version(monkeypatch):
 @pytest.mark.parametrize("size", [5, 20, 50, 100])
 def test_window_size_bounds_the_window(size):
     backend = ScriptedBackend(scripted_session()[:3])
-    strategy = initialize(TaskId.CARTPOLE_STAR2, _config(window_size=size), backend)
+    strategy = _step([], _config(window_size=size), backend)
     assert len(strategy.window.lines) <= size
 
 
@@ -190,7 +196,7 @@ def test_evaluation_keeps_only_the_worst_trace_alive(monkeypatch):
     real_run_episode = runner.run_episode
     monkeypatch.setattr(runner, "run_episode", spy)
     backend = ScriptedBackend(scripted_session()[:3])
-    strategy = initialize(TaskId.CARTPOLE_STAR2, _config(), backend)
+    strategy = _step([], _config(), backend)
     assert len(refs) == len(strategy.per_episode_returns) == 20
     assert most <= 2
 
@@ -207,32 +213,25 @@ def test_the_window_comes_from_the_earliest_of_equal_worst_returns():
     assert (window.source_episode, window.invalid_value_text) == (0, "None")
 
 
-# -- refine and strategy memory --------------------------------------------------
+# -- reflection and strategy memory --------------------------------------------------
 
 
 def test_refine_appends_next_iteration():
     script = scripted_session()
     backend = ScriptedBackend(script[:6])
     config = _config()
-    first = initialize(TaskId.CARTPOLE_STAR2, config, backend)
-    second = refine([first], TaskId.CARTPOLE_STAR2, config, backend)
+    first = _step([], config, backend)
+    second = _step([first], config, backend)
     assert second.iteration_index == 1
     assert second.rules_text == transcript_text("rules_iter1.txt")
-
-
-def test_refine_needs_a_history():
-    backend = ScriptedBackend(scripted_session())
-    with pytest.raises(ValueError, match=r"refine\(\) needs a non-empty history"):
-        refine([], TaskId.CARTPOLE_STAR2, _config(), backend)
-    assert backend.requests == []
 
 
 def test_first_reflection_prompt_has_no_history_blocks():
     script = scripted_session()
     backend = ScriptedBackend(script[:6])
     config = _config()
-    first = initialize(TaskId.CARTPOLE_STAR2, config, backend)
-    refine([first], TaskId.CARTPOLE_STAR2, config, backend)
+    first = _step([], config, backend)
+    _step([first], config, backend)
     reflect_prompt = backend.requests[3].messages[0]["content"]
     assert "Your current overall strategy was this one:" in reflect_prompt
     assert "Your previous overall strategy" not in reflect_prompt
@@ -248,7 +247,7 @@ def test_best_block_survives_regression():
     config = _config()
     with pytest.raises(Exception):
         # only the P4 request matters; the script runs out afterwards
-        refine(record.strategies[:2], TaskId.CARTPOLE_STAR2, config, backend)
+        _step(record.strategies[:2], config, backend)
     prompt = backend.requests[0].messages[0]["content"]
     # current is the regressed strategy, best shows iteration 0's rules
     assert "Your current overall strategy was this one:" in prompt
@@ -294,7 +293,7 @@ def test_previous_block_is_exactly_the_last_strategy():
     record = _session_record()
     backend = ScriptedBackend([])
     with pytest.raises(Exception):
-        refine(record.strategies[:3], TaskId.CARTPOLE_STAR2, _config(), backend)
+        _step(record.strategies[:3], _config(), backend)
     prompt = backend.requests[0].messages[0]["content"]
     previous_section = prompt.split("Your previous overall strategy was this one:")[1]
     previous_section = previous_section.split("The best overall strategy")[0]
@@ -372,21 +371,32 @@ def test_replication_stops_on_max():
     assert [s.iteration_index for s in record.strategies] == [0, 1, 2, 3]
 
 
-def test_replication_retests_unchanged_strategy_at_max():
-    # without early stop, a maximal strategy is re-evaluated on fresh seeds
-    # instead of being sent back for revision, so no extra responses are used
+def test_replication_retests_unchanged_strategy_at_max(monkeypatch):
+    """Without early stop, a maximal strategy is re-evaluated on fresh seeds
+    instead of being sent back for revision, so no extra responses are used.
+    A retest runs the program the loop already holds: the only programs
+    compiled are the four accepted code answers, not one more per retest."""
+    from policyloop.dsl import parser
+
+    compiled = []
+    real_compile = parser._compile
+
+    def spy(*args):
+        compiled.append(args)
+        return real_compile(*args)
+
+    monkeypatch.setattr(parser, "_compile", spy)
     backend = ScriptedBackend(scripted_session())
     record = run_replication(
-        TaskId.CARTPOLE_STAR2, _config(stop_on_max=False), backend, 0, 0.0
+        TaskId.CARTPOLE_STAR2, _config(epochs=6, stop_on_max=False), backend, 0, 0.0
     )
-    assert len(record.strategies) == 5
     assert backend.remaining == 0
-    fourth, fifth = record.strategies[3], record.strategies[4]
-    assert fifth.program_source == fourth.program_source
-    assert fifth.repair_attempts == 0
-    assert record.per_iteration_rewards[-2:] == [500.0, 500.0]
-    # re-testing drew different episode seeds than iteration 3
-    assert fifth.per_episode_returns == [500.0] * 20
+    assert [s.repair_attempts for s in record.strategies] == [1, 1, 1, 1, 0, 0]
+    assert len(compiled) == 4
+    maximal = record.strategies[3]
+    for retested in record.strategies[4:]:
+        assert retested.program_source == maximal.program_source
+        assert retested.per_episode_returns == [500.0] * 20
     matches, _ = replay(record)
     assert matches
 
