@@ -56,6 +56,7 @@ def _iteration(spec):
         _policy(spec, f"if {first} > 0:\n        return 1\n    return 0"),
         *(_policy(spec, body) for body in BAD_RETURNS),
     ]
+    # weighted, so that runs often reach the maximum and stop or retest there
     policies += _maximal(spec) * 3
     no_code = st.sampled_from([PROSE, RULES, *PIECES])
     return st.tuples(
