@@ -14,11 +14,11 @@ import pytest
 from policyloop import metrics
 from policyloop.dsl import episode, parse, run_episode
 from policyloop.envs import ENV_CLASSES, TaskId, get_spec
-from policyloop.gateway import HttpChatBackend
-from policyloop.loop import runner
+from policyloop.gateway import HttpChatBackend, ScriptedBackend
+from policyloop.loop import run_batch, runner
 from policyloop.loop.records import RunRecord
 
-from conftest import make_records, transcript_text
+from conftest import make_records, scripted_session, transcript_text
 
 ROOT = str(Path(__file__).resolve().parent.parent)
 if ROOT not in sys.path:
@@ -53,6 +53,10 @@ LIVE = [
 
 # spans that only retired names fed
 DEAD = sorted(set(RETIRED.values()) - {span for _, _, span in LIVE})
+
+# (module, name) -> why: live names that no call of a run reaches, because
+# their callers now hold them under other names
+SILENT = {}
 
 
 @pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in LIVE])
@@ -95,6 +99,34 @@ def test_robustness_episodes_are_timed_under_the_loops_span():
     counts = {span: tracer.stats[span].count for span in spans}
     # an env seed and a policy seed per episode
     assert counts == {"dsl.run_episode.loop": 3, "dsl.run_episode.metrics": 0, "envs.derive_seed": 6}
+
+
+def test_every_live_name_is_called_in_a_traced_run(tmp_path, monkeypatch):
+    """A counter on each live name, then a traced scripted batch that saves
+    its record and the report on it: every live name is called but the
+    ``SILENT`` ones, which are not."""
+    calls = dict.fromkeys(
+        [(importlib.import_module(module_name), attr) for module_name, attr, _ in LIVE], 0
+    )
+    for owner, attr in calls:
+
+        def counted(*args, _key=(owner, attr), _original=getattr(owner, attr), **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    with Tracer():
+        records = run_batch(
+            ["CartPoleStar2"],
+            lambda *_: ScriptedBackend(scripted_session()),
+            replications=1,
+            out_dir=tmp_path,
+            seed_root=3,
+            config_overrides={"epochs": 5},
+        )
+        report = metrics.compute_report(records, n_eval=3)
+    assert report.successful_set == [0] and report.robustness == 1.0
+    assert [key for key, count in calls.items() if count == 0] == list(SILENT)
 
 
 def test_traced_methods_resolve():
