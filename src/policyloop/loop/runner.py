@@ -9,6 +9,10 @@ of the resulting policy. A strategy at the task maximum ends the run
 (``stop_on_max``), or with ``retest_at_max`` its program, as compiled, is
 evaluated again on the next iteration's seeds: no prompt, no parse.
 
+``_next_strategy`` builds every request: one user message, the stage's
+``STAGE_MAX_TOKENS``, and a 31-bit seed of (seed_root, replication, iteration)
+and ``"p1"``/``"p4"`` (strategy), ``"p2#<attempt>"`` (rules) or ``"p3"`` (code).
+
 Every episode, the robustness metric's too, comes from ``seeded_episodes``,
 whose seeds are pure functions of (seed_root, replication, iteration,
 episode), so a record plus its response transcript replays bit-for-bit.
@@ -32,15 +36,15 @@ from ..prompts import (
     Stage,
     StrategySummary,
     ask_until_parsed,
-    build_request,
+    extract_code,
     extract_rules,
     extract_strategy,
-    generate_program,
     render_p1,
     render_p2,
+    render_p3,
     render_p4,
 )
-from ..prompts.pipeline import EmptyResponseError
+from ..prompts.pipeline import STAGE_MAX_TOKENS, EmptyResponseError
 from .config import LoopConfig
 from .records import RunRecord, RunStatus, Strategy, mean
 
@@ -106,10 +110,6 @@ def evaluate_program(
     return mean(returns), returns, window
 
 
-def _request_seed(config: LoopConfig, replication: int, iteration: int, stage: str) -> int:
-    return derive_seed(config.seed_root, replication, iteration, stage) & 0x7FFFFFFF
-
-
 def _next_strategy(
     history: list[Strategy],
     task_id: TaskId,
@@ -123,6 +123,16 @@ def _next_strategy(
     and their evaluation. Returns the strategy and its compiled program."""
     spec = get_spec(task_id)
     iteration = len(history)
+
+    def request(stage: Stage, prompt: str, seed_key: str) -> ChatRequest:
+        return ChatRequest(
+            model_name=config.model_name,
+            temperature=temperature,
+            messages=[{"role": "user", "content": prompt}],
+            max_tokens=STAGE_MAX_TOKENS[stage],
+            request_seed=derive_seed(config.seed_root, replication, iteration, seed_key) & 0x7FFFFFFF,
+        )
+
     if not history:
         stage, seed_key, prompt = Stage.P1_STRATEGY, "p1", render_p1(spec)
     else:
@@ -139,24 +149,21 @@ def _next_strategy(
             history_rewards=[s.mean_reward for s in history],
             ablation=config.ablation,
         )
-    seed = _request_seed(config, replication, iteration, seed_key)
-    request = build_request(stage, prompt, config.model_name, temperature, seed)
-    strategy_text = extract_strategy(backend.complete(request).text)
+    strategy_text = extract_strategy(backend.complete(request(stage, prompt, seed_key)).text)
 
-    def rules_request(attempt: int, _error: Optional[str]) -> ChatRequest:
-        prompt = render_p2(spec, strategy_text, reask=attempt > 1)
-        seed = _request_seed(config, replication, iteration, f"p2#{attempt}")
-        return build_request(Stage.P2_RULES, prompt, config.model_name, temperature, seed)
-
-    rules_text, _ = ask_until_parsed(backend, config.repair_budget, rules_request, extract_rules)
-    program, attempts = generate_program(
+    rules_text, _ = ask_until_parsed(
         backend,
-        spec,
-        rules_text,
-        config.model_name,
-        temperature,
-        request_seed=_request_seed(config, replication, iteration, "p3"),
-        budget=config.repair_budget,
+        config.repair_budget,
+        lambda attempt, _: request(
+            Stage.P2_RULES, render_p2(spec, strategy_text, reask=attempt > 1), f"p2#{attempt}"
+        ),
+        extract_rules,
+    )
+    program, attempts = ask_until_parsed(
+        backend,
+        config.repair_budget,
+        lambda _, error: request(Stage.P3_CODE, render_p3(spec, rules_text, error=error), "p3"),
+        lambda text: extract_code(text, spec),
     )
     reward, returns, window = evaluate_program(program, task_id, config, replication, iteration)
     return Strategy(

@@ -9,6 +9,9 @@ leaving dangling headers, and so tests can diff conditions structurally.
 
 A uniformly indented function in a code answer is dedented by ``_dedent``,
 which keeps ``textwrap.dedent``'s semantics at a fraction of its cost.
+
+``ask_until_parsed`` re-asks for rules and code alike; its caller, the loop's
+runner, builds each attempt's request, sized by ``STAGE_MAX_TOKENS``.
 """
 
 from __future__ import annotations
@@ -244,22 +247,6 @@ def render_p4(
     return "\n\n".join(text for _, text in blocks)
 
 
-def build_request(
-    stage: Stage,
-    prompt_text: str,
-    model_name: str,
-    temperature: float,
-    request_seed: Optional[int] = None,
-) -> ChatRequest:
-    return ChatRequest(
-        model_name=model_name,
-        temperature=temperature,
-        messages=[{"role": "user", "content": prompt_text}],
-        max_tokens=STAGE_MAX_TOKENS[stage],
-        request_seed=request_seed,
-    )
-
-
 # --------------------------------------------------------------------------
 # Response extraction
 # --------------------------------------------------------------------------
@@ -420,26 +407,3 @@ def ask_until_parsed(
             errors.append(str(exc))
     raise RepairBudgetExhausted(attempts=len(errors), errors=errors)
 
-
-def generate_program(
-    backend,
-    spec: EnvSpec,
-    rules_text: str,
-    model_name: str,
-    temperature: float,
-    request_seed: Optional[int] = None,
-    budget: int = 10,
-) -> tuple[PolicyProgram, int]:
-    """``(program, attempts)``: Prompt 3, re-asked until a response parses,
-    at most ``budget`` attempts in total (always at least one).
-
-    Each repair prompt is the full Prompt 3 (description and rules included)
-    plus the previous attempt's error, under the same ``request_seed``.
-    ``attempts`` counts every code response consumed.
-    """
-
-    def request_for(attempt: int, error: Optional[str]) -> ChatRequest:
-        prompt = render_p3(spec, rules_text, error=error)
-        return build_request(Stage.P3_CODE, prompt, model_name, temperature, request_seed)
-
-    return ask_until_parsed(backend, budget, request_for, lambda text: extract_code(text, spec))

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from policyloop.dsl import parse
-from policyloop.envs import ALL_TASKS, get_spec, make
+from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
 from policyloop.envs.core import STEP_LIMIT
 from policyloop.gateway import HttpChatBackend, GatewayConfig, ScriptedBackend
-from policyloop.loop import LoopConfig, RunStatus, replay, run_replication
+from policyloop.loop import LoopConfig, RunStatus, replay, run_replication, runner
 from policyloop.metrics import (
     figure_of_merit,
     improvement_ratio,
@@ -31,7 +31,7 @@ from policyloop.metrics import (
     average_reward,
     successful_set,
 )
-from policyloop.prompts import Ablation, RepairBudgetExhausted, generate_program
+from policyloop.prompts import Ablation, RepairBudgetExhausted
 
 import test_dsl_evaluator as dsl_tests
 import test_dynamics_oracle as dyn_tests
@@ -183,22 +183,20 @@ def test_criterion_5_dsl_brute_force_grid(star2_spec, iter0_program):
     _report(5, "the compiled policy matches the hand transcription on all 14641 grid points")
 
 
-def test_criterion_6_repair_loop_boundaries(star2_spec):
+def test_criterion_6_repair_loop_boundaries():
     """Nine bad responses then a good one succeed with attempts=10; ten bad
     responses abort the replication with the dedicated status."""
     bad = "cannot help"
     good = transcript_text("code_optimal.py")
-    _, attempts = generate_program(
-        ScriptedBackend([bad] * 9 + [good]), star2_spec, "rules",
-        model_name="m", temperature=0.0, budget=10,
-    )
-    assert attempts == 10
+    config = LoopConfig.for_task("CartPoleStar2", eval_episodes=1, repair_budget=10)
 
+    def first_strategy(code_answers):
+        backend = ScriptedBackend(scripted_session()[:2] + code_answers)
+        return runner._next_strategy([], TaskId.CARTPOLE_STAR2, config, backend, 0, 0.0)[0]
+
+    assert first_strategy([bad] * 9 + [good]).repair_attempts == 10
     with pytest.raises(RepairBudgetExhausted) as info:
-        generate_program(
-            ScriptedBackend([bad] * 10 + [good]), star2_spec, "rules",
-            model_name="m", temperature=0.0, budget=10,
-        )
+        first_strategy([bad] * 10 + [good])
     assert info.value.attempts == 10
 
     script = scripted_session()[:2] + [bad] * 10

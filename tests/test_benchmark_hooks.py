@@ -17,6 +17,7 @@ from policyloop.envs import ENV_CLASSES, TaskId, get_spec
 from policyloop.gateway import HttpChatBackend, ScriptedBackend
 from policyloop.loop import run_batch, runner
 from policyloop.loop.records import RunRecord
+from policyloop.prompts import pipeline
 
 from conftest import make_records, scripted_session, transcript_text
 
@@ -32,9 +33,11 @@ from perfbench.tracing import MODULE_SPANS, UNITS, Tracer
 # of ``metrics.robustness``, which now plays ``loop.runner``'s
 # ``seeded_episodes``; and the wrappers ``initialize``, ``refine`` and
 # ``retest`` that ``run_replication`` folded, with the parse that only
-# ``retest`` made. The tracer skips a missing name. Keyed by the pair:
-# ``envs.derive_seed`` is also the span of ``loop.runner.derive_seed``, and
-# ``dsl.parse`` that of ``prompts.pipeline.parse`` and ``metrics.parse``.
+# ``retest`` made; and ``generate_program``, whose code requests
+# ``_next_strategy`` now builds itself. The tracer skips a missing name.
+# Keyed by the pair: ``envs.derive_seed`` is also the span of
+# ``loop.runner.derive_seed``, and ``dsl.parse`` that of
+# ``prompts.pipeline.parse`` and ``metrics.parse``.
 RETIRED = {
     (episode, "evaluate"): "dsl.evaluate",
     (metrics, "run_episode"): "dsl.run_episode.metrics",
@@ -43,6 +46,7 @@ RETIRED = {
     (runner, "refine"): "loop.iteration",
     (runner, "retest"): "loop.iteration",
     (runner, "parse_policy"): "dsl.parse",
+    (runner, "generate_program"): "prompts.generate_program",
 } | {(cls, "step"): f"envs.step.{task.value}" for task, cls in ENV_CLASSES.items()}
 
 LIVE = [
@@ -56,7 +60,10 @@ DEAD = sorted(set(RETIRED.values()) - {span for _, _, span in LIVE})
 
 # (module, name) -> why: live names that no call of a run reaches, because
 # their callers now hold them under other names
-SILENT = {}
+SILENT = {
+    (pipeline, "render_p3"): "loop.runner renders Prompt 3 through its own import",
+    (pipeline, "extract_code"): "loop.runner extracts each code answer through its own import",
+}
 
 
 @pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in LIVE])

@@ -10,9 +10,7 @@ from policyloop.prompts import (
     EmptyResponseError,
     NoRulesError,
     SensoryMotorWindow,
-    Stage,
     StrategySummary,
-    build_request,
     extract_code,
     extract_rules,
     extract_strategy,
@@ -254,15 +252,6 @@ def test_no_dangling_headers_under_ablation(star2_spec):
         if ablation is Ablation.NO_SENSORY_MOTOR_DATA:
             assert "];" not in text  # no observation/action lines at all
             assert "The average reward in 20 trials was 116.1/500" in text
-
-
-def test_build_request_stage_budgets(star2_spec):
-    request = build_request(Stage.P1_STRATEGY, "text", "model-x", 0.8, request_seed=5)
-    assert request.max_tokens == 2048
-    assert request.messages == [{"role": "user", "content": "text"}]
-    assert build_request(Stage.P2_RULES, "text", "m", 0.0).max_tokens == 1024
-    assert build_request(Stage.P3_CODE, "text", "m", 0.0).max_tokens == 1024
-    assert build_request(Stage.P4_REFLECT, "text", "m", 0.0).max_tokens == 4096
 
 
 # -- extraction ----------------------------------------------------------------
