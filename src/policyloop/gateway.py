@@ -60,10 +60,16 @@ _TYPES = {
 def require_type(kind: str, **values) -> None:
     """Raise TypeError naming the first of ``values`` that is not ``kind``,
     one of the keys of ``_TYPES``. A bool is not taken for an int or a
-    number, though Python counts it as one."""
+    number, though Python counts it as one, and a number that a float
+    cannot hold is a ValueError."""
     for name, value in values.items():
         if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "a bool"):
             raise TypeError(f"{name} must be {kind}, got {value!r}")
+        if kind == "a number" and type(value) is int:
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
 
 
 class GatewayError(Exception):

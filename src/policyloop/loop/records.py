@@ -13,7 +13,9 @@ so a new field is saved by declaring it. ``error`` is written only when a
 run ended ``aborted_error``. Loading keeps the keys a class declares:
 unknown keys are ignored and missing ones take the field's default. A
 value of the wrong type in the record, its config, a strategy or its window
-is refused, and so is a record whose ``seed_root``, ``model_name`` or
+is refused, and so is a number that a float cannot hold, a strategy whose
+``mean_reward`` is not the mean of its ``per_episode_returns`` bit for bit
+(or that has none), and a record whose ``seed_root``, ``model_name`` or
 ``temperature`` disagrees with its config, which replay reruns from.
 """
 
@@ -97,10 +99,11 @@ class Strategy:
     window: SensoryMotorWindow
     repair_attempts: int = 1
 
-    def _check_types(self) -> None:
+    def _check(self) -> None:
         """Raise TypeError naming the first field of the wrong type, the
-        window's included, which only a record file can hold: the runner
-        builds from checked values."""
+        window's included, or ValueError for a value the runner cannot
+        have made; only a record file can hold either, as the runner builds
+        from checked values."""
         require_type(
             "a string",
             strategy_text=self.strategy_text,
@@ -121,6 +124,14 @@ class Strategy:
         require_type("a number", episode_return=window.episode_return)
         if window.invalid_value_text is not None:
             require_type("a string", invalid_value_text=window.invalid_value_text)
+        if not self.per_episode_returns:
+            raise ValueError("per_episode_returns is empty")
+        # metrics reads mean_reward alone, so it must be what the runner stored
+        reward = mean(self.per_episode_returns)
+        if float(self.mean_reward).hex() != reward.hex():
+            raise ValueError(
+                f"mean_reward {self.mean_reward!r} is not the mean of per_episode_returns, {reward!r}"
+            )
 
 
 @dataclass(slots=True)
@@ -138,8 +149,8 @@ class RunRecord:
     error: Optional[str] = None
     wall_clock: float = 0.0
 
-    def _check_types(self) -> None:
-        """As ``Strategy._check_types``, for the record's own fields."""
+    def _check(self) -> None:
+        """As ``Strategy._check``, for the record's own fields."""
         require_type("a string", model_name=self.model_name)
         require_type("a number", temperature=self.temperature, wall_clock=self.wall_clock)
         require_type("an int", replication_index=self.replication_index, seed_root=self.seed_root)
@@ -177,7 +188,7 @@ class RunRecord:
             require_type("a list", lines=w["lines"])
             window = _from_json(SensoryMotorWindow, w, lines=tuple(w["lines"]))
             strategies.append(_from_json(Strategy, s, window=window))
-            strategies[-1]._check_types()
+            strategies[-1]._check()
         record = _from_json(
             cls,
             data,
@@ -186,7 +197,7 @@ class RunRecord:
             strategies=strategies,
             status=RunStatus(data["status"]),
         )
-        record._check_types()
+        record._check()
         # replay reruns from the config, metrics reads these copies of it
         config = record.config
         for name in ("seed_root", "model_name"):

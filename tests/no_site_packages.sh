@@ -119,6 +119,17 @@ for record in "$out/text_lines.json" "$out/seed_root_99.json" "$out/nan_mean.jso
     fi
   done
 done
+# a mean reward that a float cannot hold, or that is not the mean of its
+# strategy's returns, is refused as the record is read: exit 2, no traceback
+python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = 10**400; json.dump(r, open(sys.argv[2], 'w')); r = json.load(open(sys.argv[1])); r['strategies'][-1]['mean_reward'] = 500.0; json.dump(r, open(sys.argv[3], 'w'))" \
+  tests/fixtures/records/CartPole_random.json "$out/huge_mean.json" "$out/mean_not_returns.json"
+for record in "$out/huge_mean.json" "$out/mean_not_returns.json"; do
+  status=0
+  python -S -m policyloop.cli metrics "$record" --no-rerun 2>"$out/stderr" || status=$?
+  if [ "$status" -ne 2 ] || grep -q Traceback "$out/stderr"; then
+    echo "metrics --no-rerun on $(basename "$record") exited $status; expected 2 and no traceback"; exit 1
+  fi
+done
 # a cell is scored against its task's maximum and its records' epoch
 # budget: the tasks without a maximum score with success absent, exit 0; a
 # record above the maximum, which only a hand edit makes, and a bound given
@@ -126,7 +137,7 @@ done
 for task in Acrobot Pendulum MountainCarContinuous MountainCarDiscrete; do
   python -S -m policyloop.cli metrics "tests/fixtures/records/${task}_random.json" --no-rerun >/dev/null
 done
-python -S -c "import json, sys; r = json.load(open(sys.argv[1])); r['strategies'][0]['mean_reward'] = 600.0; json.dump(r, open(sys.argv[2], 'w'))" \
+python -S -c "import json, sys; r = json.load(open(sys.argv[1])); s = r['strategies'][0]; s['mean_reward'] = 600.0; s['per_episode_returns'] = [600.0] * len(s['per_episode_returns']); json.dump(r, open(sys.argv[2], 'w'))" \
   tests/fixtures/records/CartPoleStar2_completed.json "$out/above_max.json"
 for args in "$out/above_max.json --no-rerun" "tests/fixtures/records/Acrobot_random.json --r-max 500"; do
   status=0

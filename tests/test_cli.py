@@ -88,8 +88,10 @@ def test_replay_names_the_first_differing_path(tmp_path, script_file, capsys):
     main(_run_args(tmp_path, script_file))
     record_path = tmp_path / "record.json"
     data = json.loads(record_path.read_text())
-    data["strategies"][1]["mean_reward"] = 1.5
-    data["strategies"][2]["mean_reward"] = 2.5
+    # each mean is the mean of its returns, or the record is refused as read
+    for strategy, reward in zip(data["strategies"][1:3], (1.5, 2.5)):
+        strategy["mean_reward"] = reward
+        strategy["per_episode_returns"] = [reward] * len(strategy["per_episode_returns"])
     data["wall_clock"] = -1.0  # not part of what replay compares
     record_path.write_text(json.dumps(data))
     capsys.readouterr()
@@ -645,6 +647,7 @@ WRONG_GATEWAY_SETTINGS = {
     "a-bool-for-an-int": ({"retries": True}, "retries must be an int, got True"),
     "a-float-budget": ({"context_budget": 4096.0}, "context_budget must be an int, got 4096.0"),
     "a-bool-for-a-number": ({"backoff": False}, "backoff must be a number, got False"),
+    "an-int-no-float-holds": ({"backoff": 10**400}, "backoff is too large for a float"),
     "an-unknown-key": ({"retires": 0}, "unexpected keyword argument 'retires'"),
 }
 
@@ -710,7 +713,9 @@ def test_batch_script_with_a_response_that_is_not_text_is_a_usage_error(tmp_path
 
 def test_metrics_refuses_a_record_above_the_task_maximum(tmp_path):
     data = json.loads((CORPUS / "CartPoleStar2_completed.json").read_text())
-    data["strategies"][0]["mean_reward"] = 600.0
+    first = data["strategies"][0]
+    first["mean_reward"] = 600.0
+    first["per_episode_returns"] = [600.0] * len(first["per_episode_returns"])
     (tmp_path / "record.json").write_text(json.dumps(data))
     done = _python([], "-m", "policyloop.cli", "metrics", "record.json", "--no-rerun",
                    cwd=tmp_path)
@@ -800,7 +805,8 @@ _WRONG_TYPES = {
     "temperature-minus-inf": ("temperature", -math.inf, "-Infinity is not a JSON value"),
 }
 
-# a corpus record with one of its config's copies changed
+# a corpus record with one of its config's copies changed, or its first
+# strategy's mean reward, which must be the mean of its returns and a float
 _DISAGREEING = {
     "seed-root": ("seed_root", 99, "seed_root 99 differs from config.seed_root 3"),
     "model-name": (
@@ -809,6 +815,13 @@ _DISAGREEING = {
         "model_name 'other' differs from config.model_name 'meta-llama/Llama-3.1-70B-Instruct'",
     ),
     "temperature": ("temperature", 0.5, "temperature 0.5 is not in config.temperatures (0.0,)"),
+    # metrics ended in an OverflowError traceback on this one
+    "mean-reward-too-large": ("mean_reward", 10**400, "mean_reward is too large for a float"),
+    # and scored this one Success 1.00 at its first iteration
+    "mean-reward-not-the-mean": (
+        "mean_reward", 500.0, "mean_reward 500.0 is not the mean of per_episode_returns, 51.1"
+    ),
+    "no-returns": ("per_episode_returns", [], "per_episode_returns is empty"),
 }
 
 
@@ -847,9 +860,10 @@ def test_a_record_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, com
 
 @pytest.mark.parametrize("command", ["replay", "metrics"])
 @pytest.mark.parametrize("case", sorted(_DISAGREEING))
-def test_a_record_that_disagrees_with_its_config_is_a_usage_error(tmp_path, capsys, command, case):
+def test_a_record_that_disagrees_with_itself_is_a_usage_error(tmp_path, capsys, command, case):
     """replay reruns from the config, while metrics seeds robustness from
-    the record's seed_root and groups cells by its model and temperature."""
+    the record's seed_root, groups cells by its model and temperature, and
+    reads each strategy's mean_reward and not its returns."""
     field, value, message = _DISAGREEING[case]
     assert _refusal(tmp_path, capsys, command, field, value) == (
         f"policyloop: error: <record>: not a run record (ValueError: {message})"

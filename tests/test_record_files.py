@@ -2,7 +2,7 @@
 ``replay`` and ``metrics --no-rerun`` exit 0, 1 (a replay mismatch) or 2 (a
 usage error), and raise nothing. The edits are drawn from corpus records:
 values of the wrong type, missing keys, ``NaN`` and ``Infinity``, 5,000-digit
-integers and extra nesting. Derandomized, so every run draws the same
+and 401-digit integers and extra nesting. Derandomized, so every run draws the same
 examples."""
 
 import json
@@ -23,8 +23,9 @@ RECORDS = ("CartPole_random.json", "Pendulum_random.json", "CartPoleStar2_aborte
 
 # json.dumps cannot write an int of 5,000 digits, so it goes in as text
 HUGE = "<huge>"
-# what json reads for a number but JSON does not have, or Python refuses
-CONSTANTS = [float("nan"), float("inf"), -float("inf"), HUGE]
+# what json reads for a number but JSON does not have, or Python refuses,
+# or a float cannot hold
+CONSTANTS = [float("nan"), float("inf"), -float("inf"), HUGE, 10**400]
 VALUES = [None, True, 0, -1, 2.5, "", "x", [], {}, [None], *CONSTANTS]
 
 
