@@ -815,9 +815,9 @@ _DISAGREEING = {
         "model_name 'other' differs from config.model_name 'meta-llama/Llama-3.1-70B-Instruct'",
     ),
     "temperature": ("temperature", 0.5, "temperature 0.5 is not in config.temperatures (0.0,)"),
-    # metrics ended in an OverflowError traceback on this one
+    # no float holds it, so metrics could not score it
     "mean-reward-too-large": ("mean_reward", 10**400, "mean_reward is too large for a float"),
-    # and scored this one Success 1.00 at its first iteration
+    # metrics would score it a success at its first iteration
     "mean-reward-not-the-mean": (
         "mean_reward", 500.0, "mean_reward 500.0 is not the mean of per_episode_returns, 51.1"
     ),
