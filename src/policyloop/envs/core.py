@@ -2,13 +2,13 @@
 and the seeded environment base class.
 
 Every environment is a single-threaded state machine. Its only randomness
-is the initial state, drawn at reset from a :class:`~.seeding.UniformStream`
-seeded with the reset seed, one draw per range of the task's
-``_reset_ranges``, so (seed, action sequence) fully determines a
-trajectory. That stream is numpy's ``Generator(PCG64(seed)).uniform``
-reproduced in plain Python, so the package runs without numpy and no numpy
-version can move an episode. Observations are tuples of Python scalars
-(ints on CartPoleStar2, floats elsewhere): a policy gets Python arithmetic.
+is the initial state, drawn at reset by :func:`~.seeding.uniform_draws` from
+the reset seed, one draw per range of the task's ``_reset_ranges``, so
+(seed, action sequence) fully determines a trajectory. Those draws are
+numpy's ``Generator(PCG64(seed)).uniform`` reproduced in plain Python, so
+the package runs without numpy and no numpy version can move an episode.
+Observations are tuples of Python scalars (ints on CartPoleStar2, floats
+elsewhere): a policy gets Python arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .seeding import UniformStream
+from .seeding import uniform_draws
 
 
 class TaskId(str, Enum):
@@ -223,7 +223,7 @@ class Environment:
     def reset(self, seed: int) -> tuple:
         """Draw a fresh initial state from ``seed``, taken modulo 2**64 (so
         a negative seed is its two's complement), and return its observation."""
-        self._state = self._reset_state(UniformStream(seed & 0xFFFFFFFFFFFFFFFF))
+        self._state = uniform_draws(seed, self._reset_ranges)
         return self.observe()
 
     def observe(self) -> tuple:
@@ -241,14 +241,7 @@ class Environment:
             raise RuntimeError("no state before reset()")
         return self._state
 
-    # -- the reset draw and the driver -----------------------------------------
-
-    def _reset_state(self, rng: UniformStream) -> tuple[float, ...]:
-        """The initial native state: one ``rng.uniform(low, high)`` draw per
-        ``_reset_ranges`` pair, in order. A pair with ``low == high`` draws
-        exactly ``low``, as numpy's ``uniform`` does."""
-        uniform = rng.uniform
-        return tuple([uniform(low, high) for low, high in self._reset_ranges])
+    # -- the driver ----------------------------------------------------------
 
     def _rollout(self, policy, rng, limit, observations, actions):
         """Play ``policy`` from the current state for at most ``limit`` steps.

@@ -1,8 +1,8 @@
 """Reset draws: numpy's ``Generator(PCG64(seed)).uniform`` in plain Python.
 
-Every reset state comes from :class:`UniformStream`, which reproduces bit
-for bit what ``numpy.random.Generator(numpy.random.PCG64(seed))`` draws with
-``uniform(low, high)``, for every seed in ``[0, 2**64)``. Records made while
+Every reset state comes from :func:`uniform_draws`, which reproduces bit for
+bit what ``numpy.random.Generator(numpy.random.PCG64(seed))`` draws with
+``uniform(low, high)``, for every seed modulo ``2**64``. Records made while
 the package still seeded through numpy therefore replay unchanged, and
 neither the numpy version nor its presence can move an episode.
 
@@ -71,37 +71,32 @@ _OUT_HASHES = _constants(_INIT_B, _MULT_B, 8)
 _MIXES = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
 
 
-class UniformStream:
-    """The ``uniform`` draws of ``Generator(PCG64(seed))``, 0 <= seed < 2**64."""
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, seed: int) -> None:
-        if not 0 <= seed <= _M64:
-            raise ValueError(f"seed {seed} is outside [0, 2**64)")
-        words = (seed & _M32, seed >> 32, 0, 0)
-        pool = [_hash(word, xor, mult) for word, (xor, mult) in zip(words, _POOL_HASHES)]
-        # mixing word y into word x is (L*x - R*hash(y)) mod 2**32, then the
-        # same xorshift as _hash()
-        for (src, dst), (xor, mult) in zip(_MIXES, _POOL_HASHES[4:]):
-            m = (_MIX_L * pool[dst] - _MIX_R * _hash(pool[src], xor, mult)) & _M32
-            pool[dst] = m ^ (m >> 16)
-        w = [_hash(word, xor, mult) for word, (xor, mult) in zip(pool * 2, _OUT_HASHES)]
-        # state = v0 << 64 | v1 and stream = v2 << 64 | v3, where
-        # v_k = w_(2k+1) << 32 | w_(2k)
-        start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        stream = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-        # pcg_setseq_128_srandom_r: from state 0, step, add the start, step.
-        inc = ((stream << 1) | 1) & _M128
-        self._inc = inc
-        self._state = ((inc + start) * _PCG_MULT + inc) & _M128
-
-    def uniform(self, low: float, high: float) -> float:
-        """One draw from [low, high), as ``Generator.uniform(low, high)``."""
-        state = (self._state * _PCG_MULT + self._inc) & _M128
-        self._state = state
+def uniform_draws(seed: int, ranges) -> tuple[float, ...]:
+    """One ``Generator(PCG64(seed % 2**64)).uniform(low, high)`` draw per
+    ``(low, high)`` pair of ``ranges``, in order: a negative seed is its
+    two's complement. A pair with ``low == high`` draws exactly ``low``."""
+    seed &= _M64
+    words = (seed & _M32, seed >> 32, 0, 0)
+    pool = [_hash(word, xor, mult) for word, (xor, mult) in zip(words, _POOL_HASHES)]
+    # mixing word y into word x is (L*x - R*hash(y)) mod 2**32, then the
+    # same xorshift as _hash()
+    for (src, dst), (xor, mult) in zip(_MIXES, _POOL_HASHES[4:]):
+        m = (_MIX_L * pool[dst] - _MIX_R * _hash(pool[src], xor, mult)) & _M32
+        pool[dst] = m ^ (m >> 16)
+    w = [_hash(word, xor, mult) for word, (xor, mult) in zip(pool * 2, _OUT_HASHES)]
+    # state = v0 << 64 | v1 and stream = v2 << 64 | v3, where
+    # v_k = w_(2k+1) << 32 | w_(2k)
+    start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    stream = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+    # pcg_setseq_128_srandom_r: from state 0, step, add the start, step.
+    inc = ((stream << 1) | 1) & _M128
+    state = ((inc + start) * _PCG_MULT + inc) & _M128
+    draws = []
+    for low, high in ranges:
+        state = (state * _PCG_MULT + inc) & _M128
         top = state >> 64
         word = (top ^ state) & _M64
         rot = top >> 58
         word = ((word >> rot) | (word << (64 - rot))) & _M64
-        return low + (high - low) * ((word >> 11) * _TO_UNIT)
+        draws.append(low + (high - low) * ((word >> 11) * _TO_UNIT))
+    return tuple(draws)

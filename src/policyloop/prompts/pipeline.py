@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -79,6 +79,16 @@ class SensoryMotorWindow:
     # Set when that episode ended on an unusable action; holds the raw value
     # text the policy produced (usually "None").
     invalid_value_text: Optional[str] = None
+
+
+def _frozen(window: SensoryMotorWindow, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+# On Python 3.10 and 3.11 the __setattr__ and __delattr__ that dataclasses
+# writes for a frozen class call super() with the class as it was before
+# slots=True rebuilt it, a TypeError for an undeclared name: refuse them all.
+SensoryMotorWindow.__setattr__ = SensoryMotorWindow.__delattr__ = _frozen
 
 
 @dataclass(frozen=True)

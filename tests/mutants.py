@@ -1,0 +1,169 @@
+"""Mutation checks: each entry changes one exact text in one file of ``src/``
+and names the tests that must then fail.
+
+Run from anywhere, with pytest, hypothesis and numpy installed:
+
+    python tests/mutants.py
+
+First the named tests must pass on ``src/`` as it is. Then, for each mutant,
+``src/`` is copied to a temporary directory, the one replacement is applied
+there, and the named tests run against the copy with ``-x -q``. Each mutant
+prints ``killed`` or ``survived`` with the time taken; the exit status is 1
+when any survives. ``tests/test_mutants.py`` checks that every old text
+occurs exactly once in its file, so a change that moves one fails tier-1
+instead of leaving this list stale. List no equivalent mutant: one that no
+test can kill says nothing about the tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+RUNNER = "policyloop/loop/runner.py"
+SEEDING = "policyloop/envs/seeding.py"
+LOOP_REFERENCE = ("tests/test_loop_reference.py::test_the_runner_is_the_reference_loop",)
+NUMPY_DRAWS = ("tests/test_seeding.py::test_uniform_draws_match_numpy_on_20000_seeds",)
+
+MUTANTS = [
+    Mutant(
+        "runner-previous-and-best-swapped",
+        RUNNER,
+        "            previous=_summary(previous, config) if previous else None,\n"
+        "            best=_summary(best, config) if best else None,\n",
+        "            previous=_summary(best, config) if best else None,\n"
+        "            best=_summary(previous, config) if previous else None,\n",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-latest-of-equal-rewards-is-best",
+        RUNNER,
+        "best = max(history, key=lambda s: s.mean_reward)",
+        "best = max(reversed(history), key=lambda s: s.mean_reward)",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-p3-seed-key",
+        RUNNER,
+        'render_p3(spec, rules_text, error=error), "p3")',
+        'render_p3(spec, rules_text, error=error), "p3#1")',
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-retest-iteration-plus-one",
+        RUNNER,
+        "iteration = len(strategies)\n",
+        "iteration = len(strategies) + 1\n",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-window-from-the-last-episode",
+        RUNNER,
+        "if worst is None or trace.total_reward < worst.total_reward:",
+        "if True:",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "seeding-seed-words-swapped",
+        SEEDING,
+        "words = (seed & _M32, seed >> 32, 0, 0)",
+        "words = (seed >> 32, seed & _M32, 0, 0)",
+        NUMPY_DRAWS,
+    ),
+    Mutant(
+        "seeding-output-words-swapped",
+        SEEDING,
+        "start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]",
+        "start = w[0] << 96 | w[1] << 64 | w[3] << 32 | w[2]",
+        NUMPY_DRAWS,
+    ),
+    Mutant(
+        "seeding-state-stepped-after-the-output",
+        SEEDING,
+        "        state = (state * _PCG_MULT + inc) & _M128\n"
+        "        top = state >> 64\n"
+        "        word = (top ^ state) & _M64\n"
+        "        rot = top >> 58\n"
+        "        word = ((word >> rot) | (word << (64 - rot))) & _M64\n"
+        "        draws.append(low + (high - low) * ((word >> 11) * _TO_UNIT))\n",
+        "        top = state >> 64\n"
+        "        word = (top ^ state) & _M64\n"
+        "        rot = top >> 58\n"
+        "        word = ((word >> rot) | (word << (64 - rot))) & _M64\n"
+        "        draws.append(low + (high - low) * ((word >> 11) * _TO_UNIT))\n"
+        "        state = (state * _PCG_MULT + inc) & _M128\n",
+        NUMPY_DRAWS,
+    ),
+]
+
+
+def _pytest(tests: tuple[str, ...], src: Path) -> tuple[int, float]:
+    """Exit status and seconds of ``pytest -x -q tests`` importing ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return done.returncode, time.perf_counter() - started
+
+
+def run_mutant(mutant: Mutant) -> tuple[int, float]:
+    """Exit status and seconds of the mutant's tests on a mutated copy of src/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: its old text does not occur exactly once")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        return _pytest(mutant.tests, src)
+
+
+def main() -> int:
+    started = time.perf_counter()
+    for tests in dict.fromkeys(mutant.tests for mutant in MUTANTS):
+        status, _ = _pytest(tests, SRC)
+        if status != 0:
+            print(f"unmutated src/ fails {' '.join(tests)} (pytest exit {status})")
+            return 2
+    survivors = 0
+    for mutant in MUTANTS:
+        status, seconds = run_mutant(mutant)
+        if status not in (0, 1):  # not a test failure: a collection or usage error
+            print(f"error     {seconds:5.1f} s  {mutant.name}: pytest exit {status}")
+            return 2
+        survivors += status == 0
+        verdict = "survived" if status == 0 else "killed"
+        print(f"{verdict:9} {seconds:5.1f} s  {mutant.name}", flush=True)
+    print(
+        f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed"
+        f" in {time.perf_counter() - started:.1f} s"
+    )
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -390,7 +390,7 @@ def cartpole_family_step_form(task, state, action):
 
 # Frozen copy of the package's original numpy-based reset: every task drew
 # its initial state from ``Generator(PCG64(seed))``. The package's
-# plain-Python ``UniformStream`` must give the same states bit for bit.
+# plain-Python ``uniform_draws`` must give the same states bit for bit.
 # numpy is imported here only, so the other references load without it.
 
 _RESET_BOUNDS_4 = {

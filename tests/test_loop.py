@@ -15,6 +15,7 @@ from policyloop.loop import (
     LoopConfig,
     RunRecord,
     RunStatus,
+    default_record_name,
     replay,
     run_batch,
     run_replication,
@@ -958,6 +959,26 @@ def test_batch_saves_a_distinct_matrix_one_file_per_cell(tmp_path):
     got = [(r.task_id.value, r.model_name, r.temperature, r.replication_index) for r in records]
     assert got == cells
     assert len(list(tmp_path.glob("*.json"))) == len(cells)
+
+
+def test_each_batch_record_is_saved_under_its_default_record_name(tmp_path):
+    """``default_record_name`` names the file a batch wrote for a record, as
+    perfbench relies on when it reads a batch back."""
+    records = run_batch(
+        tasks=["CartPoleStar2"],
+        backend_factory=lambda *cell: ScriptedBackend(scripted_session()),
+        replications=2,
+        model_names=["meta-llama/Llama-3.1-70B-Instruct", "local-model"],
+        temperatures=[0.7, 0.0],
+        out_dir=tmp_path,
+        seed_root=3,
+        config_overrides={"epochs": 1},
+    )
+    names = [default_record_name(record) for record in records]
+    assert sorted(names) == sorted(p.name for p in tmp_path.iterdir())
+    assert "CartPoleStar2_meta-llama_Llama-3.1-70B-Instruct_t0_7_r001.json" in names
+    for name, record in zip(names, records):
+        assert RunRecord.load(tmp_path / name).canonical_json() == record.canonical_json()
 
 
 def test_ten_identical_scripted_replications_all_succeed():

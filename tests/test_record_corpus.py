@@ -120,13 +120,20 @@ def test_the_record_tree_is_slotted(part):
     value = _record_tree(_load("CartPoleStar2_code_repaired.json"))[part]
     assert "__slots__" in vars(type(value))
     assert not hasattr(value, "__dict__")
-    # through object's __setattr__: on Python 3.11 the frozen window's own
-    # raises TypeError for an undeclared name, a fault of dataclasses there
     with pytest.raises(AttributeError):
-        object.__setattr__(value, "undeclared", 1)
+        value.undeclared = 1
     assert dataclasses.replace(value) == value
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("name", ["lines", "invalid_value_text", "undeclared"])
+def test_the_window_refuses_every_assignment_and_deletion(name):
+    window = _load("CartPoleStar2_code_repaired.json").strategies[-1].window
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(window, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(window, name)
 
 
 def test_make_records_check_passes():

@@ -1,4 +1,4 @@
-"""Reset seeding without numpy: ``UniformStream`` against numpy's
+"""Reset seeding without numpy: ``uniform_draws`` against numpy's
 ``Generator(PCG64(seed)).uniform``, and every task's reset against the frozen
 numpy-based reset in ``reference_dynamics``. numpy is the reference here and
 nowhere in the package."""
@@ -11,7 +11,7 @@ import pytest
 
 from policyloop.envs import ALL_TASKS, make
 from policyloop.envs.core import derive_seed
-from policyloop.envs.seeding import UniformStream
+from policyloop.envs.seeding import uniform_draws
 
 from reference_dynamics import reset_state_numpy_form
 
@@ -42,8 +42,7 @@ def test_uniform_draws_match_numpy_on_20000_seeds():
     for seed in _seeds(20_000, random.Random(12)):
         low, high = bounds[seed % len(bounds)]
         expected = np.random.Generator(np.random.PCG64(seed)).uniform(low, high, size=5).tolist()
-        stream = UniformStream(seed)
-        got = [stream.uniform(low, high) for _ in range(5)]
+        got = uniform_draws(seed, [(low, high)] * 5)
         if _bits(got) != _bits(expected):
             mismatches.append(seed)
     assert mismatches == []
@@ -53,14 +52,7 @@ def test_long_streams_match_numpy():
     """The LCG keeps matching far past the handful of draws a reset makes."""
     for seed in EDGE_SEEDS[:4]:
         expected = np.random.Generator(np.random.PCG64(seed)).uniform(-2.0, 5.0, size=1000).tolist()
-        stream = UniformStream(seed)
-        assert _bits(stream.uniform(-2.0, 5.0) for _ in range(1000)) == _bits(expected)
-
-
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
-def test_seeds_outside_64_bits_are_refused(seed):
-    with pytest.raises(ValueError, match="outside"):
-        UniformStream(seed)
+        assert _bits(uniform_draws(seed, [(-2.0, 5.0)] * 1000)) == _bits(expected)
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
