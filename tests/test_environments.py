@@ -350,7 +350,7 @@ def test_tasks_declare_data_not_hooks():
     """A task is a spec, class data and its own or its family's _rollout:
     the reset draw and the label tables are built once, by the base, and a
     task that shares its family's loop has none of its own."""
-    mechanism = {"__init_subclass__"}
+    mechanism = {"reset", "__init_subclass__"}
     for cls in _env_classes():
         own = mechanism & set(vars(cls))
         assert own == (mechanism if cls is envs.Environment else set()), cls
