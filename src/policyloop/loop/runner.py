@@ -2,8 +2,9 @@
 
 ``run_replication`` is its only driver. Every prompted iteration is one
 step, ``_next_strategy``, with two openings: a strategy from Prompt 1 (the
-task description) at iteration 0, or from Prompt 4 (reflection on the
-current, previous and best strategies) after it; then rules (Prompt 2) and
+task description) at iteration 0, or from Prompt 4 after it, which reads the
+history's last strategy, the one before it and the earliest of the highest
+mean reward as they are stored; then rules (Prompt 2) and
 code (Prompt 3), each re-asked within the repair budget, and an evaluation
 of the resulting policy. A strategy at the task maximum ends the run
 (``stop_on_max``), or with ``retest_at_max`` its program, as compiled, is
@@ -34,7 +35,6 @@ from ..prompts import (
     RepairBudgetExhausted,
     SensoryMotorWindow,
     Stage,
-    StrategySummary,
     ask_until_parsed,
     extract_code,
     extract_rules,
@@ -136,16 +136,15 @@ def _next_strategy(
     if not history:
         stage, seed_key, prompt = Stage.P1_STRATEGY, "p1", render_p1(spec)
     else:
-        current = history[-1]
         previous = history[-2] if len(history) >= 2 else None
         # max() keeps the earliest of equal rewards
         best = max(history, key=lambda s: s.mean_reward) if len(history) >= 2 else None
         stage, seed_key = Stage.P4_REFLECT, "p4"
         prompt = render_p4(
             spec,
-            _summary(current, config),
-            previous=_summary(previous, config) if previous else None,
-            best=_summary(best, config) if best else None,
+            history[-1],
+            previous=previous,
+            best=best,
             history_rewards=[s.mean_reward for s in history],
             ablation=config.ablation,
         )
@@ -176,15 +175,6 @@ def _next_strategy(
         window=window,
         repair_attempts=attempts,
     ), program
-
-
-def _summary(strategy: Strategy, config: LoopConfig) -> StrategySummary:
-    return StrategySummary(
-        rules_text=strategy.rules_text,
-        mean_reward=strategy.mean_reward,
-        eval_episodes=config.eval_episodes,
-        window=strategy.window,
-    )
 
 
 def run_replication(

@@ -6,6 +6,9 @@ Prompt texts live as plain .txt templates next to this module; every
 model text included, is used as it is. The reflection prompt is assembled
 from named blocks so ablation switches can excise whole blocks without
 leaving dangling headers, and so tests can diff conditions structurally.
+It reads the loop's strategies (``loop.records.Strategy``) as they are
+stored: each one's ``rules_text``, ``mean_reward`` and trial count, the
+length of its ``per_episode_returns``, and the current one's ``window``.
 
 A uniformly indented function in a code answer is dedented by ``_dedent``,
 which keeps ``textwrap.dedent``'s semantics at a fraction of its cost.
@@ -22,11 +25,14 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..dsl.parser import PolicyParseError, PolicyProgram, parse
 from ..envs.core import EnvSpec
 from ..gateway import ChatRequest
+
+if TYPE_CHECKING:  # loop.records imports this module
+    from ..loop.records import Strategy
 
 _NUMBER_WORDS = {2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven"}
 
@@ -91,16 +97,6 @@ def _frozen(window: SensoryMotorWindow, name: str, *value: object) -> None:
 SensoryMotorWindow.__setattr__ = SensoryMotorWindow.__delattr__ = _frozen
 
 
-@dataclass(frozen=True)
-class StrategySummary:
-    """What the reflection prompt needs to know about one strategy."""
-
-    rules_text: str
-    mean_reward: float
-    eval_episodes: int
-    window: Optional[SensoryMotorWindow] = None
-
-
 @lru_cache(maxsize=None)
 def _template(name: str) -> str:
     path = resources.files(__package__) / "templates" / f"{name}.txt"
@@ -122,12 +118,13 @@ def format_reward(value: float) -> str:
     return text if text not in ("", "-") else "0"
 
 
-def _trial_slots(summary: StrategySummary, r_max: Optional[float]) -> dict:
-    """The ``episodes`` and ``reward`` slots of a strategy's reward line."""
-    reward = format_reward(summary.mean_reward)
+def _trial_slots(strategy: Strategy, r_max: Optional[float]) -> dict:
+    """The ``episodes`` and ``reward`` slots of a strategy's reward line:
+    one trial per evaluation return."""
+    reward = format_reward(strategy.mean_reward)
     if r_max is not None:
         reward += "/" + format_reward(r_max)
-    return {"episodes": summary.eval_episodes, "reward": reward}
+    return {"episodes": len(strategy.per_episode_returns), "reward": reward}
 
 
 def render_task_description(spec: EnvSpec) -> str:
@@ -194,19 +191,24 @@ _P4_KEPT_BLOCKS = {
 
 def p4_blocks(
     spec: EnvSpec,
-    current: StrategySummary,
-    previous: Optional[StrategySummary],
-    best: Optional[StrategySummary],
+    current: Strategy,
+    previous: Optional[Strategy],
+    best: Optional[Strategy],
     ablation: Ablation = Ablation.BASELINE,
     history_rewards: Sequence[float] = (),
 ) -> list[tuple[str, str]]:
     """Ordered named blocks of the reflection prompt.
 
-    ``previous`` and ``best`` are supplied by the caller when they exist
-    (from iteration 2 on); the reward-sequence line appears once
-    ``history_rewards`` has at least two entries. Only ``current``'s window
-    is read, and it is shown whole: ``evaluate_program`` cut it to the
-    configured size. ``_P4_KEPT_BLOCKS`` says which blocks each ablation keeps.
+    ``current``, ``previous`` and ``best`` are strategies as the loop stores
+    them; any object with ``rules_text``, ``mean_reward``,
+    ``per_episode_returns`` and ``window`` will do. Each one shown gets its
+    rules, its mean reward (over ``r_max`` where the task has one) and
+    ``len(per_episode_returns)`` as its trial count. ``previous`` and
+    ``best`` are supplied by the caller when they exist (from iteration 2
+    on); the reward-sequence line appears once ``history_rewards`` has at
+    least two entries. Only ``current``'s window is read, and it is shown
+    whole: ``evaluate_program`` cut it to the configured size.
+    ``_P4_KEPT_BLOCKS`` says which blocks each ablation keeps.
     """
     window = current.window
     kept = _P4_KEPT_BLOCKS[ablation]
@@ -226,10 +228,10 @@ def p4_blocks(
         else:
             blocks.append(("current_reward", _fill("p4_reward", **trials)))
 
-    for name, summary in (("previous", previous), ("best", best)):
-        if name in kept and summary is not None:
-            slots = _trial_slots(summary, spec.r_max)
-            text = _fill(f"p4_{name}", rules=summary.rules_text, **slots)
+    for name, strategy in (("previous", previous), ("best", best)):
+        if name in kept and strategy is not None:
+            slots = _trial_slots(strategy, spec.r_max)
+            text = _fill(f"p4_{name}", rules=strategy.rules_text, **slots)
             blocks.append((f"{name}_strategy", text))
 
     blocks.append(("instruction", _fill("p4_instruction", improve_goal=spec.improve_goal_text)))
@@ -242,13 +244,14 @@ def p4_blocks(
 
 def render_p4(
     spec: EnvSpec,
-    current: StrategySummary,
-    previous: Optional[StrategySummary] = None,
-    best: Optional[StrategySummary] = None,
+    current: Strategy,
+    previous: Optional[Strategy] = None,
+    best: Optional[Strategy] = None,
     history_rewards: Sequence[float] = (),
     ablation: Ablation = Ablation.BASELINE,
 ) -> str:
-    """Full reflection prompt text.
+    """Full reflection prompt text: the blocks of ``p4_blocks``, which
+    reads the three strategies as the loop stores them.
 
     ``history_rewards`` is every prior iteration's mean reward in order; the
     sequence line only appears once there are at least two of them.

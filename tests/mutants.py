@@ -40,17 +40,17 @@ class Mutant(NamedTuple):
 
 RUNNER = "policyloop/loop/runner.py"
 SEEDING = "policyloop/envs/seeding.py"
+METRICS = "policyloop/metrics.py"
 LOOP_REFERENCE = ("tests/test_loop_reference.py::test_the_runner_is_the_reference_loop",)
 NUMPY_DRAWS = ("tests/test_seeding.py::test_uniform_draws_match_numpy_on_20000_seeds",)
+ROBUSTNESS_SEEDS = ("tests/test_metrics.py::test_robustness_episode_seeds_are_frozen",)
 
 MUTANTS = [
     Mutant(
         "runner-previous-and-best-swapped",
         RUNNER,
-        "            previous=_summary(previous, config) if previous else None,\n"
-        "            best=_summary(best, config) if best else None,\n",
-        "            previous=_summary(best, config) if best else None,\n"
-        "            best=_summary(previous, config) if previous else None,\n",
+        "            previous=previous,\n            best=best,\n",
+        "            previous=best,\n            best=previous,\n",
         LOOP_REFERENCE,
     ),
     Mutant(
@@ -80,6 +80,50 @@ MUTANTS = [
         "if worst is None or trace.total_reward < worst.total_reward:",
         "if True:",
         LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-request-seed-32-bits",
+        RUNNER,
+        "& 0x7FFFFFFF",
+        "& 0xFFFFFFFF",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-p1-seed-key",
+        RUNNER,
+        'Stage.P1_STRATEGY, "p1", render_p1(spec)',
+        'Stage.P1_STRATEGY, "p4", render_p1(spec)',
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-p2-reask-from-the-first-attempt",
+        RUNNER,
+        "reask=attempt > 1",
+        "reask=attempt > 0",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-p3-repair-without-the-error",
+        RUNNER,
+        "render_p3(spec, rules_text, error=error)",
+        "render_p3(spec, rules_text, error=None)",
+        LOOP_REFERENCE,
+    ),
+    Mutant(
+        "runner-episode-seed-keys-swapped",
+        RUNNER,
+        '        rng = random.Random(derive_seed(seed_root, replication, iteration, ep, "policy"))\n'
+        '        seed = derive_seed(seed_root, replication, iteration, ep, "env")\n',
+        '        rng = random.Random(derive_seed(seed_root, replication, iteration, ep, "env"))\n'
+        '        seed = derive_seed(seed_root, replication, iteration, ep, "policy")\n',
+        ROBUSTNESS_SEEDS,
+    ),
+    Mutant(
+        "metrics-robustness-seeded-as-iteration-0",
+        METRICS,
+        '"robustness", n_eval,',
+        "0, n_eval,",
+        ROBUSTNESS_SEEDS,
     ),
     Mutant(
         "seeding-seed-words-swapped",

@@ -20,6 +20,7 @@ prompt renderers, which have oracles of their own, and nothing in
 """
 
 import random
+from types import SimpleNamespace
 
 from policyloop.dsl import PolicyParseError, run_episode
 from policyloop.envs import derive_seed, get_spec, make, parse_task_id
@@ -27,7 +28,6 @@ from policyloop.gateway import ChatRequest, GatewayError
 from policyloop.prompts import (
     NoRulesError,
     SensoryMotorWindow,
-    StrategySummary,
     extract_code,
     extract_rules,
     render_p1,
@@ -109,10 +109,10 @@ def run_replication_reference(task, config, backend, replication=0, temperature=
 
     def summary(strategy):
         window = strategy["window"]
-        return StrategySummary(
+        return SimpleNamespace(
             rules_text=strategy["rules_text"],
             mean_reward=strategy["mean_reward"],
-            eval_episodes=config.eval_episodes,
+            per_episode_returns=strategy["per_episode_returns"],
             window=SensoryMotorWindow(
                 lines=tuple(window["lines"]),
                 source_episode=window["source_episode"],

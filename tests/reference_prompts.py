@@ -12,7 +12,8 @@ and the order and text they are filled in with.
 from typing import Optional, Sequence
 
 from policyloop.envs.core import EnvSpec
-from policyloop.prompts import Ablation, PromptError, StrategySummary
+from policyloop.loop import Strategy
+from policyloop.prompts import Ablation, PromptError
 from policyloop.prompts.pipeline import _fill, format_reward, render_task_description
 
 
@@ -24,9 +25,9 @@ def _reward_with_max(value: float, r_max: Optional[float]) -> str:
 
 def p4_blocks_reference(
     spec: EnvSpec,
-    current: StrategySummary,
-    previous: Optional[StrategySummary],
-    best: Optional[StrategySummary],
+    current: Strategy,
+    previous: Optional[Strategy],
+    best: Optional[Strategy],
     window_size: int,
     ablation: Ablation = Ablation.BASELINE,
     history_rewards: Sequence[float] = (),
@@ -97,7 +98,7 @@ def p4_blocks_reference(
                     _fill(
                         "p4_window",
                         window_len=len(current.window.lines),
-                        episodes=current.eval_episodes,
+                        episodes=len(current.per_episode_returns),
                         reward=reward_text,
                         lines="\n".join(current.window.lines),
                     ),
@@ -107,7 +108,7 @@ def p4_blocks_reference(
             blocks.append(
                 (
                     "current_reward",
-                    _fill("p4_reward", episodes=current.eval_episodes, reward=reward_text),
+                    _fill("p4_reward", episodes=len(current.per_episode_returns), reward=reward_text),
                 )
             )
 
@@ -119,7 +120,7 @@ def p4_blocks_reference(
                 _fill(
                     "p4_previous",
                     rules=previous.rules_text,
-                    episodes=previous.eval_episodes,
+                    episodes=len(previous.per_episode_returns),
                     reward=_reward_with_max(previous.mean_reward, r_max),
                 ),
             )
@@ -133,7 +134,7 @@ def p4_blocks_reference(
                 _fill(
                     "p4_best",
                     rules=best.rules_text,
-                    episodes=best.eval_episodes,
+                    episodes=len(best.per_episode_returns),
                     reward=_reward_with_max(best.mean_reward, r_max),
                 ),
             )
@@ -163,9 +164,9 @@ def p4_blocks_reference(
 
 def render_p4_reference(
     spec: EnvSpec,
-    current: StrategySummary,
-    previous: Optional[StrategySummary] = None,
-    best: Optional[StrategySummary] = None,
+    current: Strategy,
+    previous: Optional[Strategy] = None,
+    best: Optional[Strategy] = None,
     history_rewards: Sequence[float] = (),
     window_size: int = 20,
     ablation: Ablation = Ablation.BASELINE,

@@ -10,10 +10,10 @@ import itertools
 import pytest
 
 from policyloop.envs import ALL_TASKS, get_spec
+from policyloop.loop import Strategy
 from policyloop.prompts import (
     Ablation,
     SensoryMotorWindow,
-    StrategySummary,
     p4_blocks,
     render_p4,
 )
@@ -40,8 +40,14 @@ HISTORY = (12.5, -3.25, 116.1)
 
 
 def _summary(rules, reward, episodes, window):
-    return StrategySummary(
-        rules_text=rules, mean_reward=reward, eval_episodes=episodes, window=window
+    return Strategy(
+        iteration_index=0,
+        strategy_text="",
+        rules_text=rules,
+        program_source="",
+        mean_reward=reward,
+        per_episode_returns=[reward] * episodes,
+        window=window,
     )
 
 

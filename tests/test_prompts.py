@@ -5,12 +5,12 @@ import pytest
 
 from policyloop.dsl import PolicyParseError
 from policyloop.envs import ALL_TASKS, get_spec
+from policyloop.loop import Strategy
 from policyloop.prompts import (
     Ablation,
     EmptyResponseError,
     NoRulesError,
     SensoryMotorWindow,
-    StrategySummary,
     extract_code,
     extract_rules,
     extract_strategy,
@@ -107,10 +107,13 @@ def _summary(reward, window=None, invalid=None, episodes=20):
             episode_return=min(0.0, reward),
             invalid_value_text=invalid,
         )
-    return StrategySummary(
+    return Strategy(
+        iteration_index=0,
+        strategy_text="",
         rules_text=f"1. If Pole Angle > 0 Then Move Right (2)  # reward {reward}",
+        program_source="",
         mean_reward=reward,
-        eval_episodes=episodes,
+        per_episode_returns=[reward] * episodes,
         window=win,
     )
 

@@ -14,9 +14,9 @@ import math
 import pytest
 
 from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
+from policyloop.loop import Strategy
 from policyloop.prompts import (
     SensoryMotorWindow,
-    StrategySummary,
     p4_blocks,
     render_p1,
     render_p2,
@@ -101,10 +101,13 @@ def _texts(task) -> dict:
     window = SensoryMotorWindow(
         ("[0 0 1 0];1",), source_episode=2, episode_return=1.0, invalid_value_text="None"
     )
-    current = StrategySummary(
+    current = Strategy(
+        iteration_index=0,
+        strategy_text="",
         rules_text=transcript_text("rules_iter0.txt"),
+        program_source="",
         mean_reward=1.0,
-        eval_episodes=20,
+        per_episode_returns=[1.0] * 20,
         window=window,
     )
     blocks = dict(p4_blocks(spec, current, None, None))
