@@ -23,10 +23,10 @@ a bool; or a finite number, clamped to a continuous task's range), the
 physics and the termination test (``envs/cartpole.py``,
 ``envs/acrobot.py`` and the others). A valid step builds no outcome
 object: the rollout hands back the unusable value that ended the episode
-(``RAISED`` when the call or the check raised one of
-``envs.core.POLICY_ERRORS``), and only that goes through
-``_invalid_outcome``, which classifies it. The env's state is written back
-when the episode ends.
+(``None`` when the call or the check raised one of
+``envs.core.POLICY_ERRORS``), and the trace keeps only that value's text,
+the one its last trace line and the reflection prompt show. The env's
+state is written back when the episode ends.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -36,61 +36,37 @@ lines are never shown pays nothing for them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from ..envs import make
-from ..envs.core import (
-    INVALID_ACTION,
-    POLICY_ERRORS,
-    RAISED,
-    TaskId,
-    TerminationCause,
-)
+from ..envs.core import INVALID_ACTION, POLICY_ERRORS, TaskId, TerminationCause
 from ..envs.trace import render_action_value, step_line
 from .parser import PolicyProgram
 
 
-class InvalidReason(str, Enum):
-    NO_RULE_FIRED = "no_rule_fired"
-    OUT_OF_RANGE = "out_of_range"
-    RUNTIME_ERROR = "runtime_error"
-
-
-class PolicyOutcome(NamedTuple):
-    """Why the policy call that ended an episode gave no action."""
-
-    reason: InvalidReason
-    # text of the raw value the program produced ("None" when control fell
-    # off the end or raised), which trace lines and repair feedback show
-    value_text: str
-
-
-def _invalid_outcome(value) -> PolicyOutcome:
-    """The outcome of a policy call whose value the action check refused:
-    ``None``, a rejected value, or ``RAISED``."""
+def _value_text(value) -> str:
+    """The text of an unusable value: ints, bools included, as they print;
+    anything else as a float; ``None`` for ``None`` and for a value that
+    raises one of ``POLICY_ERRORS`` when printed."""
     if value is None:
-        return PolicyOutcome(InvalidReason.NO_RULE_FIRED, "None")
-    if value is not RAISED:
-        try:
-            # ints, bools included, as they print; anything else as a float
-            text = str(value) if isinstance(value, int) else f"{float(value):g}"
-            return PolicyOutcome(InvalidReason.OUT_OF_RANGE, text)
-        except POLICY_ERRORS:
-            pass
-    return PolicyOutcome(InvalidReason.RUNTIME_ERROR, "None")
+        return "None"
+    try:
+        return str(value) if isinstance(value, int) else f"{float(value):g}"
+    except POLICY_ERRORS:
+        return "None"
 
 
 @dataclass
 class EpisodeTrace:
     # observations[i] is what the policy saw at step i; actions[i] is what it
     # did. An episode that ended invalid has one observation more than actions.
-    observations: list[tuple] = field(default_factory=list)
-    actions: list[Union[int, float]] = field(default_factory=list)
-    total_reward: float = 0.0
-    cause: TerminationCause = TerminationCause.NONE
-    invalid_outcome: Optional[PolicyOutcome] = None
+    observations: list[tuple]
+    actions: list[Union[int, float]]
+    total_reward: float
+    cause: TerminationCause
+    # the text of the unusable value that ended the episode, or None
+    invalid_value_text: Optional[str]
 
     @property
     def length(self) -> int:
@@ -104,7 +80,7 @@ class EpisodeTrace:
         if i < len(self.actions):
             action_text = render_action_value(self.actions[i])
         else:
-            action_text = self.invalid_outcome.value_text
+            action_text = self.invalid_value_text
         return step_line(self.observations[i], action_text)
 
     def lines(self) -> list[str]:
@@ -137,13 +113,16 @@ def run_episode(
         raise ValueError(
             f"observation has {len(obs)} values but the policy takes {n_params} parameters"
         )
-    trace = EpisodeTrace()
-    total_reward, trace.cause, value = env._rollout(
-        program.compiled, rng, env.spec.max_steps, trace.observations, trace.actions
+    observations, actions = [], []
+    total_reward, cause, value = env._rollout(
+        program.compiled, rng, env.spec.max_steps, observations, actions
     )
-    # the rollout sums from -0.0, so that one step keeps its reward's sign;
-    # an episode's return is a sum from 0.0, which never reads -0.0
-    trace.total_reward = total_reward + 0.0
-    if trace.cause is INVALID_ACTION:
-        trace.invalid_outcome = _invalid_outcome(value)
-    return trace
+    return EpisodeTrace(
+        observations,
+        actions,
+        # the rollout sums from -0.0, so that one step keeps its reward's
+        # sign; an episode's return is a sum from 0.0, which never reads -0.0
+        total_reward + 0.0,
+        cause,
+        _value_text(value) if cause is INVALID_ACTION else None,
+    )

@@ -25,7 +25,6 @@ import math
 from .core import (
     INVALID_ACTION,
     POLICY_ERRORS,
-    RAISED,
     STEP_LIMIT,
     DiscreteActions,
     Environment,
@@ -149,7 +148,7 @@ class AcrobotEnv(Environment):
                 # a label, never a bool (reference_dynamics.discrete_coerce_original)
                 action = None if value.__class__ is bool else labels.get(value)
             except POLICY_ERRORS:
-                value = RAISED
+                value = None
                 action = None
             if action is None:
                 cause = INVALID_ACTION

@@ -34,7 +34,6 @@ from dataclasses import replace
 from .core import (
     INVALID_ACTION,
     POLICY_ERRORS,
-    RAISED,
     STEP_LIMIT,
     ContinuousAction,
     DiscreteActions,
@@ -154,7 +153,7 @@ class _CartPoleFamily(Environment):
                     elif action > hi:
                         action = hi
             except POLICY_ERRORS:
-                value = RAISED
+                value = None
                 action = None
             if action is None:
                 cause = INVALID_ACTION

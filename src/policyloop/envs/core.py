@@ -9,6 +9,10 @@ numpy's ``Generator(PCG64(seed)).uniform`` reproduced in plain Python, so
 the package runs without numpy and no numpy version can move an episode.
 Observations are tuples of Python scalars (ints on CartPoleStar2, floats
 elsewhere): a policy gets Python arithmetic.
+
+A rollout that a policy ends with an unusable action returns that value,
+or ``None`` when the policy call or the action check raised one of
+``POLICY_ERRORS``; ``dsl.run_episode`` keeps only the value's text.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ def parse_task_id(name: Union[str, TaskId]) -> TaskId:
 
 
 class TerminationCause(str, Enum):
-    NONE = "none"
     BOUNDS_EXCEEDED = "bounds_exceeded"
     GOAL_REACHED = "goal_reached"
     STEP_LIMIT = "step_limit"
@@ -171,9 +174,6 @@ class EnvSpec:
         return f"return random.randint({labels[0]}, {labels[-1]})"
 
 
-# What a policy "returned" in a rollout when it, or the action check, raised
-RAISED = object()
-
 # What a policy call, or the action check, may raise and only lose the
 # episode: division by zero, an overflow, a bad random bound, or an integer
 # too long to print or too large for a float
@@ -256,9 +256,9 @@ class Environment:
         the call or the check, ends the rollout with no reward. Returns
         (return, cause, value): the return is the sum of the rewards from
         -0.0, so a one-step rollout returns that step's reward bit for bit;
-        ``value`` is the unusable value, or ``RAISED``, when ``cause`` is
-        ``INVALID_ACTION``, and None otherwise. At the end the state is
-        written back.
+        ``value`` is the unusable value when ``cause`` is ``INVALID_ACTION``
+        (None when the call or the check raised), and None otherwise. At the
+        end the state is written back.
         """
         raise NotImplementedError
 

@@ -21,7 +21,6 @@ import math
 from .core import (
     INVALID_ACTION,
     POLICY_ERRORS,
-    RAISED,
     STEP_LIMIT,
     ContinuousAction,
     DiscreteActions,
@@ -88,7 +87,7 @@ class _MountainCarFamily(Environment):
                     elif action > hi:
                         action = hi
             except POLICY_ERRORS:
-                value = RAISED
+                value = None
                 action = None
             if action is None:
                 cause = INVALID_ACTION

@@ -19,7 +19,6 @@ import math
 from .core import (
     INVALID_ACTION,
     POLICY_ERRORS,
-    RAISED,
     STEP_LIMIT,
     ContinuousAction,
     Environment,
@@ -108,7 +107,7 @@ class PendulumEnv(Environment):
                     elif action > hi:
                         action = hi
             except POLICY_ERRORS:
-                value = RAISED
+                value = None
                 action = None
             if action is None:
                 cause = INVALID_ACTION

@@ -103,9 +103,7 @@ def evaluate_program(
         lines=tuple(worst.window_lines(config.window_size)),
         source_episode=worst_idx,
         episode_return=returns[worst_idx],
-        invalid_value_text=(
-            worst.invalid_outcome.value_text if worst.ended_invalid else None
-        ),
+        invalid_value_text=worst.invalid_value_text,
     )
     return mean(returns), returns, window
 

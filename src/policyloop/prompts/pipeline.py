@@ -221,7 +221,7 @@ def p4_blocks(
     if "current" in kept:
         blocks.append(("current_strategy", _fill("p4_current", rules=current.rules_text)))
         trials = _trial_slots(current, spec.r_max)
-        if "window" in kept and window is not None:
+        if "window" in kept:
             lines = "\n".join(window.lines)
             text = _fill("p4_window", window_len=len(window.lines), lines=lines, **trials)
             blocks.append(("current_window", text))
@@ -235,7 +235,7 @@ def p4_blocks(
             blocks.append((f"{name}_strategy", text))
 
     blocks.append(("instruction", _fill("p4_instruction", improve_goal=spec.improve_goal_text)))
-    if "current" in kept and window is not None and window.invalid_value_text is not None:
+    if "current" in kept and window.invalid_value_text is not None:
         invalid = window.invalid_value_text
         text = _fill("p4_error", valid_actions=spec.action_invalid_text, value=invalid)
         blocks.append(("error_feedback", text))

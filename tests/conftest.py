@@ -1,6 +1,6 @@
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -145,27 +145,26 @@ def step(env, action):
 
 
 class Outcome(NamedTuple):
-    """A policy's action on one observation, or None with the reason and
-    value text of the ``PolicyOutcome`` an episode ending there records."""
+    """A policy's action on one observation, or None with the value text an
+    episode ending there records."""
 
     action: object
-    reason: object = None
-    value_text: str = ""
+    value_text: Optional[str] = None
 
 
 def policy_outcome(program, obs, rng, spec) -> Outcome:
     """The ``Outcome`` of ``program`` on ``obs``: its compiled function
     called with ``rng``, the value checked by one step of the rollout of
-    ``spec``'s task, and a refused value classified as ``run_episode``
-    classifies the one that ends an episode."""
-    from policyloop.dsl.episode import _invalid_outcome
+    ``spec``'s task, and a refused value's text as ``run_episode`` gives
+    that of the one that ends an episode."""
+    from policyloop.dsl.episode import _value_text
     from policyloop.envs import make
 
     env = make(spec.task_id)
     env.reset(0)
     taken = []
     _, _, value = env._rollout(lambda rng, _: program.compiled(rng, obs), rng, 1, [], taken)
-    return Outcome(taken[0]) if taken else Outcome(None, *_invalid_outcome(value))
+    return Outcome(taken[0]) if taken else Outcome(None, _value_text(value))
 
 
 def big_int_expression(digits: int) -> str:

@@ -41,9 +41,62 @@ class Mutant(NamedTuple):
 RUNNER = "policyloop/loop/runner.py"
 SEEDING = "policyloop/envs/seeding.py"
 METRICS = "policyloop/metrics.py"
+EPISODE = "policyloop/dsl/episode.py"
+CLI = "policyloop/cli.py"
+CARTPOLE = "policyloop/envs/cartpole.py"
+ACROBOT = "policyloop/envs/acrobot.py"
+PENDULUM = "policyloop/envs/pendulum.py"
+MOUNTAIN_CAR = "policyloop/envs/mountain_car.py"
 LOOP_REFERENCE = ("tests/test_loop_reference.py::test_the_runner_is_the_reference_loop",)
 NUMPY_DRAWS = ("tests/test_seeding.py::test_uniform_draws_match_numpy_on_20000_seeds",)
 ROBUSTNESS_SEEDS = ("tests/test_metrics.py::test_robustness_episode_seeds_are_frozen",)
+ACTION_CHECK = (
+    "tests/test_dynamics_oracle.py::test_action_check_is_exactly_the_original_coerce_form",
+)
+BAD_POLICY = (
+    "tests/test_dynamics_oracle.py"
+    "::test_float_task_rollout_with_a_bad_policy_matches_the_frozen_form",
+)
+FIRST_STEP = ("tests/test_episode.py::test_first_step_outcome_is_the_frozen_check",)
+BATCH_ERROR = (
+    "tests/test_cli.py::test_a_batch_error_after_a_cell_began_is_raised_not_a_usage_error",
+)
+
+# Each rollout's inline action check: a bool taken as a label, a non-finite
+# number taken as an action, a clamp dropped; and its except branch keeping
+# the value instead of reporting None for a call or a check that raised.
+_LABEL = "action = None if value.__class__ is bool else labels.get(value)"
+_ANY_LABEL = "action = labels.get(value)"
+_EXCEPT = "            except POLICY_ERRORS:\n"
+_RAISED = _EXCEPT + "                value = None\n"
+_DISCRETE = (("cartpole", CARTPOLE), ("mountain-car", MOUNTAIN_CAR), ("acrobot", ACROBOT))
+_CONTINUOUS = (("cartpole", CARTPOLE), ("mountain-car", MOUNTAIN_CAR), ("pendulum", PENDULUM))
+ROLLOUT_MUTANTS = [
+    *(
+        Mutant(f"{name}-bool-taken-as-a-label", file, _LABEL, _ANY_LABEL, ACTION_CHECK)
+        for name, file in _DISCRETE
+    ),
+    *(
+        Mutant(f"{name}-{what}", file, old, new, ACTION_CHECK)
+        for name, file in _CONTINUOUS
+        for what, old, new in (
+            ("non-finite-taken", "if not neg_inf < action < inf:", "if False:"),
+            ("lo-clamp-dropped", "action = lo\n", "pass\n"),
+            ("hi-clamp-dropped", "action = hi\n", "pass\n"),
+        )
+    ),
+    # the check raises only on a continuous task's int too large for a float,
+    # and Acrobot's actions are labels, so its killer makes the policy raise
+    *(
+        Mutant(f"{name}-raise-keeps-the-value", file, _RAISED, _EXCEPT, tests)
+        for name, file, tests in (
+            ("cartpole", CARTPOLE, ACTION_CHECK),
+            ("mountain-car", MOUNTAIN_CAR, ACTION_CHECK),
+            ("pendulum", PENDULUM, ACTION_CHECK),
+            ("acrobot", ACROBOT, BAD_POLICY),
+        )
+    ),
+]
 
 MUTANTS = [
     Mutant(
@@ -155,6 +208,28 @@ MUTANTS = [
         "        draws.append(low + (high - low) * ((word >> 11) * _TO_UNIT))\n"
         "        state = (state * _PCG_MULT + inc) & _M128\n",
         NUMPY_DRAWS,
+    ),
+    *ROLLOUT_MUTANTS,
+    Mutant(
+        "episode-ints-printed-as-floats",
+        EPISODE,
+        'str(value) if isinstance(value, int) else f"{float(value):g}"',
+        'f"{float(value):g}"',
+        FIRST_STEP,
+    ),
+    Mutant(
+        "episode-value-text-without-its-none-test",
+        EPISODE,
+        '    if value is None:\n        return "None"\n    try:\n',
+        "    try:\n",
+        FIRST_STEP,
+    ),
+    Mutant(
+        "cli-batch-error-after-a-cell-began-is-a-usage-error",
+        CLI,
+        "        if started:\n            raise\n",
+        "        if False:\n            raise\n",
+        BATCH_ERROR,
     ),
 ]
 

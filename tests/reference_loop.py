@@ -103,7 +103,7 @@ def run_replication_reference(task, config, backend, replication=0, temperature=
             "lines": worst.window_lines(config.window_size),
             "source_episode": worst_ep,
             "episode_return": returns[worst_ep],
-            "invalid_value_text": worst.invalid_outcome.value_text if worst.ended_invalid else None,
+            "invalid_value_text": worst.invalid_value_text,
         }
         return total / len(returns), returns, window
 

@@ -375,6 +375,31 @@ def test_batch_refuses_an_out_dir_before_any_request(tmp_path, capsys, backends,
     assert backends == []
 
 
+def test_a_batch_error_after_a_cell_began_is_raised_not_a_usage_error(tmp_path, monkeypatch):
+    """Once a cell's backend is made, an error is the run's, not the
+    settings': it leaves ``main`` as it was raised, and the records saved
+    before it stay."""
+    batch_config = tmp_path / "batch.json"
+    batch_config.write_text(json.dumps(
+        {**OFFLINE_BATCH, "temperatures": [0.0], "replications": 2, "script": scripted_session()}
+    ))
+    save, saved = RunRecord.save, []
+
+    def save_once(record, path):
+        if saved:
+            raise OSError(28, "No space left on device", str(path))
+        saved.append(Path(path))
+        return save(record, path)
+
+    monkeypatch.setattr(RunRecord, "save", save_once)
+    out_dir = tmp_path / "runs"
+    with pytest.raises(OSError) as raised:
+        main(["batch", "--config", str(batch_config), "--out-dir", str(out_dir)])
+    assert raised.value.errno == 28
+    assert list(out_dir.iterdir()) == saved
+    assert saved[0].name == "CartPole_local-model_t0_0_r000.json"
+
+
 @pytest.mark.parametrize("where", ["directory", "under-a-file"])
 @pytest.mark.parametrize("option", ["--json", "--csv"])
 def test_metrics_refuses_an_output_path_before_the_rerun(

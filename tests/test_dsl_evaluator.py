@@ -4,7 +4,7 @@ integer observation grid.
 
 A policy's outcome on one observation is what the first step of a rollout
 makes of it (``conftest.policy_outcome``): the compiled function's value,
-the task's inline action check, and the classifier of a refused value.
+the task's inline action check, and the text of a refused value.
 """
 
 import random
@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from policyloop.dsl import InvalidReason, parse, run_episode
+from policyloop.dsl import parse, run_episode
 from policyloop.envs import get_spec, make
 
 from conftest import big_int_expression, policy_outcome, transcript_text
@@ -26,7 +26,7 @@ def pendulum_spec():
 
 def test_first_rule_wins(iter0_program, star2_spec):
     outcome = policy_outcome(iter0_program, (0, 0, 5, 0), random.Random(0), star2_spec)
-    assert outcome.reason is None
+    assert outcome.value_text is None
     assert outcome.action == 2  # positive pole angle -> move right
 
 
@@ -57,8 +57,7 @@ def test_fallback_draws_follow_the_rng(iter0_program, star2_spec):
 def test_no_rule_fired_reports_none(star2_spec):
     program = parse(transcript_text("code_iter1.py"), expected_params=star2_spec.obs_names)
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is InvalidReason.NO_RULE_FIRED
-    assert outcome.value_text == "None"
+    assert outcome == (None, "None")
 
 
 def test_discrete_out_of_range(star2_spec):
@@ -67,8 +66,7 @@ def test_discrete_out_of_range(star2_spec):
         "    return 3\n"
     )
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is InvalidReason.OUT_OF_RANGE
-    assert outcome.value_text == "3"
+    assert outcome == (None, "3")
 
 
 def test_discrete_accepts_float_equal_to_label(star2_spec):
@@ -77,8 +75,7 @@ def test_discrete_accepts_float_equal_to_label(star2_spec):
         "    return 4 / 2\n"
     )
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is None
-    assert outcome.action == 2
+    assert outcome == (2, None)
     assert isinstance(outcome.action, int)
 
 
@@ -88,11 +85,10 @@ def test_randint_empty_range_is_runtime_error(star2_spec):
         "    return random.randint(2, cart_position)\n"
     )
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert outcome.action is None and outcome.value_text == "None"
+    assert outcome == (None, "None")
     # the empty range is what failed: a non-empty one draws a valid action
     outcome = policy_outcome(program, (2, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is None and outcome.action == 2
+    assert outcome == (2, None)
 
 
 def test_division_by_zero_is_runtime_error(star2_spec):
@@ -101,11 +97,10 @@ def test_division_by_zero_is_runtime_error(star2_spec):
         "    return 1 / cart_position\n"
     )
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert outcome.action is None and outcome.value_text == "None"
+    assert outcome == (None, "None")
     # the zero divisor is what failed: a nonzero one gives a valid action
     outcome = policy_outcome(program, (1, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is None and outcome.action == 1
+    assert outcome == (1, None)
 
 
 _ZEROS_400 = big_int_expression(400)  # an integer too large for a float
@@ -127,8 +122,7 @@ def test_numbers_out_of_float_range_are_runtime_errors(body):
     spec = get_spec("InvertedPendulum")
     program = parse(f"def get_action({', '.join(spec.obs_names)}):\n    {body}\n")
     outcome = policy_outcome(program, (0.0, 0.1, 0.0, 0.0), random.Random(0), spec)
-    assert outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert outcome.value_text == "None"
+    assert outcome == (None, "None")
 
 
 def test_integer_too_long_to_print_is_a_runtime_error(star2_spec):
@@ -138,14 +132,13 @@ def test_integer_too_long_to_print_is_a_runtime_error(star2_spec):
         f"    return {big} * {big}\n"
     )
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), star2_spec)
-    assert outcome.reason is InvalidReason.RUNTIME_ERROR
+    assert outcome == (None, "None")
 
 
 def test_continuous_results_are_clamped(pendulum_spec):
     program = parse("def get_action(x, y, angular_velocity):\n    return 10 * x\n")
     outcome = policy_outcome(program, (1.0, 0.0, 0.0), random.Random(0), pendulum_spec)
-    assert outcome.reason is None
-    assert outcome.action == 2.0  # clamped to the torque bound
+    assert outcome == (2.0, None)  # clamped to the torque bound
     outcome = policy_outcome(program, (-1.0, 0.0, 0.0), random.Random(0), pendulum_spec)
     assert outcome.action == -2.0
 
@@ -160,7 +153,7 @@ def test_uniform_fallback_for_continuous(pendulum_spec):
     rng = random.Random(3)
     before = rng.getstate()
     outcome = policy_outcome(program, (0.0, 0.0, 0.0), rng, pendulum_spec)
-    assert outcome.reason is None
+    assert outcome.value_text is None
     assert -2.0 <= outcome.action <= 2.0
     assert rng.getstate() != before  # the fallback drew
 
@@ -212,20 +205,19 @@ def test_evaluator_matches_python_execution_on_random_programs(star2_spec):
                     raw = ns["f"](*obs)
             except (ZeroDivisionError, ValueError):
                 # division by zero, or randint on an empty/non-integer range
-                assert mine.reason is InvalidReason.RUNTIME_ERROR
+                assert mine == (None, "None")
                 checked += 1
                 continue
 
             if raw is None:
-                assert mine.reason is InvalidReason.NO_RULE_FIRED
+                assert mine == (None, "None")
             elif isinstance(raw, bool) or raw not in (1, 2):
-                assert mine.reason is InvalidReason.OUT_OF_RANGE
-                assert mine.value_text == (
-                    str(raw) if isinstance(raw, (bool, int)) else f"{float(raw):g}"
+                assert mine == (
+                    None,
+                    str(raw) if isinstance(raw, (bool, int)) else f"{float(raw):g}",
                 )
             else:
-                assert mine.reason is None
-                assert mine.action == raw
+                assert mine == (raw, None)
             checked += 1
     assert checked == 1200
 

@@ -18,7 +18,6 @@ from policyloop.envs.cartpole import (
 )
 from policyloop.envs.core import (
     POLICY_ERRORS,
-    RAISED,
     STEP_LIMIT,
     DiscreteActions,
     TerminationCause,
@@ -382,13 +381,14 @@ def _space_id(space):
 def _rollout_action(task, value):
     """The action a one-step rollout of ``task`` takes when its policy
     returns ``value``, or None when it refuses the value. A check that
-    raised, which the rollout reports as RAISED, raises OverflowError here,
-    the one error the coerce forms raise."""
+    raised, which the rollout reports as no action and the value None for a
+    value that was not None, raises OverflowError here, the one error the
+    coerce forms raise."""
     env = make(task)
     env.reset(0)
     actions = []
     _, _, refused = env._rollout(lambda rng, obs: value, None, 1, [], actions)
-    if refused is RAISED:
+    if not actions and refused is None and value is not None:
         raise OverflowError
     return actions[0] if actions else None
 
@@ -664,7 +664,7 @@ def _reference_rollout(task, state, policy, limit):
             value = policy(None, obs)
             action = coerce(value)
         except POLICY_ERRORS:
-            value, action = RAISED, None
+            value, action = None, None
         if action is None:
             cause = TerminationCause.INVALID_ACTION
             break

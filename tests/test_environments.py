@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from policyloop import envs
-from policyloop.dsl import InvalidReason, PolicyProgram, parse, run_episode
+from policyloop.dsl import PolicyProgram, parse, run_episode
 from policyloop.envs import ALL_TASKS, TaskId, describe, get_spec, make
 from policyloop.envs.core import STEP_LIMIT, TerminationCause, UnknownTaskError
 
@@ -580,10 +580,12 @@ def test_policy_actions_are_valid_exactly_as_the_frozen_check_says(task, value):
     trace = run_episode(program, task, 0, random.Random(0))
     if expected is OverflowError:
         assert not spec.is_discrete and value == 10**400
-        assert trace.invalid_outcome.reason is InvalidReason.RUNTIME_ERROR
+        assert trace.invalid_value_text == "None"
         assert trace.actions == []
     elif expected is None:
-        assert trace.invalid_outcome.reason is InvalidReason.OUT_OF_RANGE
+        assert trace.invalid_value_text == (
+            str(value) if isinstance(value, int) else f"{float(value):g}"
+        )
         assert trace.actions == []
     else:
         assert type(expected) is (int if spec.is_discrete else float)

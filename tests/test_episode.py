@@ -6,10 +6,10 @@ import textwrap
 
 import pytest
 
-from policyloop.dsl import InvalidReason, parse, run_episode
+from policyloop.dsl import parse, run_episode
 from policyloop.dsl import episode
 from policyloop.envs import ALL_TASKS, TaskId, cartpole, get_spec, make
-from policyloop.envs.core import POLICY_ERRORS, RAISED, STEP_LIMIT, TerminationCause
+from policyloop.envs.core import POLICY_ERRORS, STEP_LIMIT, TerminationCause
 
 from conftest import big_int_expression, reference_step_forms, step, transcript_text
 
@@ -83,7 +83,7 @@ def test_nan_action_ends_the_episode_invalid(task):
     assert trace.ended_invalid
     assert trace.length == 1
     assert trace.total_reward == 0.0
-    assert trace.invalid_outcome.reason is InvalidReason.OUT_OF_RANGE
+    assert trace.invalid_value_text == "nan"
     assert trace.lines()[0].endswith(";nan")
 
 
@@ -193,8 +193,7 @@ def test_policy_sees_python_scalars(task):
     program = parse(_header(spec) + f"    return {first} / ({first} - {first})\n")
     trace = run_episode(program, task, seed=0, rng=random.Random(0))
     assert trace.cause is TerminationCause.INVALID_ACTION
-    assert trace.invalid_outcome.reason is InvalidReason.RUNTIME_ERROR
-    assert trace.invalid_outcome.value_text == "None"
+    assert trace.invalid_value_text == "None"
     assert trace.length == 1 and trace.total_reward == 0.0
     assert trace.lines()[0].endswith(";None")
 
@@ -306,13 +305,13 @@ def _step_by_step(program, seed, rng, env):
             value = program.compiled(rng, obs)
             action = coerce(value)
         except POLICY_ERRORS:
-            value, action = RAISED, None
+            value, action = None, None
         if action is None:
-            # classified as run_episode classifies it; test_first_step_outcome
-            # pins what that gives for each kind of value
-            outcome = episode._invalid_outcome(value)
+            # its text as run_episode gives it; test_first_step_outcome pins
+            # what that is for each kind of value
+            text = episode._value_text(value)
             cause = TerminationCause.INVALID_ACTION
-            return observations, actions, total_reward, cause, outcome, state
+            return observations, actions, total_reward, cause, text, state
         actions.append(action)
         state, reward, terminated = tick(state, action)
         total_reward += reward
@@ -345,7 +344,7 @@ def test_run_episode_matches_the_reference_step_loop(task, kind):
             trace.actions,
             trace.total_reward,
             trace.cause,
-            trace.invalid_outcome,
+            trace.invalid_value_text,
             env.state,
         )
         assert got == expected, (kind, seed)
@@ -360,16 +359,16 @@ def test_run_episode_matches_the_reference_step_loop(task, kind):
             assert trace.cause is env.terminal_cause
             assert len(trace.actions) < spec.max_steps
         else:
-            reason = trace.invalid_outcome.reason
+            text = trace.invalid_value_text
             if kind == "runtime_error":
-                assert reason is InvalidReason.RUNTIME_ERROR
+                assert text == "None"
             elif kind == "odd_value":
                 # a refused number, or an int too large for a continuous task
-                assert reason is not InvalidReason.NO_RULE_FIRED
+                assert text is not None
             elif spec.is_discrete:
-                assert reason is InvalidReason.OUT_OF_RANGE
+                assert text == "7"
             else:
-                assert reason is InvalidReason.NO_RULE_FIRED
+                assert text == "None"
             assert len(trace.actions) == trace.length - 1
         lengths.append(trace.length)
     # no kind ends every episode on its first step, invalid ones included
@@ -386,27 +385,27 @@ def test_the_cartpole_family_has_no_step_or_observe_hooks():
 # rollout calls the compiled policy and checks its value inline, and must
 # take the action the frozen coerce form makes of the value the compiled
 # function returns on the same observation and rng, or classify the value
-# as the table says. reason None: a valid action.
+# to the text the table says. No text: a valid action.
 _HUGE = big_int_expression(400)  # too large for a float
 _LONG = big_int_expression(2150)  # its square is too long to print
 _OUTCOMES = {
-    "fall-through": (TaskId.CARTPOLE_STAR2, "if pole_angle > 10000:\n        return 1", "no_rule_fired", "None"),
-    "out-of-range-label": (TaskId.CARTPOLE_STAR2, "return 3", "out_of_range", "3"),
-    "true": (TaskId.CARTPOLE, "return pole_angle == pole_angle", "out_of_range", "True"),
-    "float-label": (TaskId.CARTPOLE, "return 2 / 2", None, 1),
-    "nan": (TaskId.PENDULUM, "return 1e308 * 10 - 1e308 * 10", "out_of_range", "nan"),
-    "inf": (TaskId.MOUNTAIN_CAR_CONTINUOUS, "return -1e308 * 10", "out_of_range", "-inf"),
-    "clamped-high": (TaskId.INVERTED_PENDULUM, "return 7.5", None, 3.0),
-    "clamped-low": (TaskId.INVERTED_PENDULUM, "return -4", None, -3.0),
-    "int-too-large-for-a-float": (TaskId.INVERTED_PENDULUM, f"return {_HUGE}", "runtime_error", "None"),
-    "int-too-long-to-print": (TaskId.ACROBOT, f"return {_LONG} * {_LONG}", "runtime_error", "None"),
-    "division-by-zero": (TaskId.CARTPOLE_STAR1, "return 1 / (pole_angle - pole_angle)", "runtime_error", "None"),
-    "bad-randint-bounds": (TaskId.MOUNTAIN_CAR_DISCRETE, "return random.randint(2, 1)", "runtime_error", "None"),
+    "fall-through": (TaskId.CARTPOLE_STAR2, "if pole_angle > 10000:\n        return 1", None, "None"),
+    "out-of-range-label": (TaskId.CARTPOLE_STAR2, "return 3", None, "3"),
+    "true": (TaskId.CARTPOLE, "return pole_angle == pole_angle", None, "True"),
+    "float-label": (TaskId.CARTPOLE, "return 2 / 2", 1, None),
+    "nan": (TaskId.PENDULUM, "return 1e308 * 10 - 1e308 * 10", None, "nan"),
+    "inf": (TaskId.MOUNTAIN_CAR_CONTINUOUS, "return -1e308 * 10", None, "-inf"),
+    "clamped-high": (TaskId.INVERTED_PENDULUM, "return 7.5", 3.0, None),
+    "clamped-low": (TaskId.INVERTED_PENDULUM, "return -4", -3.0, None),
+    "int-too-large-for-a-float": (TaskId.INVERTED_PENDULUM, f"return {_HUGE}", None, "None"),
+    "int-too-long-to-print": (TaskId.ACROBOT, f"return {_LONG} * {_LONG}", None, "None"),
+    "division-by-zero": (TaskId.CARTPOLE_STAR1, "return 1 / (pole_angle - pole_angle)", None, "None"),
+    "bad-randint-bounds": (TaskId.MOUNTAIN_CAR_DISCRETE, "return random.randint(2, 1)", None, "None"),
 }
 
 
-@pytest.mark.parametrize("task, body, reason, text", _OUTCOMES.values(), ids=list(_OUTCOMES))
-def test_first_step_outcome_is_the_frozen_check(task, body, reason, text):
+@pytest.mark.parametrize("task, body, action, text", _OUTCOMES.values(), ids=list(_OUTCOMES))
+def test_first_step_outcome_is_the_frozen_check(task, body, action, text):
     spec = get_spec(task)
     coerce, _, _ = reference_step_forms(make(task))
     program = parse(_header(spec) + f"    {body}\n", expected_params=spec.obs_names)
@@ -418,13 +417,14 @@ def test_first_step_outcome_is_the_frozen_check(task, body, reason, text):
             expected = coerce(program.compiled(random.Random(seed), first_obs))
         except POLICY_ERRORS:
             expected = None
-        if reason is None:
-            assert trace.actions[0] == expected == text
-            assert type(trace.actions[0]) is type(expected) is type(text)
+        if text is None:
+            assert trace.actions[0] == expected == action
+            assert type(trace.actions[0]) is type(expected) is type(action)
+            assert trace.invalid_value_text is None
         else:
             assert expected is None
             assert trace.length == 1 and trace.actions == []
-            assert trace.invalid_outcome == (InvalidReason(reason), text)
+            assert trace.invalid_value_text == text
             assert trace.lines()[0].endswith(f";{text}")
 
 

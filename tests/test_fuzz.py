@@ -14,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from policyloop.dsl import InvalidReason, PolicyParseError, parse
+from policyloop.dsl import PolicyParseError, parse
 from policyloop.envs import get_spec
 from policyloop.envs.core import DiscreteActions
 from policyloop.prompts import extract_code
@@ -78,7 +78,7 @@ def test_extract_code_returns_a_program_or_a_parse_error(text):
     except PolicyParseError:
         return
     outcome = policy_outcome(program, (0, 0, 0, 0), random.Random(0), STAR2)
-    assert (outcome.action is None) == isinstance(outcome.reason, InvalidReason)
+    assert (outcome.action is None) == isinstance(outcome.value_text, str)
 
 
 BINARY = ["+", "-", "*", "/", "<", "<=", "==", "!=", "and", "or"]
@@ -119,8 +119,8 @@ def test_any_program_on_extreme_observations_gives_an_outcome(case, data):
     size = len(spec.obs_names)
     obs = tuple(data.draw(st.lists(st.sampled_from(EXTREMES), min_size=size, max_size=size)))
     outcome = policy_outcome(program, obs, random.Random(0), spec)
-    assert (outcome.action is None) == isinstance(outcome.reason, InvalidReason)
-    if outcome.reason is None and isinstance(spec.action, DiscreteActions):
+    assert (outcome.action is None) == isinstance(outcome.value_text, str)
+    if outcome.value_text is None and isinstance(spec.action, DiscreteActions):
         assert outcome.action in spec.action.labels
-    elif outcome.reason is None:
+    elif outcome.value_text is None:
         assert spec.action.lo <= outcome.action <= spec.action.hi

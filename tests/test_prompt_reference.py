@@ -1,6 +1,6 @@
 """The reflection prompt against its frozen earlier assembly
 (``reference_prompts``): every ablation, with and without a previous and a
-best strategy, four kinds of window, zero to three prior rewards, on every
+best strategy, three kinds of window, zero to three prior rewards, on every
 task. Replaying a record cannot catch a prompt change, since scripted
 backends ignore the request text, so this is the check that the ablation
 table keeps exactly the blocks each condition kept before."""
@@ -23,7 +23,6 @@ from reference_prompts import p4_blocks_reference, render_p4_reference
 _LINES = ("[-1 -3  9  6];2", "[-1  0 10  1];1")
 
 WINDOWS = {
-    "none": None,
     "lines": SensoryMotorWindow(_LINES, source_episode=3, episode_return=116.0),
     "invalid-None": SensoryMotorWindow(
         _LINES + ("[-1  6 26  5];None",),
