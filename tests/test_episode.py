@@ -384,8 +384,8 @@ def test_the_cartpole_family_has_no_step_or_observe_hooks():
 # Each way a step's policy call can end, on its first step: run_episode's
 # rollout calls the compiled policy and checks its value inline, and must
 # take the action the frozen coerce form makes of the value the compiled
-# function returns on the same observation and rng, or classify the value
-# to the text the table says. No text: a valid action.
+# function returns on the same observation and rng, or refuse the value
+# with the text the table says. No text: a valid action.
 _HUGE = big_int_expression(400)  # too large for a float
 _LONG = big_int_expression(2150)  # its square is too long to print
 _OUTCOMES = {

@@ -2,7 +2,7 @@
 sends, ``extract_code`` returns a program or raises ``PolicyParseError``, and
 a parsed program maps any observation, however extreme, to an action or
 a refusal: the first step of a rollout takes the action its value stands
-for, or refuses it with the reason an episode ending there records.
+for, or refuses it with the value text an episode ending there records.
 Derandomized, so every run draws the same examples."""
 
 import math
