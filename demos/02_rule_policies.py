@@ -38,7 +38,8 @@ print(f"get_action{obs} -> {program.compiled(random.Random(0), obs)}")
 # A full episode: the trace records one "<obs>;<action>" line per step,
 # the same rendering the reflection prompt embeds.
 trace = run_episode(program, TaskId.CARTPOLE_STAR2, seed=11, rng=random.Random(1))
-print(f"\nepisode: {trace.length} steps, return {trace.total_reward}, cause {trace.cause.value}")
+limit = trace.length == spec.max_steps
+print(f"\nepisode: {trace.length} steps, return {trace.total_reward}, step limit reached: {limit}")
 print("last five trace lines:")
 for line in trace.window_lines(5):
     print(" ", line)
@@ -64,5 +65,5 @@ gappy = parse(
     "        return 1\n"
 )
 trace = run_episode(gappy, TaskId.CARTPOLE_STAR2, seed=5, rng=random.Random(0))
-print(f"\ngappy policy: {trace.length} steps, ended {trace.cause.value}")
+print(f"\ngappy policy: {trace.length} steps, ended on the value {trace.invalid_value_text}")
 print("final line:", trace.lines()[-1])

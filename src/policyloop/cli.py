@@ -8,7 +8,7 @@ responses); POLICYLOOP_* environment variables override gateway settings.
 A setting the command cannot use (a missing file, a bad value, an output
 path that is one of the command's files) is a usage error: exit 2 before
 anything runs, and no file is written. The commands check no bound
-themselves: ``LoopConfig``, ``GatewayConfig``, ``run_batch`` and
+themselves: ``LoopConfig``, ``GatewayConfig``, ``plan_cells`` and
 ``compute_report`` refuse what they cannot use, and each refusal is turned
 into the usage error.
 """
@@ -25,7 +25,8 @@ from typing import Optional
 
 from .envs import ALL_TASKS, TaskId
 from .gateway import GatewayConfig, HttpChatBackend, ScriptedBackend
-from .loop import LoopConfig, RunRecord, cell_record_name, replay, run_batch, run_replication
+from .loop import LoopConfig, RunRecord, cell_record_name, replay, run_replication
+from .loop.batch import plan_cells, run_cell
 from .loop.records import parse_constant, write_text
 from .metrics import MetricsError, compute_report, render_table, reward_curve_csv
 from .prompts import Ablation
@@ -164,8 +165,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if record.status.value == "completed" else 1
 
 
-# Each key a batch file may hold, and the run_batch argument it sets; a key
-# left out takes run_batch's default. "script" and "base_url" pick the backend.
+# Each key a batch file may hold, and the plan_cells argument it sets; a key
+# left out takes plan_cells's default. "script" and "base_url" pick the backend.
 _BATCH_KEYS = {
     "tasks": "tasks",
     "models": "model_names",
@@ -190,22 +191,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if "script" in spec:
         _script(script, f"{where}: script")
     gateway = None if script else _gateway_config(args.gateway_config, spec.get("base_url"))
-    started = []  # cells whose backend was made, so whose run began
-
-    def backend_factory(task, model, temperature, replication):
-        started.append(task)
-        return ScriptedBackend(list(script)) if script else HttpChatBackend(gateway)
-
     try:
-        records = run_batch(backend_factory=backend_factory, out_dir=args.out_dir, **settings)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        if started:
-            raise
-        # run_batch checks every cell's settings, and makes out_dir, before
-        # it makes a backend
-        if isinstance(exc, OSError):
-            raise UsageError(f"--out-dir {args.out_dir}: {exc}")
+        cells = plan_cells(out_dir=args.out_dir, **settings)
+    except OSError as exc:
+        raise UsageError(f"--out-dir {args.out_dir}: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{where}: {exc}")
+    for cell in cells:
+        _check_output(str(cell.path), "record", args.config, args.gateway_config)
+    records = [
+        run_cell(cell, ScriptedBackend(list(script)) if script else HttpChatBackend(gateway))
+        for cell in cells
+    ]
     completed = sum(1 for r in records if r.status.value == "completed")
     print(f"{len(records)} records ({completed} completed) written to {args.out_dir}")
     return 0

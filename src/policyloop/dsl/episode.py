@@ -11,7 +11,9 @@ calls ``random.randint`` or ``random.uniform``.
 An episode ends on the usual termination rules, at the step limit, or
 immediately when the policy produces an unusable action; that step earns
 no reward and its trace line records the offending value verbatim (e.g.
-``None``).
+``None``). Which of these ended it is kept only as far as any output tells
+them apart: an episode that ended on an unusable value holds one
+observation more than actions, and keeps that value's text.
 
 A compiled policy is called as ``f(rng, obs)`` with the observation tuple,
 which it unpacks into its parameters. ``run_episode`` checks the
@@ -22,11 +24,12 @@ once, and runs inline the action check (a label of a discrete task, never
 a bool; or a finite number, clamped to a continuous task's range), the
 physics and the termination test (``envs/cartpole.py``,
 ``envs/acrobot.py`` and the others). A valid step builds no outcome
-object: the rollout hands back the unusable value that ended the episode
+object: the rollout hands back the last value the policy returned
 (``None`` when the call or the check raised one of
-``envs.core.POLICY_ERRORS``), and the trace keeps only that value's text,
-the one its last trace line and the reflection prompt show. The env's
-state is written back when the episode ends.
+``envs.core.POLICY_ERRORS``), and when the episode ended on it the trace
+keeps only that value's text, the one its last trace line and the
+reflection prompt show. The env's state is written back when the episode
+ends.
 
 A rollout keeps only the observations and the actions taken; the
 ``<obs>;<action>`` trace lines are rendered on demand, so an episode whose
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..envs import make
-from ..envs.core import INVALID_ACTION, POLICY_ERRORS, TaskId, TerminationCause
+from ..envs.core import POLICY_ERRORS, TaskId
 from ..envs.trace import render_action_value, step_line
 from .parser import PolicyProgram
 
@@ -64,7 +67,6 @@ class EpisodeTrace:
     observations: list[tuple]
     actions: list[Union[int, float]]
     total_reward: float
-    cause: TerminationCause
     # the text of the unusable value that ended the episode, or None
     invalid_value_text: Optional[str]
 
@@ -74,7 +76,7 @@ class EpisodeTrace:
 
     @property
     def ended_invalid(self) -> bool:
-        return self.cause is INVALID_ACTION
+        return self.invalid_value_text is not None
 
     def _line(self, i: int) -> str:
         if i < len(self.actions):
@@ -114,7 +116,7 @@ def run_episode(
             f"observation has {len(obs)} values but the policy takes {n_params} parameters"
         )
     observations, actions = [], []
-    total_reward, cause, value = env._rollout(
+    total_reward, value = env._rollout(
         program.compiled, rng, env.spec.max_steps, observations, actions
     )
     return EpisodeTrace(
@@ -123,6 +125,5 @@ def run_episode(
         # the rollout sums from -0.0, so that one step keeps its reward's
         # sign; an episode's return is a sum from 0.0, which never reads -0.0
         total_reward + 0.0,
-        cause,
-        _value_text(value) if cause is INVALID_ACTION else None,
+        _value_text(value) if len(observations) > len(actions) else None,
     )

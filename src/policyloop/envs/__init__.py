@@ -17,7 +17,6 @@ from .core import (
     Environment,
     EnvSpec,
     TaskId,
-    TerminationCause,
     UnknownTaskError,
     derive_seed,
     parse_task_id,
@@ -74,7 +73,6 @@ __all__ = [
     "MountainCarDiscreteEnv",
     "PendulumEnv",
     "TaskId",
-    "TerminationCause",
     "UnknownTaskError",
     "derive_seed",
     "describe",

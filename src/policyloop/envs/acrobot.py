@@ -11,7 +11,8 @@ run for one step, to read the observation, and ``dsl.run_episode`` for a
 whole episode.
 Each step of it encodes the observation, calls the policy once, then runs
 inline the action check (a label, never a bool), the RK4 step, the wrap
-of both angles to [-pi, pi), the velocity clamps and the goal test. The
+of both angles to [-pi, pi), the velocity clamps and the goal test; a
+refused value and the goal each end the loop with a plain ``break``. The
 four RK4 stages are straight-line scalar code with constant sub-products
 computed once; each performs the textbook's float operations in the
 textbook's order, so a step rounds bit for bit as the plain transcription
@@ -22,16 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .core import (
-    INVALID_ACTION,
-    POLICY_ERRORS,
-    STEP_LIMIT,
-    DiscreteActions,
-    Environment,
-    EnvSpec,
-    TaskId,
-    TerminationCause,
-)
+from .core import POLICY_ERRORS, DiscreteActions, Environment, EnvSpec, TaskId
 
 LINK_LENGTH_1 = 1.0
 LINK_MASS_1 = 1.0
@@ -114,7 +106,6 @@ class AcrobotEnv(Environment):
         improve_goal_text="raising the tip above the target height sooner",
     )
 
-    terminal_cause = TerminationCause.GOAL_REACHED
     # both angles and both angular velocities start in [-0.1, 0.1]
     _reset_ranges = ((-0.1, 0.1),) * 4
     # the torque on the first joint
@@ -137,7 +128,7 @@ class AcrobotEnv(Environment):
         # the goal test of each step computes the next observation's cos(t1)
         cos_t1 = cos(t1)
         total_reward = -0.0
-        cause = STEP_LIMIT
+        value = None
         for _ in range(limit):
             cos_t2 = cos(t2)
             sin_t2 = sin(t2)
@@ -151,7 +142,6 @@ class AcrobotEnv(Environment):
                 value = None
                 action = None
             if action is None:
-                cause = INVALID_ACTION
                 break
             append_action(action)
             torque = torques[action]
@@ -249,8 +239,7 @@ class AcrobotEnv(Environment):
             if -cos_t1 - cos(t2 + t1) > 1.0:
                 # the goal step earns 0.0, which turns a return of -0.0 into 0.0
                 total_reward += 0.0
-                cause = self.terminal_cause
                 break
             total_reward -= 1.0
         self._state = (t1, t2, w1, w2)
-        return total_reward, cause, value if cause is INVALID_ACTION else None
+        return total_reward, value

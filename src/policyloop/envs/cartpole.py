@@ -22,8 +22,10 @@ read the observation, and ``dsl.run_episode`` for a whole episode.
 Each step of it encodes the observation, calls the policy once as
 ``policy(rng, obs)``, then runs inline the action check (a label maps to
 its force and a bool is refused; or a finite number is clamped to [-3, 3]),
-the Euler tick and the bounds test. Tests pin the tick, the encoding and
-the action check bit for bit to frozen copies of their earlier forms.
+the Euler tick and the bounds test. A refused value and a step past the
+bounds each end the loop with a plain ``break``. Tests pin the tick, the
+encoding and the action check bit for bit to frozen copies of their
+earlier forms.
 """
 
 from __future__ import annotations
@@ -32,15 +34,12 @@ import math
 from dataclasses import replace
 
 from .core import (
-    INVALID_ACTION,
     POLICY_ERRORS,
-    STEP_LIMIT,
     ContinuousAction,
     DiscreteActions,
     Environment,
     EnvSpec,
     TaskId,
-    TerminationCause,
 )
 
 GRAVITY = 9.8
@@ -78,7 +77,6 @@ class _CartPoleFamily(Environment):
     order of the frozen reference forms, so a rollout is bit for bit theirs.
     """
 
-    terminal_cause = TerminationCause.BOUNDS_EXCEEDED
     # the episode ends when abs(x) or abs(theta) exceeds its limit; a NaN
     # exceeds neither
     _x_limit = X_LIMIT
@@ -105,7 +103,7 @@ class _CartPoleFamily(Environment):
         star2_grid, x_obs_bound, theta_obs_bound = STAR2_GRID, X_OBS_BOUND, THETA_OBS_BOUND
         velocity_clamp, neg_velocity_clamp = VELOCITY_CLAMP, -VELOCITY_CLAMP
         x, x_dot, theta, theta_dot = self._state
-        cause = STEP_LIMIT
+        value = None
         for _ in range(limit):
             if grid:
                 # velocities saturate at +/-5 first: they are unbounded natively
@@ -156,7 +154,6 @@ class _CartPoleFamily(Environment):
                 value = None
                 action = None
             if action is None:
-                cause = INVALID_ACTION
                 break
             append_action(action)
             force = forces[action] if forces else action
@@ -175,12 +172,11 @@ class _CartPoleFamily(Environment):
             # abs(x) > x_limit or abs(theta) > theta_limit. The step that
             # leaves the allowed region still earns its +1.
             if x > x_limit or x < x_floor or theta > theta_limit or theta < theta_floor:
-                cause = self.terminal_cause
                 break
         self._state = (x, x_dot, theta, theta_dot)
         # +1 per step taken: the sum of that many 1.0s from -0.0
         total_reward = float(len(actions)) if actions else -0.0
-        return total_reward, cause, value if cause is INVALID_ACTION else None
+        return total_reward, value
 
 
 class CartPoleEnv(_CartPoleFamily):

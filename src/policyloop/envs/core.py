@@ -10,9 +10,12 @@ the package runs without numpy and no numpy version can move an episode.
 Observations are tuples of Python scalars (ints on CartPoleStar2, floats
 elsewhere): a policy gets Python arithmetic.
 
-A rollout that a policy ends with an unusable action returns that value,
-or ``None`` when the policy call or the action check raised one of
-``POLICY_ERRORS``; ``dsl.run_episode`` keeps only the value's text.
+A rollout stops when the task's physics end the episode, at its step
+limit, or on a value the policy returns that is no action. It returns the
+last value the policy returned (``None`` when the call or the action check
+raised one of ``POLICY_ERRORS``); an episode ended on that value exactly
+when it holds one observation more than actions, and ``dsl.run_episode``
+then keeps only the value's text.
 """
 
 from __future__ import annotations
@@ -50,21 +53,6 @@ def parse_task_id(name: Union[str, TaskId]) -> TaskId:
         return TaskId(name)
     except ValueError:
         raise UnknownTaskError(f"unknown task id: {name!r}") from None
-
-
-class TerminationCause(str, Enum):
-    BOUNDS_EXCEEDED = "bounds_exceeded"
-    GOAL_REACHED = "goal_reached"
-    STEP_LIMIT = "step_limit"
-    # Injected by the episode runner when a policy emits an unusable action;
-    # the physics never set this.
-    INVALID_ACTION = "invalid_action"
-
-
-# The members every rollout reads, as module names: a read through the enum
-# class costs ~10x a global's
-STEP_LIMIT = TerminationCause.STEP_LIMIT
-INVALID_ACTION = TerminationCause.INVALID_ACTION
 
 
 @dataclass(frozen=True)
@@ -190,13 +178,10 @@ class Environment:
     ``spec``, class data and a ``_rollout`` of its own or of its family,
     with each step's observation, action check, physics and termination
     test inline. The class data: ``_reset_ranges``, the reset distribution;
-    on a discrete task ``_effects``, what each label does; and
-    ``terminal_cause``, the cause of every termination the physics reports,
-    on a task that has one.
+    and on a discrete task ``_effects``, what each label does.
     """
 
     spec: EnvSpec
-    terminal_cause: TerminationCause
     # (low, high) of each native state variable's uniform reset draw, in order
     _reset_ranges: tuple[tuple[float, float], ...]
     # On a discrete task: each label's effect (a force, a push, a torque), in
@@ -253,12 +238,13 @@ class Environment:
         as the int label; on a continuous task, a finite number, recorded
         as a float clamped to the range. The action is appended to
         ``actions``. Any other value, or one of ``POLICY_ERRORS`` raised by
-        the call or the check, ends the rollout with no reward. Returns
-        (return, cause, value): the return is the sum of the rewards from
-        -0.0, so a one-step rollout returns that step's reward bit for bit;
-        ``value`` is the unusable value when ``cause`` is ``INVALID_ACTION``
-        (None when the call or the check raised), and None otherwise. At the
-        end the state is written back.
+        the call or the check, ends the rollout with no reward; a step the
+        physics terminate ends it after its reward. Returns (return, value):
+        the return is the sum of the rewards from -0.0, so a one-step rollout
+        returns that step's reward bit for bit; ``value`` is the last value
+        the policy returned (None when the call or the check raised, or when
+        ``limit`` is 0), the unusable one exactly when ``observations`` ends
+        up one longer than ``actions``. At the end the state is written back.
         """
         raise NotImplementedError
 

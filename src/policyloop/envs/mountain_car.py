@@ -12,6 +12,7 @@ observation, calls the policy once, then runs inline the action check (a
 label maps to its push and a bool is refused; or a finite number is clamped
 to [-1, 1]), the hill dynamics, the goal test and the reward, with the
 operations of the frozen step forms that tests pin it to, in their order.
+A refused value and the goal each end the loop with a plain ``break``.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from __future__ import annotations
 import math
 
 from .core import (
-    INVALID_ACTION,
     POLICY_ERRORS,
-    STEP_LIMIT,
     ContinuousAction,
     DiscreteActions,
     Environment,
     EnvSpec,
     TaskId,
-    TerminationCause,
 )
 
 MIN_POSITION = -1.2
@@ -45,7 +43,6 @@ class _MountainCarFamily(Environment):
     continuous action is the force, scaled by ``CONTINUOUS_POWER``; the
     goal, the reset ranges and a discrete task's pushes are class data."""
 
-    terminal_cause = TerminationCause.GOAL_REACHED
     # the episode ends when position >= goal with velocity >= 0
     _goal: float
     # the car starts at rest, somewhere in [-0.6, -0.4]
@@ -66,7 +63,7 @@ class _MountainCarFamily(Environment):
         min_position, max_position = MIN_POSITION, MAX_POSITION
         position, velocity = self._state
         total_reward = -0.0
-        cause = STEP_LIMIT
+        value = None
         for _ in range(limit):
             obs = (position, velocity)
             append_obs(obs)
@@ -90,7 +87,6 @@ class _MountainCarFamily(Environment):
                 value = None
                 action = None
             if action is None:
-                cause = INVALID_ACTION
                 break
             append_action(action)
             # the push, then gravity along the slope; a NaN passes the clamps
@@ -114,10 +110,9 @@ class _MountainCarFamily(Environment):
             else:
                 total_reward += -0.1 * action * action + (100.0 if terminated else 0.0)
             if terminated:
-                cause = self.terminal_cause
                 break
         self._state = (position, velocity)
-        return total_reward, cause, value if cause is INVALID_ACTION else None
+        return total_reward, value
 
 
 class MountainCarDiscreteEnv(_MountainCarFamily):

@@ -9,22 +9,15 @@ run for one step, to read the observation, and ``dsl.run_episode`` for a
 whole episode. Each step of it encodes the observation, calls the policy
 once, then runs inline the action check (a finite number, clamped to
 [-2, 2]), the reward and the Euler tick, with the operations of the frozen
-step form that tests pin it to, in its order.
+step form that tests pin it to, in its order. Only a refused value ends
+the loop before the step limit.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (
-    INVALID_ACTION,
-    POLICY_ERRORS,
-    STEP_LIMIT,
-    ContinuousAction,
-    Environment,
-    EnvSpec,
-    TaskId,
-)
+from .core import POLICY_ERRORS, ContinuousAction, Environment, EnvSpec, TaskId
 
 G = 10.0
 MASS = 1.0
@@ -88,7 +81,7 @@ class PendulumEnv(Environment):
         max_speed, neg_max_speed = MAX_SPEED, -MAX_SPEED
         theta, theta_dot = self._state
         total_reward = -0.0
-        cause = STEP_LIMIT
+        value = None
         for _ in range(limit):
             sin_t = sin(theta)
             obs = (cos(theta), sin_t, theta_dot)
@@ -110,7 +103,6 @@ class PendulumEnv(Environment):
                 value = None
                 action = None
             if action is None:
-                cause = INVALID_ACTION
                 break
             append_action(action)
             # the cost of the angle wrapped to [-pi, pi)
@@ -123,4 +115,4 @@ class PendulumEnv(Environment):
                 theta_dot = neg_max_speed
             theta = theta + theta_dot * dt
         self._state = (theta, theta_dot)
-        return total_reward, cause, value if cause is INVALID_ACTION else None
+        return total_reward, value

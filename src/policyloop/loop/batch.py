@@ -1,15 +1,17 @@
 """Cross-product batch runner: {task} x {model} x {temperature} x replication.
 
-Each cell runs independently; a record is persisted as soon as its
-replication finishes, so a crashed batch keeps everything completed so far.
-An unexpected error ends only its own cell, as an ``aborted_error`` record.
+A batch is a plan of checked cells (``plan_cells``), then one ``run_cell``
+per cell. Each cell runs independently; a record is persisted as soon as
+its replication finishes, so a crashed batch keeps everything completed so
+far. An unexpected error ends only its own cell, as an ``aborted_error``
+record.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from ..envs.core import TaskId, parse_task_id
 from ..gateway import require_type
@@ -27,13 +29,26 @@ def _record_path(out_dir: Path, name: str) -> Path:
     return path
 
 
-def _record_paths(out_dir: Path, cells: list[tuple]) -> list[Path]:
-    """Every cell's record path, refusing two cells that would share one
-    (model ids that differ only in a path separator, a repeated model or
-    temperature): the later record would silently replace the earlier; and
-    refusing a path that is a directory, which no record can be saved to."""
+class Cell(NamedTuple):
+    """One replication of the matrix, and the path its record is saved to
+    (None: it is not saved)."""
+
+    task: TaskId
+    config: LoopConfig
+    temperature: float
+    replication: int
+    path: Optional[Path] = None
+
+
+def _with_paths(out_dir: Path, cells: list[Cell]) -> list[Cell]:
+    """Each cell with its record path in ``out_dir``, refusing two cells
+    that would share one (model ids that differ only in a path separator, a
+    repeated model or temperature): the later record would silently replace
+    the earlier; and refusing a path that is a directory, which no record
+    can be saved to."""
     owners: dict[Path, str] = {}
-    for task, _, model, temperature, rep in cells:
+    for task, config, temperature, rep, _ in cells:
+        model = config.model_name
         path = _record_path(out_dir, cell_record_name(task, model, temperature, rep))
         cell = f"({task.value}, {model!r}, temperature {temperature}, replication {rep})"
         if path in owners:
@@ -41,31 +56,27 @@ def _record_paths(out_dir: Path, cells: list[tuple]) -> list[Path]:
         if path.is_dir():
             raise ValueError(f"cell {cell} would write {path}, which is a directory")
         owners[path] = cell
-    return list(owners)
+    return [cell._replace(path=path) for cell, path in zip(cells, owners)]
 
 
-def run_batch(
+def plan_cells(
     tasks: Iterable[Union[str, TaskId]],
-    backend_factory: BackendFactory,
     replications: int = 10,
     model_names: Iterable[str] = ("local-model",),
     temperatures: Optional[Iterable[float]] = None,
     out_dir: Optional[Union[str, Path]] = None,
     seed_root: int = 0,
     config_overrides: Optional[dict] = None,
-) -> list[RunRecord]:
-    """Run the full experimental matrix and return every record.
+) -> list[Cell]:
+    """Every cell of the matrix, in the order a batch runs them, checked;
+    and ``out_dir``, when given, made, so an ``out_dir`` that cannot be a
+    directory raises ``OSError``.
 
-    ``backend_factory(task, model, temperature, replication)`` supplies a
-    backend per cell, which keeps replications independent (fresh scripted
-    queues in tests, plain HTTP clients otherwise). ``temperatures`` falls
-    back to ``LoopConfig``'s default when omitted. Every record path is known,
-    and checked, and ``out_dir`` made, before the first cell runs, so an
-    ``out_dir`` that cannot be a directory raises ``OSError`` before any
-    backend is made. ``config_overrides`` may not set ``seed_root``,
-    ``model_name`` or ``temperatures``: the arguments of those names do.
-    A batch of no cells (no task, no model, fewer than one replication) is
-    refused, as a wrong-typed ``replications`` is.
+    ``temperatures`` falls back to ``LoopConfig``'s default when omitted.
+    ``config_overrides`` may not set ``seed_root``, ``model_name`` or
+    ``temperatures``: the arguments of those names do. A batch of no cells
+    (no task, no model, fewer than one replication) is refused, as a
+    wrong-typed ``replications`` is.
     """
     overrides = dict(config_overrides or {})
     taken = sorted(overrides.keys() & {"seed_root", "model_name", "temperatures"})
@@ -90,16 +101,36 @@ def run_batch(
         for model in model_names:
             config = LoopConfig.for_task(task, model_name=model, seed_root=seed_root, **overrides)
             for temperature in config.temperatures:
-                cells += [(task, config, model, temperature, rep) for rep in range(replications)]
-    paths = [None] * len(cells)
+                cells += [Cell(task, config, temperature, rep) for rep in range(replications)]
     if out_dir is not None:
-        paths = _record_paths(Path(out_dir), cells)
+        cells = _with_paths(Path(out_dir), cells)
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    records: list[RunRecord] = []
-    for (task, config, model, temperature, rep), path in zip(cells, paths):
-        backend = backend_factory(task, model, temperature, rep)
-        record = run_replication(task, config, backend, rep, temperature)
-        records.append(record)
-        if path is not None:
-            record.save(path)
+    return cells
+
+
+def run_cell(cell: Cell, backend) -> RunRecord:
+    """Run the cell's replication on ``backend``, and save its record when
+    the cell has a path."""
+    record = run_replication(cell.task, cell.config, backend, cell.replication, cell.temperature)
+    if cell.path is not None:
+        record.save(cell.path)
+    return record
+
+
+def run_batch(
+    tasks: Iterable[Union[str, TaskId]], backend_factory: BackendFactory, **settings
+) -> list[RunRecord]:
+    """Run the full experimental matrix and return every record.
+
+    ``settings`` are :func:`plan_cells`'s, and every cell is planned, so
+    checked, before the first backend is made. ``backend_factory(task,
+    model, temperature, replication)`` supplies a backend per cell, which
+    keeps replications independent (fresh scripted queues in tests, plain
+    HTTP clients otherwise).
+    """
+    records = []
+    for cell in plan_cells(tasks, **settings):
+        model = cell.config.model_name
+        backend = backend_factory(cell.task, model, cell.temperature, cell.replication)
+        records.append(run_cell(cell, backend))
     return records

@@ -134,14 +134,16 @@ def reference_step_forms(env):
 
 
 def step(env, action):
-    """One step of ``env`` from its state: a one-step ``_rollout``, the env's
+    """One step of ``env`` from its state: a two-step ``_rollout``, the env's
     only driver, under a policy that returns ``action``, which the env's
-    action check must take. Returns (observation after it, reward, cause);
-    the cause is ``STEP_LIMIT`` when the step ended nothing."""
-    taken = []
-    reward, cause, _ = env._rollout(lambda rng, obs: action, None, 1, [], taken)
+    action check must take, and then None, which ends the rollout with no
+    reward and no change of state. Returns (observation after it, reward,
+    terminated); ``terminated`` says the env did not ask the policy again."""
+    observations, taken = [], []
+    policy = lambda rng, obs: None if taken else action
+    reward, _ = env._rollout(policy, None, 2, observations, taken)
     assert taken, f"the rollout refused {action!r}"
-    return env.observe(), reward, cause
+    return env.observe(), reward, len(observations) == 1
 
 
 class Outcome(NamedTuple):
@@ -163,7 +165,7 @@ def policy_outcome(program, obs, rng, spec) -> Outcome:
     env = make(spec.task_id)
     env.reset(0)
     taken = []
-    _, _, value = env._rollout(lambda rng, _: program.compiled(rng, obs), rng, 1, [], taken)
+    _, value = env._rollout(lambda rng, _: program.compiled(rng, obs), rng, 1, [], taken)
     return Outcome(taken[0]) if taken else Outcome(None, _value_text(value))
 
 

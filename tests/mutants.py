@@ -47,7 +47,12 @@ CARTPOLE = "policyloop/envs/cartpole.py"
 ACROBOT = "policyloop/envs/acrobot.py"
 PENDULUM = "policyloop/envs/pendulum.py"
 MOUNTAIN_CAR = "policyloop/envs/mountain_car.py"
+PARSER = "policyloop/dsl/parser.py"
 LOOP_REFERENCE = ("tests/test_loop_reference.py::test_the_runner_is_the_reference_loop",)
+# the corpus reruns kill a runner mutant in ~1-2 s, where the reference
+# loop's hypothesis examples take 4-20 s
+REQUESTS = ("tests/test_request_digests.py::test_the_replayed_requests_are_frozen",)
+CORPUS_REPLAY = ("tests/test_record_corpus.py::test_replay_gives_the_stored_canonical_json",)
 NUMPY_DRAWS = ("tests/test_seeding.py::test_uniform_draws_match_numpy_on_20000_seeds",)
 ROBUSTNESS_SEEDS = ("tests/test_metrics.py::test_robustness_episode_seeds_are_frozen",)
 ACTION_CHECK = (
@@ -58,9 +63,12 @@ BAD_POLICY = (
     "::test_float_task_rollout_with_a_bad_policy_matches_the_frozen_form",
 )
 FIRST_STEP = ("tests/test_episode.py::test_first_step_outcome_is_the_frozen_check",)
-BATCH_ERROR = (
-    "tests/test_cli.py::test_a_batch_error_after_a_cell_began_is_raised_not_a_usage_error",
+BATCH_INPUTS = (
+    "tests/test_cli.py::test_batch_refuses_a_record_path_that_names_one_of_its_files",
 )
+ENVIRONMENTS = "tests/test_environments.py::"
+EPISODE_TESTS = "tests/test_episode.py::"
+PARSER_TESTS = "tests/test_dsl_parser.py::"
 
 # Each rollout's inline action check: a bool taken as a label, a non-finite
 # number taken as an action, a clamp dropped; and its except branch keeping
@@ -98,13 +106,54 @@ ROLLOUT_MUTANTS = [
     ),
 ]
 
+# An episode's end is only where its actions end: each termination test's
+# break dropped or never taken, and an unusable value's text read off an
+# episode that ended on none.
+FOLD_MUTANTS = [
+    Mutant(
+        "cartpole-bounds-test-never-ends",
+        CARTPOLE,
+        "if x > x_limit or x < x_floor or theta > theta_limit or theta < theta_floor:",
+        "if False:",
+        (ENVIRONMENTS + "test_cartpole_terminates_past_angle_limit",),
+    ),
+    Mutant(
+        "mountain-car-goal-does-not-break",
+        MOUNTAIN_CAR,
+        "            if terminated:\n                break\n",
+        "            if terminated:\n                pass\n",
+        (ENVIRONMENTS + "test_mountain_car_discrete_goal_termination",),
+    ),
+    Mutant(
+        "acrobot-goal-does-not-break",
+        ACROBOT,
+        "                total_reward += 0.0\n                break\n",
+        "                total_reward += 0.0\n",
+        (ENVIRONMENTS + "test_acrobot_reward_and_goal",),
+    ),
+    Mutant(
+        "episode-ended-invalid-negated",
+        EPISODE,
+        "return self.invalid_value_text is not None",
+        "return self.invalid_value_text is None",
+        (EPISODE_TESTS + "test_empty_body_program_is_one_invalid_step",),
+    ),
+    Mutant(
+        "episode-value-text-on-an-episode-without-one",
+        EPISODE,
+        "if len(observations) > len(actions) else None",
+        "if len(observations) >= len(actions) else None",
+        (EPISODE_TESTS + "test_optimal_program_runs_full_episode",),
+    ),
+]
+
 MUTANTS = [
     Mutant(
         "runner-previous-and-best-swapped",
         RUNNER,
         "            previous=previous,\n            best=best,\n",
         "            previous=best,\n            best=previous,\n",
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-latest-of-equal-rewards-is-best",
@@ -118,49 +167,49 @@ MUTANTS = [
         RUNNER,
         'render_p3(spec, rules_text, error=error), "p3")',
         'render_p3(spec, rules_text, error=error), "p3#1")',
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-retest-iteration-plus-one",
         RUNNER,
         "iteration = len(strategies)\n",
         "iteration = len(strategies) + 1\n",
-        LOOP_REFERENCE,
+        CORPUS_REPLAY,
     ),
     Mutant(
         "runner-window-from-the-last-episode",
         RUNNER,
         "if worst is None or trace.total_reward < worst.total_reward:",
         "if True:",
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-request-seed-32-bits",
         RUNNER,
         "& 0x7FFFFFFF",
         "& 0xFFFFFFFF",
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-p1-seed-key",
         RUNNER,
         'Stage.P1_STRATEGY, "p1", render_p1(spec)',
         'Stage.P1_STRATEGY, "p4", render_p1(spec)',
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-p2-reask-from-the-first-attempt",
         RUNNER,
         "reask=attempt > 1",
         "reask=attempt > 0",
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-p3-repair-without-the-error",
         RUNNER,
         "render_p3(spec, rules_text, error=error)",
         "render_p3(spec, rules_text, error=None)",
-        LOOP_REFERENCE,
+        REQUESTS,
     ),
     Mutant(
         "runner-episode-seed-keys-swapped",
@@ -224,12 +273,27 @@ MUTANTS = [
         "    try:\n",
         FIRST_STEP,
     ),
+    *FOLD_MUTANTS,
     Mutant(
-        "cli-batch-error-after-a-cell-began-is-a-usage-error",
+        "parser-source-size-cap-dropped",
+        PARSER,
+        "if len(source) > MAX_SOURCE_CHARS:",
+        "if False:",
+        (PARSER_TESTS + "test_a_source_over_the_size_cap_is_refused_before_it_is_read",),
+    ),
+    Mutant(
+        "parser-int-literal-cap-dropped",
+        PARSER,
+        "node.value >= MAX_INT_LITERAL",
+        "False",
+        (PARSER_TESTS + "test_an_integer_literal_of_ten_to_the_thirty_is_a_parse_error",),
+    ),
+    Mutant(
+        "cli-batch-record-path-not-checked-against-its-files",
         CLI,
-        "        if started:\n            raise\n",
-        "        if False:\n            raise\n",
-        BATCH_ERROR,
+        '        _check_output(str(cell.path), "record", args.config, args.gateway_config)\n',
+        "        pass\n",
+        BATCH_INPUTS,
     ),
 ]
 

@@ -19,7 +19,6 @@ import pytest
 
 from policyloop.dsl import parse
 from policyloop.envs import ALL_TASKS, TaskId, get_spec, make
-from policyloop.envs.core import STEP_LIMIT
 from policyloop.gateway import HttpChatBackend, GatewayConfig, ScriptedBackend
 from policyloop.loop import LoopConfig, RunStatus, replay, run_replication, runner
 from policyloop.metrics import (
@@ -144,7 +143,7 @@ def test_criterion_4_dynamics_oracle():
             ref_state = tuple(env.state)
             for _ in range(spec.max_steps):
                 action = dyn_tests._random_actions(spec, rng, 1)[0]
-                obs, _, cause = step(env, action)
+                obs, _, terminated = step(env, action)
                 ref_state, ref_obs = dyn_tests._reference_step(task, ref_state, action)
                 np.testing.assert_allclose(
                     np.asarray(obs, dtype=np.float64),
@@ -152,7 +151,7 @@ def test_criterion_4_dynamics_oracle():
                     rtol=0,
                     atol=1e-9,
                 )
-                if cause is not STEP_LIMIT:
+                if terminated:
                     break
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle replay took {elapsed:.2f}s"

@@ -365,6 +365,33 @@ def test_batch_refuses_a_record_path_that_is_a_directory(tmp_path, capsys, backe
     assert list(taken.iterdir()) == []
 
 
+@pytest.mark.parametrize("option", ["--config", "--gateway-config"])
+def test_batch_refuses_a_record_path_that_names_one_of_its_files(
+    tmp_path, capsys, monkeypatch, backends, option
+):
+    """A cell whose record would replace the batch's own ``--config`` or
+    ``--gateway-config`` is refused before any backend is made, and the
+    file keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    cell = Path("runs") / "CartPole_local-model_t0_0_r000.json"
+    files = {"--config": Path("batch.json"), "--gateway-config": Path("gateway.json"), option: cell}
+    settings = {"tasks": ["CartPole"], "temperatures": [0.0], "replications": 1}
+    if option == "--config":
+        settings["script"] = scripted_session()
+    files["--config"].write_text(json.dumps(settings))
+    files["--gateway-config"].write_text(json.dumps({"retries": 0}))
+    kept = cell.read_bytes()
+    made = []
+    monkeypatch.setattr("policyloop.cli.HttpChatBackend", lambda config: made.append(config))
+    args = ["batch", "--out-dir", "runs"]
+    args += [arg for item in files.items() for arg in map(str, item)]
+    error = _usage_error(capsys, args)
+    assert error == f"policyloop: error: record {cell}: names the same file as {cell}"
+    assert cell.read_bytes() == kept
+    assert backends == [] and made == []
+
+
 @pytest.mark.parametrize("where", ["file", "under-a-file"])
 def test_batch_refuses_an_out_dir_before_any_request(tmp_path, capsys, backends, taken, where):
     batch_config = tmp_path / "batch.json"

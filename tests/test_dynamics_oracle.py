@@ -16,12 +16,7 @@ from policyloop.envs.cartpole import (
     VELOCITY_CLAMP,
     X_OBS_BOUND,
 )
-from policyloop.envs.core import (
-    POLICY_ERRORS,
-    STEP_LIMIT,
-    DiscreteActions,
-    TerminationCause,
-)
+from policyloop.envs.core import POLICY_ERRORS, DiscreteActions
 
 from conftest import reference_step_forms, step
 from reference_dynamics import (
@@ -99,7 +94,7 @@ def test_dynamics_agree_with_reference(task):
         ref_state = tuple(env.state)
         actions = _random_actions(spec, rng, spec.max_steps)
         for step_idx, action in enumerate(actions):
-            obs, _, cause = step(env, action)
+            obs, _, terminated = step(env, action)
             ref_state, ref_obs = _reference_step(task, ref_state, action)
             np.testing.assert_allclose(
                 np.asarray(obs, dtype=np.float64),
@@ -108,7 +103,7 @@ def test_dynamics_agree_with_reference(task):
                 atol=TOL,
                 err_msg=f"{task} sequence {sequence_idx} step {step_idx}",
             )
-            if cause is not STEP_LIMIT:
+            if terminated:
                 break
 
 
@@ -249,7 +244,7 @@ def _reference_step_ending(task, state, action):
     cartpole_family_observation_form(task.value, state)
     state, _, terminated = cartpole_family_step_form(task.value, state, action)
     cartpole_family_observation_form(task.value, state)
-    return TerminationCause.BOUNDS_EXCEEDED if terminated else STEP_LIMIT
+    return terminated
 
 
 @pytest.mark.parametrize("component", [0, 2], ids=["cart_position", "pole_angle"])
@@ -387,7 +382,7 @@ def _rollout_action(task, value):
     env = make(task)
     env.reset(0)
     actions = []
-    _, _, refused = env._rollout(lambda rng, obs: value, None, 1, [], actions)
+    _, refused = env._rollout(lambda rng, obs: value, None, 1, [], actions)
     if not actions and refused is None and value is not None:
         raise OverflowError
     return actions[0] if actions else None
@@ -447,7 +442,7 @@ def _reference_step_result(task, state, action):
     # a step is a one-step rollout, which encodes the state it starts from
     observe(state)
     state, reward, terminated = tick(state, coerce(action))
-    return (observe(state), reward, env.terminal_cause if terminated else STEP_LIMIT), state
+    return (observe(state), reward, terminated), state
 
 
 def _assert_steps_match(task, states):
@@ -652,11 +647,12 @@ def _policy(task, bad, at, seed):
 
 
 def _reference_rollout(task, state, policy, limit):
-    """The rollout as a loop of frozen reference steps: (return, cause,
-    value, observations, actions, state), the lists as tuples."""
+    """The rollout as a loop of frozen reference steps: (return, the last
+    value the policy returned, observations, actions, state), the lists as
+    tuples."""
     env = make(task)
     coerce, tick, observe = reference_step_forms(env)
-    observations, actions, total_reward = [], [], -0.0
+    observations, actions, total_reward, value = [], [], -0.0, None
     for _ in range(limit):
         obs = observe(state)
         observations.append(obs)
@@ -666,31 +662,26 @@ def _reference_rollout(task, state, policy, limit):
         except POLICY_ERRORS:
             value, action = None, None
         if action is None:
-            cause = TerminationCause.INVALID_ACTION
             break
         actions.append(action)
         state, reward, terminated = tick(state, action)
         total_reward += reward
         if terminated:
-            cause, value = env.terminal_cause, None
             break
-    else:
-        cause, value = TerminationCause.STEP_LIMIT, None
-    return total_reward, cause, value, tuple(observations), tuple(actions), state
+    return total_reward, value, tuple(observations), tuple(actions), state
 
 
 def _rollout(task, state, policy, limit):
     env = _env_at(task, state)
     observations, actions = [], []
-    total_reward, cause, value = env._rollout(policy, None, limit, observations, actions)
-    return total_reward, cause, value, tuple(observations), tuple(actions), env.state
+    total_reward, value = env._rollout(policy, None, limit, observations, actions)
+    return total_reward, value, tuple(observations), tuple(actions), env.state
 
 
 @pytest.mark.parametrize("task", _FLOAT_TASKS, ids=lambda task: task.value)
 def test_float_task_rollout_with_a_bad_policy_matches_the_frozen_form(task):
     spec = get_spec(task)
     kind = "discrete" if spec.is_discrete else "continuous"
-    invalid = _exact(TerminationCause.INVALID_ACTION)
     ended_by_the_bad_value = 0
     for seed in range(4):
         env = make(task)
@@ -703,9 +694,10 @@ def test_float_task_rollout_with_a_bad_policy_matches_the_frozen_form(task):
                     _reference_rollout, task, state, _policy(task, bad, at, seed), spec.max_steps
                 )
                 assert got == expected, (state, bad, at)
-                # only the bad value ends an episode invalid, on its step
-                if got[0] == "returned" and got[1][1] == invalid:
-                    assert len(got[1][4]) == at
+                # only the bad value ends an episode invalid, on its step:
+                # the one observation with no action
+                if got[0] == "returned" and len(got[1][2]) > len(got[1][3]):
+                    assert len(got[1][3]) == at
                     ended_by_the_bad_value += 1
     # from a reset state the physics ends few of these episodes first
     assert ended_by_the_bad_value >= 3 * 4 * (len(_BAD_VALUES[kind]) - 1) * 3 // 4

@@ -11,7 +11,7 @@ import pytest
 from policyloop import envs
 from policyloop.dsl import PolicyProgram, parse, run_episode
 from policyloop.envs import ALL_TASKS, TaskId, describe, get_spec, make
-from policyloop.envs.core import STEP_LIMIT, TerminationCause, UnknownTaskError
+from policyloop.envs.core import UnknownTaskError
 
 import reference_dynamics as ref
 from conftest import reference_step_forms, step
@@ -63,14 +63,13 @@ def test_unknown_task_rejected():
 
 
 def test_pendulum_reward_zero_at_upright_rest():
-    # a task with no terminal_cause steps, and its reward keeps its sign:
+    # a task with no termination steps, and its reward keeps its sign:
     # -0.0, where a sum of the one reward from 0.0 would read 0.0
     env = make(TaskId.PENDULUM)
     env.reset(0)
     env._state = (0.0, 0.0)
     result = step(env, 0.0)
-    assert not hasattr(env, "terminal_cause")
-    assert result == ((1.0, 0.0, 0.0), 0.0, STEP_LIMIT)
+    assert result == ((1.0, 0.0, 0.0), 0.0, False)
     assert math.copysign(1.0, result[1]) == -1.0
     assert env.state == (0.0, 0.0)
 
@@ -88,8 +87,8 @@ def test_cartpole_terminates_past_angle_limit():
     env = make(TaskId.CARTPOLE)
     env.reset(0)
     env._state = (0.0, 0.0, 0.207, 3.0)  # one tick pushes the angle past 0.2095
-    _, _, cause = step(env, 1)
-    assert cause is TerminationCause.BOUNDS_EXCEEDED
+    _, _, terminated = step(env, 1)
+    assert terminated
     assert abs(env.state[2]) > 0.2095
 
 
@@ -98,11 +97,11 @@ def test_cartpole_reward_one_per_step_including_terminal():
     env.reset(3)
     total = 0.0
     for steps in range(1, 501):
-        _, reward, cause = step(env, 1)  # constant push fails fast
+        _, reward, terminated = step(env, 1)  # constant push fails fast
         total += reward
-        if cause is not STEP_LIMIT:
+        if terminated:
             break
-    assert cause is TerminationCause.BOUNDS_EXCEEDED
+    assert terminated and steps < 500
     assert total == steps  # +1 every step, terminal included
 
 
@@ -114,9 +113,9 @@ def test_cartpole_truncates_at_500():
         "    return 0\n"
     )
     trace = run_episode(prog, TaskId.CARTPOLE, seed=5, rng=random.Random(0))
-    assert trace.length == 500
+    assert trace.length == 500 and len(trace.actions) == 500
     assert trace.total_reward == 500.0
-    assert trace.cause is TerminationCause.STEP_LIMIT
+    assert not trace.ended_invalid
 
 
 def test_mountain_car_discrete_reward_bounds():
@@ -126,9 +125,9 @@ def test_mountain_car_discrete_reward_bounds():
         env.reset(seed)
         total = 0.0
         for _ in range(200):
-            _, reward, cause = step(env, rng.choice((0, 1, 2)))
+            _, reward, terminated = step(env, rng.choice((0, 1, 2)))
             total += reward
-            if cause is not STEP_LIMIT:
+            if terminated:
                 break
         assert -200.0 <= total <= -1.0
 
@@ -137,8 +136,8 @@ def test_mountain_car_discrete_goal_termination():
     env = make(TaskId.MOUNTAIN_CAR_DISCRETE)
     env.reset(0)
     env._state = (0.49, 0.05)
-    _, reward, cause = step(env, 2)
-    assert cause is TerminationCause.GOAL_REACHED
+    _, reward, terminated = step(env, 2)
+    assert terminated
     assert reward == -1.0
 
 
@@ -146,8 +145,8 @@ def test_mountain_car_continuous_goal_bonus():
     env = make(TaskId.MOUNTAIN_CAR_CONTINUOUS)
     env.reset(0)
     env._state = (0.44, 0.05)
-    _, reward, cause = step(env, 1.0)
-    assert cause is TerminationCause.GOAL_REACHED
+    _, reward, terminated = step(env, 1.0)
+    assert terminated
     assert reward == pytest.approx(100.0 - 0.1)
 
 
@@ -163,18 +162,18 @@ def test_inverted_pendulum_fails_only_on_angle():
     env = make(TaskId.INVERTED_PENDULUM)
     env.reset(0)
     env._state = (9.0, 0.0, 0.0, 0.0)  # far from origin but upright
-    assert step(env, 0.0)[2] is STEP_LIMIT
+    assert step(env, 0.0)[2] is False
     env._state = (0.0, 0.0, 0.199, 3.0)
-    assert step(env, 0.0)[2] is TerminationCause.BOUNDS_EXCEEDED
+    assert step(env, 0.0)[2] is True
 
 
 def test_acrobot_reward_and_goal():
     env = make(TaskId.ACROBOT)
     env.reset(0)
-    assert step(env, 1)[1:] == (-1.0, STEP_LIMIT)
+    assert step(env, 1)[1:] == (-1.0, False)
     # both links horizontal-ish above the bar -> goal condition holds
     env._state = (math.pi - 0.05, 0.0, 0.0, 0.0)
-    assert step(env, 1)[1:] == (0.0, TerminationCause.GOAL_REACHED)
+    assert step(env, 1)[1:] == (0.0, True)
 
 
 def test_acrobot_full_episode_return_minus_500():
@@ -183,7 +182,7 @@ def test_acrobot_full_episode_return_minus_500():
     program = parse(f"def get_action({', '.join(spec.obs_names)}):\n    return 1\n")
     trace = run_episode(program, TaskId.ACROBOT, seed=11, rng=random.Random(0))
     assert trace.total_reward == -500.0
-    assert trace.cause is TerminationCause.STEP_LIMIT
+    assert len(trace.actions) == trace.length == 500
 
 
 # -- star2 encoding -------------------------------------------------------
@@ -237,9 +236,9 @@ def test_replay_is_bit_identical(task):
         env.reset(321)
         rows = []
         for action in actions:
-            obs, reward, cause = step(env, action)
-            rows.append((np.asarray(obs, dtype=np.float64).tobytes(), reward, cause))
-            if cause is not STEP_LIMIT:
+            obs, reward, terminated = step(env, action)
+            rows.append((np.asarray(obs, dtype=np.float64).tobytes(), reward, terminated))
+            if terminated:
                 break
         return rows
 
@@ -251,11 +250,11 @@ def test_acrobot_observation_bounds():
     rng = random.Random(5)
     env.reset(5)
     for _ in range(300):
-        obs, _, cause = step(env, rng.choice((0, 1, 2)))
+        obs, _, terminated = step(env, rng.choice((0, 1, 2)))
         assert np.all(np.abs(obs[:4]) <= 1.0 + 1e-12)
         assert abs(obs[4]) <= 4 * math.pi + 1e-12
         assert abs(obs[5]) <= 9 * math.pi + 1e-12
-        if cause is not STEP_LIMIT:
+        if terminated:
             env.reset(rng.randint(0, 10_000))
 
 
@@ -275,18 +274,18 @@ def test_cartpole_termination_soundness_under_random_play():
     for episode in range(30):
         env.reset(episode)
         for _ in range(500):
-            _, _, cause = step(env, rng.choice((0, 1)))
+            _, _, terminated = step(env, rng.choice((0, 1)))
             x, _, theta, _ = env.state
             failed = abs(x) > 2.4 or abs(theta) > 12.0 * 2.0 * math.pi / 360.0
-            assert (cause is TerminationCause.BOUNDS_EXCEEDED) == failed
+            assert terminated == failed
             if failed:
                 break
 
 
 def test_acrobot_ends_exactly_when_the_frozen_goal_test_holds():
-    # from set states around the goal height, each step terminates with the
-    # goal's cause exactly when the frozen tip test holds on the state it
-    # leaves, which is the frozen generator-form step's
+    # from set states around the goal height, each step terminates, with
+    # the goal's reward, exactly when the frozen tip test holds on the state
+    # it leaves, which is the frozen generator-form step's
     env = make(TaskId.ACROBOT)
     coerce, tick, _ = reference_step_forms(env)
     rng = random.Random(17)
@@ -301,14 +300,12 @@ def test_acrobot_ends_exactly_when_the_frozen_goal_test_holds():
         action = rng.choice((0, 1, 2))
         env.reset(0)
         env._state = state
-        _, reward, cause = step(env, action)
+        _, reward, terminated = step(env, action)
         expected, _, _ = tick(state, coerce(action))
         assert repr(env.state) == repr(expected), state
         theta1, theta2, _, _ = env.state
-        terminated = cause is not STEP_LIMIT
         assert terminated == tip_above_goal_form(theta1, theta2), state
-        if terminated:
-            assert cause is TerminationCause.GOAL_REACHED and reward == 0.0
+        assert reward == (0.0 if terminated else -1.0), state
         ends += terminated
     assert 200 < ends < 1_800, ends
 
@@ -407,12 +404,24 @@ def test_a_rollout_refused_at_step_0_returns_minus_zero(task, body):
     program = parse(f"def get_action({params}):\n    {body.format(spec.obs_names[0])}\n")
     env = make(task)
     env.reset(11)
-    total_reward, cause, _ = env._rollout(program.compiled, random.Random(0), 5, [], [])
-    assert cause is TerminationCause.INVALID_ACTION
+    observations, actions = [], []
+    total_reward, _ = env._rollout(program.compiled, random.Random(0), 5, observations, actions)
+    assert len(observations) == 1 and not actions
     assert total_reward == 0.0 and math.copysign(1.0, total_reward) == -1.0
     trace = run_episode(program, task, seed=11, rng=random.Random(0))
     assert trace.length == 1 and trace.ended_invalid
     assert trace.total_reward == 0.0 and math.copysign(1.0, trace.total_reward) == 1.0
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_a_rollout_of_no_steps_returns_minus_zero_and_no_value(task):
+    env = make(task)
+    env.reset(5)
+    state = env.state
+    observations, actions = [], []
+    result = env._rollout(lambda rng, obs: 1, None, 0, observations, actions)
+    assert repr(result) == repr((-0.0, None))
+    assert observations == actions == [] and env.state == state
 
 
 def test_no_env_class_has_step_or_observe_hooks():
@@ -467,10 +476,10 @@ def test_star_variants_re_encode_the_spec_before_them(variant, base, differences
 
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_terminated_and_truncated_are_exclusive(task):
-    """A rollout under random play ends with the task's terminal cause
-    exactly when ``reference_step_forms`` terminates, and with
-    ``STEP_LIMIT`` only at the step limit without a termination. Cut at the
-    step that terminates, the same rollout still reports the termination."""
+    """A rollout under random play stops asking the policy exactly when
+    ``reference_step_forms`` terminates, and otherwise only at the step
+    limit. Replayed with a limit to spare, the same actions end it on the
+    same step, with no further call of the policy."""
     spec = get_spec(task)
     env = make(task)
     _, tick, _ = reference_step_forms(env)
@@ -478,9 +487,10 @@ def test_terminated_and_truncated_are_exclusive(task):
     for seed in range(3):
         env.reset(seed)
         state = env.state
-        actions = []
+        observations, actions = [], []
         policy = lambda _rng, _obs: random_action(spec, rng)
-        _, cause, _ = env._rollout(policy, None, spec.max_steps, [], actions)
+        env._rollout(policy, None, spec.max_steps, observations, actions)
+        assert len(observations) == len(actions), seed
         terminated = False
         for taken, action in enumerate(actions, 1):
             state, _, terminated = tick(state, action)
@@ -488,21 +498,20 @@ def test_terminated_and_truncated_are_exclusive(task):
                 break
         assert taken == len(actions), (seed, taken)
         if terminated:
-            assert cause is env.terminal_cause, seed
             env.reset(seed)
-            replay = iter(actions)
-            _, cut, _ = env._rollout(lambda _rng, _obs: next(replay), None, taken, [], [])
-            assert cut is env.terminal_cause, seed
+            replay, replayed = iter(actions), []
+            env._rollout(lambda _rng, _obs: next(replay), None, taken + 1, replayed, [])
+            assert len(replayed) == taken, seed
         else:
-            assert cause is STEP_LIMIT and len(actions) == spec.max_steps, seed
+            assert len(actions) == spec.max_steps, seed
 
 
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_step_is_the_reference_step_bit_for_bit(task):
     """A one-step rollout's whole result and the state it leaves, against
     one step of ``reference_step_forms``, for an episode's worth of steps:
-    terminated with the task's own cause. Continuous actions include -0.0
-    and values to clamp."""
+    terminated when the env stops asking the policy. Continuous actions
+    include -0.0 and values to clamp."""
     spec = get_spec(task)
     env = make(task)
     coerce, tick, observe = reference_step_forms(env)
@@ -516,9 +525,8 @@ def test_step_is_the_reference_step_bit_for_bit(task):
             else:
                 value = rng.choice((0.0, -0.0, 2 * spec.action.lo, 2 * spec.action.hi))
             state, reward, terminated = tick(state, coerce(value))
-            cause = env.terminal_cause if terminated else STEP_LIMIT
             result = step(env, value)
-            assert repr(result) == repr((observe(state), reward, cause)), (seed, steps)
+            assert repr(result) == repr((observe(state), reward, terminated)), (seed, steps)
             assert repr(env.state) == repr(state)
             if terminated:
                 break

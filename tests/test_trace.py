@@ -41,7 +41,7 @@ def _golden_episodes():
             "random": _header(spec) + f"    {spec.random_default_text}\n",
             "optimal": transcript_text("code_optimal.py"),
         }
-        for policy, seed, _, _, _ in GOLDEN[task]:
+        for policy, seed, _, _ in GOLDEN[task]:
             program = parse(sources[policy], expected_params=spec.obs_names)
             yield task, run_episode(program, task, seed=seed, rng=random.Random(seed))
 
