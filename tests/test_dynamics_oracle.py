@@ -124,7 +124,7 @@ def test_pendulum_rewards_agree_with_reference():
 # -- cart-pole step, Star2 encoding and coerce: bit for bit -----------------
 #
 # The cart-pole physics and the Star2 encoding are written once, inline in
-# the family's _rollout, which env.observe() and conftest's one-step helper
+# the family's _rollout, which env.observe() and conftest's step helper
 # run. These tests drive them from set states, on the forces a task can
 # apply: +/-10 through CartPole's labels, and [-3, 3], signed zeros
 # included, through InvertedPendulum's continuous action.
@@ -240,7 +240,7 @@ def _step_ending(task, state, action):
 
 
 def _reference_step_ending(task, state, action):
-    # a step is a one-step rollout, which encodes the state it starts from
+    # a step encodes the state it starts from, and the one it leaves
     cartpole_family_observation_form(task.value, state)
     state, _, terminated = cartpole_family_step_form(task.value, state, action)
     cartpole_family_observation_form(task.value, state)
@@ -439,7 +439,7 @@ def _step_result(task, state, action):
 def _reference_step_result(task, state, action):
     env = make(task)
     coerce, tick, observe = reference_step_forms(env)
-    # a step is a one-step rollout, which encodes the state it starts from
+    # a step encodes the state it starts from, and the one it leaves
     observe(state)
     state, reward, terminated = tick(state, coerce(action))
     return (observe(state), reward, terminated), state

@@ -508,7 +508,7 @@ def test_terminated_and_truncated_are_exclusive(task):
 
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_step_is_the_reference_step_bit_for_bit(task):
-    """A one-step rollout's whole result and the state it leaves, against
+    """A step's whole result and the state it leaves, against
     one step of ``reference_step_forms``, for an episode's worth of steps:
     terminated when the env stops asking the policy. Continuous actions
     include -0.0 and values to clamp."""
