@@ -82,8 +82,9 @@ def plan_cells(
     taken = sorted(overrides.keys() & {"seed_root", "model_name", "temperatures"})
     if taken:
         raise ValueError(
-            f"config_overrides may not set {' or '.join(taken)}; "
-            "run_batch takes them from its seed_root, model_names and temperatures"
+            f"config_overrides (a batch file's \"config\") may not set {' or '.join(taken)}; "
+            "plan_cells takes them from its seed_root, model_names and temperatures "
+            '(a batch file\'s "seed_root", "models" and "temperatures")'
         )
     require_type("an int", replications=replications)
     if replications < 1:

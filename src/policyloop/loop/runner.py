@@ -44,7 +44,7 @@ from ..prompts import (
     render_p3,
     render_p4,
 )
-from ..prompts.pipeline import STAGE_MAX_TOKENS, EmptyResponseError
+from ..prompts.pipeline import STAGE_MAX_TOKENS
 from .config import LoopConfig
 from .records import RunRecord, RunStatus, Strategy, mean
 
@@ -232,8 +232,8 @@ def run_replication(
                 strategies.append(strategy)
     except RepairBudgetExhausted:
         record.status = RunStatus.ABORTED_REPAIR_BUDGET
-    except (GatewayError, EmptyResponseError):
-        # a blank strategy answer; over HTTP the gateway refuses it itself
+    except GatewayError:
+        # the backend failed, or answered a strategy prompt with blank text
         record.status = RunStatus.ABORTED_BACKEND
     except Exception as exc:
         # anything else ends this replication only; KeyboardInterrupt and

@@ -9,12 +9,14 @@ re-run on fresh seeds and scored by its fraction of maximal episodes); and
 the composite figure of merit robustness * success^2 / learning_time, where
 success is squared to punish unreliable convergence.
 
-The matrix-level functions operate on plain per-replication reward
-sequences, given r_max and t_max, and are the reference arithmetic;
-record-level wrappers extract those sequences from RunRecords, and
-``compute_report`` takes the two bounds from the task and the records.
-Robustness re-runs a policy through the loop's own episodes,
-``loop.runner.seeded_episodes``, with ``"robustness"`` in the iteration slot.
+Every equation, the improvement ratio too, reads plain per-replication
+reward rows, given r_max and t_max. Only two functions read RunRecords:
+``robustness``, which re-runs each successful replication's first maximal
+policy through the loop's own episodes, ``loop.runner.seeded_episodes``,
+with ``"robustness"`` in the iteration slot; and ``compute_report``, which
+checks one cell's records, takes its two bounds from the task and the
+records, and scores the records' reward rows with the same equations.
+Every refusal is a ``MetricsError``, a task without a maximum included.
 Every average is ``loop.records.mean``, the one the runner stores each
 ``mean_reward`` with: a left-to-right sum over the count.
 """
@@ -39,14 +41,14 @@ class MetricsError(ValueError):
     pass
 
 
-class MetricNotApplicableError(MetricsError):
-    """The task has no defined maximum reward, so success-relative metrics
-    cannot be computed."""
-
-
 def _require_rows(matrix: Matrix) -> None:
     if not matrix:
         raise MetricsError("no reward data given")
+
+
+def _require_r_max(r_max: Optional[float]) -> None:
+    if r_max is None:
+        raise MetricsError("task defines no maximum reward")
 
 
 def _require_finite(values: Iterable[float], what: str) -> None:
@@ -100,8 +102,7 @@ def first_hit(row: Sequence[float], r_max: float, t_max: int) -> Optional[int]:
 
 def successful_set(matrix: Matrix, r_max: float, t_max: int) -> list[int]:
     _require_rows(matrix)
-    if r_max is None:
-        raise MetricNotApplicableError("task defines no maximum reward")
+    _require_r_max(r_max)
     return [j for j, row in enumerate(matrix) if first_hit(row, r_max, t_max) is not None]
 
 
@@ -116,6 +117,7 @@ def learning_time(matrix: Matrix, r_max: float, t_max: int) -> Optional[float]:
     None when no replication succeeded (the metric is undefined then, and
     the figure of merit is reported absent).
     """
+    _require_r_max(r_max)
     hits = [
         t
         for row in matrix
@@ -131,6 +133,7 @@ def robustness_from_returns(
 ) -> Optional[float]:
     """Mean over replications of the fraction of evaluation episodes at
     r_max; caller supplies the episode returns per successful replication."""
+    _require_r_max(r_max)
     if not eval_returns:
         return None
     fractions = []
@@ -155,11 +158,19 @@ def figure_of_merit(
     return robustness_value * success_value**2 / learning_time_value
 
 
-def improvement_ratio_values(
-    initial: float, best: float, reference: Optional[float]
-) -> Optional[float]:
-    """(best - initial) / (reference - initial); absent when degenerate."""
-    if reference is None or reference == initial:
+def improvement_ratio(matrix: Matrix, r_max: Optional[float] = None) -> Optional[float]:
+    """Gain of the mean best reward over the mean initial reward, over the
+    rows with at least one reward, measured against the task maximum when
+    defined, otherwise against the best reward seen anywhere in the batch;
+    absent when that reference is the mean initial reward."""
+    _require_rows(matrix)
+    rows = [row for row in matrix if row]
+    if not rows:
+        raise MetricsError("records contain no evaluated strategies")
+    initial = mean([row[0] for row in rows])
+    best = mean([max(row) for row in rows])
+    reference = r_max if r_max is not None else max(max(row) for row in rows)
+    if reference == initial:
         return None
     return (best - initial) / (reference - initial)
 
@@ -167,10 +178,6 @@ def improvement_ratio_values(
 # --------------------------------------------------------------------------
 # Record-level layer
 # --------------------------------------------------------------------------
-
-
-def reward_sequences(records: Sequence[RunRecord]) -> list[list[float]]:
-    return [r.per_iteration_rewards for r in records]
 
 
 def _check_same_cell(records: Sequence[RunRecord]) -> None:
@@ -229,22 +236,6 @@ def robustness(
     return robustness_from_returns(eval_returns, r_max)
 
 
-def improvement_ratio(
-    records: Sequence[RunRecord], r_max: Optional[float] = None
-) -> Optional[float]:
-    """Gain of the mean best reward over the mean initial reward, measured
-    against the task maximum when defined, otherwise against the best reward
-    seen anywhere in the batch."""
-    _require_rows([r.per_iteration_rewards for r in records])
-    rows = [r.per_iteration_rewards for r in records if r.per_iteration_rewards]
-    if not rows:
-        raise MetricsError("records contain no evaluated strategies")
-    initial = mean([row[0] for row in rows])
-    best = mean([max(row) for row in rows])
-    reference = r_max if r_max is not None else max(max(row) for row in rows)
-    return improvement_ratio_values(initial, best, reference)
-
-
 @dataclass(kw_only=True)
 class MetricsReport:
     task_id: str
@@ -288,7 +279,7 @@ def compute_report(
     records = sorted(records, key=lambda r: r.replication_index)
     r_max = get_spec(records[0].task_id).r_max
     t_max = max(r.config.epochs for r in records)
-    matrix = reward_sequences(records)
+    matrix = [r.per_iteration_rewards for r in records]
 
     # a cell of replications that all aborted before their first evaluation
     # has no reward to average or improve on
@@ -299,7 +290,7 @@ def compute_report(
         reached = max(v for row in matrix for v in row)
         if r_max is not None and r_max < reached:
             raise MetricsError(f"a record reached {reached}, above the task maximum {r_max}")
-        improvement = improvement_ratio(records, r_max)
+        improvement = improvement_ratio(matrix, r_max)
     succ = lt = rob = None
     hits: list[int] = []
     if r_max is not None:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..dsl.parser import PolicyParseError, PolicyProgram, parse
 from ..envs.core import EnvSpec
-from ..gateway import ChatRequest
+from ..gateway import ChatRequest, MalformedResponseError
 
 if TYPE_CHECKING:  # loop.records imports this module
     from ..loop.records import Strategy
@@ -65,10 +65,6 @@ class Ablation(str, Enum):
 
 class PromptError(ValueError):
     """Template or extraction failure."""
-
-
-class EmptyResponseError(PromptError):
-    pass
 
 
 class NoRulesError(PromptError):
@@ -282,10 +278,13 @@ def strip_code_fences(text: str) -> str:
 
 
 def extract_strategy(response_text: str) -> str:
-    """Prompt-1/4 responses are free text; store them verbatim (trimmed)."""
+    """Prompt-1/4 responses are free text; store them verbatim (trimmed).
+    A blank one raises the gateway's ``MalformedResponseError``, as
+    ``HttpChatBackend`` does for blank content, so a scripted backend's
+    blank answer ends a replication as the endpoint's does."""
     trimmed = response_text.strip()
     if not trimmed:
-        raise EmptyResponseError("the model returned an empty strategy response")
+        raise MalformedResponseError("the model returned an empty strategy response")
     return trimmed
 
 

@@ -43,6 +43,8 @@ SEEDING = "policyloop/envs/seeding.py"
 METRICS = "policyloop/metrics.py"
 EPISODE = "policyloop/dsl/episode.py"
 CLI = "policyloop/cli.py"
+GATEWAY = "policyloop/gateway.py"
+PIPELINE = "policyloop/prompts/pipeline.py"
 CARTPOLE = "policyloop/envs/cartpole.py"
 ACROBOT = "policyloop/envs/acrobot.py"
 PENDULUM = "policyloop/envs/pendulum.py"
@@ -66,6 +68,11 @@ FIRST_STEP = ("tests/test_episode.py::test_first_step_outcome_is_the_frozen_chec
 BATCH_INPUTS = (
     "tests/test_cli.py::test_batch_refuses_a_record_path_that_names_one_of_its_files",
 )
+CLAMP_EDGES = (
+    "tests/test_dynamics_oracle.py::test_float_task_clamps_at_their_edges_match_the_frozen_form",
+)
+R_MAX_REFUSALS = ("tests/test_metrics.py::test_success_requires_r_max",)
+METRICS_TESTS = "tests/test_metrics.py::"
 ENVIRONMENTS = "tests/test_environments.py::"
 EPISODE_TESTS = "tests/test_episode.py::"
 PARSER_TESTS = "tests/test_dsl_parser.py::"
@@ -147,6 +154,80 @@ FOLD_MUTANTS = [
     ),
 ]
 
+# The float tasks' step: a clamp dropped, the mountain-car wall that stops
+# the car dropped, an angle wrapped without its ``+ pi``. The states at each
+# clamp edge reach every one.
+FLOAT_STEP_MUTANTS = [
+    Mutant(name, file, old, new, CLAMP_EDGES)
+    for name, file, old, new in (
+        ("mountain-car-wall-does-not-stop", MOUNTAIN_CAR, "velocity = 0.0\n", "pass\n"),
+        ("mountain-car-speed-ceiling-dropped", MOUNTAIN_CAR, "velocity = max_speed\n", "pass\n"),
+        (
+            "mountain-car-position-floor-dropped",
+            MOUNTAIN_CAR,
+            "position = min_position\n",
+            "pass\n",
+        ),
+        (
+            "mountain-car-position-ceiling-dropped",
+            MOUNTAIN_CAR,
+            "position = max_position\n",
+            "pass\n",
+        ),
+        (
+            "pendulum-wrap-without-pi",
+            PENDULUM,
+            "angle = (theta + pi) % two_pi - pi",
+            "angle = theta % two_pi - pi",
+        ),
+        ("pendulum-speed-floor-dropped", PENDULUM, "theta_dot = neg_max_speed\n", "pass\n"),
+        ("pendulum-speed-ceiling-dropped", PENDULUM, "theta_dot = max_speed\n", "pass\n"),
+        ("acrobot-first-velocity-ceiling-dropped", ACROBOT, "w1 = max_vel_1\n", "pass\n"),
+        ("acrobot-second-velocity-floor-dropped", ACROBOT, "w2 = neg_max_vel_2\n", "pass\n"),
+        (
+            "acrobot-second-angle-wrap-without-pi",
+            ACROBOT,
+            "t2 = (t2 + sixth * (w2 + 2.0 * b2 + 2.0 * b3 + b4) + pi) % two_pi - pi",
+            "t2 = (t2 + sixth * (w2 + 2.0 * b2 + 2.0 * b3 + b4)) % two_pi - pi",
+        ),
+    )
+]
+
+# The improvement ratio's reference and its degenerate case, and each
+# refusal of a task without a maximum.
+METRIC_ROW_MUTANTS = [
+    Mutant(
+        "metrics-improvement-reference-always-the-batch-maximum",
+        METRICS,
+        "reference = r_max if r_max is not None else max(max(row) for row in rows)",
+        "reference = max(max(row) for row in rows)",
+        (METRICS_TESTS + "test_improvement_ratio_zero_without_improvement",),
+    ),
+    Mutant(
+        "metrics-improvement-degenerate-reference-not-refused",
+        METRICS,
+        "    if reference == initial:\n        return None\n",
+        "",
+        (METRICS_TESTS + "test_improvement_ratio_degenerate_reference",),
+    ),
+    *(
+        Mutant(f"metrics-{name}-scores-a-task-without-a-maximum", METRICS, old, new, R_MAX_REFUSALS)
+        for name, old, new in (
+            (
+                "successful-set",
+                "    _require_r_max(r_max)\n    return [j",
+                "    pass\n    return [j",
+            ),
+            ("learning-time", "    _require_r_max(r_max)\n    hits = [", "    pass\n    hits = ["),
+            (
+                "robustness-from-returns",
+                "    _require_r_max(r_max)\n    if not eval_returns:",
+                "    pass\n    if not eval_returns:",
+            ),
+        )
+    ),
+]
+
 MUTANTS = [
     Mutant(
         "runner-previous-and-best-swapped",
@@ -195,6 +276,20 @@ MUTANTS = [
         RUNNER,
         'Stage.P1_STRATEGY, "p1", render_p1(spec)',
         'Stage.P1_STRATEGY, "p4", render_p1(spec)',
+        REQUESTS,
+    ),
+    Mutant(
+        "runner-p1-asked-at-the-p4-stage",
+        RUNNER,
+        "stage, seed_key, prompt = Stage.P1_STRATEGY",
+        "stage, seed_key, prompt = Stage.P4_REFLECT",
+        REQUESTS,
+    ),
+    Mutant(
+        "runner-p4-asked-at-the-p1-stage",
+        RUNNER,
+        'stage, seed_key = Stage.P4_REFLECT, "p4"',
+        'stage, seed_key = Stage.P1_STRATEGY, "p4"',
         REQUESTS,
     ),
     Mutant(
@@ -259,6 +354,7 @@ MUTANTS = [
         NUMPY_DRAWS,
     ),
     *ROLLOUT_MUTANTS,
+    *FLOAT_STEP_MUTANTS,
     Mutant(
         "episode-ints-printed-as-floats",
         EPISODE,
@@ -294,6 +390,33 @@ MUTANTS = [
         '        _check_output(str(cell.path), "record", args.config, args.gateway_config)\n',
         "        pass\n",
         BATCH_INPUTS,
+    ),
+    *METRIC_ROW_MUTANTS,
+    Mutant(
+        "prompts-blank-strategy-accepted",
+        PIPELINE,
+        "    if not trimmed:\n        raise MalformedResponseError",
+        "    if False:\n        raise MalformedResponseError",
+        ("tests/test_prompts.py::test_extract_strategy_rejects_whitespace_only",),
+    ),
+    # the gateway retries a garbled status line or header block, and a body
+    # it cannot read
+    Mutant(
+        "gateway-http-exception-not-retried",
+        GATEWAY,
+        "except (OSError, http.client.HTTPException, MalformedResponseError) as exc:",
+        "except (OSError, MalformedResponseError) as exc:",
+        (
+            "tests/test_gateway.py"
+            "::test_a_garbled_status_line_or_header_block_is_a_retried_transport_error",
+        ),
+    ),
+    Mutant(
+        "gateway-malformed-response-not-retried",
+        GATEWAY,
+        "except (OSError, http.client.HTTPException, MalformedResponseError) as exc:",
+        "except (OSError, http.client.HTTPException) as exc:",
+        ("tests/test_gateway.py::test_empty_completion_is_retried",),
     ),
 ]
 

@@ -39,7 +39,6 @@ import test_prompts as prompt_tests
 from conftest import (
     assert_same_policy,
     fixture_text,
-    make_records,
     scripted_session,
     step,
     transcript_text,
@@ -92,8 +91,7 @@ def test_criterion_2_reported_value_regression():
     assert learning_time([[500.0] + [0.0] * 99], 500.0, 100) == pytest.approx(0.01)
     seven_of_ten = [[500.0 if j < 7 else 99.0] * 100 for j in range(10)]
     assert success(seven_of_ten, 500.0, 100) == pytest.approx(0.7)
-    records = make_records([[18.31, 499.0, 500.0]])
-    assert improvement_ratio(records, r_max=500.0) == pytest.approx(1.00)
+    assert improvement_ratio([[18.31, 499.0, 500.0]], r_max=500.0) == pytest.approx(1.00)
     _report(2, "learning-time floor 0.01, success 0.7, improvement ratio 1.00")
 
 

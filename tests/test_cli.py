@@ -392,6 +392,25 @@ def test_batch_refuses_a_record_path_that_names_one_of_its_files(
     assert backends == [] and made == []
 
 
+def test_batch_refusal_of_a_config_setting_names_the_batch_file_keys(tmp_path, capsys, backends):
+    """A batch file's ``config`` may not set what its own keys set; the
+    refusal names those keys, not only the Python parameters behind them."""
+    batch_config = tmp_path / "batch.json"
+    batch_config.write_text(json.dumps(
+        {"tasks": ["CartPole"], "script": ["x"], "config": {"model_name": "m"}}
+    ))
+    args = ["batch", "--config", str(batch_config), "--out-dir", str(tmp_path / "runs")]
+    error = _usage_error(capsys, args)
+    assert error == (
+        f"policyloop: error: batch settings in {batch_config}: config_overrides "
+        """(a batch file's "config") may not set model_name; plan_cells takes them from """
+        """its seed_root, model_names and temperatures (a batch file's "seed_root", """
+        """"models" and "temperatures")"""
+    )
+    assert backends == []
+    assert list(tmp_path.iterdir()) == [batch_config]
+
+
 @pytest.mark.parametrize("where", ["file", "under-a-file"])
 def test_batch_refuses_an_out_dir_before_any_request(tmp_path, capsys, backends, taken, where):
     batch_config = tmp_path / "batch.json"

@@ -982,7 +982,7 @@ def test_each_batch_record_is_saved_under_its_default_record_name(tmp_path):
 
 
 def test_ten_identical_scripted_replications_all_succeed():
-    from policyloop.metrics import reward_sequences, success
+    from policyloop.metrics import success
 
     def factory(task, model, temperature, replication):
         return ScriptedBackend(scripted_session())
@@ -995,7 +995,7 @@ def test_ten_identical_scripted_replications_all_succeed():
         config_overrides={"epochs": 5, "eval_episodes": 5},
     )
     assert len(records) == 10
-    assert success(reward_sequences(records), 500.0, 5) == 1.0
+    assert success([r.per_iteration_rewards for r in records], 500.0, 5) == 1.0
 
 
 def test_batch_isolates_failures(tmp_path):

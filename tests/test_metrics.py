@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from policyloop.metrics import (
-    MetricNotApplicableError,
     MetricsError,
     average_reward,
     compute_report,
     figure_of_merit,
     first_hit,
     improvement_ratio,
-    improvement_ratio_values,
     learning_time,
     render_table,
     reward_curve_csv,
@@ -92,6 +90,16 @@ def brute_eq5(rob, succ, lt):
     return rob * succ * succ / lt
 
 
+def brute_improvement_ratio(matrix, r_max):
+    rows = [np.array(row) for row in matrix if len(row) > 0]
+    initial = np.mean([row[0] for row in rows])
+    best = np.mean([row.max() for row in rows])
+    reference = np.concatenate(rows).max() if r_max is None else r_max
+    if reference == initial:
+        return None
+    return (best - initial) / (reference - initial)
+
+
 def synthetic_matrix(rng, n_reps=10, n_iters=100, hit_prob=0.35):
     """Random reward rows with r_max values planted in some replications."""
     matrix = []
@@ -139,6 +147,33 @@ def test_oracle_equivalence_on_randomized_matrices():
                 brute_eq5(expected_rob, brute_eq2(matrix, R_MAX, T_MAX), expected_lt),
                 abs=1e-9,
             )
+        for r_max in (R_MAX, None):
+            assert improvement_ratio(matrix, r_max) == pytest.approx(
+                brute_improvement_ratio(matrix, r_max), abs=1e-9
+            )
+
+
+def test_improvement_ratio_oracle_on_ragged_and_degenerate_rows():
+    """Rows of aborted replications are short or empty, and the empty ones
+    are left out; rows that never leave their first reward leave no gain,
+    and no ratio at all when the reference is that reward."""
+    rng = random.Random(2026)
+    for case in range(25):
+        matrix = synthetic_matrix(rng, n_iters=20)
+        for row in rng.sample(matrix, rng.randint(1, 9)):
+            del row[rng.randint(0, len(row) - 1):]
+        for r_max in (R_MAX, None):
+            assert improvement_ratio(matrix, r_max) == pytest.approx(
+                brute_improvement_ratio(matrix, r_max), abs=1e-9
+            )
+
+        # a whole number, so that every mean of copies of it is exactly it
+        value = float(rng.randint(-500, 499))
+        flat = [[value] * rng.randint(1, 20) for _ in range(rng.randint(1, 5))] + [[]]
+        rng.shuffle(flat)
+        for r_max, expected in ((None, None), (value, None), (R_MAX, 0.0)):
+            assert brute_improvement_ratio(flat, r_max) == expected
+            assert improvement_ratio(flat, r_max) == expected
 
 
 # -- the mean ----------------------------------------------------------------------
@@ -228,29 +263,27 @@ def test_success_boundary_inclusion_at_t_max():
 
 
 def test_improvement_ratio_at_the_maximum():
-    records = make_records([[18.31, 250.0, 500.0]])
-    assert improvement_ratio(records, r_max=500.0) == pytest.approx(1.00)
+    assert improvement_ratio([[18.31, 250.0, 500.0]], r_max=500.0) == pytest.approx(1.00)
 
 
 def test_improvement_ratio_against_batch_best():
     # no defined maximum: the reference is the best reward seen in the batch
-    records = make_records([[-200.0, -110.0], [-200.0, -90.0]], task="Acrobot", epochs=50)
+    matrix = [[-200.0, -110.0], [-200.0, -90.0]]
     initial, best, reference = -200.0, np.mean([-110.0, -90.0]), -90.0
     expected = (best - initial) / (reference - initial)
-    assert improvement_ratio(records) == pytest.approx(expected)
-    assert improvement_ratio_values(-200.0, -110.0, -90.0) == pytest.approx(0.818, abs=1e-3)
+    assert improvement_ratio(matrix) == pytest.approx(expected)
+    assert improvement_ratio([[-200.0, -110.0]], -90.0) == pytest.approx(0.818, abs=1e-3)
 
 
 def test_improvement_ratio_zero_without_improvement():
     # flat trajectory: zero gain no matter the reference
-    assert improvement_ratio_values(-500.0, -500.0, -90.0) == 0.0
-    assert improvement_ratio_values(-500.0, -500.0, 500.0) == 0.0
+    assert improvement_ratio([[-500.0, -500.0]], -90.0) == 0.0
+    assert improvement_ratio([[-500.0, -500.0]], 500.0) == 0.0
 
 
 def test_improvement_ratio_degenerate_reference():
-    assert improvement_ratio_values(-500.0, -500.0, -500.0) is None
-    records = make_records([[-500.0, -500.0]], task="Acrobot", epochs=50)
-    assert improvement_ratio(records) is None
+    assert improvement_ratio([[-500.0, -500.0]], -500.0) is None
+    assert improvement_ratio([[-500.0, -500.0]]) is None
 
 
 @pytest.mark.parametrize(
@@ -302,9 +335,21 @@ def test_robustness_from_returns_rejects_non_finite(bad):
         robustness_from_returns({0: [R_MAX, R_MAX], 3: [R_MAX, bad]}, R_MAX)
 
 
-def test_success_requires_r_max():
-    with pytest.raises(MetricNotApplicableError):
-        success([[1.0]], None, 10)
+@pytest.mark.parametrize(
+    "equation",
+    [
+        lambda: success([[1.0, 2.0]], None, 2),
+        lambda: successful_set([[1.0, 2.0]], None, 2),
+        lambda: learning_time([[1.0, 2.0]], None, 2),
+        lambda: robustness_from_returns({0: [1.0, 2.0]}, None),
+    ],
+    ids=["success", "successful_set", "learning_time", "robustness_from_returns"],
+)
+def test_success_requires_r_max(equation):
+    """A task without a maximum has no success to score: each equation
+    relative to it refuses, where a value would read as no success."""
+    with pytest.raises(MetricsError, match="^task defines no maximum reward$"):
+        equation()
 
 
 def test_first_hit_is_one_based():
@@ -665,7 +710,7 @@ def test_a_cell_with_no_evaluation_scores_success_zero_and_nothing_else(include_
     with pytest.raises(MetricsError, match="reward rows are all empty"):
         average_reward([[], []])
     with pytest.raises(MetricsError, match="no evaluated strategies"):
-        improvement_ratio(records, R_MAX)
+        improvement_ratio([[], []], R_MAX)
 
 
 def test_a_first_maximal_program_that_no_longer_parses_is_a_metrics_error():

@@ -5,10 +5,10 @@ import pytest
 
 from policyloop.dsl import PolicyParseError
 from policyloop.envs import ALL_TASKS, get_spec
+from policyloop.gateway import MalformedResponseError
 from policyloop.loop import Strategy
 from policyloop.prompts import (
     Ablation,
-    EmptyResponseError,
     NoRulesError,
     SensoryMotorWindow,
     extract_code,
@@ -268,7 +268,7 @@ def test_extract_strategy_is_verbatim():
 
 
 def test_extract_strategy_rejects_whitespace_only():
-    with pytest.raises(EmptyResponseError):
+    with pytest.raises(MalformedResponseError, match="empty strategy response"):
         extract_strategy("   \n\t  ")
 
 
