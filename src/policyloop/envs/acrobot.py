@@ -13,10 +13,11 @@ Each step of it encodes the observation, calls the policy once, then runs
 inline the action check (a label, never a bool), the RK4 step, the wrap
 of both angles to [-pi, pi), the velocity clamps and the goal test; a
 refused value and the goal each end the loop with a plain ``break``. The
-four RK4 stages are straight-line scalar code with constant sub-products
-computed once; each performs the textbook's float operations in the
-textbook's order, so a step rounds bit for bit as the plain transcription
-of the equations does. Tests pin it to a frozen copy of that transcription.
+RK4 step calls one stage function, ``_accelerations``, four times. It
+performs the textbook's float operations in the textbook's order, on
+constant sub-products computed once, so a step rounds bit for bit as the
+plain transcription of the equations does. Tests pin it to a frozen copy of
+that transcription.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ MAX_VEL_2 = 9.0 * math.pi  # ~28.274
 
 # Constant sub-products of the equations, each one a product or sum that
 # left-to-right evaluation computes before any state enters it, so the
-# hoisted form rounds exactly as the textbook expressions do. The rollout
-# leaves out the textbook's two ``m2 *`` that hold state: with m2 = 1.0
-# they change no float. Each ``+ i`` is kept.
+# hoisted form rounds exactly as the textbook expressions do. The stage
+# function leaves out the textbook's two ``m2 *`` that hold state: with
+# m2 = 1.0 they change no float. Each ``+ LINK_MOI`` is kept.
 _M1_LC1_SQ = LINK_MASS_1 * LINK_COM_1**2
 _L1_SQ_PLUS_LC2_SQ = LINK_LENGTH_1**2 + LINK_COM_2**2
 _TWO_L1_LC2 = 2 * LINK_LENGTH_1 * LINK_COM_2
@@ -54,6 +55,26 @@ _LINK1_GRAVITY = (LINK_MASS_1 * LINK_COM_1 + LINK_MASS_2 * LINK_LENGTH_1) * GRAV
 _M2_L1_LC2 = LINK_MASS_2 * LINK_LENGTH_1 * LINK_COM_2
 _M2_LC2_SQ_PLUS_I2 = LINK_MASS_2 * LINK_COM_2**2 + LINK_MOI
 _HALF_PI = math.pi / 2.0
+
+
+def _accelerations(x1, x2, a, b, torque):
+    """The book's angular accelerations (theta1'', theta2'') at the angles
+    x1, x2 and the velocities a, b; m11 and m12 are the book's d1 and d2."""
+    cos2 = math.cos(x2)
+    sin2 = math.sin(x2)
+    m11 = _M1_LC1_SQ + (_L1_SQ_PLUS_LC2_SQ + _TWO_L1_LC2 * cos2) + LINK_MOI + LINK_MOI
+    m12 = _LC2_SQ + _L1_LC2 * cos2 + LINK_MOI
+    phi2 = _M2_LC2_G * math.cos(x1 + x2 - _HALF_PI)
+    phi1 = (
+        _NEG_M2_L1_LC2 * b**2 * sin2
+        - _TWO_M2_L1_LC2 * b * a * sin2
+        + _LINK1_GRAVITY * math.cos(x1 - _HALF_PI)
+        + phi2
+    )
+    d = (torque + m12 / m11 * phi1 - _M2_L1_LC2 * a**2 * sin2 - phi2) / (
+        _M2_LC2_SQ_PLUS_I2 - m12**2 / m11
+    )
+    return -(m12 * d + phi1) / m11, d
 
 
 class AcrobotEnv(Environment):
@@ -117,11 +138,6 @@ class AcrobotEnv(Environment):
         # the names every step reads, as locals read once per rollout
         cos, sin, pi, two_pi = math.cos, math.sin, math.pi, 2.0 * math.pi
         dt, half, sixth = DT, DT / 2.0, DT / 6.0
-        i, half_pi = LINK_MOI, _HALF_PI
-        m1_lc1_sq, l1_sq_plus_lc2_sq, two_l1_lc2 = _M1_LC1_SQ, _L1_SQ_PLUS_LC2_SQ, _TWO_L1_LC2
-        lc2_sq, l1_lc2, m2_lc2_g = _LC2_SQ, _L1_LC2, _M2_LC2_G
-        neg_m2_l1_lc2, two_m2_l1_lc2 = _NEG_M2_L1_LC2, _TWO_M2_L1_LC2
-        link1_gravity, m2_l1_lc2, m2_lc2_sq_plus_i2 = _LINK1_GRAVITY, _M2_L1_LC2, _M2_LC2_SQ_PLUS_I2
         max_vel_1, max_vel_2 = MAX_VEL_1, MAX_VEL_2
         neg_max_vel_1, neg_max_vel_2 = -MAX_VEL_1, -MAX_VEL_2
         t1, t2, w1, w2 = self._state
@@ -130,9 +146,7 @@ class AcrobotEnv(Environment):
         total_reward = -0.0
         value = None
         for _ in range(limit):
-            cos_t2 = cos(t2)
-            sin_t2 = sin(t2)
-            obs = (cos_t1, sin(t1), cos_t2, sin_t2, w1, w2)
+            obs = (cos_t1, sin(t1), cos(t2), sin(t2), w1, w2)
             append_obs(obs)
             try:
                 value = policy(rng, obs)
@@ -145,81 +159,18 @@ class AcrobotEnv(Environment):
                 break
             append_action(action)
             torque = torques[action]
-            # One RK4 step. Stage k's derivatives are the velocities a{k},
-            # b{k} and the accelerations c{k}, d{k} of the book equations at
-            # the angles x1, x2; m11 and m12 are the book's d1 and d2.
-            # Stage 1 is at the state itself, whose cos(t2), sin(t2) the
-            # observation holds.
-            m11 = m1_lc1_sq + (l1_sq_plus_lc2_sq + two_l1_lc2 * cos_t2) + i + i
-            m12 = lc2_sq + l1_lc2 * cos_t2 + i
-            phi2 = m2_lc2_g * cos(t1 + t2 - half_pi)
-            phi1 = (
-                neg_m2_l1_lc2 * w2**2 * sin_t2
-                - two_m2_l1_lc2 * w2 * w1 * sin_t2
-                + link1_gravity * cos(t1 - half_pi)
-                + phi2
-            )
-            d1 = (torque + m12 / m11 * phi1 - m2_l1_lc2 * w1**2 * sin_t2 - phi2) / (
-                m2_lc2_sq_plus_i2 - m12**2 / m11
-            )
-            c1 = -(m12 * d1 + phi1) / m11
+            # One RK4 step: stage k's derivatives are the velocities a{k},
+            # b{k} and the accelerations c{k}, d{k}; stage 1 is at the state.
+            c1, d1 = _accelerations(t1, t2, w1, w2, torque)
             a2 = w1 + half * c1
             b2 = w2 + half * d1
-            x1 = t1 + half * w1
-            x2 = t2 + half * w2
-            cos2 = cos(x2)
-            sin2 = sin(x2)
-            m11 = m1_lc1_sq + (l1_sq_plus_lc2_sq + two_l1_lc2 * cos2) + i + i
-            m12 = lc2_sq + l1_lc2 * cos2 + i
-            phi2 = m2_lc2_g * cos(x1 + x2 - half_pi)
-            phi1 = (
-                neg_m2_l1_lc2 * b2**2 * sin2
-                - two_m2_l1_lc2 * b2 * a2 * sin2
-                + link1_gravity * cos(x1 - half_pi)
-                + phi2
-            )
-            d2 = (torque + m12 / m11 * phi1 - m2_l1_lc2 * a2**2 * sin2 - phi2) / (
-                m2_lc2_sq_plus_i2 - m12**2 / m11
-            )
-            c2 = -(m12 * d2 + phi1) / m11
+            c2, d2 = _accelerations(t1 + half * w1, t2 + half * w2, a2, b2, torque)
             a3 = w1 + half * c2
             b3 = w2 + half * d2
-            x1 = t1 + half * a2
-            x2 = t2 + half * b2
-            cos2 = cos(x2)
-            sin2 = sin(x2)
-            m11 = m1_lc1_sq + (l1_sq_plus_lc2_sq + two_l1_lc2 * cos2) + i + i
-            m12 = lc2_sq + l1_lc2 * cos2 + i
-            phi2 = m2_lc2_g * cos(x1 + x2 - half_pi)
-            phi1 = (
-                neg_m2_l1_lc2 * b3**2 * sin2
-                - two_m2_l1_lc2 * b3 * a3 * sin2
-                + link1_gravity * cos(x1 - half_pi)
-                + phi2
-            )
-            d3 = (torque + m12 / m11 * phi1 - m2_l1_lc2 * a3**2 * sin2 - phi2) / (
-                m2_lc2_sq_plus_i2 - m12**2 / m11
-            )
-            c3 = -(m12 * d3 + phi1) / m11
+            c3, d3 = _accelerations(t1 + half * a2, t2 + half * b2, a3, b3, torque)
             a4 = w1 + dt * c3
             b4 = w2 + dt * d3
-            x1 = t1 + dt * a3
-            x2 = t2 + dt * b3
-            cos2 = cos(x2)
-            sin2 = sin(x2)
-            m11 = m1_lc1_sq + (l1_sq_plus_lc2_sq + two_l1_lc2 * cos2) + i + i
-            m12 = lc2_sq + l1_lc2 * cos2 + i
-            phi2 = m2_lc2_g * cos(x1 + x2 - half_pi)
-            phi1 = (
-                neg_m2_l1_lc2 * b4**2 * sin2
-                - two_m2_l1_lc2 * b4 * a4 * sin2
-                + link1_gravity * cos(x1 - half_pi)
-                + phi2
-            )
-            d4 = (torque + m12 / m11 * phi1 - m2_l1_lc2 * a4**2 * sin2 - phi2) / (
-                m2_lc2_sq_plus_i2 - m12**2 / m11
-            )
-            c4 = -(m12 * d4 + phi1) / m11
+            c4, d4 = _accelerations(t1 + dt * a3, t2 + dt * b3, a4, b4, torque)
             # the angles wrap to [-pi, pi), the velocities are clamped; a NaN
             # passes both
             t1 = (t1 + sixth * (w1 + 2.0 * a2 + 2.0 * a3 + a4) + pi) % two_pi - pi

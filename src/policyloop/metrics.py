@@ -162,14 +162,17 @@ def improvement_ratio(matrix: Matrix, r_max: Optional[float] = None) -> Optional
     """Gain of the mean best reward over the mean initial reward, over the
     rows with at least one reward, measured against the task maximum when
     defined, otherwise against the best reward seen anywhere in the batch;
-    absent when that reference is the mean initial reward."""
+    absent when every row starts at that reference, however the mean of
+    those starts rounds, or when the mean initial reward is the reference."""
     _require_rows(matrix)
     rows = [row for row in matrix if row]
     if not rows:
-        raise MetricsError("records contain no evaluated strategies")
+        raise MetricsError("reward rows are all empty")
     initial = mean([row[0] for row in rows])
     best = mean([max(row) for row in rows])
     reference = r_max if r_max is not None else max(max(row) for row in rows)
+    if all(row[0] == reference for row in rows):
+        return None
     if reference == initial:
         return None
     return (best - initial) / (reference - initial)

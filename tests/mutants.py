@@ -73,6 +73,9 @@ CLAMP_EDGES = (
 )
 R_MAX_REFUSALS = ("tests/test_metrics.py::test_success_requires_r_max",)
 METRICS_TESTS = "tests/test_metrics.py::"
+FLAT_ROWS = (
+    METRICS_TESTS + "test_improvement_ratio_of_rows_that_start_at_the_reference_is_none_at_any_count",
+)
 ENVIRONMENTS = "tests/test_environments.py::"
 EPISODE_TESTS = "tests/test_episode.py::"
 PARSER_TESTS = "tests/test_dsl_parser.py::"
@@ -193,7 +196,23 @@ FLOAT_STEP_MUTANTS = [
     )
 ]
 
-# The improvement ratio's reference and its degenerate case, and each
+# Acrobot's RK4 stage function and the stages that call it: a wrong factor
+# in phi1, a stage's angle from the wrong velocity, the sign of the first
+# acceleration dropped, a full stage stepped by half.
+ACROBOT_STEP = (
+    "tests/test_dynamics_oracle.py::test_acrobot_step_is_bitwise_equal_to_the_generator_form",
+)
+ACROBOT_STAGE_MUTANTS = [
+    Mutant(name, ACROBOT, old, new, ACROBOT_STEP)
+    for name, old, new in (
+        ("acrobot-phi1-b-times-a-made-a-times-a", "* b * a * sin2", "* a * a * sin2"),
+        ("acrobot-stage-3-angle-from-w1", "t1 + half * a2", "t1 + half * w1"),
+        ("acrobot-first-acceleration-sign-dropped", "return -(m12 * d", "return (m12 * d"),
+        ("acrobot-stage-4-velocity-stepped-by-half", "a4 = w1 + dt * c3", "a4 = w1 + half * c3"),
+    )
+]
+
+# The improvement ratio's reference and its degenerate cases, and each
 # refusal of a task without a maximum.
 METRIC_ROW_MUTANTS = [
     Mutant(
@@ -208,7 +227,14 @@ METRIC_ROW_MUTANTS = [
         METRICS,
         "    if reference == initial:\n        return None\n",
         "",
-        (METRICS_TESTS + "test_improvement_ratio_degenerate_reference",),
+        FLAT_ROWS,
+    ),
+    Mutant(
+        "metrics-improvement-rows-at-the-reference-not-refused",
+        METRICS,
+        "    if all(row[0] == reference for row in rows):\n        return None\n",
+        "",
+        FLAT_ROWS,
     ),
     *(
         Mutant(f"metrics-{name}-scores-a-task-without-a-maximum", METRICS, old, new, R_MAX_REFUSALS)
@@ -355,6 +381,7 @@ MUTANTS = [
     ),
     *ROLLOUT_MUTANTS,
     *FLOAT_STEP_MUTANTS,
+    *ACROBOT_STAGE_MUTANTS,
     Mutant(
         "episode-ints-printed-as-floats",
         EPISODE,

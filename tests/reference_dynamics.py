@@ -112,9 +112,9 @@ def star2_encode_ref(native):
 
 
 # Frozen copy of the package's original generator-form Acrobot integrator.
-# The package's straight-line ``rk4_step`` must equal it bit for bit; unlike
-# ``acrobot_ref`` above, this is the same arithmetic in the same order, not
-# an independent derivation.
+# The RK4 step of the package's ``AcrobotEnv._rollout`` must equal it bit
+# for bit; unlike ``acrobot_ref`` above, this is the same arithmetic in the
+# same order, not an independent derivation.
 
 _ACROBOT_DT = 0.2
 
@@ -161,9 +161,9 @@ def rk4_step_generator_form(s, torque, dt=_ACROBOT_DT):
 # as the package wrote them before their rollouts were fused: each task's
 # ``_step_state`` and ``_observe`` hooks, and the helpers they called
 # (``wrap_angle``, ``tip_above_goal``, ``_slide``). Acrobot's integrator is
-# the generator form above, which the package's straight-line ``rk4_step``
-# equalled bit for bit. Each fused rollout must equal these forms bit for
-# bit: the same arithmetic in the same order.
+# the generator form above, which the package's RK4 step equals bit for
+# bit. Each fused rollout must equal these forms bit for bit: the same
+# arithmetic in the same order.
 
 
 def wrap_angle_form(theta):

@@ -95,7 +95,7 @@ def brute_improvement_ratio(matrix, r_max):
     initial = np.mean([row[0] for row in rows])
     best = np.mean([row.max() for row in rows])
     reference = np.concatenate(rows).max() if r_max is None else r_max
-    if reference == initial:
+    if all(row[0] == reference for row in rows) or reference == initial:
         return None
     return (best - initial) / (reference - initial)
 
@@ -284,6 +284,17 @@ def test_improvement_ratio_zero_without_improvement():
 def test_improvement_ratio_degenerate_reference():
     assert improvement_ratio([[-500.0, -500.0]], -500.0) is None
     assert improvement_ratio([[-500.0, -500.0]]) is None
+
+
+def test_improvement_ratio_of_rows_that_start_at_the_reference_is_none_at_any_count():
+    """Flat rows at the reference have no ratio whether or not the mean of
+    their starts rounds back onto it (at five copies of -462.81 it does
+    not), and a mean that rounds onto the reference is never a divisor."""
+    for n in range(1, 9):
+        matrix = [[-462.81, -462.81]] * n
+        assert improvement_ratio(matrix) is None
+        assert improvement_ratio(matrix, -462.81) is None
+    assert improvement_ratio([[1.0], [1.0], [0.9999999999999999]]) is None
 
 
 @pytest.mark.parametrize(
@@ -709,7 +720,7 @@ def test_a_cell_with_no_evaluation_scores_success_zero_and_nothing_else(include_
     # the matrix-level functions still refuse rows with no reward
     with pytest.raises(MetricsError, match="reward rows are all empty"):
         average_reward([[], []])
-    with pytest.raises(MetricsError, match="no evaluated strategies"):
+    with pytest.raises(MetricsError, match="reward rows are all empty"):
         improvement_ratio([[], []], R_MAX)
 
 
