@@ -20,10 +20,10 @@ which it unpacks into its parameters. ``run_episode`` checks the
 observation length once, after ``reset``, and then hands the policy to
 the env's ``_rollout``, the one driver of every env, which ``reset`` runs
 for one step. Each step of it encodes the observation, calls the policy
-once, and runs inline the action check (a label of a discrete task, never
-a bool; or a finite number, clamped to a continuous task's range), the
-physics and the termination test (``envs/cartpole.py``,
-``envs/acrobot.py`` and the others). A valid step builds no outcome
+once, then the one action check of its action space (``envs/core.py``: a
+label of a discrete task, never a bool; or a finite number, clamped to a
+continuous task's range), and runs inline the physics and the termination
+test (``envs/cartpole.py``, ``envs/acrobot.py`` and the others). A valid step builds no outcome
 object: the rollout hands back the last value the policy returned
 (``None`` when the call or the check raised one of
 ``envs.core.POLICY_ERRORS``), and when the episode ended on it the trace

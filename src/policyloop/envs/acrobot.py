@@ -9,9 +9,10 @@ the goal scores -500.
 The env's one driver is its ``_rollout``, which ``reset`` and ``observe``
 run for one step, to read the observation, and ``dsl.run_episode`` for a
 whole episode.
-Each step of it encodes the observation, calls the policy once, then runs
-inline the action check (a label, never a bool), the RK4 step, the wrap
-of both angles to [-pi, pi), the velocity clamps and the goal test; a
+Each step of it encodes the observation, calls the policy once, then the
+action check of ``envs/core.py`` (a label, never a bool), and runs inline
+the RK4 step, the wrap of both angles to [-pi, pi), the velocity clamps
+and the goal test; a
 refused value and the goal each end the loop with a plain ``break``. The
 RK4 step calls one stage function, ``_accelerations``, four times. It
 performs the textbook's float operations in the textbook's order, on
@@ -133,7 +134,7 @@ class AcrobotEnv(Environment):
     _effects = (-1.0, 0.0, 1.0)
 
     def _rollout(self, policy, rng, limit, observations, actions):
-        labels, torques = self._labels, self._effect_of
+        action_of, torques = self._action_of, self._effect_of
         append_obs, append_action = observations.append, actions.append
         # the names every step reads, as locals read once per rollout
         cos, sin, pi, two_pi = math.cos, math.sin, math.pi, 2.0 * math.pi
@@ -150,8 +151,7 @@ class AcrobotEnv(Environment):
             append_obs(obs)
             try:
                 value = policy(rng, obs)
-                # a label, never a bool (reference_dynamics.discrete_coerce_original)
-                action = None if value.__class__ is bool else labels.get(value)
+                action = action_of(value)
             except POLICY_ERRORS:
                 value = None
                 action = None

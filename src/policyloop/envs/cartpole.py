@@ -20,12 +20,12 @@ order from class attributes. The family's ``_rollout`` is the only
 driver of these envs: ``reset`` and ``observe`` run it for one step, to
 read the observation, and ``dsl.run_episode`` for a whole episode.
 Each step of it encodes the observation, calls the policy once as
-``policy(rng, obs)``, then runs inline the action check (a label maps to
-its force and a bool is refused; or a finite number is clamped to [-3, 3]),
-the Euler tick and the bounds test. A refused value and a step past the
-bounds each end the loop with a plain ``break``. Tests pin the tick, the
-encoding and the action check bit for bit to frozen copies of their
-earlier forms.
+``policy(rng, obs)``, then the action check of ``envs/core.py`` (a label
+maps to its force and a bool is refused; or a finite number is clamped to
+[-3, 3]), and runs inline the Euler tick and the bounds test. A refused
+value and a step past the bounds each end the loop with a plain
+``break``. Tests pin the tick, the encoding and the action check bit for
+bit to frozen copies of their earlier forms.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class _CartPoleFamily(Environment):
     the class attributes below; a continuous action is the force itself.
 
     ``_rollout`` writes out, per step, the observation encoding, one call
-    of the policy, the action check, the Euler tick and the bounds test,
-    with the state in four locals. The module constants and functions every step reads are
-    locals, read once per rollout; the tick assigns the four state
-    variables one after another, and the bounds test compares with both
-    signs of each limit. Each float expression has the operands and the
+    of the policy and one of the action check, the Euler tick and the
+    bounds test, with the state in four locals. The module constants and
+    functions every step reads are locals, read once per rollout; the tick
+    assigns the four state variables one after another, and the bounds
+    test compares with both signs of each limit. Each float expression has the operands and the
     order of the frozen reference forms, so a rollout is bit for bit theirs.
     """
 
@@ -90,14 +90,13 @@ class _CartPoleFamily(Environment):
     def _rollout(self, policy, rng, limit, observations, actions):
         spec = self.spec
         # label -> force, empty when the action is the force itself
-        forces, labels = self._effect_of, self._labels
-        lo, hi = (None, None) if forces else (spec.action.lo, spec.action.hi)
+        forces, action_of = self._effect_of, self._action_of
         x_limit, theta_limit = self._x_limit, self._theta_limit
         x_floor, theta_floor = -x_limit, -theta_limit
         grid, reordered = spec.integer_observations, self._reordered
         append_obs, append_action = observations.append, actions.append
         # the names every step reads, as locals read once per rollout
-        cos, sin, floor, inf, neg_inf = math.cos, math.sin, math.floor, math.inf, -math.inf
+        cos, sin, floor = math.cos, math.sin, math.floor
         gravity, mass_pole, total_mass = GRAVITY, MASS_POLE, TOTAL_MASS
         half_pole_length, pole_mass_length, dt = HALF_POLE_LENGTH, POLE_MASS_LENGTH, DT
         star2_grid, x_obs_bound, theta_obs_bound = STAR2_GRID, X_OBS_BOUND, THETA_OBS_BOUND
@@ -136,20 +135,7 @@ class _CartPoleFamily(Environment):
             append_obs(obs)
             try:
                 value = policy(rng, obs)
-                if forces:
-                    # a label, never a bool (reference_dynamics.discrete_coerce_original)
-                    action = None if value.__class__ is bool else labels.get(value)
-                elif value is None:
-                    action = None
-                else:
-                    # a finite number, clamped (reference_dynamics.continuous_coerce_min_max_form)
-                    action = float(value)
-                    if not neg_inf < action < inf:
-                        action = None
-                    elif action < lo:
-                        action = lo
-                    elif action > hi:
-                        action = hi
+                action = action_of(value)
             except POLICY_ERRORS:
                 value = None
                 action = None

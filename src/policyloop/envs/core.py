@@ -21,9 +21,10 @@ then keeps only the value's text.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .seeding import uniform_draws
 
@@ -168,6 +169,36 @@ class EnvSpec:
 POLICY_ERRORS = (ArithmeticError, ValueError)
 
 
+def _label_check(labels: tuple[int, ...]):
+    """The action check of a discrete task: the label a returned value
+    equals, as the int it records (2.0 -> 2), never for a bool; else None.
+    Tests pin it to ``reference_dynamics.discrete_coerce_original``."""
+    get = {label: label for label in labels}.get
+
+    def action_of(value):
+        return None if value.__class__ is bool else get(value)
+
+    return action_of
+
+
+def _clamp_check(lo: float, hi: float):
+    """The action check of a continuous task: a finite number as a float
+    clamped to [lo, hi]; None for None, NaN and +/-inf. It raises what
+    ``float(value)`` raises: OverflowError for an int too large for a float.
+    Tests pin it to ``reference_dynamics.continuous_coerce_min_max_form``."""
+    inf, neg_inf = math.inf, -math.inf
+
+    def action_of(value):
+        if value is None:
+            return None
+        action = float(value)
+        if not neg_inf < action < inf:
+            return None
+        return lo if action < lo else hi if action > hi else action
+
+    return action_of
+
+
 class Environment:
     """Base class: a deterministic, seedable state machine, played by
     whole episodes.
@@ -176,29 +207,32 @@ class Environment:
     read the observation it encodes at the top of its first step, and
     ``dsl.run_episode`` plays whole episodes through it. A task is a
     ``spec``, class data and a ``_rollout`` of its own or of its family,
-    with each step's observation, action check, physics and termination
-    test inline. The class data: ``_reset_ranges``, the reset distribution;
-    and on a discrete task ``_effects``, what each label does.
+    with each step's observation, physics and termination test inline and
+    its action check the class's ``_action_of``. The class data:
+    ``_reset_ranges``, the reset distribution; and on a discrete task
+    ``_effects``, what each label does.
     """
 
     spec: EnvSpec
     # (low, high) of each native state variable's uniform reset draw, in order
     _reset_ranges: tuple[tuple[float, float], ...]
     # On a discrete task: each label's effect (a force, a push, a torque), in
-    # the spec's label order. Built from them once per class that declares a
-    # discrete spec, for the rollout's inline action check: the label a
-    # returned value equals, as the int it records (2.0 -> 2), and its effect.
+    # the spec's label order; ``_effect_of`` maps each label to it, built
+    # once per class that declares a discrete spec.
     _effects: tuple[float, ...]
-    _labels: dict[int, int] = {}
     _effect_of: dict[int, float] = {}
+    # the action check of the class's spec: a returned value's action, or None
+    _action_of: Callable[[object], Optional[Union[int, float]]]
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         spec = vars(cls).get("spec")
         if spec is not None and spec.is_discrete:
             labels = spec.action.labels
-            cls._labels = {label: label for label in labels}
             cls._effect_of = dict(zip(labels, cls._effects, strict=True))
+            cls._action_of = staticmethod(_label_check(labels))
+        elif spec is not None:
+            cls._action_of = staticmethod(_clamp_check(spec.action.lo, spec.action.hi))
 
     def __init__(self) -> None:
         self._state: Optional[tuple[float, ...]] = None
@@ -233,11 +267,11 @@ class Environment:
 
         Each step encodes the state's observation, appends it to
         ``observations`` (which, like ``actions``, starts empty), calls
-        ``policy(rng, obs)``, and checks the returned value. On a discrete
-        task an action is a label the value equals, never a bool, recorded
-        as the int label; on a continuous task, a finite number, recorded
-        as a float clamped to the range. The action is appended to
-        ``actions``. Any other value, or one of ``POLICY_ERRORS`` raised by
+        ``policy(rng, obs)``, and checks the returned value with
+        ``_action_of``. On a discrete task an action is a label the value
+        equals, never a bool, recorded as the int label; on a continuous
+        task, a finite number, recorded as a float clamped to the range. The
+        action is appended to ``actions``. Any other value, or one of ``POLICY_ERRORS`` raised by
         the call or the check, ends the rollout with no reward; a step the
         physics terminate ends it after its reward. Returns (return, value):
         the return is the sum of the rewards from -0.0, so a one-step rollout

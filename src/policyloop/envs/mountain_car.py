@@ -8,10 +8,11 @@ The two tasks share one class, ``_MountainCarFamily``, and its one episode
 loop, ``_rollout``, the only driver of these envs: ``reset`` and
 ``observe`` run it for one step, to read the observation, and
 ``dsl.run_episode`` for a whole episode. Each step of it encodes the
-observation, calls the policy once, then runs inline the action check (a
-label maps to its push and a bool is refused; or a finite number is clamped
-to [-1, 1]), the hill dynamics, the goal test and the reward, with the
-operations of the frozen step forms that tests pin it to, in their order.
+observation, calls the policy once, then the action check of
+``envs/core.py`` (a label maps to its push and a bool is refused; or a
+finite number is clamped to [-1, 1]), and runs inline the hill dynamics,
+the goal test and the reward, with the operations of the frozen step forms
+that tests pin it to, in their order.
 A refused value and the goal each end the loop with a plain ``break``.
 """
 
@@ -51,13 +52,11 @@ class _MountainCarFamily(Environment):
     _effects = (-DISCRETE_FORCE, 0.0, DISCRETE_FORCE)
 
     def _rollout(self, policy, rng, limit, observations, actions):
-        spec = self.spec
         # label -> push, empty when the action is the force
-        pushes, labels, goal = self._effect_of, self._labels, self._goal
-        lo, hi = (None, None) if pushes else (spec.action.lo, spec.action.hi)
+        pushes, action_of, goal = self._effect_of, self._action_of, self._goal
         append_obs, append_action = observations.append, actions.append
         # the names every step reads, as locals read once per rollout
-        cos, inf, neg_inf = math.cos, math.inf, -math.inf
+        cos = math.cos
         gravity, power = GRAVITY, CONTINUOUS_POWER
         max_speed, neg_max_speed = MAX_SPEED, -MAX_SPEED
         min_position, max_position = MIN_POSITION, MAX_POSITION
@@ -69,20 +68,7 @@ class _MountainCarFamily(Environment):
             append_obs(obs)
             try:
                 value = policy(rng, obs)
-                if pushes:
-                    # a label, never a bool (reference_dynamics.discrete_coerce_original)
-                    action = None if value.__class__ is bool else labels.get(value)
-                elif value is None:
-                    action = None
-                else:
-                    # a finite number, clamped (reference_dynamics.continuous_coerce_min_max_form)
-                    action = float(value)
-                    if not neg_inf < action < inf:
-                        action = None
-                    elif action < lo:
-                        action = lo
-                    elif action > hi:
-                        action = hi
+                action = action_of(value)
             except POLICY_ERRORS:
                 value = None
                 action = None

@@ -7,10 +7,10 @@ wrapped to [-pi, pi]; episodes run a fixed 200 steps with no failure state.
 The env's one driver is its ``_rollout``, which ``reset`` and ``observe``
 run for one step, to read the observation, and ``dsl.run_episode`` for a
 whole episode. Each step of it encodes the observation, calls the policy
-once, then runs inline the action check (a finite number, clamped to
-[-2, 2]), the reward and the Euler tick, with the operations of the frozen
-step form that tests pin it to, in its order. Only a refused value ends
-the loop before the step limit.
+once, then the action check of ``envs/core.py`` (a finite number, clamped
+to [-2, 2]), and runs inline the reward and the Euler tick, with the
+operations of the frozen step form that tests pin it to, in its order.
+Only a refused value ends the loop before the step limit.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ class PendulumEnv(Environment):
     _reset_ranges = ((-math.pi, math.pi), (-1.0, 1.0))
 
     def _rollout(self, policy, rng, limit, observations, actions):
+        action_of = self._action_of
         append_obs, append_action = observations.append, actions.append
         # the names every step reads, as locals read once per rollout
         cos, sin, pi, two_pi = math.cos, math.sin, math.pi, 2.0 * math.pi
-        inf, neg_inf, lo, hi = math.inf, -math.inf, self.spec.action.lo, self.spec.action.hi
         gravity_term, torque_term, dt = _GRAVITY_TERM, _TORQUE_TERM, DT
         max_speed, neg_max_speed = MAX_SPEED, -MAX_SPEED
         theta, theta_dot = self._state
@@ -88,17 +88,7 @@ class PendulumEnv(Environment):
             append_obs(obs)
             try:
                 value = policy(rng, obs)
-                if value is None:
-                    action = None
-                else:
-                    # a finite number, clamped (reference_dynamics.continuous_coerce_min_max_form)
-                    action = float(value)
-                    if not neg_inf < action < inf:
-                        action = None
-                    elif action < lo:
-                        action = lo
-                    elif action > hi:
-                        action = hi
+                action = action_of(value)
             except POLICY_ERRORS:
                 value = None
                 action = None

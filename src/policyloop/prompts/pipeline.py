@@ -109,9 +109,10 @@ def _fill(template_name: str, **slots: object) -> str:
 
 
 def format_reward(value: float) -> str:
-    """Two-decimal rendering with trailing zeros trimmed (500.00 -> 500)."""
+    """Two-decimal rendering with trailing zeros trimmed (500.00 -> 500); a
+    value that rounds to zero is "0" whatever its sign."""
     text = f"{value:.2f}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    return "0" if text == "-0" else text
 
 
 def _trial_slots(strategy: Strategy, r_max: Optional[float]) -> dict:

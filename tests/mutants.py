@@ -45,6 +45,7 @@ EPISODE = "policyloop/dsl/episode.py"
 CLI = "policyloop/cli.py"
 GATEWAY = "policyloop/gateway.py"
 PIPELINE = "policyloop/prompts/pipeline.py"
+CORE = "policyloop/envs/core.py"
 CARTPOLE = "policyloop/envs/cartpole.py"
 ACROBOT = "policyloop/envs/acrobot.py"
 PENDULUM = "policyloop/envs/pendulum.py"
@@ -80,27 +81,24 @@ ENVIRONMENTS = "tests/test_environments.py::"
 EPISODE_TESTS = "tests/test_episode.py::"
 PARSER_TESTS = "tests/test_dsl_parser.py::"
 
-# Each rollout's inline action check: a bool taken as a label, a non-finite
-# number taken as an action, a clamp dropped; and its except branch keeping
-# the value instead of reporting None for a call or a check that raised.
-_LABEL = "action = None if value.__class__ is bool else labels.get(value)"
-_ANY_LABEL = "action = labels.get(value)"
+# The one action check of each space, in envs/core.py: a bool taken as a
+# label, a non-finite number taken as an action, a clamp dropped; and each
+# rollout's except branch keeping the value instead of reporting None for a
+# call or a check that raised.
 _EXCEPT = "            except POLICY_ERRORS:\n"
 _RAISED = _EXCEPT + "                value = None\n"
-_DISCRETE = (("cartpole", CARTPOLE), ("mountain-car", MOUNTAIN_CAR), ("acrobot", ACROBOT))
-_CONTINUOUS = (("cartpole", CARTPOLE), ("mountain-car", MOUNTAIN_CAR), ("pendulum", PENDULUM))
 ROLLOUT_MUTANTS = [
     *(
-        Mutant(f"{name}-bool-taken-as-a-label", file, _LABEL, _ANY_LABEL, ACTION_CHECK)
-        for name, file in _DISCRETE
-    ),
-    *(
-        Mutant(f"{name}-{what}", file, old, new, ACTION_CHECK)
-        for name, file in _CONTINUOUS
+        Mutant(f"action-check-{what}", CORE, old, new, ACTION_CHECK)
         for what, old, new in (
+            (
+                "bool-taken-as-a-label",
+                "return None if value.__class__ is bool else get(value)",
+                "return get(value)",
+            ),
             ("non-finite-taken", "if not neg_inf < action < inf:", "if False:"),
-            ("lo-clamp-dropped", "action = lo\n", "pass\n"),
-            ("hi-clamp-dropped", "action = hi\n", "pass\n"),
+            ("lo-clamp-dropped", "return lo if action < lo else ", "return "),
+            ("hi-clamp-dropped", "hi if action > hi else action", "action"),
         )
     ),
     # the check raises only on a continuous task's int too large for a float,

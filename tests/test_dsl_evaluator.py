@@ -4,7 +4,7 @@ integer observation grid.
 
 A policy's outcome on one observation is what the first step of a rollout
 makes of it (``conftest.policy_outcome``): the compiled function's value,
-the task's inline action check, and the text of a refused value.
+the action check of the task's space, and the text of a refused value.
 """
 
 import random

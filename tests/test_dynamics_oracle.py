@@ -390,9 +390,9 @@ def _rollout_action(task, value):
 
 @pytest.mark.parametrize("space", _ACTION_SPACES, ids=_space_id)
 def test_action_check_is_exactly_the_original_coerce_form(space):
-    """The action check that the rollout of every task with this space
-    writes out inline takes each value exactly as the frozen coerce form
-    does: the same action, type and sign, or the same refusal."""
+    """The action check of this space in envs/core.py, which the rollout of
+    every task with this space calls, takes each value exactly as the frozen
+    coerce form does: the same action, type and sign, or the same refusal."""
     tasks = [task for task in ALL_TASKS if get_spec(task).action == space]
     for value in _COERCE_VALUES:
         if isinstance(space, DiscreteActions):
@@ -405,8 +405,9 @@ def test_action_check_is_exactly_the_original_coerce_form(space):
 
 # -- Acrobot, Pendulum and MountainCar: bit for bit ---------------------------
 #
-# Each of these tasks' observation, action check, physics and termination
-# test are written once, inline in its (or its family's) _rollout. These
+# Each of these tasks' observation, physics and termination test are
+# written once, inline in its (or its family's) _rollout, which calls the
+# action check of envs/core.py. These
 # tests drive one-step and whole rollouts from set states and compare every
 # result and the state with the frozen step forms of
 # tests/reference_dynamics.py, which the package's hooks were: Acrobot's

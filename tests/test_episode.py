@@ -377,7 +377,7 @@ def test_the_cartpole_family_has_no_step_or_observe_hooks():
 
 
 # Each way a step's policy call can end, on its first step: run_episode's
-# rollout calls the compiled policy and checks its value inline, and must
+# rollout calls the compiled policy and the action check on its value, and must
 # take the action the frozen coerce form makes of the value the compiled
 # function returns on the same observation and rng, or refuse the value
 # with the text the table says. No text: a valid action.

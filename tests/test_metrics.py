@@ -487,6 +487,51 @@ def test_robustness_episode_seeds_are_frozen():
     assert robustness(fragile, R_MAX, t_max=10, n_eval=300) == 146 / 300
 
 
+_CARTPOLE_PARAMS = "cart_position, cart_velocity, pole_angle, pole_angular_velocity"
+# each branch of the two cart-pole programs returns a label as a float or
+# an int; the InvertedPendulum program returns 5 and -10, which the action
+# check clamps to 3.0 and -3.0, on 31 and 37 of its first 20,000 steps
+_FRACTIONAL = {
+    "CartPole": (
+        f"def get_action({_CARTPOLE_PARAMS}):\n"
+        "    if pole_angle + 0.5 * pole_angular_velocity > 0.03:\n"
+        "        return 1.0\n"
+        "    return 0\n",
+        500.0,
+        71,
+    ),
+    # CartPole's program relabelled, so its episodes and its score are CartPole's
+    "CartPoleStar1": (
+        f"def get_action({_CARTPOLE_PARAMS}):\n"
+        "    if pole_angle + 0.5 * pole_angular_velocity > 0.03:\n"
+        "        return 2.0\n"
+        "    return 1\n",
+        500.0,
+        71,
+    ),
+    # without the clamp at -3 it scores 0.87, without the one at 3 0.80
+    "InvertedPendulum": (
+        "def get_action(cart_position, pole_angle, cart_velocity, pole_angular_velocity):\n"
+        "    if pole_angular_velocity > 0.05:\n"
+        "        return 5\n"
+        "    if pole_angular_velocity < -0.05:\n"
+        "        return -10\n"
+        "    return 40 * pole_angle + 4 * pole_angular_velocity - cart_velocity\n",
+        1000.0,
+        74,
+    ),
+}
+
+
+@pytest.mark.parametrize("task", list(_FRACTIONAL))
+def test_fractional_robustness_is_frozen(task):
+    """Robustness below 1 on more tasks than CartPoleStar2: 100 episodes of
+    each task's fragile program, through its action check."""
+    source, r_max, wins = _FRACTIONAL[task]
+    records = make_records([[r_max]], task=task, program_source=source)
+    assert robustness(records, r_max, t_max=10, n_eval=100) == wins / 100
+
+
 def test_robustness_keeps_at_most_two_traces_alive(monkeypatch):
     # each trace holds every observation of its episode; 2000 of them are
     # the default rerun

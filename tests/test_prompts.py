@@ -159,6 +159,10 @@ def test_reward_sequence_formatting():
     assert format_reward(116.1) == "116.1"
     assert format_reward(500.0) == "500"
     assert format_reward(-108.2399) == "-108.24"
+    # a value that rounds to zero prints without a sign
+    for value in (-0.004, -0.0, 0.0, 0.004, -0.00499):
+        assert format_reward(value) == "0"
+    assert format_reward(-0.005) == "-0.01"
 
 
 def test_invalid_action_feedback_line_appended(star2_spec):
