@@ -345,8 +345,9 @@ def _env_classes():
 
 def test_tasks_declare_data_not_hooks():
     """A task is a spec, class data and its own or its family's _rollout:
-    the reset draw and the label tables are built once, by the base, and a
-    task that shares its family's loop has none of its own."""
+    the reset draw, the effect table and the action check are built once,
+    by the base, and a task that shares its family's loop has none of its
+    own."""
     mechanism = {"reset", "__init_subclass__"}
     for cls in _env_classes():
         own = mechanism & set(vars(cls))
