@@ -87,6 +87,7 @@ PARSER_TESTS = "tests/test_dsl_parser.py::"
 # call or a check that raised.
 _EXCEPT = "            except POLICY_ERRORS:\n"
 _RAISED = _EXCEPT + "                value = None\n"
+_REFUSED = "            if action is None:\n                "
 ROLLOUT_MUTANTS = [
     *(
         Mutant(f"action-check-{what}", CORE, old, new, ACTION_CHECK)
@@ -110,6 +111,17 @@ ROLLOUT_MUTANTS = [
             ("mountain-car", MOUNTAIN_CAR, ACTION_CHECK),
             ("pendulum", PENDULUM, ACTION_CHECK),
             ("acrobot", ACROBOT, BAD_POLICY),
+        )
+    ),
+    # each rollout's own refusal: a value the check refuses ends the episode
+    *(
+        Mutant(f"{name}-refusal-does-not-break", file, _REFUSED + "break\n",
+               _REFUSED + "pass\n", ACTION_CHECK)
+        for name, file in (
+            ("cartpole", CARTPOLE),
+            ("mountain-car", MOUNTAIN_CAR),
+            ("pendulum", PENDULUM),
+            ("acrobot", ACROBOT),
         )
     ),
 ]
